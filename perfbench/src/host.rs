@@ -64,48 +64,69 @@ extern "C" {
     fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
 }
 
-/// Affinity masks cover this many CPUs.
-const MASK_WORDS: usize = 16;
-
-/// The CPUs the calling thread may run on, ascending (empty if the
-/// kernel does not say).
-pub fn allowed_cpus() -> Vec<usize> {
-    let mut mask = [0u64; MASK_WORDS];
+/// Restricts the calling thread, and every thread it starts from then
+/// on, to the first CPU it may use; [`nproc`] then reads 1.
+///
+/// The serve workloads call this before they start any thread. On a VM,
+/// a request that wakes a thread on an idle vCPU waits until the host
+/// schedules that vCPU, and on a shared host that wait swings with the
+/// neighbours' load. Alternating 20-second serve_mixed runs of five
+/// seeds on a 2-vCPU VM served 7.3k–10.3k req/s (p50 74–107 µs, IQR
+/// over median 27%) on both vCPUs and 9.9k–11.9k req/s (p50 40–44 µs,
+/// IQR over median 6%) on one. On one CPU every hand-off is a local
+/// wake-up, so the figures follow the serving code.
+pub fn use_one_cpu() -> Result<(), String> {
+    const WORDS: usize = 16;
+    let mut mask = [0u64; WORDS];
     // SAFETY: `mask` is a writable buffer of exactly the size passed, and
     // pid 0 names the calling thread.
-    let rc = unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
-    if rc != 0 {
-        return Vec::new();
+    if unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) } != 0 {
+        return Err("sched_getaffinity failed".to_owned());
     }
-    (0..MASK_WORDS * 64)
-        .filter(|&cpu| mask[cpu / 64] >> (cpu % 64) & 1 == 1)
-        .collect()
-}
-
-/// Pins the calling thread to `cpu` (one of [`allowed_cpus`]). A refusal
-/// leaves the thread where it was, which only costs the measurement its
-/// rotation.
-pub fn pin_to_cpu(cpu: usize) {
-    if cpu >= MASK_WORDS * 64 {
-        return;
-    }
-    let mut mask = [0u64; MASK_WORDS];
-    mask[cpu / 64] |= 1 << (cpu % 64);
-    // SAFETY: `mask` is a readable buffer of exactly the size passed, and
+    let cpu = (0..WORDS * 64)
+        .find(|&cpu| mask[cpu / 64] >> (cpu % 64) & 1 == 1)
+        .ok_or("no CPU in the affinity mask")?;
+    let mut one = [0u64; WORDS];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a readable buffer of exactly the size passed, and
     // pid 0 names the calling thread.
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    if unsafe { sched_setaffinity(0, std::mem::size_of_val(&one), one.as_ptr()) } != 0 {
+        return Err(format!("sched_setaffinity to CPU {cpu} failed"));
+    }
+    Ok(())
 }
 
-/// A memory figure of this process from `/proc/self/status` (`VmHWM`,
-/// the peak resident set, or `VmRSS`, the current one), in MiB.
-pub fn status_mb(field: &str) -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: f64 = status
+/// The peak resident set of this process (`VmHWM` in
+/// `/proc/self/status`), in MiB.
+pub fn peak_rss_mb() -> Result<f64, String> {
+    let status = std::fs::read_to_string("/proc/self/status")
+        .map_err(|e| format!("reading /proc/self/status: {e}"))?;
+    status
         .lines()
-        .find(|l| l.split(':').next() == Some(field))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(kb / 1024.0)
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next()?.parse::<f64>().ok())
+        .map(|kb| kb / 1024.0)
+        .ok_or_else(|| "no VmHWM in /proc/self/status".to_owned())
+}
+
+/// Runs this benchmark as a child process with `args` (a `--probe-*`
+/// flag and its inputs), waits for it, and reads the one number it
+/// prints. Set-up time and peak memory come from fresh processes, so
+/// they measure what the probed work costs a process that does only
+/// that, not what earlier work left behind in this one.
+pub fn probe(args: &[String]) -> Result<f64, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("locating the benchmark: {e}"))?;
+    let out = Command::new(exe)
+        .args(args)
+        .output()
+        .map_err(|e| format!("running a probe: {e}"))?;
+    let text = String::from_utf8_lossy(&out.stdout);
+    match (out.status.success(), text.trim().parse::<f64>()) {
+        (true, Ok(value)) => Ok(value),
+        _ => Err(format!(
+            "probe {} failed: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stderr).trim()
+        )),
+    }
 }

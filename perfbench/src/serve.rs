@@ -3,7 +3,7 @@
 //! the process `gmcc serve --listen` runs.
 
 use crate::report::{Metric, Report};
-use crate::stats::{mean, op_capacity, slice_window, Op, Repetition};
+use crate::stats::{mean, Fastest};
 use crate::{digest, host, Args};
 use gmc::{FlopCount, GmcOptimizer};
 use gmc_bench::workload::{generate, Trace, TraceRequest, TraceStructure, WorkloadSpec};
@@ -17,7 +17,7 @@ use gmc_serve::{ServeConfig, ServeReply, Served, Server, ServerStats, STAGES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -42,14 +42,18 @@ const HIT_STRUCTURES_PER_LENGTH: usize = 5;
 const HIT_REQUESTS_PER_LENGTH: usize = 400;
 /// serve_hit: deployments per run, each set up from scratch and serving
 /// an equal share of the window (`setup_s` is their median set-up).
-const HIT_DEPLOYMENTS: usize = 5;
-/// serve_mixed: requests per cold-cache epoch, and the minimum number
-/// of epochs per run.
-const EPOCH_REQUESTS: usize = 2500;
-const MIN_EPOCHS: usize = 3;
-/// serve_mixed: replies per epoch checked against a cold solve (a
+const HIT_DEPLOYMENTS: usize = 3;
+/// serve_mixed: distinct cold-cache epochs per run, each with a trace of
+/// its own, and the requests in each. A pass sends every epoch once, each
+/// on a fresh server; the window runs whole passes.
+const EPOCHS: usize = 16;
+const EPOCH_REQUESTS: usize = 625;
+/// serve_mixed: the fewest passes a run makes, so every epoch has
+/// several repeats to keep the fastest of.
+const MIN_PASSES: usize = 3;
+/// serve_mixed: replies per epoch run checked against a cold solve (a
 /// seeded sample; checking every reply would outlast the window).
-const CHECKS_PER_EPOCH: usize = 400;
+const CHECKS_PER_EPOCH: usize = 100;
 /// serve_mixed: epochs replayed by the traced run.
 const TRACED_EPOCHS: usize = 2;
 /// Bare/instrumented pass pairs behind `obs.overhead_pct`.
@@ -157,11 +161,20 @@ fn hit_inputs(seed: u64, quick: bool) -> Result<Inputs, String> {
     Inputs::new(merged, digest)
 }
 
-/// One serve_mixed epoch's trace: the `mixed` preset's shape.
-fn mixed_spec(seed: u64, quick: bool) -> WorkloadSpec {
+/// Epoch `epoch`'s trace: the `mixed` preset's shape, with every chain
+/// of the epoch one length, cycling over the preset's lengths 3–6 from
+/// epoch to epoch. A hit's cost follows its chain's length, so every
+/// seed then has the same length mix; drawn freely, the popular
+/// structures' lengths moved a run's throughput by 10% between seeds.
+fn mixed_spec(seed: u64, epoch: usize, quick: bool) -> WorkloadSpec {
+    let preset = WorkloadSpec::preset("mixed", seed).expect("mixed is a preset");
+    let len = preset.min_len + epoch % (preset.max_len - preset.min_len + 1);
     WorkloadSpec {
+        seed: sub_seed(seed, epoch),
         requests: if quick { 200 } else { EPOCH_REQUESTS },
-        ..WorkloadSpec::preset("mixed", seed).expect("mixed is a preset")
+        min_len: len,
+        max_len: len,
+        ..preset
     }
 }
 
@@ -224,26 +237,17 @@ impl Deployment {
 /// What one client connection saw.
 #[derive(Default)]
 struct ConnLog {
-    ops: Vec<Op>,
     sent: u64,
-    /// The first reply line read for each request index.
-    replies: HashMap<usize, String>,
-    /// Replies that differ from the first reply to the same request.
-    mismatched: u64,
+    /// Per reply read: the request index, its latency (µs) and the line.
+    replies: Vec<(usize, f64, String)>,
     error: Option<String>,
 }
 
-/// Closed loop over `conns` connections: connection `c` sends requests
-/// `c, c + conns, …` and waits for each reply before sending the next.
-/// With `seconds`, the connections cycle over `lines` until the window
-/// closes; without, each sends its share once. Returns the logs and the
-/// seconds from the start to the last reply.
-fn drive(
-    addr: SocketAddr,
-    lines: &[String],
-    conns: usize,
-    seconds: Option<f64>,
-) -> Result<(Vec<ConnLog>, f64), String> {
+/// Sends `lines` once, closed loop, over `conns` connections: connection
+/// `c` sends requests `c, c + conns, …` and waits for each reply before
+/// sending the next. Returns the logs and the seconds from the start to
+/// the last reply.
+fn drive(addr: SocketAddr, lines: &[String], conns: usize) -> Result<(Vec<ConnLog>, f64), String> {
     let streams = (0..conns)
         .map(|_| TcpStream::connect(addr))
         .collect::<Result<Vec<_>, _>>()
@@ -256,7 +260,7 @@ fn drive(
             .map(|(c, stream)| {
                 scope.spawn(move || {
                     let mut log = ConnLog::default();
-                    if let Err(e) = exchange(&stream, c, conns, lines, started, seconds, &mut log) {
+                    if let Err(e) = exchange(&stream, c, conns, lines, &mut log) {
                         log.error = Some(e.to_string());
                     }
                     log
@@ -268,12 +272,7 @@ fn drive(
             .map(|c| c.join().expect("client thread panicked"))
             .collect()
     });
-    let elapsed = logs
-        .iter()
-        .filter_map(|l| l.ops.last())
-        .map(|o| f64::from(o.done_s))
-        .fold(0.0, f64::max);
-    Ok((logs, elapsed))
+    Ok((logs, started.elapsed().as_secs_f64()))
 }
 
 fn exchange(
@@ -281,60 +280,47 @@ fn exchange(
     c: usize,
     conns: usize,
     lines: &[String],
-    started: Instant,
-    seconds: Option<f64>,
     log: &mut ConnLog,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     let mut writer = stream;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    log.ops
-        .reserve(seconds.map_or(lines.len() / conns + 1, op_capacity));
-    let mut k = c;
-    loop {
+    for index in (c..lines.len()).step_by(conns) {
         let sent_at = Instant::now();
-        let index = match seconds {
-            Some(s) if (sent_at - started).as_secs_f64() >= s => break,
-            Some(_) => k % lines.len(),
-            None if k >= lines.len() => break,
-            None => k,
-        };
         writer.write_all(lines[index].as_bytes())?;
         log.sent += 1;
-        line.clear();
+        let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "connection closed before the reply",
             ));
         }
-        let done = Instant::now();
-        log.ops.push(Op {
-            done_s: (done - started).as_secs_f32(),
-            latency_us: (done - sent_at).as_secs_f32() * 1e6,
-        });
-        let reply = line.trim_end();
-        match log.replies.get(&index) {
-            Some(first) if first != reply => log.mismatched += 1,
-            Some(_) => {}
-            None => {
-                log.replies.insert(index, reply.to_owned());
-            }
-        }
-        k += conns;
+        let latency_us = sent_at.elapsed().as_secs_f64() * 1e6;
+        line.truncate(line.trim_end().len());
+        log.replies.push((index, latency_us, line));
     }
     Ok(())
 }
 
-/// Merges the connections' logs: counts requests sent, missing and
-/// inconsistent replies, and gathers one reply per request index.
-fn collect(report: &mut Report, logs: Vec<ConnLog>) -> (Vec<Op>, u64, BTreeMap<usize, String>) {
-    let (mut ops, mut sent, mut replies) = (Vec::new(), 0, BTreeMap::new());
+/// One pass over a trace, as the connections read it back.
+struct Pass {
+    sent: u64,
+    /// Per request index: latency (µs) and reply line.
+    replies: BTreeMap<usize, (f64, String)>,
+}
+
+/// Merges the connections' logs of one pass and counts the requests
+/// sent and the replies missing.
+fn collect(report: &mut Report, logs: Vec<ConnLog>) -> Pass {
+    let mut pass = Pass {
+        sent: 0,
+        replies: BTreeMap::new(),
+    };
     for (c, log) in logs.into_iter().enumerate() {
-        sent += log.sent;
-        let missing = log.sent - log.ops.len() as u64;
+        pass.sent += log.sent;
+        let missing = log.sent - log.replies.len() as u64;
         if missing > 0 || log.error.is_some() {
             report.fail(
                 missing.max(1),
@@ -345,32 +331,39 @@ fn collect(report: &mut Report, logs: Vec<ConnLog>) -> (Vec<Op>, u64, BTreeMap<u
                 ),
             );
         }
-        if log.mismatched > 0 {
-            report.fail(
-                log.mismatched,
-                format!(
-                    "connection {c}: {} repeated requests read a different reply",
-                    log.mismatched
-                ),
-            );
+        for (index, latency_us, reply) in log.replies {
+            pass.replies.insert(index, (latency_us, reply));
         }
-        for (index, reply) in log.replies {
-            match replies.get(&index) {
-                Some(first) if *first != reply => {
-                    report.violation(format!(
-                        "request {index}: connections read different replies"
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    replies.insert(index, reply);
-                }
-            }
-        }
-        ops.extend(log.ops);
     }
-    report.attempted += sent;
-    (ops, sent, replies)
+    report.attempted += pass.sent;
+    pass
+}
+
+impl Pass {
+    /// Folds the pass into the fastest repeats of `part` and the window's
+    /// mean round trip.
+    fn record(&self, fastest: &mut Fastest, part: usize, rtt: &mut Rtt) {
+        for (&index, (latency_us, _)) in &self.replies {
+            fastest.op(part, index, *latency_us);
+            rtt.sum_us += latency_us;
+            rtt.count += 1;
+        }
+    }
+
+    fn lines(&self) -> BTreeMap<usize, &str> {
+        self.replies
+            .iter()
+            .map(|(&index, (_, reply))| (index, reply.as_str()))
+            .collect()
+    }
+}
+
+/// Every round trip of the window, for the client mean the stage means
+/// add up to.
+#[derive(Default)]
+struct Rtt {
+    sum_us: f64,
+    count: usize,
 }
 
 /// The server's own counters and stage histograms over a window.
@@ -464,7 +457,7 @@ fn account(report: &mut Report, d: &Delta, sent: u64, no_misses: bool, what: &st
 fn check_replies(
     report: &mut Report,
     inputs: &Inputs,
-    replies: &BTreeMap<usize, String>,
+    replies: &BTreeMap<usize, &str>,
     what: &str,
 ) {
     let registry = KernelRegistry::blas_lapack();
@@ -519,20 +512,16 @@ fn check_reply(
 /// Per-layer metrics from the untraced window itself: the server's
 /// stage means, and the TCP hop as the client's mean round trip minus
 /// their sum.
-fn stage_layers(report: &mut Report, d: &Delta, ops: &[Op]) {
-    let rtt = mean(
-        &ops.iter()
-            .map(|o| f64::from(o.latency_us))
-            .collect::<Vec<_>>(),
-    );
+fn stage_layers(report: &mut Report, d: &Delta, window: &Rtt) {
+    let (rtt, count) = (window.sum_us / window.count.max(1) as f64, window.count);
     let mut sum = 0.0;
     for (k, name) in STAGE_METRICS.iter().enumerate() {
         let us = d.stage_sum_ns[k] as f64 / d.stage_count[k].max(1) as f64 / 1e3;
         sum += us;
         report.set(name, Metric::single(us, d.stage_count[k] as usize));
     }
-    report.set("e2e.mean_us", Metric::single(rtt, ops.len()));
-    report.set("serve.tcp_hop_us", Metric::single(rtt - sum, ops.len()));
+    report.set("e2e.mean_us", Metric::single(rtt, count));
+    report.set("serve.tcp_hop_us", Metric::single(rtt - sum, count));
     report.set(
         "serve.batches_per_req",
         Metric::single(
@@ -798,51 +787,70 @@ impl Traced {
 }
 
 pub fn run_hit(args: &Args) -> Result<Report, String> {
+    host::use_one_cpu()?;
     let mut report = Report::new("serve_hit", args.seed, args.trace);
     let inputs = hit_inputs(args.seed, args.quick)?;
     report.note("inputs_digest", Value::String(inputs.digest.clone()));
 
     // The window is served by several deployments in turn, each set up
-    // from scratch: where the scheduler places a deployment's threads
-    // on the cores moves its throughput, and a run should average over
-    // placements rather than draw one.
+    // from scratch, and each sends the whole trace (the one part) again
+    // and again for its share of the window. The first pass's replies
+    // are checked against cold solves; every later pass must read the
+    // same replies.
     let deployments = if args.quick { 1 } else { HIT_DEPLOYMENTS };
     let span = args.seconds / deployments as f64;
-    let (mut setup_s, mut registry_us, mut reps) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut window, mut ops, mut replies) = (Delta::default(), Vec::new(), BTreeMap::new());
+    let mut fastest = Fastest::new([inputs.lines.len()]);
+    let (mut setup_s, mut registry_us) = (Vec::new(), Vec::new());
+    let (mut window, mut rtt, mut first) = (Delta::default(), Rtt::default(), None);
     for k in 0..deployments {
         let d = deploy(&inputs, true)?;
         setup_s.push(d.setup_s);
         registry_us.push(d.registry_us);
         let before = d.server.stats();
-        let (logs, _) = drive(
-            d.door.local_addr(),
-            &inputs.lines,
-            host::nproc(),
-            Some(span),
-        )?;
-        let delta = Delta::between(&before, &d.server.stats());
-        crate::set_peak_rss(&mut report);
-        d.stop(&mut report);
-        let (part, sent, part_replies) = collect(&mut report, logs);
-        account(&mut report, &delta, sent, true, &format!("window {k}"));
-        reps.extend(slice_window(&part, span, crate::SLICES / deployments));
-        for (index, reply) in part_replies {
-            if replies.get(&index).is_some_and(|first| *first != reply) {
-                report.violation(format!("request {index}: deployments replied differently"));
+        let (mut measured, mut sent) = (0.0, 0);
+        while measured < span {
+            let (logs, elapsed) = drive(d.door.local_addr(), &inputs.lines, host::nproc())?;
+            let pass = collect(&mut report, logs);
+            pass.record(&mut fastest, 0, &mut rtt);
+            measured += elapsed;
+            sent += pass.sent;
+            let lines: BTreeMap<usize, String> = pass
+                .lines()
+                .into_iter()
+                .map(|(index, reply)| (index, reply.to_owned()))
+                .collect();
+            match &first {
+                None => first = Some(lines),
+                Some(first) => {
+                    let differing = lines
+                        .iter()
+                        .filter(|(index, reply)| first.get(index) != Some(reply))
+                        .count();
+                    if differing > 0 {
+                        report.fail(
+                            differing as u64,
+                            format!("deployment {k}: {differing} repeated requests read a different reply"),
+                        );
+                    }
+                }
             }
-            replies.entry(index).or_insert(reply);
         }
+        let delta = Delta::between(&before, &d.server.stats());
+        d.stop(&mut report);
+        account(&mut report, &delta, sent, true, &format!("deployment {k}"));
         window.add(&delta);
-        ops.extend(part);
     }
+    report.set("peak_rss_mb", Metric::single(host::peak_rss_mb()?, 1));
     report.set("setup_s", Metric::median_of(&setup_s));
     report.set("kernels.registry_build_us", Metric::mean_of(&registry_us));
-    crate::set_end_to_end(&mut report, &reps);
-    check_replies(&mut report, &inputs, &replies, "window");
+    crate::set_end_to_end(&mut report, &fastest);
+    if let Some(first) = &first {
+        let lines = first.iter().map(|(&i, r)| (i, r.as_str())).collect();
+        check_replies(&mut report, &inputs, &lines, "window");
+    }
 
     if args.trace {
-        stage_layers(&mut report, &window, &ops);
+        stage_layers(&mut report, &window, &rtt);
         let mut traced = Traced::default();
         traced.replay(&inputs, &Arc::new(KernelRegistry::blas_lapack()), true);
         traced.finish(&mut report);
@@ -850,72 +858,85 @@ pub fn run_hit(args: &Args) -> Result<Report, String> {
     Ok(report)
 }
 
+/// serve_mixed's epochs: each its own trace of the `mixed` preset's shape.
+fn mixed_epochs(seed: u64, quick: bool) -> Result<Vec<Inputs>, String> {
+    (0..if quick { 2 } else { EPOCHS })
+        .map(|e| Inputs::generate(&mixed_spec(seed, e, quick)))
+        .collect()
+}
+
 pub fn run_mixed(args: &Args) -> Result<Report, String> {
+    host::use_one_cpu()?;
     let mut report = Report::new("serve_mixed", args.seed, args.trace);
-    let (mut epochs, mut setup_s, mut registry_us) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut window, mut digests, mut traced_inputs) = (Delta::default(), Vec::new(), Vec::new());
-    let (mut measured, mut resident) = (0.0, Vec::new());
-    while epochs.len() < MIN_EPOCHS || measured < args.seconds {
-        let seed = sub_seed(args.seed, epochs.len());
-        let what = format!("epoch {}", epochs.len());
-        let inputs = Inputs::generate(&mixed_spec(seed, args.quick))?;
-        digests.push(Value::String(inputs.digest.clone()));
-        let d = deploy(&inputs, false)?;
-        setup_s.push(d.setup_s);
-        registry_us.push(d.registry_us);
-        let before = d.server.stats();
-        let (logs, elapsed) = drive(d.door.local_addr(), &inputs.lines, host::nproc(), None)?;
-        let delta = Delta::between(&before, &d.server.stats());
-        // The epoch's cache only grows, so its server peaks now.
-        resident.extend(host::status_mb("VmRSS"));
-        d.stop(&mut report);
-        let (ops, sent, replies) = collect(&mut report, logs);
-        account(&mut report, &delta, sent, false, &what);
-        check_replies(
-            &mut report,
-            &inputs,
-            &sample(replies, CHECKS_PER_EPOCH, seed),
-            &what,
-        );
-        window.add(&delta);
-        measured += elapsed;
-        epochs.push((ops, elapsed));
-        if traced_inputs.len() < TRACED_EPOCHS {
-            traced_inputs.push(inputs);
+    let epochs = mixed_epochs(args.seed, args.quick)?;
+    report.note(
+        "inputs_digest",
+        Value::Array(
+            epochs
+                .iter()
+                .map(|e| Value::String(e.digest.clone()))
+                .collect(),
+        ),
+    );
+    let mut fastest = Fastest::new(epochs.iter().map(|e| e.lines.len()));
+    let (mut setup_s, mut registry_us) = (Vec::new(), Vec::new());
+    let (mut window, mut rtt) = (Delta::default(), Rtt::default());
+    let (mut measured, mut passes) = (0.0, 0);
+    while passes < MIN_PASSES || measured < args.seconds {
+        for (e, inputs) in epochs.iter().enumerate() {
+            let what = format!("pass {passes} epoch {e}");
+            let d = deploy(inputs, false)?;
+            setup_s.push(d.setup_s);
+            registry_us.push(d.registry_us);
+            let before = d.server.stats();
+            let (logs, elapsed) = drive(d.door.local_addr(), &inputs.lines, host::nproc())?;
+            let delta = Delta::between(&before, &d.server.stats());
+            d.stop(&mut report);
+            let pass = collect(&mut report, logs);
+            account(&mut report, &delta, pass.sent, false, &what);
+            let seed = sub_seed(sub_seed(args.seed, e), passes);
+            check_replies(
+                &mut report,
+                inputs,
+                &sample(pass.lines(), CHECKS_PER_EPOCH, seed),
+                &what,
+            );
+            pass.record(&mut fastest, e, &mut rtt);
+            window.add(&delta);
+            measured += elapsed;
         }
+        passes += 1;
     }
-    // Each epoch's server peaks at the end of its window. The process's
-    // own high-water mark would also count what the allocator kept from
-    // the dozens of servers before it, which no single server holds.
-    report.set("peak_rss_mb", Metric::median_of(&resident));
-    report.note("inputs_digest", Value::Array(digests));
+    report.note("passes", Value::Number(passes as f64));
     report.set("setup_s", Metric::median_of(&setup_s));
     report.set("kernels.registry_build_us", Metric::mean_of(&registry_us));
-    // Consecutive epochs form the repetitions: each pools several
-    // structure populations, and the median over them shrugs off a
-    // stretch of host noise.
-    let groups = crate::SLICES.min(epochs.len());
-    let reps: Vec<Repetition> = (0..groups)
-        .map(|g| {
-            let chunk = &epochs[g * epochs.len() / groups..(g + 1) * epochs.len() / groups];
-            let ops: Vec<Op> = chunk
-                .iter()
-                .flat_map(|(ops, _)| ops.iter().copied())
-                .collect();
-            Repetition::of(&ops, chunk.iter().map(|(_, s)| s).sum())
-        })
-        .collect();
-    crate::set_end_to_end(&mut report, &reps);
+    crate::set_end_to_end(&mut report, &fastest);
+    // Peak memory of a process that served one cold-cache epoch, measured
+    // in children: this process has run dozens of servers, and what its
+    // allocator kept from them is not what one server holds. A server's
+    // peak follows its epoch's structures closely (13 to 36 MiB between
+    // epochs, within 1% for one epoch), so every epoch is probed and the
+    // figure is their mean.
+    let mut peaks = Vec::new();
+    for e in 0..epochs.len() {
+        let mut probe = vec![
+            "--probe-epoch-peak".to_owned(),
+            e.to_string(),
+            "--seed".to_owned(),
+            args.seed.to_string(),
+        ];
+        if args.quick {
+            probe.push("--quick".to_owned());
+        }
+        peaks.push(host::probe(&probe)?);
+    }
+    report.set("peak_rss_mb", Metric::mean_of(&peaks));
 
     if args.trace {
-        let all_ops: Vec<Op> = epochs
-            .iter()
-            .flat_map(|(ops, _)| ops.iter().copied())
-            .collect();
-        stage_layers(&mut report, &window, &all_ops);
+        stage_layers(&mut report, &window, &rtt);
         let registry = Arc::new(KernelRegistry::blas_lapack());
         let mut traced = Traced::default();
-        for inputs in &traced_inputs {
+        for inputs in epochs.iter().take(TRACED_EPOCHS) {
             traced.replay(inputs, &registry, false);
         }
         traced.finish(&mut report);
@@ -923,12 +944,31 @@ pub fn run_mixed(args: &Args) -> Result<Report, String> {
     Ok(report)
 }
 
+/// Child-process entry: serves serve_mixed epoch `epoch` once from a
+/// fresh server, as a run does, and prints the process's peak resident
+/// set in MiB.
+pub fn probe_epoch_peak(seed: u64, epoch: usize, quick: bool) -> Result<(), String> {
+    host::use_one_cpu()?;
+    let inputs = Inputs::generate(&mixed_spec(seed, epoch, quick))?;
+    let d = deploy(&inputs, false)?;
+    let (logs, _) = drive(d.door.local_addr(), &inputs.lines, host::nproc())?;
+    let peak = host::peak_rss_mb()?;
+    let mut report = Report::new("serve_mixed", seed, false);
+    d.stop(&mut report);
+    collect(&mut report, logs);
+    if !report.correct() {
+        return Err(report.violations.join("; "));
+    }
+    println!("{peak}");
+    Ok(())
+}
+
 /// A seeded sample of at most `count` replies.
-fn sample(replies: BTreeMap<usize, String>, count: usize, seed: u64) -> BTreeMap<usize, String> {
+fn sample(replies: BTreeMap<usize, &str>, count: usize, seed: u64) -> BTreeMap<usize, &str> {
     if replies.len() <= count {
         return replies;
     }
-    let mut entries: Vec<(usize, String)> = replies.into_iter().collect();
+    let mut entries: Vec<(usize, &str)> = replies.into_iter().collect();
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..count {
         let j = rng.gen_range(i..entries.len());
@@ -946,7 +986,7 @@ mod tests {
 
     #[test]
     fn reply_check_accepts_the_cold_solve_and_nothing_else() {
-        let inputs = Inputs::generate(&mixed_spec(3, true)).expect("trace");
+        let inputs = Inputs::generate(&mixed_spec(3, 0, true)).expect("trace");
         let registry = KernelRegistry::blas_lapack();
         let optimizer = GmcOptimizer::new(&registry, FlopCount)
             .with_inference(ServeConfig::default().inference);
