@@ -1,7 +1,7 @@
 //! One predicate per property, following paper Fig. 6.
 
 use crate::infer::canonical_transpose;
-use gmc_expr::{Expr, Property};
+use gmc_expr::{Expr, Operand, Property};
 
 /// Whether `expr` is provably lower triangular.
 ///
@@ -78,14 +78,26 @@ pub fn is_identity(expr: &Expr) -> bool {
 /// when its canonical transpose equals itself. This catches `XᵀX`,
 /// `X Xᵀ`, `Xᵀ S X` with `S` symmetric, `A⁻¹` sandwiches, and palindromic
 /// chains like `A B A` with `A`, `B` symmetric.
+///
+/// A product of chain factors (symbols under at most one unary
+/// operator) is decided on its factor sequence without building the
+/// canonical trees: it is well-formed, and the canonical form of factor
+/// `k` equals the canonical transposed form of factor `n−1−k`.
 pub fn is_symmetric(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::Symmetric),
         Expr::Plus(ts) => ts.iter().all(is_symmetric),
         Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_symmetric(e),
-        Expr::Times(_) => {
+        Expr::Times(fs) => {
             if is_diagonal(expr) {
                 return true;
+            }
+            if fs.iter().all(Expr::is_factor) {
+                return fs
+                    .iter()
+                    .zip(fs.iter().rev())
+                    .all(|(a, b)| Leaf::of(a).canonical() == Leaf::of(b).transposed_canonical())
+                    && expr.shape().is_ok();
             }
             match (
                 canonical_transpose(expr),
@@ -157,14 +169,75 @@ fn spd_product_or_single(factors: &[Expr]) -> bool {
 }
 
 /// Whether `b` is structurally the transpose of `a` (so `a·b` is a Gram
-/// pair `Xᵀ X` with `X = b`).
+/// pair `Xᵀ X` with `X = b`). Two chain factors are compared leaf-wise.
 fn is_transpose_pair(a: &Expr, b: &Expr) -> bool {
+    if a.is_factor() && b.is_factor() {
+        let (a, b) = (Leaf::of(a), Leaf::of(b));
+        return a.is_well_formed()
+            && b.is_well_formed()
+            && a.canonical() == b.transposed_canonical();
+    }
     match (
         canonical_transpose(&Expr::transpose(b.clone())),
         canonical_transpose(a),
     ) {
         (Some(bt), Some(ca)) => bt == ca,
         _ => false,
+    }
+}
+
+/// A chain factor — a symbol under at most one unary operator — split
+/// into its operand and the two components of the operator. Equal
+/// canonical leaves are exactly equal [`canonical_transpose`] trees.
+#[derive(Clone, Copy, PartialEq)]
+struct Leaf<'a> {
+    op: &'a Operand,
+    transposed: bool,
+    inverted: bool,
+}
+
+impl<'a> Leaf<'a> {
+    /// The leaf of a chain factor (`e.is_factor()` must hold).
+    fn of(e: &'a Expr) -> Leaf<'a> {
+        let (inner, transposed, inverted) = match e {
+            Expr::Transpose(inner) => (&**inner, true, false),
+            Expr::Inverse(inner) => (&**inner, false, true),
+            Expr::InverseTranspose(inner) => (&**inner, true, true),
+            symbol => (symbol, false, false),
+        };
+        match inner {
+            Expr::Symbol(op) => Leaf {
+                op,
+                transposed,
+                inverted,
+            },
+            other => unreachable!("not a chain factor: {other}"),
+        }
+    }
+
+    /// The canonical form: transposes of Symmetric operands are erased
+    /// (`Sᵀ → S`, `S⁻ᵀ → S⁻¹`).
+    fn canonical(self) -> Leaf<'a> {
+        let symmetric = self.op.properties().contains(Property::Symmetric);
+        Leaf {
+            transposed: self.transposed && !symmetric,
+            ..self
+        }
+    }
+
+    /// The canonical form of the leaf's transpose.
+    fn transposed_canonical(self) -> Leaf<'a> {
+        Leaf {
+            transposed: !self.transposed,
+            ..self
+        }
+        .canonical()
+    }
+
+    /// Whether the leaf alone is well-formed: only an inverse needs a
+    /// square operand.
+    fn is_well_formed(self) -> bool {
+        !self.inverted || self.op.shape().is_square()
     }
 }
 
@@ -437,5 +510,16 @@ mod tests {
         assert!(!is_full_rank(&(t.expr() * w.expr())));
         // Without declared rank, nothing is inferred.
         assert!(!is_full_rank(&(gen("D").expr() * gen("E").expr())));
+    }
+
+    #[test]
+    fn transpose_pairs_of_leaves() {
+        let b = Operand::matrix("B", 8, 5);
+        assert!(is_transpose_pair(&b.transpose(), &b.expr()));
+        assert!(!is_transpose_pair(&b.expr(), &b.expr()));
+        // The inverse of a non-square leaf is ill-formed, pair or not.
+        assert!(!is_transpose_pair(&b.inverse(), &b.inverse_transpose()));
+        // A Symmetric operand is its own transpose.
+        assert!(is_transpose_pair(&sym("S").expr(), &sym("S").expr()));
     }
 }

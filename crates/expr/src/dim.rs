@@ -27,7 +27,7 @@ use std::sync::{Mutex, OnceLock};
 /// assert_eq!(n.name(), "n");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DimVar(u32);
+pub struct DimVar(pub(crate) u32);
 
 struct Interner {
     names: Vec<&'static str>,

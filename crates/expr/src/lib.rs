@@ -54,7 +54,7 @@ pub use dim::{Dim, DimBindings, DimError, DimVar};
 pub use error::ExprError;
 pub use expr::Expr;
 pub use operand::{Operand, OperandKind};
-pub use poly::CostPoly;
+pub use poly::{CostPoly, MAX_DEGREE};
 pub use properties::{ParsePropertyError, Property, PropertySet};
 pub use shape::{GenShape, Shape, ShapeError, SymShape};
 pub use simplify::simplify;

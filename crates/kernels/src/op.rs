@@ -396,10 +396,15 @@ impl KernelOp {
                 let n = other_dim(a, b) as f64;
                 1.0 / 3.0 * m * m * m + 2.0 * m * m * n
             }
-            KernelOp::Diag { b, .. } => (b.shape().rows() * b.shape().cols()) as f64,
+            // Entry counts multiply in `u128`: two `usize` dimensions
+            // cannot overflow it, and the rounding to `f64` is the same
+            // as before for every product that fits in `usize`.
+            KernelOp::Diag { b, .. } => {
+                (b.shape().rows() as u128 * b.shape().cols() as u128) as f64
+            }
             KernelOp::Gemv { a, .. } => {
                 let s = a.shape();
-                2.0 * (s.rows() * s.cols()) as f64
+                2.0 * (s.rows() as u128 * s.cols() as u128) as f64
             }
             KernelOp::Trmv { a, .. } | KernelOp::Trsv { a, .. } => {
                 let n = a.shape().rows() as f64;
@@ -409,7 +414,9 @@ impl KernelOp {
                 let n = a.shape().rows() as f64;
                 2.0 * n * n
             }
-            KernelOp::Ger { x, y } => 2.0 * (x.shape().rows() * y.shape().rows()) as f64,
+            KernelOp::Ger { x, y } => {
+                2.0 * (x.shape().rows() as u128 * y.shape().rows() as u128) as f64
+            }
             KernelOp::Dot { x, .. } => 2.0 * x.shape().rows() as f64,
             KernelOp::Copy { .. } => 0.0,
             KernelOp::Inv { kind, a, .. } => {

@@ -245,8 +245,10 @@ impl FlopFormula {
                 let n = d(n)? as f64;
                 1.0 / 3.0 * m * m * m + 2.0 * m * m * n
             }
-            FlopFormula::EntryCount { r, c } => (d(r)? * d(c)?) as f64,
-            FlopFormula::TwiceEntryCount { r, c } => 2.0 * (d(r)? * d(c)?) as f64,
+            // The entry counts are exact in `u128` for any two `usize`
+            // dimensions, so the product cannot wrap before rounding.
+            FlopFormula::EntryCount { r, c } => (d(r)? as u128 * d(c)? as u128) as f64,
+            FlopFormula::TwiceEntryCount { r, c } => 2.0 * (d(r)? as u128 * d(c)? as u128) as f64,
             FlopFormula::SquareN { n } => {
                 let n = d(n)? as f64;
                 n * n
@@ -273,42 +275,50 @@ impl FlopFormula {
         })
     }
 
+    /// Whether [`eval`](Self::eval) returns the exact count at every
+    /// binding whose count stays below 2^53: true for the formulas with
+    /// integer coefficients. False for those with a coefficient in
+    /// thirds (GESV, POSV, TRTRI and the inverse pair), whose counts can
+    /// be fractional and whose `f64` arithmetic rounds, so two costs that
+    /// are equal as polynomials can compare either way.
+    pub fn is_exact_in_f64(&self) -> bool {
+        !matches!(
+            self,
+            FlopFormula::Gesv { .. }
+                | FlopFormula::Posv { .. }
+                | FlopFormula::Inv {
+                    kind: InvKind::Triangular(_),
+                    ..
+                }
+                | FlopFormula::InvPair { .. }
+        )
+    }
+
     /// The formula as a multivariate polynomial in the dimension
     /// variables, for dominance comparisons in the symbolic optimizer.
+    /// Each term is built directly with its exact coefficient in thirds.
     pub fn poly(&self) -> CostPoly {
-        let p = CostPoly::from_dim;
-        match self {
-            FlopFormula::Gemm { m, k, n } => p(*m).mul(&p(*n)).mul(&p(*k)).scale(2.0),
-            FlopFormula::Level3 { m, n } => p(*m).mul(&p(*m)).mul(&p(*n)),
-            FlopFormula::Syrk { m, k } => p(*m).mul(&p(*m)).mul(&p(*k)),
-            FlopFormula::Gesv { m, n } => {
-                let m3 = p(*m).mul(&p(*m)).mul(&p(*m));
-                let m2n = p(*m).mul(&p(*m)).mul(&p(*n));
-                m3.scale(2.0 / 3.0).add(&m2n.scale(2.0))
-            }
-            FlopFormula::Posv { m, n } => {
-                let m3 = p(*m).mul(&p(*m)).mul(&p(*m));
-                let m2n = p(*m).mul(&p(*m)).mul(&p(*n));
-                m3.scale(1.0 / 3.0).add(&m2n.scale(2.0))
-            }
-            FlopFormula::EntryCount { r, c } => p(*r).mul(&p(*c)),
-            FlopFormula::TwiceEntryCount { r, c } => p(*r).mul(&p(*c)).scale(2.0),
-            FlopFormula::SquareN { n } => p(*n).mul(&p(*n)),
-            FlopFormula::TwiceSquareN { n } => p(*n).mul(&p(*n)).scale(2.0),
-            FlopFormula::TwiceN { n } => p(*n).scale(2.0),
+        let t = CostPoly::monomial;
+        match *self {
+            FlopFormula::Gemm { m, k, n } => t(6, &[m, n, k]),
+            FlopFormula::Level3 { m, n } => t(3, &[m, m, n]),
+            FlopFormula::Syrk { m, k } => t(3, &[m, m, k]),
+            FlopFormula::Gesv { m, n } => t(2, &[m, m, m]).add(&t(6, &[m, m, n])),
+            FlopFormula::Posv { m, n } => t(1, &[m, m, m]).add(&t(6, &[m, m, n])),
+            FlopFormula::EntryCount { r, c } => t(3, &[r, c]),
+            FlopFormula::TwiceEntryCount { r, c } => t(6, &[r, c]),
+            FlopFormula::SquareN { n } => t(3, &[n, n]),
+            FlopFormula::TwiceSquareN { n } => t(6, &[n, n]),
+            FlopFormula::TwiceN { n } => t(6, &[n]),
             FlopFormula::Zero => CostPoly::zero(),
-            FlopFormula::Inv { kind, n } => {
-                let n3 = p(*n).mul(&p(*n)).mul(&p(*n));
-                match kind {
-                    InvKind::General => n3.scale(2.0),
-                    InvKind::Spd => n3,
-                    InvKind::Triangular(_) => n3.scale(1.0 / 3.0),
-                    InvKind::Diagonal => p(*n),
-                }
-            }
-            FlopFormula::InvPair { m } => {
-                p(*m).mul(&p(*m)).mul(&p(*m)).scale(2.0 + 2.0 / 3.0 + 2.0)
-            }
+            FlopFormula::Inv { kind, n } => match kind {
+                InvKind::General => t(6, &[n, n, n]),
+                InvKind::Spd => t(3, &[n, n, n]),
+                InvKind::Triangular(_) => t(1, &[n, n, n]),
+                InvKind::Diagonal => t(3, &[n]),
+            },
+            // (2 + 2/3 + 2)·m³.
+            FlopFormula::InvPair { m } => t(14, &[m, m, m]),
         }
     }
 }

@@ -31,7 +31,7 @@
 
 use gmc::{GmcError, GmcSolution, InferenceMode, Step};
 use gmc_analysis::infer_properties;
-use gmc_expr::{Chain, CostPoly, DimBindings, Expr, Operand, PropertySet, SymChain, SymShape};
+use gmc_expr::{Chain, CostPoly, Dim, DimBindings, Expr, Operand, PropertySet, SymChain, SymShape};
 use gmc_kernels::{FlatTermScratch, FlopFormula, KernelOp, KernelRegistry};
 use gmc_pattern::{Bindings, Var};
 use std::cmp::Ordering;
@@ -421,6 +421,33 @@ fn within_split_tie_favors(a: &Candidate, b: &Candidate) -> bool {
     a.specificity > b.specificity || (a.specificity == b.specificity && a.kernel_idx < b.kernel_idx)
 }
 
+/// Whether cost `a` is at most cost `b` at every binding of the region
+/// as the concrete optimizer's `f64` comparison sees it, so that a tie
+/// goes the way the caller's tie rule says.
+///
+/// Polynomial dominance suffices when both costs are computed exactly in
+/// `f64`. An exact tie between rounded costs (thirds) can fall either
+/// way, depending on the size and on the summation order, so otherwise
+/// the region must admit no tie. `corner` is the region's lowest point:
+/// every variable the region binds to 1 at 1, every other one at 2. A
+/// difference that is non-negative on the orthant is smallest there
+/// within the region (its shifted coefficients are non-negative), and
+/// if it is zero there it is zero at every binding of the region.
+fn surely_no_more(
+    a: &CostPoly,
+    a_exact: bool,
+    b: &CostPoly,
+    b_exact: bool,
+    corner: &DimBindings,
+) -> bool {
+    a.dominated_by(b)
+        && (a_exact && b_exact
+            || matches!(
+                (a.eval_thirds(corner), b.eval_thirds(corner)),
+                (Some(x), Some(y)) if x < y
+            ))
+}
+
 /// Records the region plan for `chain` (the concrete binding of `sym`)
 /// and returns it together with the solve result.
 pub(crate) fn record_region(
@@ -437,6 +464,24 @@ pub(crate) fn record_region(
     solved.seed_leaves(chain);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
     let mut total_polys: Vec<Option<CostPoly>> = vec![None; len];
+    // Whether a resolved cell's total is computed exactly in `f64`.
+    let mut exact_totals: Vec<bool> = vec![true; len];
+    let mut corner = DimBindings::new();
+    for (d, size) in dims.iter().zip(chain.sizes()) {
+        if let Dim::Var(v) = d {
+            corner.set_var(*v, if size == 1 { 1 } else { 2 });
+        }
+    }
+    // Same-split candidates compete on their operation costs alone.
+    let op_no_more = |a: &Candidate, b: &Candidate| {
+        surely_no_more(
+            &a.op_poly,
+            a.formula.is_exact_in_f64(),
+            &b.op_poly,
+            b.formula.is_exact_in_f64(),
+            &corner,
+        )
+    };
     let mut unstable: Vec<bool> = vec![false; len];
     let temp_names = build_temp_names(n);
 
@@ -591,7 +636,7 @@ pub(crate) fn record_region(
                     if a == b || !keep[a] || cands[a].k != cands[b].k {
                         continue;
                     }
-                    if cands[a].op_poly.dominated_by(&cands[b].op_poly)
+                    if op_no_more(&cands[a], &cands[b])
                         && within_split_tie_favors(&cands[a], &cands[b])
                     {
                         keep[b] = false;
@@ -615,20 +660,26 @@ pub(crate) fn record_region(
             // wins on non-strict dominance (the DP keeps the earliest
             // split on cost ties), a later split only on strict
             // dominance (its cost must beat the earlier split
-            // everywhere).
-            let winner_resolved = cands[w].total_poly.is_some()
+            // everywhere). Ties count only between exact costs (see
+            // `surely_no_more`).
+            let exact_total = |c: &Candidate| {
+                exact_totals[cell_index(n, i, c.k)]
+                    && exact_totals[cell_index(n, c.k + 1, j)]
+                    && c.formula.is_exact_in_f64()
+            };
+            let winner = &cands[w];
+            let winner_resolved = winner.total_poly.is_some()
                 && cands.iter().enumerate().all(|(ci, c)| {
                     if ci == w {
                         return true;
                     }
-                    if c.k == cands[w].k {
-                        cands[w].op_poly.dominated_by(&c.op_poly)
-                            && within_split_tie_favors(&cands[w], c)
+                    if c.k == winner.k {
+                        op_no_more(winner, c) && within_split_tie_favors(winner, c)
                     } else {
                         c.total_poly.as_ref().is_some_and(|ct| {
-                            let wt = cands[w].total_poly.as_ref().expect("checked above");
-                            if cands[w].k < c.k {
-                                wt.dominated_by(ct)
+                            let wt = winner.total_poly.as_ref().expect("checked above");
+                            if winner.k < c.k {
+                                surely_no_more(wt, exact_total(winner), ct, exact_total(c), &corner)
                             } else {
                                 wt.strictly_dominated_by(ct)
                             }
@@ -637,6 +688,7 @@ pub(crate) fn record_region(
                 });
 
             if winner_resolved {
+                exact_totals[idx] = exact_total(&cands[w]);
                 total_polys[idx] = cands[w].total_poly.clone();
                 plan_cells[idx] = CellPlan::Resolved {
                     cand: Box::new(cands.swap_remove(w)),
@@ -650,7 +702,8 @@ pub(crate) fn record_region(
             // candidate split. A deferred cell has no unstable
             // descendant, so each split's child expressions — and hence
             // its inferred property set — are region-invariant; bind
-            // time only looks the winner's split up.
+            // time only looks the winner's split up. The winner's split
+            // reuses the set inferred above.
             let deferred_props = match inference {
                 InferenceMode::Deep => DeferredProps::Stable(props),
                 InferenceMode::Compositional => {
@@ -659,6 +712,9 @@ pub(crate) fn record_region(
                     let by_split: Vec<(usize, PropertySet)> = splits
                         .iter()
                         .map(|&k| {
+                            if k == wk {
+                                return (k, props);
+                            }
                             let le = solved.expr[cell_index(n, i, k)].as_ref().expect("split");
                             let re = solved.expr[cell_index(n, k + 1, j)]
                                 .as_ref()
