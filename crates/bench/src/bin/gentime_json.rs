@@ -8,12 +8,9 @@
 //! gentime_json [--quick] [--out PATH]
 //! ```
 //!
-//! The `before` slot is measured from the retained pre-refactor
-//! implementation (`gmc::reference::solve_reference`) and the `after`
-//! slot from the allocation-free hot path (`GmcOptimizer::solve`,
-//! plus `solve_with` on a reused [`gmc::GmcWorkspace`]) — in the same
-//! process, interleaved per chain length, so the speedups are immune
-//! to machine-condition drift between runs. The `plan_cache` group
+//! The `after` slot is measured from the optimizer's hot path
+//! (`GmcOptimizer::solve`, plus `solve_with` on a reused
+//! [`gmc::GmcWorkspace`]). The `plan_cache` group
 //! measures the symbolic pipeline (ISSUE 3): a cold symbolic solve
 //! (structure miss, records the region plan) vs a cached instantiate
 //! at fresh sizes in the same region, with the hit-vs-concrete-solve
@@ -34,7 +31,6 @@
 //! a slow-trace ring offer per request) with a ~5% budget.
 //! `--quick` cuts the sample and request counts for CI smoke runs.
 
-use gmc::reference::solve_reference;
 use gmc::{FlopCount, GmcOptimizer, GmcWorkspace, InferenceMode};
 use gmc_bench::replay::{replay_trace, ReplayOptions, Verify};
 use gmc_bench::workload::{generate, WorkloadSpec};
@@ -221,21 +217,13 @@ fn main() {
     let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
     let optimizer = GmcOptimizer::new(&registry, FlopCount);
 
-    let mut before_medians: Vec<(String, Value)> = Vec::new();
     let mut after_medians: Vec<(String, Value)> = Vec::new();
     let mut reuse_medians: Vec<(String, Value)> = Vec::new();
-    let mut speedups: Vec<(String, Value)> = Vec::new();
     let mut plan_cold_medians: Vec<(String, Value)> = Vec::new();
     let mut plan_warm_medians: Vec<(String, Value)> = Vec::new();
     let mut plan_speedups: Vec<(String, Value)> = Vec::new();
     for n in LENGTHS {
         let chain = length_chain(n);
-        let before = measure(samples, || {
-            std::hint::black_box(
-                solve_reference(&registry, &FlopCount, InferenceMode::default(), &chain)
-                    .expect("computable"),
-            );
-        });
         let after = measure(samples, || {
             std::hint::black_box(optimizer.solve(&chain).expect("computable"));
         });
@@ -271,19 +259,15 @@ fn main() {
         });
 
         eprintln!(
-            "n={n:<3} reference {:>9.1} us   solve {:>9.1} us   solve_with(reused) {:>9.1} us   speedup {:.2}x   plan cold {:>9.1} us   plan hit {:>9.1} us   hit vs solve {:.2}x",
-            before * 1e6,
+            "n={n:<3} solve {:>9.1} us   solve_with(reused) {:>9.1} us   plan cold {:>9.1} us   plan hit {:>9.1} us   hit vs solve {:.2}x",
             after * 1e6,
             reused * 1e6,
-            before / after,
             plan_cold * 1e6,
             plan_warm * 1e6,
             after / plan_warm
         );
-        before_medians.push((n.to_string(), Value::Number(before)));
         after_medians.push((n.to_string(), Value::Number(after)));
         reuse_medians.push((n.to_string(), Value::Number(reused)));
-        speedups.push((n.to_string(), Value::Number(before / after)));
         plan_cold_medians.push((n.to_string(), Value::Number(plan_cold)));
         plan_warm_medians.push((n.to_string(), Value::Number(plan_warm)));
         plan_speedups.push((n.to_string(), Value::Number(after / plan_warm)));
@@ -565,10 +549,9 @@ fn main() {
         (
             "benchmark".to_owned(),
             Value::String(
-                "generation_time_by_length: median seconds per solve, before vs after the \
-                 allocation-free hot path (both measured in this run: `before` drives the \
-                 retained pre-refactor gmc::reference::solve_reference, `after` drives \
-                 GmcOptimizer::solve)"
+                "generation_time_by_length: median seconds per solve of the optimizer's \
+                 hot path (`after` drives GmcOptimizer::solve, and solve_with on a reused \
+                 workspace)"
                     .into(),
             ),
         ),
@@ -577,13 +560,6 @@ fn main() {
             Value::String("tools/bench_gentime.sh (see README § Performance)".into()),
         ),
         ("samples".to_owned(), Value::Number(samples as f64)),
-        (
-            "before".to_owned(),
-            Value::Object(vec![(
-                "median_seconds_by_length".to_owned(),
-                Value::Object(before_medians),
-            )]),
-        ),
         (
             "after".to_owned(),
             Value::Object(vec![
@@ -597,7 +573,6 @@ fn main() {
                 ),
             ]),
         ),
-        ("speedup_median".to_owned(), Value::Object(speedups)),
         (
             "plan_cache".to_owned(),
             Value::Object(vec![
@@ -616,9 +591,9 @@ fn main() {
                 (
                     "instantiate_path".to_owned(),
                     Value::String(
-                        "hits replay per-region plans with pre-materialized temporary names \
-                         and recorded winner-only property inference (per candidate split), \
-                         on a thread-local allocation-free workspace"
+                        "hits replay per-region plans with recorded winner-only property \
+                         inference (per candidate split) on the optimizer's DP engine, in a \
+                         thread-local allocation-free workspace"
                             .into(),
                     ),
                 ),

@@ -3,8 +3,8 @@
 use crate::metric::{Cost, CostMetric};
 use gmc_analysis::infer_properties;
 use gmc_codegen::{Instruction, Program};
-use gmc_expr::{Chain, Expr, Operand};
-use gmc_kernels::{FlatTermScratch, KernelRegistry, ProductMatch};
+use gmc_expr::{Chain, Expr, Operand, PropertySet};
+use gmc_kernels::{FlatTermScratch, KernelOp, KernelRegistry, ProductMatch};
 use std::fmt;
 
 /// Errors produced by the optimizer.
@@ -84,14 +84,14 @@ pub struct GmcSolution<C> {
 }
 
 impl<C: Cost> GmcSolution<C> {
-    /// Assembles a solution from its parts.
-    ///
-    /// Used by the retained reference implementation in
-    /// [`crate::reference`] and by the symbolic plan instantiation path
-    /// in `gmc-plan`, both of which reproduce the optimizer's output
-    /// through independent code paths.
-    #[doc(hidden)]
-    pub fn from_parts(steps: Vec<Step<C>>, total_cost: C, total_flops: f64, paren: String) -> Self {
+    /// Assembles a solution from its parts, for the independent
+    /// reference solver in [`crate::reference`].
+    pub(crate) fn from_parts(
+        steps: Vec<Step<C>>,
+        total_cost: C,
+        total_flops: f64,
+        paren: String,
+    ) -> Self {
         GmcSolution {
             steps,
             total_cost,
@@ -243,190 +243,42 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
     ) -> Result<GmcSolution<M::Cost>, GmcError> {
         let n = chain.len();
         let GmcWorkspace { grid, scratch } = workspace;
-        grid.reset_for(chain);
+        grid.reset(chain);
         for l in 1..n {
             for i in 0..(n - l) {
-                self.fill_cell(chain, i, i + l, grid, scratch);
+                let j = i + l;
+                let Some((total, k, pick)) =
+                    grid.select_best_split(self.registry, scratch, i, j, |op| {
+                        self.metric.op_cost(op)
+                    })
+                else {
+                    continue;
+                };
+                // Winner-only work: the temporary's properties (and its
+                // name) are needed once per cell, not once per candidate.
+                let properties = grid.temp_properties(self.inference, chain, i, k, j);
+                grid.commit(i, j, k, total, pick, properties);
             }
         }
-        self.extract_solution(chain, grid)
-    }
-
-    /// Solves the GMCP with top-down memoized recursion instead of the
-    /// bottom-up table fill — the other classic formulation of the DP
-    /// (paper Sec. 2). Produces the same solutions as [`solve`](Self::solve)
-    /// (ties may rarely resolve differently under partial-order metrics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GmcError::NotComputable`] under the same conditions as
-    /// [`solve`](Self::solve).
-    pub fn solve_top_down(&self, chain: &Chain) -> Result<GmcSolution<M::Cost>, GmcError> {
-        self.solve_top_down_with(chain, &mut GmcWorkspace::new())
-    }
-
-    /// [`solve_top_down`](Self::solve_top_down) with caller-provided DP
-    /// state, like [`solve_with`](Self::solve_with).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GmcError::NotComputable`] under the same conditions as
-    /// [`solve`](Self::solve).
-    pub fn solve_top_down_with(
-        &self,
-        chain: &Chain,
-        workspace: &mut GmcWorkspace<M::Cost>,
-    ) -> Result<GmcSolution<M::Cost>, GmcError> {
-        let n = chain.len();
-        let GmcWorkspace { grid, scratch } = workspace;
-        grid.reset_for(chain);
-        self.top_down(chain, 0, n - 1, grid, scratch);
-        self.extract_solution(chain, grid)
-    }
-
-    fn top_down(
-        &self,
-        chain: &Chain,
-        i: usize,
-        j: usize,
-        grid: &mut CellGrid<M::Cost>,
-        scratch: &mut FlatTermScratch,
-    ) {
-        if grid.cell(i, j).done {
-            return;
-        }
-        grid.cell_mut(i, j).done = true;
-        for k in i..j {
-            self.top_down(chain, i, k, grid, scratch);
-            self.top_down(chain, k + 1, j, grid, scratch);
-        }
-        self.fill_cell(chain, i, j, grid, scratch);
-    }
-
-    /// Computes cell `(i, j)` from its (already computed) sub-cells:
-    /// scans every split, keeps the cheapest computable alternative,
-    /// and materializes the temporary for the winner. Shared by the
-    /// bottom-up and top-down formulations so the two cannot drift.
-    fn fill_cell(
-        &self,
-        chain: &Chain,
-        i: usize,
-        j: usize,
-        grid: &mut CellGrid<M::Cost>,
-        scratch: &mut FlatTermScratch,
-    ) {
-        let Some((total, k, pick)) = self.select_best_split(grid, scratch, i, j) else {
-            return;
-        };
-        // Winner-only work, deliberately outside the split loop: the
-        // temporary's property inference (and its name) are needed once
-        // per cell, not once per candidate.
-        let properties = match self.inference {
-            InferenceMode::Compositional => {
-                let le = grid.cell(i, k).expr.as_ref().expect("winning split");
-                let re = grid.cell(k + 1, j).expr.as_ref().expect("winning split");
-                let product = Expr::times([le.clone(), re.clone()]);
-                infer_properties(&product)
-            }
-            // The unfolded sub-chain expression is split-independent,
-            // so it is built once per (i, j) instead of per candidate.
-            InferenceMode::Deep => {
-                let unfolded =
-                    Expr::times((i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>());
-                infer_properties(&unfolded)
-            }
-        };
-        let shape = pick.op.result_shape();
-        let temp = Operand::temporary(format!("T{i}_{j}"), shape, properties);
-        let cell = grid.cell_mut(i, j);
-        cell.expr = Some(temp.expr());
-        cell.cost = Some(total);
-        cell.split = k;
-        cell.chosen = Some(ChosenKernel {
-            name: pick.kernel.name().to_owned(),
-            op: pick.op,
-            op_cost: pick.cost,
-        });
-    }
-
-    /// The cheapest split of `M[i..=j]`: for each candidate `k` the
-    /// binary product of the sub-results is matched *in place* (no
-    /// owned product expression, no collected match vector) and the
-    /// winning kernel's metric cost is computed exactly once.
-    fn select_best_split(
-        &self,
-        grid: &CellGrid<M::Cost>,
-        scratch: &mut FlatTermScratch,
-        i: usize,
-        j: usize,
-    ) -> Option<(M::Cost, usize, ProductMatch<'r, M::Cost>)> {
-        let mut best: Option<(M::Cost, usize, ProductMatch<'r, M::Cost>)> = None;
-        for k in i..j {
-            let left = grid.cell(i, k);
-            let right = grid.cell(k + 1, j);
-            let (Some(cl), Some(cr)) = (&left.cost, &right.cost) else {
-                continue;
-            };
-            let (Some(le), Some(re)) = (&left.expr, &right.expr) else {
-                continue;
-            };
-            let Some(m) = self
-                .registry
-                .best_product_match(le, re, scratch, |op| self.metric.op_cost(op))
-            else {
-                continue;
-            };
-            let total = cl.add(cr).add(&m.cost);
-            let better = match &best {
-                None => true,
-                Some((c, _, _)) => total < *c,
-            };
-            if better {
-                best = Some((total, k, m));
-            }
-        }
-        best
-    }
-
-    fn extract_solution(
-        &self,
-        chain: &Chain,
-        grid: &CellGrid<M::Cost>,
-    ) -> Result<GmcSolution<M::Cost>, GmcError> {
-        let n = chain.len();
-        let root = grid.cell(0, n - 1);
-        let Some(total_cost) = root.cost.clone() else {
-            return Err(GmcError::NotComputable {
-                chain: chain.to_string(),
-            });
-        };
-        // Reconstruct the kernel sequence in dependency order (Fig. 7).
-        let mut steps = Vec::with_capacity(n - 1);
-        construct_solution(0, n - 1, grid, &mut steps);
-        let total_flops = steps.iter().map(|s: &Step<M::Cost>| s.op.flops()).sum();
-        let paren = parenthesization(chain, 0, n - 1, grid);
-        Ok(GmcSolution {
-            steps,
-            total_cost,
-            total_flops,
-            paren,
-        })
+        grid.solution(chain)
     }
 }
 
-/// Reusable DP state for [`GmcOptimizer::solve_with`] and
-/// [`GmcOptimizer::solve_top_down_with`].
+/// Reusable DP state for [`GmcOptimizer::solve_with`]: the DP table and
+/// the kernel matcher's flatterm scratch buffer.
 ///
-/// Holds the flat triangular cell table and the matcher's flatterm
-/// scratch buffer. Batch callers (the experiments harness, benches,
-/// the CLI) keep one workspace alive and solve many chains through it,
-/// so table allocation is amortized: after the first solve of the
-/// largest chain length, further solves allocate nothing beyond the
-/// per-winner temporaries.
+/// Batch callers (the experiments harness, benches, the CLI) keep one
+/// workspace alive and solve many chains through it, so table
+/// allocation is amortized: after the first solve of the largest chain
+/// length, further solves allocate nothing beyond the per-winner
+/// temporaries. The symbolic plan cache of `gmc-plan` runs its recorder
+/// and its bind-time instantiation on the same two parts.
 #[derive(Debug)]
 pub struct GmcWorkspace<C> {
-    grid: CellGrid<C>,
-    scratch: FlatTermScratch,
+    /// The DP table.
+    pub grid: CellGrid<C>,
+    /// Scratch for streaming kernel matches off the discrimination net.
+    pub scratch: FlatTermScratch,
 }
 
 impl<C> GmcWorkspace<C> {
@@ -448,9 +300,7 @@ impl<C> Default for GmcWorkspace<C> {
     }
 }
 
-/// One DP cell for the sub-chain `M[i..=j]` — the row of all five
-/// former per-table entries (expression, cost, chosen kernel, split,
-/// memo flag), stored contiguously in a flat triangular table.
+/// One DP cell for the sub-chain `M[i..=j]`.
 #[derive(Debug)]
 struct Cell<C> {
     /// The symbolic value of `M[i..=j]`: the factor expression on the
@@ -459,8 +309,6 @@ struct Cell<C> {
     cost: Option<C>,
     chosen: Option<ChosenKernel<C>>,
     split: usize,
-    /// Memoization flag for the top-down formulation.
-    done: bool,
 }
 
 impl<C> Cell<C> {
@@ -470,30 +318,45 @@ impl<C> Cell<C> {
             cost: None,
             chosen: None,
             split: 0,
-            done: false,
         }
     }
 }
 
-/// A flat, triangular-indexed `n × n` upper-triangle cell table: cell
-/// `(i, j)` with `i ≤ j` lives at `i·n − i(i−1)/2 + (j − i)`. One
-/// contiguous allocation replaces the five `Vec<Vec<Option<…>>>`
-/// tables of the original implementation.
+#[derive(Clone, Debug)]
+struct ChosenKernel<C> {
+    name: String,
+    op: KernelOp,
+    op_cost: C,
+}
+
+/// The GMC dynamic-programming table (paper Fig. 4): one cell per
+/// sub-chain `M[i..=j]`, holding its symbolic value, its accumulated
+/// cost, the winning split and the winning kernel.
+///
+/// The table is the DP engine every solver shares. The concrete
+/// [`GmcOptimizer`] fills each cell with a live split scan
+/// ([`select_best_split`](Self::select_best_split)); the plan cache of
+/// `gmc-plan` fills cells from recorded candidates through
+/// [`best_split`](Self::best_split) or commits recorded winners
+/// directly. Either way a winner enters the table through
+/// [`commit`](Self::commit), and [`solution`](Self::solution) extracts
+/// the kernel sequence. The selection rules therefore exist once: the
+/// within-split rule in [`gmc_kernels::Rank::beats`], the across-split
+/// rule in [`best_split`](Self::best_split).
+///
+/// Cells live in one flat, triangular-indexed allocation: cell
+/// `(i, j)` with `i ≤ j` is at `i·n − i(i−1)/2 + (j − i)`.
 #[derive(Debug)]
-struct CellGrid<C> {
+pub struct CellGrid<C> {
     cells: Vec<Cell<C>>,
     n: usize,
 }
 
-impl<C> CellGrid<C> {
-    /// Clears the grid for `chain` (reusing the existing allocation
+impl<C: Cost> CellGrid<C> {
+    /// Clears the table for `chain` (reusing the existing allocation
     /// when it is large enough) and seeds the diagonal: leaf cells hold
-    /// the factor expression at zero cost and count as computed for the
-    /// top-down memoization. Shared by both DP formulations.
-    fn reset_for(&mut self, chain: &Chain)
-    where
-        C: Cost,
-    {
+    /// the factor expression at zero cost.
+    pub fn reset(&mut self, chain: &Chain) {
         let n = chain.len();
         self.n = n;
         let len = n * (n + 1) / 2;
@@ -503,10 +366,195 @@ impl<C> CellGrid<C> {
             let cell = self.cell_mut(i, i);
             cell.expr = Some(chain.factor(i).expr());
             cell.cost = Some(C::zero());
-            cell.done = true;
         }
     }
 
+    /// The accumulated cost of `M[i..=j]`, if it is computable.
+    pub fn cost(&self, i: usize, j: usize) -> Option<&C> {
+        self.cell(i, j).cost.as_ref()
+    }
+
+    /// The symbolic value of `M[i..=j]`, if it is computable: the factor
+    /// expression on the diagonal, the cell's temporary in the interior.
+    pub fn expr(&self, i: usize, j: usize) -> Option<&Expr> {
+        self.cell(i, j).expr.as_ref()
+    }
+
+    /// The temporary holding `M[i..=j]`, for a committed interior cell.
+    pub fn temporary(&self, i: usize, j: usize) -> Option<&Operand> {
+        match self.expr(i, j) {
+            Some(Expr::Symbol(op)) if i < j => Some(op),
+            _ => None,
+        }
+    }
+
+    /// The cost of computing `M[i..=j]` as `M[i..=k] · M[k+1..=j]` by an
+    /// operation costing `op_cost`, summed as `(left + right) + op`
+    /// (the order is part of bit-identity between solvers). `None` if a
+    /// side is not computable.
+    pub fn split_total(&self, i: usize, k: usize, j: usize, op_cost: &C) -> Option<C> {
+        let left = self.cost(i, k)?;
+        let right = self.cost(k + 1, j)?;
+        Some(left.add(right).add(op_cost))
+    }
+
+    /// The across-split rule of the GMC DP: scans the splits `k` of
+    /// `M[i..=j]` in ascending order and returns the cheapest as
+    /// `(total, k, pick)`. For each split whose two sides are computable,
+    /// `best_at(k, left, right)` proposes the split's best kernel as its
+    /// operation cost and a payload, or `None` if no kernel computes the
+    /// product. Only a strictly cheaper total replaces the incumbent, so
+    /// the earliest split keeps ties.
+    pub fn best_split<T>(
+        &self,
+        i: usize,
+        j: usize,
+        mut best_at: impl FnMut(usize, &Expr, &Expr) -> Option<(C, T)>,
+    ) -> Option<(C, usize, T)> {
+        let mut best: Option<(C, usize, T)> = None;
+        for k in i..j {
+            let (Some(left), Some(right)) = (self.expr(i, k), self.expr(k + 1, j)) else {
+                continue;
+            };
+            let Some((op_cost, pick)) = best_at(k, left, right) else {
+                continue;
+            };
+            let total = self
+                .split_total(i, k, j, &op_cost)
+                .expect("computable cells have costs");
+            if best.as_ref().is_none_or(|(b, _, _)| total < *b) {
+                best = Some((total, k, pick));
+            }
+        }
+        best
+    }
+
+    /// The live split scan: the cheapest split of `M[i..=j]` under
+    /// `metric`, matching each split's binary product against the
+    /// registry in place (no owned product expression, no collected
+    /// match vector) and computing each candidate's cost exactly once.
+    pub fn select_best_split<'r>(
+        &self,
+        registry: &'r KernelRegistry,
+        scratch: &mut FlatTermScratch,
+        i: usize,
+        j: usize,
+        mut metric: impl FnMut(&KernelOp) -> C,
+    ) -> Option<(C, usize, ProductMatch<'r, C>)> {
+        self.best_split(i, j, |_, left, right| {
+            registry
+                .best_product_match(left, right, scratch, &mut metric)
+                .map(|m| (m.cost.clone(), m))
+        })
+    }
+
+    /// The properties of the temporary for `M[i..=j]` computed by the
+    /// split at `k` (paper Fig. 4 line 10), under `mode`: inferred from
+    /// the split's binary product of sub-results, or from the unfolded
+    /// sub-chain, which does not depend on `k`.
+    pub fn temp_properties(
+        &self,
+        mode: InferenceMode,
+        chain: &Chain,
+        i: usize,
+        k: usize,
+        j: usize,
+    ) -> PropertySet {
+        match mode {
+            InferenceMode::Compositional => {
+                let left = self.expr(i, k).expect("computable split");
+                let right = self.expr(k + 1, j).expect("computable split");
+                infer_properties(&Expr::times([left.clone(), right.clone()]))
+            }
+            InferenceMode::Deep => infer_properties(&Expr::times(
+                (i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>(),
+            )),
+        }
+    }
+
+    /// Commits the winner of interior cell `(i, j)`: split `k` at
+    /// accumulated cost `total`, computed by `pick`. Creates the cell's
+    /// `T<i>_<j>` temporary with the operation's result shape and
+    /// `properties`.
+    pub fn commit(
+        &mut self,
+        i: usize,
+        j: usize,
+        k: usize,
+        total: C,
+        pick: ProductMatch<'_, C>,
+        properties: PropertySet,
+    ) {
+        let temp = Operand::temporary(format!("T{i}_{j}"), pick.op.result_shape(), properties);
+        let cell = self.cell_mut(i, j);
+        cell.expr = Some(Expr::Symbol(temp));
+        cell.cost = Some(total);
+        cell.split = k;
+        cell.chosen = Some(ChosenKernel {
+            name: pick.kernel.name().to_owned(),
+            op: pick.op,
+            op_cost: pick.cost,
+        });
+    }
+
+    /// Extracts the solution for the whole chain: the kernel sequence
+    /// in dependency order (paper Fig. 7) and the parenthesization.
+    ///
+    /// # Errors
+    ///
+    /// [`GmcError::NotComputable`] if the root cell is not computable.
+    pub fn solution(&self, chain: &Chain) -> Result<GmcSolution<C>, GmcError> {
+        let n = self.n;
+        let Some(total_cost) = self.cost(0, n - 1).cloned() else {
+            return Err(GmcError::NotComputable {
+                chain: chain.to_string(),
+            });
+        };
+        let mut steps = Vec::with_capacity(n - 1);
+        self.push_steps(0, n - 1, &mut steps);
+        let total_flops = steps.iter().map(|s: &Step<C>| s.op.flops()).sum();
+        let paren = self.parenthesization(chain, 0, n - 1);
+        Ok(GmcSolution {
+            steps,
+            total_cost,
+            total_flops,
+            paren,
+        })
+    }
+
+    fn push_steps(&self, i: usize, j: usize, out: &mut Vec<Step<C>>) {
+        if i == j {
+            return;
+        }
+        let cell = self.cell(i, j);
+        self.push_steps(i, cell.split, out);
+        self.push_steps(cell.split + 1, j, out);
+        let chosen = cell.chosen.as_ref().expect("solution cells are committed");
+        out.push(Step {
+            dest: self
+                .temporary(i, j)
+                .expect("solution cells are committed")
+                .clone(),
+            op: chosen.op.clone(),
+            kernel: chosen.name.clone(),
+            cost: chosen.op_cost.clone(),
+        });
+    }
+
+    fn parenthesization(&self, chain: &Chain, i: usize, j: usize) -> String {
+        if i == j {
+            return chain.factor(i).to_string();
+        }
+        let k = self.cell(i, j).split;
+        format!(
+            "({} {})",
+            self.parenthesization(chain, i, k),
+            self.parenthesization(chain, k + 1, j)
+        )
+    }
+}
+
+impl<C> CellGrid<C> {
     #[inline]
     fn index(&self, i: usize, j: usize) -> usize {
         debug_assert!(i <= j && j < self.n, "cell ({i}, {j}) out of range");
@@ -524,46 +572,6 @@ impl<C> CellGrid<C> {
         let idx = self.index(i, j);
         &mut self.cells[idx]
     }
-}
-
-#[derive(Clone, Debug)]
-struct ChosenKernel<C> {
-    name: String,
-    op: gmc_kernels::KernelOp,
-    op_cost: C,
-}
-
-fn construct_solution<C: Cost>(i: usize, j: usize, grid: &CellGrid<C>, out: &mut Vec<Step<C>>) {
-    if i == j {
-        return;
-    }
-    let cell = grid.cell(i, j);
-    let k = cell.split;
-    construct_solution(i, k, grid, out);
-    construct_solution(k + 1, j, grid, out);
-    let ck = cell.chosen.as_ref().expect("solution entries are complete");
-    let dest = match cell.expr.as_ref().expect("solution entries are complete") {
-        Expr::Symbol(op) => op.clone(),
-        other => unreachable!("temporary must be a symbol, got {other}"),
-    };
-    out.push(Step {
-        dest,
-        op: ck.op.clone(),
-        kernel: ck.name.clone(),
-        cost: ck.op_cost.clone(),
-    });
-}
-
-fn parenthesization<C>(chain: &Chain, i: usize, j: usize, grid: &CellGrid<C>) -> String {
-    if i == j {
-        return chain.factor(i).to_string();
-    }
-    let k = grid.cell(i, j).split;
-    format!(
-        "({} {})",
-        parenthesization(chain, i, k, grid),
-        parenthesization(chain, k + 1, j, grid)
-    )
 }
 
 #[cfg(test)]
@@ -794,79 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn top_down_matches_bottom_up() {
-        use gmc_expr::UnaryOp;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let registry = KernelRegistry::blas_lapack();
-        let gmc = GmcOptimizer::new(&registry, FlopCount);
-        let mut rng = StdRng::seed_from_u64(99);
-        // Both formulations share one workspace each across all chains
-        // to also exercise the reset path.
-        let mut ws_bu = GmcWorkspace::new();
-        let mut ws_td = GmcWorkspace::new();
-        for _ in 0..60 {
-            // Random chain of length up to 12 mixing matrices and
-            // vectors: boundary dimension 1 produces column/row-vector
-            // operands and outer-product / GEMV sub-problems.
-            let n = rng.gen_range(2..=12);
-            let dims: Vec<usize> = (0..=n)
-                .map(|_| {
-                    if rng.gen_bool(0.15) {
-                        1
-                    } else {
-                        rng.gen_range(2..=6usize) * 10
-                    }
-                })
-                .collect();
-            let factors: Vec<Factor> = (0..n)
-                .map(|i| {
-                    let (rows, cols) = (dims[i], dims[i + 1]);
-                    let transposed = rng.gen_bool(0.25);
-                    let mut op = if transposed {
-                        Operand::matrix(format!("M{i}"), cols, rows)
-                    } else {
-                        Operand::matrix(format!("M{i}"), rows, cols)
-                    };
-                    if rows == cols && rows > 1 && rng.gen_bool(0.5) {
-                        let p = [
-                            Property::Diagonal,
-                            Property::LowerTriangular,
-                            Property::UpperTriangular,
-                            Property::Symmetric,
-                            Property::SymmetricPositiveDefinite,
-                        ][rng.gen_range(0..5usize)];
-                        op = op.with_property(p);
-                    }
-                    let u = if rows == cols && rng.gen_bool(0.3) {
-                        if transposed {
-                            [UnaryOp::InverseTranspose, UnaryOp::Transpose]
-                                [rng.gen_range(0..2usize)]
-                        } else {
-                            [UnaryOp::Inverse, UnaryOp::None][rng.gen_range(0..2usize)]
-                        }
-                    } else if transposed {
-                        UnaryOp::Transpose
-                    } else {
-                        UnaryOp::None
-                    };
-                    Factor::new(op, u)
-                })
-                .collect();
-            let chain = Chain::new(factors).unwrap();
-            let bottom_up = gmc.solve_with(&chain, &mut ws_bu).unwrap();
-            let top_down = gmc.solve_top_down_with(&chain, &mut ws_td).unwrap();
-            assert_eq!(bottom_up.cost(), top_down.cost(), "chain {chain}");
-            assert_eq!(
-                bottom_up.parenthesization(),
-                top_down.parenthesization(),
-                "chain {chain}"
-            );
-            assert_eq!(bottom_up.kernel_names(), top_down.kernel_names());
-        }
-    }
-
-    #[test]
     fn workspace_reuse_is_equivalent_to_fresh_solves() {
         // Solving chains of *decreasing* length through one workspace
         // must not leak stale cells from the larger solve.
@@ -884,21 +819,6 @@ mod tests {
             assert_eq!(fresh.parenthesization(), reused.parenthesization());
             assert_eq!(fresh.kernel_names(), reused.kernel_names());
         }
-    }
-
-    #[test]
-    fn top_down_reports_not_computable() {
-        let registry = KernelRegistry::builder()
-            .only_families([KernelFamily::Gemm])
-            .build();
-        let gmc = GmcOptimizer::new(&registry, FlopCount);
-        let a = Operand::square("A", 10);
-        let b = Operand::matrix("B", 10, 4);
-        let chain = chain_of(&(a.inverse() * b.expr()));
-        assert!(matches!(
-            gmc.solve_top_down(&chain),
-            Err(GmcError::NotComputable { .. })
-        ));
     }
 
     #[test]

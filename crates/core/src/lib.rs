@@ -42,5 +42,5 @@ pub mod mcp;
 mod metric;
 pub mod reference;
 
-pub use gmc::{GmcError, GmcOptimizer, GmcSolution, GmcWorkspace, InferenceMode, Step};
+pub use gmc::{CellGrid, GmcError, GmcOptimizer, GmcSolution, GmcWorkspace, InferenceMode, Step};
 pub use metric::{Cost, CostMetric, FlopCount, FlopsThenKernels, FnMetric, Lex2, TimeModel};

@@ -5,11 +5,13 @@
 //! [`GmcOptimizer::solve`](crate::GmcOptimizer::solve): per split
 //! candidate it builds an owned `Expr::Times`, collects a `Vec` of
 //! kernel matches, and re-derives metric costs inside the `min_by`
-//! comparison. It is deliberately **not** refactored onto the
-//! allocation-free hot path — equivalence tests (`tests/properties.rs`,
-//! `solve_matches_naive_reference`) compare the two implementations on
-//! random chains, which only means something while this one stays
-//! independent.
+//! comparison. It is deliberately **not** refactored onto the DP
+//! engine the optimizer and the plan cache share, and it keeps its own
+//! copies of the tie rules — equivalence tests (`tests/properties.rs`:
+//! `solve_matches_naive_reference`, and
+//! `symbolic_plan_matches_concrete_solve` for the plan cache) compare
+//! against it on random chains, which only means something while this
+//! one stays independent.
 
 use crate::gmc::{GmcError, GmcSolution, InferenceMode, Step};
 use crate::metric::{Cost, CostMetric};

@@ -112,6 +112,16 @@ impl Kernel {
         self.specificity
     }
 
+    /// The [`Rank`] of this kernel, registered at `index`, as a
+    /// candidate costing `cost`.
+    pub fn rank<C>(&self, index: usize, cost: C) -> Rank<C> {
+        Rank {
+            cost,
+            specificity: self.specificity,
+            index,
+        }
+    }
+
     /// Instantiates the kernel for a set of bound operands.
     pub fn instantiate(&self, bindings: &Bindings) -> KernelOp {
         (self.builder)(bindings)
@@ -157,6 +167,35 @@ pub struct ProductMatch<'r, C> {
     pub op: KernelOp,
     /// The metric cost of `op`.
     pub cost: C,
+}
+
+/// Where a kernel candidate stands among the kernels that compute the
+/// same binary product: its cost, its kernel's
+/// [`specificity`](Kernel::specificity) and its registration index.
+#[derive(Clone, Copy, Debug)]
+pub struct Rank<C> {
+    /// The candidate's cost.
+    pub cost: C,
+    /// The kernel's specificity.
+    pub specificity: u8,
+    /// The kernel's position in its registry.
+    pub index: usize,
+}
+
+impl<C: PartialOrd> Rank<C> {
+    /// The within-split rule of the GMC DP, written once for every
+    /// selection: the lower cost wins; at equal cost the more specific
+    /// kernel wins, then the earlier registered one. Costs that do not
+    /// compare count as equal.
+    pub fn beats(&self, other: &Rank<C>) -> bool {
+        use std::cmp::Ordering;
+        let ord = other
+            .cost
+            .partial_cmp(&self.cost)
+            .unwrap_or(Ordering::Equal)
+            .then(self.specificity.cmp(&other.specificity));
+        ord == Ordering::Greater || (ord == Ordering::Equal && self.index < other.index)
+    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ mod registry;
 mod sym;
 
 pub use gmc_pattern::FlatTermScratch;
-pub use kernel::{Constraint, Kernel, KernelMatch, OpBuilder, ProductMatch};
+pub use kernel::{Constraint, Kernel, KernelMatch, OpBuilder, ProductMatch, Rank};
 pub use op::{InvKind, KernelFamily, KernelOp, Side, Uplo};
 pub use registry::{KernelRegistry, RegistryBuilder};
 pub use sym::FlopFormula;

@@ -1,7 +1,7 @@
 //! The kernel registry `K`: the set of available kernels, compiled into
 //! a discrimination net for many-to-one matching.
 
-use crate::kernel::{Constraint, Kernel, KernelMatch, ProductMatch};
+use crate::kernel::{Constraint, Kernel, KernelMatch, ProductMatch, Rank};
 use crate::op::{KernelFamily, KernelOp, Side, Uplo};
 use gmc_expr::{Expr, Operand, Property, UnaryOp};
 use gmc_pattern::{Bindings, DiscriminationNet, FlatTermScratch, Pattern, Var};
@@ -122,24 +122,24 @@ impl KernelRegistry {
         out
     }
 
-    /// The match minimizing FLOPs, breaking ties in favor of higher
-    /// kernel specificity (so `GEMV` beats `GEMM` on matrix-vector
-    /// products of equal cost).
-    ///
-    /// Each candidate's FLOP count is computed once up front rather
-    /// than re-derived inside every `min_by` comparison.
+    /// The match minimizing FLOPs under the within-split rule
+    /// ([`Rank::beats`]): equal costs go to the more specific kernel (so
+    /// `GEMV` beats `GEMM` on matrix-vector products of equal cost), then
+    /// to the earlier registered one.
     pub fn best_by_flops(&self, expr: &Expr) -> Option<KernelMatch<'_>> {
-        self.match_expr(expr)
-            .into_iter()
-            .map(|m| {
-                let flops = m.flops();
-                (m, flops)
-            })
-            .min_by(|(p, fp), (q, fq)| {
-                fp.total_cmp(fq)
-                    .then_with(|| q.kernel.specificity().cmp(&p.kernel.specificity()))
-            })
-            .map(|(m, _)| m)
+        let mut best: Option<(Rank<f64>, KernelMatch<'_>)> = None;
+        for m in self.net.matches(expr) {
+            let kernel = &self.kernels[*m.payload];
+            if !kernel.constraints().iter().all(|c| c.check(&m.bindings)) {
+                continue;
+            }
+            let op = kernel.instantiate(&m.bindings);
+            let rank = kernel.rank(*m.payload, op.flops());
+            if best.as_ref().is_none_or(|(b, _)| rank.beats(b)) {
+                best = Some((rank, KernelMatch { kernel, op }));
+            }
+        }
+        best.map(|(_, m)| m)
     }
 
     /// The cheapest kernel for the binary product `left · right` under
@@ -150,12 +150,8 @@ impl KernelRegistry {
     /// `Expr::Times` is built, no `Vec` of matches is collected, and
     /// constraint checks are folded into the walk. Each surviving
     /// candidate's cost is computed exactly once and the winner's is
-    /// returned in the [`ProductMatch`].
-    ///
-    /// Selection is equivalent to running [`match_expr`](Self::match_expr)
-    /// and taking the `min_by` over `metric` with ties broken by
-    /// descending specificity and then earliest registration — the
-    /// exact kernel the collecting implementation chooses.
+    /// returned in the [`ProductMatch`]. The winner is chosen by the
+    /// within-split rule, [`Rank::beats`].
     pub fn best_product_match<C, F>(
         &self,
         left: &Expr,
@@ -167,7 +163,6 @@ impl KernelRegistry {
         C: PartialOrd,
         F: FnMut(&KernelOp) -> C,
     {
-        use std::cmp::Ordering;
         let mut best: Option<(ProductMatch<'_, C>, usize)> = None;
         self.net
             .match_product_with(left, right, scratch, |&id, bindings| {
@@ -177,23 +172,13 @@ impl KernelRegistry {
                 }
                 let op = kernel.instantiate(bindings);
                 let cost = metric(&op);
-                // Matches stream in trie order, so replicate a min_by
-                // scan over ascending registration ids: replace on a
-                // strictly better candidate, and on full ties keep the
-                // lowest id.
-                let replace = match &best {
-                    None => true,
-                    Some((incumbent, incumbent_id)) => {
-                        let ord = incumbent
-                            .cost
-                            .partial_cmp(&cost)
-                            .unwrap_or(Ordering::Equal)
-                            .then_with(|| {
-                                kernel.specificity().cmp(&incumbent.kernel.specificity())
-                            });
-                        ord == Ordering::Greater || (ord == Ordering::Equal && id < *incumbent_id)
-                    }
-                };
+                // Matches stream in trie order; the rule's registration
+                // index makes the winner independent of that order.
+                let replace = best.as_ref().is_none_or(|(incumbent, incumbent_id)| {
+                    kernel
+                        .rank(id, &cost)
+                        .beats(&incumbent.kernel.rank(*incumbent_id, &incumbent.cost))
+                });
                 if replace {
                     best = Some((ProductMatch { kernel, op, cost }, id));
                 }

@@ -23,10 +23,10 @@
 //!   recording is coalesced, never duplicated, and no update is lost.
 
 use crate::key::{region_signature, structure_key, StructureKey};
-use crate::plan::{instantiate, record_region, PlanSummary, PlanWorkspace, RegionPlan};
-use gmc::{GmcError, GmcSolution, InferenceMode};
+use crate::plan::{instantiate, record_region, PlanSummary, RegionPlan};
+use gmc::{GmcError, GmcSolution, GmcWorkspace, InferenceMode};
 use gmc_expr::{Dim, DimBindings, SymChain, SymChainError};
-use gmc_kernels::{FlatTermScratch, KernelRegistry};
+use gmc_kernels::KernelRegistry;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -273,12 +273,12 @@ impl Shard {
 }
 
 thread_local! {
-    /// Per-thread solve state: pattern-matching scratch and the DP
-    /// workspace. Thread-local rather than cache-held so concurrent
-    /// workers instantiate allocation-free without sharing any mutable
-    /// state (and without a lock on the hot path).
-    static SCRATCH: RefCell<(FlatTermScratch, PlanWorkspace)> =
-        RefCell::new((FlatTermScratch::new(), PlanWorkspace::default()));
+    /// Per-thread solve state: the optimizer's DP workspace (table and
+    /// pattern-matching scratch), shared by recording and instantiation.
+    /// Thread-local rather than cache-held so concurrent workers solve
+    /// allocation-free without sharing any mutable state (and without a
+    /// lock on the hot path).
+    static WORKSPACE: RefCell<GmcWorkspace<f64>> = RefCell::new(GmcWorkspace::new());
 }
 
 /// Splits `started → lookup_done → now` into a [`SolveTiming`]; both
@@ -298,12 +298,8 @@ fn saturating_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn with_scratch<R>(f: impl FnOnce(&mut FlatTermScratch, &mut PlanWorkspace) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        let (scratch, workspace) = &mut *guard;
-        f(scratch, workspace)
-    })
+fn with_workspace<R>(f: impl FnOnce(&mut GmcWorkspace<f64>) -> R) -> R {
+    WORKSPACE.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// Number of shards. A fixed power of two: enough to keep writers from
@@ -572,8 +568,8 @@ impl PlanCache {
         }
 
         let lookup_done = started.map(|_| Instant::now());
-        let (region, solution) = with_scratch(|scratch, _| {
-            record_region(&self.registry, self.inference, chain, &concrete, scratch)
+        let (region, solution) = with_workspace(|workspace| {
+            record_region(&self.registry, self.inference, chain, &concrete, workspace)
         });
         let counters = shard.publish(key, sig, Arc::new(region));
         counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -617,14 +613,13 @@ impl PlanCache {
             Some(b)
         };
         let eval_bindings = translated.as_ref().unwrap_or(bindings);
-        with_scratch(|scratch, workspace| {
+        with_workspace(|workspace| {
             instantiate(
                 &self.registry,
                 self.inference,
                 region,
                 concrete,
                 eval_bindings,
-                scratch,
                 workspace,
             )
         })
@@ -716,8 +711,8 @@ impl PlanCache {
                     let concrete = chain.bind(&bindings)?;
                     // Unsolvable regions are recorded too: the cached
                     // plan *is* the (negative) answer.
-                    let (region, _solution) = with_scratch(|scratch, _| {
-                        record_region(&self.registry, self.inference, chain, &concrete, scratch)
+                    let (region, _solution) = with_workspace(|workspace| {
+                        record_region(&self.registry, self.inference, chain, &concrete, workspace)
                     });
                     shard.publish(key.clone(), sig, Arc::new(region));
                     recorded += 1;

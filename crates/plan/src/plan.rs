@@ -3,19 +3,24 @@
 //!
 //! # How equivalence with the concrete optimizer is guaranteed
 //!
+//! Both the recorder and the instantiation run the concrete optimizer's
+//! own DP engine, [`gmc::CellGrid`]: the same table, the same
+//! within-split rule ([`gmc_kernels::Rank::beats`]), the same
+//! across-split rule ([`gmc::CellGrid::best_split`]), the same property
+//! inference and the same solution extraction. This module only adds
+//! the symbolic work: which candidates a cell has, and which of them can
+//! win where.
+//!
 //! Within one size region (see [`crate::key`]) the concrete optimizer's
 //! *structural* behaviour is invariant: which kernels match each
 //! sub-product, which property sets the temporaries carry, which splits
 //! are computable. Only the numeric cost values change with the
-//! binding. The recorder therefore runs the concrete DP once per
-//! region, capturing per cell the full candidate set `(split, kernel,
-//! FLOP formula)`; instantiation re-ranks those candidates with the
-//! exact per-kernel FLOP formulas (bit-identical to
-//! [`gmc_kernels::KernelOp::flops`]) under the *same* two-stage
-//! selection the optimizer uses (per split: streaming min by cost, then
-//! specificity, then registration order; across splits: strict
-//! improvement, earliest split wins ties). The result is bit-identical
-//! to a from-scratch concrete solve.
+//! binding. The recorder therefore runs the DP once per region,
+//! capturing per cell the full candidate set `(split, kernel, FLOP
+//! formula)`; instantiation re-ranks those candidates with the exact
+//! per-kernel FLOP formulas (bit-identical to
+//! [`gmc_kernels::KernelOp::flops`]) under the engine's rules, so the
+//! result is bit-identical to a from-scratch concrete solve.
 //!
 //! On top of that, cells are classified:
 //!
@@ -29,12 +34,10 @@
 //!   (possible under compositional inference), so the cached candidate
 //!   set cannot be trusted; the cell is re-matched live at bind time.
 
-use gmc::{GmcError, GmcSolution, InferenceMode, Step};
-use gmc_analysis::infer_properties;
-use gmc_expr::{Chain, CostPoly, Dim, DimBindings, Expr, Operand, PropertySet, SymChain, SymShape};
-use gmc_kernels::{FlatTermScratch, FlopFormula, KernelOp, KernelRegistry};
+use gmc::{CellGrid, GmcError, GmcSolution, GmcWorkspace, InferenceMode};
+use gmc_expr::{Chain, CostPoly, Dim, DimBindings, PropertySet, SymChain, SymShape};
+use gmc_kernels::{FlopFormula, KernelOp, KernelRegistry, ProductMatch, Rank};
 use gmc_pattern::{Bindings, Var};
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -59,6 +62,16 @@ pub(crate) struct Candidate {
     pub(crate) op_poly: CostPoly,
     pub(crate) total_poly: Option<CostPoly>,
     pub(crate) var_binds: Vec<(Var, OperandRef)>,
+}
+
+impl Candidate {
+    fn rank<C>(&self, cost: C) -> Rank<C> {
+        Rank {
+            cost,
+            specificity: self.specificity,
+            index: self.kernel_idx,
+        }
+    }
 }
 
 /// How a deferred cell's temporary gets its property set at bind time.
@@ -122,28 +135,12 @@ pub(crate) enum CellPlan {
 pub struct RegionPlan {
     pub(crate) n: usize,
     pub(crate) cells: Vec<CellPlan>,
-    /// Pre-materialized temporary names `T<i>_<j>` per cell, so a cache
-    /// hit clones instead of re-formatting each destination name.
-    pub(crate) temp_names: Vec<String>,
     /// The *recording* chain's distinct dimension variables in
     /// first-occurrence order. Structure keys canonicalize variable
     /// names, so a request chain may use different names for the same
     /// structure; its bindings are translated onto these variables
     /// positionally before any cached formula is evaluated.
     pub(crate) vars: Vec<gmc_expr::DimVar>,
-}
-
-/// The `T<i>_<j>` temporary names of every cell of an `n`-chain, in
-/// cell-index order — the single source of the naming scheme for the
-/// recorder and the plan store.
-pub(crate) fn build_temp_names(n: usize) -> Vec<String> {
-    let mut names = vec![String::new(); n * (n + 1) / 2];
-    for i in 0..n {
-        for j in i..n {
-            names[cell_index(n, i, j)] = format!("T{i}_{j}");
-        }
-    }
-    names
 }
 
 /// Cell classification counts of a [`RegionPlan`].
@@ -205,222 +202,6 @@ pub(crate) fn cell_index(n: usize, i: usize, j: usize) -> usize {
     i * (2 * n - i + 1) / 2 + (j - i)
 }
 
-/// Reusable state for the instantiate hot path, held by the cache so a
-/// cache hit allocates no fresh DP tables or candidate-scan buffers.
-/// (The per-cell temporaries, operations and kernel-name strings that
-/// remain are part of the returned solution itself.)
-#[derive(Debug, Default)]
-pub(crate) struct PlanWorkspace {
-    solved: Solved,
-    costs: Vec<f64>,
-    entries: Vec<Ranked>,
-}
-
-/// Shared DP result state for the recorder and the instantiation walk.
-#[derive(Debug, Default)]
-struct Solved {
-    n: usize,
-    cost: Vec<Option<f64>>,
-    expr: Vec<Option<Expr>>,
-    split: Vec<usize>,
-    op: Vec<Option<KernelOp>>,
-    kernel: Vec<String>,
-    op_cost: Vec<f64>,
-}
-
-impl Solved {
-    fn new(n: usize) -> Solved {
-        let mut s = Solved {
-            n: 0,
-            cost: Vec::new(),
-            expr: Vec::new(),
-            split: Vec::new(),
-            op: Vec::new(),
-            kernel: Vec::new(),
-            op_cost: Vec::new(),
-        };
-        s.reset(n);
-        s
-    }
-
-    /// Clears the state for a chain of length `n`, reusing the existing
-    /// allocations where large enough — the instantiate hot path holds
-    /// one `Solved` per [`crate::PlanCache`] and resets it per request,
-    /// mirroring `gmc::GmcWorkspace` on the concrete hot path.
-    fn reset(&mut self, n: usize) {
-        let len = n * (n + 1) / 2;
-        self.n = n;
-        self.cost.clear();
-        self.cost.resize(len, None);
-        self.expr.clear();
-        self.expr.resize(len, None);
-        self.split.clear();
-        self.split.resize(len, 0);
-        self.op.clear();
-        self.op.resize(len, None);
-        self.kernel.clear();
-        self.kernel.resize(len, String::new());
-        self.op_cost.clear();
-        self.op_cost.resize(len, 0.0);
-    }
-
-    #[inline]
-    fn idx(&self, i: usize, j: usize) -> usize {
-        cell_index(self.n, i, j)
-    }
-
-    fn seed_leaves(&mut self, chain: &Chain) {
-        for i in 0..self.n {
-            let idx = self.idx(i, i);
-            self.expr[idx] = Some(chain.factor(i).expr());
-            self.cost[idx] = Some(0.0);
-        }
-    }
-
-    fn operand_for(&self, r: OperandRef, chain: &Chain) -> Operand {
-        match r {
-            OperandRef::Factor(t) => chain.factor(t).operand().clone(),
-            OperandRef::Temp(i, j) => match &self.expr[self.idx(i, j)] {
-                Some(Expr::Symbol(op)) => op.clone(),
-                other => unreachable!("temporary cell must hold a symbol, got {other:?}"),
-            },
-        }
-    }
-}
-
-/// A candidate row for the shared two-stage winner selection.
-#[derive(Debug)]
-struct Ranked {
-    k: usize,
-    kernel_idx: usize,
-    spec: u8,
-    cost: f64,
-}
-
-/// The exact selection the concrete optimizer performs, over a
-/// pre-enumerated candidate list (entries grouped by ascending `k`, in
-/// discrimination-net streaming order within a group): per split the
-/// streaming min by `(cost, specificity desc, registration asc)`, then
-/// across splits strict improvement with the earliest split winning
-/// ties. Returns the winning entry index and the accumulated total.
-fn select_two_stage(
-    entries: &[Ranked],
-    mut base: impl FnMut(usize) -> f64,
-) -> Option<(usize, f64)> {
-    let mut best: Option<(f64, usize)> = None;
-    let mut idx = 0;
-    while idx < entries.len() {
-        let k = entries[idx].k;
-        let mut end = idx;
-        while end < entries.len() && entries[end].k == k {
-            end += 1;
-        }
-        let mut group: Option<usize> = None;
-        for e in idx..end {
-            let replace = match group {
-                None => true,
-                Some(gi) => {
-                    let inc = &entries[gi];
-                    let c = &entries[e];
-                    let ord = inc
-                        .cost
-                        .partial_cmp(&c.cost)
-                        .unwrap_or(Ordering::Equal)
-                        .then_with(|| c.spec.cmp(&inc.spec));
-                    ord == Ordering::Greater
-                        || (ord == Ordering::Equal && c.kernel_idx < inc.kernel_idx)
-                }
-            };
-            if replace {
-                group = Some(e);
-            }
-        }
-        let gi = group.expect("non-empty split group");
-        let total = base(k) + entries[gi].cost;
-        let better = match &best {
-            None => true,
-            Some((t, _)) => total < *t,
-        };
-        if better {
-            best = Some((total, gi));
-        }
-        idx = end;
-    }
-    best.map(|(t, i)| (i, t))
-}
-
-fn infer_cell_props(
-    inference: InferenceMode,
-    chain: &Chain,
-    le: &Expr,
-    re: &Expr,
-    i: usize,
-    j: usize,
-) -> PropertySet {
-    match inference {
-        InferenceMode::Compositional => infer_properties(&Expr::times([le.clone(), re.clone()])),
-        InferenceMode::Deep => {
-            let unfolded = Expr::times((i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>());
-            infer_properties(&unfolded)
-        }
-    }
-}
-
-fn extract_solution(chain: &Chain, s: &Solved) -> Result<GmcSolution<f64>, GmcError> {
-    let n = s.n;
-    let Some(total_cost) = s.cost[s.idx(0, n - 1)] else {
-        return Err(GmcError::not_computable(chain.to_string()));
-    };
-    let mut steps = Vec::with_capacity(n - 1);
-    push_steps(s, 0, n - 1, &mut steps);
-    let total_flops = steps.iter().map(|st: &Step<f64>| st.op.flops()).sum();
-    let paren = parenthesization(chain, s, 0, n - 1);
-    Ok(GmcSolution::from_parts(
-        steps,
-        total_cost,
-        total_flops,
-        paren,
-    ))
-}
-
-fn push_steps(s: &Solved, i: usize, j: usize, out: &mut Vec<Step<f64>>) {
-    if i == j {
-        return;
-    }
-    let idx = s.idx(i, j);
-    let k = s.split[idx];
-    push_steps(s, i, k, out);
-    push_steps(s, k + 1, j, out);
-    let dest = match s.expr[idx].as_ref().expect("solved cell has a temporary") {
-        Expr::Symbol(op) => op.clone(),
-        other => unreachable!("temporary must be a symbol, got {other}"),
-    };
-    out.push(Step {
-        dest,
-        op: s.op[idx].clone().expect("solved cell has an operation"),
-        kernel: s.kernel[idx].clone(),
-        cost: s.op_cost[idx],
-    });
-}
-
-fn parenthesization(chain: &Chain, s: &Solved, i: usize, j: usize) -> String {
-    if i == j {
-        return chain.factor(i).to_string();
-    }
-    let k = s.split[s.idx(i, j)];
-    format!(
-        "({} {})",
-        parenthesization(chain, s, i, k),
-        parenthesization(chain, s, k + 1, j)
-    )
-}
-
-/// Same-split tie-break: would `a` be preferred over `b` by the
-/// streaming within-split scan when their costs are equal?
-fn within_split_tie_favors(a: &Candidate, b: &Candidate) -> bool {
-    a.specificity > b.specificity || (a.specificity == b.specificity && a.kernel_idx < b.kernel_idx)
-}
-
 /// Whether cost `a` is at most cost `b` at every binding of the region
 /// as the concrete optimizer's `f64` comparison sees it, so that a tie
 /// goes the way the caller's tie rule says.
@@ -455,13 +236,13 @@ pub(crate) fn record_region(
     inference: InferenceMode,
     sym: &SymChain,
     chain: &Chain,
-    scratch: &mut FlatTermScratch,
+    workspace: &mut GmcWorkspace<f64>,
 ) -> (RegionPlan, Result<GmcSolution<f64>, GmcError>) {
     let n = chain.len();
     let len = n * (n + 1) / 2;
     let dims = sym.dims();
-    let mut solved = Solved::new(n);
-    solved.seed_leaves(chain);
+    let GmcWorkspace { grid, scratch } = workspace;
+    grid.reset(chain);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
     let mut total_polys: Vec<Option<CostPoly>> = vec![None; len];
     // Whether a resolved cell's total is computed exactly in `f64`.
@@ -482,8 +263,9 @@ pub(crate) fn record_region(
             &corner,
         )
     };
+    // At equal cost, would the within-split rule prefer `a` over `b`?
+    let tie_favors = |a: &Candidate, b: &Candidate| a.rank(()).beats(&b.rank(()));
     let mut unstable: Vec<bool> = vec![false; len];
-    let temp_names = build_temp_names(n);
 
     // Operand name → symbolic shape (for formulas) and → provenance
     // (for re-instantiation). Factors first; temporaries as created.
@@ -503,12 +285,11 @@ pub(crate) fn record_region(
 
     struct RawCand {
         k: usize,
-        kernel_idx: usize,
-        spec: u8,
+        rank: Rank<f64>,
         op: KernelOp,
-        cost: f64,
         var_binds: Vec<(Var, OperandRef)>,
     }
+    let mut raw: Vec<RawCand> = Vec::new();
 
     for l in 1..n {
         for i in 0..(n - l) {
@@ -518,18 +299,14 @@ pub(crate) fn record_region(
             let dynamic =
                 (i..j).any(|k| unstable[cell_index(n, i, k)] || unstable[cell_index(n, k + 1, j)]);
 
-            // Enumerate every candidate of every computable split.
-            let mut raw: Vec<RawCand> = Vec::new();
-            for k in i..j {
-                let (li, ri) = (cell_index(n, i, k), cell_index(n, k + 1, j));
-                if solved.cost[li].is_none() || solved.cost[ri].is_none() {
-                    continue;
-                }
-                let le = solved.expr[li].clone().expect("computable cell");
-                let re = solved.expr[ri].clone().expect("computable cell");
-                registry.for_each_product_match(&le, &re, scratch, |kernel_idx, kernel, b| {
+            // Enumerate every candidate of every computable split, and
+            // pick the winner with the engine's rules on the way.
+            raw.clear();
+            let pick = grid.best_split(i, j, |k, left, right| {
+                let start = raw.len();
+                registry.for_each_product_match(left, right, scratch, |kernel_idx, kernel, b| {
                     let op = kernel.instantiate(b);
-                    let cost = op.flops();
+                    let rank = kernel.rank(kernel_idx, op.flops());
                     let mut var_binds = Vec::with_capacity(2);
                     for v in [X, Y] {
                         if let Some(operand) = b.get(v) {
@@ -542,16 +319,21 @@ pub(crate) fn record_region(
                     }
                     raw.push(RawCand {
                         k,
-                        kernel_idx,
-                        spec: kernel.specificity(),
+                        rank,
                         op,
-                        cost,
                         var_binds,
                     });
                 });
-            }
-
-            if raw.is_empty() {
+                let w = (start..raw.len()).reduce(|w, c| {
+                    if raw[c].rank.beats(&raw[w].rank) {
+                        c
+                    } else {
+                        w
+                    }
+                })?;
+                Some((raw[w].rank.cost, w))
+            });
+            let Some((total, wk, wi)) = pick else {
                 plan_cells[idx] = if dynamic {
                     CellPlan::Dynamic
                 } else {
@@ -559,42 +341,20 @@ pub(crate) fn record_region(
                 };
                 unstable[idx] = dynamic;
                 continue;
-            }
-
-            // Winner selection, exactly as the concrete optimizer.
-            let entries: Vec<Ranked> = raw
-                .iter()
-                .map(|c| Ranked {
-                    k: c.k,
-                    kernel_idx: c.kernel_idx,
-                    spec: c.spec,
-                    cost: c.cost,
-                })
-                .collect();
-            let (wi, total) = select_two_stage(&entries, |k| {
-                let cl = solved.cost[cell_index(n, i, k)].expect("computable split");
-                let cr = solved.cost[cell_index(n, k + 1, j)].expect("computable split");
-                cl + cr
-            })
-            .expect("non-empty candidate list");
-            let wk = raw[wi].k;
-            let wle = solved.expr[cell_index(n, i, wk)].clone().expect("winner");
-            let wre = solved.expr[cell_index(n, wk + 1, j)]
-                .clone()
-                .expect("winner");
-            let props = infer_cell_props(inference, chain, &wle, &wre, i, j);
-            let temp =
-                Operand::temporary(temp_names[idx].clone(), raw[wi].op.result_shape(), props);
+            };
+            let props = grid.temp_properties(inference, chain, i, wk, j);
+            let winner = &raw[wi];
+            let pick = ProductMatch {
+                kernel: &registry.kernels()[winner.rank.index],
+                op: winner.op.clone(),
+                cost: winner.rank.cost,
+            };
+            grid.commit(i, j, wk, total, pick, props);
+            let name = grid.temporary(i, j).expect("committed").name();
             // A sub-chain result always has shape d[i] × d[j+1],
             // independent of how it is parenthesized.
-            sym_shapes.insert(temp.name().to_owned(), SymShape::new(dims[i], dims[j + 1]));
-            refs.insert(temp.name().to_owned(), OperandRef::Temp(i, j));
-            solved.cost[idx] = Some(total);
-            solved.expr[idx] = Some(temp.expr());
-            solved.split[idx] = wk;
-            solved.op[idx] = Some(raw[wi].op.clone());
-            solved.kernel[idx] = registry.kernels()[raw[wi].kernel_idx].name().to_owned();
-            solved.op_cost[idx] = raw[wi].cost;
+            sym_shapes.insert(name.to_owned(), SymShape::new(dims[i], dims[j + 1]));
+            refs.insert(name.to_owned(), OperandRef::Temp(i, j));
 
             if dynamic {
                 plan_cells[idx] = CellPlan::Dynamic;
@@ -617,8 +377,8 @@ pub(crate) fn record_region(
                     };
                     Candidate {
                         k: c.k,
-                        kernel_idx: c.kernel_idx,
-                        specificity: c.spec,
+                        kernel_idx: c.rank.index,
+                        specificity: c.rank.specificity,
                         formula,
                         op_poly,
                         total_poly,
@@ -636,9 +396,7 @@ pub(crate) fn record_region(
                     if a == b || !keep[a] || cands[a].k != cands[b].k {
                         continue;
                     }
-                    if op_no_more(&cands[a], &cands[b])
-                        && within_split_tie_favors(&cands[a], &cands[b])
-                    {
+                    if op_no_more(&cands[a], &cands[b]) && tie_favors(&cands[a], &cands[b]) {
                         keep[b] = false;
                         break;
                     }
@@ -654,8 +412,8 @@ pub(crate) fn record_region(
 
             // Symbolic resolution: the ρ-winner surely wins at every
             // binding in the region. Against same-split rivals the
-            // op-cost polynomial decides (ties fall to the streaming
-            // scan's specificity/registration order). Against other
+            // op-cost polynomial decides (ties fall to the within-split
+            // rule's specificity/registration order). Against other
             // splits the *total* polynomials decide: an earlier split
             // wins on non-strict dominance (the DP keeps the earliest
             // split on cost ties), a later split only on strict
@@ -674,7 +432,7 @@ pub(crate) fn record_region(
                         return true;
                     }
                     if c.k == winner.k {
-                        op_no_more(winner, c) && within_split_tie_favors(winner, c)
+                        op_no_more(winner, c) && tie_favors(winner, c)
                     } else {
                         c.total_poly.as_ref().is_some_and(|ct| {
                             let wt = winner.total_poly.as_ref().expect("checked above");
@@ -715,11 +473,7 @@ pub(crate) fn record_region(
                             if k == wk {
                                 return (k, props);
                             }
-                            let le = solved.expr[cell_index(n, i, k)].as_ref().expect("split");
-                            let re = solved.expr[cell_index(n, k + 1, j)]
-                                .as_ref()
-                                .expect("split");
-                            (k, infer_cell_props(inference, chain, le, re, i, j))
+                            (k, grid.temp_properties(inference, chain, i, k, j))
                         })
                         .collect();
                     if by_split.iter().all(|(_, p)| *p == props) {
@@ -737,12 +491,11 @@ pub(crate) fn record_region(
         }
     }
 
-    let solution = extract_solution(chain, &solved);
+    let solution = grid.solution(chain);
     (
         RegionPlan {
             n,
             cells: plan_cells,
-            temp_names,
             vars: sym.vars(),
         },
         solution,
@@ -760,160 +513,92 @@ pub(crate) fn instantiate(
     region: &RegionPlan,
     chain: &Chain,
     bindings: &DimBindings,
-    scratch: &mut FlatTermScratch,
-    workspace: &mut PlanWorkspace,
+    workspace: &mut GmcWorkspace<f64>,
 ) -> Result<GmcSolution<f64>, GmcError> {
     let n = region.n;
     debug_assert_eq!(n, chain.len());
     debug_assert_eq!(region.cells.len(), n * (n + 1) / 2);
-    let PlanWorkspace {
-        solved,
-        costs,
-        entries,
-    } = workspace;
-    solved.reset(n);
-    solved.seed_leaves(chain);
+    let GmcWorkspace { grid, scratch } = workspace;
+    grid.reset(chain);
+    let eval = |c: &Candidate| {
+        c.formula
+            .eval(bindings)
+            .expect("plan formulas only reference bound chain dimensions")
+    };
 
     for l in 1..n {
         for i in 0..(n - l) {
             let j = i + l;
-            let idx = cell_index(n, i, j);
             match &region.cells[region.index(i, j)] {
                 CellPlan::Leaf => unreachable!("interior cell marked as leaf"),
                 CellPlan::Unsolvable => {}
                 CellPlan::Resolved { cand, props } => {
-                    let op_cost = cand
-                        .formula
-                        .eval(bindings)
-                        .expect("plan formulas only reference bound chain dimensions");
-                    let cl = solved.cost[cell_index(n, i, cand.k)].expect("resolved child");
-                    let cr = solved.cost[cell_index(n, cand.k + 1, j)].expect("resolved child");
-                    let total = (cl + cr) + op_cost;
-                    apply_candidate(
-                        registry,
-                        solved,
-                        chain,
-                        idx,
-                        &region.temp_names[idx],
-                        cand,
-                        total,
-                        op_cost,
-                        *props,
-                    );
+                    let op_cost = eval(cand);
+                    let total = grid
+                        .split_total(i, cand.k, j, &op_cost)
+                        .expect("resolved children are computed");
+                    let pick = materialize(registry, grid, chain, cand, op_cost);
+                    grid.commit(i, j, cand.k, total, pick, *props);
                 }
                 CellPlan::Deferred { cands, props } => {
-                    costs.clear();
-                    entries.clear();
-                    for c in cands {
-                        let cost = c
-                            .formula
-                            .eval(bindings)
-                            .expect("plan formulas only reference bound chain dimensions");
-                        costs.push(cost);
-                        entries.push(Ranked {
-                            k: c.k,
-                            kernel_idx: c.kernel_idx,
-                            spec: c.specificity,
-                            cost,
-                        });
-                    }
-                    let (wi, total) = select_two_stage(entries, |k| {
-                        let cl = solved.cost[cell_index(n, i, k)].expect("deferred child");
-                        let cr = solved.cost[cell_index(n, k + 1, j)].expect("deferred child");
-                        cl + cr
-                    })
-                    .expect("deferred cells have candidates");
-                    let cand = &cands[wi];
-                    let props = props.for_split(cand.k);
-                    apply_candidate(
-                        registry,
-                        solved,
-                        chain,
-                        idx,
-                        &region.temp_names[idx],
-                        cand,
-                        total,
-                        costs[wi],
-                        props,
-                    );
+                    // Candidates are stored split by split in ascending
+                    // order (the store rejects any other order), so one
+                    // cursor walks them alongside the split scan.
+                    let mut next = 0;
+                    let (total, k, (op_cost, ci)) = grid
+                        .best_split(i, j, |k, _, _| {
+                            let mut best: Option<(f64, usize)> = None;
+                            while next < cands.len() && cands[next].k == k {
+                                let cost = eval(&cands[next]);
+                                if best.is_none_or(|(bc, bi)| {
+                                    cands[next].rank(cost).beats(&cands[bi].rank(bc))
+                                }) {
+                                    best = Some((cost, next));
+                                }
+                                next += 1;
+                            }
+                            best.map(|(cost, ci)| (cost, (cost, ci)))
+                        })
+                        .expect("deferred cells have candidates");
+                    let pick = materialize(registry, grid, chain, &cands[ci], op_cost);
+                    grid.commit(i, j, k, total, pick, props.for_split(k));
                 }
                 CellPlan::Dynamic => {
-                    // Live matching, mirroring the concrete optimizer's
-                    // `fill_cell`.
-                    let mut best: Option<(f64, usize, gmc_kernels::ProductMatch<'_, f64>)> = None;
-                    for k in i..j {
-                        let (li, ri) = (cell_index(n, i, k), cell_index(n, k + 1, j));
-                        let (Some(cl), Some(cr)) = (solved.cost[li], solved.cost[ri]) else {
-                            continue;
-                        };
-                        let (Some(le), Some(re)) = (&solved.expr[li], &solved.expr[ri]) else {
-                            continue;
-                        };
-                        let Some(m) = registry.best_product_match(le, re, scratch, |op| op.flops())
-                        else {
-                            continue;
-                        };
-                        let total = (cl + cr) + m.cost;
-                        let better = match &best {
-                            None => true,
-                            Some((t, _, _)) => total < *t,
-                        };
-                        if better {
-                            best = Some((total, k, m));
-                        }
+                    if let Some((total, k, pick)) =
+                        grid.select_best_split(registry, scratch, i, j, KernelOp::flops)
+                    {
+                        let props = grid.temp_properties(inference, chain, i, k, j);
+                        grid.commit(i, j, k, total, pick, props);
                     }
-                    let Some((total, k, m)) = best else {
-                        continue;
-                    };
-                    let le = solved.expr[cell_index(n, i, k)].as_ref().expect("winner");
-                    let re = solved.expr[cell_index(n, k + 1, j)]
-                        .as_ref()
-                        .expect("winner");
-                    let props = infer_cell_props(inference, chain, le, re, i, j);
-                    let temp = Operand::temporary(
-                        region.temp_names[idx].clone(),
-                        m.op.result_shape(),
-                        props,
-                    );
-                    solved.cost[idx] = Some(total);
-                    solved.expr[idx] = Some(temp.expr());
-                    solved.split[idx] = k;
-                    solved.kernel[idx] = m.kernel.name().to_owned();
-                    solved.op_cost[idx] = m.cost;
-                    solved.op[idx] = Some(m.op);
                 }
             }
         }
     }
 
-    extract_solution(chain, solved)
+    grid.solution(chain)
 }
 
 /// Materializes a cached candidate's operation for the current binding
-/// and writes the winning cell state at `idx`. `temp_name` is the
-/// cell's pre-materialized `T<i>_<j>` destination name.
-#[allow(clippy::too_many_arguments)]
-fn apply_candidate(
-    registry: &KernelRegistry,
-    solved: &mut Solved,
+/// from the chain's factors and the table's temporaries.
+fn materialize<'r>(
+    registry: &'r KernelRegistry,
+    grid: &CellGrid<f64>,
     chain: &Chain,
-    idx: usize,
-    temp_name: &str,
     cand: &Candidate,
-    total: f64,
     op_cost: f64,
-    props: PropertySet,
-) {
+) -> ProductMatch<'r, f64> {
     let mut b = Bindings::new();
     for (v, r) in &cand.var_binds {
-        b.bind(*v, &solved.operand_for(*r, chain));
+        let operand = match *r {
+            OperandRef::Factor(t) => chain.factor(t).operand(),
+            OperandRef::Temp(i, j) => grid.temporary(i, j).expect("computed child temporary"),
+        };
+        b.bind(*v, operand);
     }
-    let op = registry.kernels()[cand.kernel_idx].instantiate(&b);
-    let temp = Operand::temporary(temp_name.to_owned(), op.result_shape(), props);
-    solved.cost[idx] = Some(total);
-    solved.expr[idx] = Some(temp.expr());
-    solved.split[idx] = cand.k;
-    solved.kernel[idx] = registry.kernels()[cand.kernel_idx].name().to_owned();
-    solved.op_cost[idx] = op_cost;
-    solved.op[idx] = Some(op);
+    let kernel = &registry.kernels()[cand.kernel_idx];
+    ProductMatch {
+        kernel,
+        op: kernel.instantiate(&b),
+        cost: op_cost,
+    }
 }

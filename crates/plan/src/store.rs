@@ -481,14 +481,7 @@ impl Deserialize for RegionPlan {
                 }
             }
         }
-        Ok(RegionPlan {
-            n,
-            cells,
-            // Temporary names are derivable (`T<i>_<j>`), so they are
-            // rebuilt rather than stored.
-            temp_names: crate::plan::build_temp_names(n),
-            vars,
-        })
+        Ok(RegionPlan { n, cells, vars })
     }
 }
 
@@ -588,6 +581,12 @@ fn validate_cells(n: usize, cells: &[CellPlan]) -> Result<(), DeError> {
                     }
                     for cand in cands {
                         check_candidate(cand, i, j)?;
+                    }
+                    // Bind time scans the candidates split by split.
+                    if cands.windows(2).any(|w| w[0].k > w[1].k) {
+                        return Err(DeError(format!(
+                            "cell ({i},{j}): deferred candidates out of split order"
+                        )));
                     }
                     if let DeferredProps::PerSplit(by_split) = props {
                         for cand in cands {

@@ -214,3 +214,72 @@ fn missing_file_is_a_store_error() {
         Err(PlanError::Store(_))
     ));
 }
+
+/// The field `name` of a JSON object.
+fn field_mut<'a>(v: &'a mut serde::Value, name: &str) -> &'a mut serde::Value {
+    match v {
+        serde::Value::Object(fields) => {
+            &mut fields
+                .iter_mut()
+                .find(|(k, _)| k == name)
+                .unwrap_or_else(|| panic!("no field `{name}`"))
+                .1
+        }
+        other => panic!("expected an object, got {other:?}"),
+    }
+}
+
+/// Element `i` of a JSON array.
+fn item_mut(v: &mut serde::Value, i: usize) -> &mut serde::Value {
+    match v {
+        serde::Value::Array(items) => &mut items[i],
+        other => panic!("expected an array, got {other:?}"),
+    }
+}
+
+#[test]
+fn deferred_candidates_out_of_split_order_are_rejected_at_load() {
+    // A(n,m) B(m,n) C(n,m) at n = m: the root cell is deferred over the
+    // splits 0 and 1. Bind time scans a deferred cell's candidates split
+    // by split in ascending order, so a store listing them in another
+    // order would serve the wrong parenthesization.
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let (n, m) = (Dim::var("ps_n"), Dim::var("ps_m"));
+    let chain = SymChain::new(vec![plain("A", n, m), plain("B", m, n), plain("C", n, m)]).unwrap();
+    let warm = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    warm.solve(&chain, &DimBindings::new().with("ps_n", 5).with("ps_m", 5))
+        .unwrap();
+    let snapshot = warm.snapshot_json();
+
+    let mut doc: serde::Value = serde_json::from_str(&snapshot).unwrap();
+    let structure = item_mut(field_mut(&mut doc, "structures"), 0);
+    let region = item_mut(field_mut(structure, "regions"), 0);
+    // Cell (0, 2) of a 3-chain is the third in row-major order.
+    let root = item_mut(field_mut(field_mut(region, "plan"), "cells"), 2);
+    let splits = |cell: &mut serde::Value| -> Vec<String> {
+        match field_mut(cell, "cands") {
+            serde::Value::Array(cands) => cands
+                .iter_mut()
+                .map(|c| serde_json::to_string(field_mut(c, "k")).unwrap())
+                .collect(),
+            other => panic!("expected candidates, got {other:?}"),
+        }
+    };
+    assert_eq!(splits(root), ["0", "1"]);
+    if let serde::Value::Array(cands) = field_mut(root, "cands") {
+        cands.reverse();
+    }
+    let corrupt = serde_json::to_string_pretty(&doc).unwrap();
+    assert_ne!(corrupt, snapshot);
+    let fresh = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    assert!(matches!(
+        fresh.load_snapshot_json(&corrupt),
+        Err(PlanError::Store(_))
+    ));
+    assert!(fresh.is_empty());
+
+    // The genuine store still loads and round-trips byte-identically.
+    let fresh = PlanCache::new(registry, InferenceMode::Compositional);
+    assert_eq!(fresh.load_snapshot_json(&snapshot).unwrap(), 1);
+    assert_eq!(fresh.snapshot_json(), snapshot);
+}

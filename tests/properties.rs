@@ -270,7 +270,7 @@ proptest! {
     /// The allocation-free solver is bit-identical to the retained
     /// naive reference implementation (`gmc::reference`): same cost,
     /// same parenthesization, same kernel sequence — in both inference
-    /// modes, and for the top-down formulation as well.
+    /// modes.
     #[test]
     fn solve_matches_naive_reference(seed in 0u64..1_000_000) {
         use gmc::{GmcWorkspace, InferenceMode};
@@ -293,11 +293,6 @@ proptest! {
                 "parenthesization diverged ({:?}) on {}", mode, &chain
             );
             prop_assert_eq!(fast.kernel_names(), reference.kernel_names());
-            let top_down = optimizer.solve_top_down_with(&chain, &mut ws)
-                .expect("full registry computes all chains");
-            prop_assert_eq!(top_down.cost(), reference.cost());
-            prop_assert_eq!(top_down.parenthesization(), reference.parenthesization());
-            prop_assert_eq!(top_down.kernel_names(), reference.kernel_names());
         }
     }
 
@@ -326,33 +321,54 @@ proptest! {
 /// boundary dimensions mix constants (including 1, producing vector
 /// and outer-product sub-problems) with variables drawn from a small
 /// pool (so variables repeat and structurally square factors arise),
-/// factors randomly carry transposes, inverses and properties.
+/// factors randomly carry transposes, inverses and properties. A square
+/// factor sometimes reuses an earlier square operand of the same
+/// dimension under any unary operator; such aliasing makes some
+/// temporaries' properties split-dependent, which is what drives cells
+/// to `Dynamic` under compositional inference.
 fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
     use gmc_expr::{Dim, SymChain, SymFactor, SymOperand};
     use rand::Rng;
     let n = rng.gen_range(2..=8usize);
     let pool = ["sp_a", "sp_b", "sp_c"];
-    let dims: Vec<Dim> = (0..=n)
-        .map(|_| {
-            if rng.gen_bool(0.35) {
-                if rng.gen_bool(0.2) {
-                    Dim::Const(1)
-                } else {
-                    Dim::Const(rng.gen_range(2..=6usize) * 10)
-                }
+    let mut dims: Vec<Dim> = Vec::with_capacity(n + 1);
+    for i in 0..=n {
+        let d = if i > 0 && rng.gen_bool(0.6) {
+            dims[i - 1]
+        } else if rng.gen_bool(0.35) {
+            if rng.gen_bool(0.2) {
+                Dim::Const(1)
             } else {
-                Dim::var(pool[rng.gen_range(0..pool.len())])
+                Dim::Const(rng.gen_range(2..=6usize) * 10)
             }
-        })
-        .collect();
+        } else {
+            Dim::var(pool[rng.gen_range(0..pool.len())])
+        };
+        dims.push(d);
+    }
+    let mut squares: Vec<SymOperand> = Vec::new();
     let factors: Vec<SymFactor> = (0..n)
         .map(|i| {
             let (r, c) = (dims[i], dims[i + 1]);
             let square = r == c;
+            if square && rng.gen_bool(0.8) {
+                let same_dim: Vec<&SymOperand> =
+                    squares.iter().filter(|o| o.shape().rows() == r).collect();
+                if !same_dim.is_empty() {
+                    let op = same_dim[rng.gen_range(0..same_dim.len())].clone();
+                    let unary = [
+                        UnaryOp::None,
+                        UnaryOp::Transpose,
+                        UnaryOp::Inverse,
+                        UnaryOp::InverseTranspose,
+                    ][rng.gen_range(0..4usize)];
+                    return SymFactor::new(op, unary);
+                }
+            }
             let transposed = rng.gen_bool(0.25);
             let (or, oc) = if transposed { (c, r) } else { (r, c) };
             let mut op = SymOperand::new(format!("M{i}"), or, oc);
-            if square && rng.gen_bool(0.4) {
+            if square && rng.gen_bool(0.6) {
                 let p = [
                     Property::Diagonal,
                     Property::LowerTriangular,
@@ -361,6 +377,9 @@ fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
                     Property::SymmetricPositiveDefinite,
                 ][rng.gen_range(0..5usize)];
                 op = op.with_property(p).expect("structurally square");
+            }
+            if square {
+                squares.push(op.clone());
             }
             let unary = if square && rng.gen_bool(0.3) {
                 if transposed {
@@ -380,15 +399,18 @@ fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
 }
 
 proptest! {
-    /// ISSUE 3 acceptance: for random chains with symbolic dimensions,
-    /// binding the variables and instantiating the cached symbolic plan
-    /// is bit-identical — cost, parenthesization, kernel sequence — to
-    /// a from-scratch concrete solve, in both inference modes, across
-    /// several bindings (different size regions included) and when the
-    /// same binding is served again as a pure cache hit.
+    /// For random chains with symbolic dimensions, binding the
+    /// variables and serving the chain through the plan cache is
+    /// bit-identical — cost, parenthesization, kernel sequence — to a
+    /// from-scratch concrete solve and to the independent
+    /// `gmc::reference` solver, in both inference modes, across several
+    /// bindings (different size regions included). The second pass is
+    /// served by a fresh cache loaded from the first cache's plan
+    /// store: every answer there must be a hit and bit-identical.
     #[test]
     fn symbolic_plan_matches_concrete_solve(seed in 0u64..1_000_000) {
         use gmc::InferenceMode;
+        use gmc::reference::solve_reference;
         use gmc_expr::DimBindings;
         use gmc_plan::{PlanCache, PlanOutcome};
         use rand::Rng;
@@ -407,36 +429,58 @@ proptest! {
             .collect();
         for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
             let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
-            let cache = PlanCache::new(registry.clone(), mode);
+            let recorder = PlanCache::new(registry.clone(), mode);
+            let loaded = PlanCache::new(registry.clone(), mode);
             for pass in 0..2 {
+                let cache = if pass == 0 {
+                    &recorder
+                } else {
+                    loaded
+                        .load_snapshot_json(&recorder.snapshot_json())
+                        .expect("a genuine plan store loads");
+                    &loaded
+                };
                 for bindings in &bindings_list {
                     let concrete = chain.bind(bindings).expect("all variables bound");
-                    let reference = optimizer.solve(&concrete);
-                    match (reference, cache.solve(&chain, bindings)) {
-                        (Ok(want), Ok((got, outcome))) => {
-                            prop_assert_eq!(
-                                want.cost().to_bits(), got.cost().to_bits(),
-                                "cost diverged ({:?}, {}) on {}", mode, outcome, &concrete
-                            );
-                            prop_assert_eq!(
-                                want.parenthesization(), got.parenthesization(),
-                                "parenthesization diverged ({:?}) on {}", mode, &concrete
-                            );
-                            prop_assert_eq!(want.kernel_names(), got.kernel_names());
+                    let want = optimizer.solve(&concrete);
+                    let oracle = solve_reference(&registry, &FlopCount, mode, &concrete);
+                    match (want, oracle, cache.solve(&chain, bindings)) {
+                        (Ok(want), Ok(oracle), Ok((got, outcome))) => {
+                            for (label, want) in [("concrete", &want), ("reference", &oracle)] {
+                                prop_assert_eq!(
+                                    want.cost().to_bits(), got.cost().to_bits(),
+                                    "cost diverged from the {} solve ({:?}, {}) on {}",
+                                    label, mode, outcome, &concrete
+                                );
+                                prop_assert_eq!(
+                                    want.parenthesization(), got.parenthesization(),
+                                    "parenthesization diverged from the {} solve ({:?}) on {}",
+                                    label, mode, &concrete
+                                );
+                                prop_assert_eq!(want.kernel_names(), got.kernel_names());
+                            }
                             prop_assert_eq!(want.flops(), got.flops());
                             if pass == 1 {
                                 prop_assert_eq!(outcome, PlanOutcome::Hit);
                             }
                         }
-                        (Err(_), Err(_)) => {}
-                        (want, got) => prop_assert!(
+                        (Err(_), Err(_), Err(_)) => {}
+                        (want, oracle, got) => prop_assert!(
                             false,
-                            "solvability diverged ({:?}) on {}: {:?} vs {:?}",
-                            mode, &concrete, want.map(|s| s.cost()), got.map(|(s, o)| (s.cost(), o))
+                            "solvability diverged ({:?}) on {}: {:?} / {:?} vs {:?}",
+                            mode, &concrete,
+                            want.map(|s| s.cost()),
+                            oracle.map(|s| s.cost()),
+                            got.map(|(s, o)| (s.cost(), o))
                         ),
                     }
                 }
             }
+            // Unsolvable answers carry no outcome: count them through
+            // the loaded cache's counters instead.
+            let served = loaded.stats();
+            prop_assert_eq!(served.hits, bindings_list.len() as u64);
+            prop_assert_eq!(served.requests(), served.hits);
         }
     }
 }

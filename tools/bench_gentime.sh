@@ -7,11 +7,9 @@
 #   tools/bench_gentime.sh --quick      # CI smoke: few samples
 #   tools/bench_gentime.sh --out /tmp/b.json
 #
-# The "before" slot drives the retained pre-refactor implementation
-# (gmc::reference::solve_reference) and the "after" slot the
-# allocation-free hot path, interleaved in one process, so the
-# recorded speedups are robust to machine-condition drift. The
-# "plan_cache" group tracks the symbolic pipeline: cold symbolic solve
+# The "after" slot times the optimizer's allocation-free hot path,
+# with a fresh and with a reused workspace. The "plan_cache" group
+# tracks the symbolic pipeline: cold symbolic solve
 # vs cached instantiate at fresh sizes in the same region. The
 # "serve_throughput" group drives the gmc-serve front door (dispatcher
 # + worker pool + shared concurrent cache) at 1/2/4/8 workers over a
