@@ -24,6 +24,8 @@
 //! entries override the window so `size` requests hit admission as one
 //! batch. Ordinary windows are clamped to the admission capacity in
 //! that mode, so queue-full shedding happens exactly at the bursts.
+//!
+//! [`ServeHandle`]: gmc_serve::ServeHandle
 
 use crate::workload::Trace;
 use gmc::{FlopCount, GmcOptimizer, InferenceMode};

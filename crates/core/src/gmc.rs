@@ -4,7 +4,7 @@ use crate::metric::{Cost, CostMetric};
 use gmc_analysis::infer_properties;
 use gmc_codegen::{Instruction, Program};
 use gmc_expr::{Chain, Expr, Operand, PropertySet};
-use gmc_kernels::{FlatTermScratch, KernelOp, KernelRegistry, ProductMatch};
+use gmc_kernels::{KernelOp, KernelRegistry, ProductMatch};
 use std::fmt;
 
 /// Errors produced by the optimizer.
@@ -210,8 +210,8 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
     ///
     /// Allocates a fresh [`GmcWorkspace`]; batch callers solving many
     /// chains should hold one workspace and use
-    /// [`solve_with`](Self::solve_with) to amortize the DP table and
-    /// matcher scratch allocations.
+    /// [`solve_with`](Self::solve_with) to amortize the DP table
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -227,7 +227,8 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
     /// This is the allocation-free hot path: per split candidate no
     /// heap allocation is performed — no expression subtrees are
     /// cloned, no owned binary product is built, and kernel matches
-    /// stream off the discrimination net instead of being collected.
+    /// stream out of the registry's dispatch slot instead of being
+    /// collected.
     /// Temporary names and property inference run only for the winning
     /// split of each sub-chain. The workspace is reset on entry and
     /// its buffers are reused across calls.
@@ -242,15 +243,13 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
         workspace: &mut GmcWorkspace<M::Cost>,
     ) -> Result<GmcSolution<M::Cost>, GmcError> {
         let n = chain.len();
-        let GmcWorkspace { grid, scratch } = workspace;
+        let grid = &mut workspace.grid;
         grid.reset(chain);
         for l in 1..n {
             for i in 0..(n - l) {
                 let j = i + l;
                 let Some((total, k, pick)) =
-                    grid.select_best_split(self.registry, scratch, i, j, |op| {
-                        self.metric.op_cost(op)
-                    })
+                    grid.select_best_split(self.registry, i, j, |op| self.metric.op_cost(op))
                 else {
                     continue;
                 };
@@ -264,21 +263,19 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
     }
 }
 
-/// Reusable DP state for [`GmcOptimizer::solve_with`]: the DP table and
-/// the kernel matcher's flatterm scratch buffer.
+/// Reusable DP state for [`GmcOptimizer::solve_with`]: the DP table.
 ///
 /// Batch callers (the experiments harness, benches, the CLI) keep one
 /// workspace alive and solve many chains through it, so table
 /// allocation is amortized: after the first solve of the largest chain
 /// length, further solves allocate nothing beyond the per-winner
-/// temporaries. The symbolic plan cache of `gmc-plan` runs its recorder
-/// and its bind-time instantiation on the same two parts.
+/// temporaries. Kernel matching needs no per-solve state. The symbolic
+/// plan cache of `gmc-plan` runs its recorder and its bind-time
+/// instantiation on the same table.
 #[derive(Debug)]
 pub struct GmcWorkspace<C> {
     /// The DP table.
     pub grid: CellGrid<C>,
-    /// Scratch for streaming kernel matches off the discrimination net.
-    pub scratch: FlatTermScratch,
 }
 
 impl<C> GmcWorkspace<C> {
@@ -289,7 +286,6 @@ impl<C> GmcWorkspace<C> {
                 cells: Vec::new(),
                 n: 0,
             },
-            scratch: FlatTermScratch::new(),
         }
     }
 }
@@ -436,14 +432,13 @@ impl<C: Cost> CellGrid<C> {
     pub fn select_best_split<'r>(
         &self,
         registry: &'r KernelRegistry,
-        scratch: &mut FlatTermScratch,
         i: usize,
         j: usize,
         mut metric: impl FnMut(&KernelOp) -> C,
     ) -> Option<(C, usize, ProductMatch<'r, C>)> {
         self.best_split(i, j, |_, left, right| {
             registry
-                .best_product_match(left, right, scratch, &mut metric)
+                .best_product_match(left, right, &mut metric)
                 .map(|m| (m.cost.clone(), m))
         })
     }

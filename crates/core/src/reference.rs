@@ -6,8 +6,10 @@
 //! candidate it builds an owned `Expr::Times`, collects a `Vec` of
 //! kernel matches, and re-derives metric costs inside the `min_by`
 //! comparison. It is deliberately **not** refactored onto the DP
-//! engine the optimizer and the plan cache share, and it keeps its own
-//! copies of the tie rules — equivalence tests (`tests/properties.rs`:
+//! engine the optimizer and the plan cache share, it keeps its own
+//! copies of the tie rules, and it matches kernels with a
+//! [`DiscriminationNet`] over the kernels' patterns rather than the
+//! registry's dispatch slots — equivalence tests (`tests/properties.rs`:
 //! `solve_matches_naive_reference`, and
 //! `symbolic_plan_matches_concrete_solve` for the plan cache) compare
 //! against it on random chains, which only means something while this
@@ -18,6 +20,7 @@ use crate::metric::{Cost, CostMetric};
 use gmc_analysis::infer_properties;
 use gmc_expr::{Chain, Expr, Operand, PropertySet};
 use gmc_kernels::{KernelMatch, KernelRegistry};
+use gmc_pattern::DiscriminationNet;
 
 #[derive(Clone, Debug)]
 struct ChosenKernel<C> {
@@ -44,6 +47,10 @@ pub fn solve_reference<M: CostMetric>(
     chain: &Chain,
 ) -> Result<GmcSolution<M::Cost>, GmcError> {
     let n = chain.len();
+    let mut net = DiscriminationNet::new();
+    for (index, kernel) in registry.kernels().iter().enumerate() {
+        net.insert(kernel.pattern().clone(), index);
+    }
     // exprs[i][j]: the symbolic value representing M[i..=j]; leaves
     // are the factor expressions, interior entries temporaries.
     let mut exprs: Vec<Vec<Option<Expr>>> = vec![vec![None; n]; n];
@@ -68,7 +75,7 @@ pub fn solve_reference<M: CostMetric>(
                     continue;
                 };
                 let product = Expr::times([le.clone(), re.clone()]);
-                let Some(m) = best_kernel(registry, metric, &product) else {
+                let Some(m) = best_kernel(registry, &net, metric, &product) else {
                     continue;
                 };
                 let op_cost = metric.op_cost(&m.op);
@@ -121,15 +128,27 @@ pub fn solve_reference<M: CostMetric>(
     ))
 }
 
-/// The original collecting kernel selection: materialize all matches,
-/// then `min_by` with the metric evaluated inside every comparison.
+/// The original collecting kernel selection: materialize all matches
+/// (in registration order, as `net` reports them), then `min_by` with
+/// the metric evaluated inside every comparison.
 fn best_kernel<'r, M: CostMetric>(
     registry: &'r KernelRegistry,
+    net: &DiscriminationNet<usize>,
     metric: &M,
     product: &Expr,
 ) -> Option<KernelMatch<'r>> {
-    let matches = registry.match_expr(product);
-    matches.into_iter().min_by(|p, q| {
+    let matches = net.matches(product).into_iter().filter_map(|m| {
+        let kernel = &registry.kernels()[*m.payload];
+        kernel
+            .constraints()
+            .iter()
+            .all(|c| c.check(&m.bindings))
+            .then(|| KernelMatch {
+                op: kernel.instantiate(&m.bindings),
+                kernel,
+            })
+    });
+    matches.min_by(|p, q| {
         let cp = metric.op_cost(&p.op);
         let cq = metric.op_cost(&q.op);
         cp.partial_cmp(&cq)

@@ -4,10 +4,14 @@
 //! A [`Kernel`] couples a structural [`gmc_pattern::Pattern`] with
 //! property [`Constraint`]s (e.g. *is lower triangular(X)*) and an
 //! instantiation function producing a concrete [`KernelOp`] — the
-//! operation that code generation emits and the runtime executes. The
-//! [`KernelRegistry`] compiles all kernels into a discrimination net so
-//! that the GMC algorithm's `match` step (paper Fig. 4 line 6) finds
-//! every applicable kernel in one traversal.
+//! operation that code generation emits and the runtime executes. Every
+//! kernel pattern is a binary product `op(?a) · op(?b)`, so the
+//! [`KernelRegistry`] files each kernel under the (left unary, right
+//! unary) pair of its pattern, and the GMC algorithm's `match` step
+//! (paper Fig. 4 line 6) finds every applicable kernel with one lookup
+//! among 16 slots, in the order a discrimination net over the patterns
+//! would report them. [`KernelRegistry::blas_lapack`] builds its table
+//! once per process and hands out shared handles.
 //!
 //! FLOP costs follow the paper's conventions: `GEMM` costs `2mnk`;
 //! the structured kernels `TRMM`/`SYMM`/`TRSM` cost `m²n`; `SYRK` costs
@@ -38,7 +42,6 @@ mod op;
 mod registry;
 mod sym;
 
-pub use gmc_pattern::FlatTermScratch;
 pub use kernel::{Constraint, Kernel, KernelMatch, OpBuilder, ProductMatch, Rank};
 pub use op::{InvKind, KernelFamily, KernelOp, Side, Uplo};
 pub use registry::{KernelRegistry, RegistryBuilder};

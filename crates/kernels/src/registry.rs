@@ -1,19 +1,34 @@
-//! The kernel registry `K`: the set of available kernels, compiled into
-//! a discrimination net for many-to-one matching.
+//! The kernel registry `K`: the set of available kernels, dispatched by
+//! the unary operators of a binary product.
+//!
+//! Every kernel pattern is a binary product of two unary-wrapped leaves,
+//! `op(?a) · op(?b)` (paper Table 1 plus the extensions; `SYRK` is the
+//! one non-linear pattern). So instead of walking a discrimination net,
+//! the registry keeps 16 slots, one per (left unary, right unary) pair,
+//! each listing its kernels in the order the net would visit them, and
+//! matching a product is a slot lookup plus per-kernel binding and
+//! constraint checks. The general matcher stays in `gmc-pattern`.
 
-use crate::kernel::{Constraint, Kernel, KernelMatch, ProductMatch, Rank};
+use crate::kernel::{Constraint, Kernel, KernelMatch, ProductMatch};
 use crate::op::{KernelFamily, KernelOp, Side, Uplo};
 use gmc_expr::{Expr, Operand, Property, UnaryOp};
-use gmc_pattern::{Bindings, DiscriminationNet, FlatTermScratch, Pattern, Var};
+use gmc_pattern::{Bindings, Pattern, Var};
 use std::collections::BTreeSet;
+use std::sync::{Arc, LazyLock};
 
 /// The first (usually structured) pattern variable.
 const X: Var = Var::new(0);
 /// The second pattern variable.
 const Y: Var = Var::new(1);
 
-/// The set of available kernels, with a discrimination net for matching
-/// expressions against all of them at once.
+/// The default registry, built the first time it is used in a process.
+static BLAS_LAPACK: LazyLock<KernelRegistry> = LazyLock::new(|| RegistryBuilder::default().build());
+
+/// The set of available kernels, with a dispatch table for matching a
+/// binary product against all of them at once.
+///
+/// A registry is a cheap handle: clones share one immutable table, and
+/// every [`blas_lapack`](Self::blas_lapack) call returns the same one.
 ///
 /// # Example
 ///
@@ -32,10 +47,144 @@ const Y: Var = Var::new(1);
 ///     .unwrap();
 /// assert_eq!(best.kernel.name(), "TRSM_LLN");
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct KernelRegistry {
+    table: Arc<Table>,
+}
+
+#[derive(Debug)]
+struct Table {
     kernels: Vec<Kernel>,
-    net: DiscriminationNet<usize>,
+    /// The kernels of each (left unary, right unary) pair, indexed by
+    /// [`slot`], in discrimination-net visit order.
+    slots: [Vec<Entry>; 16],
+}
+
+/// A kernel in its dispatch slot: the pattern `op(?a) · op(?b)` reduced
+/// to the variables its two leaves bind.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// The kernel's registration index.
+    index: usize,
+    /// The variable bound by the left leaf.
+    left: Var,
+    /// The variable bound by the right leaf.
+    right: Var,
+}
+
+impl Entry {
+    /// Which of a product's four possible binding sets the kernel uses
+    /// (the leaves' variables are `?0` or `?1`).
+    fn binding_set(&self) -> usize {
+        2 * self.left.index() + self.right.index()
+    }
+}
+
+/// The dispatch slot of a product whose factors carry `left` and `right`.
+fn slot(left: UnaryOp, right: UnaryOp) -> usize {
+    4 * left as usize + right as usize
+}
+
+/// A product factor as a unary operator over a leaf operand; `None` for
+/// anything else (a product, a sum, a unary over a non-leaf).
+fn leaf(e: &Expr) -> Option<(UnaryOp, &Operand)> {
+    let (op, inner) = match e {
+        Expr::Symbol(operand) => return Some((UnaryOp::None, operand)),
+        Expr::Transpose(inner) => (UnaryOp::Transpose, inner),
+        Expr::Inverse(inner) => (UnaryOp::Inverse, inner),
+        Expr::InverseTranspose(inner) => (UnaryOp::InverseTranspose, inner),
+        Expr::Times(_) | Expr::Plus(_) => return None,
+    };
+    match &**inner {
+        Expr::Symbol(operand) => Some((op, operand)),
+        _ => None,
+    }
+}
+
+/// The two factors of a binary product expression.
+fn binary_factors(expr: &Expr) -> Option<(&Expr, &Expr)> {
+    match expr {
+        Expr::Times(factors) => match factors.as_slice() {
+            [left, right] => Some((left, right)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A kernel pattern `op(?a) · op(?b)` as `(left unary, left variable,
+/// right unary, right variable)`.
+type ProductPattern = (UnaryOp, Var, UnaryOp, Var);
+
+/// `pattern` as a [`ProductPattern`] over `?0`/`?1`; `None` for any
+/// other pattern.
+fn product_pattern(pattern: &Pattern) -> Option<ProductPattern> {
+    fn leaf(p: &Pattern) -> Option<(UnaryOp, Var)> {
+        let (op, inner) = match p {
+            Pattern::Wildcard(v) => return Some((UnaryOp::None, *v)),
+            Pattern::Transpose(inner) => (UnaryOp::Transpose, inner),
+            Pattern::Inverse(inner) => (UnaryOp::Inverse, inner),
+            Pattern::InverseTranspose(inner) => (UnaryOp::InverseTranspose, inner),
+            Pattern::Times(_) | Pattern::Plus(_) => return None,
+        };
+        match **inner {
+            Pattern::Wildcard(v) => Some((op, v)),
+            _ => None,
+        }
+    }
+    let Pattern::Times(factors) = pattern else {
+        return None;
+    };
+    let [l, r] = factors.as_slice() else {
+        return None;
+    };
+    let ((lu, lv), (ru, rv)) = (leaf(l)?, leaf(r)?);
+    (lv.index() < 2 && rv.index() < 2).then_some((lu, lv, ru, rv))
+}
+
+impl Table {
+    /// Fills the dispatch slots of `kernels`.
+    ///
+    /// Within a slot, kernels are in the order a discrimination net over
+    /// their patterns visits them, which the plan store's candidate
+    /// order depends on. The net's trie creates the edge for a left leaf
+    /// `(unary, variable)` when the first kernel with that left leaf is
+    /// inserted, then the edge for the right leaf under it likewise, and
+    /// lists the patterns ending at one node in insertion order. So the
+    /// sort keys are: the first registration index with the same left
+    /// leaf, the first with the same left and right leaves, and the
+    /// kernel's own index.
+    ///
+    /// # Panics
+    ///
+    /// If a pattern is not `op(?a) · op(?b)` over `?0`/`?1`.
+    fn new(kernels: Vec<Kernel>) -> Table {
+        let patterns: Vec<ProductPattern> = kernels
+            .iter()
+            .map(|k| {
+                product_pattern(k.pattern()).unwrap_or_else(|| {
+                    panic!(
+                        "kernel {}: pattern `{}` is not op(?a) · op(?b) over ?0/?1",
+                        k.name(),
+                        k.pattern()
+                    )
+                })
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..kernels.len()).collect();
+        order.sort_by_cached_key(|&index| {
+            let (lu, lv, ..) = patterns[index];
+            let left = patterns.iter().position(|p| (p.0, p.1) == (lu, lv));
+            let both = patterns.iter().position(|p| *p == patterns[index]);
+            (left, both, index)
+        });
+        let mut slots: [Vec<Entry>; 16] = Default::default();
+        for index in order {
+            let (lu, left, ru, right) = patterns[index];
+            slots[slot(lu, ru)].push(Entry { index, left, right });
+        }
+        Table { kernels, slots }
+    }
 }
 
 impl KernelRegistry {
@@ -44,8 +193,11 @@ impl KernelRegistry {
     /// diagonal kernels, the BLAS-2 vector kernels, identity elimination
     /// and the composite inverse-pair kernel (paper Sec. 5 assumes one
     /// exists).
+    ///
+    /// The table is built on the first call in a process; every call
+    /// returns a handle to it.
     pub fn blas_lapack() -> Self {
-        RegistryBuilder::default().build()
+        BLAS_LAPACK.clone()
     }
 
     /// A registry containing only the plain `GEMM_NN` kernel — the
@@ -64,37 +216,32 @@ impl KernelRegistry {
 
     /// All kernels, in registration order.
     pub fn kernels(&self) -> &[Kernel] {
-        &self.kernels
+        &self.table.kernels
     }
 
     /// Number of kernels.
     pub fn len(&self) -> usize {
-        self.kernels.len()
+        self.table.kernels.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
+        self.table.kernels.is_empty()
     }
 
     /// Matches `expr` against every kernel; returns all matches whose
-    /// constraints are satisfied, with instantiated operations.
+    /// constraints are satisfied, with instantiated operations, in
+    /// registration order. Only a binary product can match.
     pub fn match_expr(&self, expr: &Expr) -> Vec<KernelMatch<'_>> {
-        self.net
-            .matches(expr)
-            .into_iter()
-            .filter_map(|m| {
-                let kernel = &self.kernels[*m.payload];
-                if kernel.constraints().iter().all(|c| c.check(&m.bindings)) {
-                    Some(KernelMatch {
-                        op: kernel.instantiate(&m.bindings),
-                        kernel,
-                    })
-                } else {
-                    None
-                }
-            })
-            .collect()
+        let mut matches = Vec::new();
+        if let Some((left, right)) = binary_factors(expr) {
+            self.for_each_product_match(left, right, |index, kernel, bindings| {
+                let op = kernel.instantiate(bindings);
+                matches.push((index, KernelMatch { kernel, op }));
+            });
+        }
+        matches.sort_unstable_by_key(|(index, _)| *index);
+        matches.into_iter().map(|(_, m)| m).collect()
     }
 
     /// Renders the full registry as a Markdown table (name, pattern,
@@ -102,7 +249,7 @@ impl KernelRegistry {
     /// in registration order.
     pub fn describe(&self) -> String {
         let mut out = String::from("| kernel | pattern | constraints |\n|---|---|---|\n");
-        for k in &self.kernels {
+        for k in self.kernels() {
             let constraints = if k.constraints().is_empty() {
                 "—".to_owned()
             } else {
@@ -123,40 +270,32 @@ impl KernelRegistry {
     }
 
     /// The match minimizing FLOPs under the within-split rule
-    /// ([`Rank::beats`]): equal costs go to the more specific kernel (so
-    /// `GEMV` beats `GEMM` on matrix-vector products of equal cost), then
-    /// to the earlier registered one.
+    /// ([`Rank::beats`](crate::Rank::beats)): equal costs go to the more
+    /// specific kernel (so `GEMV` beats `GEMM` on matrix-vector products
+    /// of equal cost), then to the earlier registered one.
     pub fn best_by_flops(&self, expr: &Expr) -> Option<KernelMatch<'_>> {
-        let mut best: Option<(Rank<f64>, KernelMatch<'_>)> = None;
-        for m in self.net.matches(expr) {
-            let kernel = &self.kernels[*m.payload];
-            if !kernel.constraints().iter().all(|c| c.check(&m.bindings)) {
-                continue;
-            }
-            let op = kernel.instantiate(&m.bindings);
-            let rank = kernel.rank(*m.payload, op.flops());
-            if best.as_ref().is_none_or(|(b, _)| rank.beats(b)) {
-                best = Some((rank, KernelMatch { kernel, op }));
-            }
-        }
-        best.map(|(_, m)| m)
+        let (left, right) = binary_factors(expr)?;
+        self.best_product_match(left, right, KernelOp::flops)
+            .map(|m| KernelMatch {
+                kernel: m.kernel,
+                op: m.op,
+            })
     }
 
     /// The cheapest kernel for the binary product `left · right` under
     /// `metric` — the allocation-free GMC hot path.
     ///
-    /// Streams candidates straight off the discrimination net via
-    /// [`DiscriminationNet::match_product_with`]: no owned
-    /// `Expr::Times` is built, no `Vec` of matches is collected, and
-    /// constraint checks are folded into the walk. Each surviving
+    /// Candidates come from [`for_each_product_match`]: no owned
+    /// `Expr::Times` is built and no `Vec` of matches is collected. Each
     /// candidate's cost is computed exactly once and the winner's is
     /// returned in the [`ProductMatch`]. The winner is chosen by the
-    /// within-split rule, [`Rank::beats`].
+    /// within-split rule, [`Rank::beats`](crate::Rank::beats).
+    ///
+    /// [`for_each_product_match`]: Self::for_each_product_match
     pub fn best_product_match<C, F>(
         &self,
         left: &Expr,
         right: &Expr,
-        scratch: &mut FlatTermScratch,
         mut metric: F,
     ) -> Option<ProductMatch<'_, C>>
     where
@@ -164,55 +303,63 @@ impl KernelRegistry {
         F: FnMut(&KernelOp) -> C,
     {
         let mut best: Option<(ProductMatch<'_, C>, usize)> = None;
-        self.net
-            .match_product_with(left, right, scratch, |&id, bindings| {
-                let kernel = &self.kernels[id];
-                if !kernel.constraints().iter().all(|c| c.check(bindings)) {
-                    return;
-                }
-                let op = kernel.instantiate(bindings);
-                let cost = metric(&op);
-                // Matches stream in trie order; the rule's registration
-                // index makes the winner independent of that order.
-                let replace = best.as_ref().is_none_or(|(incumbent, incumbent_id)| {
-                    kernel
-                        .rank(id, &cost)
-                        .beats(&incumbent.kernel.rank(*incumbent_id, &incumbent.cost))
-                });
-                if replace {
-                    best = Some((ProductMatch { kernel, op, cost }, id));
-                }
+        self.for_each_product_match(left, right, |id, kernel, bindings| {
+            let op = kernel.instantiate(bindings);
+            let cost = metric(&op);
+            // The rule's registration index makes the winner
+            // independent of the visit order.
+            let replace = best.as_ref().is_none_or(|(incumbent, incumbent_id)| {
+                kernel
+                    .rank(id, &cost)
+                    .beats(&incumbent.kernel.rank(*incumbent_id, &incumbent.cost))
             });
+            if replace {
+                best = Some((ProductMatch { kernel, op, cost }, id));
+            }
+        });
         best.map(|(m, _)| m)
     }
 
     /// Streams *every* constraint-satisfying kernel match for the
-    /// binary product `left · right`, in discrimination-net order,
-    /// without instantiating operations or computing costs.
+    /// binary product `left · right`, without instantiating operations
+    /// or computing costs.
     ///
     /// `visit` receives the kernel's registration index (its position
     /// in [`kernels`](Self::kernels)), the kernel, and the variable
-    /// bindings of the match. This is the enumeration underlying
+    /// bindings of the match, in the order a discrimination net over the
+    /// kernels' patterns would yield them. Each factor must be a leaf
+    /// operand, optionally under one unary operator; any other factor (a
+    /// product, a sum, a unary over a non-leaf) matches no kernel. This
+    /// is the enumeration underlying
     /// [`best_product_match`](Self::best_product_match); the symbolic
     /// plan recorder of `gmc-plan` uses it to capture the full
     /// candidate set of a DP cell once, so later instantiations can
     /// re-rank candidates by evaluated cost without re-matching.
-    pub fn for_each_product_match<F>(
-        &self,
-        left: &Expr,
-        right: &Expr,
-        scratch: &mut FlatTermScratch,
-        mut visit: F,
-    ) where
-        F: FnMut(usize, &Kernel, &Bindings),
+    pub fn for_each_product_match<'r, F>(&'r self, left: &Expr, right: &Expr, mut visit: F)
+    where
+        F: FnMut(usize, &'r Kernel, &Bindings),
     {
-        self.net
-            .match_product_with(left, right, scratch, |&id, bindings| {
-                let kernel = &self.kernels[id];
-                if kernel.constraints().iter().all(|c| c.check(bindings)) {
-                    visit(id, kernel, bindings);
-                }
+        let (Some((lu, l)), Some((ru, r))) = (leaf(left), leaf(right)) else {
+            return;
+        };
+        // The binding set of each (left, right) variable pair, built on
+        // first use; `Some(None)` when the pattern is non-linear (SYRK)
+        // and the two leaves differ.
+        let mut sets: [Option<Option<Bindings>>; 4] = Default::default();
+        for entry in &self.table.slots[slot(lu, ru)] {
+            let set = sets[entry.binding_set()].get_or_insert_with(|| {
+                let mut bindings = Bindings::new();
+                bindings.bind(entry.left, l);
+                bindings.bind(entry.right, r).then_some(bindings)
             });
+            let Some(bindings) = set else {
+                continue;
+            };
+            let kernel = &self.table.kernels[entry.index];
+            if kernel.constraints().iter().all(|c| c.check(bindings)) {
+                visit(entry.index, kernel, bindings);
+            }
+        }
     }
 }
 
@@ -276,7 +423,13 @@ impl RegistryBuilder {
         true
     }
 
-    /// Builds the registry.
+    /// Builds a registry with its own table.
+    ///
+    /// # Panics
+    ///
+    /// If a kernel pattern is not a binary product of two leaves under
+    /// at most one unary operator each (no registered kernel triggers
+    /// this).
     pub fn build(self) -> KernelRegistry {
         let mut kernels: Vec<Kernel> = Vec::new();
 
@@ -788,11 +941,9 @@ impl RegistryBuilder {
             }
         }
 
-        let mut net = DiscriminationNet::new();
-        for (i, k) in kernels.iter().enumerate() {
-            net.insert(k.pattern().clone(), i);
+        KernelRegistry {
+            table: Arc::new(Table::new(kernels)),
         }
-        KernelRegistry { kernels, net }
     }
 }
 
@@ -1009,7 +1160,6 @@ mod tests {
             (l.expr(), x.expr()),
             (b.transpose(), s.inverse_transpose()),
         ];
-        let mut scratch = FlatTermScratch::new();
         for (le, re) in cases {
             let product = Expr::times([le.clone(), re.clone()]);
             let collected = r
@@ -1023,7 +1173,7 @@ mod tests {
                 })
                 .expect("all cases are computable");
             let streamed = r
-                .best_product_match(&le, &re, &mut scratch, KernelOp::flops)
+                .best_product_match(&le, &re, KernelOp::flops)
                 .expect("all cases are computable");
             assert_eq!(
                 streamed.kernel.name(),
@@ -1042,9 +1192,8 @@ mod tests {
             .build();
         let a = Operand::square("A", 10);
         let b = Operand::matrix("B", 10, 4);
-        let mut scratch = FlatTermScratch::new();
         assert!(r
-            .best_product_match(&a.inverse(), &b.expr(), &mut scratch, KernelOp::flops)
+            .best_product_match(&a.inverse(), &b.expr(), KernelOp::flops)
             .is_none());
     }
 

@@ -12,6 +12,13 @@
 //! by their number, which yields the `O(1)` matching cost the paper's
 //! complexity analysis relies on.
 //!
+//! The kernel registry of `gmc-kernels` does not walk a net: all of its
+//! patterns are binary products of two unary-wrapped leaves, so it
+//! dispatches on the two unary operators instead, in the order a net
+//! would report the matches. This crate is the general matcher: the
+//! reference solver of `gmc` matches through it, and the tests use it as
+//! the oracle for that dispatch.
+//!
 //! Pattern variables ([`Var`]) bind *operands* (leaf symbols). Patterns
 //! may be non-linear: repeating a variable requires the positions to bind
 //! the same operand, which expresses kernels like `SYRK` (`XᵀX`).

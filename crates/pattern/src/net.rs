@@ -232,18 +232,17 @@ impl<P> DiscriminationNet<P> {
             .collect()
     }
 
-    /// Streaming query of the binary product `left · right` — the GMC
-    /// hot path (paper Fig. 4 line 6) — without constructing an owned
-    /// `Expr::Times`.
+    /// Streaming query of the binary product `left · right` (the shape
+    /// of the GMC matching step, paper Fig. 4 line 6) without
+    /// constructing an owned `Expr::Times`.
     ///
     /// The subject flatterm is built in `scratch`, whose buffer is
     /// reused across queries, so a warm scratch makes the query
     /// allocation-free. Matches are yielded to `visit` as
     /// `(payload, bindings)` in **trie order**, which is *not* the
     /// insertion order reported by [`DiscriminationNet::matches`];
-    /// order-sensitive callers must disambiguate via the payload (see
-    /// `gmc_kernels::KernelRegistry::best_product_match`). The borrowed
-    /// bindings are only valid for the duration of the call.
+    /// order-sensitive callers must disambiguate via the payload. The
+    /// borrowed bindings are only valid for the duration of the call.
     ///
     /// The subject is the product [`Expr::times`] would build from the
     /// two factors: a factor that is itself a product contributes its

@@ -12,8 +12,8 @@
 //!   clone/swap, never across a solve.
 //! * A hit clones the shard snapshot (one `Arc` bump), looks up the
 //!   region plan, and instantiates it on a **thread-local** workspace
-//!   (DP tables + pattern-matching scratch), so concurrent hits share
-//!   no mutable state and allocate no fresh tables.
+//!   (the DP table), so concurrent hits share no mutable state and
+//!   allocate no fresh tables.
 //! * Misses go through a per-shard **write mutex**: the miss records
 //!   the region plan, rebuilds the shard map copy-on-write (structure
 //!   entries are `Arc`-shared with the old snapshot; only the touched
@@ -273,8 +273,8 @@ impl Shard {
 }
 
 thread_local! {
-    /// Per-thread solve state: the optimizer's DP workspace (table and
-    /// pattern-matching scratch), shared by recording and instantiation.
+    /// Per-thread solve state: the optimizer's DP workspace (its table),
+    /// shared by recording and instantiation.
     /// Thread-local rather than cache-held so concurrent workers solve
     /// allocation-free without sharing any mutable state (and without a
     /// lock on the hot path).

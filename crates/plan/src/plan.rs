@@ -241,7 +241,7 @@ pub(crate) fn record_region(
     let n = chain.len();
     let len = n * (n + 1) / 2;
     let dims = sym.dims();
-    let GmcWorkspace { grid, scratch } = workspace;
+    let grid = &mut workspace.grid;
     grid.reset(chain);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
     let mut total_polys: Vec<Option<CostPoly>> = vec![None; len];
@@ -304,7 +304,7 @@ pub(crate) fn record_region(
             raw.clear();
             let pick = grid.best_split(i, j, |k, left, right| {
                 let start = raw.len();
-                registry.for_each_product_match(left, right, scratch, |kernel_idx, kernel, b| {
+                registry.for_each_product_match(left, right, |kernel_idx, kernel, b| {
                     let op = kernel.instantiate(b);
                     let rank = kernel.rank(kernel_idx, op.flops());
                     let mut var_binds = Vec::with_capacity(2);
@@ -518,7 +518,7 @@ pub(crate) fn instantiate(
     let n = region.n;
     debug_assert_eq!(n, chain.len());
     debug_assert_eq!(region.cells.len(), n * (n + 1) / 2);
-    let GmcWorkspace { grid, scratch } = workspace;
+    let grid = &mut workspace.grid;
     grid.reset(chain);
     let eval = |c: &Candidate| {
         c.formula
@@ -565,7 +565,7 @@ pub(crate) fn instantiate(
                 }
                 CellPlan::Dynamic => {
                     if let Some((total, k, pick)) =
-                        grid.select_best_split(registry, scratch, i, j, KernelOp::flops)
+                        grid.select_best_split(registry, i, j, KernelOp::flops)
                     {
                         let props = grid.temp_properties(inference, chain, i, k, j);
                         grid.commit(i, j, k, total, pick, props);

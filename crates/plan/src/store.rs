@@ -666,7 +666,8 @@ impl PlanCache {
     /// under a different inference mode, or under a registry whose
     /// kernel list (names and order) differs from this cache's —
     /// candidates reference kernels by registration index, so a
-    /// mismatched registry would silently serve wrong kernels.
+    /// mismatched registry would silently serve wrong kernels. A
+    /// candidate must also bind exactly its kernel's pattern variables.
     pub fn load_snapshot_json(&self, json: &str) -> Result<usize, PlanError> {
         let doc: Value = serde_json::from_str(json).map_err(|e| PlanError::Store(e.to_string()))?;
         let store_err = |e: DeError| PlanError::Store(e.to_string());
@@ -753,10 +754,24 @@ impl PlanCache {
                         key_vars.len()
                     )));
                 }
-                if let Some(idx) = plan.max_kernel_index() {
-                    if idx >= n_kernels {
+                for cand in plan.candidates() {
+                    let Some(kernel) = self.registry().kernels().get(cand.kernel_idx) else {
                         return Err(PlanError::Store(format!(
-                            "candidate references kernel index {idx}, registry has {n_kernels}"
+                            "candidate references kernel index {}, registry has {n_kernels}",
+                            cand.kernel_idx
+                        )));
+                    };
+                    // Instantiation hands the kernel's builder these
+                    // bindings, and the builder needs every variable of
+                    // the pattern (which lists each once).
+                    let mut bound: Vec<Var> = cand.var_binds.iter().map(|(v, _)| *v).collect();
+                    let mut vars = kernel.pattern().variables();
+                    bound.sort_unstable();
+                    vars.sort_unstable();
+                    if bound != vars {
+                        return Err(PlanError::Store(format!(
+                            "candidate for kernel {} binds {bound:?}, its pattern has {vars:?}",
+                            kernel.name()
                         )));
                     }
                 }
@@ -803,20 +818,13 @@ impl PlanCache {
 }
 
 impl RegionPlan {
-    /// The largest kernel registration index any candidate references,
-    /// for load-time validation against the registry.
-    fn max_kernel_index(&self) -> Option<usize> {
-        self.cells
-            .iter()
-            .flat_map(|cell| -> Box<dyn Iterator<Item = usize> + '_> {
-                match cell {
-                    CellPlan::Resolved { cand, .. } => Box::new(std::iter::once(cand.kernel_idx)),
-                    CellPlan::Deferred { cands, .. } => {
-                        Box::new(cands.iter().map(|c| c.kernel_idx))
-                    }
-                    _ => Box::new(std::iter::empty()),
-                }
-            })
-            .max()
+    /// Every cached candidate, for load-time validation against the
+    /// registry.
+    fn candidates(&self) -> impl Iterator<Item = &Candidate> {
+        self.cells.iter().flat_map(|cell| match cell {
+            CellPlan::Resolved { cand, .. } => std::slice::from_ref(&**cand),
+            CellPlan::Deferred { cands, .. } => cands.as_slice(),
+            _ => &[],
+        })
     }
 }

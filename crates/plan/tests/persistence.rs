@@ -283,3 +283,61 @@ fn deferred_candidates_out_of_split_order_are_rejected_at_load() {
     assert_eq!(fresh.load_snapshot_json(&snapshot).unwrap(), 1);
     assert_eq!(fresh.snapshot_json(), snapshot);
 }
+
+#[test]
+fn candidates_missing_a_pattern_variable_are_rejected_at_load() {
+    // Instantiation binds each candidate's recorded variables and hands
+    // them to the kernel's builder, which needs every variable of its
+    // pattern: a store that drops one must fail at load, not panic on
+    // the first hit.
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let (n, m) = (Dim::var("ps_n"), Dim::var("ps_m"));
+    let chain = SymChain::new(vec![plain("A", n, m), plain("B", m, n), plain("C", n, m)]).unwrap();
+    let warm = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    warm.solve(&chain, &DimBindings::new().with("ps_n", 5).with("ps_m", 5))
+        .unwrap();
+    let snapshot = warm.snapshot_json();
+
+    // Rewrites the binds of every root-cell candidate.
+    let corrupt_with = |rewrite: &dyn Fn(&mut Vec<serde::Value>)| -> String {
+        let mut doc: serde::Value = serde_json::from_str(&snapshot).unwrap();
+        let structure = item_mut(field_mut(&mut doc, "structures"), 0);
+        let region = item_mut(field_mut(structure, "regions"), 0);
+        let root = item_mut(field_mut(field_mut(region, "plan"), "cells"), 2);
+        let serde::Value::Array(cands) = field_mut(root, "cands") else {
+            panic!("the root cell is deferred");
+        };
+        for cand in cands {
+            let serde::Value::Array(binds) = field_mut(cand, "binds") else {
+                panic!("expected a binds array");
+            };
+            assert_eq!(binds.len(), 2, "GEMM binds ?0 and ?1");
+            rewrite(binds);
+        }
+        serde_json::to_string_pretty(&doc).unwrap()
+    };
+    let truncated = corrupt_with(&|binds| binds.truncate(1));
+    let doubled = corrupt_with(&|binds| {
+        let first = binds[0].clone();
+        binds[1] = first;
+    });
+    for corrupt in [truncated, doubled] {
+        assert_ne!(corrupt, snapshot);
+        let fresh = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+        assert!(matches!(
+            fresh.load_snapshot_json(&corrupt),
+            Err(PlanError::Store(_))
+        ));
+        assert!(fresh.is_empty());
+        // Nothing was adopted, so a request in the region is recorded
+        // afresh instead of panicking.
+        fresh
+            .solve(&chain, &DimBindings::new().with("ps_n", 7).with("ps_m", 7))
+            .unwrap();
+    }
+
+    // The genuine store still loads and round-trips byte-identically.
+    let fresh = PlanCache::new(registry, InferenceMode::Compositional);
+    assert_eq!(fresh.load_snapshot_json(&snapshot).unwrap(), 1);
+    assert_eq!(fresh.snapshot_json(), snapshot);
+}

@@ -72,8 +72,8 @@ impl AdmissionGate {
         self.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Latches the gate shut: every later [`try_acquire`]
-    /// (`AdmissionGate::try_acquire`) fails with
+    /// Latches the gate shut: every later
+    /// [`try_acquire`](AdmissionGate::try_acquire) fails with
     /// [`SubmitError::ShuttingDown`]. Permits already out stay valid.
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);

@@ -6,8 +6,10 @@
 //!
 //! * [`gmc_expr`] — symbolic expressions, operands, properties, chains
 //! * [`gmc_analysis`] — property inference
-//! * [`gmc_pattern`] — discrimination-net pattern matching
-//! * [`gmc_kernels`] — the kernel registry `K`
+//! * [`gmc_pattern`] — discrimination-net pattern matching, the
+//!   general matcher behind the reference solver and the tests
+//! * [`gmc_kernels`] — the kernel registry `K`, shared per process and
+//!   dispatched by the unary operators of a binary product
 //! * [`gmc`] — the MCP and GMC algorithms and cost metrics
 //! * [`gmc_plan`] — symbolic plans and the structure-keyed plan cache
 //! * [`gmc_codegen`] — program IR and emitters

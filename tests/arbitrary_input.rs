@@ -1,0 +1,191 @@
+//! Arbitrary text through the entry points that take untrusted input:
+//! the frontend's lexer and parser (a `gmcc` source file) and the
+//! serving wire's request-line parser. Whatever the bytes, none of them
+//! may panic; malformed input is an error value.
+
+use gmc_expr::Chain;
+use gmc_frontend::{lex, parse, render_error};
+use gmc_serve::protocol::parse_request_line;
+use proptest::prelude::*;
+
+/// Fragments of the input language plus near misses: sizes that
+/// overflow, unknown properties, stray operators, non-ASCII text.
+const SOURCE_TOKENS: &[&str] = &[
+    "Matrix",
+    "Vector",
+    "A",
+    "B",
+    "x",
+    "n",
+    "m",
+    "X",
+    ":=",
+    ":",
+    "=",
+    "(",
+    ")",
+    "<",
+    ">",
+    ",",
+    "+",
+    "*",
+    "-",
+    "^T",
+    "^-1",
+    "^-T",
+    "^",
+    "^-",
+    "'",
+    "0",
+    "1",
+    "2000",
+    "18446744073709551616",
+    "99999999999999999999999999",
+    "SPD",
+    "LowerTriangular",
+    "UpperTriangular",
+    "Diagonal",
+    "Symmetric",
+    "Identity",
+    "Bogus",
+    "#",
+    " ",
+    "\t",
+    "\n",
+    "\r\n",
+    ";",
+    "é",
+];
+
+/// A well-formed preamble, so token soups also reach the assignment
+/// grammar and the lowering to expressions.
+const PREAMBLE: &str = "Matrix A (n, n) <SPD>\nMatrix B (n, m)\nVector x (m)\n";
+
+/// A valid program for [`mutated`] to edit.
+const PROGRAM: &str = "Matrix A (n, n) <SPD>\nMatrix B (n, m)\nMatrix C (m, m) <LowerTriangular>\n\
+                       Vector x (m)\nX := A^-1 * B * C^T\nY := x' * B^T * A^-T * B\n";
+
+/// Fragments of request lines plus near misses.
+const WIRE_TOKENS: &[&str] = &[
+    "X",
+    "n",
+    "m",
+    "=",
+    ",",
+    " ",
+    "\t",
+    "deadline_ms",
+    "0",
+    "5",
+    "2000",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "+3",
+    "STATS",
+    "METRICS",
+    "SLOW",
+    "CACHE",
+    "é",
+    "\u{0}",
+];
+
+/// Lossy UTF-8 of arbitrary bytes.
+fn bytes() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u8>(), 0..160)
+        .prop_map(|b| String::from_utf8_lossy(&b).into_owned())
+}
+
+fn soup(tokens: &'static [&'static str], len: usize) -> impl Strategy<Value = String> {
+    prop::collection::vec(prop::sample::select(tokens.to_vec()), 0..len).prop_map(|t| t.concat())
+}
+
+/// [`PROGRAM`] after up to three random single-character edits: an
+/// insertion of a token, a deletion, or a replacement by a token.
+fn mutated() -> impl Strategy<Value = String> {
+    let edit = (
+        any::<usize>(),
+        0..3usize,
+        prop::sample::select(SOURCE_TOKENS.to_vec()),
+    );
+    prop::collection::vec(edit, 1..4).prop_map(|edits| {
+        let mut s = PROGRAM.to_owned();
+        for (at, kind, token) in edits {
+            let cuts: Vec<usize> = s.char_indices().map(|(i, _)| i).chain([s.len()]).collect();
+            let c = at % cuts.len();
+            let (start, end) = (cuts[c], cuts[(c + 1).min(cuts.len() - 1)]);
+            match kind {
+                0 => s.insert_str(start, token),
+                1 => s.replace_range(start..end, ""),
+                _ => s.replace_range(start..end, token),
+            }
+        }
+        s
+    })
+}
+
+/// Lexes, parses and lowers `input` as `gmcc` does, checking the
+/// error values on the way.
+fn compile_front(input: &str) {
+    if let Ok(tokens) = lex(input) {
+        let lines = input.lines().count().max(1);
+        for t in &tokens {
+            assert!(t.line >= 1 && t.line <= lines + 1 && t.col >= 1, "{t:?}");
+        }
+    }
+    match parse(input) {
+        Ok(problem) => {
+            for (_, expr) in &problem.assignments {
+                let _ = Chain::from_expr(expr);
+            }
+        }
+        Err(e) => assert!(render_error(input, &e).starts_with("error: ")),
+    }
+}
+
+fn request_line(line: &str) {
+    if let Ok((name, vars, _)) = parse_request_line(line) {
+        assert!(!name.is_empty() && !name.contains(char::is_whitespace));
+        for (var, _) in &vars {
+            assert!(!var.is_empty() && var != "deadline_ms");
+        }
+    }
+}
+
+#[test]
+fn the_edited_program_is_valid() {
+    let problem = parse(PROGRAM).expect("valid program");
+    for (_, expr) in &problem.assignments {
+        Chain::from_expr(expr).expect("a chain");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn frontend_survives_arbitrary_bytes(input in bytes()) {
+        compile_front(&input);
+    }
+
+    #[test]
+    fn frontend_survives_token_soup(body in soup(SOURCE_TOKENS, 40), preamble in any::<bool>()) {
+        let input = if preamble { format!("{PREAMBLE}{body}") } else { body };
+        compile_front(&input);
+    }
+
+    #[test]
+    fn frontend_survives_edited_programs(input in mutated()) {
+        compile_front(&input);
+    }
+
+    #[test]
+    fn request_parser_survives_arbitrary_bytes(line in bytes()) {
+        request_line(&line);
+    }
+
+    #[test]
+    fn request_parser_survives_token_soup(line in soup(WIRE_TOKENS, 24)) {
+        request_line(&line);
+    }
+}
