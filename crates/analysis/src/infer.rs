@@ -1,6 +1,6 @@
-//! The top-level `infer_properties` entry point and structural helpers.
+//! The top-level `infer_properties` entry points and structural helpers.
 
-use crate::predicates::*;
+use crate::predicates::{has, product_has};
 use gmc_expr::{Expr, Property, PropertySet};
 
 /// Infers the full property set of an expression (paper Fig. 4, line 10).
@@ -23,41 +23,39 @@ use gmc_expr::{Expr, Property, PropertySet};
 /// assert!(props.contains(Property::Symmetric));
 /// ```
 pub fn infer_properties(expr: &Expr) -> PropertySet {
-    let mut set = PropertySet::new();
-    if is_diagonal(expr) {
-        set.insert(Property::Diagonal);
+    Property::all().filter(|&p| has(p, expr)).collect()
+}
+
+/// Infers the property set of the product `left · right` from its two
+/// sides, by reference: equal to
+/// `infer_properties(&Expr::times([left.clone(), right.clone()]))`, but
+/// for two sides that are not products themselves no product tree is
+/// built. The product rules are the ones the predicates apply to a
+/// product node.
+///
+/// This is the compositional inference of a GMC split (paper Fig. 4,
+/// line 10), whose sides are chain factors or temporaries.
+///
+/// # Example
+///
+/// ```
+/// use gmc_expr::{Expr, Operand, Property};
+/// use gmc_analysis::{infer_product_properties, infer_properties};
+///
+/// let l = Operand::square("L", 8).with_property(Property::LowerTriangular);
+/// let u = Operand::square("U", 8).with_property(Property::UpperTriangular);
+/// let props = infer_product_properties(&l.expr(), &u.transpose());
+/// assert!(props.contains(Property::LowerTriangular));
+/// assert_eq!(props, infer_properties(&(l.expr() * u.transpose())));
+/// ```
+pub fn infer_product_properties(left: &Expr, right: &Expr) -> PropertySet {
+    if matches!(left, Expr::Times(_)) || matches!(right, Expr::Times(_)) {
+        // `Expr::times` splices nested products into one sequence.
+        return infer_properties(&Expr::times([left.clone(), right.clone()]));
     }
-    if is_lower_triangular(expr) {
-        set.insert(Property::LowerTriangular);
-    }
-    if is_upper_triangular(expr) {
-        set.insert(Property::UpperTriangular);
-    }
-    if is_symmetric(expr) {
-        set.insert(Property::Symmetric);
-    }
-    if is_spd(expr) {
-        set.insert(Property::SymmetricPositiveDefinite);
-    }
-    if is_identity(expr) {
-        set.insert(Property::Identity);
-    }
-    if is_zero(expr) {
-        set.insert(Property::Zero);
-    }
-    if is_orthogonal(expr) {
-        set.insert(Property::Orthogonal);
-    }
-    if is_permutation(expr) {
-        set.insert(Property::Permutation);
-    }
-    if is_unit_diagonal(expr) {
-        set.insert(Property::UnitDiagonal);
-    }
-    if is_full_rank(expr) {
-        set.insert(Property::FullRank);
-    }
-    set
+    Property::all()
+        .filter(|&p| product_has(p, &[left, right]))
+        .collect()
 }
 
 /// Canonical form used for structural symmetry checks: the expression is

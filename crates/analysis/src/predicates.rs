@@ -1,7 +1,14 @@
 //! One predicate per property, following paper Fig. 6.
+//!
+//! Each predicate decides a product by its product rule, a function over
+//! the product's factor sequence taken by reference ([`product_has`]).
+//! The tree predicates call it with a product node's factors; the
+//! pairwise inference of a DP split calls it with the split's two sides,
+//! so no product tree is built and no rule is written twice.
 
 use crate::infer::canonical_transpose;
-use gmc_expr::{Expr, Operand, Property};
+use gmc_expr::{Expr, Operand, Property, Shape};
+use std::borrow::Borrow;
 
 /// Whether `expr` is provably lower triangular.
 ///
@@ -13,7 +20,7 @@ use gmc_expr::{Expr, Operand, Property};
 pub fn is_lower_triangular(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::LowerTriangular),
-        Expr::Times(fs) => fs.iter().all(is_lower_triangular),
+        Expr::Times(fs) => product_has(Property::LowerTriangular, fs),
         Expr::Plus(ts) => ts.iter().all(is_lower_triangular),
         Expr::Transpose(e) => is_upper_triangular(e),
         Expr::Inverse(e) => is_lower_triangular(e),
@@ -26,7 +33,7 @@ pub fn is_lower_triangular(expr: &Expr) -> bool {
 pub fn is_upper_triangular(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::UpperTriangular),
-        Expr::Times(fs) => fs.iter().all(is_upper_triangular),
+        Expr::Times(fs) => product_has(Property::UpperTriangular, fs),
         Expr::Plus(ts) => ts.iter().all(is_upper_triangular),
         Expr::Transpose(e) => is_lower_triangular(e),
         Expr::Inverse(e) => is_upper_triangular(e),
@@ -38,7 +45,7 @@ pub fn is_upper_triangular(expr: &Expr) -> bool {
 pub fn is_diagonal(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::Diagonal),
-        Expr::Times(fs) => fs.iter().all(is_diagonal),
+        Expr::Times(fs) => product_has(Property::Diagonal, fs),
         Expr::Plus(ts) => ts.iter().all(is_diagonal),
         Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_diagonal(e),
     }
@@ -52,7 +59,7 @@ pub fn is_diagonal(expr: &Expr) -> bool {
 pub fn is_zero(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::Zero),
-        Expr::Times(fs) => fs.iter().any(is_zero),
+        Expr::Times(fs) => product_has(Property::Zero, fs),
         Expr::Plus(ts) => ts.iter().all(is_zero),
         Expr::Transpose(e) => is_zero(e),
         Expr::Inverse(_) | Expr::InverseTranspose(_) => false,
@@ -63,7 +70,7 @@ pub fn is_zero(expr: &Expr) -> bool {
 pub fn is_identity(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::Identity),
-        Expr::Times(fs) => fs.iter().all(is_identity),
+        Expr::Times(fs) => product_has(Property::Identity, fs),
         // I + I = 2I is *not* the identity; no sum rule.
         Expr::Plus(_) => false,
         Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_identity(e),
@@ -86,27 +93,9 @@ pub fn is_identity(expr: &Expr) -> bool {
 pub fn is_symmetric(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::Symmetric),
+        Expr::Times(fs) => product_has(Property::Symmetric, fs),
         Expr::Plus(ts) => ts.iter().all(is_symmetric),
         Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_symmetric(e),
-        Expr::Times(fs) => {
-            if is_diagonal(expr) {
-                return true;
-            }
-            if fs.iter().all(Expr::is_factor) {
-                return fs
-                    .iter()
-                    .zip(fs.iter().rev())
-                    .all(|(a, b)| Leaf::of(a).canonical() == Leaf::of(b).transposed_canonical())
-                    && expr.shape().is_ok();
-            }
-            match (
-                canonical_transpose(expr),
-                canonical_transpose(&Expr::transpose(expr.clone())),
-            ) {
-                (Some(me), Some(transposed)) => me == transposed,
-                _ => false,
-            }
-        }
     }
 }
 
@@ -126,45 +115,106 @@ pub fn is_spd(expr: &Expr) -> bool {
         Expr::Symbol(op) => op
             .properties()
             .contains(Property::SymmetricPositiveDefinite),
+        Expr::Times(fs) => product_has(Property::SymmetricPositiveDefinite, fs),
         Expr::Plus(ts) => ts.iter().all(is_spd),
         Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_spd(e),
-        Expr::Times(fs) => spd_product(fs),
+    }
+}
+
+/// Whether `expr` has `p`, by the predicate for `p`.
+pub(crate) fn has(p: Property, expr: &Expr) -> bool {
+    match p {
+        Property::Diagonal => is_diagonal(expr),
+        Property::LowerTriangular => is_lower_triangular(expr),
+        Property::UpperTriangular => is_upper_triangular(expr),
+        Property::Symmetric => is_symmetric(expr),
+        Property::SymmetricPositiveDefinite => is_spd(expr),
+        Property::Identity => is_identity(expr),
+        Property::Zero => is_zero(expr),
+        Property::Orthogonal => is_orthogonal(expr),
+        Property::Permutation => is_permutation(expr),
+        Property::UnitDiagonal => is_unit_diagonal(expr),
+        Property::FullRank => is_full_rank(expr),
+    }
+}
+
+/// Whether the product of `factors` (at least two) has `p`: the product
+/// rule of each predicate, over the factors by reference.
+pub(crate) fn product_has<E: Borrow<Expr>>(p: Property, factors: &[E]) -> bool {
+    let all = |p| factors.iter().all(|f| has(p, f.borrow()));
+    match p {
+        Property::Diagonal
+        | Property::LowerTriangular
+        | Property::UpperTriangular
+        | Property::Identity
+        | Property::Orthogonal
+        | Property::Permutation => all(p),
+        Property::Zero => factors.iter().any(|f| is_zero(f.borrow())),
+        Property::Symmetric => symmetric_product(factors),
+        Property::SymmetricPositiveDefinite => spd_product(factors),
+        Property::UnitDiagonal => {
+            all(Property::UnitDiagonal)
+                && (all(Property::LowerTriangular) || all(Property::UpperTriangular))
+        }
+        Property::FullRank => factors.iter().all(|f| {
+            let f = f.borrow();
+            is_full_rank(f) && f.shape().is_ok_and(|s| s.is_square())
+        }),
+    }
+}
+
+/// The shape of the product of `factors`, if it is well-formed.
+fn product_shape<E: Borrow<Expr>>(factors: &[E]) -> Option<Shape> {
+    let (first, rest) = factors.split_first()?;
+    rest.iter()
+        .try_fold(first.borrow().shape().ok()?, |acc, f| {
+            acc.times(f.borrow().shape().ok()?)
+        })
+}
+
+/// Symmetry of a product (see [`is_symmetric`]): diagonal, a leaf-wise
+/// transpose palindrome of chain factors, or otherwise equal canonical
+/// forms of the product and its transpose.
+fn symmetric_product<E: Borrow<Expr>>(factors: &[E]) -> bool {
+    if product_has(Property::Diagonal, factors) {
+        return true;
+    }
+    if factors.iter().all(|f| f.borrow().is_factor()) {
+        return factors.iter().zip(factors.iter().rev()).all(|(a, b)| {
+            Leaf::of(a.borrow()).canonical() == Leaf::of(b.borrow()).transposed_canonical()
+        }) && product_shape(factors).is_some();
+    }
+    let product = Expr::Times(factors.iter().map(|f| f.borrow().clone()).collect());
+    match (
+        canonical_transpose(&product),
+        canonical_transpose(&Expr::transpose(product)),
+    ) {
+        (Some(me), Some(transposed)) => me == transposed,
+        _ => false,
     }
 }
 
 /// SPD check for a product `f0 ··· fk`: peel transpose-pairs off both
 /// ends (checking the rank condition) and require the remaining middle to
 /// be SPD (an empty middle is the implicit identity, which is SPD).
-fn spd_product(factors: &[Expr]) -> bool {
+fn spd_product<E: Borrow<Expr>>(factors: &[E]) -> bool {
     debug_assert!(factors.len() >= 2);
-    let first = &factors[0];
-    let last = &factors[factors.len() - 1];
+    let first = factors[0].borrow();
+    let last = factors[factors.len() - 1].borrow();
     if !is_transpose_pair(first, last) {
         return false;
     }
     // Full column rank of the right member `X` of the pair `Xᵀ ... X`:
     // generically satisfied when X is square or tall. For square X we
     // additionally accept declared full rank (e.g. triangular inverses).
-    let rank_ok = match last.shape() {
-        Ok(s) => s.rows() >= s.cols(),
-        Err(_) => false,
-    };
-    if !rank_ok {
+    if !last.shape().is_ok_and(|s| s.rows() >= s.cols()) {
         return false;
     }
     let middle = &factors[1..factors.len() - 1];
-    match middle.len() {
-        0 => true,
-        1 => is_spd(&middle[0]),
-        _ => spd_product_or_single(middle),
-    }
-}
-
-fn spd_product_or_single(factors: &[Expr]) -> bool {
-    if factors.len() == 1 {
-        is_spd(&factors[0])
-    } else {
-        spd_product(factors)
+    match middle {
+        [] => true,
+        [single] => is_spd(single.borrow()),
+        _ => spd_product(middle),
     }
 }
 
@@ -245,7 +295,7 @@ impl<'a> Leaf<'a> {
 pub fn is_orthogonal(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::Orthogonal),
-        Expr::Times(fs) => fs.iter().all(is_orthogonal),
+        Expr::Times(fs) => product_has(Property::Orthogonal, fs),
         Expr::Plus(_) => false,
         Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_orthogonal(e),
     }
@@ -255,7 +305,7 @@ pub fn is_orthogonal(expr: &Expr) -> bool {
 pub fn is_permutation(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::Permutation),
-        Expr::Times(fs) => fs.iter().all(is_permutation),
+        Expr::Times(fs) => product_has(Property::Permutation, fs),
         Expr::Plus(_) => false,
         Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_permutation(e),
     }
@@ -269,12 +319,7 @@ pub fn is_permutation(expr: &Expr) -> bool {
 pub fn is_unit_diagonal(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::UnitDiagonal),
-        Expr::Times(fs) => {
-            let each_unit = fs.iter().all(is_unit_diagonal);
-            let all_lower = fs.iter().all(is_lower_triangular);
-            let all_upper = fs.iter().all(is_upper_triangular);
-            each_unit && (all_lower || all_upper)
-        }
+        Expr::Times(fs) => product_has(Property::UnitDiagonal, fs),
         Expr::Plus(_) => false,
         Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_unit_diagonal(e),
     }
@@ -288,9 +333,7 @@ pub fn is_unit_diagonal(expr: &Expr) -> bool {
 pub fn is_full_rank(expr: &Expr) -> bool {
     match expr {
         Expr::Symbol(op) => op.properties().contains(Property::FullRank),
-        Expr::Times(fs) => fs
-            .iter()
-            .all(|f| is_full_rank(f) && f.shape().map(|s| s.is_square()).unwrap_or(false)),
+        Expr::Times(fs) => product_has(Property::FullRank, fs),
         Expr::Plus(_) => false,
         Expr::Transpose(e) => is_full_rank(e),
         Expr::Inverse(_) | Expr::InverseTranspose(_) => true,

@@ -6,11 +6,15 @@
 //! canonical trees: `e` is symmetric iff `canonical_transpose(e) ==
 //! canonical_transpose(eᵀ)`, and `Xᵀ … X` is a transpose pair iff
 //! `canonical_transpose(Xᵀ) == canonical_transpose(first factor)`.
+//!
+//! The pairwise inference of a DP split, which applies the same product
+//! rules to the split's two sides without building the product, is
+//! checked against `infer_properties` on the product tree.
 
 use gmc_analysis::{
-    canonical_transpose, infer_properties, is_diagonal, is_full_rank, is_identity,
-    is_lower_triangular, is_orthogonal, is_permutation, is_spd, is_symmetric, is_unit_diagonal,
-    is_upper_triangular, is_zero,
+    canonical_transpose, infer_product_properties, infer_properties, is_diagonal, is_full_rank,
+    is_identity, is_lower_triangular, is_orthogonal, is_permutation, is_spd, is_symmetric,
+    is_unit_diagonal, is_upper_triangular, is_zero,
 };
 use gmc_expr::{Expr, Operand, Property, PropertySet};
 use proptest::prelude::*;
@@ -201,4 +205,75 @@ fn generator_covers_symmetric_and_spd_products() {
         multi_factor_spd * 100 > cases,
         "{multi_factor_spd} SPD sandwiches"
     );
+}
+
+/// An operand: one of three names, one of seven shapes (square, both
+/// rectangular orientations, both vector shapes, 1×1, a second square
+/// size), and up to two of the 11 properties its shape admits — so
+/// `Zero` and `FullRank` land on rectangular operands and vectors too.
+fn any_operand() -> impl Strategy<Value = Operand> {
+    (
+        0..3usize,
+        0..7usize,
+        prop::collection::vec(
+            prop::sample::select(Property::all().collect::<Vec<_>>()),
+            0..3,
+        ),
+    )
+        .prop_map(|(name, shape, props)| {
+            let name = ["A", "B", "C"][name];
+            let mut op = match shape {
+                0 => Operand::square(name, 3),
+                1 => Operand::matrix(name, 3, 2),
+                2 => Operand::matrix(name, 2, 3),
+                3 => Operand::col_vector(name, 3),
+                4 => Operand::row_vector(name, 3),
+                5 => Operand::square(name, 1),
+                _ => Operand::square(name, 2),
+            };
+            for p in props {
+                if !p.requires_square() || op.shape().is_square() {
+                    op = op.with_property(p);
+                }
+            }
+            op
+        })
+}
+
+/// A chain factor over `op`: the operand under one of the four unary
+/// operators (an inverse of a non-square operand is ill-formed).
+fn chain_factor(op: &Operand, unary: u8) -> Expr {
+    match unary {
+        0 => op.expr(),
+        1 => op.transpose(),
+        2 => op.inverse(),
+        _ => op.inverse_transpose(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+    /// The pairwise inference of a DP split equals the inference over
+    /// the product tree: for two chain factors over any operands —
+    /// aliased ones included (one case in three reuses the left operand
+    /// on the right) — and, rarely, a side that is a product itself.
+    #[test]
+    fn pairwise_inference_matches_the_product_tree(
+        a in any_operand(),
+        b in any_operand(),
+        unaries in (0u8..4, 0u8..4),
+        kind in 0..12usize,
+    ) {
+        let right_operand = if kind % 3 == 0 { &a } else { &b };
+        let left = chain_factor(&a, unaries.0);
+        let mut right = chain_factor(right_operand, unaries.1);
+        if kind == 11 {
+            right = Expr::times([right, a.transpose()]);
+        }
+        prop_assert_eq!(
+            infer_product_properties(&left, &right),
+            infer_properties(&Expr::times([left.clone(), right.clone()])),
+            "({}) · ({})", left, right
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! The Generalized Matrix Chain algorithm (paper Sec. 3, Fig. 4).
 
 use crate::metric::{Cost, CostMetric};
-use gmc_analysis::infer_properties;
+use gmc_analysis::{infer_product_properties, infer_properties};
 use gmc_codegen::{Instruction, Program};
 use gmc_expr::{Chain, Expr, Operand, PropertySet};
 use gmc_kernels::{KernelOp, KernelRegistry, ProductMatch};
@@ -228,10 +228,12 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
     /// heap allocation is performed — no expression subtrees are
     /// cloned, no owned binary product is built, and kernel matches
     /// stream out of the registry's dispatch slot instead of being
-    /// collected.
-    /// Temporary names and property inference run only for the winning
-    /// split of each sub-chain. The workspace is reset on entry and
-    /// its buffers are reused across calls.
+    /// collected. A kernel's constraints are one mask test per leaf,
+    /// and only a kernel that passes them clones the leaves, into its
+    /// operation. Temporary names and property inference run only for
+    /// the winning split of each sub-chain, and the inference reads the
+    /// split's two sides by reference. The workspace is reset on entry
+    /// and its buffers are reused across calls.
     ///
     /// # Errors
     ///
@@ -445,8 +447,9 @@ impl<C: Cost> CellGrid<C> {
 
     /// The properties of the temporary for `M[i..=j]` computed by the
     /// split at `k` (paper Fig. 4 line 10), under `mode`: inferred from
-    /// the split's binary product of sub-results, or from the unfolded
-    /// sub-chain, which does not depend on `k`.
+    /// the split's two sub-results by reference
+    /// ([`infer_product_properties`], no product expression is built),
+    /// or from the unfolded sub-chain, which does not depend on `k`.
     pub fn temp_properties(
         &self,
         mode: InferenceMode,
@@ -459,7 +462,7 @@ impl<C: Cost> CellGrid<C> {
             InferenceMode::Compositional => {
                 let left = self.expr(i, k).expect("computable split");
                 let right = self.expr(k + 1, j).expect("computable split");
-                infer_properties(&Expr::times([left.clone(), right.clone()]))
+                infer_product_properties(left, right)
             }
             InferenceMode::Deep => infer_properties(&Expr::times(
                 (i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>(),

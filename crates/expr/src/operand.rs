@@ -28,6 +28,13 @@ struct OperandInner {
 /// equal when their name, shape, properties and kind agree; within one
 /// problem, names are expected to be unique.
 ///
+/// A non-square operand never carries a property that
+/// [requires a square matrix](Property::requires_square). Naming one
+/// explicitly panics ([`with_property`](Self::with_property)); one that
+/// only follows by implication is dropped, so a rectangular
+/// [`Property::Zero`] operand is zero but not diagonal, symmetric or
+/// triangular.
+///
 /// # Example
 ///
 /// ```
@@ -77,19 +84,22 @@ impl Operand {
     }
 
     /// Creates a temporary operand, as produced by the optimizer for
-    /// intermediate results.
+    /// intermediate results. If `shape` is not square, the properties
+    /// that require a square matrix are dropped from `properties`.
     pub fn temporary(name: impl Into<String>, shape: Shape, properties: PropertySet) -> Self {
         Operand {
             inner: Arc::new(OperandInner {
                 name: name.into(),
                 shape,
-                properties,
+                properties: properties.for_shape(shape.is_square()),
                 kind: OperandKind::Temporary,
             }),
         }
     }
 
-    /// Adds a property, returning the updated operand.
+    /// Adds a property, returning the updated operand. On a non-square
+    /// operand, the square-only properties `p` implies are not added
+    /// (a rectangular [`Property::Zero`] is not [`Property::Diagonal`]).
     ///
     /// # Panics
     ///
@@ -97,19 +107,17 @@ impl Operand {
     /// [`Property::Symmetric`]) and the operand is not square.
     #[must_use]
     pub fn with_property(self, p: Property) -> Self {
+        let shape = self.shape();
         assert!(
-            !p.requires_square() || self.shape().is_square(),
-            "property {p} requires a square matrix, but {} has shape {}",
+            !p.requires_square() || shape.is_square(),
+            "property {p} requires a square matrix, but {} has shape {shape}",
             self.name(),
-            self.shape()
         );
-        let mut properties = self.inner.properties;
-        properties.insert(p);
         Operand {
             inner: Arc::new(OperandInner {
                 name: self.inner.name.clone(),
-                shape: self.inner.shape,
-                properties,
+                shape,
+                properties: self.inner.properties.with(p).for_shape(shape.is_square()),
                 kind: self.inner.kind,
             }),
         }
@@ -216,6 +224,19 @@ mod tests {
     #[should_panic(expected = "requires a square matrix")]
     fn square_property_on_rectangular_panics() {
         let _ = Operand::matrix("A", 3, 4).with_property(Property::Symmetric);
+    }
+
+    #[test]
+    fn rectangular_zero_is_not_diagonal() {
+        let z = Operand::matrix("Z", 3, 5).with_property(Property::Zero);
+        assert!(z.properties().contains(Property::Zero));
+        assert!(!z.properties().iter().any(|p| p.requires_square()));
+        // Inference closes shape-blind: a zero product is "diagonal".
+        let inferred = PropertySet::new().with(Property::Zero);
+        let t = Operand::temporary("T", Shape::new(5, 1), inferred);
+        assert!(!t.properties().contains(Property::Diagonal));
+        let square = Operand::square("Z", 3).with_property(Property::Zero);
+        assert!(square.properties().contains(Property::Diagonal));
     }
 
     #[test]

@@ -212,6 +212,29 @@ impl PropertySet {
         }
     }
 
+    /// The set as a bitset: bit `p as u16` is set iff the set contains
+    /// `p`, so testing several properties at once is one AND-compare.
+    pub fn bits(&self) -> u16 {
+        self.bits
+    }
+
+    /// The set as a matrix of the given squareness carries it: closed
+    /// under implication, then without the properties that
+    /// [require a square matrix](Property::requires_square) unless
+    /// `square`. The closure is shape-blind (`Zero ⇒ Diagonal`), so
+    /// this is the one step where a property set meets a shape.
+    pub(crate) fn for_shape(mut self, square: bool) -> PropertySet {
+        self.close();
+        if !square {
+            for p in ALL_PROPERTIES {
+                if p.requires_square() {
+                    self.bits &= !p.bit();
+                }
+            }
+        }
+        self
+    }
+
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.bits == 0
@@ -447,6 +470,26 @@ mod tests {
         assert!(text.starts_with('<') && text.ends_with('>'));
         assert!(text.contains("SPD"));
         assert!(text.contains("Symmetric"));
+    }
+
+    #[test]
+    fn non_square_shapes_drop_square_only_properties() {
+        let z = PropertySet::new().with(Property::Zero);
+        assert!(z.contains(Property::Diagonal));
+        let rect = z.with(Property::FullRank).for_shape(false);
+        assert_eq!(
+            rect.iter().collect::<Vec<_>>(),
+            vec![Property::Zero, Property::FullRank]
+        );
+        assert_eq!(z.for_shape(true), z);
+    }
+
+    #[test]
+    fn bits_are_indexed_by_discriminant() {
+        let s = PropertySet::from_iter([Property::Symmetric, Property::FullRank]);
+        for p in Property::all() {
+            assert_eq!(s.bits() & (1 << (p as u16)) != 0, s.contains(p));
+        }
     }
 
     #[test]

@@ -57,7 +57,9 @@ impl SymOperand {
         SymOperand::new(name, n, Dim::Const(1))
     }
 
-    /// Adds a property.
+    /// Adds a property. Unless the shape is structurally square, the
+    /// square-only properties `p` implies are not added (a `n×m`
+    /// [`Property::Zero`] operand is not [`Property::Diagonal`]).
     ///
     /// # Errors
     ///
@@ -66,14 +68,15 @@ impl SymOperand {
     /// square (a shape that is only *sometimes* square cannot carry the
     /// property, since it must hold under every binding).
     pub fn with_property(mut self, p: Property) -> Result<Self, SymChainError> {
-        if p.requires_square() && !self.shape.is_square_structural() {
+        let square = self.shape.is_square_structural();
+        if p.requires_square() && !square {
             return Err(SymChainError::PropertyNeedsSquare {
                 property: p,
                 operand: self.name,
                 shape: self.shape,
             });
         }
-        self.properties.insert(p);
+        self.properties = self.properties.with(p).for_shape(square);
         Ok(self)
     }
 
@@ -111,8 +114,9 @@ impl SymOperand {
     /// Propagates [`DimError`] for unbound variables or zero sizes.
     pub fn bind(&self, bindings: &DimBindings) -> Result<Operand, DimError> {
         let shape = self.shape.bind(bindings)?;
-        // Structural squareness guarantees square-only properties stay
-        // valid after binding, so `with_properties` cannot panic here.
+        // Only a structurally square shape carries square-only
+        // properties, and it stays square under every binding, so
+        // `with_properties` cannot panic here.
         Ok(Operand::with_shape(&self.name, shape).with_properties(self.properties.iter()))
     }
 }
@@ -539,6 +543,25 @@ mod tests {
             SymOperand::new("A", n(), m()).with_property(Property::Symmetric),
             Err(SymChainError::PropertyNeedsSquare { .. })
         ));
+    }
+
+    #[test]
+    fn non_square_zero_binds_without_square_only_properties() {
+        let z = SymOperand::new("Z", n(), m())
+            .with_property(Property::Zero)
+            .unwrap();
+        assert!(!z.properties().contains(Property::Diagonal));
+        let rect = z
+            .bind(&DimBindings::new().with("sc_n", 3).with("sc_m", 5))
+            .unwrap();
+        assert!(rect.properties().contains(Property::Zero));
+        assert!(!rect.properties().contains(Property::Diagonal));
+        let constant = SymOperand::new("Z", Dim::Const(3), Dim::Const(5))
+            .with_property(Property::Zero)
+            .unwrap()
+            .bind(&DimBindings::new())
+            .unwrap();
+        assert!(!constant.properties().contains(Property::Symmetric));
     }
 
     #[test]

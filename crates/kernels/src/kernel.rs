@@ -50,8 +50,37 @@ impl fmt::Display for Constraint {
     }
 }
 
+/// The operands a kernel match binds, by reference: the leaf bound to
+/// `?0` and, unless the pattern repeats `?0` (`SYRK`), the leaf bound
+/// to `?1`.
+///
+/// Every kernel pattern is `op(?a) · op(?b)` over `?0`/`?1`, so this
+/// `Copy` view says all that a [`Bindings`] set would, without cloning
+/// an operand; only the [`KernelOp`] a builder returns owns operands.
+#[derive(Clone, Copy, Debug)]
+pub struct LeafBindings<'a> {
+    x: &'a Operand,
+    y: Option<&'a Operand>,
+}
+
+impl<'a> LeafBindings<'a> {
+    /// The view binding `?0` to `x` and, if given, `?1` to `y`.
+    pub fn new(x: &'a Operand, y: Option<&'a Operand>) -> Self {
+        LeafBindings { x, y }
+    }
+
+    /// The operand bound to `v`, if any.
+    pub fn get(&self, v: Var) -> Option<&'a Operand> {
+        match v.index() {
+            0 => Some(self.x),
+            1 => self.y,
+            _ => None,
+        }
+    }
+}
+
 /// Builds a concrete [`KernelOp`] from the operands bound by a match.
-pub type OpBuilder = Box<dyn Fn(&Bindings) -> KernelOp + Send + Sync>;
+pub type OpBuilder = Box<dyn Fn(LeafBindings<'_>) -> KernelOp + Send + Sync>;
 
 /// A computational kernel: an optimized routine for a well-defined
 /// linear algebra problem (paper Sec. 1.1), described by a structural
@@ -122,9 +151,20 @@ impl Kernel {
         }
     }
 
-    /// Instantiates the kernel for a set of bound operands.
+    /// Builds the kernel's operation over the operands a match binds.
+    pub fn build(&self, binds: LeafBindings<'_>) -> KernelOp {
+        (self.builder)(binds)
+    }
+
+    /// Instantiates the kernel for a binding set of the general matcher
+    /// (`gmc_pattern`), as the reference solver matches.
+    ///
+    /// # Panics
+    ///
+    /// If `bindings` does not bind `?0`.
     pub fn instantiate(&self, bindings: &Bindings) -> KernelOp {
-        (self.builder)(bindings)
+        let x = bindings.get(Var::new(0)).expect("every pattern binds ?0");
+        self.build(LeafBindings::new(x, bindings.get(Var::new(1))))
     }
 }
 

@@ -42,7 +42,7 @@ mod op;
 mod registry;
 mod sym;
 
-pub use kernel::{Constraint, Kernel, KernelMatch, OpBuilder, ProductMatch, Rank};
+pub use kernel::{Constraint, Kernel, KernelMatch, LeafBindings, OpBuilder, ProductMatch, Rank};
 pub use op::{InvKind, KernelFamily, KernelOp, Side, Uplo};
 pub use registry::{KernelRegistry, RegistryBuilder};
 pub use sym::FlopFormula;

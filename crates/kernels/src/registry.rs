@@ -5,14 +5,18 @@
 //! `op(?a) · op(?b)` (paper Table 1 plus the extensions; `SYRK` is the
 //! one non-linear pattern). So instead of walking a discrimination net,
 //! the registry keeps 16 slots, one per (left unary, right unary) pair,
-//! each listing its kernels in the order the net would visit them, and
-//! matching a product is a slot lookup plus per-kernel binding and
-//! constraint checks. The general matcher stays in `gmc-pattern`.
+//! each listing its kernels in the order the net would visit them.
+//! Each slot entry carries its kernel's constraints as two feature
+//! masks, one per leaf, fixed when the table is built: matching a
+//! product is a slot lookup, one feature word per leaf, and one
+//! AND-compare per leaf per kernel. The matched leaves reach the
+//! kernel's builder by reference ([`LeafBindings`]). The general
+//! matcher stays in `gmc-pattern`.
 
-use crate::kernel::{Constraint, Kernel, KernelMatch, ProductMatch};
+use crate::kernel::{Constraint, Kernel, KernelMatch, LeafBindings, ProductMatch};
 use crate::op::{KernelFamily, KernelOp, Side, Uplo};
 use gmc_expr::{Expr, Operand, Property, UnaryOp};
-use gmc_pattern::{Bindings, Pattern, Var};
+use gmc_pattern::{Pattern, Var};
 use std::collections::BTreeSet;
 use std::sync::{Arc, LazyLock};
 
@@ -61,7 +65,8 @@ struct Table {
 }
 
 /// A kernel in its dispatch slot: the pattern `op(?a) · op(?b)` reduced
-/// to the variables its two leaves bind.
+/// to the variables its two leaves bind, and its constraints reduced to
+/// the [`features`] each leaf must have.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     /// The kernel's registration index.
@@ -70,14 +75,61 @@ struct Entry {
     left: Var,
     /// The variable bound by the right leaf.
     right: Var,
+    /// The feature bits the left leaf must have.
+    left_needs: u32,
+    /// The feature bits the right leaf must have.
+    right_needs: u32,
 }
 
-impl Entry {
-    /// Which of a product's four possible binding sets the kernel uses
-    /// (the leaves' variables are `?0` or `?1`).
-    fn binding_set(&self) -> usize {
-        2 * self.left.index() + self.right.index()
+/// The feature bit of a column vector (`n×1`, n > 1).
+const COL_VECTOR: u32 = 1 << 16;
+/// The feature bit of an operand that is not a vector.
+const NOT_VECTOR: u32 = 1 << 17;
+
+/// What an operand offers a kernel's constraints: its property bits
+/// (bit `p as u16` for property `p`) and the two shape bits, decided by
+/// the [`Shape`](gmc_expr::Shape) predicates [`Constraint::check`] uses.
+fn features(operand: &Operand) -> u32 {
+    let shape = operand.shape();
+    let mut bits = u32::from(operand.properties().bits());
+    if shape.is_col_vector() {
+        bits |= COL_VECTOR;
     }
+    if !shape.is_vector() {
+        bits |= NOT_VECTOR;
+    }
+    bits
+}
+
+/// The masks of `kernel`'s left and right leaves, which bind `left` and
+/// `right`: each constraint asks the [`features`] bit of its property or
+/// shape test of the leaf that binds its variable. A leaf passes the
+/// constraints on it iff it has every bit of its mask.
+///
+/// # Panics
+///
+/// If a constraint names a variable neither leaf binds.
+fn masks(kernel: &Kernel, left: Var, right: Var) -> (u32, u32) {
+    let (mut l, mut r) = (0, 0);
+    for c in kernel.constraints() {
+        let (v, bits) = match *c {
+            Constraint::Has(v, p) => (v, 1 << (p as u32)),
+            Constraint::IsColVector(v) => (v, COL_VECTOR),
+            Constraint::IsNotVector(v) => (v, NOT_VECTOR),
+        };
+        assert!(
+            v == left || v == right,
+            "kernel {}: constraint `{c}` names a variable its pattern does not bind",
+            kernel.name()
+        );
+        if v == left {
+            l |= bits;
+        }
+        if v == right {
+            r |= bits;
+        }
+    }
+    (l, r)
 }
 
 /// The dispatch slot of a product whose factors carry `left` and `right`.
@@ -116,8 +168,8 @@ fn binary_factors(expr: &Expr) -> Option<(&Expr, &Expr)> {
 /// right unary, right variable)`.
 type ProductPattern = (UnaryOp, Var, UnaryOp, Var);
 
-/// `pattern` as a [`ProductPattern`] over `?0`/`?1`; `None` for any
-/// other pattern.
+/// `pattern` as a [`ProductPattern`] binding `?0` and, unless it
+/// repeats `?0`, `?1`; `None` for any other pattern.
 fn product_pattern(pattern: &Pattern) -> Option<ProductPattern> {
     fn leaf(p: &Pattern) -> Option<(UnaryOp, Var)> {
         let (op, inner) = match p {
@@ -139,7 +191,7 @@ fn product_pattern(pattern: &Pattern) -> Option<ProductPattern> {
         return None;
     };
     let ((lu, lv), (ru, rv)) = (leaf(l)?, leaf(r)?);
-    (lv.index() < 2 && rv.index() < 2).then_some((lu, lv, ru, rv))
+    matches!((lv.index(), rv.index()), (0, 1) | (1, 0) | (0, 0)).then_some((lu, lv, ru, rv))
 }
 
 impl Table {
@@ -155,16 +207,20 @@ impl Table {
     /// leaf, the first with the same left and right leaves, and the
     /// kernel's own index.
     ///
+    /// Each entry carries its kernel's [`masks`].
+    ///
     /// # Panics
     ///
-    /// If a pattern is not `op(?a) · op(?b)` over `?0`/`?1`.
+    /// If a pattern is not `op(?0) · op(?1)`, `op(?1) · op(?0)` or
+    /// `op(?0) · op(?0)`, or if a constraint names a variable its
+    /// pattern does not bind.
     fn new(kernels: Vec<Kernel>) -> Table {
         let patterns: Vec<ProductPattern> = kernels
             .iter()
             .map(|k| {
                 product_pattern(k.pattern()).unwrap_or_else(|| {
                     panic!(
-                        "kernel {}: pattern `{}` is not op(?a) · op(?b) over ?0/?1",
+                        "kernel {}: pattern `{}` is not op(?a) · op(?b) binding ?0 (and ?1)",
                         k.name(),
                         k.pattern()
                     )
@@ -181,7 +237,14 @@ impl Table {
         let mut slots: [Vec<Entry>; 16] = Default::default();
         for index in order {
             let (lu, left, ru, right) = patterns[index];
-            slots[slot(lu, ru)].push(Entry { index, left, right });
+            let (left_needs, right_needs) = masks(&kernels[index], left, right);
+            slots[slot(lu, ru)].push(Entry {
+                index,
+                left,
+                right,
+                left_needs,
+                right_needs,
+            });
         }
         Table { kernels, slots }
     }
@@ -235,8 +298,8 @@ impl KernelRegistry {
     pub fn match_expr(&self, expr: &Expr) -> Vec<KernelMatch<'_>> {
         let mut matches = Vec::new();
         if let Some((left, right)) = binary_factors(expr) {
-            self.for_each_product_match(left, right, |index, kernel, bindings| {
-                let op = kernel.instantiate(bindings);
+            self.for_each_product_match(left, right, |index, kernel, binds| {
+                let op = kernel.build(binds);
                 matches.push((index, KernelMatch { kernel, op }));
             });
         }
@@ -285,11 +348,13 @@ impl KernelRegistry {
     /// The cheapest kernel for the binary product `left · right` under
     /// `metric` — the allocation-free GMC hot path.
     ///
-    /// Candidates come from [`for_each_product_match`]: no owned
-    /// `Expr::Times` is built and no `Vec` of matches is collected. Each
-    /// candidate's cost is computed exactly once and the winner's is
-    /// returned in the [`ProductMatch`]. The winner is chosen by the
-    /// within-split rule, [`Rank::beats`](crate::Rank::beats).
+    /// A fold over [`for_each_product_match`]: no owned `Expr::Times`
+    /// is built, no `Vec` of matches is collected, and only the
+    /// [`KernelOp`] of a kernel whose constraints hold clones the
+    /// leaves. Each candidate's cost is computed exactly once and the
+    /// winner's is returned in the [`ProductMatch`]. The winner is
+    /// chosen by the within-split rule,
+    /// [`Rank::beats`](crate::Rank::beats).
     ///
     /// [`for_each_product_match`]: Self::for_each_product_match
     pub fn best_product_match<C, F>(
@@ -303,8 +368,8 @@ impl KernelRegistry {
         F: FnMut(&KernelOp) -> C,
     {
         let mut best: Option<(ProductMatch<'_, C>, usize)> = None;
-        self.for_each_product_match(left, right, |id, kernel, bindings| {
-            let op = kernel.instantiate(bindings);
+        self.for_each_product_match(left, right, |id, kernel, binds| {
+            let op = kernel.build(binds);
             let cost = metric(&op);
             // The rule's registration index makes the winner
             // independent of the visit order.
@@ -325,40 +390,51 @@ impl KernelRegistry {
     /// or computing costs.
     ///
     /// `visit` receives the kernel's registration index (its position
-    /// in [`kernels`](Self::kernels)), the kernel, and the variable
-    /// bindings of the match, in the order a discrimination net over the
-    /// kernels' patterns would yield them. Each factor must be a leaf
-    /// operand, optionally under one unary operator; any other factor (a
-    /// product, a sum, a unary over a non-leaf) matches no kernel. This
-    /// is the enumeration underlying
-    /// [`best_product_match`](Self::best_product_match); the symbolic
-    /// plan recorder of `gmc-plan` uses it to capture the full
-    /// candidate set of a DP cell once, so later instantiations can
-    /// re-rank candidates by evaluated cost without re-matching.
-    pub fn for_each_product_match<'r, F>(&'r self, left: &Expr, right: &Expr, mut visit: F)
-    where
-        F: FnMut(usize, &'r Kernel, &Bindings),
+    /// in [`kernels`](Self::kernels)), the kernel, and the operands the
+    /// match binds, by reference, in the order a discrimination net over
+    /// the kernels' patterns would yield them. Each factor must be a
+    /// leaf operand, optionally under one unary operator; any other
+    /// factor (a product, a sum, a unary over a non-leaf) matches no
+    /// kernel. This is the one scan behind
+    /// [`best_product_match`](Self::best_product_match) and
+    /// [`match_expr`](Self::match_expr); the symbolic plan recorder of
+    /// `gmc-plan` uses it to capture the full candidate set of a DP cell
+    /// once, so later instantiations can re-rank candidates by evaluated
+    /// cost without re-matching.
+    ///
+    /// The scan builds no binding set and evaluates no [`Constraint`]:
+    /// each leaf's features are computed once, and a kernel is a
+    /// candidate iff each leaf has its slot entry's mask (and, for
+    /// `SYRK`, the two leaves are the same operand).
+    pub fn for_each_product_match<'r, 'e, F>(
+        &'r self,
+        left: &'e Expr,
+        right: &'e Expr,
+        mut visit: F,
+    ) where
+        F: FnMut(usize, &'r Kernel, LeafBindings<'e>),
     {
         let (Some((lu, l)), Some((ru, r))) = (leaf(left), leaf(right)) else {
             return;
         };
-        // The binding set of each (left, right) variable pair, built on
-        // first use; `Some(None)` when the pattern is non-linear (SYRK)
-        // and the two leaves differ.
-        let mut sets: [Option<Option<Bindings>>; 4] = Default::default();
+        let (lf, rf) = (features(l), features(r));
         for entry in &self.table.slots[slot(lu, ru)] {
-            let set = sets[entry.binding_set()].get_or_insert_with(|| {
-                let mut bindings = Bindings::new();
-                bindings.bind(entry.left, l);
-                bindings.bind(entry.right, r).then_some(bindings)
-            });
-            let Some(bindings) = set else {
+            if lf & entry.left_needs != entry.left_needs
+                || rf & entry.right_needs != entry.right_needs
+            {
                 continue;
-            };
-            let kernel = &self.table.kernels[entry.index];
-            if kernel.constraints().iter().all(|c| c.check(bindings)) {
-                visit(entry.index, kernel, bindings);
             }
+            let binds = if entry.left == entry.right {
+                if l != r {
+                    continue;
+                }
+                LeafBindings::new(l, None)
+            } else if entry.left == X {
+                LeafBindings::new(l, Some(r))
+            } else {
+                LeafBindings::new(r, Some(l))
+            };
+            visit(entry.index, &self.table.kernels[entry.index], binds);
         }
     }
 }
@@ -442,7 +518,7 @@ impl RegistryBuilder {
                 UnaryOp::InverseTranspose => Pattern::inverse_transpose(Pattern::var(v)),
             }
         }
-        fn bound(b: &Bindings, v: Var) -> Operand {
+        fn bound(b: LeafBindings<'_>, v: Var) -> Operand {
             b.get(v).expect("pattern binds its variables").clone()
         }
         fn tname(t: bool) -> &'static str {
@@ -1202,5 +1278,39 @@ mod tests {
         let r = registry();
         let a = Operand::square("A", 4);
         assert!(r.match_expr(&a.inverse()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "names a variable its pattern does not bind")]
+    fn constraint_on_an_unbound_variable_is_rejected() {
+        // SYRK's pattern binds only ?0.
+        let _ = Table::new(vec![Kernel::new(
+            "BAD",
+            KernelFamily::Syrk,
+            Pattern::times2(Pattern::transpose(Pattern::var(X)), Pattern::var(X)),
+            vec![Constraint::IsColVector(Y)],
+            0,
+            Box::new(|b| KernelOp::Syrk {
+                trans: true,
+                a: b.get(X).expect("bound").clone(),
+            }),
+        )]);
+    }
+
+    #[test]
+    fn masks_are_built_per_leaf() {
+        // TRMV_LN: `?0 ?1`, LowerTriangular(?0) and IsColVector(?1).
+        let r = registry();
+        let index = r
+            .kernels()
+            .iter()
+            .position(|k| k.name() == "TRMV_LN")
+            .unwrap();
+        let entry = r.table.slots[slot(UnaryOp::None, UnaryOp::None)]
+            .iter()
+            .find(|e| e.index == index)
+            .unwrap();
+        assert_eq!(entry.left_needs, 1 << (Property::LowerTriangular as u32));
+        assert_eq!(entry.right_needs, COL_VECTOR);
     }
 }

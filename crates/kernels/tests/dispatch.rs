@@ -2,13 +2,14 @@
 //! same kernel patterns, plus pins on the default registry itself.
 //!
 //! The net is the general matcher (paper Sec. 3.4); the registry only
-//! dispatches on the two unary operators of a binary product. Both must
-//! yield the same `(kernel index, bindings)` sequence — the plan store's
-//! candidate order depends on it — and therefore the same winner.
+//! dispatches on the two unary operators of a binary product and tests
+//! each kernel's constraints as two feature masks. Both must yield the
+//! same `(kernel index, bindings)` sequence — the plan store's candidate
+//! order depends on it — and therefore the same winner.
 
 use gmc_expr::{Expr, Operand, Property, UnaryOp};
-use gmc_kernels::{Kernel, KernelFamily, KernelOp, KernelRegistry};
-use gmc_pattern::{Bindings, DiscriminationNet, FlatTermScratch};
+use gmc_kernels::{Kernel, KernelFamily, KernelOp, KernelRegistry, LeafBindings};
+use gmc_pattern::{Bindings, DiscriminationNet, FlatTermScratch, Pattern, Var};
 use proptest::prelude::*;
 
 /// FNV-1a, 64-bit.
@@ -89,13 +90,24 @@ fn net_sequence(
     out
 }
 
+/// The visitor's view of a match as the net's binding set.
+fn to_bindings(binds: LeafBindings<'_>) -> Bindings {
+    let mut bindings = Bindings::new();
+    for v in [Var::new(0), Var::new(1)] {
+        if let Some(operand) = binds.get(v) {
+            assert!(bindings.bind(v, operand));
+        }
+    }
+    bindings
+}
+
 fn dispatch_sequence(
     registry: &KernelRegistry,
     left: &Expr,
     right: &Expr,
 ) -> Vec<(usize, Bindings)> {
     let mut out = Vec::new();
-    registry.for_each_product_match(left, right, |id, _, b| out.push((id, b.clone())));
+    registry.for_each_product_match(left, right, |id, _, b| out.push((id, to_bindings(b))));
     out
 }
 
@@ -248,6 +260,26 @@ proptest! {
     }
 }
 
+/// A fixed operand set: general, rectangular, both vector shapes, a
+/// 1×1, one square per property, and the two properties a rectangular
+/// operand admits.
+fn pool() -> Vec<Operand> {
+    let mut operands = vec![
+        Operand::square("A", 5),
+        Operand::matrix("R", 5, 3),
+        Operand::col_vector("x", 5),
+        Operand::row_vector("y", 5),
+        Operand::square("s", 1),
+        Operand::matrix("Z", 5, 3).with_property(Property::Zero),
+        Operand::matrix("F", 3, 5).with_property(Property::FullRank),
+        Operand::col_vector("z", 5).with_property(Property::Zero),
+    ];
+    for p in PROPERTIES {
+        operands.push(Operand::square("S", 5).with_property(p));
+    }
+    operands
+}
+
 /// Every unary pair over a fixed operand set, exhaustively: the same
 /// operand on both sides for every property, and distinct operands.
 #[test]
@@ -259,20 +291,70 @@ fn dispatch_agrees_with_net_on_every_unary_pair() {
             (r, net)
         })
         .collect();
-    let mut operands = vec![
-        Operand::square("A", 5),
-        Operand::matrix("R", 5, 3),
-        Operand::col_vector("x", 5),
-        Operand::row_vector("y", 5),
-    ];
-    for p in PROPERTIES {
-        operands.push(Operand::square("S", 5).with_property(p));
-    }
+    let operands = pool();
     for a in &operands {
         for b in &operands {
             for lu in UNARY {
                 for ru in UNARY {
                     check_product(&registries, &apply(lu, a.expr()), &apply(ru, b.expr()));
+                }
+            }
+        }
+    }
+}
+
+/// The product `kernel`'s pattern makes of `a` bound to `?0` and `b`
+/// to `?1`.
+fn instance(kernel: &Kernel, a: &Operand, b: &Operand) -> (Expr, Expr) {
+    fn leaf(p: &Pattern, a: &Operand, b: &Operand) -> Expr {
+        match p {
+            Pattern::Wildcard(v) if v.index() == 0 => a.expr(),
+            Pattern::Wildcard(_) => b.expr(),
+            Pattern::Transpose(inner) => Expr::transpose(leaf(inner, a, b)),
+            Pattern::Inverse(inner) => Expr::inverse(leaf(inner, a, b)),
+            Pattern::InverseTranspose(inner) => Expr::inverse_transpose(leaf(inner, a, b)),
+            other => panic!("not a leaf pattern: {other}"),
+        }
+    }
+    match kernel.pattern() {
+        Pattern::Times(factors) => (leaf(&factors[0], a, b), leaf(&factors[1], a, b)),
+        other => panic!("not a product pattern: {other}"),
+    }
+}
+
+/// Each kernel's two masks accept exactly the operands its constraints
+/// accept: for every kernel of every registry and every pair of pool
+/// operands bound to `?0` and `?1`, the scan offers the kernel iff
+/// `constraints().iter().all(check)` holds.
+#[test]
+fn masks_accept_exactly_what_the_constraints_accept() {
+    let operands = pool();
+    for registry in registries() {
+        for (index, kernel) in registry.kernels().iter().enumerate() {
+            let vars = kernel.pattern().variables();
+            for a in &operands {
+                for b in &operands {
+                    let mut bindings = Bindings::new();
+                    for (v, operand) in [(Var::new(0), a), (Var::new(1), b)] {
+                        if vars.contains(&v) {
+                            bindings.bind(v, operand);
+                        }
+                    }
+                    let (left, right) = instance(kernel, a, b);
+                    let mut offered = false;
+                    registry.for_each_product_match(&left, &right, |id, _, binds| {
+                        if id == index {
+                            assert!(!offered, "{} offered twice", kernel.name());
+                            assert_eq!(to_bindings(binds), bindings);
+                            offered = true;
+                        }
+                    });
+                    assert_eq!(
+                        offered,
+                        satisfied(kernel, &bindings),
+                        "{} on ({left}) · ({right})",
+                        kernel.name()
+                    );
                 }
             }
         }

@@ -19,7 +19,7 @@
 //!    change.
 
 use gmc::InferenceMode;
-use gmc_expr::{Dim, DimVar, PropertySet, SymChain};
+use gmc_expr::{Dim, DimVar, SymChain};
 use std::collections::HashMap;
 
 /// A canonical dimension in a structure key: a concrete constant or the
@@ -36,6 +36,8 @@ pub(crate) struct FactorSig {
     pub(crate) unary: u8,
     pub(crate) rows: KeyDim,
     pub(crate) cols: KeyDim,
+    /// The operand's [`PropertySet::bits`](gmc_expr::PropertySet::bits),
+    /// which the plan store persists too, so key and snapshot agree.
     pub(crate) props: u16,
     /// First-occurrence index of the factor's operand (same index ⇔
     /// same operand appears again, e.g. the two `A`s of `AᵀA`).
@@ -47,12 +49,6 @@ pub(crate) struct FactorSig {
 pub struct StructureKey {
     pub(crate) deep_inference: bool,
     pub(crate) factors: Vec<FactorSig>,
-}
-
-/// The bitset encoding of a property set — also the persisted form in
-/// the plan store, so key and snapshot can never diverge.
-pub(crate) fn props_bits(ps: PropertySet) -> u16 {
-    ps.iter().fold(0u16, |acc, p| acc | (1 << (p as u16)))
 }
 
 /// Computes the structure key of `chain` under `mode`.
@@ -77,7 +73,7 @@ pub fn structure_key(chain: &SymChain, mode: InferenceMode) -> StructureKey {
                 unary: f.op() as u8,
                 rows: canon(shape.rows()),
                 cols: canon(shape.cols()),
-                props: props_bits(f.operand().properties()),
+                props: f.operand().properties().bits(),
                 operand_class,
             }
         })

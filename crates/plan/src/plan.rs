@@ -36,8 +36,8 @@
 
 use gmc::{CellGrid, GmcError, GmcSolution, GmcWorkspace, InferenceMode};
 use gmc_expr::{Chain, CostPoly, Dim, DimBindings, PropertySet, SymChain, SymShape};
-use gmc_kernels::{FlopFormula, KernelOp, KernelRegistry, ProductMatch, Rank};
-use gmc_pattern::{Bindings, Var};
+use gmc_kernels::{FlopFormula, KernelOp, KernelRegistry, LeafBindings, ProductMatch, Rank};
+use gmc_pattern::Var;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -305,7 +305,7 @@ pub(crate) fn record_region(
             let pick = grid.best_split(i, j, |k, left, right| {
                 let start = raw.len();
                 registry.for_each_product_match(left, right, |kernel_idx, kernel, b| {
-                    let op = kernel.instantiate(b);
+                    let op = kernel.build(b);
                     let rank = kernel.rank(kernel_idx, op.flops());
                     let mut var_binds = Vec::with_capacity(2);
                     for v in [X, Y] {
@@ -587,18 +587,18 @@ fn materialize<'r>(
     cand: &Candidate,
     op_cost: f64,
 ) -> ProductMatch<'r, f64> {
-    let mut b = Bindings::new();
-    for (v, r) in &cand.var_binds {
-        let operand = match *r {
+    let [x, y] = [X, Y].map(|v| {
+        let (_, r) = cand.var_binds.iter().find(|(w, _)| *w == v)?;
+        Some(match *r {
             OperandRef::Factor(t) => chain.factor(t).operand(),
             OperandRef::Temp(i, j) => grid.temporary(i, j).expect("computed child temporary"),
-        };
-        b.bind(*v, operand);
-    }
+        })
+    });
+    let binds = LeafBindings::new(x.expect("every kernel pattern binds ?0"), y);
     let kernel = &registry.kernels()[cand.kernel_idx];
     ProductMatch {
         kernel,
-        op: kernel.instantiate(&b),
+        op: kernel.build(binds),
         cost: op_cost,
     }
 }

@@ -59,7 +59,7 @@ fn dim_from(v: &Value) -> Result<Dim, DeError> {
 }
 
 fn props_value(ps: PropertySet) -> Value {
-    Value::Number(crate::key::props_bits(ps) as f64)
+    Value::Number(ps.bits() as f64)
 }
 
 fn props_from(v: &Value) -> Result<PropertySet, DeError> {
@@ -72,7 +72,7 @@ fn props_from(v: &Value) -> Result<PropertySet, DeError> {
     }
     // Recorded sets are implication-closed, so re-inserting the members
     // must reproduce the bits exactly; anything else is corruption.
-    if crate::key::props_bits(ps) != bits {
+    if ps.bits() != bits {
         return Err(DeError(format!(
             "property bits {bits:#x} are not an implication-closed set"
         )));

@@ -321,11 +321,12 @@ proptest! {
 /// boundary dimensions mix constants (including 1, producing vector
 /// and outer-product sub-problems) with variables drawn from a small
 /// pool (so variables repeat and structurally square factors arise),
-/// factors randomly carry transposes, inverses and properties. A square
-/// factor sometimes reuses an earlier square operand of the same
-/// dimension under any unary operator; such aliasing makes some
-/// temporaries' properties split-dependent, which is what drives cells
-/// to `Dynamic` under compositional inference.
+/// factors randomly carry transposes, inverses and any one of the 11
+/// properties (non-square factors only `Zero` and `FullRank`, the two
+/// their shape admits). A square factor sometimes reuses an earlier
+/// square operand of the same dimension under any unary operator; such
+/// aliasing makes some temporaries' properties split-dependent, which is
+/// what drives cells to `Dynamic` under compositional inference.
 fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
     use gmc_expr::{Dim, SymChain, SymFactor, SymOperand};
     use rand::Rng;
@@ -368,15 +369,12 @@ fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
             let transposed = rng.gen_bool(0.25);
             let (or, oc) = if transposed { (c, r) } else { (r, c) };
             let mut op = SymOperand::new(format!("M{i}"), or, oc);
-            if square && rng.gen_bool(0.6) {
-                let p = [
-                    Property::Diagonal,
-                    Property::LowerTriangular,
-                    Property::UpperTriangular,
-                    Property::Symmetric,
-                    Property::SymmetricPositiveDefinite,
-                ][rng.gen_range(0..5usize)];
-                op = op.with_property(p).expect("structurally square");
+            if rng.gen_bool(if square { 0.6 } else { 0.2 }) {
+                let admitted: Vec<Property> = Property::all()
+                    .filter(|p| square || !p.requires_square())
+                    .collect();
+                let p = admitted[rng.gen_range(0..admitted.len())];
+                op = op.with_property(p).expect("the shape admits it");
             }
             if square {
                 squares.push(op.clone());
