@@ -1,7 +1,7 @@
 //! The top-level `infer_properties` entry points and structural helpers.
 
 use crate::predicates::{has, product_has};
-use gmc_expr::{Expr, Property, PropertySet};
+use gmc_expr::{Expr, FactorView, Property, PropertySet};
 
 /// Infers the full property set of an expression (paper Fig. 4, line 10).
 ///
@@ -33,9 +33,6 @@ pub fn infer_properties(expr: &Expr) -> PropertySet {
 /// built. The product rules are the ones the predicates apply to a
 /// product node.
 ///
-/// This is the compositional inference of a GMC split (paper Fig. 4,
-/// line 10), whose sides are chain factors or temporaries.
-///
 /// # Example
 ///
 /// ```
@@ -53,6 +50,30 @@ pub fn infer_product_properties(left: &Expr, right: &Expr) -> PropertySet {
         // `Expr::times` splices nested products into one sequence.
         return infer_properties(&Expr::times([left.clone(), right.clone()]));
     }
+    Property::all()
+        .filter(|&p| product_has(p, &[left, right]))
+        .collect()
+}
+
+/// Infers the property set of the product of two factor views by the
+/// same product rules as [`infer_product_properties`]: the
+/// compositional inference of a GMC split (paper Fig. 4, line 10),
+/// whose sides are chain factors or temporaries, read as plain data.
+///
+/// # Example
+///
+/// ```
+/// use gmc_expr::{Factor, Operand, OperandId, Property};
+/// use gmc_analysis::{infer_product_properties, infer_view_product};
+///
+/// let a = Operand::matrix("A", 8, 5);
+/// let at = Factor::transposed(a.clone()).view(OperandId::Factor(0));
+/// let plain = Factor::plain(a.clone()).view(OperandId::Factor(0));
+/// let props = infer_view_product(&at, &plain);
+/// assert!(props.contains(Property::SymmetricPositiveDefinite));
+/// assert_eq!(props, infer_product_properties(&a.transpose(), &a.expr()));
+/// ```
+pub fn infer_view_product(left: &FactorView, right: &FactorView) -> PropertySet {
     Property::all()
         .filter(|&p| product_has(p, &[left, right]))
         .collect()
@@ -95,7 +116,7 @@ fn erase_symmetric_transposes(e: Expr) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmc_expr::Operand;
+    use gmc_expr::{Factor, Operand, OperandId, UnaryOp};
 
     #[test]
     fn infer_collects_and_closes() {
@@ -147,6 +168,44 @@ mod tests {
         let a = Operand::matrix("A", 2, 3);
         let b = Operand::matrix("B", 2, 3);
         assert!(canonical_transpose(&(a.expr() * b.expr())).is_none());
+    }
+
+    #[test]
+    fn views_infer_what_their_expressions_infer() {
+        // Every unary pair over square operands of every property, a
+        // tall and a wide operand, and the same operand on both sides.
+        let mut operands = vec![Operand::matrix("R", 6, 4), Operand::matrix("W", 4, 6)];
+        for p in Property::all() {
+            operands.push(Operand::square(format!("S{}", p.name()), 4).with_property(p));
+        }
+        operands.push(Operand::square("A", 4));
+        let ops = [
+            UnaryOp::None,
+            UnaryOp::Transpose,
+            UnaryOp::Inverse,
+            UnaryOp::InverseTranspose,
+        ];
+        for a in &operands {
+            for b in &operands {
+                for lu in ops {
+                    for ru in ops {
+                        let (l, r) = (Factor::new(a.clone(), lu), Factor::new(b.clone(), ru));
+                        if lu.is_inverted() && !a.shape().is_square()
+                            || ru.is_inverted() && !b.shape().is_square()
+                        {
+                            continue;
+                        }
+                        let rid = OperandId::Factor(usize::from(a != b));
+                        let views = infer_view_product(&l.view(OperandId::Factor(0)), &r.view(rid));
+                        assert_eq!(
+                            views,
+                            infer_product_properties(&l.expr(), &r.expr()),
+                            "{l} · {r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

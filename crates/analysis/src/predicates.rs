@@ -1,14 +1,17 @@
 //! One predicate per property, following paper Fig. 6.
 //!
-//! Each predicate decides a product by its product rule, a function over
-//! the product's factor sequence taken by reference ([`product_has`]).
-//! The tree predicates call it with a product node's factors; the
-//! pairwise inference of a DP split calls it with the split's two sides,
-//! so no product tree is built and no rule is written twice.
+//! Every predicate is one dispatch, [`has`], over three kinds of rules:
+//! a leaf carries its declared properties, a unary operator maps the
+//! question onto its operand ([`through`]), and a product is decided by
+//! its product rule, a function over the product's factor sequence
+//! ([`product_has`]). The factors are anything that is a
+//! [`ProductFactor`]: the subexpressions of a product node, or the two
+//! [`FactorView`]s of a DP split, so the pairwise inference of the GMC
+//! table runs the same rules as the tree predicates without building a
+//! product tree, and no rule is written twice.
 
 use crate::infer::canonical_transpose;
-use gmc_expr::{Expr, Operand, Property, Shape};
-use std::borrow::Borrow;
+use gmc_expr::{Expr, FactorView, Operand, OperandId, Property, Shape, UnaryOp};
 
 /// Whether `expr` is provably lower triangular.
 ///
@@ -18,37 +21,18 @@ use std::borrow::Borrow;
 /// (assuming invertibility, which an inverse asserts); a sum of lower
 /// triangular terms is lower triangular.
 pub fn is_lower_triangular(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::LowerTriangular),
-        Expr::Times(fs) => product_has(Property::LowerTriangular, fs),
-        Expr::Plus(ts) => ts.iter().all(is_lower_triangular),
-        Expr::Transpose(e) => is_upper_triangular(e),
-        Expr::Inverse(e) => is_lower_triangular(e),
-        Expr::InverseTranspose(e) => is_upper_triangular(e),
-    }
+    has(Property::LowerTriangular, expr)
 }
 
 /// Whether `expr` is provably upper triangular (mirror of
 /// [`is_lower_triangular`]).
 pub fn is_upper_triangular(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::UpperTriangular),
-        Expr::Times(fs) => product_has(Property::UpperTriangular, fs),
-        Expr::Plus(ts) => ts.iter().all(is_upper_triangular),
-        Expr::Transpose(e) => is_lower_triangular(e),
-        Expr::Inverse(e) => is_upper_triangular(e),
-        Expr::InverseTranspose(e) => is_lower_triangular(e),
-    }
+    has(Property::UpperTriangular, expr)
 }
 
 /// Whether `expr` is provably diagonal.
 pub fn is_diagonal(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::Diagonal),
-        Expr::Times(fs) => product_has(Property::Diagonal, fs),
-        Expr::Plus(ts) => ts.iter().all(is_diagonal),
-        Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_diagonal(e),
-    }
+    has(Property::Diagonal, expr)
 }
 
 /// Whether `expr` is provably the zero matrix.
@@ -57,24 +41,13 @@ pub fn is_diagonal(expr: &Expr) -> bool {
 /// terms are. Inverses of zero are ill-formed and conservatively reported
 /// as not-zero.
 pub fn is_zero(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::Zero),
-        Expr::Times(fs) => product_has(Property::Zero, fs),
-        Expr::Plus(ts) => ts.iter().all(is_zero),
-        Expr::Transpose(e) => is_zero(e),
-        Expr::Inverse(_) | Expr::InverseTranspose(_) => false,
-    }
+    has(Property::Zero, expr)
 }
 
-/// Whether `expr` is provably the identity matrix.
+/// Whether `expr` is provably the identity matrix. `I + I = 2I` is not
+/// the identity, so no sum is.
 pub fn is_identity(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::Identity),
-        Expr::Times(fs) => product_has(Property::Identity, fs),
-        // I + I = 2I is *not* the identity; no sum rule.
-        Expr::Plus(_) => false,
-        Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_identity(e),
-    }
+    has(Property::Identity, expr)
 }
 
 /// Whether `expr` is provably symmetric.
@@ -91,12 +64,7 @@ pub fn is_identity(expr: &Expr) -> bool {
 /// canonical trees: it is well-formed, and the canonical form of factor
 /// `k` equals the canonical transposed form of factor `n−1−k`.
 pub fn is_symmetric(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::Symmetric),
-        Expr::Times(fs) => product_has(Property::Symmetric, fs),
-        Expr::Plus(ts) => ts.iter().all(is_symmetric),
-        Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_symmetric(e),
-    }
+    has(Property::Symmetric, expr)
 }
 
 /// Whether `expr` is provably symmetric positive definite.
@@ -111,37 +79,189 @@ pub fn is_symmetric(expr: &Expr) -> bool {
 ///   wide, matching the paper's `AᵀA` example (Sec. 3.2),
 /// * products of *commuting-free* general matrices are never inferred SPD.
 pub fn is_spd(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op
-            .properties()
-            .contains(Property::SymmetricPositiveDefinite),
-        Expr::Times(fs) => product_has(Property::SymmetricPositiveDefinite, fs),
-        Expr::Plus(ts) => ts.iter().all(is_spd),
-        Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_spd(e),
+    has(Property::SymmetricPositiveDefinite, expr)
+}
+
+/// Whether `expr` is provably orthogonal (`QᵀQ = I`).
+pub fn is_orthogonal(expr: &Expr) -> bool {
+    has(Property::Orthogonal, expr)
+}
+
+/// Whether `expr` is provably a permutation matrix.
+pub fn is_permutation(expr: &Expr) -> bool {
+    has(Property::Permutation, expr)
+}
+
+/// Whether `expr` is provably triangular with a unit diagonal.
+///
+/// Products require agreeing triangularity: the product of two unit
+/// *lower* triangular matrices is unit lower triangular (and likewise for
+/// upper), but mixing sides loses the unit diagonal.
+pub fn is_unit_diagonal(expr: &Expr) -> bool {
+    has(Property::UnitDiagonal, expr)
+}
+
+/// Whether `expr` is provably of full rank.
+///
+/// Products of full-rank *square* factors are full rank; rank can drop
+/// for rectangular products, so those are conservatively rejected.
+/// Inverses assert invertibility and are therefore full rank.
+pub fn is_full_rank(expr: &Expr) -> bool {
+    has(Property::FullRank, expr)
+}
+
+/// Whether `expr` has `p`.
+pub(crate) fn has(p: Property, expr: &Expr) -> bool {
+    let (op, inner) = match expr {
+        Expr::Symbol(operand) => return operand.properties().contains(p),
+        Expr::Times(fs) => return product_has(p, fs),
+        Expr::Plus(ts) => return sum_keeps(p) && ts.iter().all(|t| has(p, t)),
+        Expr::Transpose(e) => (UnaryOp::Transpose, e),
+        Expr::Inverse(e) => (UnaryOp::Inverse, e),
+        Expr::InverseTranspose(e) => (UnaryOp::InverseTranspose, e),
+    };
+    through(op, p).unwrap_or_else(|q| has(q, inner))
+}
+
+/// Whether a sum of terms that all have `p` has `p`. Sums of
+/// orthogonal, permutation, unit-diagonal or full-rank matrices, or of
+/// identities, are not inferred to keep it.
+fn sum_keeps(p: Property) -> bool {
+    matches!(
+        p,
+        Property::LowerTriangular
+            | Property::UpperTriangular
+            | Property::Diagonal
+            | Property::Zero
+            | Property::Symmetric
+            | Property::SymmetricPositiveDefinite
+    )
+}
+
+/// The unary rules: `op(e)` has `p` as decided (`Ok`), or iff `e` has
+/// the property `Err` names. A transpose swaps the triangles; an
+/// inverse is full rank (it asserts invertibility) and never zero;
+/// every other property passes through.
+fn through(op: UnaryOp, p: Property) -> Result<bool, Property> {
+    match p {
+        Property::Zero if op.is_inverted() => Ok(false),
+        Property::FullRank if op.is_inverted() => Ok(true),
+        Property::LowerTriangular if op.is_transposed() => Err(Property::UpperTriangular),
+        Property::UpperTriangular if op.is_transposed() => Err(Property::LowerTriangular),
+        _ => Err(p),
     }
 }
 
-/// Whether `expr` has `p`, by the predicate for `p`.
-pub(crate) fn has(p: Property, expr: &Expr) -> bool {
-    match p {
-        Property::Diagonal => is_diagonal(expr),
-        Property::LowerTriangular => is_lower_triangular(expr),
-        Property::UpperTriangular => is_upper_triangular(expr),
-        Property::Symmetric => is_symmetric(expr),
-        Property::SymmetricPositiveDefinite => is_spd(expr),
-        Property::Identity => is_identity(expr),
-        Property::Zero => is_zero(expr),
-        Property::Orthogonal => is_orthogonal(expr),
-        Property::Permutation => is_permutation(expr),
-        Property::UnitDiagonal => is_unit_diagonal(expr),
-        Property::FullRank => is_full_rank(expr),
+/// A factor of a product, as the product rules read it: a
+/// subexpression, or a view of a chain factor or DP temporary.
+pub(crate) trait ProductFactor {
+    /// What identifies a leaf's operand.
+    type Id<'a>: Copy + Eq
+    where
+        Self: 'a;
+
+    /// Whether the factor has `p`.
+    fn has(&self, p: Property) -> bool;
+
+    /// The factor's shape, if it is well-formed.
+    fn shape(&self) -> Option<Shape>;
+
+    /// The factor as a leaf, if it is one (an operand under at most one
+    /// unary operator).
+    fn leaf(&self) -> Option<Leaf<Self::Id<'_>>>;
+
+    /// The factor as an expression tree, for the rules that compare
+    /// canonical trees; only asked of factors that are not leaves.
+    fn tree(&self) -> Expr;
+}
+
+impl ProductFactor for Expr {
+    type Id<'a> = &'a Operand;
+
+    fn has(&self, p: Property) -> bool {
+        has(p, self)
+    }
+
+    fn shape(&self) -> Option<Shape> {
+        Expr::shape(self).ok()
+    }
+
+    fn leaf(&self) -> Option<Leaf<&Operand>> {
+        let (inner, op) = match self {
+            Expr::Transpose(inner) => (&**inner, UnaryOp::Transpose),
+            Expr::Inverse(inner) => (&**inner, UnaryOp::Inverse),
+            Expr::InverseTranspose(inner) => (&**inner, UnaryOp::InverseTranspose),
+            symbol => (symbol, UnaryOp::None),
+        };
+        match inner {
+            Expr::Symbol(operand) => Some(Leaf::new(
+                operand,
+                operand.shape(),
+                operand.properties().contains(Property::Symmetric),
+                op,
+            )),
+            _ => None,
+        }
+    }
+
+    fn tree(&self) -> Expr {
+        self.clone()
+    }
+}
+
+impl ProductFactor for FactorView {
+    type Id<'a> = OperandId;
+
+    fn has(&self, p: Property) -> bool {
+        through(self.op, p).unwrap_or_else(|q| self.operand.properties.contains(q))
+    }
+
+    fn shape(&self) -> Option<Shape> {
+        Some(FactorView::shape(self))
+    }
+
+    fn leaf(&self) -> Option<Leaf<OperandId>> {
+        let operand = &self.operand;
+        Some(Leaf::new(
+            operand.id,
+            operand.shape,
+            operand.properties.contains(Property::Symmetric),
+            self.op,
+        ))
+    }
+
+    fn tree(&self) -> Expr {
+        unreachable!("a factor view is a leaf")
+    }
+}
+
+impl<T: ProductFactor + ?Sized> ProductFactor for &T {
+    type Id<'a>
+        = T::Id<'a>
+    where
+        Self: 'a;
+
+    fn has(&self, p: Property) -> bool {
+        (**self).has(p)
+    }
+
+    fn shape(&self) -> Option<Shape> {
+        (**self).shape()
+    }
+
+    fn leaf(&self) -> Option<Leaf<T::Id<'_>>> {
+        (**self).leaf()
+    }
+
+    fn tree(&self) -> Expr {
+        (**self).tree()
     }
 }
 
 /// Whether the product of `factors` (at least two) has `p`: the product
 /// rule of each predicate, over the factors by reference.
-pub(crate) fn product_has<E: Borrow<Expr>>(p: Property, factors: &[E]) -> bool {
-    let all = |p| factors.iter().all(|f| has(p, f.borrow()));
+pub(crate) fn product_has<F: ProductFactor>(p: Property, factors: &[F]) -> bool {
+    let all = |p| factors.iter().all(|f| f.has(p));
     match p {
         Property::Diagonal
         | Property::LowerTriangular
@@ -149,42 +269,48 @@ pub(crate) fn product_has<E: Borrow<Expr>>(p: Property, factors: &[E]) -> bool {
         | Property::Identity
         | Property::Orthogonal
         | Property::Permutation => all(p),
-        Property::Zero => factors.iter().any(|f| is_zero(f.borrow())),
+        Property::Zero => factors.iter().any(|f| f.has(Property::Zero)),
         Property::Symmetric => symmetric_product(factors),
         Property::SymmetricPositiveDefinite => spd_product(factors),
         Property::UnitDiagonal => {
             all(Property::UnitDiagonal)
                 && (all(Property::LowerTriangular) || all(Property::UpperTriangular))
         }
-        Property::FullRank => factors.iter().all(|f| {
-            let f = f.borrow();
-            is_full_rank(f) && f.shape().is_ok_and(|s| s.is_square())
-        }),
+        Property::FullRank => factors
+            .iter()
+            .all(|f| f.has(Property::FullRank) && f.shape().is_some_and(|s| s.is_square())),
     }
 }
 
 /// The shape of the product of `factors`, if it is well-formed.
-fn product_shape<E: Borrow<Expr>>(factors: &[E]) -> Option<Shape> {
+fn product_shape<F: ProductFactor>(factors: &[F]) -> Option<Shape> {
     let (first, rest) = factors.split_first()?;
     rest.iter()
-        .try_fold(first.borrow().shape().ok()?, |acc, f| {
-            acc.times(f.borrow().shape().ok()?)
-        })
+        .try_fold(first.shape()?, |acc, f| acc.times(f.shape()?))
+}
+
+/// The product of `factors` as an expression tree.
+fn product_tree<F: ProductFactor>(factors: &[F]) -> Expr {
+    Expr::Times(factors.iter().map(F::tree).collect())
 }
 
 /// Symmetry of a product (see [`is_symmetric`]): diagonal, a leaf-wise
 /// transpose palindrome of chain factors, or otherwise equal canonical
 /// forms of the product and its transpose.
-fn symmetric_product<E: Borrow<Expr>>(factors: &[E]) -> bool {
+fn symmetric_product<F: ProductFactor>(factors: &[F]) -> bool {
     if product_has(Property::Diagonal, factors) {
         return true;
     }
-    if factors.iter().all(|f| f.borrow().is_factor()) {
+    if factors.iter().all(|f| f.leaf().is_some()) {
         return factors.iter().zip(factors.iter().rev()).all(|(a, b)| {
-            Leaf::of(a.borrow()).canonical() == Leaf::of(b.borrow()).transposed_canonical()
+            let (a, b) = (
+                a.leaf().expect("checked above"),
+                b.leaf().expect("checked above"),
+            );
+            a.canonical() == b.transposed_canonical()
         }) && product_shape(factors).is_some();
     }
-    let product = Expr::Times(factors.iter().map(|f| f.borrow().clone()).collect());
+    let product = product_tree(factors);
     match (
         canonical_transpose(&product),
         canonical_transpose(&Expr::transpose(product)),
@@ -197,86 +323,80 @@ fn symmetric_product<E: Borrow<Expr>>(factors: &[E]) -> bool {
 /// SPD check for a product `f0 ··· fk`: peel transpose-pairs off both
 /// ends (checking the rank condition) and require the remaining middle to
 /// be SPD (an empty middle is the implicit identity, which is SPD).
-fn spd_product<E: Borrow<Expr>>(factors: &[E]) -> bool {
+fn spd_product<F: ProductFactor>(factors: &[F]) -> bool {
     debug_assert!(factors.len() >= 2);
-    let first = factors[0].borrow();
-    let last = factors[factors.len() - 1].borrow();
+    let first = &factors[0];
+    let last = &factors[factors.len() - 1];
     if !is_transpose_pair(first, last) {
         return false;
     }
     // Full column rank of the right member `X` of the pair `Xᵀ ... X`:
     // generically satisfied when X is square or tall. For square X we
     // additionally accept declared full rank (e.g. triangular inverses).
-    if !last.shape().is_ok_and(|s| s.rows() >= s.cols()) {
+    if last.shape().is_none_or(|s| s.rows() < s.cols()) {
         return false;
     }
     let middle = &factors[1..factors.len() - 1];
     match middle {
         [] => true,
-        [single] => is_spd(single.borrow()),
+        [single] => single.has(Property::SymmetricPositiveDefinite),
         _ => spd_product(middle),
     }
 }
 
 /// Whether `b` is structurally the transpose of `a` (so `a·b` is a Gram
 /// pair `Xᵀ X` with `X = b`). Two chain factors are compared leaf-wise.
-fn is_transpose_pair(a: &Expr, b: &Expr) -> bool {
-    if a.is_factor() && b.is_factor() {
-        let (a, b) = (Leaf::of(a), Leaf::of(b));
+fn is_transpose_pair<F: ProductFactor>(a: &F, b: &F) -> bool {
+    if let (Some(a), Some(b)) = (a.leaf(), b.leaf()) {
         return a.is_well_formed()
             && b.is_well_formed()
             && a.canonical() == b.transposed_canonical();
     }
     match (
-        canonical_transpose(&Expr::transpose(b.clone())),
-        canonical_transpose(a),
+        canonical_transpose(&Expr::transpose(b.tree())),
+        canonical_transpose(&a.tree()),
     ) {
         (Some(bt), Some(ca)) => bt == ca,
         _ => false,
     }
 }
 
-/// A chain factor — a symbol under at most one unary operator — split
-/// into its operand and the two components of the operator. Equal
-/// canonical leaves are exactly equal [`canonical_transpose`] trees.
+/// A chain factor — an operand under at most one unary operator — as
+/// the leaf-wise rules compare it: the operand's identity (which fixes
+/// its shape and properties) and the two components of the operator.
+/// Equal canonical leaves are exactly equal [`canonical_transpose`]
+/// trees.
 #[derive(Clone, Copy, PartialEq)]
-struct Leaf<'a> {
-    op: &'a Operand,
+pub(crate) struct Leaf<I> {
+    id: I,
+    square: bool,
+    symmetric: bool,
     transposed: bool,
     inverted: bool,
 }
 
-impl<'a> Leaf<'a> {
-    /// The leaf of a chain factor (`e.is_factor()` must hold).
-    fn of(e: &'a Expr) -> Leaf<'a> {
-        let (inner, transposed, inverted) = match e {
-            Expr::Transpose(inner) => (&**inner, true, false),
-            Expr::Inverse(inner) => (&**inner, false, true),
-            Expr::InverseTranspose(inner) => (&**inner, true, true),
-            symbol => (symbol, false, false),
-        };
-        match inner {
-            Expr::Symbol(op) => Leaf {
-                op,
-                transposed,
-                inverted,
-            },
-            other => unreachable!("not a chain factor: {other}"),
+impl<I: Copy + Eq> Leaf<I> {
+    fn new(id: I, shape: Shape, symmetric: bool, op: UnaryOp) -> Leaf<I> {
+        Leaf {
+            id,
+            square: shape.is_square(),
+            symmetric,
+            transposed: op.is_transposed(),
+            inverted: op.is_inverted(),
         }
     }
 
     /// The canonical form: transposes of Symmetric operands are erased
     /// (`Sᵀ → S`, `S⁻ᵀ → S⁻¹`).
-    fn canonical(self) -> Leaf<'a> {
-        let symmetric = self.op.properties().contains(Property::Symmetric);
+    fn canonical(self) -> Leaf<I> {
         Leaf {
-            transposed: self.transposed && !symmetric,
+            transposed: self.transposed && !self.symmetric,
             ..self
         }
     }
 
     /// The canonical form of the leaf's transpose.
-    fn transposed_canonical(self) -> Leaf<'a> {
+    fn transposed_canonical(self) -> Leaf<I> {
         Leaf {
             transposed: !self.transposed,
             ..self
@@ -287,56 +407,7 @@ impl<'a> Leaf<'a> {
     /// Whether the leaf alone is well-formed: only an inverse needs a
     /// square operand.
     fn is_well_formed(self) -> bool {
-        !self.inverted || self.op.shape().is_square()
-    }
-}
-
-/// Whether `expr` is provably orthogonal (`QᵀQ = I`).
-pub fn is_orthogonal(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::Orthogonal),
-        Expr::Times(fs) => product_has(Property::Orthogonal, fs),
-        Expr::Plus(_) => false,
-        Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_orthogonal(e),
-    }
-}
-
-/// Whether `expr` is provably a permutation matrix.
-pub fn is_permutation(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::Permutation),
-        Expr::Times(fs) => product_has(Property::Permutation, fs),
-        Expr::Plus(_) => false,
-        Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_permutation(e),
-    }
-}
-
-/// Whether `expr` is provably triangular with a unit diagonal.
-///
-/// Products require agreeing triangularity: the product of two unit
-/// *lower* triangular matrices is unit lower triangular (and likewise for
-/// upper), but mixing sides loses the unit diagonal.
-pub fn is_unit_diagonal(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::UnitDiagonal),
-        Expr::Times(fs) => product_has(Property::UnitDiagonal, fs),
-        Expr::Plus(_) => false,
-        Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => is_unit_diagonal(e),
-    }
-}
-
-/// Whether `expr` is provably of full rank.
-///
-/// Products of full-rank *square* factors are full rank; rank can drop
-/// for rectangular products, so those are conservatively rejected.
-/// Inverses assert invertibility and are therefore full rank.
-pub fn is_full_rank(expr: &Expr) -> bool {
-    match expr {
-        Expr::Symbol(op) => op.properties().contains(Property::FullRank),
-        Expr::Times(fs) => product_has(Property::FullRank, fs),
-        Expr::Plus(_) => false,
-        Expr::Transpose(e) => is_full_rank(e),
-        Expr::Inverse(_) | Expr::InverseTranspose(_) => true,
+        !self.inverted || self.square
     }
 }
 

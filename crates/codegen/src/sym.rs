@@ -9,7 +9,7 @@
 //! plan cache.
 
 use crate::program::Program;
-use crate::rust::RustEmitter;
+use crate::rust::{Ident, RustEmitter};
 use crate::Emitter;
 use gmc_expr::SymChain;
 
@@ -68,30 +68,23 @@ pub fn emit_size_generic_rust(program: &Program, chain: &SymChain) -> String {
     //
     // Two *distinct* operands whose names sanitize to one identifier
     // (`A` and `a`) cannot be represented: the body would silently read
-    // one matrix for both. Emit a `compile_error!` so the generated
-    // code fails loudly instead of mis-wiring.
+    // one matrix for both. The body's `RustEmitter` output carries a
+    // `compile_error!` for them, so the generated code fails loudly
+    // instead of mis-wiring; the parameter list names the identifier
+    // once.
     let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
     let mut operand_params: Vec<String> = Vec::new();
-    let mut collisions: Vec<String> = Vec::new();
     for input in program.inputs() {
-        let ident = sanitize(input.name());
+        let ident = Ident(input.name()).to_string();
         if used.insert(ident.clone()) {
             operand_params.push(format!("{ident}: &Matrix"));
-        } else {
-            collisions.push(input.name().to_owned());
         }
-    }
-    for name in &collisions {
-        out.push_str(&format!(
-            "compile_error!(\"gmc-codegen: operand `{name}` collides with another operand \
-             after identifier sanitization\");\n"
-        ));
     }
     let mut params: Vec<String> = chain
         .vars()
         .iter()
         .map(|v| {
-            let mut ident = sanitize(v.name());
+            let mut ident = Ident(v.name()).to_string();
             while !used.insert(ident.clone()) {
                 ident.push_str("_dim");
             }
@@ -109,27 +102,10 @@ pub fn emit_size_generic_rust(program: &Program, chain: &SymChain) -> String {
         out.push('\n');
     }
     if let Some(last) = program.instructions().last() {
-        out.push_str(&format!("    Ok({})\n", sanitize(last.dest().name())));
+        out.push_str(&format!("    Ok({})\n", Ident(last.dest().name())));
     }
     out.push_str("}\n");
     out
-}
-
-fn sanitize(name: &str) -> String {
-    let mut s: String = name
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() || c == '_' {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        s.insert(0, '_');
-    }
-    s
 }
 
 #[cfg(test)]

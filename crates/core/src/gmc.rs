@@ -1,11 +1,15 @@
 //! The Generalized Matrix Chain algorithm (paper Sec. 3, Fig. 4).
 
 use crate::metric::{Cost, CostMetric};
-use gmc_analysis::{infer_product_properties, infer_properties};
+use gmc_analysis::{infer_properties, infer_view_product};
 use gmc_codegen::{Instruction, Program};
-use gmc_expr::{Chain, Expr, Operand, PropertySet};
-use gmc_kernels::{KernelOp, KernelRegistry, ProductMatch};
-use std::fmt;
+use gmc_expr::{
+    is_temp_name, Chain, Expr, FactorView, Operand, OperandId, OperandView, PropertySet, Shape,
+    UnaryOp,
+};
+use gmc_kernels::{KernelOp, KernelRegistry, ProductMatch, Wiring};
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Errors produced by the optimizer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -224,16 +228,18 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
 
     /// Solves the GMCP for `chain` using caller-provided DP state.
     ///
-    /// This is the allocation-free hot path: per split candidate no
-    /// heap allocation is performed — no expression subtrees are
-    /// cloned, no owned binary product is built, and kernel matches
-    /// stream out of the registry's dispatch slot instead of being
-    /// collected. A kernel's constraints are one mask test per leaf,
-    /// and only a kernel that passes them clones the leaves, into its
-    /// operation. Temporary names and property inference run only for
-    /// the winning split of each sub-chain, and the inference reads the
-    /// split's two sides by reference. The workspace is reset on entry
-    /// and its buffers are reused across calls.
+    /// The DP itself allocates nothing: the table holds plain data per
+    /// cell (cost, split, winning kernel, and the cell's value as a
+    /// [`FactorView`]), kernel matches stream out of the registry's
+    /// dispatch slot, and each candidate is costed as its kernel's
+    /// operation over the two sides' views, so no operand is cloned and
+    /// no operation is built. A kernel's constraints are one mask test
+    /// per leaf. Property inference runs only for the winning split of
+    /// each sub-chain, over the split's two views. Allocation happens
+    /// once per winner on the solution tree, when
+    /// [`CellGrid::solution`] names its temporary and builds its
+    /// operation. The workspace is reset on entry and its buffers are
+    /// reused across calls.
     ///
     /// # Errors
     ///
@@ -250,18 +256,19 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
         for l in 1..n {
             for i in 0..(n - l) {
                 let j = i + l;
-                let Some((total, k, pick)) =
+                let Some((total, k, m)) =
                     grid.select_best_split(self.registry, i, j, |op| self.metric.op_cost(op))
                 else {
                     continue;
                 };
-                // Winner-only work: the temporary's properties (and its
-                // name) are needed once per cell, not once per candidate.
+                // Winner-only work: the temporary's properties are
+                // needed once per cell, not once per candidate.
                 let properties = grid.temp_properties(self.inference, chain, i, k, j);
-                grid.commit(i, j, k, total, pick, properties);
+                let winner = Winner::of(k, &m);
+                grid.decide(i, j, total, winner, m.op.result_shape(), properties);
             }
         }
-        grid.solution(chain)
+        grid.solution(self.registry, chain)
     }
 }
 
@@ -270,10 +277,10 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
 /// Batch callers (the experiments harness, benches, the CLI) keep one
 /// workspace alive and solve many chains through it, so table
 /// allocation is amortized: after the first solve of the largest chain
-/// length, further solves allocate nothing beyond the per-winner
-/// temporaries. Kernel matching needs no per-solve state. The symbolic
-/// plan cache of `gmc-plan` runs its recorder and its bind-time
-/// instantiation on the same table.
+/// length, a solve allocates only what its solution holds (one named
+/// temporary and one operation per step). Kernel matching needs no
+/// per-solve state. The symbolic plan cache of `gmc-plan` runs its
+/// recorder and its bind-time instantiation on the same table.
 #[derive(Debug)]
 pub struct GmcWorkspace<C> {
     /// The DP table.
@@ -298,49 +305,75 @@ impl<C> Default for GmcWorkspace<C> {
     }
 }
 
-/// One DP cell for the sub-chain `M[i..=j]`.
+/// The decision of an interior DP cell `M[i..=j]`: the split, the
+/// kernel computing the product of the split's two sides, how it binds
+/// them, and the kernel call's metric cost.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Winner<C> {
+    /// The split `k`: `M[i..=j] = M[i..=k] · M[k+1..=j]`.
+    pub split: usize,
+    /// The kernel's registration index.
+    pub kernel: usize,
+    /// How the kernel's variables bind the two sides.
+    pub wiring: Wiring,
+    /// The metric cost of the kernel call.
+    pub op_cost: C,
+}
+
+impl<C: Clone> Winner<C> {
+    /// The decision to compute the split at `k` by the match `m`.
+    pub fn of(k: usize, m: &ProductMatch<'_, C>) -> Self {
+        Winner {
+            split: k,
+            kernel: m.index,
+            wiring: m.wiring,
+            op_cost: m.cost.clone(),
+        }
+    }
+}
+
+/// One DP cell for the sub-chain `M[i..=j]`: plain data only.
 #[derive(Debug)]
 struct Cell<C> {
-    /// The symbolic value of `M[i..=j]`: the factor expression on the
-    /// diagonal, a temporary symbol in the interior.
-    expr: Option<Expr>,
+    /// The accumulated cost; `None` if `M[i..=j]` is not computable.
     cost: Option<C>,
-    chosen: Option<ChosenKernel<C>>,
-    split: usize,
+    /// What matching and inference read of `M[i..=j]`: the chain
+    /// factor on the diagonal, the temporary in the interior.
+    view: Option<FactorView>,
+    /// The decision of a computable interior cell.
+    winner: Option<Winner<C>>,
 }
 
 impl<C> Cell<C> {
     fn empty() -> Self {
         Cell {
-            expr: None,
             cost: None,
-            chosen: None,
-            split: 0,
+            view: None,
+            winner: None,
         }
     }
 }
 
-#[derive(Clone, Debug)]
-struct ChosenKernel<C> {
-    name: String,
-    op: KernelOp,
-    op_cost: C,
-}
-
 /// The GMC dynamic-programming table (paper Fig. 4): one cell per
-/// sub-chain `M[i..=j]`, holding its symbolic value, its accumulated
-/// cost, the winning split and the winning kernel.
+/// sub-chain `M[i..=j]`, holding its accumulated cost, its value as a
+/// [`FactorView`] (shape, properties, identity), and its [`Winner`].
 ///
 /// The table is the DP engine every solver shares. The concrete
 /// [`GmcOptimizer`] fills each cell with a live split scan
 /// ([`select_best_split`](Self::select_best_split)); the plan cache of
 /// `gmc-plan` fills cells from recorded candidates through
-/// [`best_split`](Self::best_split) or commits recorded winners
+/// [`best_split`](Self::best_split) or decides recorded winners
 /// directly. Either way a winner enters the table through
-/// [`commit`](Self::commit), and [`solution`](Self::solution) extracts
+/// [`decide`](Self::decide), and [`solution`](Self::solution) extracts
 /// the kernel sequence. The selection rules therefore exist once: the
 /// within-split rule in [`gmc_kernels::Rank::beats`], the across-split
 /// rule in [`best_split`](Self::best_split).
+///
+/// Paper Fig. 4 creates a named temporary per sub-chain (`create_tmp`,
+/// line 9). Here a cell's temporary is only a view, identified by
+/// [`OperandId::Temp`]; [`solution`](Self::solution) is the one place
+/// that names temporaries and builds operands and kernel operations,
+/// for the n−1 winners on the solution tree.
 ///
 /// Cells live in one flat, triangular-indexed allocation: cell
 /// `(i, j)` with `i ≤ j` is at `i·n − i(i−1)/2 + (j − i)`.
@@ -353,16 +386,22 @@ pub struct CellGrid<C> {
 impl<C: Cost> CellGrid<C> {
     /// Clears the table for `chain` (reusing the existing allocation
     /// when it is large enough) and seeds the diagonal: leaf cells hold
-    /// the factor expression at zero cost.
+    /// the factor's view at zero cost. A repeated operand is identified
+    /// by the first factor carrying it.
     pub fn reset(&mut self, chain: &Chain) {
         let n = chain.len();
         self.n = n;
         let len = n * (n + 1) / 2;
         self.cells.clear();
         self.cells.resize_with(len, Cell::empty);
-        for i in 0..n {
-            let cell = self.cell_mut(i, i);
-            cell.expr = Some(chain.factor(i).expr());
+        let factors = chain.factors();
+        for (t, factor) in factors.iter().enumerate() {
+            let first = factors[..t]
+                .iter()
+                .position(|f| f.operand() == factor.operand())
+                .unwrap_or(t);
+            let cell = self.cell_mut(t, t);
+            cell.view = Some(factor.view(OperandId::Factor(first)));
             cell.cost = Some(C::zero());
         }
     }
@@ -372,18 +411,11 @@ impl<C: Cost> CellGrid<C> {
         self.cell(i, j).cost.as_ref()
     }
 
-    /// The symbolic value of `M[i..=j]`, if it is computable: the factor
-    /// expression on the diagonal, the cell's temporary in the interior.
-    pub fn expr(&self, i: usize, j: usize) -> Option<&Expr> {
-        self.cell(i, j).expr.as_ref()
-    }
-
-    /// The temporary holding `M[i..=j]`, for a committed interior cell.
-    pub fn temporary(&self, i: usize, j: usize) -> Option<&Operand> {
-        match self.expr(i, j) {
-            Some(Expr::Symbol(op)) if i < j => Some(op),
-            _ => None,
-        }
+    /// The value of `M[i..=j]` as matching and inference read it, if it
+    /// is computable: the factor's view on the diagonal, the view of the
+    /// cell's temporary in the interior.
+    pub fn view(&self, i: usize, j: usize) -> Option<&FactorView> {
+        self.cell(i, j).view.as_ref()
     }
 
     /// The cost of computing `M[i..=j]` as `M[i..=k] · M[k+1..=j]` by an
@@ -407,11 +439,11 @@ impl<C: Cost> CellGrid<C> {
         &self,
         i: usize,
         j: usize,
-        mut best_at: impl FnMut(usize, &Expr, &Expr) -> Option<(C, T)>,
+        mut best_at: impl FnMut(usize, &FactorView, &FactorView) -> Option<(C, T)>,
     ) -> Option<(C, usize, T)> {
         let mut best: Option<(C, usize, T)> = None;
         for k in i..j {
-            let (Some(left), Some(right)) = (self.expr(i, k), self.expr(k + 1, j)) else {
+            let (Some(left), Some(right)) = (self.view(i, k), self.view(k + 1, j)) else {
                 continue;
             };
             let Some((op_cost, pick)) = best_at(k, left, right) else {
@@ -428,28 +460,26 @@ impl<C: Cost> CellGrid<C> {
     }
 
     /// The live split scan: the cheapest split of `M[i..=j]` under
-    /// `metric`, matching each split's binary product against the
-    /// registry in place (no owned product expression, no collected
-    /// match vector) and computing each candidate's cost exactly once.
+    /// `metric`, matching each split's two views against the registry
+    /// in place and computing each candidate's cost exactly once.
     pub fn select_best_split<'r>(
         &self,
         registry: &'r KernelRegistry,
         i: usize,
         j: usize,
-        mut metric: impl FnMut(&KernelOp) -> C,
+        mut metric: impl FnMut(&KernelOp<OperandView>) -> C,
     ) -> Option<(C, usize, ProductMatch<'r, C>)> {
         self.best_split(i, j, |_, left, right| {
             registry
-                .best_product_match(left, right, &mut metric)
+                .best_match(left, right, &mut metric)
                 .map(|m| (m.cost.clone(), m))
         })
     }
 
     /// The properties of the temporary for `M[i..=j]` computed by the
     /// split at `k` (paper Fig. 4 line 10), under `mode`: inferred from
-    /// the split's two sub-results by reference
-    /// ([`infer_product_properties`], no product expression is built),
-    /// or from the unfolded sub-chain, which does not depend on `k`.
+    /// the split's two views ([`infer_view_product`]), or from the
+    /// unfolded sub-chain, which does not depend on `k`.
     pub fn temp_properties(
         &self,
         mode: InferenceMode,
@@ -460,9 +490,9 @@ impl<C: Cost> CellGrid<C> {
     ) -> PropertySet {
         match mode {
             InferenceMode::Compositional => {
-                let left = self.expr(i, k).expect("computable split");
-                let right = self.expr(k + 1, j).expect("computable split");
-                infer_product_properties(left, right)
+                let left = self.view(i, k).expect("computable split");
+                let right = self.view(k + 1, j).expect("computable split");
+                infer_view_product(left, right)
             }
             InferenceMode::Deep => infer_properties(&Expr::times(
                 (i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>(),
@@ -470,86 +500,126 @@ impl<C: Cost> CellGrid<C> {
         }
     }
 
-    /// Commits the winner of interior cell `(i, j)`: split `k` at
-    /// accumulated cost `total`, computed by `pick`. Creates the cell's
-    /// `T<i>_<j>` temporary with the operation's result shape and
-    /// `properties`.
-    pub fn commit(
+    /// Records the decision of interior cell `(i, j)`: `winner` at
+    /// accumulated cost `total`, producing a temporary of `shape` with
+    /// `properties` (less the square-only ones if `shape` is not
+    /// square).
+    pub fn decide(
         &mut self,
         i: usize,
         j: usize,
-        k: usize,
         total: C,
-        pick: ProductMatch<'_, C>,
+        winner: Winner<C>,
+        shape: Shape,
         properties: PropertySet,
     ) {
-        let temp = Operand::temporary(format!("T{i}_{j}"), pick.op.result_shape(), properties);
         let cell = self.cell_mut(i, j);
-        cell.expr = Some(Expr::Symbol(temp));
         cell.cost = Some(total);
-        cell.split = k;
-        cell.chosen = Some(ChosenKernel {
-            name: pick.kernel.name().to_owned(),
-            op: pick.op,
-            op_cost: pick.cost,
+        cell.view = Some(FactorView {
+            operand: OperandView::temporary(i, j, shape, properties),
+            op: UnaryOp::None,
         });
+        cell.winner = Some(winner);
     }
 
-    /// Extracts the solution for the whole chain: the kernel sequence
-    /// in dependency order (paper Fig. 7) and the parenthesization.
+    /// Extracts the solution for the whole chain in one walk of the
+    /// winning tree: the kernel sequence in dependency order (paper
+    /// Fig. 7) and the parenthesization. This is where the winners'
+    /// temporaries are named — `T<i>_<j>`, unless an operand of the
+    /// chain is named that way (then with a longer prefix) — and their
+    /// operations built.
     ///
     /// # Errors
     ///
     /// [`GmcError::NotComputable`] if the root cell is not computable.
-    pub fn solution(&self, chain: &Chain) -> Result<GmcSolution<C>, GmcError> {
+    pub fn solution(
+        &self,
+        registry: &KernelRegistry,
+        chain: &Chain,
+    ) -> Result<GmcSolution<C>, GmcError> {
         let n = self.n;
         let Some(total_cost) = self.cost(0, n - 1).cloned() else {
             return Err(GmcError::NotComputable {
                 chain: chain.to_string(),
             });
         };
-        let mut steps = Vec::with_capacity(n - 1);
-        self.push_steps(0, n - 1, &mut steps);
-        let total_flops = steps.iter().map(|s: &Step<C>| s.op.flops()).sum();
-        let paren = self.parenthesization(chain, 0, n - 1);
+        let mut out = Extraction {
+            registry,
+            chain,
+            prefix: temp_prefix(chain),
+            steps: Vec::with_capacity(n - 1),
+            paren: String::new(),
+        };
+        self.extract(0, n - 1, &mut out);
+        let total_flops = out.steps.iter().map(|s| s.op.flops()).sum();
         Ok(GmcSolution {
-            steps,
+            steps: out.steps,
             total_cost,
             total_flops,
-            paren,
+            paren: out.paren,
         })
     }
 
-    fn push_steps(&self, i: usize, j: usize, out: &mut Vec<Step<C>>) {
+    /// Appends the steps computing `M[i..=j]` and its parenthesization
+    /// to `out`, and returns the operand holding it.
+    fn extract(&self, i: usize, j: usize, out: &mut Extraction<'_, C>) -> Operand {
         if i == j {
-            return;
+            let factor = out.chain.factor(i);
+            write!(out.paren, "{factor}").expect("string write");
+            return factor.operand().clone();
         }
         let cell = self.cell(i, j);
-        self.push_steps(i, cell.split, out);
-        self.push_steps(cell.split + 1, j, out);
-        let chosen = cell.chosen.as_ref().expect("solution cells are committed");
-        out.push(Step {
-            dest: self
-                .temporary(i, j)
-                .expect("solution cells are committed")
-                .clone(),
-            op: chosen.op.clone(),
-            kernel: chosen.name.clone(),
-            cost: chosen.op_cost.clone(),
+        let (Some(winner), Some(view)) = (&cell.winner, &cell.view) else {
+            unreachable!("solution cells are decided")
+        };
+        out.paren.push('(');
+        let left = self.extract(i, winner.split, out);
+        out.paren.push(' ');
+        let right = self.extract(winner.split + 1, j, out);
+        out.paren.push(')');
+        let kernel = &out.registry.kernels()[winner.kernel];
+        let dest = Operand::temporary(
+            format!("{}{i}_{j}", out.prefix),
+            view.operand.shape,
+            view.operand.properties,
+        );
+        out.steps.push(Step {
+            dest: dest.clone(),
+            op: kernel.build(winner.wiring.bind(&left, &right)),
+            kernel: kernel.name().to_owned(),
+            cost: winner.op_cost.clone(),
         });
+        dest
     }
+}
 
-    fn parenthesization(&self, chain: &Chain, i: usize, j: usize) -> String {
-        if i == j {
-            return chain.factor(i).to_string();
-        }
-        let k = self.cell(i, j).split;
-        format!(
-            "({} {})",
-            self.parenthesization(chain, i, k),
-            self.parenthesization(chain, k + 1, j)
-        )
+/// What [`CellGrid::solution`] accumulates on its walk.
+struct Extraction<'a, C> {
+    registry: &'a KernelRegistry,
+    chain: &'a Chain,
+    prefix: Cow<'static, str>,
+    steps: Vec<Step<C>>,
+    paren: String,
+}
+
+/// The prefix of the temporaries' names: `T`, unless an operand of
+/// `chain` is named like a temporary `T<i>_<j>`; then the first of
+/// `T_`, `T__`, … that no operand name continues with `<i>_<j>`.
+fn temp_prefix(chain: &Chain) -> Cow<'static, str> {
+    let taken = |prefix: &str| {
+        chain
+            .factors()
+            .iter()
+            .any(|f| is_temp_name(f.operand().name(), prefix))
+    };
+    if !taken("T") {
+        return Cow::Borrowed("T");
     }
+    let mut prefix = String::from("T_");
+    while taken(&prefix) {
+        prefix.push('_');
+    }
+    Cow::Owned(prefix)
 }
 
 impl<C> CellGrid<C> {
@@ -817,6 +887,22 @@ mod tests {
             assert_eq!(fresh.parenthesization(), reused.parenthesization());
             assert_eq!(fresh.kernel_names(), reused.kernel_names());
         }
+    }
+
+    #[test]
+    fn temporaries_never_take_an_input_name() {
+        // `T` and `T_` are taken by inputs named like temporaries, so
+        // the temporaries are `T__<i>_<j>`.
+        let registry = KernelRegistry::blas_lapack();
+        let gmc = GmcOptimizer::new(&registry, FlopCount);
+        let a = Operand::matrix("T0_1", 30, 20);
+        let b = Operand::matrix("T_1_2", 20, 40);
+        let c = Operand::matrix("C", 40, 10);
+        let chain = chain_of(&(a.expr() * b.expr() * c.expr()));
+        let sol = gmc.solve(&chain).unwrap();
+        assert_eq!(sol.parenthesization(), "(T0_1 (T_1_2 C))");
+        let dests: Vec<&str> = sol.steps().iter().map(|s| s.dest.name()).collect();
+        assert_eq!(dests, vec!["T__1_2", "T__0_2"]);
     }
 
     #[test]

@@ -42,5 +42,7 @@ pub mod mcp;
 mod metric;
 pub mod reference;
 
-pub use gmc::{CellGrid, GmcError, GmcOptimizer, GmcSolution, GmcWorkspace, InferenceMode, Step};
+pub use gmc::{
+    CellGrid, GmcError, GmcOptimizer, GmcSolution, GmcWorkspace, InferenceMode, Step, Winner,
+};
 pub use metric::{Cost, CostMetric, FlopCount, FlopsThenKernels, FnMetric, Lex2, TimeModel};

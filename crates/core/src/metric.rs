@@ -1,12 +1,15 @@
 //! Pluggable cost metrics (paper Sec. 3.3).
 //!
 //! The GMC algorithm minimizes an arbitrary, user-selected cost metric.
-//! A metric assigns a [`Cost`] to each instantiated kernel operation;
+//! A metric assigns a [`Cost`] to each kernel operation, which it reads
+//! over operand views (shape, properties, identity): the optimizer costs
+//! every candidate without materializing its operands;
 //! costs only need to support addition and a total order, so besides the
 //! classic FLOP count this module provides a calibrated execution-time
 //! model and lexicographic *vector* metrics (paper Sec. 5 explicitly
 //! allows vector-valued metrics with a total order).
 
+use gmc_expr::OperandView;
 use gmc_kernels::{KernelFamily, KernelOp};
 use std::fmt;
 use std::marker::PhantomData;
@@ -68,8 +71,9 @@ pub trait CostMetric {
     /// The cost type this metric produces.
     type Cost: Cost;
 
-    /// The cost of one kernel call.
-    fn op_cost(&self, op: &KernelOp) -> Self::Cost;
+    /// The cost of one kernel call. An operation over operands costs
+    /// as its [`view`](KernelOp::view).
+    fn op_cost(&self, op: &KernelOp<OperandView>) -> Self::Cost;
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str {
@@ -80,7 +84,7 @@ pub trait CostMetric {
 impl<M: CostMetric + ?Sized> CostMetric for &M {
     type Cost = M::Cost;
 
-    fn op_cost(&self, op: &KernelOp) -> Self::Cost {
+    fn op_cost(&self, op: &KernelOp<OperandView>) -> Self::Cost {
         (**self).op_cost(op)
     }
 
@@ -97,7 +101,7 @@ pub struct FlopCount;
 impl CostMetric for FlopCount {
     type Cost = f64;
 
-    fn op_cost(&self, op: &KernelOp) -> f64 {
+    fn op_cost(&self, op: &KernelOp<OperandView>) -> f64 {
         op.flops()
     }
 
@@ -158,13 +162,13 @@ impl TimeModel {
         }
     }
 
-    fn size_ramp(op: &KernelOp) -> f64 {
+    fn size_ramp(op: &KernelOp<OperandView>) -> f64 {
         // Small problems do not reach asymptotic efficiency; saturate
         // around a characteristic dimension of ~64. Visits operands
         // without allocating: this runs once per split candidate on the
         // optimizer's hot path.
         let mut s = 1usize;
-        op.for_each_operand(|o| s = s.max(o.shape().rows().min(o.shape().cols())));
+        op.for_each_operand(|o| s = s.max(o.shape.rows().min(o.shape.cols())));
         let s = s as f64;
         s / (s + 64.0)
     }
@@ -173,7 +177,7 @@ impl TimeModel {
 impl CostMetric for TimeModel {
     type Cost = f64;
 
-    fn op_cost(&self, op: &KernelOp) -> f64 {
+    fn op_cost(&self, op: &KernelOp<OperandView>) -> f64 {
         let base = if op.family() == KernelFamily::Copy {
             let s = op.result_shape();
             (s.len() as f64) * 8.0 / self.bandwidth
@@ -197,7 +201,7 @@ pub struct FlopsThenKernels;
 impl CostMetric for FlopsThenKernels {
     type Cost = Lex2;
 
-    fn op_cost(&self, op: &KernelOp) -> Lex2 {
+    fn op_cost(&self, op: &KernelOp<OperandView>) -> Lex2 {
         Lex2(op.flops(), 1.0)
     }
 
@@ -214,7 +218,7 @@ pub struct FnMetric<C, F> {
     _marker: PhantomData<fn() -> C>,
 }
 
-impl<C: Cost, F: Fn(&KernelOp) -> C> FnMetric<C, F> {
+impl<C: Cost, F: Fn(&KernelOp<OperandView>) -> C> FnMetric<C, F> {
     /// Wraps a closure as a metric.
     pub fn new(name: impl Into<String>, f: F) -> Self {
         FnMetric {
@@ -225,10 +229,10 @@ impl<C: Cost, F: Fn(&KernelOp) -> C> FnMetric<C, F> {
     }
 }
 
-impl<C: Cost, F: Fn(&KernelOp) -> C> CostMetric for FnMetric<C, F> {
+impl<C: Cost, F: Fn(&KernelOp<OperandView>) -> C> CostMetric for FnMetric<C, F> {
     type Cost = C;
 
-    fn op_cost(&self, op: &KernelOp) -> C {
+    fn op_cost(&self, op: &KernelOp<OperandView>) -> C {
         (self.f)(op)
     }
 
@@ -259,7 +263,7 @@ mod tests {
 
     #[test]
     fn flop_count_matches_op_flops() {
-        let op = gemm_op(10);
+        let op = gemm_op(10).view();
         assert_eq!(FlopCount.op_cost(&op), 2000.0);
     }
 
@@ -274,12 +278,13 @@ mod tests {
     #[test]
     fn time_model_prefers_gemm_over_gemv_per_flop() {
         let t = TimeModel::default();
-        let mm = gemm_op(200);
+        let mm = gemm_op(200).view();
         let mv = KernelOp::Gemv {
             trans: false,
             a: Operand::matrix("A", 200, 200),
             x: Operand::col_vector("x", 200),
-        };
+        }
+        .view();
         let mm_per_flop = t.op_cost(&mm) / mm.flops();
         let mv_per_flop = t.op_cost(&mv) / mv.flops();
         assert!(
@@ -291,8 +296,8 @@ mod tests {
     #[test]
     fn time_model_small_size_penalty() {
         let t = TimeModel::default();
-        let small = gemm_op(8);
-        let large = gemm_op(512);
+        let small = gemm_op(8).view();
+        let large = gemm_op(512).view();
         let small_per_flop = t.op_cost(&small) / small.flops();
         let large_per_flop = t.op_cost(&large) / large.flops();
         assert!(small_per_flop > large_per_flop);
@@ -300,24 +305,24 @@ mod tests {
 
     #[test]
     fn fn_metric_wraps_closure() {
-        let m = FnMetric::new("unit", |_: &KernelOp| 1.0);
-        assert_eq!(m.op_cost(&gemm_op(4)), 1.0);
+        let m = FnMetric::new("unit", |_: &KernelOp<OperandView>| 1.0);
+        assert_eq!(m.op_cost(&gemm_op(4).view()), 1.0);
         assert_eq!(m.name(), "unit");
     }
 
     #[test]
     fn flops_then_kernels_counts_calls() {
         let m = FlopsThenKernels;
-        let c = m.op_cost(&gemm_op(4));
+        let c = m.op_cost(&gemm_op(4).view());
         assert_eq!(c.1, 1.0);
     }
 
     #[test]
     fn metric_by_reference() {
-        fn takes_metric<M: CostMetric>(m: M, op: &KernelOp) -> M::Cost {
+        fn takes_metric<M: CostMetric>(m: M, op: &KernelOp<OperandView>) -> M::Cost {
             m.op_cost(op)
         }
-        let op = gemm_op(3);
+        let op = gemm_op(3).view();
         assert_eq!(takes_metric(&FlopCount, &op), FlopCount.op_cost(&op));
     }
 }

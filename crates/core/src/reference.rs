@@ -78,7 +78,7 @@ pub fn solve_reference<M: CostMetric>(
                 let Some(m) = best_kernel(registry, &net, metric, &product) else {
                     continue;
                 };
-                let op_cost = metric.op_cost(&m.op);
+                let op_cost = metric.op_cost(&m.op.view());
                 let total = cl.add(&cr).add(&op_cost);
                 let better = match &best {
                     None => true,
@@ -149,8 +149,8 @@ fn best_kernel<'r, M: CostMetric>(
             })
     });
     matches.min_by(|p, q| {
-        let cp = metric.op_cost(&p.op);
-        let cq = metric.op_cost(&q.op);
+        let cp = metric.op_cost(&p.op.view());
+        let cq = metric.op_cost(&q.op.view());
         cp.partial_cmp(&cq)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| q.kernel.specificity().cmp(&p.kernel.specificity()))

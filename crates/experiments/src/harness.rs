@@ -131,7 +131,7 @@ pub fn evaluate_chain(
                 let t: f64 = program
                     .instructions()
                     .iter()
-                    .map(|i| model.op_cost(i.op()))
+                    .map(|i| model.op_cost(&i.op().view()))
                     .sum();
                 costs.push((label.clone(), t));
             }

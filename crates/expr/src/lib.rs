@@ -48,14 +48,16 @@ mod properties;
 mod shape;
 mod simplify;
 mod sym;
+mod view;
 
 pub use chain::{Chain, Factor, UnaryOp};
 pub use dim::{Dim, DimBindings, DimError, DimVar};
 pub use error::ExprError;
 pub use expr::Expr;
-pub use operand::{Operand, OperandKind};
+pub use operand::{is_temp_name, Operand, OperandKind};
 pub use poly::{CostPoly, MAX_DEGREE};
 pub use properties::{ParsePropertyError, Property, PropertySet};
 pub use shape::{GenShape, Shape, ShapeError, SymShape};
 pub use simplify::simplify;
 pub use sym::{SymChain, SymChainError, SymFactor, SymOperand};
+pub use view::{FactorView, OperandId, OperandView, Shaped};

@@ -179,6 +179,16 @@ impl Operand {
     }
 }
 
+/// Whether `name` is `prefix` followed by `<i>_<j>` in decimal digits:
+/// the form of the name the optimizer gives the temporary of the
+/// sub-chain `M[i..=j]` (prefix `T`, unless an input takes such a name).
+pub fn is_temp_name(name: &str, prefix: &str) -> bool {
+    let number = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    name.strip_prefix(prefix)
+        .and_then(|rest| rest.split_once('_'))
+        .is_some_and(|(i, j)| number(i) && number(j))
+}
+
 impl fmt::Debug for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -12,7 +12,7 @@
 use crate::chain::{Chain, Factor, UnaryOp};
 use crate::dim::{Dim, DimBindings, DimError, DimVar};
 use crate::shape::SymShape;
-use crate::{ExprError, Operand, Property, PropertySet};
+use crate::{is_temp_name, ExprError, Operand, Property, PropertySet};
 use std::fmt;
 
 /// A named operand with a symbolic shape and properties.
@@ -237,10 +237,9 @@ impl SymChain {
             }
         }
         // Names of the form `T<i>_<j>` are reserved for the optimizer's
-        // temporaries; an input operand shadowing one would corrupt the
-        // name-keyed provenance maps of the symbolic planner.
+        // temporaries.
         for f in &factors {
-            if is_reserved_temp_name(f.operand().name()) {
+            if is_temp_name(f.operand().name(), "T") {
                 return Err(SymChainError::ReservedName {
                     name: f.operand().name().to_owned(),
                 });
@@ -257,8 +256,7 @@ impl SymChain {
     ///
     /// Applies the full [`SymChain::new`] validation: concrete chains
     /// may legally use reserved `T<i>_<j>` operand names or repeat a
-    /// name for different operands, but the symbolic pipeline's
-    /// name-keyed bookkeeping cannot represent them.
+    /// name for different operands, but symbolic chains reject both.
     pub fn from_chain(chain: &Chain) -> Result<SymChain, SymChainError> {
         let factors = chain
             .factors()
@@ -484,19 +482,6 @@ impl From<DimError> for SymChainError {
 
 /// Whether `name` matches the optimizer's temporary naming scheme
 /// `T<digits>_<digits>`.
-fn is_reserved_temp_name(name: &str) -> bool {
-    let Some(rest) = name.strip_prefix('T') else {
-        return false;
-    };
-    let Some((i, j)) = rest.split_once('_') else {
-        return false;
-    };
-    !i.is_empty()
-        && !j.is_empty()
-        && i.bytes().all(|b| b.is_ascii_digit())
-        && j.bytes().all(|b| b.is_ascii_digit())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
-//! Kernel descriptors: pattern + constraints + cost + instantiation.
+//! Kernel descriptors: pattern + constraints + operation template.
 
 use crate::op::{KernelFamily, KernelOp};
-use gmc_expr::{Operand, Property};
+use gmc_expr::{Operand, OperandView, Property};
 use gmc_pattern::{Bindings, Pattern, Var};
 use std::fmt;
 
@@ -50,27 +50,27 @@ impl fmt::Display for Constraint {
     }
 }
 
-/// The operands a kernel match binds, by reference: the leaf bound to
-/// `?0` and, unless the pattern repeats `?0` (`SYRK`), the leaf bound
-/// to `?1`.
+/// The operands a kernel match binds: the leaf bound to `?0` and,
+/// unless the pattern repeats `?0` (`SYRK`), the leaf bound to `?1`.
 ///
 /// Every kernel pattern is `op(?a) · op(?b)` over `?0`/`?1`, so this
-/// `Copy` view says all that a [`Bindings`] set would, without cloning
-/// an operand; only the [`KernelOp`] a builder returns owns operands.
+/// `Copy` pair says all that a [`Bindings`] set would. `T` is what a
+/// leaf is to the caller: an operand view while the DP costs
+/// candidates, an `&Operand` when the winning operation is emitted.
 #[derive(Clone, Copy, Debug)]
-pub struct LeafBindings<'a> {
-    x: &'a Operand,
-    y: Option<&'a Operand>,
+pub struct LeafBindings<T> {
+    x: T,
+    y: Option<T>,
 }
 
-impl<'a> LeafBindings<'a> {
-    /// The view binding `?0` to `x` and, if given, `?1` to `y`.
-    pub fn new(x: &'a Operand, y: Option<&'a Operand>) -> Self {
+impl<T: Copy> LeafBindings<T> {
+    /// The pair binding `?0` to `x` and, if given, `?1` to `y`.
+    pub fn new(x: T, y: Option<T>) -> Self {
         LeafBindings { x, y }
     }
 
-    /// The operand bound to `v`, if any.
-    pub fn get(&self, v: Var) -> Option<&'a Operand> {
+    /// The leaf bound to `v`, if any.
+    pub fn get(&self, v: Var) -> Option<T> {
         match v.index() {
             0 => Some(self.x),
             1 => self.y,
@@ -79,30 +79,53 @@ impl<'a> LeafBindings<'a> {
     }
 }
 
-/// Builds a concrete [`KernelOp`] from the operands bound by a match.
-pub type OpBuilder = Box<dyn Fn(LeafBindings<'_>) -> KernelOp + Send + Sync>;
+/// How a kernel match attaches its pattern's variables to the two
+/// leaves of a binary product. Fixed per kernel by its pattern, except
+/// that [`Wiring::Same`] also needs both leaves to be one operand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wiring {
+    /// `?0` binds the left leaf, `?1` the right one.
+    LeftRight,
+    /// `?0` binds the right leaf, `?1` the left one.
+    RightLeft,
+    /// `?0` binds both leaves, which are the same operand (`SYRK`).
+    Same,
+}
+
+impl Wiring {
+    /// The bindings of a product whose leaves are `left` and `right`.
+    pub fn bind<T: Copy>(self, left: T, right: T) -> LeafBindings<T> {
+        match self {
+            Wiring::LeftRight => LeafBindings::new(left, Some(right)),
+            Wiring::RightLeft => LeafBindings::new(right, Some(left)),
+            Wiring::Same => LeafBindings::new(left, None),
+        }
+    }
+}
 
 /// A computational kernel: an optimized routine for a well-defined
 /// linear algebra problem (paper Sec. 1.1), described by a structural
-/// [`Pattern`], property [`Constraint`]s, and an instantiation function.
+/// [`Pattern`], property [`Constraint`]s, and its operation as a
+/// template over the pattern's variables.
 pub struct Kernel {
     name: String,
     family: KernelFamily,
     pattern: Pattern,
     constraints: Vec<Constraint>,
     specificity: u8,
-    builder: OpBuilder,
+    template: KernelOp<Var>,
 }
 
 impl Kernel {
-    /// Creates a kernel descriptor.
+    /// Creates a kernel descriptor. `template` is the kernel's operation
+    /// with each operand replaced by the pattern variable that binds it.
     pub fn new(
         name: impl Into<String>,
         family: KernelFamily,
         pattern: Pattern,
         constraints: Vec<Constraint>,
         specificity: u8,
-        builder: OpBuilder,
+        template: KernelOp<Var>,
     ) -> Self {
         Kernel {
             name: name.into(),
@@ -110,7 +133,7 @@ impl Kernel {
             pattern,
             constraints,
             specificity,
-            builder,
+            template,
         }
     }
 
@@ -151,9 +174,20 @@ impl Kernel {
         }
     }
 
+    /// The kernel's operation over the leaves a match binds: operand
+    /// views to cost it, operand references to emit it.
+    ///
+    /// # Panics
+    ///
+    /// If `binds` lacks a variable of the pattern.
+    pub fn op<T: Copy>(&self, binds: LeafBindings<T>) -> KernelOp<T> {
+        self.template
+            .map(|&v| binds.get(v).expect("pattern binds its variables"))
+    }
+
     /// Builds the kernel's operation over the operands a match binds.
-    pub fn build(&self, binds: LeafBindings<'_>) -> KernelOp {
-        (self.builder)(binds)
+    pub fn build(&self, binds: LeafBindings<&Operand>) -> KernelOp {
+        self.op(binds).map(|&o| o.clone())
     }
 
     /// Instantiates the kernel for a binding set of the general matcher
@@ -195,16 +229,19 @@ impl KernelMatch<'_> {
 }
 
 /// A kernel selected for a binary product by
-/// [`best_product_match`](crate::KernelRegistry::best_product_match):
-/// a [`KernelMatch`] with the metric cost of the instantiated operation
-/// computed exactly once and threaded along, instead of being
-/// re-evaluated per comparison and once more by the caller.
-#[derive(Debug)]
+/// [`best_match`](crate::KernelRegistry::best_match): the kernel, how
+/// it binds the two leaves, its operation over the leaves' views, and
+/// the operation's metric cost, computed exactly once.
+#[derive(Clone, Copy, Debug)]
 pub struct ProductMatch<'r, C> {
     /// The matched kernel.
     pub kernel: &'r Kernel,
-    /// The concrete operation (with operands and flags filled in).
-    pub op: KernelOp,
+    /// The kernel's registration index.
+    pub index: usize,
+    /// How the kernel's variables bind the product's leaves.
+    pub wiring: Wiring,
+    /// The operation over the leaves' views.
+    pub op: KernelOp<OperandView>,
     /// The metric cost of `op`.
     pub cost: C,
 }

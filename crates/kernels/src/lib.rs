@@ -2,9 +2,10 @@
 //! described by patterns, constraints and cost functions (paper Table 1).
 //!
 //! A [`Kernel`] couples a structural [`gmc_pattern::Pattern`] with
-//! property [`Constraint`]s (e.g. *is lower triangular(X)*) and an
-//! instantiation function producing a concrete [`KernelOp`] — the
-//! operation that code generation emits and the runtime executes. Every
+//! property [`Constraint`]s (e.g. *is lower triangular(X)*) and its
+//! [`KernelOp`] as a template over the pattern's variables: instantiated
+//! with operand views it is what the optimizer costs, instantiated with
+//! operands it is what code generation emits and the runtime executes. Every
 //! kernel pattern is a binary product `op(?a) · op(?b)`, so the
 //! [`KernelRegistry`] files each kernel under the (left unary, right
 //! unary) pair of its pattern, and the GMC algorithm's `match` step
@@ -42,7 +43,7 @@ mod op;
 mod registry;
 mod sym;
 
-pub use kernel::{Constraint, Kernel, KernelMatch, LeafBindings, OpBuilder, ProductMatch, Rank};
+pub use kernel::{Constraint, Kernel, KernelMatch, LeafBindings, ProductMatch, Rank, Wiring};
 pub use op::{InvKind, KernelFamily, KernelOp, Side, Uplo};
 pub use registry::{KernelRegistry, RegistryBuilder};
 pub use sym::FlopFormula;

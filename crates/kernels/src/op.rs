@@ -1,6 +1,6 @@
 //! Fully-instantiated kernel operations: the payload of generated code.
 
-use gmc_expr::{Operand, Shape};
+use gmc_expr::{Operand, OperandId, OperandView, Shape, Shaped};
 use std::fmt;
 
 /// Which side the structured operand multiplies from (BLAS `SIDE`).
@@ -110,12 +110,20 @@ impl fmt::Display for KernelFamily {
     }
 }
 
-/// A kernel operation with concrete operands — one step of a generated
-/// program. Produced by matching a kernel against an expression; consumed
-/// by the code emitters of `gmc-codegen` and the interpreter of
-/// `gmc-runtime`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum KernelOp {
+/// A kernel operation — one step of a generated program — generic over
+/// its operands `O`.
+///
+/// A [`Kernel`](crate::Kernel) holds its operation as a template over
+/// the pattern variables (`KernelOp<Var>`). Instantiated with operand
+/// views (`KernelOp<OperandView>`), it is what the GMC dynamic program
+/// costs: [`flops`](Self::flops) and [`result_shape`](Self::result_shape)
+/// read only shapes. Instantiated with [`Operand`]s (the default), it is
+/// what the code emitters of `gmc-codegen` and the interpreter of
+/// `gmc-runtime` consume.
+///
+/// [`OperandView`]: gmc_expr::OperandView
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum KernelOp<O = Operand> {
     /// `C := op(A)·op(B)` (GEMM).
     Gemm {
         /// Transpose A.
@@ -123,9 +131,9 @@ pub enum KernelOp {
         /// Transpose B.
         tb: bool,
         /// Left operand.
-        a: Operand,
+        a: O,
         /// Right operand.
-        b: Operand,
+        b: O,
     },
     /// `C := op(A)·B` or `B·op(A)` with `A` triangular (TRMM).
     Trmm {
@@ -136,18 +144,18 @@ pub enum KernelOp {
         /// Transpose A.
         trans: bool,
         /// The triangular operand.
-        a: Operand,
+        a: O,
         /// The general operand.
-        b: Operand,
+        b: O,
     },
     /// `C := A·B` or `B·A` with `A` symmetric (SYMM).
     Symm {
         /// Side of the symmetric operand.
         side: Side,
         /// The symmetric operand.
-        a: Operand,
+        a: O,
         /// The general operand.
-        b: Operand,
+        b: O,
     },
     /// `X := op(A)⁻¹·op(B)` or `op(B)·op(A)⁻¹` with `A` triangular
     /// (TRSM; a transposed right-hand side is handled with a transpose
@@ -162,16 +170,16 @@ pub enum KernelOp {
         /// Transpose the right-hand side first.
         tb: bool,
         /// The triangular operand.
-        a: Operand,
+        a: O,
         /// The right-hand side.
-        b: Operand,
+        b: O,
     },
     /// `C := AᵀA` (`trans`) or `A·Aᵀ` (SYRK).
     Syrk {
         /// Whether the transposed operand comes first (`AᵀA`).
         trans: bool,
         /// The operand.
-        a: Operand,
+        a: O,
     },
     /// `X := op(A)⁻¹·op(B)` or `op(B)·op(A)⁻¹` for general `A`
     /// (GETRF+GETRS).
@@ -183,9 +191,9 @@ pub enum KernelOp {
         /// Transpose the right-hand side first.
         tb: bool,
         /// The inverted operand.
-        a: Operand,
+        a: O,
         /// The right-hand side.
-        b: Operand,
+        b: O,
     },
     /// `X := A⁻¹·op(B)` or `op(B)·A⁻¹` for SPD `A` (POTRF+POTRS).
     Posv {
@@ -194,9 +202,9 @@ pub enum KernelOp {
         /// Transpose the right-hand side first.
         tb: bool,
         /// The SPD operand.
-        a: Operand,
+        a: O,
         /// The right-hand side.
-        b: Operand,
+        b: O,
     },
     /// `C := D·op(B)`, `op(B)·D`, `D⁻¹·op(B)` or `op(B)·D⁻¹` with `D`
     /// diagonal.
@@ -208,18 +216,18 @@ pub enum KernelOp {
         /// Transpose the general operand first.
         tb: bool,
         /// The diagonal operand.
-        d: Operand,
+        d: O,
         /// The general operand.
-        b: Operand,
+        b: O,
     },
     /// `y := op(A)·x` (GEMV).
     Gemv {
         /// Transpose A.
         trans: bool,
         /// The matrix.
-        a: Operand,
+        a: O,
         /// The vector.
-        x: Operand,
+        x: O,
     },
     /// `y := op(A)·x` with `A` triangular (TRMV).
     Trmv {
@@ -228,16 +236,16 @@ pub enum KernelOp {
         /// Transpose A.
         trans: bool,
         /// The triangular matrix.
-        a: Operand,
+        a: O,
         /// The vector.
-        x: Operand,
+        x: O,
     },
     /// `y := A·x` with `A` symmetric (SYMV).
     Symv {
         /// The symmetric matrix.
-        a: Operand,
+        a: O,
         /// The vector.
-        x: Operand,
+        x: O,
     },
     /// `y := op(A)⁻¹·x` with `A` triangular (TRSV).
     Trsv {
@@ -246,28 +254,28 @@ pub enum KernelOp {
         /// Transpose A.
         trans: bool,
         /// The triangular matrix.
-        a: Operand,
+        a: O,
         /// The vector.
-        x: Operand,
+        x: O,
     },
     /// `C := x·yᵀ` (GER-style outer product).
     Ger {
         /// Column vector.
-        x: Operand,
+        x: O,
         /// Column vector (transposed in the product).
-        y: Operand,
+        y: O,
     },
     /// `s := xᵀ·y` (DOT).
     Dot {
         /// Left vector.
-        x: Operand,
+        x: O,
         /// Right vector.
-        y: Operand,
+        y: O,
     },
     /// `C := B` where the identity operand is eliminated.
     Copy {
         /// The surviving operand.
-        b: Operand,
+        b: O,
     },
     /// `C := op(A)⁻¹` — explicit inversion, specialized by structure.
     Inv {
@@ -276,7 +284,7 @@ pub enum KernelOp {
         /// Transpose the result (`A⁻ᵀ`).
         trans: bool,
         /// The operand to invert.
-        a: Operand,
+        a: O,
     },
     /// `X := op(A)⁻¹·op(B)⁻¹`: composite inverse-pair kernel
     /// (`GETRI` on `op(B)` followed by `GESV` with `op(A)`).
@@ -286,13 +294,126 @@ pub enum KernelOp {
         /// Transpose B.
         tb: bool,
         /// The left inverted operand.
-        a: Operand,
+        a: O,
         /// The right inverted operand.
-        b: Operand,
+        b: O,
     },
 }
 
-impl KernelOp {
+impl<O> KernelOp<O> {
+    /// The same operation over other operands: `f` maps each operand.
+    pub fn map<P>(&self, mut f: impl FnMut(&O) -> P) -> KernelOp<P> {
+        match self {
+            KernelOp::Gemm { ta, tb, a, b } => KernelOp::Gemm {
+                ta: *ta,
+                tb: *tb,
+                a: f(a),
+                b: f(b),
+            },
+            KernelOp::Trmm {
+                side,
+                uplo,
+                trans,
+                a,
+                b,
+            } => KernelOp::Trmm {
+                side: *side,
+                uplo: *uplo,
+                trans: *trans,
+                a: f(a),
+                b: f(b),
+            },
+            KernelOp::Symm { side, a, b } => KernelOp::Symm {
+                side: *side,
+                a: f(a),
+                b: f(b),
+            },
+            KernelOp::Trsm {
+                side,
+                uplo,
+                trans,
+                tb,
+                a,
+                b,
+            } => KernelOp::Trsm {
+                side: *side,
+                uplo: *uplo,
+                trans: *trans,
+                tb: *tb,
+                a: f(a),
+                b: f(b),
+            },
+            KernelOp::Syrk { trans, a } => KernelOp::Syrk {
+                trans: *trans,
+                a: f(a),
+            },
+            KernelOp::Gesv {
+                side,
+                trans,
+                tb,
+                a,
+                b,
+            } => KernelOp::Gesv {
+                side: *side,
+                trans: *trans,
+                tb: *tb,
+                a: f(a),
+                b: f(b),
+            },
+            KernelOp::Posv { side, tb, a, b } => KernelOp::Posv {
+                side: *side,
+                tb: *tb,
+                a: f(a),
+                b: f(b),
+            },
+            KernelOp::Diag {
+                side,
+                inv,
+                tb,
+                d,
+                b,
+            } => KernelOp::Diag {
+                side: *side,
+                inv: *inv,
+                tb: *tb,
+                d: f(d),
+                b: f(b),
+            },
+            KernelOp::Gemv { trans, a, x } => KernelOp::Gemv {
+                trans: *trans,
+                a: f(a),
+                x: f(x),
+            },
+            KernelOp::Trmv { uplo, trans, a, x } => KernelOp::Trmv {
+                uplo: *uplo,
+                trans: *trans,
+                a: f(a),
+                x: f(x),
+            },
+            KernelOp::Symv { a, x } => KernelOp::Symv { a: f(a), x: f(x) },
+            KernelOp::Trsv { uplo, trans, a, x } => KernelOp::Trsv {
+                uplo: *uplo,
+                trans: *trans,
+                a: f(a),
+                x: f(x),
+            },
+            KernelOp::Ger { x, y } => KernelOp::Ger { x: f(x), y: f(y) },
+            KernelOp::Dot { x, y } => KernelOp::Dot { x: f(x), y: f(y) },
+            KernelOp::Copy { b } => KernelOp::Copy { b: f(b) },
+            KernelOp::Inv { kind, trans, a } => KernelOp::Inv {
+                kind: *kind,
+                trans: *trans,
+                a: f(a),
+            },
+            KernelOp::InvPair { ta, tb, a, b } => KernelOp::InvPair {
+                ta: *ta,
+                tb: *tb,
+                a: f(a),
+                b: f(b),
+            },
+        }
+    }
+
     /// The family of the operation.
     pub fn family(&self) -> KernelFamily {
         match self {
@@ -316,6 +437,82 @@ impl KernelOp {
         }
     }
 
+    /// The operands referenced by this operation, in argument order.
+    pub fn operands(&self) -> Vec<&O> {
+        match self {
+            KernelOp::Gemm { a, b, .. }
+            | KernelOp::Trmm { a, b, .. }
+            | KernelOp::Symm { a, b, .. }
+            | KernelOp::Trsm { a, b, .. }
+            | KernelOp::Gesv { a, b, .. }
+            | KernelOp::Posv { a, b, .. }
+            | KernelOp::InvPair { a, b, .. } => vec![a, b],
+            KernelOp::Diag { d, b, .. } => vec![d, b],
+            KernelOp::Syrk { a, .. } => vec![a],
+            KernelOp::Gemv { a, x, .. }
+            | KernelOp::Trmv { a, x, .. }
+            | KernelOp::Symv { a, x }
+            | KernelOp::Trsv { a, x, .. } => vec![a, x],
+            KernelOp::Ger { x, y } | KernelOp::Dot { x, y } => vec![x, y],
+            KernelOp::Copy { b } => vec![b],
+            KernelOp::Inv { a, .. } => vec![a],
+        }
+    }
+
+    /// Visits the operands referenced by this operation, in argument
+    /// order, without allocating — the hot-path alternative to
+    /// [`operands`](Self::operands) for per-candidate cost metrics.
+    pub fn for_each_operand<'a>(&'a self, mut visit: impl FnMut(&'a O)) {
+        match self {
+            KernelOp::Gemm { a, b, .. }
+            | KernelOp::Trmm { a, b, .. }
+            | KernelOp::Symm { a, b, .. }
+            | KernelOp::Trsm { a, b, .. }
+            | KernelOp::Gesv { a, b, .. }
+            | KernelOp::Posv { a, b, .. }
+            | KernelOp::InvPair { a, b, .. } => {
+                visit(a);
+                visit(b);
+            }
+            KernelOp::Diag { d, b, .. } => {
+                visit(d);
+                visit(b);
+            }
+            KernelOp::Syrk { a, .. } => visit(a),
+            KernelOp::Gemv { a, x, .. }
+            | KernelOp::Trmv { a, x, .. }
+            | KernelOp::Symv { a, x }
+            | KernelOp::Trsv { a, x, .. } => {
+                visit(a);
+                visit(x);
+            }
+            KernelOp::Ger { x, y } | KernelOp::Dot { x, y } => {
+                visit(x);
+                visit(y);
+            }
+            KernelOp::Copy { b } => visit(b),
+            KernelOp::Inv { a, .. } => visit(a),
+        }
+    }
+}
+
+impl KernelOp {
+    /// The operation over its operands' views, as cost metrics read
+    /// it. Equal operands share one identity; each is identified as
+    /// [`OperandId::Factor`] of its first position among the operands.
+    pub fn view(&self) -> KernelOp<OperandView> {
+        let operands = self.operands();
+        self.map(|o| {
+            let first = operands
+                .iter()
+                .position(|p| *p == o)
+                .expect("an operation's operand is among its operands");
+            o.view(OperandId::Factor(first))
+        })
+    }
+}
+
+impl<O: Shaped> KernelOp<O> {
     /// The shape of the operation's result.
     pub fn result_shape(&self) -> Shape {
         match self {
@@ -440,64 +637,6 @@ impl KernelOp {
             }
         }
     }
-
-    /// The operands referenced by this operation, in argument order.
-    pub fn operands(&self) -> Vec<&Operand> {
-        match self {
-            KernelOp::Gemm { a, b, .. }
-            | KernelOp::Trmm { a, b, .. }
-            | KernelOp::Symm { a, b, .. }
-            | KernelOp::Trsm { a, b, .. }
-            | KernelOp::Gesv { a, b, .. }
-            | KernelOp::Posv { a, b, .. }
-            | KernelOp::InvPair { a, b, .. } => vec![a, b],
-            KernelOp::Diag { d, b, .. } => vec![d, b],
-            KernelOp::Syrk { a, .. } => vec![a],
-            KernelOp::Gemv { a, x, .. }
-            | KernelOp::Trmv { a, x, .. }
-            | KernelOp::Symv { a, x }
-            | KernelOp::Trsv { a, x, .. } => vec![a, x],
-            KernelOp::Ger { x, y } | KernelOp::Dot { x, y } => vec![x, y],
-            KernelOp::Copy { b } => vec![b],
-            KernelOp::Inv { a, .. } => vec![a],
-        }
-    }
-
-    /// Visits the operands referenced by this operation, in argument
-    /// order, without allocating — the hot-path alternative to
-    /// [`operands`](Self::operands) for per-candidate cost metrics.
-    pub fn for_each_operand(&self, mut visit: impl FnMut(&Operand)) {
-        match self {
-            KernelOp::Gemm { a, b, .. }
-            | KernelOp::Trmm { a, b, .. }
-            | KernelOp::Symm { a, b, .. }
-            | KernelOp::Trsm { a, b, .. }
-            | KernelOp::Gesv { a, b, .. }
-            | KernelOp::Posv { a, b, .. }
-            | KernelOp::InvPair { a, b, .. } => {
-                visit(a);
-                visit(b);
-            }
-            KernelOp::Diag { d, b, .. } => {
-                visit(d);
-                visit(b);
-            }
-            KernelOp::Syrk { a, .. } => visit(a),
-            KernelOp::Gemv { a, x, .. }
-            | KernelOp::Trmv { a, x, .. }
-            | KernelOp::Symv { a, x }
-            | KernelOp::Trsv { a, x, .. } => {
-                visit(a);
-                visit(x);
-            }
-            KernelOp::Ger { x, y } | KernelOp::Dot { x, y } => {
-                visit(x);
-                visit(y);
-            }
-            KernelOp::Copy { b } => visit(b),
-            KernelOp::Inv { a, .. } => visit(a),
-        }
-    }
 }
 
 fn apply_t(t: bool, s: Shape) -> Shape {
@@ -510,7 +649,7 @@ fn apply_t(t: bool, s: Shape) -> Shape {
 
 /// The free dimension of `B` (the one not shared with the square
 /// structured operand `A`).
-fn other_dim(a: &Operand, b: &Operand) -> usize {
+fn other_dim(a: &impl Shaped, b: &impl Shaped) -> usize {
     let m = a.shape().rows();
     let s = b.shape();
     if s.rows() == m {
@@ -520,7 +659,7 @@ fn other_dim(a: &Operand, b: &Operand) -> usize {
     }
 }
 
-impl fmt::Display for KernelOp {
+impl<O: fmt::Display> fmt::Display for KernelOp<O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn t(flag: bool) -> &'static str {
             if flag {

@@ -14,7 +14,7 @@
 //!   which the symbolic optimizer decides split dominance.
 
 use crate::op::{InvKind, KernelOp};
-use gmc_expr::{CostPoly, Dim, DimBindings, DimError, SymShape};
+use gmc_expr::{CostPoly, Dim, DimBindings, DimError, Shaped, SymShape};
 
 /// The FLOP count of a kernel operation as a function of symbolic
 /// dimensions (paper Table 1 / Sec. 2 footnote conventions).
@@ -113,7 +113,7 @@ fn apply_t(t: bool, s: SymShape) -> SymShape {
 
 impl FlopFormula {
     /// Derives the formula for `op`, resolving each operand's symbolic
-    /// shape by name through `shapes`.
+    /// shape through `shapes`.
     ///
     /// Branches that [`KernelOp::flops`] decides by comparing *concrete*
     /// dimensions (the free-dimension choice of the structured level-3
@@ -121,16 +121,14 @@ impl FlopFormula {
     /// shapes; within one size region (fixed ordering pattern of the
     /// chain dimensions) those branches are invariant, which is what
     /// makes the formula cacheable per region.
-    pub fn from_op(op: &KernelOp, mut shapes: impl FnMut(&str) -> SymShape) -> FlopFormula {
-        let shapes: &mut dyn FnMut(&str) -> SymShape = &mut shapes;
+    pub fn from_op<O: Shaped>(
+        op: &KernelOp<O>,
+        mut shapes: impl FnMut(&O) -> SymShape,
+    ) -> FlopFormula {
         // The free dimension of `b`: the one not shared with the square
         // structured operand `a` (mirror of `other_dim` in `op.rs`).
-        fn other_dim(
-            shapes: &mut dyn FnMut(&str) -> SymShape,
-            a: &gmc_expr::Operand,
-            b: &gmc_expr::Operand,
-        ) -> Dim {
-            let sb = shapes(b.name());
+        fn other_dim<O: Shaped>(shapes: &mut impl FnMut(&O) -> SymShape, a: &O, b: &O) -> Dim {
+            let sb = shapes(b);
             if b.shape().rows() == a.shape().rows() {
                 sb.cols()
             } else {
@@ -139,8 +137,8 @@ impl FlopFormula {
         }
         match op {
             KernelOp::Gemm { ta, tb, a, b } => {
-                let sa = apply_t(*ta, shapes(a.name()));
-                let sb = apply_t(*tb, shapes(b.name()));
+                let sa = apply_t(*ta, shapes(a));
+                let sb = apply_t(*tb, shapes(b));
                 FlopFormula::Gemm {
                     m: sa.rows(),
                     k: sa.cols(),
@@ -148,15 +146,15 @@ impl FlopFormula {
                 }
             }
             KernelOp::Trmm { a, b, .. } | KernelOp::Symm { a, b, .. } => FlopFormula::Level3 {
-                m: shapes(a.name()).rows(),
-                n: other_dim(shapes, a, b),
+                m: shapes(a).rows(),
+                n: other_dim(&mut shapes, a, b),
             },
             KernelOp::Trsm { a, b, .. } => FlopFormula::Level3 {
-                m: shapes(a.name()).rows(),
-                n: other_dim(shapes, a, b),
+                m: shapes(a).rows(),
+                n: other_dim(&mut shapes, a, b),
             },
             KernelOp::Syrk { trans, a } => {
-                let s = shapes(a.name());
+                let s = shapes(a);
                 let (m, k) = if *trans {
                     (s.cols(), s.rows())
                 } else {
@@ -165,47 +163,47 @@ impl FlopFormula {
                 FlopFormula::Syrk { m, k }
             }
             KernelOp::Gesv { a, b, .. } => FlopFormula::Gesv {
-                m: shapes(a.name()).rows(),
-                n: other_dim(shapes, a, b),
+                m: shapes(a).rows(),
+                n: other_dim(&mut shapes, a, b),
             },
             KernelOp::Posv { a, b, .. } => FlopFormula::Posv {
-                m: shapes(a.name()).rows(),
-                n: other_dim(shapes, a, b),
+                m: shapes(a).rows(),
+                n: other_dim(&mut shapes, a, b),
             },
             KernelOp::Diag { b, .. } => {
-                let s = shapes(b.name());
+                let s = shapes(b);
                 FlopFormula::EntryCount {
                     r: s.rows(),
                     c: s.cols(),
                 }
             }
             KernelOp::Gemv { a, .. } => {
-                let s = shapes(a.name());
+                let s = shapes(a);
                 FlopFormula::TwiceEntryCount {
                     r: s.rows(),
                     c: s.cols(),
                 }
             }
             KernelOp::Trmv { a, .. } | KernelOp::Trsv { a, .. } => FlopFormula::SquareN {
-                n: shapes(a.name()).rows(),
+                n: shapes(a).rows(),
             },
             KernelOp::Symv { a, .. } => FlopFormula::TwiceSquareN {
-                n: shapes(a.name()).rows(),
+                n: shapes(a).rows(),
             },
             KernelOp::Ger { x, y } => FlopFormula::TwiceEntryCount {
-                r: shapes(x.name()).rows(),
-                c: shapes(y.name()).rows(),
+                r: shapes(x).rows(),
+                c: shapes(y).rows(),
             },
             KernelOp::Dot { x, .. } => FlopFormula::TwiceN {
-                n: shapes(x.name()).rows(),
+                n: shapes(x).rows(),
             },
             KernelOp::Copy { .. } => FlopFormula::Zero,
             KernelOp::Inv { kind, a, .. } => FlopFormula::Inv {
                 kind: *kind,
-                n: shapes(a.name()).rows(),
+                n: shapes(a).rows(),
             },
             KernelOp::InvPair { a, .. } => FlopFormula::InvPair {
-                m: shapes(a.name()).rows(),
+                m: shapes(a).rows(),
             },
         }
     }
@@ -332,12 +330,12 @@ mod tests {
 
     /// Builds a resolver that lifts each operand's concrete shape to a
     /// constant symbolic shape, so `eval` must reproduce `flops` exactly.
-    fn const_resolver(ops: &[&Operand]) -> impl FnMut(&str) -> SymShape {
+    fn const_resolver(ops: &[&Operand]) -> impl FnMut(&Operand) -> SymShape {
         let map: HashMap<String, Shape> = ops
             .iter()
             .map(|o| (o.name().to_owned(), o.shape()))
             .collect();
-        move |name: &str| map[name].to_sym()
+        move |o: &Operand| map[o.name()].to_sym()
     }
 
     fn check_exact(op: KernelOp, operands: &[&Operand]) {

@@ -91,7 +91,7 @@ fn net_sequence(
 }
 
 /// The visitor's view of a match as the net's binding set.
-fn to_bindings(binds: LeafBindings<'_>) -> Bindings {
+fn to_bindings(binds: LeafBindings<&Operand>) -> Bindings {
     let mut bindings = Bindings::new();
     for v in [Var::new(0), Var::new(1)] {
         if let Some(operand) = binds.get(v) {

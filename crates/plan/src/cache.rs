@@ -275,8 +275,8 @@ impl Shard {
 thread_local! {
     /// Per-thread solve state: the optimizer's DP workspace (its table),
     /// shared by recording and instantiation.
-    /// Thread-local rather than cache-held so concurrent workers solve
-    /// allocation-free without sharing any mutable state (and without a
+    /// Thread-local rather than cache-held so concurrent workers reuse
+    /// their tables without sharing any mutable state (and without a
     /// lock on the hot path).
     static WORKSPACE: RefCell<GmcWorkspace<f64>> = RefCell::new(GmcWorkspace::new());
 }

@@ -34,23 +34,17 @@
 //!   (possible under compositional inference), so the cached candidate
 //!   set cannot be trusted; the cell is re-matched live at bind time.
 
-use gmc::{CellGrid, GmcError, GmcSolution, GmcWorkspace, InferenceMode};
-use gmc_expr::{Chain, CostPoly, Dim, DimBindings, PropertySet, SymChain, SymShape};
-use gmc_kernels::{FlopFormula, KernelOp, KernelRegistry, LeafBindings, ProductMatch, Rank};
+use gmc::{CellGrid, GmcError, GmcSolution, GmcWorkspace, InferenceMode, Winner};
+use gmc_expr::{
+    Chain, CostPoly, Dim, DimBindings, FactorView, OperandId, OperandView, PropertySet, Shape,
+    SymChain, SymShape,
+};
+use gmc_kernels::{FlopFormula, KernelOp, KernelRegistry, LeafBindings, Rank, Wiring};
 use gmc_pattern::Var;
-use std::collections::HashMap;
 use std::fmt;
 
 const X: Var = Var::new(0);
 const Y: Var = Var::new(1);
-
-/// Where a kernel operand comes from when re-instantiating a cached
-/// candidate: a chain factor or a DP-cell temporary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum OperandRef {
-    Factor(usize),
-    Temp(usize, usize),
-}
 
 /// One cached kernel candidate of a DP cell.
 #[derive(Clone, Debug)]
@@ -61,7 +55,7 @@ pub(crate) struct Candidate {
     pub(crate) formula: FlopFormula,
     pub(crate) op_poly: CostPoly,
     pub(crate) total_poly: Option<CostPoly>,
-    pub(crate) var_binds: Vec<(Var, OperandRef)>,
+    pub(crate) var_binds: Vec<(Var, OperandId)>,
 }
 
 impl Candidate {
@@ -71,6 +65,43 @@ impl Candidate {
             specificity: self.specificity,
             index: self.kernel_idx,
         }
+    }
+
+    /// How the candidate's kernel binds the split's `left` and `right`
+    /// sides: `?0` binds the side its recorded reference names (the
+    /// left one if both are the same operand).
+    fn wiring(&self, left: &FactorView) -> Wiring {
+        let bound = |v: Var| {
+            self.var_binds
+                .iter()
+                .find(|(w, _)| *w == v)
+                .map(|(_, r)| *r)
+        };
+        match (bound(X), bound(Y)) {
+            (_, None) => Wiring::Same,
+            (x, Some(_)) if x == Some(left.operand.id) => Wiring::LeftRight,
+            _ => Wiring::RightLeft,
+        }
+    }
+
+    /// The decision to compute the split with this candidate at
+    /// `op_cost`, and the shape of its result, given the split's sides.
+    fn decision(
+        &self,
+        registry: &KernelRegistry,
+        left: &FactorView,
+        right: &FactorView,
+        op_cost: f64,
+    ) -> (Winner<f64>, Shape) {
+        let wiring = self.wiring(left);
+        let op = registry.kernels()[self.kernel_idx].op(wiring.bind(left.operand, right.operand));
+        let winner = Winner {
+            split: self.k,
+            kernel: self.kernel_idx,
+            wiring,
+            op_cost,
+        };
+        (winner, op.result_shape())
     }
 }
 
@@ -267,17 +298,13 @@ pub(crate) fn record_region(
     let tie_favors = |a: &Candidate, b: &Candidate| a.rank(()).beats(&b.rank(()));
     let mut unstable: Vec<bool> = vec![false; len];
 
-    // Operand name → symbolic shape (for formulas) and → provenance
-    // (for re-instantiation). Factors first; temporaries as created.
-    let mut sym_shapes: HashMap<String, SymShape> = HashMap::new();
-    let mut refs: HashMap<String, OperandRef> = HashMap::new();
-    for (t, f) in sym.factors().iter().enumerate() {
-        sym_shapes
-            .entry(f.operand().name().to_owned())
-            .or_insert_with(|| f.operand().shape());
-        refs.entry(f.operand().name().to_owned())
-            .or_insert(OperandRef::Factor(t));
-    }
+    // An operand's symbolic shape, for formulas: a factor's own, or,
+    // for the temporary of `M[i..=j]`, d[i] × d[j+1], independent of
+    // how the sub-chain is parenthesized.
+    let sym_shape = |v: &OperandView| match v.id {
+        OperandId::Factor(t) => sym.factors()[t].operand().shape(),
+        OperandId::Temp(i, j) => SymShape::new(dims[i], dims[j + 1]),
+    };
 
     for i in 0..n {
         total_polys[cell_index(n, i, i)] = Some(CostPoly::zero());
@@ -286,8 +313,9 @@ pub(crate) fn record_region(
     struct RawCand {
         k: usize,
         rank: Rank<f64>,
-        op: KernelOp,
-        var_binds: Vec<(Var, OperandRef)>,
+        wiring: Wiring,
+        op: KernelOp<OperandView>,
+        binds: LeafBindings<OperandId>,
     }
     let mut raw: Vec<RawCand> = Vec::new();
 
@@ -304,24 +332,15 @@ pub(crate) fn record_region(
             raw.clear();
             let pick = grid.best_split(i, j, |k, left, right| {
                 let start = raw.len();
-                registry.for_each_product_match(left, right, |kernel_idx, kernel, b| {
-                    let op = kernel.build(b);
+                registry.for_each_match(left, right, |kernel_idx, kernel, wiring| {
+                    let op = kernel.op(wiring.bind(left.operand, right.operand));
                     let rank = kernel.rank(kernel_idx, op.flops());
-                    let mut var_binds = Vec::with_capacity(2);
-                    for v in [X, Y] {
-                        if let Some(operand) = b.get(v) {
-                            let r = refs
-                                .get(operand.name())
-                                .copied()
-                                .expect("bound operand is a factor or temporary");
-                            var_binds.push((v, r));
-                        }
-                    }
                     raw.push(RawCand {
                         k,
                         rank,
+                        wiring,
                         op,
-                        var_binds,
+                        binds: wiring.bind(left.operand.id, right.operand.id),
                     });
                 });
                 let w = (start..raw.len()).reduce(|w, c| {
@@ -344,17 +363,13 @@ pub(crate) fn record_region(
             };
             let props = grid.temp_properties(inference, chain, i, wk, j);
             let winner = &raw[wi];
-            let pick = ProductMatch {
-                kernel: &registry.kernels()[winner.rank.index],
-                op: winner.op.clone(),
-                cost: winner.rank.cost,
+            let decision = Winner {
+                split: wk,
+                kernel: winner.rank.index,
+                wiring: winner.wiring,
+                op_cost: winner.rank.cost,
             };
-            grid.commit(i, j, wk, total, pick, props);
-            let name = grid.temporary(i, j).expect("committed").name();
-            // A sub-chain result always has shape d[i] × d[j+1],
-            // independent of how it is parenthesized.
-            sym_shapes.insert(name.to_owned(), SymShape::new(dims[i], dims[j + 1]));
-            refs.insert(name.to_owned(), OperandRef::Temp(i, j));
+            grid.decide(i, j, total, decision, winner.op.result_shape(), props);
 
             if dynamic {
                 plan_cells[idx] = CellPlan::Dynamic;
@@ -366,7 +381,7 @@ pub(crate) fn record_region(
             let mut cands: Vec<Candidate> = raw
                 .iter()
                 .map(|c| {
-                    let formula = FlopFormula::from_op(&c.op, |name| sym_shapes[name]);
+                    let formula = FlopFormula::from_op(&c.op, sym_shape);
                     let op_poly = formula.poly();
                     let total_poly = match (
                         &total_polys[cell_index(n, i, c.k)],
@@ -375,6 +390,14 @@ pub(crate) fn record_region(
                         (Some(l), Some(r)) => Some(l.add(r).add(&op_poly)),
                         _ => None,
                     };
+                    // Two slots, as many as a pattern binds: plans are
+                    // retained, and a collected `Vec` would hold four.
+                    let mut var_binds = Vec::with_capacity(2);
+                    for v in [X, Y] {
+                        if let Some(r) = c.binds.get(v) {
+                            var_binds.push((v, r));
+                        }
+                    }
                     Candidate {
                         k: c.k,
                         kernel_idx: c.rank.index,
@@ -382,7 +405,7 @@ pub(crate) fn record_region(
                         formula,
                         op_poly,
                         total_poly,
-                        var_binds: c.var_binds.clone(),
+                        var_binds,
                     }
                 })
                 .collect();
@@ -491,7 +514,7 @@ pub(crate) fn record_region(
         }
     }
 
-    let solution = grid.solution(chain);
+    let solution = grid.solution(registry, chain);
     (
         RegionPlan {
             n,
@@ -537,8 +560,9 @@ pub(crate) fn instantiate(
                     let total = grid
                         .split_total(i, cand.k, j, &op_cost)
                         .expect("resolved children are computed");
-                    let pick = materialize(registry, grid, chain, cand, op_cost);
-                    grid.commit(i, j, cand.k, total, pick, *props);
+                    let (left, right) = sides(grid, i, cand.k, j);
+                    let (winner, shape) = cand.decision(registry, &left, &right, op_cost);
+                    grid.decide(i, j, total, winner, shape, *props);
                 }
                 CellPlan::Deferred { cands, props } => {
                     // Candidates are stored split by split in ascending
@@ -560,45 +584,32 @@ pub(crate) fn instantiate(
                             best.map(|(cost, ci)| (cost, (cost, ci)))
                         })
                         .expect("deferred cells have candidates");
-                    let pick = materialize(registry, grid, chain, &cands[ci], op_cost);
-                    grid.commit(i, j, k, total, pick, props.for_split(k));
+                    let (left, right) = sides(grid, i, k, j);
+                    let (winner, shape) = cands[ci].decision(registry, &left, &right, op_cost);
+                    grid.decide(i, j, total, winner, shape, props.for_split(k));
                 }
                 CellPlan::Dynamic => {
-                    if let Some((total, k, pick)) =
+                    if let Some((total, k, m)) =
                         grid.select_best_split(registry, i, j, KernelOp::flops)
                     {
                         let props = grid.temp_properties(inference, chain, i, k, j);
-                        grid.commit(i, j, k, total, pick, props);
+                        grid.decide(i, j, total, Winner::of(k, &m), m.op.result_shape(), props);
                     }
                 }
             }
         }
     }
 
-    grid.solution(chain)
+    grid.solution(registry, chain)
 }
 
-/// Materializes a cached candidate's operation for the current binding
-/// from the chain's factors and the table's temporaries.
-fn materialize<'r>(
-    registry: &'r KernelRegistry,
-    grid: &CellGrid<f64>,
-    chain: &Chain,
-    cand: &Candidate,
-    op_cost: f64,
-) -> ProductMatch<'r, f64> {
-    let [x, y] = [X, Y].map(|v| {
-        let (_, r) = cand.var_binds.iter().find(|(w, _)| *w == v)?;
-        Some(match *r {
-            OperandRef::Factor(t) => chain.factor(t).operand(),
-            OperandRef::Temp(i, j) => grid.temporary(i, j).expect("computed child temporary"),
-        })
-    });
-    let binds = LeafBindings::new(x.expect("every kernel pattern binds ?0"), y);
-    let kernel = &registry.kernels()[cand.kernel_idx];
-    ProductMatch {
-        kernel,
-        op: kernel.build(binds),
-        cost: op_cost,
-    }
+/// The views of the two computed sides of the split of `M[i..=j]` at
+/// `k`.
+fn sides(grid: &CellGrid<f64>, i: usize, k: usize, j: usize) -> (FactorView, FactorView) {
+    let side = |a, b| {
+        *grid
+            .view(a, b)
+            .expect("a decided cell's sides are computed")
+    };
+    (side(i, k), side(k + 1, j))
 }

@@ -9,10 +9,10 @@
 //! Two pieces of a [`crate::plan::Candidate`] are *not* stored because
 //! they are derivable: the cost polynomials (`op_poly` is exactly
 //! `formula.poly()`; `total_poly` is only consulted while a region is
-//! being recorded, never at instantiate time) and the per-cell
-//! temporary names (always `T<i>_<j>`). Snapshots are deterministic —
-//! structures and regions are sorted — so saving a loaded cache
-//! reproduces the stored bytes.
+//! being recorded, never at instantiate time) and the temporaries'
+//! names (given only when a solution is extracted). Snapshots are
+//! deterministic — structures and regions are sorted — so saving a
+//! loaded cache reproduces the stored bytes.
 //!
 //! A snapshot is tied to the kernel registry and inference mode it was
 //! recorded under: candidates reference kernels by registration index,
@@ -21,9 +21,9 @@
 
 use crate::cache::{PlanCache, PlanError};
 use crate::key::{FactorSig, KeyDim, StructureKey};
-use crate::plan::{Candidate, CellPlan, DeferredProps, OperandRef, RegionPlan};
+use crate::plan::{Candidate, CellPlan, DeferredProps, RegionPlan};
 use gmc::InferenceMode;
-use gmc_expr::{Dim, Property, PropertySet};
+use gmc_expr::{Dim, OperandId, Property, PropertySet};
 use gmc_kernels::FlopFormula;
 use gmc_kernels::{InvKind, Uplo};
 use gmc_pattern::Var;
@@ -181,17 +181,17 @@ fn formula_from(v: &Value) -> Result<FlopFormula, DeError> {
     })
 }
 
-fn operand_ref_value(r: OperandRef) -> Value {
+fn operand_ref_value(r: OperandId) -> Value {
     match r {
-        OperandRef::Factor(t) => usize_value(t),
-        OperandRef::Temp(i, j) => Value::Array(vec![usize_value(i), usize_value(j)]),
+        OperandId::Factor(t) => usize_value(t),
+        OperandId::Temp(i, j) => Value::Array(vec![usize_value(i), usize_value(j)]),
     }
 }
 
-fn operand_ref_from(v: &Value) -> Result<OperandRef, DeError> {
+fn operand_ref_from(v: &Value) -> Result<OperandId, DeError> {
     match v {
-        Value::Number(_) => Ok(OperandRef::Factor(usize::from_value(v)?)),
-        Value::Array(items) if items.len() == 2 => Ok(OperandRef::Temp(
+        Value::Number(_) => Ok(OperandId::Factor(usize::from_value(v)?)),
+        Value::Array(items) if items.len() == 2 => Ok(OperandId::Temp(
             usize::from_value(&items[0])?,
             usize::from_value(&items[1])?,
         )),
@@ -542,8 +542,8 @@ fn validate_cells(n: usize, cells: &[CellPlan]) -> Result<(), DeError> {
         }
         for (_, r) in &cand.var_binds {
             let ok = match *r {
-                OperandRef::Factor(t) => t < n,
-                OperandRef::Temp(a, b) => {
+                OperandId::Factor(t) => t < n,
+                OperandId::Temp(a, b) => {
                     a < b
                         && ((a, b) == (i, cand.k) || (a, b) == (cand.k + 1, j))
                         && matches!(

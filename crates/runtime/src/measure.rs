@@ -18,6 +18,7 @@
 use crate::env::{materialize, Env};
 use crate::exec::execute_op;
 use gmc::CostMetric;
+use gmc_expr::{Operand, OperandView};
 use gmc_kernels::KernelOp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,15 +28,15 @@ use std::time::Instant;
 
 /// Cache key: kernel display form with operand names replaced by their
 /// dimensions — captures family, flags and all sizes.
-fn signature(op: &KernelOp) -> String {
+fn signature(op: &KernelOp<OperandView>) -> String {
     let mut sig = format!("{:?}|", op.family());
     // The Display form includes the flag characters; strip operand
     // names by appending shapes explicitly instead.
     for operand in op.operands() {
         sig.push_str(&format!(
             "{}x{},",
-            operand.shape().rows(),
-            operand.shape().cols()
+            operand.shape.rows(),
+            operand.shape.cols()
         ));
     }
     // Distinguish flag variants of the same family and shapes.
@@ -117,8 +118,11 @@ impl MeasuredMetric {
         self.cache.borrow().len()
     }
 
-    fn measure(&self, op: &KernelOp) -> f64 {
-        // Synthesize property-respecting operands for the op and time it.
+    fn measure(&self, op: &KernelOp<OperandView>) -> f64 {
+        // Synthesize property-respecting operands for the op and time
+        // it; one operand identity is one matrix.
+        let op = op.map(|v| Operand::temporary(format!("{:?}", v.id), v.shape, v.properties));
+        let op = &op;
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let mut env = Env::new();
         for operand in op.operands() {
@@ -146,7 +150,7 @@ impl MeasuredMetric {
 impl CostMetric for MeasuredMetric {
     type Cost = f64;
 
-    fn op_cost(&self, op: &KernelOp) -> f64 {
+    fn op_cost(&self, op: &KernelOp<OperandView>) -> f64 {
         let sig = signature(op);
         if let Some(&t) = self.cache.borrow().get(&sig) {
             return t;
@@ -177,7 +181,7 @@ mod tests {
             a: Operand::matrix("A", 16, 16),
             b: Operand::matrix("B", 16, 16),
         };
-        let t1 = metric.op_cost(&op);
+        let t1 = metric.op_cost(&op.view());
         assert!(t1 > 0.0 && t1.is_finite());
         assert_eq!(metric.cached_signatures(), 1);
         // Same signature with different operand names: cache hit.
@@ -187,7 +191,7 @@ mod tests {
             a: Operand::matrix("X", 16, 16),
             b: Operand::matrix("Y", 16, 16),
         };
-        assert_eq!(metric.op_cost(&op2), t1);
+        assert_eq!(metric.op_cost(&op2.view()), t1);
         assert_eq!(metric.cached_signatures(), 1);
         // Different flags: distinct signature.
         let op3 = KernelOp::Gemm {
@@ -196,7 +200,7 @@ mod tests {
             a: Operand::matrix("X", 16, 16),
             b: Operand::matrix("Y", 16, 16),
         };
-        let _ = metric.op_cost(&op3);
+        let _ = metric.op_cost(&op3.view());
         assert_eq!(metric.cached_signatures(), 2);
     }
 
@@ -233,6 +237,6 @@ mod tests {
             a: z,
             b,
         };
-        assert!(metric.op_cost(&op).is_infinite());
+        assert!(metric.op_cost(&op.view()).is_infinite());
     }
 }

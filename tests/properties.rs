@@ -267,32 +267,24 @@ proptest! {
         }
     }
 
-    /// The allocation-free solver is bit-identical to the retained
-    /// naive reference implementation (`gmc::reference`): same cost,
-    /// same parenthesization, same kernel sequence — in both inference
-    /// modes.
+    /// The optimizer is bit-identical to the retained naive reference
+    /// implementation (`gmc::reference`): same cost, same
+    /// parenthesization, and step by step the same temporary, kernel,
+    /// kernel operation and cost — in both inference modes, under the
+    /// FLOP, time-model and lexicographic metrics.
     #[test]
     fn solve_matches_naive_reference(seed in 0u64..1_000_000) {
-        use gmc::{GmcWorkspace, InferenceMode};
-        use gmc::reference::solve_reference;
+        use gmc::{FlopsThenKernels, GmcWorkspace, InferenceMode, TimeModel};
         let config = GeneratorConfig::measured_scale();
         let mut rng = StdRng::seed_from_u64(seed);
         let chain = random_chain(&config, &mut rng);
-        let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
-        let mut ws = GmcWorkspace::new();
+        let registry = KernelRegistry::blas_lapack();
+        let (mut flops_ws, mut time_ws, mut lex_ws) =
+            (GmcWorkspace::new(), GmcWorkspace::new(), GmcWorkspace::new());
         for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
-            let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
-            let reference = solve_reference(&registry, &FlopCount, mode, &chain)
-                .expect("full registry computes all chains");
-            let fast = optimizer.solve_with(&chain, &mut ws)
-                .expect("full registry computes all chains");
-            prop_assert_eq!(fast.cost(), reference.cost(), "cost diverged ({:?}) on {}", mode, &chain);
-            prop_assert_eq!(
-                fast.parenthesization(),
-                reference.parenthesization(),
-                "parenthesization diverged ({:?}) on {}", mode, &chain
-            );
-            prop_assert_eq!(fast.kernel_names(), reference.kernel_names());
+            assert_matches_reference(&registry, FlopCount, mode, &chain, &mut flops_ws);
+            assert_matches_reference(&registry, TimeModel::default(), mode, &chain, &mut time_ws);
+            assert_matches_reference(&registry, FlopsThenKernels, mode, &chain, &mut lex_ws);
         }
     }
 
@@ -314,6 +306,43 @@ proptest! {
             .solve(&chain)
             .expect("dense chains are computable");
         prop_assert_eq!(gmc.flops(), mcp.flops());
+    }
+}
+
+/// Solves `chain` with the optimizer, through `workspace`, and with the
+/// reference solver, and asserts that the two solutions agree exactly.
+fn assert_matches_reference<M: gmc::CostMetric>(
+    registry: &KernelRegistry,
+    metric: M,
+    mode: gmc::InferenceMode,
+    chain: &Chain,
+    workspace: &mut gmc::GmcWorkspace<M::Cost>,
+) {
+    let name = metric.name().to_owned();
+    let reference = gmc::reference::solve_reference(registry, &metric, mode, chain)
+        .expect("full registry computes all chains");
+    let fast = GmcOptimizer::new(registry, metric)
+        .with_inference(mode)
+        .solve_with(chain, workspace)
+        .expect("full registry computes all chains");
+    let context = format!("{name}, {mode:?}, on {chain}");
+    assert_eq!(fast.cost(), reference.cost(), "cost diverged ({context})");
+    assert_eq!(
+        fast.flops(),
+        reference.flops(),
+        "flops diverged ({context})"
+    );
+    assert_eq!(
+        fast.parenthesization(),
+        reference.parenthesization(),
+        "parenthesization diverged ({context})"
+    );
+    assert_eq!(fast.steps().len(), reference.steps().len(), "{context}");
+    for (f, r) in fast.steps().iter().zip(reference.steps()) {
+        assert_eq!(f.dest, r.dest, "temporary diverged ({context})");
+        assert_eq!(f.op, r.op, "kernel operation diverged ({context})");
+        assert_eq!(f.kernel, r.kernel, "kernel diverged ({context})");
+        assert_eq!(f.cost, r.cost, "step cost diverged ({context})");
     }
 }
 
