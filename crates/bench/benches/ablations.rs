@@ -1,6 +1,6 @@
-//! Ablation benches for the design decisions called out in DESIGN.md:
-//! property-inference depth, cost metrics, and the classic-MCP special
-//! case of the optimizer.
+//! Ablation benches for three design decisions: property-inference
+//! depth, cost metrics, and the classic-MCP special case of the
+//! optimizer.
 //!
 //! Run: `cargo bench -p gmc-bench --bench ablations`
 
@@ -11,7 +11,7 @@ use gmc_bench::paper_scale_chains;
 use gmc_kernels::KernelRegistry;
 use std::time::Duration;
 
-/// Ablation 1 (DESIGN.md): compositional (paper) vs deep property
+/// Ablation 1: compositional (paper) vs deep property
 /// inference — optimizer runtime cost of the richer analysis.
 fn ablation_inference(c: &mut Criterion) {
     let registry = KernelRegistry::blas_lapack();

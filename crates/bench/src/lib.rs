@@ -1,6 +1,7 @@
 //! Shared helpers for the Criterion benches regenerating the paper's
-//! evaluation. The benches live in `benches/`; see EXPERIMENTS.md for
-//! the mapping from paper figures/tables to bench targets.
+//! evaluation, plus the serving workload generator ([`workload`]) and
+//! trace replayer ([`replay`]). The benches live in `benches/`, one per
+//! paper figure or question; each names its run command in its header.
 
 #![forbid(unsafe_code)]
 
@@ -10,10 +11,7 @@ pub mod workload;
 use gmc_experiments::generator::{random_chains, GeneratorConfig};
 use gmc_expr::{Chain, Dim, DimBindings, Factor, Operand, SymChain, SymFactor, SymOperand};
 
-/// The dense chain measured by `generation_time_by_length/<n>` — shared
-/// by the Criterion bench and the `gentime_json` bin so
-/// `BENCH_gentime.json` always tracks exactly the chains the bench
-/// reports.
+/// The dense chain measured by `generation_time_by_length/<n>`.
 pub fn length_chain(n: usize) -> Chain {
     let ops: Vec<Operand> = (0..n)
         .map(|i| Operand::matrix(format!("M{i}"), 100 + 50 * i, 100 + 50 * (i + 1)))

@@ -2,7 +2,7 @@
 //! end: a temporary must never overwrite an input, and the Rust emitter
 //! must never read two matrices through one identifier.
 
-use gmc_cli::{compile, Emit, Options};
+use gmc_cli::{compile, run_serve_batch, Emit, Options, ServeOptions};
 
 #[test]
 fn temporaries_do_not_overwrite_an_input_named_like_one() {
@@ -26,6 +26,38 @@ X := T1_2 * B * C * D
         "{out}"
     );
     assert!(!out.contains("T1_2 = "), "an input is overwritten:\n{out}");
+}
+
+#[test]
+fn serve_accepts_an_input_named_like_a_temporary() {
+    let source = "\
+Matrix T0_1 (30, 20)
+Matrix B (20, 40)
+Matrix C (40, 10)
+X := T0_1 * B * C
+";
+    let out = run_serve_batch(source, "X\n", &ServeOptions::default()).expect("serves");
+    assert!(
+        out.contains(r#""parenthesization":"(T0_1 (B C))","kernels":["GEMM_NN","GEMM_NN"]"#),
+        "{out}"
+    );
+}
+
+#[test]
+fn bound_symbolic_chain_accepts_an_input_named_like_a_temporary() {
+    let source = "\
+Matrix T0_1 (n, m)
+Matrix B (m, k)
+Matrix C (k, n)
+X := T0_1 * B * C
+";
+    let options = Options {
+        check: true,
+        bind: vec![("n".into(), 30), ("m".into(), 20), ("k".into(), 40)],
+        ..Options::default()
+    };
+    let out = compile(source, &options).expect("compiles");
+    assert!(out.contains("check: OK"), "{out}");
 }
 
 #[test]

@@ -49,7 +49,8 @@ impl GmcError {
 
 impl std::error::Error for GmcError {}
 
-/// How temporaries' properties are derived (DESIGN.md ablation #1).
+/// How temporaries' properties are derived (the `ablation_inference`
+/// group of `gmc-bench`'s `ablations` bench compares the two).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InferenceMode {
     /// As in the paper (Fig. 4 line 10): infer from the binary product

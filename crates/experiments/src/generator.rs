@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `Default` reproduces the paper's parameters, except that
 /// `size_max` defaults to the paper's 2000 — measured experiment
-/// drivers pass a smaller value (see EXPERIMENTS.md).
+/// drivers pass a smaller value ([`GeneratorConfig::measured_scale`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GeneratorConfig {
     /// Inclusive chain length range (paper: 3..=10).

@@ -7,7 +7,7 @@
 //! * [`report`] — text rendering of the Fig. 8 / Fig. 9 data.
 //! * [`gentime`] — the generation-time experiment.
 //!
-//! Runnable binaries (see also EXPERIMENTS.md at the workspace root):
+//! Runnable binaries (README § Trying it shows how to run them):
 //!
 //! | binary | reproduces |
 //! |---|---|

@@ -12,7 +12,7 @@
 use crate::chain::{Chain, Factor, UnaryOp};
 use crate::dim::{Dim, DimBindings, DimError, DimVar};
 use crate::shape::SymShape;
-use crate::{is_temp_name, ExprError, Operand, Property, PropertySet};
+use crate::{ExprError, Operand, Property, PropertySet};
 use std::fmt;
 
 /// A named operand with a symbolic shape and properties.
@@ -236,15 +236,6 @@ impl SymChain {
                 }
             }
         }
-        // Names of the form `T<i>_<j>` are reserved for the optimizer's
-        // temporaries.
-        for f in &factors {
-            if is_temp_name(f.operand().name(), "T") {
-                return Err(SymChainError::ReservedName {
-                    name: f.operand().name().to_owned(),
-                });
-            }
-        }
         Ok(SymChain { factors })
     }
 
@@ -255,8 +246,8 @@ impl SymChain {
     /// # Errors
     ///
     /// Applies the full [`SymChain::new`] validation: concrete chains
-    /// may legally use reserved `T<i>_<j>` operand names or repeat a
-    /// name for different operands, but symbolic chains reject both.
+    /// may repeat a name for different operands, but symbolic chains
+    /// reject that.
     pub fn from_chain(chain: &Chain) -> Result<SymChain, SymChainError> {
         let factors = chain
             .factors()
@@ -419,12 +410,6 @@ pub enum SymChainError {
         /// The conflicting name.
         name: String,
     },
-    /// An operand uses a name reserved for optimizer temporaries
-    /// (`T<i>_<j>`).
-    ReservedName {
-        /// The offending name.
-        name: String,
-    },
     /// A dimension failed to resolve.
     Dim(DimError),
     /// Concrete chain construction failed after binding (defensive;
@@ -461,10 +446,6 @@ impl fmt::Display for SymChainError {
             SymChainError::InconsistentOperand { name } => write!(
                 f,
                 "operand name `{name}` is used for two different operands"
-            ),
-            SymChainError::ReservedName { name } => write!(
-                f,
-                "operand name `{name}` is reserved for optimizer temporaries"
             ),
             SymChainError::Dim(e) => e.fmt(f),
             SymChainError::Expr(e) => e.fmt(f),
@@ -598,17 +579,19 @@ mod tests {
     }
 
     #[test]
-    fn reserved_temporary_names_rejected() {
+    fn temporary_shaped_names_accepted() {
+        // The optimizer picks a temporary prefix no input uses, so an
+        // operand may be named like a temporary.
         let a = SymOperand::square("T0_1", n());
         let b = SymOperand::square("B", n());
-        assert!(matches!(
-            SymChain::new(vec![SymFactor::plain(a), SymFactor::plain(b)]),
-            Err(SymChainError::ReservedName { .. })
-        ));
-        // Non-temp-shaped names starting with T are fine.
+        assert!(SymChain::new(vec![SymFactor::plain(a), SymFactor::plain(b)]).is_ok());
         let t = SymOperand::square("T", n());
         let tx = SymOperand::square("T0_x", n());
         assert!(SymChain::new(vec![SymFactor::plain(t), SymFactor::plain(tx)]).is_ok());
+        let t = Operand::square("T0_1", 5);
+        let b = Operand::matrix("B", 5, 7);
+        let chain = Chain::new(vec![Factor::plain(t), Factor::plain(b)]).unwrap();
+        assert!(SymChain::from_chain(&chain).is_ok());
     }
 
     #[test]
@@ -624,15 +607,8 @@ mod tests {
 
     #[test]
     fn from_chain_applies_full_validation() {
-        // Concrete chains may use reserved temp names or reuse a name
-        // for different operands; the symbolic lift must reject both.
-        let t = Operand::square("T0_1", 5);
-        let b = Operand::matrix("B", 5, 7);
-        let chain = Chain::new(vec![Factor::plain(t), Factor::plain(b)]).unwrap();
-        assert!(matches!(
-            SymChain::from_chain(&chain),
-            Err(SymChainError::ReservedName { .. })
-        ));
+        // Concrete chains may reuse a name for different operands; the
+        // symbolic lift must reject that.
         let a1 = Operand::square("A", 5);
         let a2 = Operand::matrix("A", 5, 7);
         let chain = Chain::new(vec![Factor::plain(a1), Factor::plain(a2)]).unwrap();

@@ -13,7 +13,8 @@
 //! Because measurements reflect *this* machine and *this* substrate, a
 //! `GmcOptimizer` driven by `MeasuredMetric` adapts to the actual kernel
 //! efficiency spread — e.g. it learns that our `SYMM` really costs a full
-//! GEMM (see EXPERIMENTS.md) and stops being lured by the Table 1 price.
+//! GEMM (the `kernel_substrate` bench of `gmc-bench` times both) and
+//! stops being lured by the Table 1 price.
 
 use crate::env::{materialize, Env};
 use crate::exec::execute_op;

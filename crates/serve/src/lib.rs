@@ -47,12 +47,6 @@ pub mod metrics;
 pub mod protocol;
 pub mod tcp;
 
-/// Latency histograms live in [`gmc_obs`] since the observability
-/// layer landed; re-exported here so existing
-/// `gmc_serve::histogram::…` paths keep working (bucket boundaries
-/// are unchanged, bit for bit).
-pub use gmc_obs::histogram;
-
 pub use admission::SubmitError;
 pub use faults::SolveFault;
 pub use gmc_obs::trace::{Span, Trace, TRACE_FORMAT};
@@ -81,12 +75,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Inference mode the shared cache compiles under.
     pub inference: InferenceMode,
-    /// Target number of requests the dispatcher drains into one
-    /// grouping round. It stops pulling *further* queued messages once
-    /// reached; a single [`ServeHandle::submit_batch`] unit is always
-    /// grouped whole (that is what makes its coalescing deterministic),
-    /// so one oversized batch can exceed this.
-    pub max_batch: usize,
     /// Admission capacity: the maximum number of requests in flight
     /// (admitted at submission, released when their reply is sent).
     /// Submissions beyond it are shed newest-first with
@@ -104,6 +92,13 @@ pub struct ServeConfig {
     /// 0 disables trace retention (per-stage histograms still record).
     pub slow_trace_capacity: usize,
 }
+
+/// Target number of requests the dispatcher drains into one grouping
+/// round. It stops pulling *further* queued messages once reached; a
+/// single [`ServeHandle::submit_batch`] unit is always grouped whole
+/// (that is what makes its coalescing deterministic), so one oversized
+/// batch can exceed this.
+const MAX_BATCH: usize = 256;
 
 /// Upper bound on items per worker job: groups larger than this are
 /// split so independent instantiates of one hot region parallelize
@@ -130,7 +125,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             inference: InferenceMode::default(),
-            max_batch: 256,
             queue_capacity: 4096,
             restart_budget: 8,
             slow_trace_capacity: 32,
@@ -1308,10 +1302,9 @@ impl Server {
 
         let dispatcher = {
             let shared = Arc::clone(&shared);
-            let max_batch = config.max_batch.max(1);
             std::thread::Builder::new()
                 .name("gmc-serve-dispatcher".to_owned())
-                .spawn(move || dispatcher_loop(&shared, &submit_rx, &job_tx, workers, max_batch))
+                .spawn(move || dispatcher_loop(&shared, &submit_rx, &job_tx, workers))
                 .expect("spawn dispatcher thread")
         };
 
@@ -1483,7 +1476,6 @@ fn dispatcher_loop(
     submit_rx: &Receiver<Incoming>,
     job_tx: &Sender<Job>,
     workers: usize,
-    max_batch: usize,
 ) {
     loop {
         let first = match submit_rx.recv() {
@@ -1499,7 +1491,7 @@ fn dispatcher_loop(
         absorb(first, &mut pending, &mut shutdown);
         // Drain whatever else is already queued: the wider the window,
         // the more in-flight requests group and coalesce.
-        while pending.len() < max_batch && !shutdown {
+        while pending.len() < MAX_BATCH && !shutdown {
             match submit_rx.try_recv() {
                 Ok(msg) => absorb(msg, &mut pending, &mut shutdown),
                 Err(_) => break,

@@ -20,8 +20,8 @@
 //! {"structure":"X","error":"unknown structure `X` (register it first)"}
 //! ```
 
-use crate::histogram::HistogramSnapshot;
 use crate::{ServeReply, ServerStats};
+use gmc_obs::HistogramSnapshot;
 use serde::Value;
 
 /// A parsed request line: the structure name, the named dimension

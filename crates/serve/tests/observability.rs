@@ -44,20 +44,11 @@ fn sample(text: &str, prefix: &str) -> f64 {
     line[prefix.len()..].trim().parse().unwrap()
 }
 
-/// The single LatencyHistogram implementation now lives in `gmc-obs`;
-/// `gmc_serve::histogram` must re-export the *same type* (not a copy),
-/// and its log-linear bucket boundaries are pinned by hand-computed
-/// values so a future re-implementation cannot silently shift them.
+/// The single LatencyHistogram implementation lives in `gmc-obs`, and
+/// its log-linear bucket boundaries are pinned by hand-computed values
+/// so a future re-implementation cannot silently shift them.
 #[test]
 fn histogram_is_shared_and_buckets_are_pinned() {
-    // Compiles only if the re-export is the identical type.
-    fn count_of(h: &gmc_obs::LatencyHistogram) -> u64 {
-        h.snapshot().count()
-    }
-    let via_serve = gmc_serve::histogram::LatencyHistogram::new();
-    via_serve.record(7);
-    assert_eq!(count_of(&via_serve), 1);
-
     // (recorded value, inclusive upper bound of its bucket).
     let pinned: [(u64, u64); 10] = [
         (0, 0),
@@ -72,25 +63,14 @@ fn histogram_is_shared_and_buckets_are_pinned() {
         (1_000_000_000, 1_006_632_959),
     ];
     for (value, upper) in pinned {
-        for snapshot in [
-            {
-                let h = gmc_obs::LatencyHistogram::new();
-                h.record(value);
-                h.snapshot()
-            },
-            {
-                let h = gmc_serve::histogram::LatencyHistogram::new();
-                h.record(value);
-                h.snapshot()
-            },
-        ] {
-            let buckets: Vec<(u64, u64)> = snapshot.buckets().collect();
-            assert_eq!(
-                buckets,
-                vec![(upper, 1)],
-                "value {value} should land in the bucket with upper bound {upper}"
-            );
-        }
+        let h = gmc_obs::LatencyHistogram::new();
+        h.record(value);
+        let buckets: Vec<(u64, u64)> = h.snapshot().buckets().collect();
+        assert_eq!(
+            buckets,
+            vec![(upper, 1)],
+            "value {value} should land in the bucket with upper bound {upper}"
+        );
     }
 }
 
