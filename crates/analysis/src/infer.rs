@@ -1,6 +1,6 @@
 //! The top-level `infer_properties` entry points and structural helpers.
 
-use crate::predicates::{has, product_has};
+use crate::predicates::{has, product_has, ShapeQuestion};
 use gmc_expr::{Expr, FactorView, Property, PropertySet};
 
 /// Infers the full property set of an expression (paper Fig. 4, line 10).
@@ -51,7 +51,7 @@ pub fn infer_product_properties(left: &Expr, right: &Expr) -> PropertySet {
         return infer_properties(&Expr::times([left.clone(), right.clone()]));
     }
     Property::all()
-        .filter(|&p| product_has(p, &[left, right]))
+        .filter(|&p| product_has(p, &[left, right], &mut |_, _| {}))
         .collect()
 }
 
@@ -59,6 +59,8 @@ pub fn infer_product_properties(left: &Expr, right: &Expr) -> PropertySet {
 /// same product rules as [`infer_product_properties`]: the
 /// compositional inference of a GMC split (paper Fig. 4, line 10),
 /// whose sides are chain factors or temporaries, read as plain data.
+/// [`infer_view_product_logged`] is the same inference, reporting the
+/// shape questions it asks.
 ///
 /// # Example
 ///
@@ -74,8 +76,38 @@ pub fn infer_product_properties(left: &Expr, right: &Expr) -> PropertySet {
 /// assert_eq!(props, infer_product_properties(&a.transpose(), &a.expr()));
 /// ```
 pub fn infer_view_product(left: &FactorView, right: &FactorView) -> PropertySet {
+    infer_view_product_logged(left, right, |_, _| {})
+}
+
+/// [`infer_view_product`], reporting each shape question the product
+/// rules ask (factor 0 is `left`, factor 1 is `right`) to `log` with its
+/// answer. The result depends on the two views' shapes only through the
+/// logged answers, so it is the same for every pair of views that agree
+/// with `left` and `right` in everything else and answer the logged
+/// questions the same way.
+///
+/// # Example
+///
+/// ```
+/// use gmc_expr::{Factor, Operand, OperandId, Property};
+/// use gmc_analysis::{infer_view_product_logged, ShapeQuestion};
+///
+/// let a = Operand::matrix("A", 8, 5);
+/// let at = Factor::transposed(a.clone()).view(OperandId::Factor(0));
+/// let plain = Factor::plain(a).view(OperandId::Factor(0));
+/// let mut asked = Vec::new();
+/// let props = infer_view_product_logged(&at, &plain, |q, answer| asked.push((q, answer)));
+/// assert!(props.contains(Property::SymmetricPositiveDefinite));
+/// // `AᵀA` is SPD because `A` is tall: the only shape question asked.
+/// assert_eq!(asked, vec![(ShapeQuestion::Tall(1), true)]);
+/// ```
+pub fn infer_view_product_logged(
+    left: &FactorView,
+    right: &FactorView,
+    mut log: impl FnMut(ShapeQuestion, bool),
+) -> PropertySet {
     Property::all()
-        .filter(|&p| product_has(p, &[left, right]))
+        .filter(|&p| product_has(p, &[left, right], &mut log))
         .collect()
 }
 

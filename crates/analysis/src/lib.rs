@@ -43,9 +43,10 @@ pub mod symbolic;
 
 pub use infer::{
     canonical_transpose, infer_product_properties, infer_properties, infer_view_product,
+    infer_view_product_logged,
 };
 pub use predicates::{
     is_diagonal, is_full_rank, is_identity, is_lower_triangular, is_orthogonal, is_permutation,
-    is_spd, is_symmetric, is_unit_diagonal, is_upper_triangular, is_zero,
+    is_spd, is_symmetric, is_unit_diagonal, is_upper_triangular, is_zero, ShapeQuestion,
 };
 pub use symbolic::Tri;

@@ -9,6 +9,13 @@
 //! [`FactorView`]s of a DP split, so the pairwise inference of the GMC
 //! table runs the same rules as the tree predicates without building a
 //! product tree, and no rule is written twice.
+//!
+//! A product rule reads a factor's shape only through [`ShapeQuestion`]s,
+//! each reported to a log with its answer, and only once the cheaper
+//! tests (operand identity, the factors' properties) have not already
+//! decided the rule. The plan recorder of `gmc-plan` keys a cached
+//! region on the questions it logs; every other caller passes a no-op
+//! log.
 
 use crate::infer::canonical_transpose;
 use gmc_expr::{Expr, FactorView, Operand, OperandId, Property, Shape, UnaryOp};
@@ -114,7 +121,7 @@ pub fn is_full_rank(expr: &Expr) -> bool {
 pub(crate) fn has(p: Property, expr: &Expr) -> bool {
     let (op, inner) = match expr {
         Expr::Symbol(operand) => return operand.properties().contains(p),
-        Expr::Times(fs) => return product_has(p, fs),
+        Expr::Times(fs) => return product_has(p, fs, &mut |_, _| {}),
         Expr::Plus(ts) => return sum_keeps(p) && ts.iter().all(|t| has(p, t)),
         Expr::Transpose(e) => (UnaryOp::Transpose, e),
         Expr::Inverse(e) => (UnaryOp::Inverse, e),
@@ -196,7 +203,6 @@ impl ProductFactor for Expr {
         match inner {
             Expr::Symbol(operand) => Some(Leaf::new(
                 operand,
-                operand.shape(),
                 operand.properties().contains(Property::Symmetric),
                 op,
             )),
@@ -224,7 +230,6 @@ impl ProductFactor for FactorView {
         let operand = &self.operand;
         Some(Leaf::new(
             operand.id,
-            operand.shape,
             operand.properties.contains(Property::Symmetric),
             self.op,
         ))
@@ -258,9 +263,41 @@ impl<T: ProductFactor + ?Sized> ProductFactor for &T {
     }
 }
 
+/// A question a product rule asks about the shape of one factor of the
+/// product, named by the factor's index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShapeQuestion {
+    /// Whether the factor is square.
+    Square(usize),
+    /// Whether the factor has at least as many rows as columns (the
+    /// rank condition of the Gram rule `XᵀX`).
+    Tall(usize),
+}
+
+/// Answers `question` about `factor` (the product's factor the question
+/// names) and reports it to `log`. An ill-formed factor has no shape
+/// and answers no.
+fn ask<F: ProductFactor>(
+    factor: &F,
+    question: ShapeQuestion,
+    log: &mut impl FnMut(ShapeQuestion, bool),
+) -> bool {
+    let answer = factor.shape().is_some_and(|s| match question {
+        ShapeQuestion::Square(_) => s.is_square(),
+        ShapeQuestion::Tall(_) => s.rows() >= s.cols(),
+    });
+    log(question, answer);
+    answer
+}
+
 /// Whether the product of `factors` (at least two) has `p`: the product
-/// rule of each predicate, over the factors by reference.
-pub(crate) fn product_has<F: ProductFactor>(p: Property, factors: &[F]) -> bool {
+/// rule of each predicate, over the factors by reference. Shape
+/// questions go to `log`.
+pub(crate) fn product_has<F: ProductFactor>(
+    p: Property,
+    factors: &[F],
+    log: &mut impl FnMut(ShapeQuestion, bool),
+) -> bool {
     let all = |p| factors.iter().all(|f| f.has(p));
     match p {
         Property::Diagonal
@@ -271,14 +308,15 @@ pub(crate) fn product_has<F: ProductFactor>(p: Property, factors: &[F]) -> bool 
         | Property::Permutation => all(p),
         Property::Zero => factors.iter().any(|f| f.has(Property::Zero)),
         Property::Symmetric => symmetric_product(factors),
-        Property::SymmetricPositiveDefinite => spd_product(factors),
+        Property::SymmetricPositiveDefinite => spd_product(factors, 0, log),
         Property::UnitDiagonal => {
             all(Property::UnitDiagonal)
                 && (all(Property::LowerTriangular) || all(Property::UpperTriangular))
         }
         Property::FullRank => factors
             .iter()
-            .all(|f| f.has(Property::FullRank) && f.shape().is_some_and(|s| s.is_square())),
+            .enumerate()
+            .all(|(t, f)| f.has(Property::FullRank) && ask(f, ShapeQuestion::Square(t), log)),
     }
 }
 
@@ -298,7 +336,7 @@ fn product_tree<F: ProductFactor>(factors: &[F]) -> Expr {
 /// transpose palindrome of chain factors, or otherwise equal canonical
 /// forms of the product and its transpose.
 fn symmetric_product<F: ProductFactor>(factors: &[F]) -> bool {
-    if product_has(Property::Diagonal, factors) {
+    if factors.iter().all(|f| f.has(Property::Diagonal)) {
         return true;
     }
     if factors.iter().all(|f| f.leaf().is_some()) {
@@ -320,37 +358,50 @@ fn symmetric_product<F: ProductFactor>(factors: &[F]) -> bool {
     }
 }
 
-/// SPD check for a product `f0 ··· fk`: peel transpose-pairs off both
-/// ends (checking the rank condition) and require the remaining middle to
-/// be SPD (an empty middle is the implicit identity, which is SPD).
-fn spd_product<F: ProductFactor>(factors: &[F]) -> bool {
+/// SPD check for a product `f0 ··· fk`, whose factors are the product's
+/// factors from index `offset` on: peel transpose-pairs off both ends
+/// (checking the rank condition) and require the remaining middle to be
+/// SPD (an empty middle is the implicit identity, which is SPD).
+fn spd_product<F: ProductFactor>(
+    factors: &[F],
+    offset: usize,
+    log: &mut impl FnMut(ShapeQuestion, bool),
+) -> bool {
     debug_assert!(factors.len() >= 2);
-    let first = &factors[0];
-    let last = &factors[factors.len() - 1];
-    if !is_transpose_pair(first, last) {
+    let last_index = factors.len() - 1;
+    let (first, last) = (&factors[0], &factors[last_index]);
+    if !is_transpose_pair(first, last, (offset, offset + last_index), log) {
         return false;
     }
     // Full column rank of the right member `X` of the pair `Xᵀ ... X`:
     // generically satisfied when X is square or tall. For square X we
     // additionally accept declared full rank (e.g. triangular inverses).
-    if last.shape().is_none_or(|s| s.rows() < s.cols()) {
+    if !ask(last, ShapeQuestion::Tall(offset + last_index), log) {
         return false;
     }
-    let middle = &factors[1..factors.len() - 1];
+    let middle = &factors[1..last_index];
     match middle {
         [] => true,
         [single] => single.has(Property::SymmetricPositiveDefinite),
-        _ => spd_product(middle),
+        _ => spd_product(middle, offset + 1, log),
     }
 }
 
 /// Whether `b` is structurally the transpose of `a` (so `a·b` is a Gram
-/// pair `Xᵀ X` with `X = b`). Two chain factors are compared leaf-wise.
-fn is_transpose_pair<F: ProductFactor>(a: &F, b: &F) -> bool {
-    if let (Some(a), Some(b)) = (a.leaf(), b.leaf()) {
-        return a.is_well_formed()
-            && b.is_well_formed()
-            && a.canonical() == b.transposed_canonical();
+/// pair `Xᵀ X` with `X = b`); `ia` and `ib` are their indices in the
+/// product. Two chain factors are compared leaf-wise, and an
+/// inverted leaf is well-formed only if it is square, which is asked
+/// last.
+fn is_transpose_pair<F: ProductFactor>(
+    a: &F,
+    b: &F,
+    (ia, ib): (usize, usize),
+    log: &mut impl FnMut(ShapeQuestion, bool),
+) -> bool {
+    if let (Some(la), Some(lb)) = (a.leaf(), b.leaf()) {
+        return la.canonical() == lb.transposed_canonical()
+            && (!la.inverted || ask(a, ShapeQuestion::Square(ia), log))
+            && (!lb.inverted || ask(b, ShapeQuestion::Square(ib), log));
     }
     match (
         canonical_transpose(&Expr::transpose(b.tree())),
@@ -369,17 +420,15 @@ fn is_transpose_pair<F: ProductFactor>(a: &F, b: &F) -> bool {
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) struct Leaf<I> {
     id: I,
-    square: bool,
     symmetric: bool,
     transposed: bool,
     inverted: bool,
 }
 
 impl<I: Copy + Eq> Leaf<I> {
-    fn new(id: I, shape: Shape, symmetric: bool, op: UnaryOp) -> Leaf<I> {
+    fn new(id: I, symmetric: bool, op: UnaryOp) -> Leaf<I> {
         Leaf {
             id,
-            square: shape.is_square(),
             symmetric,
             transposed: op.is_transposed(),
             inverted: op.is_inverted(),
@@ -402,12 +451,6 @@ impl<I: Copy + Eq> Leaf<I> {
             ..self
         }
         .canonical()
-    }
-
-    /// Whether the leaf alone is well-formed: only an inverse needs a
-    /// square operand.
-    fn is_well_formed(self) -> bool {
-        !self.inverted || self.square
     }
 }
 
@@ -626,14 +669,61 @@ mod tests {
         assert!(!is_full_rank(&(gen("D").expr() * gen("E").expr())));
     }
 
+    fn transpose_pair(a: &Expr, b: &Expr) -> bool {
+        is_transpose_pair(a, b, (0, 1), &mut |_, _| {})
+    }
+
     #[test]
     fn transpose_pairs_of_leaves() {
         let b = Operand::matrix("B", 8, 5);
-        assert!(is_transpose_pair(&b.transpose(), &b.expr()));
-        assert!(!is_transpose_pair(&b.expr(), &b.expr()));
+        assert!(transpose_pair(&b.transpose(), &b.expr()));
+        assert!(!transpose_pair(&b.expr(), &b.expr()));
         // The inverse of a non-square leaf is ill-formed, pair or not.
-        assert!(!is_transpose_pair(&b.inverse(), &b.inverse_transpose()));
+        assert!(!transpose_pair(&b.inverse(), &b.inverse_transpose()));
         // A Symmetric operand is its own transpose.
-        assert!(is_transpose_pair(&sym("S").expr(), &sym("S").expr()));
+        assert!(transpose_pair(&sym("S").expr(), &sym("S").expr()));
+    }
+
+    #[test]
+    fn shape_questions_come_after_identity_and_properties() {
+        let log_of = |factors: &[Expr], p: Property| {
+            let mut asked = Vec::new();
+            let answer = product_has(p, factors, &mut |q, a| asked.push((q, a)));
+            (answer, asked)
+        };
+        let (a, b) = (Operand::matrix("A", 8, 5), Operand::matrix("B", 8, 5));
+        // Only a transpose pair asks the rank condition, of its right
+        // member.
+        assert_eq!(
+            log_of(
+                &[a.transpose(), a.expr()],
+                Property::SymmetricPositiveDefinite
+            ),
+            (true, vec![(ShapeQuestion::Tall(1), true)])
+        );
+        assert_eq!(
+            log_of(
+                &[a.transpose(), b.expr()],
+                Property::SymmetricPositiveDefinite
+            ),
+            (false, vec![])
+        );
+        // Squareness is asked only of full-rank factors, left to right.
+        let f = Operand::square("F", 5).with_property(Property::FullRank);
+        let t = Operand::matrix("T", 5, 8).with_property(Property::FullRank);
+        assert_eq!(
+            log_of(&[f.expr(), t.expr()], Property::FullRank),
+            (
+                false,
+                vec![
+                    (ShapeQuestion::Square(0), true),
+                    (ShapeQuestion::Square(1), false)
+                ]
+            )
+        );
+        assert_eq!(
+            log_of(&[b.expr(), f.expr()], Property::FullRank),
+            (false, vec![])
+        );
     }
 }

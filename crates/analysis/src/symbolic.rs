@@ -9,10 +9,12 @@
 //! logic ([`Tri`]).
 //!
 //! This is the formal basis of the plan cache's *region* keying
-//! (`gmc-plan`): once the ordering pattern of the chain's boundary
-//! dimensions is fixed, every one of these predicates collapses to a
-//! definite answer, so candidate kernel sets and inferred property sets
-//! are invariant across all bindings in the region.
+//! (`gmc-plan`): a region is keyed by the comparisons between boundary
+//! dimensions (`= 1`, `=`, `≥`) that its recording consulted, with their
+//! answers, so these predicates answer alike, and candidate kernel sets
+//! and inferred property sets are invariant, across all bindings in the
+//! region. A comparison these predicates decide from the dimension
+//! pattern alone needs no place in a key.
 
 use gmc_expr::{Dim, SymShape};
 

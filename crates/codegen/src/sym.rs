@@ -5,8 +5,8 @@
 //! same kernel sequence. This module makes that explicit: it wraps a
 //! program in a Rust function parameterized by the chain's dimension
 //! variables, with the symbolic shape of every input documented in the
-//! signature — one emitted artifact serves a whole size region of the
-//! plan cache.
+//! signature — one emitted artifact serves every binding of the chain
+//! that selects the same kernel sequence.
 
 use crate::program::Program;
 use crate::rust::{Ident, RustEmitter};

@@ -235,6 +235,13 @@ impl PropertySet {
         self
     }
 
+    /// Whether a matrix carrying the set carries more of it when square:
+    /// whether its closure holds a property that
+    /// [requires a square matrix](Property::requires_square).
+    pub fn depends_on_squareness(&self) -> bool {
+        self.for_shape(true) != self.for_shape(false)
+    }
+
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.bits == 0
@@ -482,6 +489,11 @@ mod tests {
             vec![Property::Zero, Property::FullRank]
         );
         assert_eq!(z.for_shape(true), z);
+        assert!(z.depends_on_squareness());
+        assert!(rect.depends_on_squareness(), "Zero still implies Diagonal");
+        assert!(!PropertySet::new()
+            .with(Property::FullRank)
+            .depends_on_squareness());
     }
 
     #[test]

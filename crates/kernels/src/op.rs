@@ -564,14 +564,14 @@ impl<O: Shaped> KernelOp<O> {
                 let (m, k, n) = (sa.rows() as f64, sa.cols() as f64, sb.cols() as f64);
                 2.0 * m * n * k
             }
-            KernelOp::Trmm { a, b, .. } | KernelOp::Symm { a, b, .. } => {
+            KernelOp::Trmm { side, a, b, .. } | KernelOp::Symm { side, a, b, .. } => {
                 let m = a.shape().rows() as f64;
-                let n = other_dim(a, b) as f64;
+                let n = free_dim(*side, false, b.shape()) as f64;
                 m * m * n
             }
-            KernelOp::Trsm { a, b, .. } => {
+            KernelOp::Trsm { side, tb, a, b, .. } => {
                 let m = a.shape().rows() as f64;
-                let n = other_dim(a, b) as f64;
+                let n = free_dim(*side, *tb, b.shape()) as f64;
                 m * m * n
             }
             KernelOp::Syrk { trans, a } => {
@@ -583,14 +583,14 @@ impl<O: Shaped> KernelOp<O> {
                 };
                 m * m * k
             }
-            KernelOp::Gesv { a, b, .. } => {
+            KernelOp::Gesv { side, tb, a, b, .. } => {
                 let m = a.shape().rows() as f64;
-                let n = other_dim(a, b) as f64;
+                let n = free_dim(*side, *tb, b.shape()) as f64;
                 2.0 / 3.0 * m * m * m + 2.0 * m * m * n
             }
-            KernelOp::Posv { a, b, .. } => {
+            KernelOp::Posv { side, tb, a, b } => {
                 let m = a.shape().rows() as f64;
-                let n = other_dim(a, b) as f64;
+                let n = free_dim(*side, *tb, b.shape()) as f64;
                 1.0 / 3.0 * m * m * m + 2.0 * m * m * n
             }
             // Entry counts multiply in `u128`: two `usize` dimensions
@@ -647,15 +647,17 @@ fn apply_t(t: bool, s: Shape) -> Shape {
     }
 }
 
-/// The free dimension of `B` (the one not shared with the square
-/// structured operand `A`).
-fn other_dim(a: &impl Shaped, b: &impl Shaped) -> usize {
-    let m = a.shape().rows();
-    let s = b.shape();
-    if s.rows() == m {
-        s.cols()
-    } else {
-        s.rows()
+/// The free dimension of the general operand `B` of a structured
+/// level-3 kernel or solve, the one not shared with the square operand:
+/// the columns of `op(B)` when the square operand multiplies from the
+/// left, its rows when from the right. The side decides it, not a size
+/// comparison, so the choice is the same at every binding of a
+/// symbolic chain.
+fn free_dim(side: Side, tb: bool, b: Shape) -> usize {
+    let b = apply_t(tb, b);
+    match side {
+        Side::Left => b.cols(),
+        Side::Right => b.rows(),
     }
 }
 

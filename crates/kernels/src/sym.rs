@@ -13,8 +13,8 @@
 //! * [`FlopFormula::poly`] lifts the formula to a [`CostPoly`], on
 //!   which the symbolic optimizer decides split dominance.
 
-use crate::op::{InvKind, KernelOp};
-use gmc_expr::{CostPoly, Dim, DimBindings, DimError, Shaped, SymShape};
+use crate::op::{InvKind, KernelOp, Side};
+use gmc_expr::{CostPoly, Dim, DimBindings, DimError, SymShape};
 
 /// The FLOP count of a kernel operation as a function of symbolic
 /// dimensions (paper Table 1 / Sec. 2 footnote conventions).
@@ -115,24 +115,17 @@ impl FlopFormula {
     /// Derives the formula for `op`, resolving each operand's symbolic
     /// shape through `shapes`.
     ///
-    /// Branches that [`KernelOp::flops`] decides by comparing *concrete*
-    /// dimensions (the free-dimension choice of the structured level-3
-    /// kernels) are decided here from the operation's concrete operand
-    /// shapes; within one size region (fixed ordering pattern of the
-    /// chain dimensions) those branches are invariant, which is what
-    /// makes the formula cacheable per region.
-    pub fn from_op<O: Shaped>(
-        op: &KernelOp<O>,
-        mut shapes: impl FnMut(&O) -> SymShape,
-    ) -> FlopFormula {
-        // The free dimension of `b`: the one not shared with the square
-        // structured operand `a` (mirror of `other_dim` in `op.rs`).
-        fn other_dim<O: Shaped>(shapes: &mut impl FnMut(&O) -> SymShape, a: &O, b: &O) -> Dim {
-            let sb = shapes(b);
-            if b.shape().rows() == a.shape().rows() {
-                sb.cols()
-            } else {
-                sb.rows()
+    /// Every branch of [`KernelOp::flops`] is decided by the operation
+    /// itself (the free dimension of a structured level-3 kernel by its
+    /// side), never by comparing sizes, so the formula holds at every
+    /// binding of the chain it was derived from.
+    pub fn from_op<O>(op: &KernelOp<O>, mut shapes: impl FnMut(&O) -> SymShape) -> FlopFormula {
+        // The free dimension of `b` (mirror of `free_dim` in `op.rs`).
+        fn free_dim(side: Side, tb: bool, b: SymShape) -> Dim {
+            let b = apply_t(tb, b);
+            match side {
+                Side::Left => b.cols(),
+                Side::Right => b.rows(),
             }
         }
         match op {
@@ -145,13 +138,15 @@ impl FlopFormula {
                     n: sb.cols(),
                 }
             }
-            KernelOp::Trmm { a, b, .. } | KernelOp::Symm { a, b, .. } => FlopFormula::Level3 {
+            KernelOp::Trmm { side, a, b, .. } | KernelOp::Symm { side, a, b, .. } => {
+                FlopFormula::Level3 {
+                    m: shapes(a).rows(),
+                    n: free_dim(*side, false, shapes(b)),
+                }
+            }
+            KernelOp::Trsm { side, tb, a, b, .. } => FlopFormula::Level3 {
                 m: shapes(a).rows(),
-                n: other_dim(&mut shapes, a, b),
-            },
-            KernelOp::Trsm { a, b, .. } => FlopFormula::Level3 {
-                m: shapes(a).rows(),
-                n: other_dim(&mut shapes, a, b),
+                n: free_dim(*side, *tb, shapes(b)),
             },
             KernelOp::Syrk { trans, a } => {
                 let s = shapes(a);
@@ -162,13 +157,13 @@ impl FlopFormula {
                 };
                 FlopFormula::Syrk { m, k }
             }
-            KernelOp::Gesv { a, b, .. } => FlopFormula::Gesv {
+            KernelOp::Gesv { side, tb, a, b, .. } => FlopFormula::Gesv {
                 m: shapes(a).rows(),
-                n: other_dim(&mut shapes, a, b),
+                n: free_dim(*side, *tb, shapes(b)),
             },
-            KernelOp::Posv { a, b, .. } => FlopFormula::Posv {
+            KernelOp::Posv { side, tb, a, b } => FlopFormula::Posv {
                 m: shapes(a).rows(),
-                n: other_dim(&mut shapes, a, b),
+                n: free_dim(*side, *tb, shapes(b)),
             },
             KernelOp::Diag { b, .. } => {
                 let s = shapes(b);
@@ -324,7 +319,7 @@ impl FlopFormula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{Side, Uplo};
+    use crate::op::Uplo;
     use gmc_expr::{Operand, Property, Shape};
     use std::collections::HashMap;
 
@@ -390,8 +385,8 @@ mod tests {
             },
             &[&tri, &bb],
         );
-        // Right-side structured operand exercises the free-dimension
-        // branch of `other_dim`.
+        // A right-side structured operand takes the rows of `B` as its
+        // free dimension (`free_dim`).
         let wide = Operand::matrix("W", 17, 23);
         check_exact(
             KernelOp::Trmm {

@@ -10,10 +10,10 @@
 //!   (`Arc<HashMap<StructureKey, Arc<SymbolicPlan>>>`) behind a
 //!   many-reader lock that is only ever held for the pointer
 //!   clone/swap, never across a solve.
-//! * A hit clones the shard snapshot (one `Arc` bump), looks up the
-//!   region plan, and instantiates it on a **thread-local** workspace
-//!   (the DP table), so concurrent hits share no mutable state and
-//!   allocate no fresh tables.
+//! * A hit clones the shard snapshot (one `Arc` bump), finds the region
+//!   plan whose key the binding answers, and instantiates it on a
+//!   **thread-local** workspace (the DP table), so concurrent hits share
+//!   no mutable state and allocate no fresh tables.
 //! * Misses go through a per-shard **write mutex**: the miss records
 //!   the region plan, rebuilds the shard map copy-on-write (structure
 //!   entries are `Arc`-shared with the old snapshot; only the touched
@@ -22,7 +22,7 @@
 //!   present after acquiring the mutex and serves it as a hit — the
 //!   recording is coalesced, never duplicated, and no update is lost.
 
-use crate::key::{region_signature, structure_key, StructureKey};
+use crate::key::{structure_key, unit_mask, StructureKey};
 use crate::plan::{instantiate, record_region, PlanSummary, RegionPlan};
 use gmc::{GmcError, GmcSolution, GmcWorkspace, InferenceMode};
 use gmc_expr::{Dim, DimBindings, SymChain, SymChainError};
@@ -197,14 +197,29 @@ pub(crate) struct StructCounters {
 /// between cache snapshots, so cloning a `SymbolicPlan` is cheap.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolicPlan {
-    pub(crate) regions: HashMap<Vec<i8>, Arc<RegionPlan>>,
+    /// The regions, bucketed by the unit mask of their bindings; within
+    /// a bucket a binding's region is the one whose key it answers.
+    regions: HashMap<u64, Vec<Arc<RegionPlan>>>,
     pub(crate) counters: Arc<StructCounters>,
 }
 
 impl SymbolicPlan {
     /// Number of size regions recorded for this structure.
     pub fn region_count(&self) -> usize {
-        self.regions.len()
+        self.regions.values().map(Vec::len).sum()
+    }
+
+    /// The region serving the boundary dimensions `sizes`, if recorded.
+    pub(crate) fn region_for(&self, sizes: &[usize]) -> Option<&Arc<RegionPlan>> {
+        self.regions
+            .get(&unit_mask(sizes))?
+            .iter()
+            .find(|r| r.key.admits(sizes))
+    }
+
+    /// Every recorded region.
+    pub(crate) fn regions(&self) -> impl Iterator<Item = &Arc<RegionPlan>> {
+        self.regions.values().flatten()
     }
 
     /// Requests served from this structure's cached regions.
@@ -219,7 +234,7 @@ impl SymbolicPlan {
 
     /// Iterates over the recorded regions' classification summaries.
     pub fn region_summaries(&self) -> impl Iterator<Item = PlanSummary> + '_ {
-        self.regions.values().map(|r| r.summary())
+        self.regions().map(|r| r.summary())
     }
 }
 
@@ -252,20 +267,18 @@ impl Shard {
         Arc::clone(&read_lock(&self.map))
     }
 
-    /// Publishes `region` under `(key, sig)` copy-on-write, returning
-    /// the structure's (snapshot-surviving) counters. Caller must hold
-    /// the shard's write mutex.
-    fn publish(
-        &self,
-        key: StructureKey,
-        sig: Vec<i8>,
-        region: Arc<RegionPlan>,
-    ) -> Arc<StructCounters> {
+    /// Publishes `region` under `key` copy-on-write, returning the
+    /// structure's (snapshot-surviving) counters. Caller must hold the
+    /// shard's write mutex.
+    fn publish(&self, key: StructureKey, region: Arc<RegionPlan>) -> Arc<StructCounters> {
         self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
         let current = self.snapshot();
         let mut next: StructMap = (*current).clone();
         let plan = Arc::make_mut(next.entry(key).or_default());
-        plan.regions.insert(sig, region);
+        plan.regions
+            .entry(region.key.unit_mask())
+            .or_default()
+            .push(region);
         let counters = Arc::clone(&plan.counters);
         *write_lock(&self.map) = Arc::new(next);
         counters
@@ -321,11 +334,15 @@ const MAX_ENUMERATION_FACTORS: usize = 8;
 /// write mutexes (see the module docs for the architecture).
 ///
 /// Keyed by (chain structure ⨯ operand properties ⨯ dimension-variable
-/// pattern) at the outer level and by size *region* (the ordering
-/// pattern of the bound dimensions) at the inner level. Instantiation
-/// reproduces the concrete optimizer bit for bit — same cost, same
-/// parenthesization, same kernel sequence — while skipping all pattern
-/// matching and (for symbolically resolved cells) the candidate scan.
+/// pattern) at the outer level and by size *region* at the inner level.
+/// A region is keyed by the shape questions its recording consulted
+/// (which boundary dimensions are 1, and the few equalities and
+/// orderings between them that kernel matching and property inference
+/// actually read), with their answers; a binding is served by the one
+/// region whose answers it gives. Instantiation reproduces the concrete
+/// optimizer bit for bit — same cost, same parenthesization, same
+/// kernel sequence — while skipping all pattern matching and (for
+/// symbolically resolved cells) the candidate scan.
 ///
 /// The cache is tied to one [`KernelRegistry`] and one
 /// [`InferenceMode`]; the cost metric is the paper's FLOP count, the
@@ -355,11 +372,17 @@ const MAX_ENUMERATION_FACTORS: usize = 8;
 /// assert_eq!(outcome, PlanOutcome::MissStructure);
 /// assert_eq!(sol.kernel_names(), vec!["GEMM_NN"]);
 ///
-/// // Same ordering pattern, different sizes: cached instantiate.
-/// let b2 = DimBindings::new().with("n", 100).with("k", 200).with("m", 300);
+/// // No dimension is 1 again, whatever the ordering: cached instantiate.
+/// let b2 = DimBindings::new().with("n", 300).with("k", 20).with("m", 100);
 /// let (sol, outcome) = cache.solve(&chain, &b2).unwrap();
 /// assert_eq!(outcome, PlanOutcome::Hit);
-/// assert_eq!(sol.flops(), 2.0 * 100.0 * 300.0 * 200.0);
+/// assert_eq!(sol.flops(), 2.0 * 300.0 * 100.0 * 20.0);
+///
+/// // `m = 1` makes `A B` a matrix-vector product: a new region.
+/// let b3 = DimBindings::new().with("n", 10).with("k", 20).with("m", 1);
+/// let (sol, outcome) = cache.solve(&chain, &b3).unwrap();
+/// assert_eq!(outcome, PlanOutcome::MissRegion);
+/// assert_eq!(sol.kernel_names(), vec!["GEMV_N"]);
 /// ```
 #[derive(Debug)]
 pub struct PlanCache {
@@ -456,24 +479,19 @@ impl PlanCache {
     }
 
     /// Publishes a deserialized region plan (plan-store loading).
-    /// Returns whether the region was actually adopted (`false` if it
-    /// was already present).
-    pub(crate) fn adopt_region(
-        &self,
-        key: StructureKey,
-        sig: Vec<i8>,
-        region: Arc<RegionPlan>,
-    ) -> bool {
+    /// Returns whether the region was actually adopted (`false` if a
+    /// region with its key was already present).
+    pub(crate) fn adopt_region(&self, key: StructureKey, region: Arc<RegionPlan>) -> bool {
         let shard = self.shard_for(&key);
         let _guard = mutex_lock(&shard.write);
         if shard
             .snapshot()
             .get(&key)
-            .is_some_and(|p| p.regions.contains_key(&sig))
+            .is_some_and(|p| p.regions().any(|r| r.key == region.key))
         {
             return false;
         }
-        shard.publish(key, sig, region);
+        shard.publish(key, region);
         true
     }
 
@@ -482,8 +500,7 @@ impl PlanCache {
     pub fn region_summary(&self, chain: &SymChain, bindings: &DimBindings) -> Option<PlanSummary> {
         let sizes = chain.bind_dims(bindings).ok()?;
         self.plan_for(chain)?
-            .regions
-            .get(&region_signature(&sizes))
+            .region_for(&sizes)
             .map(|r| r.summary())
     }
 
@@ -533,13 +550,13 @@ impl PlanCache {
     ) -> Result<(GmcSolution<f64>, PlanOutcome, SolveTiming), PlanError> {
         let concrete = chain.bind(bindings)?;
         let key = structure_key(chain, self.inference);
-        let sig = region_signature(&concrete.sizes());
+        let sizes = concrete.sizes();
         let shard = self.shard_for(&key);
 
         // Fast path: hit on the immutable snapshot — a pure read.
         let snapshot = shard.snapshot();
         if let Some(plan) = snapshot.get(&key) {
-            if let Some(region) = plan.regions.get(&sig) {
+            if let Some(region) = plan.region_for(&sizes) {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
                 plan.counters.hits.fetch_add(1, Ordering::Relaxed);
                 let lookup_done = started.map(|_| Instant::now());
@@ -554,7 +571,7 @@ impl PlanCache {
         let snapshot = shard.snapshot();
         let structure_known = snapshot.contains_key(&key);
         if let Some(plan) = snapshot.get(&key) {
-            if let Some(region) = plan.regions.get(&sig) {
+            if let Some(region) = plan.region_for(&sizes) {
                 // Another thread recorded this region while we waited:
                 // the recording coalesced, serve it as a hit.
                 drop(guard);
@@ -571,7 +588,7 @@ impl PlanCache {
         let (region, solution) = with_workspace(|workspace| {
             record_region(&self.registry, self.inference, chain, &concrete, workspace)
         });
-        let counters = shard.publish(key, sig, Arc::new(region));
+        let counters = shard.publish(key, Arc::new(region));
         counters.misses.fetch_add(1, Ordering::Relaxed);
         drop(guard);
         let outcome = if structure_known {
@@ -628,15 +645,16 @@ impl PlanCache {
     /// Records a plan for **every** size region `chain` can reach, so
     /// each subsequent request for this structure is a cache hit.
     ///
-    /// Every structural branch of the optimizer depends only on order
-    /// comparisons between bound boundary dimensions (and against 1),
-    /// so regions are enumerated by sweeping the dimension variables
-    /// over a small set of representative values that realizes every
-    /// ordering pattern — every weak ordering of the variables
-    /// interleaved with the chain's constant dimensions. Recording at
-    /// representative (small) sizes is sound because plans are
-    /// region-invariant: a plan recorded at sizes `(2, 3)` serves
-    /// `(2000, 3000)` identically.
+    /// Every region question is an order comparison between bound
+    /// boundary dimensions (or against 1), so each ordering pattern of
+    /// the dimensions lies within one region. Regions are therefore
+    /// enumerated by sweeping the dimension variables over a small set
+    /// of representative values that realizes every ordering pattern —
+    /// every weak ordering of the variables interleaved with the
+    /// chain's constant dimensions — and recording each binding that no
+    /// region answers yet. Recording at representative (small) sizes is
+    /// sound because plans are region-invariant: a plan recorded at
+    /// sizes `(2, 3)` serves `(2000, 3000)` identically.
     ///
     /// Returns the number of regions newly recorded (regions already
     /// cached, including unsolvable ones, are skipped).
@@ -690,8 +708,13 @@ impl PlanCache {
 
         let key = structure_key(chain, self.inference);
         let shard = self.shard_for(&key);
+        let answered = |sizes: &[usize]| {
+            shard
+                .snapshot()
+                .get(&key)
+                .is_some_and(|p| p.region_for(sizes).is_some())
+        };
         let mut recorded = 0usize;
-        let mut seen: BTreeSet<Vec<i8>> = BTreeSet::new();
         // Odometer over value indices, one digit per variable.
         let mut digits = vec![0usize; vars.len()];
         for _ in 0..total.max(1) {
@@ -700,21 +723,16 @@ impl PlanCache {
                 bindings.set_var(*var, values[d]);
             }
             let sizes = chain.bind_dims(&bindings)?;
-            let sig = region_signature(&sizes);
-            if seen.insert(sig.clone()) {
+            if !answered(&sizes) {
                 let guard = mutex_lock(&shard.write);
-                let known = shard
-                    .snapshot()
-                    .get(&key)
-                    .is_some_and(|p| p.regions.contains_key(&sig));
-                if !known {
+                if !answered(&sizes) {
                     let concrete = chain.bind(&bindings)?;
                     // Unsolvable regions are recorded too: the cached
                     // plan *is* the (negative) answer.
                     let (region, _solution) = with_workspace(|workspace| {
                         record_region(&self.registry, self.inference, chain, &concrete, workspace)
                     });
-                    shard.publish(key.clone(), sig, Arc::new(region));
+                    shard.publish(key.clone(), Arc::new(region));
                     recorded += 1;
                 }
                 drop(guard);

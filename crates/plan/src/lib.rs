@@ -13,7 +13,9 @@
 //!
 //! * [`PlanCache`] — keyed by (chain structure, operand properties,
 //!   dimension-variable pattern) and, per structure, by size *region*
-//!   (the ordering pattern of the bound dimensions). The cache is
+//!   (the shape questions the region's recording consulted, with their
+//!   answers: which dimensions are 1, and the equalities and orderings
+//!   property inference reached). The cache is
 //!   concurrent: structures are sharded by key hash, shard snapshots
 //!   are immutable and `Arc`-swapped copy-on-write, so cache hits are
 //!   pure reads that any number of threads take simultaneously while
@@ -65,7 +67,7 @@
 //! assert_eq!(outcome, PlanOutcome::MissStructure);
 //! assert_eq!(sol.kernel_names(), vec!["TRMM_RLT", "POSV_LN"]);
 //!
-//! // Warm: same region, new sizes — cached instantiate.
+//! // Warm: no dimension is 1 again — the same region, cached instantiate.
 //! let bigger = DimBindings::new().with("n", 4000).with("m", 400);
 //! let (sol, outcome) = cache.solve(&chain, &bigger).unwrap();
 //! assert_eq!(outcome, PlanOutcome::Hit);

@@ -17,10 +17,12 @@
 //! are computable. Only the numeric cost values change with the
 //! binding. The recorder therefore runs the DP once per region,
 //! capturing per cell the full candidate set `(split, kernel, FLOP
-//! formula)`; instantiation re-ranks those candidates with the exact
-//! per-kernel FLOP formulas (bit-identical to
-//! [`gmc_kernels::KernelOp::flops`]) under the engine's rules, so the
-//! result is bit-identical to a from-scratch concrete solve.
+//! formula)` and logging every shape question the DP's structure
+//! depends on, which become the region's key; instantiation re-ranks
+//! those candidates with the exact per-kernel FLOP formulas
+//! (bit-identical to [`gmc_kernels::KernelOp::flops`]) under the
+//! engine's rules, so the result is bit-identical to a from-scratch
+//! concrete solve.
 //!
 //! On top of that, cells are classified:
 //!
@@ -34,7 +36,9 @@
 //!   (possible under compositional inference), so the cached candidate
 //!   set cannot be trusted; the cell is re-matched live at bind time.
 
+use crate::key::{QuestionLog, RegionKey};
 use gmc::{CellGrid, GmcError, GmcSolution, GmcWorkspace, InferenceMode, Winner};
+use gmc_analysis::infer_view_product_logged;
 use gmc_expr::{
     Chain, CostPoly, Dim, DimBindings, FactorView, OperandId, OperandView, PropertySet, Shape,
     SymChain, SymShape,
@@ -164,6 +168,9 @@ pub(crate) enum CellPlan {
 /// A recorded plan for one size region of one chain structure.
 #[derive(Debug)]
 pub struct RegionPlan {
+    /// The bindings the plan serves: the shape questions its recording
+    /// consulted, with their answers.
+    pub(crate) key: RegionKey,
     pub(crate) n: usize,
     pub(crate) cells: Vec<CellPlan>,
     /// The *recording* chain's distinct dimension variables in
@@ -260,6 +267,36 @@ fn surely_no_more(
             ))
 }
 
+/// The properties of the temporary for `M[i..=j]` computed by the split
+/// at `k`, as [`CellGrid::temp_properties`] infers them, logging the
+/// shape questions they depend on: those compositional inference asks of
+/// the split's two sides, or, under deep inference, every comparison in
+/// the sub-chain's range; and the temporary's squareness if its
+/// properties depend on it.
+fn logged_properties(
+    grid: &CellGrid<f64>,
+    inference: InferenceMode,
+    chain: &Chain,
+    (i, k, j): (usize, usize, usize),
+    log: &mut QuestionLog<'_>,
+) -> PropertySet {
+    let props = match inference {
+        InferenceMode::Compositional => {
+            let (left, right) = sides(grid, i, k, j);
+            let spans = [(i, k + 1), (k + 1, j + 1)];
+            infer_view_product_logged(&left, &right, |q, _| log.product(q, spans))
+        }
+        InferenceMode::Deep => {
+            log.range(i, j + 1);
+            grid.temp_properties(inference, chain, i, k, j)
+        }
+    };
+    if props.depends_on_squareness() {
+        log.eq(i, j + 1);
+    }
+    props
+}
+
 /// Records the region plan for `chain` (the concrete binding of `sym`)
 /// and returns it together with the solve result.
 pub(crate) fn record_region(
@@ -272,6 +309,15 @@ pub(crate) fn record_region(
     let n = chain.len();
     let len = n * (n + 1) / 2;
     let dims = sym.dims();
+    let mut log = QuestionLog::new(&dims);
+    // A factor's properties hold more on a square binding (a `Zero`
+    // operand is also `Diagonal`) only if its shape is not structurally
+    // square.
+    for (t, factor) in sym.factors().iter().enumerate() {
+        if factor.operand().properties().depends_on_squareness() {
+            log.eq(t, t + 1);
+        }
+    }
     let grid = &mut workspace.grid;
     grid.reset(chain);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
@@ -361,7 +407,13 @@ pub(crate) fn record_region(
                 unstable[idx] = dynamic;
                 continue;
             };
-            let props = grid.temp_properties(inference, chain, i, wk, j);
+            // A Dynamic cell is re-matched live at every binding, so
+            // nothing it reads belongs in the region key.
+            let props = if dynamic {
+                grid.temp_properties(inference, chain, i, wk, j)
+            } else {
+                logged_properties(grid, inference, chain, (i, wk, j), &mut log)
+            };
             let winner = &raw[wi];
             let decision = Winner {
                 split: wk,
@@ -496,7 +548,10 @@ pub(crate) fn record_region(
                             if k == wk {
                                 return (k, props);
                             }
-                            (k, grid.temp_properties(inference, chain, i, k, j))
+                            (
+                                k,
+                                logged_properties(grid, inference, chain, (i, k, j), &mut log),
+                            )
                         })
                         .collect();
                     if by_split.iter().all(|(_, p)| *p == props) {
@@ -517,6 +572,7 @@ pub(crate) fn record_region(
     let solution = grid.solution(registry, chain);
     (
         RegionPlan {
+            key: log.key(&chain.sizes()),
             n,
             cells: plan_cells,
             vars: sym.vars(),
@@ -528,8 +584,8 @@ pub(crate) fn record_region(
 /// Replays a recorded region plan at a concrete binding.
 ///
 /// `chain` must be `sym.bind(bindings)` and the binding must fall into
-/// the plan's region (`region_signature(chain.sizes())` matching the
-/// plan's key); the cache layer guarantees both.
+/// the plan's region (its boundary dimensions `chain.sizes()` give every
+/// answer of the plan's key); the cache layer guarantees both.
 pub(crate) fn instantiate(
     registry: &KernelRegistry,
     inference: InferenceMode,

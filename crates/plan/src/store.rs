@@ -2,9 +2,10 @@
 //! warm-start from a shared plan store.
 //!
 //! A snapshot captures, per cached structure, the [`StructureKey`] and
-//! every recorded region plan — cells, candidates and exact FLOP
-//! formulas included — so a loaded cache answers its first request for
-//! any stored region as a **hit**, with no symbolic re-solve.
+//! every recorded region plan — its key (the shape questions it answers),
+//! cells, candidates and exact FLOP formulas included — so a loaded
+//! cache answers its first request for any stored region as a **hit**,
+//! with no symbolic re-solve.
 //!
 //! Two pieces of a [`crate::plan::Candidate`] are *not* stored because
 //! they are derivable: the cost polynomials (`op_poly` is exactly
@@ -20,7 +21,7 @@
 //! mode before adopting any plan.
 
 use crate::cache::{PlanCache, PlanError};
-use crate::key::{FactorSig, KeyDim, StructureKey};
+use crate::key::{FactorSig, KeyDim, Question, RegionKey, StructureKey};
 use crate::plan::{Candidate, CellPlan, DeferredProps, RegionPlan};
 use gmc::InferenceMode;
 use gmc_expr::{Dim, OperandId, Property, PropertySet};
@@ -31,7 +32,10 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 use std::sync::Arc;
 
-const FORMAT: &str = "gmc-plan-store/v1";
+const FORMAT: &str = "gmc-plan-store/v2";
+
+/// The previous format, which keyed regions on the full size ordering.
+const FORMAT_V1: &str = "gmc-plan-store/v1";
 
 // ---------------------------------------------------------------------
 // Value helpers for foreign leaf types (orphan rules prevent trait
@@ -340,6 +344,39 @@ fn cell_from(v: &Value) -> Result<CellPlan, DeError> {
     })
 }
 
+fn answer_value(&(q, answer): &(Question, bool)) -> Value {
+    let (tag, positions) = match q {
+        Question::Unit(a) => ("unit", vec![a]),
+        Question::Eq(a, b) => ("eq", vec![a, b]),
+        Question::Ge(a, b) => ("ge", vec![a, b]),
+    };
+    let mut items = vec![Value::String(tag.to_owned())];
+    items.extend(positions.into_iter().map(usize_value));
+    items.push(Value::Bool(answer));
+    Value::Array(items)
+}
+
+fn answer_from(v: &Value) -> Result<(Question, bool), DeError> {
+    let bad = || DeError(format!("expected [kind, position(s), answer], got {v:?}"));
+    let Value::Array(items) = v else {
+        return Err(bad());
+    };
+    let (Some(tag), Some(answer)) = (items.first(), items.last()) else {
+        return Err(bad());
+    };
+    let positions = items[1..items.len() - 1]
+        .iter()
+        .map(usize::from_value)
+        .collect::<Result<Vec<_>, _>>()?;
+    let q = match (String::from_value(tag)?.as_str(), positions.as_slice()) {
+        ("unit", &[a]) => Question::Unit(a),
+        ("eq", &[a, b]) if a < b => Question::Eq(a, b),
+        ("ge", &[a, b]) => Question::Ge(a, b),
+        _ => return Err(bad()),
+    };
+    Ok((q, bool::from_value(answer)?))
+}
+
 fn key_dim_value(d: KeyDim) -> Value {
     match d {
         KeyDim::Const(v) => usize_value(v),
@@ -481,7 +518,13 @@ impl Deserialize for RegionPlan {
                 }
             }
         }
-        Ok(RegionPlan { n, cells, vars })
+        // The key is stored beside the plan; the loader sets it.
+        Ok(RegionPlan {
+            key: RegionKey(Vec::new()),
+            n,
+            cells,
+            vars,
+        })
     }
 }
 
@@ -615,20 +658,23 @@ fn inference_name(mode: InferenceMode) -> &'static str {
 
 impl PlanCache {
     /// Serializes every recorded plan to a deterministic JSON snapshot
-    /// (structures sorted by key, regions by signature): the plan
-    /// store a serving fleet warm-starts from.
+    /// (structures sorted by key, regions by their questions and
+    /// answers): the plan store a serving fleet warm-starts from.
     pub fn snapshot_json(&self) -> String {
         let mut structures: Vec<Value> = Vec::new();
         let mut entries = self.structures();
         entries.sort_by_cached_key(|(key, _)| serde_json::to_string(key).expect("key serializes"));
         for (key, plan) in entries {
-            let mut regions: Vec<(&Vec<i8>, &Arc<RegionPlan>)> = plan.regions.iter().collect();
-            regions.sort_by_key(|(sig, _)| (*sig).clone());
+            let mut regions: Vec<&Arc<RegionPlan>> = plan.regions().collect();
+            regions.sort_by(|a, b| a.key.cmp(&b.key));
             let regions: Vec<Value> = regions
                 .into_iter()
-                .map(|(sig, region)| {
+                .map(|region| {
                     Value::Object(vec![
-                        ("signature".to_owned(), sig.to_value()),
+                        (
+                            "questions".to_owned(),
+                            Value::Array(region.key.0.iter().map(answer_value).collect()),
+                        ),
                         ("plan".to_owned(), region.to_value()),
                     ])
                 })
@@ -667,12 +713,22 @@ impl PlanCache {
     /// kernel list (names and order) differs from this cache's —
     /// candidates reference kernels by registration index, so a
     /// mismatched registry would silently serve wrong kernels. A
-    /// candidate must also bind exactly its kernel's pattern variables.
+    /// candidate must also bind exactly its kernel's pattern variables,
+    /// a region's questions must name boundary positions of its
+    /// structure, and no two regions of a structure may share a key. A
+    /// `gmc-plan-store/v1` snapshot, keyed on the full size ordering, is
+    /// rejected: re-record it.
     pub fn load_snapshot_json(&self, json: &str) -> Result<usize, PlanError> {
         let doc: Value = serde_json::from_str(json).map_err(|e| PlanError::Store(e.to_string()))?;
         let store_err = |e: DeError| PlanError::Store(e.to_string());
         let format =
             String::from_value(doc.get_field("format").map_err(store_err)?).map_err(store_err)?;
+        if format == FORMAT_V1 {
+            return Err(PlanError::Store(format!(
+                "`{FORMAT_V1}` snapshots key regions on the full size ordering; this build \
+                 reads `{FORMAT}`, so re-record the store"
+            )));
+        }
         if format != FORMAT {
             return Err(PlanError::Store(format!(
                 "unsupported snapshot format `{format}` (expected `{FORMAT}`)"
@@ -709,7 +765,11 @@ impl PlanCache {
                 )))
             }
         };
-        let mut adopted = 0usize;
+        // Everything is validated before anything is adopted, so a
+        // failed load leaves the cache as it was.
+        let mut validated: Vec<(StructureKey, RegionPlan)> = Vec::new();
+        let mut region_keys: std::collections::HashSet<(StructureKey, RegionKey)> =
+            Default::default();
         for entry in structures {
             let key = StructureKey::from_value(entry.get_field("key").map_err(store_err)?)
                 .map_err(store_err)?;
@@ -736,15 +796,42 @@ impl PlanCache {
                 })
                 .collect();
             for region in regions {
-                let sig = Vec::<i8>::from_value(region.get_field("signature").map_err(store_err)?)
-                    .map_err(store_err)?;
-                let plan = RegionPlan::from_value(region.get_field("plan").map_err(store_err)?)
+                let mut answers = match region.get_field("questions").map_err(store_err)? {
+                    Value::Array(items) => items
+                        .iter()
+                        .map(answer_from)
+                        .collect::<Result<Vec<_>, _>>()
+                        .map_err(store_err)?,
+                    other => {
+                        return Err(PlanError::Store(format!(
+                            "expected a questions array, got {other:?}"
+                        )))
+                    }
+                };
+                answers.sort_unstable();
+                let mut plan = RegionPlan::from_value(region.get_field("plan").map_err(store_err)?)
                     .map_err(store_err)?;
                 if plan.n != key.factors.len() {
                     return Err(PlanError::Store(format!(
                         "region plan for {} factors stored under a {}-factor key",
                         plan.n,
                         key.factors.len()
+                    )));
+                }
+                // A lookup answers each question on the request's
+                // boundary dimensions `d[0..=n]`.
+                if let Some((q, _)) = answers.iter().find(|(q, _)| q.last_position() > plan.n) {
+                    return Err(PlanError::Store(format!(
+                        "region question {q:?} names a boundary position outside 0..={} of \
+                         its {}-factor structure",
+                        plan.n, plan.n
+                    )));
+                }
+                plan.key = RegionKey(answers);
+                if !region_keys.insert((key.clone(), plan.key.clone())) {
+                    return Err(PlanError::Store(format!(
+                        "two regions of one {}-factor structure share the key {:?}",
+                        plan.n, plan.key.0
                     )));
                 }
                 if plan.vars.len() != key_vars.len() {
@@ -775,10 +862,12 @@ impl PlanCache {
                         )));
                     }
                 }
-                if self.adopt_region(key.clone(), sig, Arc::new(plan)) {
-                    adopted += 1;
-                }
+                validated.push((key.clone(), plan));
             }
+        }
+        let mut adopted = 0;
+        for (key, plan) in validated {
+            adopted += usize::from(self.adopt_region(key, Arc::new(plan)));
         }
         Ok(adopted)
     }

@@ -3,15 +3,16 @@
 //! bit-identical to a from-scratch concrete solve, (b) no update is
 //! lost and no recording is duplicated — each (structure, region) pair
 //! is recorded exactly once no matter how many threads miss on it
-//! concurrently.
+//! concurrently — and (c) the regions do not depend on the order the
+//! requests arrive in: a sequential replay of the same requests records
+//! the same regions, byte for byte.
 
 use gmc::{FlopCount, GmcOptimizer, GmcSolution, InferenceMode};
 use gmc_expr::{Dim, DimBindings, Property, SymChain, SymFactor, SymOperand, UnaryOp};
 use gmc_kernels::KernelRegistry;
-use gmc_plan::{region_signature, structure_key, PlanCache};
+use gmc_plan::PlanCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn plain(name: &str, r: Dim, c: Dim) -> SymFactor {
@@ -98,18 +99,28 @@ fn concurrent_mixed_traffic_is_equivalent_and_loses_no_updates() {
             })
             .collect();
 
+        // Each thread's requests, as (chain, binding) indices.
+        let requests: Vec<Vec<(usize, usize)>> = (0..THREADS)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(0xCC + t as u64);
+                (0..REQUESTS_PER_THREAD)
+                    .map(|_| {
+                        let ci = rng.gen_range(0..work.len());
+                        (ci, rng.gen_range(0..work[ci].1.len()))
+                    })
+                    .collect()
+            })
+            .collect();
+
         let cache = PlanCache::new(registry.clone(), mode);
         std::thread::scope(|scope| {
-            for t in 0..THREADS {
+            for mine in &requests {
                 let cache = &cache;
                 let work = &work;
                 let expected = &expected;
                 scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0xCC + t as u64);
-                    for _ in 0..REQUESTS_PER_THREAD {
-                        let ci = rng.gen_range(0..work.len());
+                    for &(ci, bi) in mine {
                         let (chain, binds) = &work[ci];
-                        let bi = rng.gen_range(0..binds.len());
                         let (got, _outcome) = cache.solve(chain, &binds[bi]).unwrap();
                         let want = &expected[ci][bi];
                         assert_eq!(want.cost().to_bits(), got.cost().to_bits());
@@ -120,44 +131,47 @@ fn concurrent_mixed_traffic_is_equivalent_and_loses_no_updates() {
             }
         });
 
-        // No lost updates, no duplicated recordings: every distinct
-        // (structure, region) pair was recorded exactly once, every
+        // The same requests, one after another, into a fresh cache.
+        let sequential = PlanCache::new(registry.clone(), mode);
+        for &(ci, bi) in requests.iter().flatten() {
+            sequential.solve(&work[ci].0, &work[ci].1[bi]).unwrap();
+        }
+
+        // No lost updates, no duplicated recordings: every region the
+        // sequential replay records was recorded exactly once, every
         // other request was a hit, and the counters account for every
         // request.
         let stats = cache.stats();
+        let replayed = sequential.stats();
         let total = (THREADS * REQUESTS_PER_THREAD) as u64;
         assert_eq!(
             stats.requests(),
             total,
             "dropped or double-counted requests"
         );
-
-        let mut distinct_pairs: BTreeSet<(String, Vec<i8>)> = BTreeSet::new();
-        for (chain, binds) in &work {
-            let key = format!("{:?}", structure_key(chain, mode));
-            for b in binds {
-                distinct_pairs
-                    .insert((key.clone(), region_signature(&chain.bind_dims(b).unwrap())));
-            }
-            let regions_per_chain: BTreeSet<Vec<i8>> = binds
-                .iter()
-                .map(|b| region_signature(&chain.bind_dims(b).unwrap()))
-                .collect();
-            assert_eq!(
-                cache
-                    .plan_for(chain)
+        for (chain, _) in &work {
+            let regions = |c: &PlanCache| {
+                c.plan_for(chain)
                     .expect("structure recorded")
-                    .region_count(),
-                regions_per_chain.len(),
+                    .region_count()
+            };
+            assert_eq!(
+                regions(&cache),
+                regions(&sequential),
                 "lost or duplicated region for {chain}"
             );
         }
         assert_eq!(stats.structure_misses, work.len() as u64);
         assert_eq!(
             stats.structure_misses + stats.region_misses,
-            distinct_pairs.len() as u64,
+            replayed.structure_misses + replayed.region_misses,
             "each region must be recorded exactly once"
         );
-        assert_eq!(stats.hits, total - distinct_pairs.len() as u64);
+        assert_eq!(stats.hits, replayed.hits);
+        assert_eq!(
+            cache.snapshot_json(),
+            sequential.snapshot_json(),
+            "the regions must not depend on the request order"
+        );
     }
 }

@@ -271,3 +271,24 @@ fn renamed_variables_work_across_the_plan_store() {
     assert_eq!(want.cost().to_bits(), got.cost().to_bits());
     assert_eq!(want.kernel_names(), got.kernel_names());
 }
+
+#[test]
+fn right_side_kernels_take_the_free_dimension_from_the_side() {
+    // `B L`, with `B` m×n general and `L` n×n lower triangular: a
+    // right-side TRMM costs m·n². Recorded at m = n, where `B`'s rows
+    // and columns both equal `L`'s order, the region also serves m ≠ n,
+    // so its formula must not have stored n³.
+    let (m, n) = (Dim::var("fd_m"), Dim::var("fd_n"));
+    let l = SymOperand::square("L", n)
+        .with_property(Property::LowerTriangular)
+        .unwrap();
+    let chain = SymChain::new(vec![plain("B", m, n), SymFactor::plain(l)]).unwrap();
+    let b = |mv, nv| DimBindings::new().with("fd_m", mv).with("fd_n", nv);
+    let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+    let cache = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    cache.solve(&chain, &b(8, 8)).unwrap();
+    let (got, outcome) = cache.solve(&chain, &b(5, 8)).unwrap();
+    assert_eq!(outcome, PlanOutcome::Hit, "m = 5 shares the m = n region");
+    assert_eq!(got.flops(), 5.0 * 8.0 * 8.0);
+    check_equivalent(&chain, &[b(8, 8), b(5, 8), b(8, 5), b(1, 8)]);
+}

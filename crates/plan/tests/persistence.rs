@@ -111,7 +111,9 @@ fn save_and_load_through_a_file() {
 
     let cold = PlanCache::new(registry, InferenceMode::Compositional);
     let adopted = cold.load(&path).unwrap();
-    assert!(adopted >= binds.len() - 1); // bindings may share regions
+    // Bindings may share regions: one is adopted per recording.
+    let recorded = warm.stats().structure_misses + warm.stats().region_misses;
+    assert_eq!(adopted as u64, recorded);
     let (_, outcome) = cold.solve(chain, &binds[0]).unwrap();
     assert_eq!(outcome, PlanOutcome::Hit);
     std::fs::remove_file(&path).ok();
@@ -340,4 +342,76 @@ fn candidates_missing_a_pattern_variable_are_rejected_at_load() {
     let fresh = PlanCache::new(registry, InferenceMode::Compositional);
     assert_eq!(fresh.load_snapshot_json(&snapshot).unwrap(), 1);
     assert_eq!(fresh.snapshot_json(), snapshot);
+}
+
+/// The store's regions as JSON, for rewriting: one structure's region
+/// list.
+fn regions_mut(doc: &mut serde::Value) -> &mut Vec<serde::Value> {
+    let structure = item_mut(field_mut(doc, "structures"), 0);
+    match field_mut(structure, "regions") {
+        serde::Value::Array(regions) => regions,
+        other => panic!("expected a region array, got {other:?}"),
+    }
+}
+
+/// Loads `json` into a fresh cache, expecting a store error that
+/// mentions `problem`, and nothing adopted.
+fn assert_rejected(registry: &Arc<KernelRegistry>, json: &str, problem: &str) {
+    let fresh = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    match fresh.load_snapshot_json(json) {
+        Err(PlanError::Store(msg)) => assert!(msg.contains(problem), "{msg}"),
+        other => panic!("expected a store error about {problem}, got {other:?}"),
+    }
+    assert!(fresh.is_empty());
+}
+
+#[test]
+fn questions_outside_the_structure_are_rejected_at_load() {
+    // A lookup answers each question on the request's boundary
+    // dimensions, so a position past the last one would index out of
+    // bounds on the first request.
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let warm = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    let (chain, binds) = &sample_workload()[0];
+    warm.solve(chain, &binds[0]).unwrap();
+    let snapshot = warm.snapshot_json();
+    let mut doc: serde::Value = serde_json::from_str(&snapshot).unwrap();
+    let region = &mut regions_mut(&mut doc)[0];
+    let serde::Value::Array(questions) = field_mut(region, "questions") else {
+        panic!("a region lists its questions");
+    };
+    // A 3-factor chain has boundaries 0..=3.
+    questions.push(serde_json::from_str("[\"eq\", 1, 4, false]").unwrap());
+    let corrupt = serde_json::to_string_pretty(&doc).unwrap();
+    assert_rejected(&registry, &corrupt, "outside 0..=3");
+}
+
+#[test]
+fn regions_sharing_a_key_are_rejected_at_load() {
+    // At most one region answers a binding; two with one key would make
+    // the served plan depend on the load order.
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let warm = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    let (chain, binds) = &sample_workload()[0];
+    warm.solve(chain, &binds[0]).unwrap();
+    let snapshot = warm.snapshot_json();
+    let mut doc: serde::Value = serde_json::from_str(&snapshot).unwrap();
+    let regions = regions_mut(&mut doc);
+    regions.push(regions[0].clone());
+    let corrupt = serde_json::to_string_pretty(&doc).unwrap();
+    assert_rejected(&registry, &corrupt, "share the key");
+}
+
+#[test]
+fn version_one_stores_are_rejected_with_a_reason() {
+    // `gmc-plan-store/v1` keyed regions on the full size ordering; its
+    // regions cannot be served under question keys.
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let warm = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    let (chain, binds) = &sample_workload()[0];
+    warm.solve(chain, &binds[0]).unwrap();
+    let v1 = warm
+        .snapshot_json()
+        .replace("gmc-plan-store/v2", "gmc-plan-store/v1");
+    assert_rejected(&registry, &v1, "full size ordering");
 }

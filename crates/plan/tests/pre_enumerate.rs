@@ -42,10 +42,14 @@ fn dense_symbolic_chain_every_request_hits() {
     let registry = Arc::new(KernelRegistry::blas_lapack());
     let (n, m, k) = (Dim::var("pe_n"), Dim::var("pe_m"), Dim::var("pe_k"));
     let chain = SymChain::new(vec![plain("A", n, m), plain("B", m, k), plain("C", k, n)]).unwrap();
-    for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+    // Compositional inference asks nothing of a dense chain but which
+    // dimensions are 1: 2³ regions. Deep inference conservatively asks
+    // every comparison, so its 26 regions are the weak orderings of
+    // three variables, each against 1 too.
+    for (mode, regions) in [(InferenceMode::Compositional, 8), (InferenceMode::Deep, 26)] {
         let cache = PlanCache::new(registry.clone(), mode);
         let recorded = cache.pre_enumerate_regions(&chain).unwrap();
-        assert!(recorded > 1, "a 3-variable chain has several regions");
+        assert_eq!(recorded, regions, "{mode:?}");
         assert_all_hits(&chain, &cache, 0xE1);
         // Idempotent: a second enumeration records nothing new.
         assert_eq!(cache.pre_enumerate_regions(&chain).unwrap(), 0);
@@ -56,8 +60,9 @@ fn dense_symbolic_chain_every_request_hits() {
 fn mixed_constant_and_variable_dims_enumerate() {
     let registry = Arc::new(KernelRegistry::blas_lapack());
     let (n, m) = (Dim::var("pe2_n"), Dim::var("pe2_m"));
-    // The constant 7 interleaves with the variables: orderings against
-    // it (and against 1) split regions too.
+    // The constant 7 interleaves with the variables, so the sweep
+    // covers every ordering against it; the regions split only on
+    // which of n and m are 1.
     let chain = SymChain::new(vec![
         plain("A", n, Dim::Const(7)),
         plain("B", Dim::Const(7), m),
@@ -66,7 +71,7 @@ fn mixed_constant_and_variable_dims_enumerate() {
     .unwrap();
     let cache = PlanCache::new(registry, InferenceMode::Compositional);
     let recorded = cache.pre_enumerate_regions(&chain).unwrap();
-    assert!(recorded > 1);
+    assert_eq!(recorded, 4);
     assert_all_hits(&chain, &cache, 0xE2);
 }
 
@@ -87,7 +92,7 @@ fn structured_chain_enumerates_with_properties() {
     ])
     .unwrap();
     let cache = PlanCache::new(registry, InferenceMode::Compositional);
-    cache.pre_enumerate_regions(&chain).unwrap();
+    assert_eq!(cache.pre_enumerate_regions(&chain).unwrap(), 4);
     assert_all_hits(&chain, &cache, 0xE3);
 }
 

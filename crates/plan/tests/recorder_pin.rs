@@ -192,14 +192,14 @@ fn compositional_recording_is_pinned() {
     let (total, digest, aliased) = record(InferenceMode::Compositional);
     assert!(aliased.dynamic >= 1, "{aliased}");
     let want = PlanSummary {
-        resolved: 1232,
-        deferred: 1084,
+        resolved: 1025,
+        deferred: 814,
         dynamic: 13,
         unsolvable: 0,
     };
     assert_eq!(total, want);
     assert_eq!(
-        digest, 0x4e04_6011_d52e_a92f,
+        digest, 0x6f8b_f567_8f96_8213,
         "snapshot digest {digest:#018x}"
     );
 }
@@ -208,14 +208,14 @@ fn compositional_recording_is_pinned() {
 fn deep_recording_is_pinned() {
     let (total, digest, _) = record(InferenceMode::Deep);
     let want = PlanSummary {
-        resolved: 1232,
-        deferred: 1097,
+        resolved: 1241,
+        deferred: 1088,
         dynamic: 0,
         unsolvable: 0,
     };
     assert_eq!(total, want);
     assert_eq!(
-        digest, 0x7a14_f74c_7a14_5ce7,
+        digest, 0xe0cf_123b_8ddf_8d35,
         "snapshot digest {digest:#018x}"
     );
 }

@@ -10,8 +10,8 @@
 //!  clients ──────────────┐
 //!                        ▼
 //!                 ┌─────────────┐   groups in-flight requests by
-//!                 │ dispatcher  │   (StructureKey, size region),
-//!                 └─────────────┘   coalesces identical bindings
+//!                 │ dispatcher  │   registered chain, coalesces
+//!                 └─────────────┘   identical bindings
 //!                        │ batches
 //!          ┌─────────────┼─────────────┐
 //!          ▼             ▼             ▼
@@ -25,11 +25,11 @@
 //! * **Parse once per structure.** Chains are registered by name
 //!   ([`Server::register`]); requests reference the name and carry only
 //!   dimension bindings, so no request ever re-parses a chain.
-//! * **Coalescing.** The dispatcher groups queued requests that share a
-//!   `(StructureKey, region)` into one batch — a miss is recorded once
-//!   for the whole group — and requests with *identical* bindings
-//!   collapse into a single instantiate whose result is fanned back
-//!   out.
+//! * **Coalescing.** The dispatcher groups queued requests for one
+//!   registered chain into batches, and requests with *identical*
+//!   bindings collapse into a single instantiate whose result is fanned
+//!   back out. Racing misses on one region record once: the cache's
+//!   per-shard write mutex coalesces them.
 //! * **Pre-enumeration.** [`Server::register_pre_enumerated`] records a
 //!   plan for every reachable region of a small chain up front, making
 //!   every subsequent request for it a hit.
@@ -58,7 +58,7 @@ use gmc_expr::{DimBindings, SymChain};
 use gmc_kernels::KernelRegistry;
 use gmc_obs::trace::SlowTraceRing;
 use gmc_obs::{Histogram, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
-use gmc_plan::{region_signature, CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
+use gmc_plan::{CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1506,17 +1506,15 @@ fn dispatcher_loop(
             }
         }
 
-        // Group by (registered chain, size region); coalesce identical
-        // bindings within a group. The chain is identified by its
-        // `Arc` pointer — registration hands every request for a name
-        // the same `Arc` — so grouping costs one pointer compare plus
-        // the region signature, with no per-request structure-key
-        // walk. (Two *names* registered with one structure group
-        // separately here; the cache's per-shard write mutex still
-        // coalesces their recordings.)
-        type GroupKey = (usize, Vec<i8>);
+        // Group by registered chain; coalesce identical bindings within
+        // a group. The chain is identified by its `Arc` pointer —
+        // registration hands every request for a name the same `Arc` —
+        // so grouping costs one pointer hash, with no per-request
+        // structure-key walk. (Two *names* registered with one
+        // structure group separately here; the cache's per-shard write
+        // mutex still coalesces their recordings.)
         type GroupMap = HashMap<
-            GroupKey,
+            usize,
             (
                 Arc<SymChain>,
                 HashMap<DimBindings, (Vec<ReplySlot>, Option<SolveFault>)>,
@@ -1552,31 +1550,27 @@ fn dispatcher_loop(
                     continue;
                 }
             }
-            let sizes = match req.chain.bind_dims(&req.bindings) {
-                Ok(sizes) => sizes,
-                Err(e) => {
-                    // Unbindable request: answer immediately, nothing
-                    // to dispatch.
-                    shared.served.record(ServedKind::Rejected, 1);
-                    let Request {
-                        name,
-                        reply,
-                        permit,
-                        ..
-                    } = req;
-                    drop(permit);
-                    reply
-                        .send(ServeReply {
-                            structure: name,
-                            result: Err(ServeError::Plan(PlanError::Chain(e.into()))),
-                        })
-                        .ok();
-                    continue;
-                }
-            };
-            let key = (Arc::as_ptr(&req.chain) as usize, region_signature(&sizes));
+            if let Err(e) = req.chain.bind_dims(&req.bindings) {
+                // Unbindable request: answer immediately, nothing to
+                // dispatch.
+                shared.served.record(ServedKind::Rejected, 1);
+                let Request {
+                    name,
+                    reply,
+                    permit,
+                    ..
+                } = req;
+                drop(permit);
+                reply
+                    .send(ServeReply {
+                        structure: name,
+                        result: Err(ServeError::Plan(PlanError::Chain(e.into()))),
+                    })
+                    .ok();
+                continue;
+            }
             let (_, items) = groups
-                .entry(key)
+                .entry(Arc::as_ptr(&req.chain) as usize)
                 .or_insert_with(|| (Arc::clone(&req.chain), HashMap::new()));
             // Identical bindings coalesce into one instantiate; the
             // hash lookup keeps grouping O(requests).

@@ -95,8 +95,8 @@ fn batch_submission_coalesces_identical_requests() {
     let mut batch: Vec<(String, DimBindings)> = (0..8)
         .map(|_| ("X".to_owned(), dense_bindings(10, 200, 30)))
         .collect();
-    batch.push(("X".to_owned(), dense_bindings(11, 220, 33))); // same region
-    batch.push(("X".to_owned(), dense_bindings(300, 20, 100))); // other region
+    batch.push(("X".to_owned(), dense_bindings(300, 20, 100))); // same region
+    batch.push(("X".to_owned(), dense_bindings(1, 20, 100))); // other region: n = 1
     let tickets = handle.submit_batch(batch);
     let replies: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
     assert_eq!(replies.len(), 10);

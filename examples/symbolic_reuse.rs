@@ -4,8 +4,10 @@
 //! One symbolic chain `X := A B C` over size variables `n, k, m` is
 //! instantiated at three size points. The first request records a
 //! symbolic plan; the second differs only in scale and hits the cache;
-//! the third flips the ordering of the dimensions, landing in a new
-//! size *region* whose optimal parenthesization differs.
+//! the third flips the ordering of the dimensions. The recording asked
+//! only which dimensions are 1, so the third is a hit on the same size
+//! *region*: its root cell was deferred, and at bind time it picks the
+//! other parenthesization.
 //!
 //! ```text
 //! cargo run --release --example symbolic_reuse

@@ -355,9 +355,12 @@ fn assert_matches_reference<M: gmc::CostMetric>(
 /// their shape admits). A square factor sometimes reuses an earlier
 /// square operand of the same dimension under any unary operator; such
 /// aliasing makes some temporaries' properties split-dependent, which is
-/// what drives cells to `Dynamic` under compositional inference.
+/// what drives cells to `Dynamic` under compositional inference. A
+/// rectangular factor sometimes reuses an earlier rectangular operand,
+/// plain or transposed, forming Gram pairs `Xᵀ X` whose inferred
+/// properties depend on whether `X` is tall.
 fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
-    use gmc_expr::{Dim, SymChain, SymFactor, SymOperand};
+    use gmc_expr::{Dim, SymChain, SymFactor, SymOperand, SymShape};
     use rand::Rng;
     let n = rng.gen_range(2..=8usize);
     let pool = ["sp_a", "sp_b", "sp_c"];
@@ -377,10 +380,25 @@ fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
         dims.push(d);
     }
     let mut squares: Vec<SymOperand> = Vec::new();
+    let mut rects: Vec<SymOperand> = Vec::new();
     let factors: Vec<SymFactor> = (0..n)
         .map(|i| {
             let (r, c) = (dims[i], dims[i + 1]);
             let square = r == c;
+            if !square && rng.gen_bool(0.5) {
+                let (plain, flipped) = (SymShape::new(r, c), SymShape::new(c, r));
+                if let Some(op) = rects
+                    .iter()
+                    .find(|o| o.shape() == plain || o.shape() == flipped)
+                {
+                    let unary = if op.shape() == plain {
+                        UnaryOp::None
+                    } else {
+                        UnaryOp::Transpose
+                    };
+                    return SymFactor::new(op.clone(), unary);
+                }
+            }
             if square && rng.gen_bool(0.8) {
                 let same_dim: Vec<&SymOperand> =
                     squares.iter().filter(|o| o.shape().rows() == r).collect();
@@ -407,6 +425,8 @@ fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
             }
             if square {
                 squares.push(op.clone());
+            } else {
+                rects.push(op.clone());
             }
             let unary = if square && rng.gen_bool(0.3) {
                 if transposed {
@@ -445,7 +465,7 @@ proptest! {
         let chain = random_symbolic_chain(&mut rng);
         let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
         let sizes = [1usize, 2, 3, 7, 10, 40, 100];
-        let bindings_list: Vec<DimBindings> = (0..3)
+        let bindings_list: Vec<DimBindings> = (0..8)
             .map(|_| {
                 let mut b = DimBindings::new();
                 for v in chain.vars() {
@@ -510,6 +530,124 @@ proptest! {
             prop_assert_eq!(served.requests(), served.hits);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// A region's key holds every shape question its plan depends on:
+    /// re-recording a random symbolic chain at another binding the
+    /// region serves records the same key and the same plan, byte for
+    /// byte in the plan store, in both inference modes.
+    #[test]
+    fn re_recording_inside_a_region_reproduces_it(seed in 0u64..1_000_000) {
+        use gmc::InferenceMode;
+        use gmc_expr::DimBindings;
+        use gmc_plan::PlanCache;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x00de_c1de);
+        let chain = random_symbolic_chain(&mut rng);
+        let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+        let sizes = [1usize, 2, 3, 7, 10, 40, 100];
+        let mut draw = || {
+            let mut b = DimBindings::new();
+            for v in chain.vars() {
+                b.set_var(v, sizes[rng.gen_range(0..sizes.len())]);
+            }
+            b
+        };
+        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+            let recorder = PlanCache::new(registry.clone(), mode);
+            // Uncomputable chains record their (negative) plan too.
+            let _ = recorder.solve(&chain, &draw());
+            let stored = recorder.snapshot_json();
+            for _ in 0..8 {
+                let bindings = draw();
+                // A pure lookup: does the one stored region serve it?
+                if recorder.region_summary(&chain, &bindings).is_none() {
+                    continue;
+                }
+                let again = PlanCache::new(registry.clone(), mode);
+                let _ = again.solve(&chain, &bindings);
+                prop_assert_eq!(
+                    again.snapshot_json(),
+                    stored.clone(),
+                    "re-recording {} at {} ({:?}) changed the region",
+                    &chain, &bindings, mode
+                );
+            }
+        }
+    }
+}
+
+/// ROADMAP item 2's dense-chain differential, on chains shaped like the
+/// serving traces' (`TraceStructure::chain`: one variable per boundary,
+/// random transposes, 2–9 factors) with 10% of the dimensions bound to
+/// 1: eight bindings per chain go through one cache in both inference
+/// modes, and every answer is bit-identical to a cold solve. Keyed on
+/// the questions a recording asked, such chains split regions only on
+/// unit dimensions, so bindings at other size orderings hit regions
+/// recorded at different ones, which is asserted too.
+#[test]
+fn dense_trace_chains_match_cold_solves_across_orderings() {
+    use gmc::InferenceMode;
+    use gmc_bench::workload::TraceStructure;
+    use gmc_plan::{region_signature, PlanCache};
+    use rand::Rng;
+    use std::collections::HashSet;
+    let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+    let mut hits_across_orderings = 0;
+    for seed in 0..150u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xd3a5e);
+        let len = rng.gen_range(2..=9usize);
+        let structure = TraceStructure {
+            name: format!("S{seed}"),
+            dims: (0..=len).map(|i| format!("dense_d{i}")).collect(),
+            transposed: (0..len).map(|_| rng.gen_bool(0.5)).collect(),
+        };
+        let chain = structure.chain().expect("trace structures are chains");
+        let values: Vec<Vec<usize>> = (0..8)
+            .map(|_| {
+                (0..=len)
+                    .map(|_| {
+                        if rng.gen_bool(0.1) {
+                            1
+                        } else {
+                            rng.gen_range(2..=300)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+            let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
+            let cache = PlanCache::new(registry.clone(), mode);
+            // The orderings regions were recorded at.
+            let mut recorded: HashSet<Vec<i8>> = HashSet::new();
+            for v in &values {
+                let bindings = structure.bindings(v);
+                let concrete = chain.bind(&bindings).expect("every dimension bound");
+                let want = optimizer.solve(&concrete).expect("dense chains solve");
+                let (got, outcome) = cache.solve(&chain, &bindings).expect("dense chains solve");
+                assert_eq!(
+                    want.cost().to_bits(),
+                    got.cost().to_bits(),
+                    "cost diverged ({mode:?}, {outcome}) on {concrete} at {bindings}"
+                );
+                assert_eq!(want.parenthesization(), got.parenthesization());
+                assert_eq!(want.kernel_names(), got.kernel_names());
+                let ordering = region_signature(&concrete.sizes());
+                if !outcome.is_hit() {
+                    recorded.insert(ordering);
+                } else if !recorded.contains(&ordering) {
+                    hits_across_orderings += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        hits_across_orderings > 0,
+        "no binding hit a region recorded at another ordering"
+    );
 }
 
 proptest! {

@@ -12,6 +12,7 @@ use gmc_bench::replay::{replay_trace, ReplayOptions, Verify};
 use gmc_bench::workload::{generate, WorkloadSpec};
 use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_kernels::KernelRegistry;
+use gmc_plan::PlanCache;
 use gmc_serve::{ServeConfig, Server};
 use std::sync::Arc;
 
@@ -50,24 +51,30 @@ fn soak_mixed_preset_upholds_all_invariants() {
 
 #[test]
 fn soak_all_miss_churn_never_caches_wrong() {
-    // Pure region churn: every request aims at an unseen region, so
-    // the plan cache records constantly while never wrongly reusing.
+    // Region churn: every request aims at an unseen size ordering. A
+    // region spans every ordering that answers its recording's shape
+    // questions alike, so most of them hit; each region must still be
+    // recorded exactly once, as a sequential replay of the trace records
+    // it, and no reuse may be wrong.
+    let options = ReplayOptions {
+        workers: 4,
+        verify: Verify::All,
+        ..ReplayOptions::default()
+    };
     let trace = generate(&preset("churn", 0xC0FFEE, 120)).unwrap();
-    let report = replay_trace(
-        &trace,
-        &ReplayOptions {
-            workers: 4,
-            verify: Verify::All,
-            ..ReplayOptions::default()
-        },
-    )
-    .unwrap();
+    let report = replay_trace(&trace, &options).unwrap();
     assert_clean(&report);
+    let sequential = PlanCache::new(Arc::new(KernelRegistry::blas_lapack()), options.inference);
+    for r in &trace.requests {
+        let s = &trace.structures[r.structure];
+        sequential
+            .solve(&s.chain().unwrap(), &s.bindings(&r.values))
+            .unwrap();
+    }
+    let recorded = sequential.stats().structure_misses + sequential.stats().region_misses;
     let served = report.stats.served;
-    assert!(
-        served.misses >= served.hits,
-        "churn should be miss-dominated: {served:?}"
-    );
+    assert_eq!(served.misses, recorded, "{served:?}");
+    assert_eq!(served.hits + served.misses, 120);
 }
 
 #[test]

@@ -43,21 +43,74 @@ fn regions_select_different_parenthesizations() {
     assert_eq!(o2, PlanOutcome::Hit);
     assert_eq!(s2.parenthesization(), "((A B) C)");
 
-    // Flipped ordering: new region, the other paren.
+    // Flipped ordering: no shape question the recording asked changes
+    // its answer, so the same region serves it, and its deferred root
+    // cell picks the other paren at bind time.
     let b3 = DimBindings::new()
         .with("n", 10)
         .with("k", 20)
         .with("m", 1000);
     let (s3, o3) = cache.solve(chain, &b3).unwrap();
-    assert_eq!(o3, PlanOutcome::MissRegion);
+    assert_eq!(o3, PlanOutcome::Hit);
     assert_eq!(s3.parenthesization(), "(A (B C))");
+    let summary = cache.region_summary(chain, &b3).unwrap();
+    assert!(
+        summary.deferred >= 1,
+        "the root cell is deferred: {summary}"
+    );
+    let cold = GmcOptimizer::new(&registry, FlopCount)
+        .solve(&chain.bind(&b3).unwrap())
+        .unwrap();
+    assert_eq!(cold.cost().to_bits(), s3.cost().to_bits());
 
     let stats = cache.stats();
     assert_eq!(stats.requests(), 3);
-    assert_eq!(stats.hits, 1);
+    assert_eq!(stats.hits, 2);
     assert_eq!(stats.structure_misses, 1);
-    assert_eq!(stats.region_misses, 1);
-    assert_eq!(cache.plan_for(chain).unwrap().region_count(), 2);
+    assert_eq!(stats.region_misses, 0);
+    assert_eq!(cache.plan_for(chain).unwrap().region_count(), 1);
+}
+
+#[test]
+fn an_inference_comparison_splits_regions_by_its_answer() {
+    // `Xᵀ X` is SPD iff `X` (n×m) has at least as many rows as columns,
+    // so the recording asks n ≥ m and each answer gets its own region;
+    // bindings on either side are served from theirs, bit-identically.
+    let problem =
+        parse("Matrix X (n, m)\nMatrix B (m, k)\nMatrix C (k, m)\nY := X^T * X * B * C\n").unwrap();
+    let sym = problem.symbolic.as_ref().unwrap();
+    let (_, chain) = &sym.chains[0];
+    let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+    let b = |n, m, k| DimBindings::new().with("n", n).with("m", m).with("k", k);
+    for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+        let cache = PlanCache::new(registry.clone(), mode);
+        let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
+        let cases = [
+            (b(40, 20, 30), PlanOutcome::MissStructure),
+            (b(20, 40, 30), PlanOutcome::MissRegion),
+            (b(90, 7, 60), PlanOutcome::Hit),
+            (b(7, 90, 60), PlanOutcome::Hit),
+            (b(40, 40, 30), PlanOutcome::Hit),
+        ];
+        for (bindings, outcome) in &cases {
+            let (got, served) = cache.solve(chain, bindings).unwrap();
+            let want = optimizer.solve(&chain.bind(bindings).unwrap()).unwrap();
+            assert_eq!(
+                want.cost().to_bits(),
+                got.cost().to_bits(),
+                "{mode:?} {bindings}"
+            );
+            assert_eq!(want.parenthesization(), got.parenthesization());
+            assert_eq!(want.kernel_names(), got.kernel_names());
+            if mode == InferenceMode::Compositional {
+                assert_eq!(served, *outcome, "{bindings}");
+            }
+        }
+        let regions = cache.plan_for(chain).unwrap().region_count();
+        if mode == InferenceMode::Compositional {
+            assert_eq!(regions, 2);
+        }
+    }
 }
 
 #[test]
