@@ -3,67 +3,13 @@
 //! serving wire's request-line parser. Whatever the bytes, none of them
 //! may panic; malformed input is an error value.
 
+mod frontend_inputs;
+
+use frontend_inputs::{edited, PREAMBLE, PROGRAM, SOURCE_TOKENS};
 use gmc_expr::Chain;
 use gmc_frontend::{lex, parse, render_error};
 use gmc_serve::protocol::parse_request_line;
 use proptest::prelude::*;
-
-/// Fragments of the input language plus near misses: sizes that
-/// overflow, unknown properties, stray operators, non-ASCII text.
-const SOURCE_TOKENS: &[&str] = &[
-    "Matrix",
-    "Vector",
-    "A",
-    "B",
-    "x",
-    "n",
-    "m",
-    "X",
-    ":=",
-    ":",
-    "=",
-    "(",
-    ")",
-    "<",
-    ">",
-    ",",
-    "+",
-    "*",
-    "-",
-    "^T",
-    "^-1",
-    "^-T",
-    "^",
-    "^-",
-    "'",
-    "0",
-    "1",
-    "2000",
-    "18446744073709551616",
-    "99999999999999999999999999",
-    "SPD",
-    "LowerTriangular",
-    "UpperTriangular",
-    "Diagonal",
-    "Symmetric",
-    "Identity",
-    "Bogus",
-    "#",
-    " ",
-    "\t",
-    "\n",
-    "\r\n",
-    ";",
-    "é",
-];
-
-/// A well-formed preamble, so token soups also reach the assignment
-/// grammar and the lowering to expressions.
-const PREAMBLE: &str = "Matrix A (n, n) <SPD>\nMatrix B (n, m)\nVector x (m)\n";
-
-/// A valid program for [`mutated`] to edit.
-const PROGRAM: &str = "Matrix A (n, n) <SPD>\nMatrix B (n, m)\nMatrix C (m, m) <LowerTriangular>\n\
-                       Vector x (m)\nX := A^-1 * B * C^T\nY := x' * B^T * A^-T * B\n";
 
 /// Fragments of request lines plus near misses.
 const WIRE_TOKENS: &[&str] = &[
@@ -108,20 +54,7 @@ fn mutated() -> impl Strategy<Value = String> {
         0..3usize,
         prop::sample::select(SOURCE_TOKENS.to_vec()),
     );
-    prop::collection::vec(edit, 1..4).prop_map(|edits| {
-        let mut s = PROGRAM.to_owned();
-        for (at, kind, token) in edits {
-            let cuts: Vec<usize> = s.char_indices().map(|(i, _)| i).chain([s.len()]).collect();
-            let c = at % cuts.len();
-            let (start, end) = (cuts[c], cuts[(c + 1).min(cuts.len() - 1)]);
-            match kind {
-                0 => s.insert_str(start, token),
-                1 => s.replace_range(start..end, ""),
-                _ => s.replace_range(start..end, token),
-            }
-        }
-        s
-    })
+    prop::collection::vec(edit, 1..4).prop_map(|edits| edited(PROGRAM, &edits))
 }
 
 /// Lexes, parses and lowers `input` as `gmcc` does, checking the
