@@ -7,14 +7,24 @@
 //! plan cache on its symbolic twin: a miss records the region in a
 //! fresh cache, a hit instantiates it at fresh sizes. A hit's cost
 //! relative to a cold solve is `hit/<n>` over
-//! `generation_time_by_length/<n>`. End-to-end and per-layer numbers
-//! come from the repository benchmark (`BENCHMARK.json`).
+//! `generation_time_by_length/<n>`.
+//!
+//! `text_by_length/{parse,emit}/<n>` time the text layers `gmcc FILE`
+//! wraps around that solve: `parse` is `gmc_frontend::parse` of the
+//! chain rendered as a source file, `emit` the Julia emitter on the
+//! solution's program. Read each over `generation_time_by_length/<n>`
+//! for the share of a compile the text costs beside the DP; parse grows
+//! linearly in `n`, the DP cubically, so the share falls with length.
+//! End-to-end and per-layer numbers come from the repository benchmark
+//! (`BENCHMARK.json`).
 //!
 //! Run: `cargo bench -p gmc-bench --bench generation_time`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gmc::{FlopCount, GmcOptimizer, GmcWorkspace, InferenceMode};
 use gmc_bench::{length_bindings, length_chain, symbolic_length_chain};
+use gmc_codegen::{Emitter, JuliaEmitter};
+use gmc_frontend::{parse, render_problem, Problem};
 use gmc_kernels::KernelRegistry;
 use gmc_plan::{PlanCache, PlanOutcome};
 use std::sync::Arc;
@@ -32,6 +42,36 @@ fn by_chain_length(c: &mut Criterion) {
         let chain = length_chain(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &chain, |b, chain| {
             b.iter(|| optimizer.solve(chain).expect("computable"))
+        });
+    }
+    group.finish();
+}
+
+fn text_by_length(c: &mut Criterion) {
+    let registry = KernelRegistry::blas_lapack();
+    let optimizer = GmcOptimizer::new(&registry, FlopCount);
+    let mut group = c.benchmark_group("text_by_length");
+    group
+        .sample_size(30)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_secs(1));
+    for n in [3usize, 6, 10, 20, 40, 80] {
+        let chain = length_chain(n);
+        let source = render_problem(&Problem {
+            operands: chain
+                .factors()
+                .iter()
+                .map(|f| f.operand().clone())
+                .collect(),
+            assignments: vec![("X".to_owned(), chain.to_expr())],
+            symbolic: None,
+        });
+        group.bench_with_input(BenchmarkId::new("parse", n), &source, |b, source| {
+            b.iter(|| parse(source).expect("a rendered problem parses"))
+        });
+        let program = optimizer.solve(&chain).expect("computable").program();
+        group.bench_with_input(BenchmarkId::new("emit", n), &program, |b, program| {
+            b.iter(|| JuliaEmitter::default().emit(program))
         });
     }
     group.finish();
@@ -101,6 +141,7 @@ fn plan_cache_by_length(c: &mut Criterion) {
 criterion_group!(
     benches,
     by_chain_length,
+    text_by_length,
     workspace_reuse,
     plan_cache_by_length
 );

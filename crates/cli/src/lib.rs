@@ -119,35 +119,38 @@ pub fn compile(input: &str, options: &Options) -> Result<String, String> {
     let mut workspace = GmcWorkspace::new();
     for (target, expr) in &problem.assignments {
         let chain = Chain::from_expr(expr).map_err(|e| format!("assignment `{target}`: {e}"))?;
-        let (program, paren, cost_line) = match options.metric {
+        let program = match options.metric {
             Metric::Flops => {
                 let solution = GmcOptimizer::new(&registry, FlopCount)
                     .solve_with(&chain, &mut workspace)
                     .map_err(|e| format!("assignment `{target}`: {e}"))?;
-                (
-                    solution.program(),
-                    solution.parenthesization().to_owned(),
-                    format!("cost: {:.4e} flops", solution.flops()),
-                )
+                write_report(
+                    &mut out,
+                    target,
+                    &chain,
+                    solution.parenthesization(),
+                    format_args!("{:.4e} flops", solution.flops()),
+                );
+                solution.program()
             }
             Metric::Time => {
                 let solution = GmcOptimizer::new(&registry, TimeModel::default())
                     .solve_with(&chain, &mut workspace)
                     .map_err(|e| format!("assignment `{target}`: {e}"))?;
-                (
-                    solution.program(),
-                    solution.parenthesization().to_owned(),
-                    format!(
-                        "cost: {:.3} ms (model), {:.4e} flops",
+                write_report(
+                    &mut out,
+                    target,
+                    &chain,
+                    solution.parenthesization(),
+                    format_args!(
+                        "{:.3} ms (model), {:.4e} flops",
                         solution.cost() * 1e3,
                         solution.flops()
                     ),
-                )
+                );
+                solution.program()
             }
         };
-        writeln!(out, "# {target} := {chain}").expect("string write");
-        writeln!(out, "# parenthesization: {paren}").expect("string write");
-        writeln!(out, "# {cost_line}").expect("string write");
         let code = match options.emit {
             Emit::Julia => JuliaEmitter::default().emit(&program),
             Emit::Rust => RustEmitter.emit(&program),
@@ -169,6 +172,19 @@ pub fn compile(input: &str, options: &Options) -> Result<String, String> {
         }
     }
     Ok(out)
+}
+
+/// Writes the three `#` report lines of a compiled assignment.
+fn write_report(
+    out: &mut String,
+    target: &str,
+    chain: &Chain,
+    parenthesization: &str,
+    cost: std::fmt::Arguments<'_>,
+) {
+    writeln!(out, "# {target} := {chain}").expect("string write");
+    writeln!(out, "# parenthesization: {parenthesization}").expect("string write");
+    writeln!(out, "# cost: {cost}").expect("string write");
 }
 
 /// Compiles the symbolic assignments of a problem: every chain

@@ -17,6 +17,7 @@ use crate::program::Program;
 use crate::Emitter;
 use gmc_kernels::{KernelOp, Side, Uplo};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
 /// Emits Julia source for a [`Program`].
 #[derive(Clone, Copy, Debug)]
@@ -56,30 +57,71 @@ fn t(flag: bool) -> char {
     }
 }
 
+/// An argument as an emitted call reads it.
+#[derive(Clone, Copy)]
+enum Arg<'p> {
+    /// The buffer itself.
+    Plain(&'p str),
+    /// A copy, so an in-place kernel leaves a live buffer intact.
+    Copy(&'p str),
+    /// A materialized transpose.
+    Transposed(&'p str),
+    /// The lazy adjoint.
+    Adjoint(&'p str),
+}
+
+impl fmt::Display for Arg<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Arg::Plain(x) => f.write_str(x),
+            Arg::Copy(x) => write!(f, "copy({x})"),
+            Arg::Transposed(x) => write!(f, "Matrix({x}')"),
+            Arg::Adjoint(x) => write!(f, "{x}'"),
+        }
+    }
+}
+
+/// Bytes reserved per instruction for the emitted text: a line with
+/// short operand names, and room for a copy or transposes beside it.
+const LINE_BYTES: usize = 64;
+
+/// The buffer currently holding the value of the operand `name`.
+fn buf<'p>(buffer: &HashMap<&'p str, &'p str>, name: &'p str) -> &'p str {
+    buffer.get(name).copied().unwrap_or(name)
+}
+
 impl Emitter for JuliaEmitter {
     fn language(&self) -> &str {
         "julia"
     }
 
     fn emit(&self, program: &Program) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        // Current buffer holding each (symbolic) operand's value.
-        let mut buffer: HashMap<String, String> = HashMap::new();
-        let buf = |buffer: &HashMap<String, String>, name: &str| -> String {
-            buffer.get(name).cloned().unwrap_or_else(|| name.to_owned())
-        };
+        let mut out = String::with_capacity(LINE_BYTES * (program.len() + 1));
+        // The buffer holding each operand's value, by operand name.
+        let mut buffer: HashMap<&str, &str> = HashMap::with_capacity(program.len());
 
         for (idx, instr) in program.instructions().iter().enumerate() {
-            let dest = instr.dest().name().to_owned();
-            match instr.op() {
+            let dest = instr.dest().name();
+            // A solve overwrites `A` in place when it is dead afterwards.
+            let solve_arg = |a: &str, a_buf| {
+                if program.live_after(idx, a) {
+                    Arg::Copy(a_buf)
+                } else {
+                    Arg::Plain(a_buf)
+                }
+            };
+            // The buffer receiving the result.
+            let value = match instr.op() {
                 KernelOp::Gemm { ta, tb, a, b } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = BLAS.gemm('{}', '{}', 1.0, {}, {})",
                         t(*ta),
                         t(*tb),
                         buf(&buffer, a.name()),
                         buf(&buffer, b.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Trmm {
                     side: s,
@@ -89,33 +131,26 @@ impl Emitter for JuliaEmitter {
                     b,
                 } => {
                     let a_buf = buf(&buffer, a.name());
-                    let target = self.inplace_target(
-                        program,
-                        idx,
-                        b.name(),
-                        &dest,
-                        &a_buf,
-                        &mut buffer,
-                        &mut lines,
-                    );
-                    lines.push(format!(
-                        "trmm!('{}', '{}', '{}', 'N', 1.0, {}, {})",
+                    let target =
+                        self.inplace_target(program, idx, b.name(), dest, a_buf, &buffer, &mut out);
+                    push_line!(
+                        out,
+                        "trmm!('{}', '{}', '{}', 'N', 1.0, {a_buf}, {target})",
                         side(*s),
                         uplo(*u),
-                        t(*trans),
-                        buf(&buffer, a.name()),
-                        target
-                    ));
-                    buffer.insert(dest, target);
-                    continue;
+                        t(*trans)
+                    );
+                    target
                 }
                 KernelOp::Symm { side: s, a, b } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = BLAS.symm('{}', 'L', 1.0, {}, {})",
                         side(*s),
                         buf(&buffer, a.name()),
                         buf(&buffer, b.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Trsm {
                     side: s,
@@ -125,39 +160,30 @@ impl Emitter for JuliaEmitter {
                     a,
                     b,
                 } => {
+                    let a_buf = buf(&buffer, a.name());
                     let target = if *tb {
-                        let bb = buf(&buffer, b.name());
-                        lines.push(format!("{dest} = Matrix({bb}')"));
-                        dest.clone()
+                        push_line!(out, "{dest} = Matrix({}')", buf(&buffer, b.name()));
+                        dest
                     } else {
-                        let a_buf = buf(&buffer, a.name());
-                        self.inplace_target(
-                            program,
-                            idx,
-                            b.name(),
-                            &dest,
-                            &a_buf,
-                            &mut buffer,
-                            &mut lines,
-                        )
+                        self.inplace_target(program, idx, b.name(), dest, a_buf, &buffer, &mut out)
                     };
-                    lines.push(format!(
-                        "trsm!('{}', '{}', '{}', 'N', 1.0, {}, {})",
+                    push_line!(
+                        out,
+                        "trsm!('{}', '{}', '{}', 'N', 1.0, {a_buf}, {target})",
                         side(*s),
                         uplo(*u),
-                        t(*trans),
-                        buf(&buffer, a.name()),
-                        target
-                    ));
-                    buffer.insert(dest, target);
-                    continue;
+                        t(*trans)
+                    );
+                    target
                 }
                 KernelOp::Syrk { trans, a } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = BLAS.syrk('L', '{}', 1.0, {})",
                         t(*trans),
                         buf(&buffer, a.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Gesv {
                     side: s,
@@ -166,91 +192,45 @@ impl Emitter for JuliaEmitter {
                     a,
                     b,
                 } => {
+                    let a_buf = buf(&buffer, a.name());
                     let target = if *tb {
-                        let bb = buf(&buffer, b.name());
-                        lines.push(format!("{dest} = Matrix({bb}')"));
-                        dest.clone()
+                        push_line!(out, "{dest} = Matrix({}')", buf(&buffer, b.name()));
+                        dest
                     } else {
-                        let a_buf = buf(&buffer, a.name());
-                        self.inplace_target(
-                            program,
-                            idx,
-                            b.name(),
-                            &dest,
-                            &a_buf,
-                            &mut buffer,
-                            &mut lines,
-                        )
+                        self.inplace_target(program, idx, b.name(), dest, a_buf, &buffer, &mut out)
                     };
                     // gesv! factorizes in place: protect A if live (or
-                    // transposed).
-                    let a_name = buf(&buffer, a.name());
-                    let a_expr = match (trans, s) {
-                        // A right-side solve X·A = B is AᵀXᵀ = Bᵀ; the
-                        // Julia wrapper call works on the transposed
-                        // system.
-                        (false, Side::Left) => {
-                            if program.live_after(idx, a.name()) {
-                                format!("copy({a_name})")
-                            } else {
-                                a_name
-                            }
-                        }
-                        (true, Side::Left) => format!("Matrix({a_name}')"),
-                        (false, Side::Right) => format!("Matrix({a_name}')"),
-                        (true, Side::Right) => {
-                            if program.live_after(idx, a.name()) {
-                                format!("copy({a_name})")
-                            } else {
-                                a_name
-                            }
-                        }
+                    // transposed). A right-side solve X·A = B is
+                    // AᵀXᵀ = Bᵀ; the Julia wrapper call works on the
+                    // transposed system.
+                    let a_arg = match (trans, s) {
+                        (false, Side::Left) | (true, Side::Right) => solve_arg(a.name(), a_buf),
+                        (true, Side::Left) | (false, Side::Right) => Arg::Transposed(a_buf),
                     };
-                    match s {
-                        Side::Left => lines.push(format!("gesv!({a_expr}, {target})")),
-                        Side::Right => {
-                            // Solve on the transposed right-hand side.
-                            lines.push(format!("{target} = Matrix({target}')"));
-                            lines.push(format!("gesv!({a_expr}, {target})"));
-                            lines.push(format!("{target} = Matrix({target}')"));
-                        }
-                    }
-                    buffer.insert(dest, target);
-                    continue;
+                    solve_lines(
+                        &mut out,
+                        *s,
+                        format_args!("gesv!({a_arg}, {target})"),
+                        target,
+                    );
+                    target
                 }
                 KernelOp::Posv { side: s, tb, a, b } => {
+                    let a_buf = buf(&buffer, a.name());
                     let target = if *tb {
-                        let bb = buf(&buffer, b.name());
-                        lines.push(format!("{dest} = Matrix({bb}')"));
-                        dest.clone()
+                        push_line!(out, "{dest} = Matrix({}')", buf(&buffer, b.name()));
+                        dest
                     } else {
-                        let a_buf = buf(&buffer, a.name());
-                        self.inplace_target(
-                            program,
-                            idx,
-                            b.name(),
-                            &dest,
-                            &a_buf,
-                            &mut buffer,
-                            &mut lines,
-                        )
+                        self.inplace_target(program, idx, b.name(), dest, a_buf, &buffer, &mut out)
                     };
-                    let a_name = buf(&buffer, a.name());
-                    let a_expr = if program.live_after(idx, a.name()) {
-                        format!("copy({a_name})")
-                    } else {
-                        a_name
-                    };
-                    match s {
-                        Side::Left => lines.push(format!("posv!('L', {a_expr}, {target})")),
-                        Side::Right => {
-                            lines.push(format!("{target} = Matrix({target}')"));
-                            lines.push(format!("posv!('L', {a_expr}, {target})"));
-                            lines.push(format!("{target} = Matrix({target}')"));
-                        }
-                    }
-                    buffer.insert(dest, target);
-                    continue;
+                    let a_arg = solve_arg(a.name(), a_buf);
+                    solve_lines(
+                        &mut out,
+                        *s,
+                        format_args!("posv!('L', {a_arg}, {target})"),
+                        target,
+                    );
+                    target
                 }
                 KernelOp::Diag {
                     side: s,
@@ -260,23 +240,31 @@ impl Emitter for JuliaEmitter {
                     b,
                 } => {
                     let bb = buf(&buffer, b.name());
-                    let bexpr = if *tb { format!("Matrix({bb}')") } else { bb };
-                    let dd = format!("Diagonal({})", buf(&buffer, d.name()));
-                    let rhs = match (s, inv) {
-                        (Side::Left, false) => format!("{dd} * {bexpr}"),
-                        (Side::Left, true) => format!("{dd} \\ {bexpr}"),
-                        (Side::Right, false) => format!("{bexpr} * {dd}"),
-                        (Side::Right, true) => format!("{bexpr} / {dd}"),
+                    let b_arg = if *tb {
+                        Arg::Transposed(bb)
+                    } else {
+                        Arg::Plain(bb)
                     };
-                    lines.push(format!("{dest} = {rhs}"));
+                    let dd = buf(&buffer, d.name());
+                    match (s, inv) {
+                        (Side::Left, false) => push_line!(out, "{dest} = Diagonal({dd}) * {b_arg}"),
+                        (Side::Left, true) => push_line!(out, "{dest} = Diagonal({dd}) \\ {b_arg}"),
+                        (Side::Right, false) => {
+                            push_line!(out, "{dest} = {b_arg} * Diagonal({dd})")
+                        }
+                        (Side::Right, true) => push_line!(out, "{dest} = {b_arg} / Diagonal({dd})"),
+                    }
+                    dest
                 }
                 KernelOp::Gemv { trans, a, x } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = BLAS.gemv('{}', 1.0, {}, {})",
                         t(*trans),
                         buf(&buffer, a.name()),
                         buf(&buffer, x.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Trmv {
                     uplo: u,
@@ -284,20 +272,24 @@ impl Emitter for JuliaEmitter {
                     a,
                     x,
                 } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = BLAS.trmv('{}', '{}', 'N', {}, {})",
                         uplo(*u),
                         t(*trans),
                         buf(&buffer, a.name()),
                         buf(&buffer, x.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Symv { a, x } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = BLAS.symv('L', 1.0, {}, {})",
                         buf(&buffer, a.name()),
                         buf(&buffer, x.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Trsv {
                     uplo: u,
@@ -305,67 +297,91 @@ impl Emitter for JuliaEmitter {
                     a,
                     x,
                 } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = BLAS.trsv('{}', '{}', 'N', {}, {})",
                         uplo(*u),
                         t(*trans),
                         buf(&buffer, a.name()),
                         buf(&buffer, x.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Ger { x, y } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = {} * {}'",
                         buf(&buffer, x.name()),
                         buf(&buffer, y.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Dot { x, y } => {
-                    lines.push(format!(
+                    push_line!(
+                        out,
                         "{dest} = dot({}, {})",
                         buf(&buffer, x.name()),
                         buf(&buffer, y.name())
-                    ));
+                    );
+                    dest
                 }
                 KernelOp::Copy { b } => {
-                    lines.push(format!("{dest} = copy({})", buf(&buffer, b.name())));
+                    push_line!(out, "{dest} = copy({})", buf(&buffer, b.name()));
+                    dest
                 }
                 KernelOp::Inv { kind, trans, a } => {
                     let aa = buf(&buffer, a.name());
-                    let call = match kind {
-                        gmc_kernels::InvKind::Spd => format!("inv(cholesky({aa}))"),
-                        gmc_kernels::InvKind::Diagonal => format!("inv(Diagonal({aa}))"),
-                        _ => format!("inv({aa})"),
+                    let (open, close) = match kind {
+                        gmc_kernels::InvKind::Spd => ("inv(cholesky(", "))"),
+                        gmc_kernels::InvKind::Diagonal => ("inv(Diagonal(", "))"),
+                        _ => ("inv(", ")"),
                     };
                     if *trans {
-                        lines.push(format!("{dest} = Matrix({call}')"));
+                        push_line!(out, "{dest} = Matrix({open}{aa}{close}')");
                     } else {
-                        lines.push(format!("{dest} = {call}"));
+                        push_line!(out, "{dest} = {open}{aa}{close}");
                     }
+                    dest
                 }
                 KernelOp::InvPair { ta, tb, a, b } => {
                     let bb = buf(&buffer, b.name());
-                    let bexpr = if *tb { format!("{bb}'") } else { bb };
-                    lines.push(format!("{dest} = inv({bexpr})"));
-                    let aa = buf(&buffer, a.name());
-                    let aexpr = if *ta {
-                        format!("Matrix({aa}')")
-                    } else if program.live_after(idx, a.name()) {
-                        format!("copy({aa})")
+                    let b_arg = if *tb {
+                        Arg::Adjoint(bb)
                     } else {
-                        aa
+                        Arg::Plain(bb)
                     };
-                    lines.push(format!("gesv!({aexpr}, {dest})"));
+                    push_line!(out, "{dest} = inv({b_arg})");
+                    let aa = buf(&buffer, a.name());
+                    let a_arg = if *ta {
+                        Arg::Transposed(aa)
+                    } else {
+                        solve_arg(a.name(), aa)
+                    };
+                    push_line!(out, "gesv!({a_arg}, {dest})");
+                    dest
                 }
-            }
-            buffer.insert(dest.clone(), dest);
+            };
+            buffer.insert(dest, value);
         }
 
         if let Some(last) = program.instructions().last() {
-            let result = buf(&buffer, last.dest().name());
-            lines.push(format!("# result in {result}"));
+            push_line!(out, "# result in {}", buf(&buffer, last.dest().name()));
         }
-        lines.join("\n")
+        // Lines are separated, not terminated, by newlines.
+        out.pop();
+        out
+    }
+}
+
+/// Writes an in-place solve's call; a right-side solve works on the
+/// transposed right-hand side, transposing `target` before and after.
+fn solve_lines(out: &mut String, s: Side, call: fmt::Arguments<'_>, target: &str) {
+    if s == Side::Right {
+        push_line!(out, "{target} = Matrix({target}')");
+    }
+    push_line!(out, "{call}");
+    if s == Side::Right {
+        push_line!(out, "{target} = Matrix({target}')");
     }
 }
 
@@ -373,28 +389,25 @@ impl JuliaEmitter {
     /// Picks the buffer an in-place kernel writes to: the right-hand
     /// side's current buffer if dead, otherwise a fresh copy.
     #[allow(clippy::too_many_arguments)] // mirrors the BLAS call it emits
-    fn inplace_target(
+    fn inplace_target<'p>(
         &self,
         program: &Program,
         idx: usize,
-        b_name: &str,
-        dest: &str,
+        b_name: &'p str,
+        dest: &'p str,
         conflict: &str,
-        buffer: &mut HashMap<String, String>,
-        lines: &mut Vec<String>,
-    ) -> String {
-        let current = buffer
-            .get(b_name)
-            .cloned()
-            .unwrap_or_else(|| b_name.to_owned());
+        buffer: &HashMap<&'p str, &'p str>,
+        out: &mut String,
+    ) -> &'p str {
+        let current = buf(buffer, b_name);
         // Reusing the right-hand side's buffer is only legal when it is
         // dead afterwards AND distinct from the factor operand's buffer
         // (an in-place kernel must not alias its two arguments).
         if self.reuse_buffers && !program.live_after(idx, b_name) && current != conflict {
             current
         } else {
-            lines.push(format!("{dest} = copy({current})"));
-            dest.to_owned()
+            push_line!(out, "{dest} = copy({current})");
+            dest
         }
     }
 }
@@ -497,6 +510,45 @@ posv!('L', A, B)
         }
         .emit(&program);
         assert!(code.contains("T0 = copy(B)"));
+    }
+
+    #[test]
+    fn inverses_syrk_symv_and_copies() {
+        let a = Operand::square("A", 4).with_property(Property::SymmetricPositiveDefinite);
+        let d = Operand::square("D", 4).with_property(Property::Diagonal);
+        let g = Operand::square("G", 4);
+        let x = Operand::col_vector("x", 4);
+        let t = |name: &str| Operand::temporary(name, Shape::new(4, 4), PropertySet::new());
+        let v = Operand::temporary("T4", Shape::col_vector(4), PropertySet::new());
+        let inv = |kind, trans, a: &Operand| KernelOp::Inv {
+            kind,
+            trans,
+            a: a.clone(),
+        };
+        let program = Program::new(vec![
+            Instruction::new(t("T0"), inv(gmc_kernels::InvKind::Spd, false, &a)),
+            Instruction::new(t("T1"), inv(gmc_kernels::InvKind::Diagonal, true, &d)),
+            Instruction::new(t("T2"), inv(gmc_kernels::InvKind::General, true, &g)),
+            Instruction::new(
+                t("T3"),
+                KernelOp::Syrk {
+                    trans: true,
+                    a: g.clone(),
+                },
+            ),
+            Instruction::new(v, KernelOp::Symv { a, x }),
+            Instruction::new(t("T5"), KernelOp::Copy { b: g }),
+        ]);
+        let code = JuliaEmitter::default().emit(&program);
+        let expected = "\
+T0 = inv(cholesky(A))
+T1 = Matrix(inv(Diagonal(D))')
+T2 = Matrix(inv(G)')
+T3 = BLAS.syrk('L', 'T', 1.0, G)
+T4 = BLAS.symv('L', 1.0, A, x)
+T5 = copy(G)
+# result in T5";
+        assert_eq!(code, expected);
     }
 
     #[test]

@@ -33,6 +33,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Appends one line to an emitter's output: `writeln!` into a
+/// `String`, which cannot fail. The emitters write every line this way
+/// into one buffer and drop the final newline.
+macro_rules! push_line {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).expect("writing to a String cannot fail")
+    };
+}
+
 mod julia;
 mod program;
 mod pseudo;

@@ -127,9 +127,11 @@ impl Program {
     /// used again by any *later* instruction (true = live after this
     /// use). Used for buffer reuse in the emitters.
     pub fn live_after(&self, index: usize, name: &str) -> bool {
-        self.instructions[index + 1..]
-            .iter()
-            .any(|instr| instr.op().operands().iter().any(|o| o.name() == name))
+        self.instructions[index + 1..].iter().any(|instr| {
+            let mut used = false;
+            instr.op().for_each_operand(|o| used |= o.name() == name);
+            used
+        })
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::program::Program;
 use crate::Emitter;
 use gmc_kernels::{KernelOp, Side};
+use std::fmt::{self, Write as _};
 
 /// Emits one line per instruction in mathematical notation, annotated
 /// with the kernel routine:
@@ -16,27 +17,54 @@ pub struct PseudoEmitter;
 
 /// Renders the mathematical form of an operation, e.g. `A^-1 T1`.
 pub fn math_form(op: &KernelOp) -> String {
-    fn t(name: &str, flag: bool) -> String {
-        if flag {
-            format!("{name}^T")
-        } else {
-            name.to_owned()
-        }
+    let mut out = String::new();
+    write_math_form(&mut out, op).expect("writing to a String cannot fail");
+    out
+}
+
+/// An operand name with an operator suffix (`^T`, `^-1`, `^-T` or none).
+struct Sup<'a>(&'a str, &'static str);
+
+impl fmt::Display for Sup<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)?;
+        f.write_str(self.1)
     }
+}
+
+/// `name`, transposed if `flag`.
+fn t(name: &str, flag: bool) -> Sup<'_> {
+    Sup(name, if flag { "^T" } else { "" })
+}
+
+/// `name`'s inverse, or its inverse transpose if `trans`.
+fn inv(name: &str, trans: bool) -> Sup<'_> {
+    Sup(name, if trans { "^-T" } else { "^-1" })
+}
+
+/// `op other` for a left-side kernel, `other op` for a right-side one.
+fn sided(
+    out: &mut String,
+    side: Side,
+    op: impl fmt::Display,
+    other: impl fmt::Display,
+) -> fmt::Result {
+    match side {
+        Side::Left => write!(out, "{op} {other}"),
+        Side::Right => write!(out, "{other} {op}"),
+    }
+}
+
+/// Appends the mathematical form of an operation to `out`.
+fn write_math_form(out: &mut String, op: &KernelOp) -> fmt::Result {
     match op {
         KernelOp::Gemm { ta, tb, a, b } => {
-            format!("{} {}", t(a.name(), *ta), t(b.name(), *tb))
+            write!(out, "{} {}", t(a.name(), *ta), t(b.name(), *tb))
         }
         KernelOp::Trmm {
             side, trans, a, b, ..
-        } => match side {
-            Side::Left => format!("{} {}", t(a.name(), *trans), b.name()),
-            Side::Right => format!("{} {}", b.name(), t(a.name(), *trans)),
-        },
-        KernelOp::Symm { side, a, b } => match side {
-            Side::Left => format!("{} {}", a.name(), b.name()),
-            Side::Right => format!("{} {}", b.name(), a.name()),
-        },
+        } => sided(out, *side, t(a.name(), *trans), b.name()),
+        KernelOp::Symm { side, a, b } => sided(out, *side, a.name(), b.name()),
         KernelOp::Trsm {
             side,
             trans,
@@ -51,81 +79,44 @@ pub fn math_form(op: &KernelOp) -> String {
             tb,
             a,
             b,
-        } => {
-            let inv = if *trans {
-                format!("{}^-T", a.name())
-            } else {
-                format!("{}^-1", a.name())
-            };
-            match side {
-                Side::Left => format!("{inv} {}", t(b.name(), *tb)),
-                Side::Right => format!("{} {inv}", t(b.name(), *tb)),
-            }
-        }
+        } => sided(out, *side, inv(a.name(), *trans), t(b.name(), *tb)),
         KernelOp::Posv { side, tb, a, b } => {
-            let inv = format!("{}^-1", a.name());
-            match side {
-                Side::Left => format!("{inv} {}", t(b.name(), *tb)),
-                Side::Right => format!("{} {inv}", t(b.name(), *tb)),
-            }
+            sided(out, *side, inv(a.name(), false), t(b.name(), *tb))
         }
         KernelOp::Syrk { trans, a } => {
             if *trans {
-                format!("{}^T {}", a.name(), a.name())
+                write!(out, "{}^T {}", a.name(), a.name())
             } else {
-                format!("{} {}^T", a.name(), a.name())
+                write!(out, "{} {}^T", a.name(), a.name())
             }
         }
         KernelOp::Diag {
             side,
-            inv,
+            inv: inverted,
             tb,
             d,
             b,
         } => {
-            let dd = if *inv {
-                format!("{}^-1", d.name())
+            let dd = if *inverted {
+                inv(d.name(), false)
             } else {
-                d.name().to_owned()
+                t(d.name(), false)
             };
-            match side {
-                Side::Left => format!("{dd} {}", t(b.name(), *tb)),
-                Side::Right => format!("{} {dd}", t(b.name(), *tb)),
-            }
+            sided(out, *side, dd, t(b.name(), *tb))
         }
-        KernelOp::Gemv { trans, a, x } => format!("{} {}", t(a.name(), *trans), x.name()),
-        KernelOp::Trmv { trans, a, x, .. } => format!("{} {}", t(a.name(), *trans), x.name()),
-        KernelOp::Symv { a, x } => format!("{} {}", a.name(), x.name()),
+        KernelOp::Gemv { trans, a, x } | KernelOp::Trmv { trans, a, x, .. } => {
+            write!(out, "{} {}", t(a.name(), *trans), x.name())
+        }
+        KernelOp::Symv { a, x } => write!(out, "{} {}", a.name(), x.name()),
         KernelOp::Trsv { trans, a, x, .. } => {
-            let inv = if *trans {
-                format!("{}^-T", a.name())
-            } else {
-                format!("{}^-1", a.name())
-            };
-            format!("{inv} {}", x.name())
+            write!(out, "{} {}", inv(a.name(), *trans), x.name())
         }
-        KernelOp::Ger { x, y } => format!("{} {}^T", x.name(), y.name()),
-        KernelOp::Dot { x, y } => format!("{}^T {}", x.name(), y.name()),
-        KernelOp::Copy { b } => b.name().to_owned(),
-        KernelOp::Inv { trans, a, .. } => {
-            if *trans {
-                format!("{}^-T", a.name())
-            } else {
-                format!("{}^-1", a.name())
-            }
-        }
+        KernelOp::Ger { x, y } => write!(out, "{} {}^T", x.name(), y.name()),
+        KernelOp::Dot { x, y } => write!(out, "{}^T {}", x.name(), y.name()),
+        KernelOp::Copy { b } => out.write_str(b.name()),
+        KernelOp::Inv { trans, a, .. } => write!(out, "{}", inv(a.name(), *trans)),
         KernelOp::InvPair { ta, tb, a, b } => {
-            let left = if *ta {
-                format!("{}^-T", a.name())
-            } else {
-                format!("{}^-1", a.name())
-            };
-            let right = if *tb {
-                format!("{}^-T", b.name())
-            } else {
-                format!("{}^-1", b.name())
-            };
-            format!("{left} {right}")
+            write!(out, "{} {}", inv(a.name(), *ta), inv(b.name(), *tb))
         }
     }
 }
@@ -136,28 +127,38 @@ impl Emitter for PseudoEmitter {
     }
 
     fn emit(&self, program: &Program) -> String {
-        let width = program
-            .instructions()
+        // Every math form, rendered once into one buffer; the width
+        // pass and the lines read them from there.
+        let mut forms = String::with_capacity(16 * program.len());
+        let mut spans = Vec::with_capacity(program.len());
+        for instr in program.instructions() {
+            let start = forms.len();
+            write_math_form(&mut forms, instr.op()).expect("writing to a String cannot fail");
+            spans.push(start..forms.len());
+        }
+        let instructions = program.instructions();
+        let width = instructions
             .iter()
-            .map(|i| i.dest().name().len() + math_form(i.op()).len())
+            .zip(&spans)
+            .map(|(i, span)| i.dest().name().len() + span.len())
             .max()
             .unwrap_or(0);
-        program
-            .instructions()
-            .iter()
-            .map(|i| {
-                let math = math_form(i.op());
-                let pad = width + 4 - (i.dest().name().len() + math.len());
-                format!(
-                    "{} := {}{}[{}]",
-                    i.dest().name(),
-                    math,
-                    " ".repeat(pad),
-                    i.op().family()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+        // Each line is `width + 4` wide up to its `[family]` tag.
+        let mut out = String::with_capacity((width + 16) * instructions.len());
+        for (i, span) in instructions.iter().zip(spans) {
+            let name = i.dest().name();
+            let pad = width + 4 - (name.len() + span.len());
+            push_line!(
+                out,
+                "{name} := {}{:pad$}[{}]",
+                &forms[span],
+                "",
+                i.op().family()
+            );
+        }
+        // Lines are separated, not terminated, by newlines.
+        out.pop();
+        out
     }
 }
 

@@ -98,19 +98,25 @@ impl Emitter for RustEmitter {
     }
 
     fn emit(&self, program: &Program) -> String {
-        let mut lines = Vec::new();
-        lines.push("// Generated by gmc-codegen; compile against gmc-runtime::ops.".to_owned());
+        // About one 64-byte line per instruction, plus the header.
+        let mut out = String::with_capacity(64 * (program.len() + 1));
+        push_line!(
+            out,
+            "// Generated by gmc-codegen; compile against gmc-runtime::ops."
+        );
         // Fail loudly rather than wire two matrices to one identifier.
         for name in colliding_names(program) {
-            lines.push(format!(
+            push_line!(
+                out,
                 "compile_error!(\"gmc-codegen: operand `{name}` collides with another operand \
                  after identifier sanitization\");"
-            ));
+            );
         }
         for instr in program.instructions() {
             let d = Ident(instr.dest().name());
-            let line = match instr.op() {
-                KernelOp::Gemm { ta, tb, a, b } => format!(
+            match instr.op() {
+                KernelOp::Gemm { ta, tb, a, b } => push_line!(
+                    out,
                     "let {d} = ops::gemm(&{}, {ta}, &{}, {tb});",
                     Ident(a.name()),
                     Ident(b.name())
@@ -121,14 +127,16 @@ impl Emitter for RustEmitter {
                     trans,
                     a,
                     b,
-                } => format!(
+                } => push_line!(
+                    out,
                     "let {d} = ops::trmm({}, {}, {trans}, &{}, &{});",
                     side(*s),
                     uplo(*u),
                     Ident(a.name()),
                     Ident(b.name())
                 ),
-                KernelOp::Symm { side: s, a, b } => format!(
+                KernelOp::Symm { side: s, a, b } => push_line!(
+                    out,
                     "let {d} = ops::symm({}, &{}, &{});",
                     side(*s),
                     Ident(a.name()),
@@ -141,7 +149,8 @@ impl Emitter for RustEmitter {
                     tb,
                     a,
                     b,
-                } => format!(
+                } => push_line!(
+                    out,
                     "let {d} = ops::trsm({}, {}, {trans}, {tb}, &{}, &{});",
                     side(*s),
                     uplo(*u),
@@ -149,7 +158,7 @@ impl Emitter for RustEmitter {
                     Ident(b.name())
                 ),
                 KernelOp::Syrk { trans, a } => {
-                    format!("let {d} = ops::syrk({trans}, &{});", Ident(a.name()))
+                    push_line!(out, "let {d} = ops::syrk({trans}, &{});", Ident(a.name()))
                 }
                 KernelOp::Gesv {
                     side: s,
@@ -157,13 +166,15 @@ impl Emitter for RustEmitter {
                     tb,
                     a,
                     b,
-                } => format!(
+                } => push_line!(
+                    out,
                     "let {d} = ops::gesv({}, {trans}, {tb}, &{}, &{})?;",
                     side(*s),
                     Ident(a.name()),
                     Ident(b.name())
                 ),
-                KernelOp::Posv { side: s, tb, a, b } => format!(
+                KernelOp::Posv { side: s, tb, a, b } => push_line!(
+                    out,
                     "let {d} = ops::posv({}, {tb}, &{}, &{})?;",
                     side(*s),
                     Ident(a.name()),
@@ -175,13 +186,15 @@ impl Emitter for RustEmitter {
                     tb,
                     d: dg,
                     b,
-                } => format!(
+                } => push_line!(
+                    out,
                     "let {d} = ops::diag({}, {inv}, {tb}, &{}, &{})?;",
                     side(*s),
                     Ident(dg.name()),
                     Ident(b.name())
                 ),
-                KernelOp::Gemv { trans, a, x } => format!(
+                KernelOp::Gemv { trans, a, x } => push_line!(
+                    out,
                     "let {d} = ops::gemv({trans}, &{}, &{});",
                     Ident(a.name()),
                     Ident(x.name())
@@ -191,13 +204,15 @@ impl Emitter for RustEmitter {
                     trans,
                     a,
                     x,
-                } => format!(
+                } => push_line!(
+                    out,
                     "let {d} = ops::trmv({}, {trans}, &{}, &{});",
                     uplo(*u),
                     Ident(a.name()),
                     Ident(x.name())
                 ),
-                KernelOp::Symv { a, x } => format!(
+                KernelOp::Symv { a, x } => push_line!(
+                    out,
                     "let {d} = ops::symv(&{}, &{});",
                     Ident(a.name()),
                     Ident(x.name())
@@ -207,39 +222,45 @@ impl Emitter for RustEmitter {
                     trans,
                     a,
                     x,
-                } => format!(
+                } => push_line!(
+                    out,
                     "let {d} = ops::trsv({}, {trans}, &{}, &{});",
                     uplo(*u),
                     Ident(a.name()),
                     Ident(x.name())
                 ),
-                KernelOp::Ger { x, y } => format!(
+                KernelOp::Ger { x, y } => push_line!(
+                    out,
                     "let {d} = ops::ger(&{}, &{});",
                     Ident(x.name()),
                     Ident(y.name())
                 ),
-                KernelOp::Dot { x, y } => format!(
+                KernelOp::Dot { x, y } => push_line!(
+                    out,
                     "let {d} = ops::dot_op(&{}, &{});",
                     Ident(x.name()),
                     Ident(y.name())
                 ),
-                KernelOp::Copy { b } => format!("let {d} = {}.clone();", Ident(b.name())),
-                KernelOp::Inv { kind, trans, a } => format!(
+                KernelOp::Copy { b } => push_line!(out, "let {d} = {}.clone();", Ident(b.name())),
+                KernelOp::Inv { kind, trans, a } => push_line!(
+                    out,
                     "let {d} = ops::inv({kind:?}, {trans}, &{})?;",
                     Ident(a.name())
                 ),
-                KernelOp::InvPair { ta, tb, a, b } => format!(
+                KernelOp::InvPair { ta, tb, a, b } => push_line!(
+                    out,
                     "let {d} = ops::inv_pair({ta}, {tb}, &{}, &{})?;",
                     Ident(a.name()),
                     Ident(b.name())
                 ),
-            };
-            lines.push(line);
+            }
         }
         if let Some(last) = program.instructions().last() {
-            lines.push(format!("// result: {}", Ident(last.dest().name())));
+            push_line!(out, "// result: {}", Ident(last.dest().name()));
         }
-        lines.join("\n")
+        // Lines are separated, not terminated, by newlines.
+        out.pop();
+        out
     }
 }
 

@@ -52,7 +52,8 @@ impl Expr {
     ///
     /// Panics if `factors` is empty.
     pub fn times(factors: impl IntoIterator<Item = Expr>) -> Expr {
-        let mut flat = Vec::new();
+        let factors = factors.into_iter();
+        let mut flat = Vec::with_capacity(factors.size_hint().0);
         for f in factors {
             match f {
                 Expr::Times(inner) => flat.extend(inner),
@@ -73,7 +74,8 @@ impl Expr {
     ///
     /// Panics if `terms` is empty.
     pub fn plus(terms: impl IntoIterator<Item = Expr>) -> Expr {
-        let mut flat = Vec::new();
+        let terms = terms.into_iter();
+        let mut flat = Vec::with_capacity(terms.size_hint().0);
         for t in terms {
             match t {
                 Expr::Plus(inner) => flat.extend(inner),

@@ -107,30 +107,46 @@ impl Operand {
     /// [`Property::Symmetric`]) and the operand is not square.
     #[must_use]
     pub fn with_property(self, p: Property) -> Self {
-        let shape = self.shape();
-        assert!(
-            !p.requires_square() || shape.is_square(),
-            "property {p} requires a square matrix, but {} has shape {shape}",
-            self.name(),
-        );
-        Operand {
-            inner: Arc::new(OperandInner {
-                name: self.inner.name.clone(),
-                shape,
-                properties: self.inner.properties.with(p).for_shape(shape.is_square()),
-                kind: self.inner.kind,
-            }),
-        }
+        self.with_properties([p])
     }
 
     /// Adds several properties at once. See [`with_property`](Self::with_property).
+    ///
+    /// The operand's shared cell is built at most once: it is updated in
+    /// place when this handle is its only owner, and copied once
+    /// otherwise.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`with_property`](Self::with_property).
     #[must_use]
-    pub fn with_properties(self, ps: impl IntoIterator<Item = Property>) -> Self {
-        ps.into_iter().fold(self, Operand::with_property)
+    pub fn with_properties(mut self, ps: impl IntoIterator<Item = Property>) -> Self {
+        let mut ps = ps.into_iter().peekable();
+        if ps.peek().is_none() {
+            return self;
+        }
+        let shape = self.shape();
+        let mut properties = self.properties();
+        for p in ps {
+            assert!(
+                !p.requires_square() || shape.is_square(),
+                "property {p} requires a square matrix, but {} has shape {shape}",
+                self.name(),
+            );
+            properties = properties.with(p).for_shape(shape.is_square());
+        }
+        match Arc::get_mut(&mut self.inner) {
+            Some(inner) => inner.properties = properties,
+            None => {
+                self.inner = Arc::new(OperandInner {
+                    name: self.inner.name.clone(),
+                    shape,
+                    properties,
+                    kind: self.inner.kind,
+                })
+            }
+        }
+        self
     }
 
     /// The operand's name.
@@ -234,6 +250,16 @@ mod tests {
     #[should_panic(expected = "requires a square matrix")]
     fn square_property_on_rectangular_panics() {
         let _ = Operand::matrix("A", 3, 4).with_property(Property::Symmetric);
+    }
+
+    #[test]
+    fn with_property_leaves_other_handles_alone() {
+        let a = Operand::square("A", 5);
+        let b = a.clone().with_property(Property::Symmetric);
+        assert!(a.properties().is_empty());
+        assert!(b.properties().contains(Property::Symmetric));
+        let c = b.clone().with_properties([]);
+        assert!(Arc::ptr_eq(&b.inner, &c.inner));
     }
 
     #[test]

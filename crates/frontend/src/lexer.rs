@@ -1,16 +1,22 @@
 //! Lexer for the Linnea-style input language (paper Fig. 1–2).
+//!
+//! Tokens borrow the source: an identifier is a slice of the input, so
+//! lexing allocates nothing but the token buffer [`lex`] returns. The
+//! lexer walks bytes with an ASCII fast path; any other character is
+//! decoded and classified by `char`'s Unicode rules (whitespace,
+//! alphabetic, alphanumeric). Columns count characters, not bytes.
 
 use std::fmt;
 
-/// A token kind.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Tok {
+/// A token kind. An identifier borrows its text from the source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tok<'a> {
     /// `Matrix` keyword.
     Matrix,
     /// `Vector` keyword (sugar for `n×1` matrices).
     Vector,
     /// An identifier (operand or property name).
-    Ident(String),
+    Ident(&'a str),
     /// An integer literal.
     Int(usize),
     /// `:=`.
@@ -39,7 +45,7 @@ pub enum Tok {
     Tick,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Matrix => write!(f, "`Matrix`"),
@@ -63,10 +69,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token kind.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// 1-based line.
     pub line: usize,
     /// 1-based column.
@@ -93,195 +99,224 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenizes the input. `#` starts a line comment.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
-    let mut out = Vec::new();
-    let mut line = 1usize;
-    let mut col = 1usize;
-    let mut chars = input.chars().peekable();
+///
+/// # Errors
+///
+/// Returns the first [`LexError`]: an unexpected character, a malformed
+/// `:=` or `^` operator, or an integer literal that overflows `usize`.
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>, LexError> {
+    Lexer::new(input).collect()
+}
 
-    macro_rules! push {
-        ($tok:expr, $c:expr) => {
-            out.push(Token {
-                tok: $tok,
-                line,
-                col: $c,
-            })
-        };
-    }
+/// The tokens of a source text, one at a time. After an error it
+/// yields nothing more, so collecting it stops at the first error.
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
+    /// Byte offset of the next character.
+    pos: usize,
+    line: usize,
+    col: usize,
+}
 
-    while let Some(&c) = chars.peek() {
-        let start_col = col;
-        match c {
-            '\n' => {
-                chars.next();
-                line += 1;
-                col = 1;
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-                col += 1;
-            }
-            '#' => {
-                // Comment to end of line.
-                for c in chars.by_ref() {
-                    if c == '\n' {
-                        line += 1;
-                        col = 1;
-                        break;
-                    }
-                }
-            }
-            '(' => {
-                chars.next();
-                col += 1;
-                push!(Tok::LParen, start_col);
-            }
-            ')' => {
-                chars.next();
-                col += 1;
-                push!(Tok::RParen, start_col);
-            }
-            '<' => {
-                chars.next();
-                col += 1;
-                push!(Tok::LAngle, start_col);
-            }
-            '>' => {
-                chars.next();
-                col += 1;
-                push!(Tok::RAngle, start_col);
-            }
-            ',' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Comma, start_col);
-            }
-            '+' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Plus, start_col);
-            }
-            '*' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Star, start_col);
-            }
-            '\'' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Tick, start_col);
-            }
-            ':' => {
-                chars.next();
-                col += 1;
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    col += 1;
-                    push!(Tok::Assign, start_col);
-                } else {
-                    return Err(LexError {
-                        message: "expected `=` after `:`".into(),
-                        line,
-                        col,
-                    });
-                }
-            }
-            '^' => {
-                chars.next();
-                col += 1;
-                match chars.peek() {
-                    Some('T') => {
-                        chars.next();
-                        col += 1;
-                        push!(Tok::Transpose, start_col);
-                    }
-                    Some('-') => {
-                        chars.next();
-                        col += 1;
-                        match chars.peek() {
-                            Some('1') => {
-                                chars.next();
-                                col += 1;
-                                push!(Tok::Inverse, start_col);
-                            }
-                            Some('T') => {
-                                chars.next();
-                                col += 1;
-                                push!(Tok::InverseTranspose, start_col);
-                            }
-                            _ => {
-                                return Err(LexError {
-                                    message: "expected `1` or `T` after `^-`".into(),
-                                    line,
-                                    col,
-                                })
-                            }
-                        }
-                    }
-                    _ => {
-                        return Err(LexError {
-                            message: "expected `T`, `-1` or `-T` after `^`".into(),
-                            line,
-                            col,
-                        })
-                    }
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut value = 0usize;
-                while let Some(&d) = chars.peek() {
-                    if let Some(dv) = d.to_digit(10) {
-                        value = value
-                            .checked_mul(10)
-                            .and_then(|v| v.checked_add(dv as usize))
-                            .ok_or_else(|| LexError {
-                                message: "integer literal too large".into(),
-                                line,
-                                col,
-                            })?;
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                push!(Tok::Int(value), start_col);
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut name = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' {
-                        name.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let tok = match name.as_str() {
-                    "Matrix" => Tok::Matrix,
-                    "Vector" => Tok::Vector,
-                    _ => Tok::Ident(name),
-                };
-                push!(tok, start_col);
-            }
-            other => {
-                return Err(LexError {
-                    message: format!("unexpected character `{other}`"),
-                    line,
-                    col,
-                })
-            }
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            col: 1,
         }
     }
-    Ok(out)
+
+    fn error(&self, message: impl Into<String>) -> LexError {
+        LexError {
+            message: message.into(),
+            line: self.line,
+            col: self.col,
+        }
+    }
+
+    /// The byte after the current one, if it is `want`; consumes it.
+    fn eat(&mut self, want: u8) -> bool {
+        let hit = self.src.as_bytes().get(self.pos) == Some(&want);
+        if hit {
+            self.pos += 1;
+            self.col += 1;
+        }
+        hit
+    }
+
+    /// The non-ASCII character at the current position.
+    fn wide_char(&self) -> char {
+        self.src[self.pos..]
+            .chars()
+            .next()
+            .expect("the lexer stops on a character boundary inside the input")
+    }
+
+    fn token(&mut self) -> Option<Result<Token<'a>, LexError>> {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        loop {
+            let &b = bytes.get(self.pos)?;
+            let (line, col) = (self.line, self.col);
+            let tok = match b {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.col = 1;
+                    continue;
+                }
+                // ASCII whitespace by `char::is_whitespace`.
+                b' ' | b'\t' | b'\r' | 0x0B | 0x0C => {
+                    self.pos += 1;
+                    self.col += 1;
+                    continue;
+                }
+                b'#' => {
+                    // A comment runs to the end of the line, newline
+                    // included.
+                    match bytes[self.pos..].iter().position(|&c| c == b'\n') {
+                        Some(n) => {
+                            self.pos += n + 1;
+                            self.line += 1;
+                            self.col = 1;
+                        }
+                        None => self.pos = bytes.len(),
+                    }
+                    continue;
+                }
+                b'0'..=b'9' => match self.int() {
+                    Ok(v) => Tok::Int(v),
+                    Err(e) => return Some(Err(e)),
+                },
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.word(),
+                0x80.. => {
+                    let c = self.wide_char();
+                    if c.is_whitespace() {
+                        self.pos += c.len_utf8();
+                        self.col += 1;
+                        continue;
+                    }
+                    if !c.is_alphabetic() {
+                        return Some(Err(self.error(format!("unexpected character `{c}`"))));
+                    }
+                    self.word()
+                }
+                _ => {
+                    let tok = match b {
+                        b'(' => Tok::LParen,
+                        b')' => Tok::RParen,
+                        b'<' => Tok::LAngle,
+                        b'>' => Tok::RAngle,
+                        b',' => Tok::Comma,
+                        b'+' => Tok::Plus,
+                        b'*' => Tok::Star,
+                        b'\'' => Tok::Tick,
+                        b':' | b'^' => {
+                            self.pos += 1;
+                            self.col += 1;
+                            return Some(self.operator(b).map(|tok| Token { tok, line, col }));
+                        }
+                        other => {
+                            let message = format!("unexpected character `{}`", char::from(other));
+                            return Some(Err(self.error(message)));
+                        }
+                    };
+                    self.pos += 1;
+                    self.col += 1;
+                    tok
+                }
+            };
+            return Some(Ok(Token { tok, line, col }));
+        }
+    }
+
+    /// The rest of `:=` or of a `^` operator, after its first byte.
+    fn operator(&mut self, first: u8) -> Result<Tok<'a>, LexError> {
+        if first == b':' {
+            return if self.eat(b'=') {
+                Ok(Tok::Assign)
+            } else {
+                Err(self.error("expected `=` after `:`"))
+            };
+        }
+        if self.eat(b'T') {
+            Ok(Tok::Transpose)
+        } else if !self.eat(b'-') {
+            Err(self.error("expected `T`, `-1` or `-T` after `^`"))
+        } else if self.eat(b'1') {
+            Ok(Tok::Inverse)
+        } else if self.eat(b'T') {
+            Ok(Tok::InverseTranspose)
+        } else {
+            Err(self.error("expected `1` or `T` after `^-`"))
+        }
+    }
+
+    /// An integer literal; an overflow is reported at the digit that
+    /// overflows.
+    fn int(&mut self) -> Result<usize, LexError> {
+        let mut value = 0usize;
+        while let Some(&d) = self.src.as_bytes().get(self.pos) {
+            if !d.is_ascii_digit() {
+                break;
+            }
+            value = value
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(usize::from(d - b'0')))
+                .ok_or_else(|| self.error("integer literal too large"))?;
+            self.pos += 1;
+            self.col += 1;
+        }
+        Ok(value)
+    }
+
+    /// A keyword or an identifier: its first character is alphabetic
+    /// or `_`, the rest alphanumeric or `_`.
+    fn word(&mut self) -> Tok<'a> {
+        let start = self.pos;
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
+            let width = match b {
+                b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' => 1,
+                0x80.. => {
+                    let c = self.wide_char();
+                    if !c.is_alphanumeric() {
+                        break;
+                    }
+                    c.len_utf8()
+                }
+                _ => break,
+            };
+            self.pos += width;
+            self.col += 1;
+        }
+        let src = self.src;
+        match &src[start..self.pos] {
+            "Matrix" => Tok::Matrix,
+            "Vector" => Tok::Vector,
+            name => Tok::Ident(name),
+        }
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Token<'a>, LexError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = self.token();
+        if matches!(item, Some(Err(_))) {
+            self.pos = self.src.len();
+        }
+        item
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<Tok> {
+    fn kinds(input: &str) -> Vec<Tok<'_>> {
         lex(input).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -292,16 +327,16 @@ mod tests {
             toks,
             vec![
                 Tok::Matrix,
-                Tok::Ident("A".into()),
+                Tok::Ident("A"),
                 Tok::LParen,
                 Tok::Int(100),
                 Tok::Comma,
                 Tok::Int(200),
                 Tok::RParen,
                 Tok::LAngle,
-                Tok::Ident("LowerTriangular".into()),
+                Tok::Ident("LowerTriangular"),
                 Tok::Comma,
-                Tok::Ident("SPD".into()),
+                Tok::Ident("SPD"),
                 Tok::RAngle,
             ]
         );
@@ -319,7 +354,7 @@ mod tests {
 
     #[test]
     fn tick_shorthand() {
-        assert_eq!(kinds("A'"), vec![Tok::Ident("A".into()), Tok::Tick]);
+        assert_eq!(kinds("A'"), vec![Tok::Ident("A"), Tok::Tick]);
     }
 
     #[test]
@@ -328,6 +363,43 @@ mod tests {
         assert_eq!(toks.len(), 2);
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks[1].col, 1);
+    }
+
+    /// The byte-level fast path classifies every ASCII character as
+    /// `char`'s Unicode rules do, and so does the fallback for a sample
+    /// of other characters; columns count characters.
+    #[test]
+    fn characters_follow_char_rules() {
+        let wide = [
+            'é', 'ß', 'Ω', '漢', '²', '٣', '\u{a0}', '\u{2028}', '\u{3000}', '🦀', '\u{85}',
+        ];
+        for c in (0..0x80u8).map(char::from).chain(wide) {
+            let alone = c.to_string();
+            let toks = lex(&alone);
+            if c.is_whitespace() || c == '#' {
+                assert_eq!(toks, Ok(vec![]), "{c:?}");
+            } else if c.is_alphabetic() || c == '_' {
+                assert_eq!(kinds(&alone), vec![Tok::Ident(&alone)], "{c:?}");
+            } else if let Ok(toks) = toks {
+                assert!(
+                    c.is_ascii_digit() || "()<>,+*'".contains(c),
+                    "{c:?}: {toks:?}"
+                );
+            } else {
+                let err = toks.unwrap_err();
+                let expected = [":", "^"].contains(&alone.as_str()) || err.message.contains(&alone);
+                assert!(expected, "{c:?}: {err}");
+            }
+            // Inside a word, alphanumeric characters continue it; the
+            // next token's column counts characters.
+            let word = format!("a{c}");
+            let source = format!("{word}é x");
+            if c.is_alphanumeric() || c == '_' {
+                let toks = lex(&source).unwrap();
+                assert_eq!(toks[0].tok, Tok::Ident(&format!("{word}é")), "{c:?}");
+                assert_eq!((toks[1].line, toks[1].col), (1, 5), "{c:?}");
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! per assignment, ready for `gmc-plan`'s cache. Symbolic assignments
 //! must be products (sums have no chain form).
 
-use crate::lexer::{lex, LexError, Tok, Token};
-use gmc_expr::{Dim, Expr, Operand, Property, Shape, SymChain, SymFactor, SymOperand};
+use crate::lexer::{LexError, Lexer, Tok, Token};
+use gmc_expr::{Dim, Expr, Operand, Property, Shape, SymChain, SymFactor, SymOperand, SymShape};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -108,17 +108,6 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// The structural right-hand side of an assignment, before lowering.
-#[derive(Clone, Debug)]
-enum RawExpr {
-    Ref(String),
-    Mul(Vec<RawExpr>),
-    Add(Vec<RawExpr>),
-    Transpose(Box<RawExpr>),
-    Inverse(Box<RawExpr>),
-    InverseTranspose(Box<RawExpr>),
-}
-
 /// Parses a complete problem description.
 ///
 /// # Errors
@@ -126,56 +115,178 @@ enum RawExpr {
 /// Returns a [`ParseError`] with the source position of the first
 /// offending token; lowering errors (unknown operand, duplicate
 /// definition, unknown property, property on a non-square matrix, zero
-/// dimensions, malformed symbolic chains) are reported the same way.
+/// dimensions, malformed symbolic chains) are reported the same way. A
+/// lex error anywhere in the input wins over every other error, as if
+/// the whole input were lexed before parsing.
 pub fn parse(input: &str) -> Result<Problem, ParseError> {
-    let tokens = lex(input)?;
-    Parser {
-        tokens,
-        pos: 0,
-        operands: HashMap::new(),
-        order: Vec::new(),
+    let mut parser = Parser::new(input);
+    let parsed = parser.problem();
+    match parser.lex_error() {
+        Some(e) => Err(e.into()),
+        None => parsed,
     }
-    .problem()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    operands: HashMap<String, SymOperand>,
-    order: Vec<String>,
+/// One node of an assignment's right-hand side in postfix order: an
+/// operand reference, or an operator over the nodes before it.
+#[derive(Clone, Copy)]
+enum Node {
+    /// A definition, by its index in the table.
+    Ref(usize),
+    /// A product of the last `n` expressions.
+    Mul(usize),
+    /// A sum of the last `n` expressions.
+    Add(usize),
+    Transpose,
+    Inverse,
+    InverseTranspose,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
+/// A defined operand as the lowering needs it.
+enum Lowered {
+    /// Concretely sized: the operand itself.
+    Concrete(Operand),
+    /// Sized by at least one dimension variable.
+    Symbolic(SymOperand),
+}
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+impl Lowered {
+    /// Adds a property, or returns the shape that cannot carry it.
+    fn with_property(self, p: Property) -> Result<Self, SymShape> {
+        match self {
+            Lowered::Concrete(op) => {
+                let shape = op.shape();
+                if p.requires_square() && !shape.is_square() {
+                    return Err(shape.to_sym());
+                }
+                Ok(Lowered::Concrete(op.with_property(p)))
+            }
+            Lowered::Symbolic(op) => {
+                let shape = op.shape();
+                op.with_property(p)
+                    .map(Lowered::Symbolic)
+                    .map_err(|_| shape)
+            }
         }
-        t
+    }
+
+    /// The operand with constant dimensions where it has them.
+    fn to_symbolic(&self) -> SymOperand {
+        match self {
+            Lowered::Symbolic(op) => op.clone(),
+            Lowered::Concrete(op) => {
+                let shape = op.shape().to_sym();
+                SymOperand::new(op.name(), shape.rows(), shape.cols())
+                    .with_properties(op.properties().iter())
+                    .expect("a concrete operand carries only properties its shape admits")
+            }
+        }
+    }
+}
+
+/// The definitions, in definition order, looked up by the name they
+/// borrow from the source: by a scan while there are few, through a
+/// hash index once there are more than [`SCAN_LIMIT`].
+struct Definitions<'a> {
+    list: Vec<(&'a str, Lowered)>,
+    index: HashMap<&'a str, usize>,
+}
+
+/// Definitions a lookup scans before the table indexes them.
+const SCAN_LIMIT: usize = 16;
+
+impl<'a> Definitions<'a> {
+    fn find(&self, name: &str) -> Option<usize> {
+        if self.list.len() <= SCAN_LIMIT {
+            self.list.iter().position(|(n, _)| *n == name)
+        } else {
+            self.index.get(name).copied()
+        }
+    }
+
+    fn push(&mut self, name: &'a str, operand: Lowered) {
+        self.list.push((name, operand));
+        if self.list.len() > SCAN_LIMIT {
+            for (i, (n, _)) in self.list.iter().enumerate().skip(self.index.len()) {
+                self.index.insert(n, i);
+            }
+        }
+    }
+
+    fn get(&self, i: usize) -> &Lowered {
+        &self.list[i].1
+    }
+}
+
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token: `None` at the end of the input, and at a lex
+    /// error, which `lex_error` then holds.
+    next: Option<Token<'a>>,
+    lex_error: Option<LexError>,
+    defs: Definitions<'a>,
+    /// The right-hand side being parsed, in postfix order.
+    code: Vec<Node>,
+    /// Whether `code` references a symbolically sized operand.
+    refs_symbolic: bool,
+}
+
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(input),
+            next: None,
+            lex_error: None,
+            defs: Definitions {
+                list: Vec::new(),
+                index: HashMap::new(),
+            },
+            code: Vec::new(),
+            refs_symbolic: false,
+        };
+        parser.advance();
+        parser
+    }
+
+    fn advance(&mut self) {
+        self.next = match self.lexer.next() {
+            Some(Ok(t)) => Some(t),
+            Some(Err(e)) => {
+                self.lex_error = Some(e);
+                None
+            }
+            None => None,
+        };
+    }
+
+    /// The first lex error in the whole input, lexing what the parser
+    /// did not reach.
+    fn lex_error(&mut self) -> Option<LexError> {
+        if self.lex_error.is_none() {
+            self.lex_error = self.lexer.by_ref().find_map(Result::err);
+        }
+        self.lex_error.take()
+    }
+
+    fn peek_tok(&self) -> Option<Tok<'a>> {
+        self.next.map(|t| t.tok)
     }
 
     fn error_at(&self, message: impl Into<String>) -> ParseError {
-        match self.peek() {
-            Some(t) => ParseError {
-                message: message.into(),
-                line: t.line,
-                col: t.col,
-            },
-            None => ParseError {
-                message: message.into(),
-                line: 0,
-                col: 0,
-            },
+        let (line, col) = self.next.map_or((0, 0), |t| (t.line, t.col));
+        ParseError {
+            message: message.into(),
+            line,
+            col,
         }
     }
 
-    fn expect(&mut self, want: &Tok) -> Result<Token, ParseError> {
-        match self.peek() {
-            Some(t) if t.tok == *want => Ok(self.next().expect("peeked")),
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseError> {
+        match self.next {
+            Some(t) if t.tok == want => {
+                self.advance();
+                Ok(())
+            }
             Some(t) => Err(ParseError {
                 message: format!("expected {want}, found {}", t.tok),
                 line: t.line,
@@ -185,14 +296,14 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<(String, usize, usize), ParseError> {
-        match self.peek().cloned() {
+    fn ident(&mut self) -> Result<(&'a str, usize, usize), ParseError> {
+        match self.next {
             Some(Token {
                 tok: Tok::Ident(name),
                 line,
                 col,
             }) => {
-                self.next();
+                self.advance();
                 Ok((name, line, col))
             }
             Some(t) => Err(ParseError {
@@ -206,104 +317,76 @@ impl Parser {
 
     /// A dimension: an integer literal or a size-variable identifier.
     fn dim(&mut self) -> Result<(Dim, usize, usize), ParseError> {
-        match self.peek().cloned() {
-            Some(Token {
-                tok: Tok::Int(v),
-                line,
-                col,
-            }) => {
-                self.next();
-                Ok((Dim::Const(v), line, col))
-            }
-            Some(Token {
-                tok: Tok::Ident(name),
-                line,
-                col,
-            }) => {
-                self.next();
-                Ok((Dim::var(&name), line, col))
-            }
-            _ => Err(self.error_at("expected a dimension (integer or identifier)")),
-        }
+        let Some(Token { tok, line, col }) = self.next else {
+            return Err(self.error_at("expected a dimension (integer or identifier)"));
+        };
+        let dim = match tok {
+            Tok::Int(v) => Dim::Const(v),
+            Tok::Ident(name) => Dim::var(name),
+            _ => return Err(self.error_at("expected a dimension (integer or identifier)")),
+        };
+        self.advance();
+        Ok((dim, line, col))
     }
 
-    fn problem(mut self) -> Result<Problem, ParseError> {
-        let mut raw_assignments: Vec<(String, usize, usize, RawExpr)> = Vec::new();
-        while self.peek().is_some() {
-            match self.peek().map(|t| t.tok.clone()) {
-                Some(Tok::Matrix) | Some(Tok::Vector) => self.definition()?,
-                Some(Tok::Ident(_)) => {
+    fn problem(&mut self) -> Result<Problem, ParseError> {
+        let mut assignments = Vec::new();
+        let mut chains = Vec::new();
+        // A symbolic assignment that fails to lower is reported only
+        // once the whole input has parsed: parse errors come first.
+        let mut lowering_error = None;
+        let mut any_assignment = false;
+        while let Some(tok) = self.peek_tok() {
+            match tok {
+                Tok::Matrix | Tok::Vector => self.definition(tok == Tok::Vector)?,
+                Tok::Ident(_) => {
                     let (target, line, col) = self.ident()?;
-                    self.expect(&Tok::Assign)?;
-                    let raw = self.expr()?;
-                    raw_assignments.push((target, line, col, raw));
+                    self.expect(Tok::Assign)?;
+                    self.code.clear();
+                    self.refs_symbolic = false;
+                    self.expr()?;
+                    any_assignment = true;
+                    if !self.refs_symbolic {
+                        assignments.push((target.to_owned(), self.lower_expr()));
+                        continue;
+                    }
+                    let chain = self
+                        .lower_sym_factors()
+                        .and_then(|factors| SymChain::new(factors).map_err(|e| e.to_string()));
+                    match chain {
+                        Ok(chain) => chains.push((target.to_owned(), chain)),
+                        Err(m) if lowering_error.is_none() => {
+                            lowering_error = Some(ParseError {
+                                message: format!("assignment `{target}`: {m}"),
+                                line,
+                                col,
+                            });
+                        }
+                        Err(_) => {}
+                    }
                 }
                 _ => return Err(self.error_at("expected a definition or an assignment")),
             }
         }
-        if raw_assignments.is_empty() {
+        if !any_assignment {
             return Err(ParseError {
                 message: "problem contains no assignment".into(),
                 line: 0,
                 col: 0,
             });
         }
-
-        let symbolic_problem = self
-            .order
-            .iter()
-            .any(|n| self.operands[n].shape().is_symbolic());
-
-        // Concretely-sized operands lower eagerly; assignments that
-        // reference only these stay on the concrete path even when
-        // other definitions are symbolic.
-        let concrete: HashMap<String, Operand> = self
-            .operands
-            .iter()
-            .filter(|(_, op)| !op.shape().is_symbolic())
-            .map(|(n, op)| {
-                let bound = op
-                    .bind(&gmc_expr::DimBindings::new())
-                    .expect("concrete operands have validated positive dimensions");
-                (n.clone(), bound)
-            })
-            .collect();
-        let operands: Vec<Operand> = self
-            .order
-            .iter()
-            .filter_map(|n| concrete.get(n).cloned())
-            .collect();
-
-        let mut assignments = Vec::new();
-        let mut chains = Vec::new();
-        for (target, line, col, raw) in raw_assignments {
-            let mut refs_symbolic = false;
-            collect_refs(&raw, &mut |name| {
-                refs_symbolic |= self.operands[name].shape().is_symbolic();
-            });
-            if !refs_symbolic {
-                assignments.push((target, lower_expr(&raw, &concrete)));
-                continue;
-            }
-            let factors = lower_sym_factors(&raw, &self.operands).map_err(|m| ParseError {
-                message: format!("assignment `{target}`: {m}"),
-                line,
-                col,
-            })?;
-            let chain = SymChain::new(factors).map_err(|e| ParseError {
-                message: format!("assignment `{target}`: {e}"),
-                line,
-                col,
-            })?;
-            chains.push((target, chain));
+        if let Some(e) = lowering_error {
+            return Err(e);
         }
-
-        let symbolic = symbolic_problem.then(|| SymbolicProblem {
-            operands: self
-                .order
-                .iter()
-                .map(|n| self.operands[n].clone())
-                .collect(),
+        let defs = &self.defs.list;
+        let mut operands = Vec::with_capacity(defs.len());
+        operands.extend(defs.iter().filter_map(|(_, d)| match d {
+            Lowered::Concrete(op) => Some(op.clone()),
+            Lowered::Symbolic(_) => None,
+        }));
+        // Any symbolic definition makes the problem symbolic.
+        let symbolic = (operands.len() < defs.len()).then(|| SymbolicProblem {
+            operands: defs.iter().map(|(_, d)| d.to_symbolic()).collect(),
             chains,
         });
         Ok(Problem {
@@ -313,244 +396,220 @@ impl Parser {
         })
     }
 
-    fn definition(&mut self) -> Result<(), ParseError> {
-        let is_vector = match self.next().expect("peeked definition keyword").tok {
-            Tok::Vector => true,
-            Tok::Matrix => false,
-            _ => unreachable!("caller checked keyword"),
-        };
+    fn definition(&mut self, is_vector: bool) -> Result<(), ParseError> {
+        self.advance();
         let (name, line, col) = self.ident()?;
-        if self.operands.contains_key(&name) {
+        if self.defs.find(name).is_some() {
             return Err(ParseError {
                 message: format!("operand `{name}` defined twice"),
                 line,
                 col,
             });
         }
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let (rows, rline, rcol) = self.dim()?;
         let cols = if is_vector {
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             Dim::Const(1)
         } else {
-            self.expect(&Tok::Comma)?;
+            self.expect(Tok::Comma)?;
             let (cols, _, _) = self.dim()?;
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             cols
+        };
+        let at_rows = |message| ParseError {
+            message,
+            line: rline,
+            col: rcol,
         };
         // Zero sizes are rejected here rather than panicking later:
         // concrete pairs go through `Shape::try_new`, and constant
         // components of symbolic shapes are checked individually.
-        match (rows.as_const(), cols.as_const()) {
+        let mut operand = match (rows.as_const(), cols.as_const()) {
             (Some(r), Some(c)) => {
-                Shape::try_new(r, c).map_err(|e| ParseError {
-                    message: format!("operand `{name}`: {e}"),
-                    line: rline,
-                    col: rcol,
-                })?;
+                let shape =
+                    Shape::try_new(r, c).map_err(|e| at_rows(format!("operand `{name}`: {e}")))?;
+                Lowered::Concrete(Operand::with_shape(name, shape))
             }
-            _ => {
-                for d in [rows, cols] {
-                    if d.as_const() == Some(0) {
-                        return Err(ParseError {
-                            message: format!(
-                                "operand `{name}`: matrix dimensions must be positive"
-                            ),
-                            line: rline,
-                            col: rcol,
-                        });
-                    }
-                }
+            _ if rows.as_const() == Some(0) || cols.as_const() == Some(0) => {
+                return Err(at_rows(format!(
+                    "operand `{name}`: matrix dimensions must be positive"
+                )));
             }
-        }
-        let mut operand = SymOperand::new(&name, rows, cols);
-        if self.peek().map(|t| &t.tok) == Some(&Tok::LAngle) {
-            self.next();
+            _ => Lowered::Symbolic(SymOperand::new(name, rows, cols)),
+        };
+        if self.peek_tok() == Some(Tok::LAngle) {
+            self.advance();
             loop {
                 let (pname, pline, pcol) = self.ident()?;
-                let property: Property = pname.parse().map_err(|_| ParseError {
-                    message: format!("unknown property `{pname}`"),
+                let at_property = |message| ParseError {
+                    message,
                     line: pline,
                     col: pcol,
-                })?;
-                let shape = operand.shape();
-                operand = operand.with_property(property).map_err(|_| ParseError {
-                    message: format!(
+                };
+                let property: Property = pname
+                    .parse()
+                    .map_err(|_| at_property(format!("unknown property `{pname}`")))?;
+                operand = operand.with_property(property).map_err(|shape| {
+                    at_property(format!(
                         "property {property} requires a square matrix, but `{name}` is {shape}"
-                    ),
-                    line: pline,
-                    col: pcol,
+                    ))
                 })?;
-                match self.peek().map(|t| t.tok.clone()) {
-                    Some(Tok::Comma) => {
-                        self.next();
-                    }
+                match self.peek_tok() {
+                    Some(Tok::Comma) => self.advance(),
                     Some(Tok::RAngle) => {
-                        self.next();
+                        self.advance();
                         break;
                     }
                     _ => return Err(self.error_at("expected `,` or `>` in property list")),
                 }
             }
         }
-        self.operands.insert(name.clone(), operand);
-        self.order.push(name);
+        self.defs.push(name, operand);
         Ok(())
     }
 
-    fn expr(&mut self) -> Result<RawExpr, ParseError> {
-        let mut terms = vec![self.term()?];
-        while self.peek().map(|t| &t.tok) == Some(&Tok::Plus) {
-            self.next();
-            terms.push(self.term()?);
+    fn expr(&mut self) -> Result<(), ParseError> {
+        self.term()?;
+        let mut terms = 1;
+        while self.peek_tok() == Some(Tok::Plus) {
+            self.advance();
+            self.term()?;
+            terms += 1;
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("len checked")
-        } else {
-            RawExpr::Add(terms)
-        })
+        if terms > 1 {
+            self.code.push(Node::Add(terms));
+        }
+        Ok(())
     }
 
-    fn term(&mut self) -> Result<RawExpr, ParseError> {
-        let mut factors = vec![self.factor()?];
-        while self.peek().map(|t| &t.tok) == Some(&Tok::Star) {
-            self.next();
-            factors.push(self.factor()?);
+    fn term(&mut self) -> Result<(), ParseError> {
+        self.factor()?;
+        let mut factors = 1;
+        while self.peek_tok() == Some(Tok::Star) {
+            self.advance();
+            self.factor()?;
+            factors += 1;
         }
-        Ok(if factors.len() == 1 {
-            factors.pop().expect("len checked")
-        } else {
-            RawExpr::Mul(factors)
-        })
+        if factors > 1 {
+            self.code.push(Node::Mul(factors));
+        }
+        Ok(())
     }
 
-    fn factor(&mut self) -> Result<RawExpr, ParseError> {
-        let mut e = self.primary()?;
+    fn factor(&mut self) -> Result<(), ParseError> {
+        self.primary()?;
         loop {
-            match self.peek().map(|t| t.tok.clone()) {
-                Some(Tok::Transpose) | Some(Tok::Tick) => {
-                    self.next();
-                    e = RawExpr::Transpose(Box::new(e));
-                }
-                Some(Tok::Inverse) => {
-                    self.next();
-                    e = RawExpr::Inverse(Box::new(e));
-                }
-                Some(Tok::InverseTranspose) => {
-                    self.next();
-                    e = RawExpr::InverseTranspose(Box::new(e));
-                }
-                _ => break,
-            }
+            let node = match self.peek_tok() {
+                Some(Tok::Transpose | Tok::Tick) => Node::Transpose,
+                Some(Tok::Inverse) => Node::Inverse,
+                Some(Tok::InverseTranspose) => Node::InverseTranspose,
+                _ => return Ok(()),
+            };
+            self.advance();
+            self.code.push(node);
         }
-        Ok(e)
     }
 
-    fn primary(&mut self) -> Result<RawExpr, ParseError> {
-        match self.peek().map(|t| t.tok.clone()) {
+    fn primary(&mut self) -> Result<(), ParseError> {
+        match self.peek_tok() {
             Some(Tok::LParen) => {
-                self.next();
-                let e = self.expr()?;
-                self.expect(&Tok::RParen)?;
-                Ok(e)
+                self.advance();
+                self.expr()?;
+                self.expect(Tok::RParen)
             }
             Some(Tok::Ident(_)) => {
                 let (name, line, col) = self.ident()?;
-                if !self.operands.contains_key(&name) {
+                let Some(i) = self.defs.find(name) else {
                     return Err(ParseError {
                         message: format!("operand `{name}` is not defined"),
                         line,
                         col,
                     });
-                }
-                Ok(RawExpr::Ref(name))
+                };
+                self.refs_symbolic |= matches!(self.defs.get(i), Lowered::Symbolic(_));
+                self.code.push(Node::Ref(i));
+                Ok(())
             }
             _ => Err(self.error_at("expected an operand or `(`")),
         }
     }
-}
 
-/// Visits every operand reference in a raw expression.
-fn collect_refs(raw: &RawExpr, visit: &mut impl FnMut(&str)) {
-    match raw {
-        RawExpr::Ref(name) => visit(name),
-        RawExpr::Mul(es) | RawExpr::Add(es) => {
-            for e in es {
-                collect_refs(e, visit);
-            }
+    /// Lowers the parsed right-hand side over concrete operands, through
+    /// the `Expr` constructors (and hence their simplifications).
+    fn lower_expr(&self) -> Expr {
+        let mut stack = Vec::with_capacity(self.code.len());
+        for &node in &self.code {
+            let e = match node {
+                Node::Ref(i) => match self.defs.get(i) {
+                    Lowered::Concrete(op) => op.expr(),
+                    Lowered::Symbolic(_) => unreachable!("the caller checked every reference"),
+                },
+                Node::Mul(n) => Expr::times(stack.drain(stack.len() - n..)),
+                Node::Add(n) => Expr::plus(stack.drain(stack.len() - n..)),
+                Node::Transpose => Expr::transpose(pop(&mut stack)),
+                Node::Inverse => Expr::inverse(pop(&mut stack)),
+                Node::InverseTranspose => Expr::inverse_transpose(pop(&mut stack)),
+            };
+            stack.push(e);
         }
-        RawExpr::Transpose(e) | RawExpr::Inverse(e) | RawExpr::InverseTranspose(e) => {
-            collect_refs(e, visit)
-        }
+        pop(&mut stack)
     }
-}
 
-/// Lowers a raw expression over concrete operands, applying the same
-/// constructors (and hence the same simplifications) the parser used to
-/// apply directly.
-fn lower_expr(raw: &RawExpr, operands: &HashMap<String, Operand>) -> Expr {
-    match raw {
-        RawExpr::Ref(name) => operands[name].expr(),
-        RawExpr::Mul(fs) => Expr::times(fs.iter().map(|f| lower_expr(f, operands))),
-        RawExpr::Add(ts) => Expr::plus(ts.iter().map(|t| lower_expr(t, operands))),
-        RawExpr::Transpose(e) => Expr::transpose(lower_expr(e, operands)),
-        RawExpr::Inverse(e) => Expr::inverse(lower_expr(e, operands)),
-        RawExpr::InverseTranspose(e) => Expr::inverse_transpose(lower_expr(e, operands)),
-    }
-}
-
-/// Lowers a raw expression to symbolic chain factors, normalizing unary
-/// operators down to the factors (`(A·B)ᵀ → Bᵀ·Aᵀ`, `(A·B)⁻¹ →
-/// B⁻¹·A⁻¹`, …). Sums have no chain form and are rejected.
-fn lower_sym_factors(
-    raw: &RawExpr,
-    operands: &HashMap<String, SymOperand>,
-) -> Result<Vec<SymFactor>, String> {
-    match raw {
-        RawExpr::Ref(name) => Ok(vec![SymFactor::plain(operands[name].clone())]),
-        RawExpr::Mul(fs) => {
-            let mut out = Vec::new();
-            for f in fs {
-                out.extend(lower_sym_factors(f, operands)?);
-            }
-            Ok(out)
-        }
-        RawExpr::Add(_) => {
-            Err("sums are not supported with symbolic dimensions (chains are products)".into())
-        }
-        RawExpr::Transpose(e) => {
-            let mut fs = lower_sym_factors(e, operands)?;
-            fs.reverse();
-            Ok(fs
-                .into_iter()
-                .map(|f| {
-                    let op = f.op().then_transpose();
-                    SymFactor::new(f.operand().clone(), op)
-                })
-                .collect())
-        }
-        RawExpr::Inverse(e) => {
-            let mut fs = lower_sym_factors(e, operands)?;
-            fs.reverse();
-            Ok(fs
-                .into_iter()
-                .map(|f| {
-                    let op = f.op().then_inverse();
-                    SymFactor::new(f.operand().clone(), op)
-                })
-                .collect())
-        }
-        RawExpr::InverseTranspose(e) => {
+    /// Lowers the parsed right-hand side to symbolic chain factors,
+    /// normalizing unary operators down to the factors (`(A·B)ᵀ →
+    /// Bᵀ·Aᵀ`, `(A·B)⁻¹ → B⁻¹·A⁻¹`, …). Each operand of the postfix
+    /// code covers a contiguous run of factors, which `starts` tracks.
+    /// Sums have no chain form and are rejected.
+    fn lower_sym_factors(&self) -> Result<Vec<SymFactor>, String> {
+        let mut factors: Vec<SymFactor> = Vec::new();
+        let mut starts: Vec<usize> = Vec::new();
+        for &node in &self.code {
+            let start = match node {
+                Node::Ref(i) => {
+                    starts.push(factors.len());
+                    factors.push(SymFactor::plain(self.defs.get(i).to_symbolic()));
+                    continue;
+                }
+                Node::Mul(n) => {
+                    let first = starts[starts.len() - n];
+                    starts.truncate(starts.len() - n);
+                    starts.push(first);
+                    continue;
+                }
+                Node::Add(_) => {
+                    return Err(
+                        "sums are not supported with symbolic dimensions (chains are products)"
+                            .into(),
+                    )
+                }
+                Node::Transpose | Node::Inverse | Node::InverseTranspose => {
+                    *starts.last().expect("a unary operator follows its operand")
+                }
+            };
+            let run = &mut factors[start..];
             // e⁻ᵀ = (e⁻¹)ᵀ: two reversals cancel.
-            Ok(lower_sym_factors(e, operands)?
-                .into_iter()
-                .map(|f| {
-                    let op = f.op().then_inverse().then_transpose();
-                    SymFactor::new(f.operand().clone(), op)
-                })
-                .collect())
+            if !matches!(node, Node::InverseTranspose) {
+                run.reverse();
+            }
+            for f in run {
+                let op = match node {
+                    Node::Transpose => f.op().then_transpose(),
+                    Node::Inverse => f.op().then_inverse(),
+                    _ => f.op().then_inverse().then_transpose(),
+                };
+                *f = SymFactor::new(f.operand().clone(), op);
+            }
         }
+        Ok(factors)
     }
+}
+
+/// The top of a lowering stack.
+fn pop(stack: &mut Vec<Expr>) -> Expr {
+    stack
+        .pop()
+        .expect("postfix code leaves its operands on the stack")
 }
 
 #[cfg(test)]
@@ -611,6 +670,37 @@ X := A^-1 * B * C^T
     fn multiple_assignments() {
         let p = parse("Matrix A (5, 5)\nMatrix B (5, 5)\nX := A * B\nY := B * A").unwrap();
         assert_eq!(p.assignments.len(), 2);
+    }
+
+    #[test]
+    fn large_definition_tables_are_indexed() {
+        // Past `SCAN_LIMIT` definitions, lookups go through the index:
+        // duplicates, references and undefined names all still resolve.
+        let n = 3 * SCAN_LIMIT;
+        let defs: String = (0..n).map(|i| format!("Matrix M{i} (4, 4)\n")).collect();
+        let product: Vec<String> = (0..n).rev().map(|i| format!("M{i}")).collect();
+        let p = parse(&format!("{defs}X := {}\n", product.join(" * "))).unwrap();
+        assert_eq!(p.operands.len(), n);
+        assert_eq!(p.operands[n - 1].name(), format!("M{}", n - 1));
+        let chain = Chain::from_expr(&p.assignments[0].1).unwrap();
+        assert_eq!(chain.factors()[0].operand().name(), format!("M{}", n - 1));
+        let err = parse(&format!("{defs}Matrix M40 (4, 4)\nX := M0")).unwrap_err();
+        assert!(err.message.contains("`M40` defined twice"), "{err}");
+        assert_eq!(err.line, n + 1);
+        let err = parse(&format!("{defs}X := M0 * Q")).unwrap_err();
+        assert!(err.message.contains("`Q` is not defined"), "{err}");
+    }
+
+    #[test]
+    fn lex_errors_win_over_earlier_parse_errors() {
+        // As if the whole input were lexed before parsing: the `$` on
+        // line 3 is reported, not the parse error on line 2.
+        let err = parse("Matrix A (5, 5)\nX := * A\nY := A $ A\n").unwrap_err();
+        assert!(err.message.contains("unexpected character `$`"), "{err}");
+        assert_eq!((err.line, err.col), (3, 8));
+        // And over lowering errors of symbolic assignments.
+        let err = parse("Matrix A (n, n)\nX := A + A\n^").unwrap_err();
+        assert!(err.message.contains("after `^`"), "{err}");
     }
 
     #[test]

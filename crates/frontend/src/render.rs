@@ -5,6 +5,7 @@
 use crate::parser::Problem;
 use crate::ParseError;
 use gmc_expr::{Dim, Expr, SymChain};
+use std::fmt::Write as _;
 
 /// Renders a parse error with the offending source line and a caret:
 ///
@@ -15,20 +16,29 @@ use gmc_expr::{Dim, Expr, SymChain};
 ///  2 | X := A * Q
 ///    |          ^
 /// ```
+///
+/// Columns count characters, and a tab is one column, so the caret's
+/// padding repeats the line's tabs: it lines up under the error at any
+/// tab width.
 pub fn render_error(source: &str, error: &ParseError) -> String {
     let mut out = format!("error: {}\n", error.message);
     if error.line == 0 {
         out.push_str("  --> end of input\n");
         return out;
     }
-    out.push_str(&format!("  --> {}:{}\n", error.line, error.col));
+    writeln!(out, "  --> {}:{}", error.line, error.col).expect("string write");
     if let Some(line) = source.lines().nth(error.line - 1) {
         let gutter = error.line.to_string();
         let pad = " ".repeat(gutter.len());
-        out.push_str(&format!(" {pad} |\n"));
-        out.push_str(&format!(" {gutter} | {line}\n"));
-        let caret_pad = " ".repeat(error.col.saturating_sub(1));
-        out.push_str(&format!(" {pad} | {caret_pad}^\n"));
+        let caret_pad: String = line
+            .chars()
+            .chain(std::iter::repeat(' '))
+            .take(error.col.saturating_sub(1))
+            .map(|c| if c == '\t' { '\t' } else { ' ' })
+            .collect();
+        writeln!(out, " {pad} |").expect("string write");
+        writeln!(out, " {gutter} | {line}").expect("string write");
+        writeln!(out, " {pad} | {caret_pad}^").expect("string write");
     }
     out
 }
@@ -206,6 +216,28 @@ mod tests {
         assert_eq!(caret_line.find('^'), Some(5 + 9));
         let source_line = text.lines().nth(text.lines().count() - 2).unwrap();
         assert_eq!(source_line.chars().nth(5 + 9), Some('Q'));
+    }
+
+    /// Asserts that the caret of `source`'s rendered error sits under
+    /// `at`, counting characters, with a tab above every tab.
+    fn assert_caret_under(source: &str, at: char) {
+        let err = parse(source).unwrap_err();
+        let text = render_error(source, &err);
+        let lines: Vec<&str> = text.lines().collect();
+        let (source_line, caret_line) = (lines[lines.len() - 2], lines[lines.len() - 1]);
+        let caret = caret_line.chars().position(|c| c == '^').unwrap();
+        assert_eq!(source_line.chars().nth(caret), Some(at), "{text}");
+        for (s, c) in source_line.chars().zip(caret_line.chars()).take(caret) {
+            assert_eq!(s == '\t', c == '\t', "{text:?}");
+        }
+    }
+
+    #[test]
+    fn caret_follows_tabs() {
+        assert_caret_under("Matrix A (5, 5)\n\tX := A * Q\n", 'Q');
+        assert_caret_under("X\t:=\tA\t*\tQ", 'A');
+        assert_caret_under("Matrix A (5, 5)\nX\t:=\tA\t*\tQ", 'Q');
+        assert_caret_under("Matrix A (5, 5)\nX := A * é\t* Q", 'é');
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use crate::{ServeReply, ServerStats};
 use gmc_obs::HistogramSnapshot;
 use serde::Value;
+use std::fmt::{self, Write as _};
 
 /// A parsed request line: the structure name, the named dimension
 /// sizes, and the optional `deadline_ms=` budget.
@@ -84,42 +85,104 @@ pub fn parse_request_line(line: &str) -> Result<ParsedRequest, String> {
 }
 
 /// Renders a reply as one compact JSON line (without the newline).
+///
+/// Replies are rendered on every serve round trip, so this writes them
+/// straight into one buffer: byte for byte what `serde_json::to_string`
+/// makes of the same fields as a `Value` tree, with its escape and
+/// number rules.
 pub fn reply_to_json(reply: &ServeReply) -> String {
-    let mut fields = vec![(
-        "structure".to_owned(),
-        Value::String(reply.structure.clone()),
-    )];
+    let mut out = String::with_capacity(160);
+    out.push_str("{\"structure\":");
+    write_json_str(&mut out, &reply.structure);
     match &reply.result {
         Ok(served) => {
-            fields.push((
-                "outcome".to_owned(),
-                Value::String(served.outcome.label().to_owned()),
-            ));
-            fields.push(("cost".to_owned(), Value::Number(served.cost)));
-            fields.push(("flops".to_owned(), Value::Number(served.flops)));
-            fields.push((
-                "parenthesization".to_owned(),
-                Value::String(served.parenthesization.clone()),
-            ));
-            fields.push((
-                "kernels".to_owned(),
-                Value::Array(
-                    served
-                        .kernels
-                        .iter()
-                        .map(|k| Value::String(k.clone()))
-                        .collect(),
-                ),
-            ));
+            out.push_str(",\"outcome\":");
+            write_json_str(&mut out, served.outcome.label());
+            out.push_str(",\"cost\":");
+            write_json_number(&mut out, served.cost);
+            out.push_str(",\"flops\":");
+            write_json_number(&mut out, served.flops);
+            out.push_str(",\"parenthesization\":");
+            write_json_str(&mut out, &served.parenthesization);
+            out.push_str(",\"kernels\":[");
+            for (i, kernel) in served.kernels.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_str(&mut out, kernel);
+            }
+            out.push(']');
         }
         Err(e) => {
-            fields.push(("error".to_owned(), Value::String(e.to_string())));
+            // The message is escaped as it is formatted.
+            out.push_str(",\"error\":\"");
+            write!(JsonEscaped(&mut out), "{e}").expect("writing to a String cannot fail");
             // A stable machine-readable tag per variant, so clients can
             // branch without parsing prose.
-            fields.push(("code".to_owned(), Value::String(e.code().to_owned())));
+            out.push_str("\",\"code\":");
+            write_json_str(&mut out, e.code());
         }
     }
-    serde_json::to_string(&Value::Object(fields)).expect("reply values are finite")
+    out.push('}');
+    out
+}
+
+/// Appends `s` as a JSON string literal.
+fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    JsonEscaped(out)
+        .write_str(s)
+        .expect("writing to a String cannot fail");
+    out.push('"');
+}
+
+/// Appends a finite number as JSON: an integral value below 9e15 in
+/// magnitude as an integer, any other as Rust's shortest round-trip
+/// `f64` text.
+///
+/// # Panics
+///
+/// Panics on a non-finite number, which JSON cannot represent.
+fn write_json_number(out: &mut String, n: f64) {
+    assert!(n.is_finite(), "reply values are finite, got {n}");
+    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    }
+    .expect("writing to a String cannot fail");
+}
+
+/// Writes text into a JSON string literal's body: `"`, `\`, newline,
+/// carriage return and tab as two-character escapes, other control
+/// characters as `\u00XX`, everything else as is.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1F => "",
+                _ => continue,
+            };
+            // Escaped bytes are ASCII, so `i` is a character boundary.
+            self.0.push_str(&s[plain..i]);
+            if escape.is_empty() {
+                write!(self.0, "\\u{b:04x}")?;
+            } else {
+                self.0.push_str(escape);
+            }
+            plain = i + 1;
+        }
+        self.0.push_str(&s[plain..]);
+        Ok(())
+    }
 }
 
 /// Quantile summary fields shared by every latency entry: count, p50,
@@ -285,6 +348,120 @@ pub fn stats_to_json(stats: &ServerStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ServeError, Served};
+    use gmc::GmcError;
+    use gmc_expr::SymChainError;
+    use gmc_plan::{PlanError, PlanOutcome};
+
+    /// The reply as a `Value` tree through `serde_json::to_string`: the
+    /// rendering `reply_to_json` must reproduce byte for byte.
+    fn oracle(reply: &ServeReply) -> String {
+        let mut fields = vec![(
+            "structure".to_owned(),
+            Value::String(reply.structure.clone()),
+        )];
+        match &reply.result {
+            Ok(served) => {
+                fields.push((
+                    "outcome".to_owned(),
+                    Value::String(served.outcome.label().to_owned()),
+                ));
+                fields.push(("cost".to_owned(), Value::Number(served.cost)));
+                fields.push(("flops".to_owned(), Value::Number(served.flops)));
+                fields.push((
+                    "parenthesization".to_owned(),
+                    Value::String(served.parenthesization.clone()),
+                ));
+                fields.push((
+                    "kernels".to_owned(),
+                    Value::Array(
+                        served
+                            .kernels
+                            .iter()
+                            .map(|k| Value::String(k.clone()))
+                            .collect(),
+                    ),
+                ));
+            }
+            Err(e) => {
+                fields.push(("error".to_owned(), Value::String(e.to_string())));
+                fields.push(("code".to_owned(), Value::String(e.code().to_owned())));
+            }
+        }
+        serde_json::to_string(&Value::Object(fields)).expect("finite")
+    }
+
+    /// Text exercising every escape rule: quote, backslash, newline,
+    /// carriage return, tab, other control characters, non-ASCII.
+    const AWKWARD: [&str; 7] = [
+        "X",
+        "",
+        "say \"hi\"",
+        "back\\slash",
+        "two\nlines\r\n\ttabbed",
+        "bell\u{7}nul\u{0}esc\u{1b}unit\u{1f}del\u{7f}",
+        "Ä ∑ 漢字 🦀 \u{2028}",
+    ];
+
+    #[test]
+    fn replies_match_the_value_rendering() {
+        let costs = [
+            0.0,
+            1.0,
+            -0.0,
+            8.99e15,
+            9e15,
+            4346666666.666666,
+            4.896149934230827e25,
+            2.09e57,
+        ];
+        let mut replies = Vec::new();
+        for (i, name) in AWKWARD.iter().enumerate() {
+            for outcome in [
+                PlanOutcome::MissStructure,
+                PlanOutcome::MissRegion,
+                PlanOutcome::Hit,
+            ] {
+                for (j, &cost) in costs.iter().enumerate() {
+                    let kernels = AWKWARD[..(i + j) % 4].iter().map(|k| (*k).to_owned());
+                    replies.push(ServeReply {
+                        structure: (*name).to_owned(),
+                        result: Ok(Served {
+                            outcome,
+                            cost,
+                            flops: costs[(j + 3) % costs.len()],
+                            parenthesization: AWKWARD[(i + j) % AWKWARD.len()].to_owned(),
+                            kernels: kernels.collect(),
+                        }),
+                    });
+                }
+            }
+            let message = (*name).to_owned();
+            let errors = [
+                ServeError::UnknownStructure(message.clone()),
+                ServeError::Plan(PlanError::Chain(SymChainError::TooShort { len: 1 })),
+                ServeError::Plan(PlanError::Solve(GmcError::NotComputable {
+                    chain: message.clone(),
+                })),
+                ServeError::Plan(PlanError::Enumeration(message.clone())),
+                ServeError::Plan(PlanError::Store(message.clone())),
+                ServeError::BadRequest(message.clone()),
+                ServeError::Closed,
+                ServeError::DeadlineExceeded,
+                ServeError::QueueFull,
+                ServeError::Internal(message),
+            ];
+            for e in errors {
+                replies.push(ServeReply {
+                    structure: (*name).to_owned(),
+                    result: Err(e),
+                });
+            }
+        }
+        for reply in &replies {
+            assert_eq!(reply_to_json(reply), oracle(reply), "{reply:?}");
+        }
+    }
 
     #[test]
     fn parses_request_lines() {

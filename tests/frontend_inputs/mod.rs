@@ -56,7 +56,8 @@ pub const SOURCE_TOKENS: &[&str] = &[
 pub const PREAMBLE: &str = "Matrix A (n, n) <SPD>\nMatrix B (n, m)\nVector x (m)\n";
 
 /// A valid program to edit.
-pub const PROGRAM: &str = "Matrix A (n, n) <SPD>\nMatrix B (n, m)\nMatrix C (m, m) <LowerTriangular>\n\
+pub const PROGRAM: &str =
+    "Matrix A (n, n) <SPD>\nMatrix B (n, m)\nMatrix C (m, m) <LowerTriangular>\n\
                        Vector x (m)\nX := A^-1 * B * C^T\nY := x' * B^T * A^-T * B\n";
 
 /// `program` after `edits`, each `(at, kind, token)`: at the character
