@@ -14,7 +14,7 @@
 //! live (a tiny liveness analysis over the straight-line program).
 
 use crate::program::Program;
-use crate::Emitter;
+use crate::{Emitter, LINE_BYTES};
 use gmc_kernels::{KernelOp, Side, Uplo};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -80,10 +80,6 @@ impl fmt::Display for Arg<'_> {
         }
     }
 }
-
-/// Bytes reserved per instruction for the emitted text: a line with
-/// short operand names, and room for a copy or transposes beside it.
-const LINE_BYTES: usize = 64;
 
 /// The buffer currently holding the value of the operand `name`.
 fn buf<'p>(buffer: &HashMap<&'p str, &'p str>, name: &'p str) -> &'p str {

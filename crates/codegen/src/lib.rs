@@ -42,6 +42,11 @@ macro_rules! push_line {
     };
 }
 
+/// Bytes the Julia and Rust emitters reserve per instruction (plus one
+/// for the header or trailer): a line with short operand names, with
+/// room for a copy or transposes beside it.
+const LINE_BYTES: usize = 64;
+
 mod julia;
 mod program;
 mod pseudo;

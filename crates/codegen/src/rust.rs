@@ -4,7 +4,7 @@
 //! [`KernelOp`] variants one-to-one over `gmc_linalg::Matrix` values.
 
 use crate::program::Program;
-use crate::Emitter;
+use crate::{Emitter, LINE_BYTES};
 use gmc_kernels::{KernelOp, Side, Uplo};
 use std::fmt::{self, Write as _};
 
@@ -98,8 +98,7 @@ impl Emitter for RustEmitter {
     }
 
     fn emit(&self, program: &Program) -> String {
-        // About one 64-byte line per instruction, plus the header.
-        let mut out = String::with_capacity(64 * (program.len() + 1));
+        let mut out = String::with_capacity(LINE_BYTES * (program.len() + 1));
         push_line!(
             out,
             "// Generated by gmc-codegen; compile against gmc-runtime::ops."

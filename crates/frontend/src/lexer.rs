@@ -136,7 +136,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// The byte after the current one, if it is `want`; consumes it.
+    /// Consumes the next byte if it is `want`.
     fn eat(&mut self, want: u8) -> bool {
         let hit = self.src.as_bytes().get(self.pos) == Some(&want);
         if hit {
@@ -186,11 +186,13 @@ impl<'a> Lexer<'a> {
                     }
                     continue;
                 }
-                b'0'..=b'9' => match self.int() {
-                    Ok(v) => Tok::Int(v),
-                    Err(e) => return Some(Err(e)),
-                },
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.word(),
+                b'0'..=b'9' => self.int(),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => Ok(self.word()),
+                b':' | b'^' => {
+                    self.pos += 1;
+                    self.col += 1;
+                    self.operator(b)
+                }
                 0x80.. => {
                     let c = self.wide_char();
                     if c.is_whitespace() {
@@ -198,10 +200,11 @@ impl<'a> Lexer<'a> {
                         self.col += 1;
                         continue;
                     }
-                    if !c.is_alphabetic() {
-                        return Some(Err(self.error(format!("unexpected character `{c}`"))));
+                    if c.is_alphabetic() {
+                        Ok(self.word())
+                    } else {
+                        Err(self.error(format!("unexpected character `{c}`")))
                     }
-                    self.word()
                 }
                 _ => {
                     let tok = match b {
@@ -213,22 +216,19 @@ impl<'a> Lexer<'a> {
                         b'+' => Tok::Plus,
                         b'*' => Tok::Star,
                         b'\'' => Tok::Tick,
-                        b':' | b'^' => {
-                            self.pos += 1;
-                            self.col += 1;
-                            return Some(self.operator(b).map(|tok| Token { tok, line, col }));
-                        }
                         other => {
-                            let message = format!("unexpected character `{}`", char::from(other));
-                            return Some(Err(self.error(message)));
+                            let other = char::from(other);
+                            return Some(
+                                Err(self.error(format!("unexpected character `{other}`"))),
+                            );
                         }
                     };
                     self.pos += 1;
                     self.col += 1;
-                    tok
+                    Ok(tok)
                 }
             };
-            return Some(Ok(Token { tok, line, col }));
+            return Some(tok.map(|tok| Token { tok, line, col }));
         }
     }
 
@@ -256,7 +256,7 @@ impl<'a> Lexer<'a> {
 
     /// An integer literal; an overflow is reported at the digit that
     /// overflows.
-    fn int(&mut self) -> Result<usize, LexError> {
+    fn int(&mut self) -> Result<Tok<'a>, LexError> {
         let mut value = 0usize;
         while let Some(&d) = self.src.as_bytes().get(self.pos) {
             if !d.is_ascii_digit() {
@@ -269,7 +269,7 @@ impl<'a> Lexer<'a> {
             self.pos += 1;
             self.col += 1;
         }
-        Ok(value)
+        Ok(Tok::Int(value))
     }
 
     /// A keyword or an identifier: its first character is alphabetic

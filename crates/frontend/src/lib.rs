@@ -2,6 +2,12 @@
 //! (Fig. 1–2): a lexer, a recursive-descent parser with positioned
 //! error messages, and lowering to `gmc-expr` operands and expressions.
 //!
+//! Tokens borrow the source text: an identifier ([`Tok::Ident`]) is a
+//! slice of it, and [`parse`] streams the tokens from the lexer without
+//! copying them. Parsing a concrete problem allocates little beyond
+//! what the [`Problem`] it returns keeps: each operand's name and
+//! shared cell, and the expression nodes.
+//!
 //! # Example
 //!
 //! ```

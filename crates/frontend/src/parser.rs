@@ -22,6 +22,13 @@
 //! [`SymbolicProblem`] instead: symbolic operands plus one [`SymChain`]
 //! per assignment, ready for `gmc-plan`'s cache. Symbolic assignments
 //! must be products (sums have no chain form).
+//!
+//! The parser pulls tokens from the lexer one at a time and copies
+//! none of them. Definitions go into one table, in definition order,
+//! looked up by the names they borrow from the source; a concrete
+//! definition lowers straight to its [`Operand`]. A right-hand side is
+//! parsed to postfix code over the table's indices, then lowered to an
+//! [`Expr`] or to chain factors.
 
 use crate::lexer::{LexError, Lexer, Tok, Token};
 use gmc_expr::{Dim, Expr, Operand, Property, Shape, SymChain, SymFactor, SymOperand, SymShape};
