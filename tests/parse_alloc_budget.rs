@@ -5,7 +5,7 @@
 //! a constant for the `Problem` and its assignment. It fails loudly if
 //! per-token or per-lookup allocation (owned identifier tokens, cloned
 //! names, operands rebuilt per property) creeps back into the lexer or
-//! the parser; the parser before borrowing tokens made about 16
+//! the parser; the parser before borrowing tokens made about 18
 //! allocations per definition on these sources.
 
 mod alloc_counter;
