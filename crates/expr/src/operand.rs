@@ -14,7 +14,7 @@ pub enum OperandKind {
     Temporary,
 }
 
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct OperandInner {
     name: String,
     shape: Shape,
@@ -135,17 +135,7 @@ impl Operand {
             );
             properties = properties.with(p).for_shape(shape.is_square());
         }
-        match Arc::get_mut(&mut self.inner) {
-            Some(inner) => inner.properties = properties,
-            None => {
-                self.inner = Arc::new(OperandInner {
-                    name: self.inner.name.clone(),
-                    shape,
-                    properties,
-                    kind: self.inner.kind,
-                })
-            }
-        }
+        Arc::make_mut(&mut self.inner).properties = properties;
         self
     }
 

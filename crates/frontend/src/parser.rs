@@ -191,37 +191,25 @@ impl Lowered {
     }
 }
 
-/// The definitions, in definition order, looked up by the name they
-/// borrow from the source: by a scan while there are few, through a
-/// hash index once there are more than [`SCAN_LIMIT`].
+/// The definitions, in definition order, indexed by the name they
+/// borrow from the source.
 struct Definitions<'a> {
-    list: Vec<(&'a str, Lowered)>,
+    list: Vec<Lowered>,
     index: HashMap<&'a str, usize>,
 }
 
-/// Definitions a lookup scans before the table indexes them.
-const SCAN_LIMIT: usize = 16;
-
 impl<'a> Definitions<'a> {
     fn find(&self, name: &str) -> Option<usize> {
-        if self.list.len() <= SCAN_LIMIT {
-            self.list.iter().position(|(n, _)| *n == name)
-        } else {
-            self.index.get(name).copied()
-        }
+        self.index.get(name).copied()
     }
 
     fn push(&mut self, name: &'a str, operand: Lowered) {
-        self.list.push((name, operand));
-        if self.list.len() > SCAN_LIMIT {
-            for (i, (n, _)) in self.list.iter().enumerate().skip(self.index.len()) {
-                self.index.insert(n, i);
-            }
-        }
+        self.index.insert(name, self.list.len());
+        self.list.push(operand);
     }
 
     fn get(&self, i: usize) -> &Lowered {
-        &self.list[i].1
+        &self.list[i]
     }
 }
 
@@ -387,13 +375,13 @@ impl<'a> Parser<'a> {
         }
         let defs = &self.defs.list;
         let mut operands = Vec::with_capacity(defs.len());
-        operands.extend(defs.iter().filter_map(|(_, d)| match d {
+        operands.extend(defs.iter().filter_map(|d| match d {
             Lowered::Concrete(op) => Some(op.clone()),
             Lowered::Symbolic(_) => None,
         }));
         // Any symbolic definition makes the problem symbolic.
         let symbolic = (operands.len() < defs.len()).then(|| SymbolicProblem {
-            operands: defs.iter().map(|(_, d)| d.to_symbolic()).collect(),
+            operands: defs.iter().map(Lowered::to_symbolic).collect(),
             chains,
         });
         Ok(Problem {
@@ -681,9 +669,9 @@ X := A^-1 * B * C^T
 
     #[test]
     fn large_definition_tables_are_indexed() {
-        // Past `SCAN_LIMIT` definitions, lookups go through the index:
-        // duplicates, references and undefined names all still resolve.
-        let n = 3 * SCAN_LIMIT;
+        // Lookups in a large table: duplicates, references and
+        // undefined names all still resolve.
+        let n = 48;
         let defs: String = (0..n).map(|i| format!("Matrix M{i} (4, 4)\n")).collect();
         let product: Vec<String> = (0..n).rev().map(|i| format!("M{i}")).collect();
         let p = parse(&format!("{defs}X := {}\n", product.join(" * "))).unwrap();

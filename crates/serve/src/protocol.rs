@@ -23,7 +23,7 @@
 use crate::{ServeReply, ServerStats};
 use gmc_obs::HistogramSnapshot;
 use serde::Value;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 /// A parsed request line: the structure name, the named dimension
 /// sizes, and the optional `deadline_ms=` budget.
@@ -88,101 +88,43 @@ pub fn parse_request_line(line: &str) -> Result<ParsedRequest, String> {
 ///
 /// Replies are rendered on every serve round trip, so this writes them
 /// straight into one buffer: byte for byte what `serde_json::to_string`
-/// makes of the same fields as a `Value` tree, with its escape and
-/// number rules.
+/// makes of the same fields as a `Value` tree, through the same string
+/// and number writers.
 pub fn reply_to_json(reply: &ServeReply) -> String {
     let mut out = String::with_capacity(160);
     out.push_str("{\"structure\":");
-    write_json_str(&mut out, &reply.structure);
+    serde_json::write_string(&mut out, &reply.structure);
     match &reply.result {
         Ok(served) => {
             out.push_str(",\"outcome\":");
-            write_json_str(&mut out, served.outcome.label());
+            serde_json::write_string(&mut out, served.outcome.label());
             out.push_str(",\"cost\":");
-            write_json_number(&mut out, served.cost);
+            serde_json::write_number(&mut out, served.cost).expect("reply values are finite");
             out.push_str(",\"flops\":");
-            write_json_number(&mut out, served.flops);
+            serde_json::write_number(&mut out, served.flops).expect("reply values are finite");
             out.push_str(",\"parenthesization\":");
-            write_json_str(&mut out, &served.parenthesization);
+            serde_json::write_string(&mut out, &served.parenthesization);
             out.push_str(",\"kernels\":[");
             for (i, kernel) in served.kernels.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write_json_str(&mut out, kernel);
+                serde_json::write_string(&mut out, kernel);
             }
             out.push(']');
         }
         Err(e) => {
             // The message is escaped as it is formatted.
             out.push_str(",\"error\":\"");
-            write!(JsonEscaped(&mut out), "{e}").expect("writing to a String cannot fail");
+            write!(serde_json::Escaped(&mut out), "{e}").expect("writing to a String cannot fail");
             // A stable machine-readable tag per variant, so clients can
             // branch without parsing prose.
             out.push_str("\",\"code\":");
-            write_json_str(&mut out, e.code());
+            serde_json::write_string(&mut out, e.code());
         }
     }
     out.push('}');
     out
-}
-
-/// Appends `s` as a JSON string literal.
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    JsonEscaped(out)
-        .write_str(s)
-        .expect("writing to a String cannot fail");
-    out.push('"');
-}
-
-/// Appends a finite number as JSON: an integral value below 9e15 in
-/// magnitude as an integer, any other as Rust's shortest round-trip
-/// `f64` text.
-///
-/// # Panics
-///
-/// Panics on a non-finite number, which JSON cannot represent.
-fn write_json_number(out: &mut String, n: f64) {
-    assert!(n.is_finite(), "reply values are finite, got {n}");
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        write!(out, "{}", n as i64)
-    } else {
-        write!(out, "{n}")
-    }
-    .expect("writing to a String cannot fail");
-}
-
-/// Writes text into a JSON string literal's body: `"`, `\`, newline,
-/// carriage return and tab as two-character escapes, other control
-/// characters as `\u00XX`, everything else as is.
-struct JsonEscaped<'a>(&'a mut String);
-
-impl fmt::Write for JsonEscaped<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let mut plain = 0;
-        for (i, b) in s.bytes().enumerate() {
-            let escape = match b {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                0..=0x1F => "",
-                _ => continue,
-            };
-            // Escaped bytes are ASCII, so `i` is a character boundary.
-            self.0.push_str(&s[plain..i]);
-            if escape.is_empty() {
-                write!(self.0, "\\u{b:04x}")?;
-            } else {
-                self.0.push_str(escape);
-            }
-            plain = i + 1;
-        }
-        self.0.push_str(&s[plain..]);
-        Ok(())
-    }
 }
 
 /// Quantile summary fields shared by every latency entry: count, p50,

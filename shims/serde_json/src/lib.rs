@@ -1,10 +1,16 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
 //! [`to_string`], [`to_string_pretty`] and [`from_str`] over the serde
 //! shim's value model.
+//!
+//! Beyond upstream's API, the writers those use are public —
+//! [`write_string`], [`Escaped`] and [`write_number`] — so that text
+//! written without a [`Value`] tree follows the same escape and number
+//! rules.
 
 #![forbid(unsafe_code)]
 
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::{self, Write as _};
 
 /// A serialization or parse failure.
 #[derive(Clone, Debug)]
@@ -76,17 +82,8 @@ fn write_value(
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => {
-            if !n.is_finite() {
-                return Err(Error(format!("number {n} is not representable in JSON")));
-            }
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
-        Value::String(s) => write_string(s, out),
+        Value::Number(n) => write_number(out, *n)?,
+        Value::String(s) => write_string(out, s),
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -108,7 +105,7 @@ fn write_value(
             out.push('{');
             for (i, (k, item)) in fields.iter().enumerate() {
                 out.push_str(if i == 0 { &open_sep } else { &item_sep });
-                write_string(k, out);
+                write_string(out, k);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
@@ -122,20 +119,66 @@ fn write_value(
     Ok(())
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Appends `n` as JSON: an integral value below 9e15 in magnitude as
+/// an integer, any other as Rust's shortest round-trip `f64` text.
+///
+/// # Errors
+///
+/// Fails if `n` is non-finite (JSON cannot represent it).
+pub fn write_number(out: &mut String, n: f64) -> Result<(), Error> {
+    if !n.is_finite() {
+        return Err(Error(format!("number {n} is not representable in JSON")));
     }
+    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    }
+    .expect("writing to a String cannot fail");
+    Ok(())
+}
+
+/// Appends `s` as a JSON string literal, escaped as by [`Escaped`].
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    Escaped(out)
+        .write_str(s)
+        .expect("writing to a String cannot fail");
+    out.push('"');
+}
+
+/// Appends what is written to it as the body of a JSON string literal:
+/// `"`, `\`, newline, carriage return and tab as two-character escapes,
+/// other control characters as `\u00XX`, everything else as is.
+/// Formatting into it escapes a `Display` value without building the
+/// unescaped text first.
+pub struct Escaped<'a>(pub &'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1F => "",
+                _ => continue,
+            };
+            // Escaped bytes are ASCII, so `i` is a character boundary.
+            self.0.push_str(&s[plain..i]);
+            if escape.is_empty() {
+                write!(self.0, "\\u{b:04x}")?;
+            } else {
+                self.0.push_str(escape);
+            }
+            plain = i + 1;
+        }
+        self.0.push_str(&s[plain..]);
+        Ok(())
+    }
 }
 
 struct Parser<'a> {
