@@ -15,7 +15,8 @@
 //! *canonically identical* but use different dimension-variable names
 //! (the PR 5 aliasing crash family) can be requested via
 //! `alias_structures`, and `duplicate_ratio` emits exact duplicate
-//! bindings to exercise dispatcher coalescing.
+//! bindings to exercise the coalescing of identical requests within
+//! one submission.
 
 use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand, UnaryOp};
 use gmc_plan::region_signature;
@@ -235,7 +236,7 @@ pub struct WorkloadSpec {
     /// the first request of a structure is always fresh.
     pub hit_ratio: f64,
     /// Fraction of warm requests that duplicate an earlier binding
-    /// *exactly* (exercises dispatcher coalescing); the rest rescale an
+    /// *exactly* (exercises submission coalescing); the rest rescale an
     /// earlier binding, staying in its region with fresh sizes.
     pub duplicate_ratio: f64,
 }
@@ -478,7 +479,7 @@ pub enum RequestClass {
     /// Rescaled earlier binding, same region: intended hit.
     Warm,
     /// Exact duplicate of an earlier binding: intended hit, and a
-    /// coalescing candidate when adjacent in a dispatch window.
+    /// coalescing candidate when it falls in the same replay window.
     Duplicate,
 }
 

@@ -132,8 +132,8 @@ pub fn run_serve_batch(
     let (server, mut out) = build_server(input, options)?;
     let handle = server.handle();
 
-    // Submit the whole file as one batch so requests sharing a
-    // (structure, region) group and identical bindings coalesce.
+    // Submit the whole file as one batch so identical requests
+    // coalesce; names stay borrowed from the file's lines.
     // `line_results` records, per line, how its output slot is filled:
     // positionally from the replies stream, a literal message
     // (malformed line), or the counters (a `STATS` line).

@@ -1,11 +1,10 @@
 //! Bounded admission for the serving tier.
 //!
-//! The submission channel itself is unbounded (`std::sync::mpsc` has
-//! no bounded non-blocking sender), so boundedness lives one layer up:
-//! an [`AdmissionGate`] counts requests in flight — admitted at submit
-//! time, released the moment a reply is sent — and refuses new work
-//! beyond its capacity. The overload policy is *shed newest*: the
-//! request that would overflow is the one rejected, with
+//! The worker queue itself is unbounded, so boundedness lives one
+//! layer up: an [`AdmissionGate`] counts requests in flight — admitted
+//! at submit time, released the moment a reply is sent — and refuses
+//! new work beyond its capacity. The overload policy is *shed newest*:
+//! the request that would overflow is the one rejected, with
 //! [`SubmitError::QueueFull`] (or an immediate
 //! [`crate::ServeError::QueueFull`] reply on the ticket paths), so
 //! admitted work is never abandoned halfway.
@@ -115,9 +114,9 @@ impl AdmissionGate {
 }
 
 /// One admitted request's slot; dropping it releases the slot. Held by
-/// the request through the dispatcher and workers, and dropped *before*
-/// the reply is sent, so a caller that has received all its replies
-/// observes zero of its own permits outstanding.
+/// the request through the worker queue and its worker, and dropped
+/// *before* the reply is sent, so a caller that has received all its
+/// replies observes zero of its own permits outstanding.
 #[derive(Debug)]
 pub struct Permit {
     gate: Arc<AdmissionGate>,

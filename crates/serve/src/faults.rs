@@ -65,7 +65,8 @@ pub enum FaultKind {
     /// dropped without waiting.
     Drop,
     /// The request arrives with an already-expired deadline; the
-    /// dispatcher must shed it with `ServeError::DeadlineExceeded`.
+    /// worker that dequeues it must shed it with
+    /// `ServeError::DeadlineExceeded`.
     Expire,
     /// Submit this request and the following `size - 1` as one
     /// admission burst regardless of the replay window, overflowing a

@@ -9,10 +9,12 @@
 //!               requests (structure name + dim bindings)
 //!  clients ──────────────┐
 //!                        ▼
-//!                 ┌─────────────┐   groups in-flight requests by
-//!                 │ dispatcher  │   registered chain, coalesces
-//!                 └─────────────┘   identical bindings
-//!                        │ batches
+//!            submitting thread (TCP connection or ServeHandle
+//!            caller): admits, checks the bindings, coalesces
+//!            identical bindings of its own submission
+//!                        │ one job per distinct binding
+//!                        ▼
+//!                 ═══ worker queue ═══
 //!          ┌─────────────┼─────────────┐
 //!          ▼             ▼             ▼
 //!      ┌───────┐     ┌───────┐     ┌───────┐    shared, sharded,
@@ -25,18 +27,24 @@
 //! * **Parse once per structure.** Chains are registered by name
 //!   ([`Server::register`]); requests reference the name and carry only
 //!   dimension bindings, so no request ever re-parses a chain.
-//! * **Coalescing.** The dispatcher groups queued requests for one
-//!   registered chain into batches, and requests with *identical*
-//!   bindings collapse into a single instantiate whose result is fanned
-//!   back out. Racing misses on one region record once: the cache's
-//!   per-shard write mutex coalesces them.
+//! * **One hand-off per request.** There is no dispatcher thread: the
+//!   submitting thread groups its own submission and puts the jobs
+//!   straight onto the worker queue, which wakes one idle worker per
+//!   job, so a request crosses threads once on the way in.
+//! * **Coalescing.** Requests of one submission
+//!   ([`ServeHandle::submit_batch`]) with *identical* bindings for one
+//!   registered chain collapse into a single instantiate whose result
+//!   is fanned back out; each distinct binding is its own job, so a
+//!   hot region spreads across the pool. Racing misses on one region
+//!   record once: the cache's per-shard write mutex coalesces them.
 //! * **Pre-enumeration.** [`Server::register_pre_enumerated`] records a
 //!   plan for every reachable region of a small chain up front, making
 //!   every subsequent request for it a hit.
-//! * **No async runtime.** Plain `std::thread` workers and
-//!   `std::sync::mpsc` channels (the container has no crates.io
-//!   access); the optional TCP listener in [`tcp`] is a thin
-//!   line-protocol front end over `std::net::TcpListener`.
+//! * **No async runtime.** Plain `std::thread` workers, a
+//!   condvar-signalled job queue and `std::sync::mpsc` reply channels,
+//!   all from the standard library; the optional TCP listener in
+//!   [`tcp`] is a thin line-protocol front end over
+//!   `std::net::TcpListener`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,17 +62,18 @@ pub use gmc_obs::trace::{Span, Trace, TRACE_FORMAT};
 use admission::{AdmissionGate, Permit};
 use faults::FAULT_PANIC_MARKER;
 use gmc::{GmcSolution, InferenceMode};
-use gmc_expr::{DimBindings, SymChain};
+use gmc_expr::{Dim, DimBindings, SymChain};
 use gmc_kernels::KernelRegistry;
 use gmc_obs::trace::SlowTraceRing;
 use gmc_obs::{Histogram, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
 use gmc_plan::{CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -93,26 +102,17 @@ pub struct ServeConfig {
     pub slow_trace_capacity: usize,
 }
 
-/// Target number of requests the dispatcher drains into one grouping
-/// round. It stops pulling *further* queued messages once reached; a
-/// single [`ServeHandle::submit_batch`] unit is always grouped whole
-/// (that is what makes its coalescing deterministic), so one oversized
-/// batch can exceed this.
-const MAX_BATCH: usize = 256;
-
-/// Upper bound on items per worker job: groups larger than this are
-/// split so independent instantiates of one hot region parallelize
-/// across the pool.
-const MAX_ITEMS_PER_JOB: usize = 16;
-
 /// The request pipeline stages, in order. Every completed request
 /// records one span per stage; the spans are consecutive, so their
 /// durations sum exactly to the request's end-to-end latency:
 ///
 /// * `admit` — submission call entry to admission + parse done
-/// * `queue` — waiting in the dispatcher's inbox
-/// * `group` — grouping/coalescing inside the dispatcher
-/// * `dispatch` — job channel to a worker picking the job up
+/// * `queue` — end of admission to the start of grouping, both on the
+///   submitting thread (about zero: nothing waits between them)
+/// * `group` — the submitter grouping its submission into jobs
+///   (coalescing identical bindings)
+/// * `dispatch` — the wait in the worker queue, up to the worker
+///   starting the solve
 /// * `lookup` — locating the cached region plan
 /// * `solve` — instantiating the plan (or recording it, on a miss)
 /// * `reply` — accounting and fan-out back to the caller
@@ -176,11 +176,13 @@ pub enum ServeError {
     BadRequest(String),
     /// The server is shut down.
     Closed,
-    /// The request's deadline had already passed when the dispatcher
-    /// reached it; it was shed without touching a worker.
+    /// The request's deadline had passed when a worker dequeued it
+    /// (expiry covers the wait in the worker queue); it was shed
+    /// without being solved.
     DeadlineExceeded,
     /// The admission queue was at capacity; the request was shed
-    /// (newest-first overload policy) without entering the dispatcher.
+    /// (newest-first overload policy) without entering the worker
+    /// queue.
     QueueFull,
     /// The worker processing the request panicked (the panic was
     /// caught; the pool survives and this request is the only loss).
@@ -213,7 +215,7 @@ impl fmt::Display for ServeError {
             ServeError::Plan(e) => e.fmt(f),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             ServeError::Closed => write!(f, "server is shut down"),
-            ServeError::DeadlineExceeded => write!(f, "deadline exceeded before dispatch"),
+            ServeError::DeadlineExceeded => write!(f, "deadline exceeded while queued"),
             ServeError::QueueFull => write!(f, "queue full (request shed by admission control)"),
             ServeError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
@@ -245,10 +247,11 @@ pub struct ServerStats {
     /// instantiate, so `cache.requests()` can be below
     /// `served.completed`.
     pub cache: CacheStats,
-    /// Requests answered from another in-flight request's instantiate
-    /// (identical structure, region and bindings in one batch).
+    /// Requests answered from another request's instantiate
+    /// (identical structure and bindings in one submission).
     pub coalesced: u64,
-    /// Batches dispatched to workers.
+    /// Jobs queued to workers: one per distinct (structure, bindings)
+    /// of a submission.
     pub batches: u64,
     /// Registered structures.
     pub structures: usize,
@@ -257,7 +260,7 @@ pub struct ServerStats {
     /// reading, even mid-burst.
     pub served: ServedCounters,
     /// Latency histogram snapshots (enqueue→complete and
-    /// enqueue→dispatch, plus per-(structure, hit/miss) classes).
+    /// enqueue→worker pickup, plus per-(structure, hit/miss) classes).
     pub latency: LatencySnapshot,
     /// Worker-pool supervision counters (panics, respawns, live
     /// workers).
@@ -307,10 +310,10 @@ impl fmt::Display for ServerStats {
 
 /// Per-request completion counters. Unlike the cache counters (which
 /// count instantiates), these count *requests*: every submitted
-/// request ends up in exactly one of `completed` (reached a worker)
-/// or `rejected` (answered before dispatch: unknown structure, bad
-/// binding, unbindable sizes), and `completed` splits exactly into
-/// `hits + misses + failed`.
+/// request ends up in exactly one of `completed` (solved by a worker)
+/// or `rejected` (answered without a solve: unknown structure, bad
+/// binding, unbindable sizes, overload, expired deadline), and
+/// `completed` splits exactly into `hits + misses + failed`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServedCounters {
     /// Requests a worker answered (successfully or not).
@@ -325,16 +328,17 @@ pub struct ServedCounters {
     /// whose worker panicked mid-solve (answered
     /// [`ServeError::Internal`]).
     pub failed: u64,
-    /// Requests answered before reaching a worker (unknown structure,
-    /// unresolvable variable names, unbindable sizes, overload sheds,
-    /// expired deadlines). `rejected_overload` and `expired` are
-    /// sub-counts of this, so `completed + rejected` still accounts
-    /// for every request.
+    /// Requests answered without a solve: at submission (unknown
+    /// structure, unresolvable variable names, unbindable sizes,
+    /// overload sheds) or by a worker at dequeue (expired deadlines).
+    /// `rejected_overload` and `expired` are sub-counts of this, so
+    /// `completed + rejected` still accounts for every request.
     pub rejected: u64,
     /// Of `rejected`: requests shed because the admission queue was at
     /// capacity.
     pub rejected_overload: u64,
-    /// Of `rejected`: requests whose deadline passed before dispatch.
+    /// Of `rejected`: requests whose deadline passed while they waited
+    /// in the worker queue (shed by the worker that dequeued them).
     pub expired: u64,
 }
 
@@ -389,8 +393,8 @@ enum ServedKind {
     /// Shed at admission: counts into `rejected` *and*
     /// `rejected_overload` in one frame.
     RejectedOverload,
-    /// Shed by the dispatcher's deadline check: counts into `rejected`
-    /// *and* `expired` in one frame.
+    /// Shed by a worker's deadline check at dequeue: counts into
+    /// `rejected` *and* `expired` in one frame.
     Expired,
 }
 
@@ -458,10 +462,10 @@ impl CounterCell {
 pub struct LatencySnapshot {
     /// Enqueue→complete latency of every worker-completed request.
     pub total: HistogramSnapshot,
-    /// Enqueue→dispatch (queueing) latency of the same requests.
+    /// Enqueue→worker pickup (queueing) latency of the same requests.
     pub queue: HistogramSnapshot,
-    /// Enqueue→shed latency of deadline-expired requests (they never
-    /// reach a worker, so they appear here instead of `total`).
+    /// Enqueue→shed latency of deadline-expired requests (a worker
+    /// sheds them unsolved, so they appear here instead of `total`).
     pub expired: HistogramSnapshot,
     /// Per-(structure, hit/miss) enqueue→complete histograms, sorted
     /// by structure name then class for deterministic rendering. At
@@ -662,6 +666,7 @@ impl ObsLayer {
 
 struct Shared {
     cache: PlanCache,
+    jobs: JobQueue,
     structures: RwLock<HashMap<String, Arc<SymChain>>>,
     coalesced: AtomicU64,
     batches: AtomicU64,
@@ -694,13 +699,24 @@ impl SupervisionCell {
 use gmc_plan::sync::{mutex_lock, read_lock, write_lock};
 
 /// Builds concrete bindings from string-named sizes using only the
-/// chain's own (already interned) variables.
-fn bind_named_vars(chain: &SymChain, vars: &[(String, usize)]) -> Result<DimBindings, String> {
-    let vocabulary = chain.vars();
+/// chain's own (already interned) variables: each name is looked up
+/// among the chain's boundary dimensions, never interned.
+fn bind_named_vars<N: AsRef<str>>(
+    chain: &SymChain,
+    vars: &[(N, usize)],
+) -> Result<DimBindings, String> {
+    let first = chain.factor(0).shape().rows();
+    let boundary =
+        || std::iter::once(first).chain(chain.factors().iter().map(|f| f.shape().cols()));
     let mut bindings = DimBindings::new();
     for (name, value) in vars {
-        match vocabulary.iter().find(|v| v.name() == name) {
-            Some(var) => bindings.set_var(*var, *value),
+        let name = name.as_ref();
+        let var = boundary().find_map(|dim| match dim {
+            Dim::Var(var) if var.name() == name => Some(var),
+            _ => None,
+        });
+        match var {
+            Some(var) => bindings.set_var(var, *value),
             None => {
                 return Err(format!(
                     "unknown dimension variable `{name}` for this structure"
@@ -709,6 +725,15 @@ fn bind_named_vars(chain: &SymChain, vars: &[(String, usize)]) -> Result<DimBind
         }
     }
     Ok(bindings)
+}
+
+/// Whether `bindings` size every dimension of `chain`; a request that
+/// fails this is answered at submission, never queued.
+fn check_bindable(chain: &SymChain, bindings: &DimBindings) -> Result<(), ServeError> {
+    chain
+        .bind_dims(bindings)
+        .map(drop)
+        .map_err(|e| ServeError::Plan(PlanError::Chain(e.into())))
 }
 
 impl Shared {
@@ -728,18 +753,20 @@ impl Shared {
 }
 
 /// A raw text-protocol request: structure name, string-named sizes,
-/// and submission options (see [`ServeHandle::submit_raw_batch`]).
-pub type RawRequest = (String, Vec<(String, usize)>, RequestOptions);
+/// and submission options (see [`ServeHandle::submit_raw_batch`]). The
+/// names may be owned (`String`, the default) or borrowed from a
+/// request line, as [`protocol::parse_request_line`] returns them.
+pub type RawRequest<S = String, N = String> = (S, Vec<(N, usize)>, RequestOptions);
 
 /// Per-request submission options: an optional deadline and an
 /// optional injected worker-side fault (chaos testing only).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RequestOptions {
-    /// If set, the dispatcher sheds the request with
-    /// [`ServeError::DeadlineExceeded`] when the deadline has passed
-    /// before grouping. Expiry is checked at dispatch, not mid-solve:
-    /// a request that made it into a batch is always answered with its
-    /// result.
+    /// If set, the worker that dequeues the request sheds it with
+    /// [`ServeError::DeadlineExceeded`] when the deadline has passed,
+    /// so expiry covers the wait in the worker queue. Expiry is not
+    /// checked mid-solve: a request whose solve has started is always
+    /// answered with its result.
     pub deadline: Option<Instant>,
     /// Deterministic fault the worker executes for this request (see
     /// [`faults`]). `None` in production traffic.
@@ -756,68 +783,117 @@ impl RequestOptions {
     }
 }
 
-/// One parsed request on its way to the dispatcher.
-struct Request {
-    name: String,
+/// One admitted request on its way into a job.
+struct Admitted {
     chain: Arc<SymChain>,
     bindings: DimBindings,
-    reply: Sender<ServeReply>,
+    slot: ReplySlot,
+}
+
+/// When one submission passed each point on the submitting thread; a
+/// job's stage spans start from these.
+#[derive(Clone, Copy)]
+struct Stamps {
     /// When the submission call started (trace origin).
     enqueued: Instant,
-    /// When the request was handed to the dispatcher (end of the
-    /// `admit` span: admission + parse done).
+    /// When admission and parsing were done (end of the `admit` span).
     submitted: Instant,
-    /// Monotone per-server trace id.
-    trace_id: u64,
-    /// Deadline/fault options.
-    options: RequestOptions,
-    /// The admission slot; released (dropped) right before the reply
-    /// is sent.
-    permit: Permit,
+    /// When grouping started (end of the `queue` span).
+    grouped: Instant,
+    /// When the jobs were formed and queued (end of the `group` span).
+    dispatched: Instant,
 }
 
-enum Incoming {
-    Requests(Vec<Request>),
-    Shutdown,
-}
-
+/// A message on the worker queue.
 enum Job {
-    Batch {
+    /// Every request of one submission that wants these bindings of
+    /// this registered chain: one instantiate, fanned back out.
+    Solve {
         chain: Arc<SymChain>,
-        items: Vec<BatchItem>,
-        /// When the dispatcher started grouping the round this job
-        /// came from (end of the `queue` span).
-        grouped: Instant,
-        /// When the dispatcher formed this job (per-request queueing
-        /// latency is `dispatched - enqueued`).
-        dispatched: Instant,
+        bindings: DimBindings,
+        replies: Vec<ReplySlot>,
+        stamps: Stamps,
     },
+    /// Ends the worker that dequeues it. Shutdown queues one per
+    /// worker behind all earlier work.
     Stop,
 }
 
-struct BatchItem {
-    bindings: DimBindings,
-    /// All requests wanting exactly these bindings: one instantiate,
-    /// fanned back out.
-    replies: Vec<ReplySlot>,
-    /// The merged injected fault of the coalesced requests (killing
-    /// beats caught panic beats the longest delay).
-    fault: Option<SolveFault>,
+/// The worker queue: jobs in arrival order, and a condvar that wakes
+/// one idle worker per job. (Workers sharing a `Mutex<Receiver>` would
+/// wake two: the one the job goes to, and the next waiter for the
+/// mutex, only for it to park again in `recv`.)
+#[derive(Default)]
+struct JobQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
 }
 
-/// One pending reply of a coalesced batch item, with the timestamps it
-/// was enqueued/submitted at (each coalesced request keeps its own
-/// latency and trace).
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Set once the last worker is gone; later jobs are refused.
+    closed: bool,
+}
+
+impl JobQueue {
+    /// Queues a job behind all earlier ones, or hands it back if the
+    /// pool is gone.
+    fn push(&self, job: Job) -> Result<(), Job> {
+        let mut state = mutex_lock(&self.state);
+        if state.closed {
+            return Err(job);
+        }
+        state.jobs.push_back(job);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Takes the oldest job, waiting for one.
+    fn pop(&self) -> Job {
+        let mut state = mutex_lock(&self.state);
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return job;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Refuses later jobs and drops the queued ones, once no worker is
+    /// left to take them: their tickets resolve to `Closed`.
+    fn close(&self) {
+        let stranded = {
+            let mut state = mutex_lock(&self.state);
+            state.closed = true;
+            std::mem::take(&mut state.jobs)
+        };
+        drop(stranded);
+    }
+}
+
+/// One pending reply of a job (each coalesced request keeps its own
+/// trace id, deadline and injected fault).
 struct ReplySlot {
     name: String,
-    enqueued: Instant,
-    submitted: Instant,
     trace_id: u64,
+    options: RequestOptions,
     tx: Sender<ServeReply>,
     permit: Permit,
 }
 
 impl ReplySlot {
+    /// Whether the request's deadline has passed at `now`.
+    fn expired(&self, now: Instant) -> bool {
+        self.options
+            .deadline
+            .is_some_and(|deadline| now >= deadline)
+    }
+
     /// Sends the reply, releasing the admission slot *first* so a
     /// caller that has received all its replies observes zero of its
     /// permits outstanding (closed-loop replay depends on this for
@@ -833,6 +909,15 @@ impl ReplySlot {
         })
         .ok();
     }
+}
+
+/// Answers a request refused at submission.
+fn reply_now(tx: &Sender<ServeReply>, structure: &str, error: ServeError) {
+    tx.send(ServeReply {
+        structure: structure.to_owned(),
+        result: Err(error),
+    })
+    .ok();
 }
 
 /// Merges two injected faults for coalesced requests: a kill beats a
@@ -851,7 +936,6 @@ fn merge_faults(a: Option<SolveFault>, b: Option<SolveFault>) -> Option<SolveFau
 #[derive(Clone)]
 pub struct ServeHandle {
     shared: Arc<Shared>,
-    submit: Sender<Incoming>,
 }
 
 impl ServeHandle {
@@ -867,9 +951,11 @@ impl ServeHandle {
         bindings: DimBindings,
         options: RequestOptions,
     ) -> Ticket {
-        self.submit_batch_opts(vec![(structure.to_owned(), bindings, options)])
-            .pop()
-            .expect("one ticket per request")
+        self.submit_with(vec![(structure, bindings, options)], |_, bindings| {
+            Ok(bindings)
+        })
+        .pop()
+        .expect("one ticket per request")
     }
 
     /// Submits one request, but reports admission failures to the
@@ -894,39 +980,41 @@ impl ServeHandle {
             rx,
             structure: structure.to_owned(),
         };
-        let structures = read_lock(&self.shared.structures);
-        let Some(chain) = structures.get(structure) else {
-            drop(permit);
-            self.shared.served.record(ServedKind::Rejected, 1);
-            tx.send(ServeReply {
-                structure: structure.to_owned(),
-                result: Err(ServeError::UnknownStructure(structure.to_owned())),
-            })
-            .ok();
-            return Ok(ticket);
+        let chain = read_lock(&self.shared.structures)
+            .get(structure)
+            .cloned()
+            .ok_or_else(|| ServeError::UnknownStructure(structure.to_owned()))
+            .and_then(|chain| check_bindable(&chain, &bindings).map(|()| chain));
+        let chain = match chain {
+            Ok(chain) => chain,
+            Err(e) => {
+                drop(permit);
+                self.shared.served.record(ServedKind::Rejected, 1);
+                reply_now(&tx, structure, e);
+                return Ok(ticket);
+            }
         };
-        let request = Request {
-            chain: Arc::clone(chain),
+        let slot = ReplySlot {
             name: structure.to_owned(),
-            bindings,
-            reply: tx,
-            enqueued,
-            submitted: Instant::now(),
             trace_id: self.shared.obs.next_trace_id(),
             options,
+            tx,
             permit,
         };
-        drop(structures);
-        if self.submit.send(Incoming::Requests(vec![request])).is_err() {
+        let unit = vec![Admitted {
+            chain,
+            bindings,
+            slot,
+        }];
+        if !self.queue_unit(unit, enqueued, Instant::now()) {
             return Err(SubmitError::ShuttingDown);
         }
         Ok(ticket)
     }
 
-    /// Submits several requests at once. They enter the dispatcher as
-    /// one unit, so requests in the batch that share a structure and
-    /// size region are grouped — and identical bindings coalesce into
-    /// a single instantiate.
+    /// Submits several requests at once. They are grouped as one unit
+    /// on the calling thread, so requests in the batch with identical
+    /// bindings for one structure coalesce into a single instantiate.
     pub fn submit_batch(&self, requests: Vec<(String, DimBindings)>) -> Vec<Ticket> {
         self.submit_batch_opts(
             requests
@@ -955,91 +1043,78 @@ impl ServeHandle {
     /// is rejected with [`ServeError::BadRequest`] **without being
     /// interned** (`DimVar` interning is process-wide and permanent,
     /// so a front door must never intern arbitrary client strings).
-    pub fn submit_raw_batch(&self, requests: Vec<RawRequest>) -> Vec<Ticket> {
+    pub fn submit_raw_batch<S: AsRef<str>, N: AsRef<str>>(
+        &self,
+        requests: Vec<RawRequest<S, N>>,
+    ) -> Vec<Ticket> {
         self.submit_with(requests, |chain, vars| {
             bind_named_vars(chain, &vars).map_err(ServeError::BadRequest)
         })
     }
 
-    /// The shared submission path: per request, create a ticket, look
-    /// the structure up, resolve the payload into bindings, acquire an
-    /// admission permit, then ship everything admitted to the
-    /// dispatcher as one unit. Failures — unknown structure, bad
-    /// payload, queue full, shutting down — reply immediately through
-    /// the ticket. Admission is decided here, before the dispatcher
-    /// sees anything, so within one batch the set of shed requests is
-    /// deterministic: with `k` permits free, exactly the first `k`
-    /// admissible requests enter.
-    fn submit_with<T>(
+    /// The shared submission path, all on the calling thread: per
+    /// request, create a ticket, look the structure up, resolve the
+    /// payload into bindings, check that they size the chain, and
+    /// acquire an admission permit; then group everything admitted
+    /// into jobs and queue them (see [`queue_unit`](Self::queue_unit)).
+    /// Failures — unknown structure, bad payload, unbindable sizes,
+    /// queue full, shutting down — reply immediately through the
+    /// ticket; only a request that passed every check takes a permit.
+    /// So within one batch the set of shed requests is deterministic:
+    /// with `k` permits free, exactly the first `k` admissible
+    /// requests enter.
+    fn submit_with<N: AsRef<str>, T>(
         &self,
-        requests: Vec<(String, T, RequestOptions)>,
+        requests: Vec<(N, T, RequestOptions)>,
         mut resolve: impl FnMut(&SymChain, T) -> Result<DimBindings, ServeError>,
     ) -> Vec<Ticket> {
-        let mut tickets = Vec::with_capacity(requests.len());
-        let mut parsed = Vec::with_capacity(requests.len());
         let enqueued = Instant::now();
+        let mut tickets = Vec::with_capacity(requests.len());
+        let mut unit = Vec::with_capacity(requests.len());
         let mut rejected = 0u64;
         let mut overloaded = 0u64;
         let structures = read_lock(&self.shared.structures);
         for (name, payload, options) in requests {
+            let name = name.as_ref();
             let (tx, rx) = channel();
             tickets.push(Ticket {
                 rx,
-                structure: name.clone(),
+                structure: name.to_owned(),
             });
-            let Some(chain) = structures.get(&name) else {
-                rejected += 1;
-                tx.send(ServeReply {
-                    structure: name.clone(),
-                    result: Err(ServeError::UnknownStructure(name)),
-                })
-                .ok();
-                continue;
+            let admitted = match structures.get(name) {
+                None => Err(ServeError::UnknownStructure(name.to_owned())),
+                Some(chain) => resolve(chain, payload)
+                    .and_then(|bindings| {
+                        check_bindable(chain, &bindings)?;
+                        match self.shared.gate.try_acquire() {
+                            Ok(permit) => Ok((bindings, permit)),
+                            Err(SubmitError::QueueFull { .. }) => Err(ServeError::QueueFull),
+                            Err(SubmitError::ShuttingDown) => Err(ServeError::Closed),
+                        }
+                    })
+                    .map(|(bindings, permit)| (Arc::clone(chain), bindings, permit)),
             };
-            let bindings = match resolve(chain, payload) {
-                Ok(bindings) => bindings,
+            match admitted {
+                Ok((chain, bindings, permit)) => unit.push(Admitted {
+                    chain,
+                    bindings,
+                    slot: ReplySlot {
+                        name: name.to_owned(),
+                        trace_id: self.shared.obs.next_trace_id(),
+                        options,
+                        tx,
+                        permit,
+                    },
+                }),
                 Err(e) => {
-                    rejected += 1;
-                    tx.send(ServeReply {
-                        structure: name,
-                        result: Err(e),
-                    })
-                    .ok();
-                    continue;
+                    if e == ServeError::QueueFull {
+                        overloaded += 1;
+                    } else {
+                        rejected += 1;
+                    }
+                    reply_now(&tx, name, e);
                 }
-            };
-            let permit = match self.shared.gate.try_acquire() {
-                Ok(permit) => permit,
-                Err(SubmitError::QueueFull { .. }) => {
-                    overloaded += 1;
-                    tx.send(ServeReply {
-                        structure: name,
-                        result: Err(ServeError::QueueFull),
-                    })
-                    .ok();
-                    continue;
-                }
-                Err(SubmitError::ShuttingDown) => {
-                    rejected += 1;
-                    tx.send(ServeReply {
-                        structure: name,
-                        result: Err(ServeError::Closed),
-                    })
-                    .ok();
-                    continue;
-                }
-            };
-            parsed.push(Request {
-                chain: Arc::clone(chain),
-                name,
-                bindings,
-                reply: tx,
-                enqueued,
-                submitted: enqueued, // overwritten below, once per batch
-                trace_id: self.shared.obs.next_trace_id(),
-                options,
-                permit,
-            });
+            }
         }
         drop(structures);
         if rejected > 0 {
@@ -1050,31 +1125,71 @@ impl ServeHandle {
                 .served
                 .record(ServedKind::RejectedOverload, overloaded);
         }
-        if !parsed.is_empty() {
-            // The whole batch is handed over at one instant; stamping
-            // it here (after admission and parsing) closes every
-            // request's `admit` span.
-            let submitted = Instant::now();
-            for request in &mut parsed {
-                request.submitted = submitted;
-            }
-            if self.submit.send(Incoming::Requests(parsed)).is_err() {
-                // Server shut down: tickets resolve to `Closed` when
-                // their senders (and permits) drop with nothing sent.
-            }
+        if !unit.is_empty() {
+            // A closed worker queue drops the jobs, and their tickets
+            // resolve to `Closed` when the reply senders drop.
+            self.queue_unit(unit, enqueued, Instant::now());
         }
         tickets
     }
 
+    /// Groups one admitted submission into jobs on the calling thread
+    /// — one per distinct (registered chain, bindings), with identical
+    /// requests coalesced into it — and puts them straight onto the
+    /// worker queue. The chain is identified by its `Arc` pointer
+    /// (registration hands every request for a name the same `Arc`),
+    /// so grouping hashes a pointer and the bindings, with no
+    /// structure-key walk. Returns `false` if the worker queue is gone;
+    /// the jobs are dropped then.
+    fn queue_unit(&self, unit: Vec<Admitted>, enqueued: Instant, submitted: Instant) -> bool {
+        let grouped = Instant::now();
+        let mut groups: HashMap<(usize, DimBindings), (Arc<SymChain>, Vec<ReplySlot>)> =
+            HashMap::with_capacity(unit.len());
+        for Admitted {
+            chain,
+            bindings,
+            slot,
+        } in unit
+        {
+            match groups.entry((Arc::as_ptr(&chain) as usize, bindings)) {
+                Entry::Occupied(mut group) => {
+                    self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
+                    group.get_mut().1.push(slot);
+                }
+                Entry::Vacant(group) => {
+                    group.insert((chain, vec![slot]));
+                }
+            }
+        }
+        let stamps = Stamps {
+            enqueued,
+            submitted,
+            grouped,
+            dispatched: Instant::now(),
+        };
+        let mut queued = true;
+        for ((_, bindings), (chain, replies)) in groups {
+            self.shared.batches.fetch_add(1, Ordering::Relaxed);
+            let job = Job::Solve {
+                chain,
+                bindings,
+                replies,
+                stamps,
+            };
+            queued &= self.shared.jobs.push(job).is_ok();
+        }
+        queued
+    }
+
     /// Blocking single-request form of
     /// [`submit_raw_batch`](Self::submit_raw_batch).
-    pub fn solve_raw(
+    pub fn solve_raw<N: AsRef<str>>(
         &self,
         structure: &str,
-        vars: Vec<(String, usize)>,
+        vars: Vec<(N, usize)>,
         options: RequestOptions,
     ) -> ServeReply {
-        self.submit_raw_batch(vec![(structure.to_owned(), vars, options)])
+        self.submit_raw_batch(vec![(structure, vars, options)])
             .pop()
             .expect("one ticket per request")
             .wait()
@@ -1122,8 +1237,8 @@ impl ServeHandle {
     }
 }
 
-/// The serving front door: worker pool + dispatcher over a shared
-/// [`PlanCache`].
+/// The serving front door: a supervised worker pool over a shared
+/// [`PlanCache`], fed by the submitting threads.
 ///
 /// # Example
 ///
@@ -1152,8 +1267,8 @@ impl ServeHandle {
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    submit: Sender<Incoming>,
-    dispatcher: Option<JoinHandle<()>>,
+    /// The pool size; shutdown queues one [`Job::Stop`] per worker.
+    workers: usize,
     supervisor: Option<JoinHandle<()>>,
     /// Every worker thread ever spawned (including respawns); shared
     /// with the supervisor, drained at shutdown.
@@ -1191,11 +1306,9 @@ impl Drop for WorkerGuard {
 fn spawn_worker(
     id: usize,
     shared: &Arc<Shared>,
-    job_rx: &Arc<Mutex<Receiver<Job>>>,
     events: &Sender<WorkerEvent>,
 ) -> std::io::Result<JoinHandle<()>> {
     let shared = Arc::clone(shared);
-    let job_rx = Arc::clone(job_rx);
     let events = events.clone();
     std::thread::Builder::new()
         .name(format!("gmc-serve-worker-{id}"))
@@ -1204,7 +1317,7 @@ fn spawn_worker(
                 events,
                 panicked: true,
             };
-            worker_loop(&shared, &job_rx);
+            worker_loop(&shared);
             guard.panicked = false;
         })
 }
@@ -1217,14 +1330,12 @@ pub struct ShutdownReport {
     pub worker_panics: u64,
     /// Workers the supervisor respawned.
     pub respawns: u64,
-    /// Whether the dispatcher thread itself panicked.
-    pub dispatcher_panicked: bool,
 }
 
 impl ShutdownReport {
     /// Whether the pool stayed healthy end to end.
     pub fn is_clean(&self) -> bool {
-        self.worker_panics == 0 && !self.dispatcher_panicked
+        self.worker_panics == 0
     }
 }
 
@@ -1235,25 +1346,20 @@ impl fmt::Display for ShutdownReport {
         } else {
             write!(
                 f,
-                "shutdown with {} worker panics ({} respawned){}",
-                self.worker_panics,
-                self.respawns,
-                if self.dispatcher_panicked {
-                    ", dispatcher panicked"
-                } else {
-                    ""
-                }
+                "shutdown with {} worker panics ({} respawned)",
+                self.worker_panics, self.respawns
             )
         }
     }
 }
 
 impl Server {
-    /// Starts the worker pool, dispatcher and supervisor.
+    /// Starts the worker pool and its supervisor.
     pub fn start(registry: Arc<KernelRegistry>, config: ServeConfig) -> Server {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             cache: PlanCache::new(registry, config.inference),
+            jobs: JobQueue::default(),
             structures: RwLock::new(HashMap::new()),
             coalesced: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -1268,20 +1374,16 @@ impl Server {
             .workers_alive
             .store(workers, Ordering::SeqCst);
 
-        let (submit_tx, submit_rx) = channel::<Incoming>();
-        let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
         let (event_tx, event_rx) = channel::<WorkerEvent>();
 
         let worker_handles = Arc::new(Mutex::new(Vec::with_capacity(workers)));
         for i in 0..workers {
-            let handle = spawn_worker(i, &shared, &job_rx, &event_tx).expect("spawn worker thread");
+            let handle = spawn_worker(i, &shared, &event_tx).expect("spawn worker thread");
             mutex_lock(&worker_handles).push(handle);
         }
 
         let supervisor = {
             let shared = Arc::clone(&shared);
-            let job_rx = Arc::clone(&job_rx);
             let worker_handles = Arc::clone(&worker_handles);
             let budget = config.restart_budget;
             std::thread::Builder::new()
@@ -1289,7 +1391,6 @@ impl Server {
                 .spawn(move || {
                     supervisor_loop(
                         &shared,
-                        &job_rx,
                         &event_rx,
                         &event_tx,
                         &worker_handles,
@@ -1300,18 +1401,9 @@ impl Server {
                 .expect("spawn supervisor thread")
         };
 
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gmc-serve-dispatcher".to_owned())
-                .spawn(move || dispatcher_loop(&shared, &submit_rx, &job_tx, workers))
-                .expect("spawn dispatcher thread")
-        };
-
         Server {
             shared,
-            submit: submit_tx,
-            dispatcher: Some(dispatcher),
+            workers,
             supervisor: Some(supervisor),
             worker_handles,
         }
@@ -1358,7 +1450,6 @@ impl Server {
     pub fn handle(&self) -> ServeHandle {
         ServeHandle {
             shared: Arc::clone(&self.shared),
-            submit: self.submit.clone(),
         }
     }
 
@@ -1367,21 +1458,13 @@ impl Server {
         self.shared.stats()
     }
 
-    /// Stops the dispatcher and workers and waits for them. In-flight
-    /// requests are answered first; requests submitted afterwards are
+    /// Stops the workers and waits for them. Jobs queued before the
+    /// call are answered first; requests submitted afterwards are
     /// refused at admission ([`ServeError::Closed`]). Never panics:
     /// threads that died by panic are reported in the returned
     /// [`ShutdownReport`] instead.
     pub fn shutdown(mut self) -> ShutdownReport {
-        // Close the gate first so the supervisor stops respawning and
-        // racing submissions are answered `Closed` instead of queueing
-        // behind the shutdown message.
-        self.shared.gate.close();
-        self.submit.send(Incoming::Shutdown).ok();
-        let mut report = ShutdownReport::default();
-        if let Some(d) = self.dispatcher.take() {
-            report.dispatcher_panicked = d.join().is_err();
-        }
+        self.stop_workers();
         if let Some(s) = self.supervisor.take() {
             // The supervisor exits once every worker reported in; a
             // panicked supervisor would leak workers, but never the
@@ -1394,18 +1477,34 @@ impl Server {
             w.join().ok();
         }
         let supervision = self.shared.supervision.snapshot();
-        report.worker_panics = supervision.worker_panics;
-        report.respawns = supervision.respawns;
-        report
+        ShutdownReport {
+            worker_panics: supervision.worker_panics,
+            respawns: supervision.respawns,
+        }
+    }
+
+    /// Closes the admission gate, then queues one [`Job::Stop`] per
+    /// worker behind all earlier work. Closing first stops the
+    /// supervisor respawning and answers later submissions `Closed`.
+    /// A submission admitted just before the close whose jobs land
+    /// behind the stops is never picked up: the supervisor closes the
+    /// queue once the last worker is gone, which drops its jobs, and
+    /// its tickets resolve to `Closed`.
+    fn stop_workers(&self) {
+        self.shared.gate.close();
+        for _ in 0..self.workers {
+            self.shared.jobs.push(Job::Stop).ok();
+        }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Best-effort shutdown if `shutdown()` was not called: close
-        // admission, ask the dispatcher to stop and detach.
-        self.shared.gate.close();
-        self.submit.send(Incoming::Shutdown).ok();
+        // Best-effort shutdown if `shutdown()` was not called (it takes
+        // the supervisor): stop the workers and detach.
+        if self.supervisor.is_some() {
+            self.stop_workers();
+        }
     }
 }
 
@@ -1413,10 +1512,9 @@ impl Drop for Server {
 /// workers while the restart budget lasts, and closes the admission
 /// gate if the pool ever dies entirely (so new submissions fail fast
 /// instead of queueing forever). Exits once every worker has reported
-/// in after the pool winds down.
+/// in after the pool winds down, closing the worker queue behind them.
 fn supervisor_loop(
     shared: &Arc<Shared>,
-    job_rx: &Arc<Mutex<Receiver<Job>>>,
     events: &Receiver<WorkerEvent>,
     event_tx: &Sender<WorkerEvent>,
     worker_handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -1443,7 +1541,7 @@ fn supervisor_loop(
                     .fetch_add(1, Ordering::SeqCst);
                 let respawn = !shared.gate.is_closed() && respawns < restart_budget;
                 if respawn {
-                    match spawn_worker(next_id, shared, job_rx, event_tx) {
+                    match spawn_worker(next_id, shared, event_tx) {
                         Ok(handle) => {
                             mutex_lock(worker_handles).push(handle);
                             next_id += 1;
@@ -1469,166 +1567,7 @@ fn supervisor_loop(
             Err(_) => break,
         }
     }
-}
-
-fn dispatcher_loop(
-    shared: &Shared,
-    submit_rx: &Receiver<Incoming>,
-    job_tx: &Sender<Job>,
-    workers: usize,
-) {
-    loop {
-        let first = match submit_rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => break, // all senders gone
-        };
-        let mut shutdown = false;
-        let mut pending: Vec<Request> = Vec::new();
-        let absorb = |msg: Incoming, pending: &mut Vec<Request>, shutdown: &mut bool| match msg {
-            Incoming::Requests(reqs) => pending.extend(reqs),
-            Incoming::Shutdown => *shutdown = true,
-        };
-        absorb(first, &mut pending, &mut shutdown);
-        // Drain whatever else is already queued: the wider the window,
-        // the more in-flight requests group and coalesce.
-        while pending.len() < MAX_BATCH && !shutdown {
-            match submit_rx.try_recv() {
-                Ok(msg) => absorb(msg, &mut pending, &mut shutdown),
-                Err(_) => break,
-            }
-        }
-        if shutdown {
-            // Requests accepted before the shutdown message must still
-            // be answered: drain everything already queued (later
-            // Shutdown duplicates are inert).
-            while let Ok(msg) = submit_rx.try_recv() {
-                absorb(msg, &mut pending, &mut shutdown);
-            }
-        }
-
-        // Group by registered chain; coalesce identical bindings within
-        // a group. The chain is identified by its `Arc` pointer —
-        // registration hands every request for a name the same `Arc` —
-        // so grouping costs one pointer hash, with no per-request
-        // structure-key walk. (Two *names* registered with one
-        // structure group separately here; the cache's per-shard write
-        // mutex still coalesces their recordings.)
-        type GroupMap = HashMap<
-            usize,
-            (
-                Arc<SymChain>,
-                HashMap<DimBindings, (Vec<ReplySlot>, Option<SolveFault>)>,
-            ),
-        >;
-        let mut groups: GroupMap = HashMap::new();
-        let grouped = Instant::now();
-        for req in pending {
-            // Expired deadline: shed before grouping. The request
-            // never reaches a worker, so it is `rejected` (with the
-            // `expired` sub-count) and its latency lands in the
-            // dedicated `expired` histogram, not `total`.
-            if let Some(deadline) = req.options.deadline {
-                if grouped >= deadline {
-                    shared.served.record(ServedKind::Expired, 1);
-                    shared
-                        .latency
-                        .expired
-                        .record(nanos_between(req.enqueued, grouped));
-                    let Request {
-                        name,
-                        reply,
-                        permit,
-                        ..
-                    } = req;
-                    drop(permit);
-                    reply
-                        .send(ServeReply {
-                            structure: name,
-                            result: Err(ServeError::DeadlineExceeded),
-                        })
-                        .ok();
-                    continue;
-                }
-            }
-            if let Err(e) = req.chain.bind_dims(&req.bindings) {
-                // Unbindable request: answer immediately, nothing to
-                // dispatch.
-                shared.served.record(ServedKind::Rejected, 1);
-                let Request {
-                    name,
-                    reply,
-                    permit,
-                    ..
-                } = req;
-                drop(permit);
-                reply
-                    .send(ServeReply {
-                        structure: name,
-                        result: Err(ServeError::Plan(PlanError::Chain(e.into()))),
-                    })
-                    .ok();
-                continue;
-            }
-            let (_, items) = groups
-                .entry(Arc::as_ptr(&req.chain) as usize)
-                .or_insert_with(|| (Arc::clone(&req.chain), HashMap::new()));
-            // Identical bindings coalesce into one instantiate; the
-            // hash lookup keeps grouping O(requests).
-            let (replies, fault) = items.entry(req.bindings).or_default();
-            if !replies.is_empty() {
-                shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            *fault = merge_faults(*fault, req.options.fault);
-            replies.push(ReplySlot {
-                name: req.name,
-                enqueued: req.enqueued,
-                submitted: req.submitted,
-                trace_id: req.trace_id,
-                tx: req.reply,
-                permit: req.permit,
-            });
-        }
-        // Emit each group as jobs of at most MAX_ITEMS_PER_JOB items,
-        // so a single hot region's independent hit instantiates spread
-        // across the pool instead of serializing on one worker.
-        // (Chunks of one miss group may race the recording; the
-        // cache's per-shard write mutex still records exactly once and
-        // serves the losers as hits.)
-        let dispatched = Instant::now();
-        for (_, (chain, by_bindings)) in groups {
-            let mut items: Vec<BatchItem> = by_bindings
-                .into_iter()
-                .map(|(bindings, (replies, fault))| BatchItem {
-                    bindings,
-                    replies,
-                    fault,
-                })
-                .collect();
-            while !items.is_empty() {
-                let rest = items.split_off(items.len().min(MAX_ITEMS_PER_JOB));
-                shared.batches.fetch_add(1, Ordering::Relaxed);
-                if job_tx
-                    .send(Job::Batch {
-                        chain: Arc::clone(&chain),
-                        items,
-                        grouped,
-                        dispatched,
-                    })
-                    .is_err()
-                {
-                    return; // workers gone
-                }
-                items = rest;
-            }
-        }
-
-        if shutdown {
-            for _ in 0..workers {
-                job_tx.send(Job::Stop).ok();
-            }
-            break;
-        }
-    }
+    shared.jobs.close();
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1640,151 +1579,159 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "worker panicked".to_owned())
 }
 
-fn worker_loop(shared: &Shared, job_rx: &Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        let job = {
-            let rx = job_rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
-        };
-        match job {
-            Ok(Job::Batch {
-                chain,
-                items,
-                grouped,
-                dispatched,
-            }) => {
-                // A `Kill` fault takes the worker down *after* the
-                // whole job is answered, so no ticket of this job is
-                // ever lost; the supervisor respawns the thread.
-                let mut kill_after_job = false;
-                for item in items {
-                    // One instantiate per distinct binding; the first
-                    // item of a miss-group records the region, the rest
-                    // of the group hits the fresh plan. The solve runs
-                    // under `catch_unwind`: a panicking job answers its
-                    // tickets `Internal` instead of poisoning the pool.
-                    // Injected faults fire before the cache is touched,
-                    // so a fault never leaves shared state mid-update.
-                    let fault = item.fault;
-                    if fault == Some(SolveFault::Kill) {
-                        kill_after_job = true;
-                    }
-                    let solve_started = Instant::now();
-                    let outcome = if kill_after_job {
-                        // Once a kill is pending, fail the rest of the
-                        // job fast: the thread is about to die anyway.
-                        Err(format!("{FAULT_PANIC_MARKER}: worker killed"))
-                    } else {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            match fault {
-                                Some(SolveFault::Delay(d)) => std::thread::sleep(d),
-                                Some(SolveFault::Panic) => {
-                                    panic!("{FAULT_PANIC_MARKER}: injected worker panic")
-                                }
-                                _ => {}
-                            }
-                            shared.cache.solve_traced(&chain, &item.bindings)
-                        }))
-                        .map_err(|payload| panic_message(payload.as_ref()))
-                    };
-                    let kind = match &outcome {
-                        Ok(Ok((_, PlanOutcome::Hit, _))) => ServedKind::Hit,
-                        Ok(Ok(_)) => ServedKind::Miss,
-                        Ok(Err(_)) | Err(_) => ServedKind::Failed,
-                    };
-                    let solve_done = Instant::now();
-                    let timing = match &outcome {
-                        Ok(Ok((_, _, t))) => *t,
-                        _ => SolveTiming::default(),
-                    };
-                    let class: &'static str = match &outcome {
-                        Ok(Ok((_, oc, _))) => oc.label(),
-                        Ok(Err(_)) => "plan",
-                        Err(_) => "internal",
-                    };
-                    // Latency: one sample per *request* (coalesced
-                    // waiters each keep their own enqueue time), then
-                    // one consistent counter update for the whole item.
-                    for slot in &item.replies {
-                        let total = nanos_between(slot.enqueued, solve_done);
-                        shared.latency.total.record(total);
-                        shared
-                            .latency
-                            .queue
-                            .record(nanos_between(slot.enqueued, dispatched));
-                        if let Ok(Ok((_, oc, _))) = &outcome {
-                            let class = shared.latency.class(&slot.name);
-                            if oc.is_hit() {
-                                class.hit.record(total);
-                            } else {
-                                class.miss.record(total);
-                            }
-                        }
-                    }
-                    shared.served.record(kind, item.replies.len() as u64);
-                    for slot in item.replies {
-                        let result = match &outcome {
-                            Ok(Ok((solution, outcome, _))) => {
-                                Ok(Served::from_solution(solution, *outcome))
-                            }
-                            Ok(Err(e)) => Err(ServeError::Plan(e.clone())),
-                            Err(msg) => Err(ServeError::Internal(msg.clone())),
-                        };
-                        // Stage spans tile enqueued → done exactly; the
-                        // `solve` span subtracts the cache's measured
-                        // lookup time so `lookup + solve` equals the
-                        // wall time the worker spent in the cache. The
-                        // stage histograms record *after* the served
-                        // counters, so at quiescence every completed
-                        // request has exactly one sample per stage.
-                        let done = Instant::now();
-                        let durs: [u64; STAGES.len()] = [
-                            nanos_between(slot.enqueued, slot.submitted),
-                            nanos_between(slot.submitted, grouped),
-                            nanos_between(grouped, dispatched),
-                            nanos_between(dispatched, solve_started),
-                            timing.lookup_ns,
-                            nanos_between(solve_started, solve_done)
-                                .saturating_sub(timing.lookup_ns),
-                            nanos_between(solve_done, done),
-                        ];
-                        for (hist, dur) in shared.obs.stages.iter().zip(durs) {
-                            hist.record(dur);
-                        }
-                        let total_ns: u64 = durs.iter().sum();
-                        shared.obs.ring.offer_with(total_ns, || {
-                            let mut start_ns = 0u64;
-                            let spans = STAGES
-                                .iter()
-                                .zip(durs)
-                                .map(|(stage, dur_ns)| {
-                                    let span = Span {
-                                        stage,
-                                        start_ns,
-                                        dur_ns,
-                                    };
-                                    start_ns += dur_ns;
-                                    span
-                                })
-                                .collect();
-                            Trace {
-                                id: slot.trace_id,
-                                label: slot.name.clone(),
-                                class: class.to_owned(),
-                                total_ns,
-                                spans,
-                            }
-                        });
-                        slot.send(result);
-                    }
-                }
-                if kill_after_job {
-                    // Every ticket of the job was answered above; dying
-                    // here loses nothing and exercises the supervisor.
-                    panic!("{FAULT_PANIC_MARKER}: injected worker kill");
-                }
-            }
-            Ok(Job::Stop) | Err(_) => break,
+fn worker_loop(shared: &Shared) {
+    while let Job::Solve {
+        chain,
+        bindings,
+        replies,
+        stamps,
+    } = shared.jobs.pop()
+    {
+        if run_job(shared, &chain, &bindings, replies, stamps) {
+            // Every ticket of the job was answered; dying here loses
+            // nothing and exercises the supervisor.
+            panic!("{FAULT_PANIC_MARKER}: injected worker kill");
         }
     }
+}
+
+/// Runs one dequeued job: sheds, one request at a time, the requests
+/// whose deadline passed while they waited, then solves the bindings
+/// once for the rest and answers each. A job whose requests have all
+/// expired is never solved. Returns whether an injected `Kill` fault
+/// asks the worker to die now that the job is answered.
+fn run_job(
+    shared: &Shared,
+    chain: &SymChain,
+    bindings: &DimBindings,
+    mut replies: Vec<ReplySlot>,
+    stamps: Stamps,
+) -> bool {
+    let picked = Instant::now();
+    for slot in replies.extract_if(.., |slot| slot.expired(picked)) {
+        // Never solved, so `rejected` (with the `expired` sub-count),
+        // and its latency lands in the dedicated `expired` histogram,
+        // not `total`.
+        shared.served.record(ServedKind::Expired, 1);
+        shared
+            .latency
+            .expired
+            .record(nanos_between(stamps.enqueued, picked));
+        slot.send(Err(ServeError::DeadlineExceeded));
+    }
+    if replies.is_empty() {
+        return false;
+    }
+    // One instantiate for every request left; a miss records the
+    // region. The solve runs under `catch_unwind`: a panicking solve
+    // answers its tickets `Internal` instead of poisoning the pool.
+    // Injected faults fire before the cache is touched, so a fault
+    // never leaves shared state mid-update; a `Kill` answers `Internal`
+    // without solving, and the worker dies once the job is answered.
+    let fault = replies
+        .iter()
+        .fold(None, |fault, slot| merge_faults(fault, slot.options.fault));
+    let kill = fault == Some(SolveFault::Kill);
+    let solve_started = Instant::now();
+    let outcome = if kill {
+        Err(format!("{FAULT_PANIC_MARKER}: worker killed"))
+    } else {
+        catch_unwind(AssertUnwindSafe(|| {
+            match fault {
+                Some(SolveFault::Delay(d)) => std::thread::sleep(d),
+                Some(SolveFault::Panic) => {
+                    panic!("{FAULT_PANIC_MARKER}: injected worker panic")
+                }
+                _ => {}
+            }
+            shared.cache.solve_traced(chain, bindings)
+        }))
+        .map_err(|payload| panic_message(payload.as_ref()))
+    };
+    let kind = match &outcome {
+        Ok(Ok((_, PlanOutcome::Hit, _))) => ServedKind::Hit,
+        Ok(Ok(_)) => ServedKind::Miss,
+        Ok(Err(_)) | Err(_) => ServedKind::Failed,
+    };
+    let solve_done = Instant::now();
+    let timing = match &outcome {
+        Ok(Ok((_, _, t))) => *t,
+        _ => SolveTiming::default(),
+    };
+    let class: &'static str = match &outcome {
+        Ok(Ok((_, oc, _))) => oc.label(),
+        Ok(Err(_)) => "plan",
+        Err(_) => "internal",
+    };
+    // Latency: one sample per *request*, then one consistent counter
+    // update for the whole job.
+    let total = nanos_between(stamps.enqueued, solve_done);
+    for slot in &replies {
+        shared.latency.total.record(total);
+        shared
+            .latency
+            .queue
+            .record(nanos_between(stamps.enqueued, picked));
+        if let Ok(Ok((_, oc, _))) = &outcome {
+            let class = shared.latency.class(&slot.name);
+            if oc.is_hit() {
+                class.hit.record(total);
+            } else {
+                class.miss.record(total);
+            }
+        }
+    }
+    shared.served.record(kind, replies.len() as u64);
+    for slot in replies {
+        let result = match &outcome {
+            Ok(Ok((solution, outcome, _))) => Ok(Served::from_solution(solution, *outcome)),
+            Ok(Err(e)) => Err(ServeError::Plan(e.clone())),
+            Err(msg) => Err(ServeError::Internal(msg.clone())),
+        };
+        // Stage spans tile enqueued → done exactly; the `solve` span
+        // subtracts the cache's measured lookup time so `lookup +
+        // solve` equals the wall time the worker spent in the cache.
+        // The stage histograms record *after* the served counters, so
+        // at quiescence every completed request has exactly one sample
+        // per stage.
+        let done = Instant::now();
+        let durs: [u64; STAGES.len()] = [
+            nanos_between(stamps.enqueued, stamps.submitted),
+            nanos_between(stamps.submitted, stamps.grouped),
+            nanos_between(stamps.grouped, stamps.dispatched),
+            nanos_between(stamps.dispatched, solve_started),
+            timing.lookup_ns,
+            nanos_between(solve_started, solve_done).saturating_sub(timing.lookup_ns),
+            nanos_between(solve_done, done),
+        ];
+        for (hist, dur) in shared.obs.stages.iter().zip(durs) {
+            hist.record(dur);
+        }
+        let total_ns: u64 = durs.iter().sum();
+        shared.obs.ring.offer_with(total_ns, || {
+            let mut start_ns = 0u64;
+            let spans = STAGES
+                .iter()
+                .zip(durs)
+                .map(|(stage, dur_ns)| {
+                    let span = Span {
+                        stage,
+                        start_ns,
+                        dur_ns,
+                    };
+                    start_ns += dur_ns;
+                    span
+                })
+                .collect();
+            Trace {
+                id: slot.trace_id,
+                label: slot.name.clone(),
+                class: class.to_owned(),
+                total_ns,
+                spans,
+            }
+        });
+        slot.send(result);
+    }
+    kill
 }

@@ -93,13 +93,13 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
     );
     expo.add_counter(
         "gmc.serve.coalesced",
-        "Requests answered from another in-flight request's instantiate",
+        "Requests answered from another request's instantiate in one submission",
         &[],
         stats.coalesced,
     );
     expo.add_counter(
         "gmc.serve.batches",
-        "Batches dispatched to workers",
+        "Jobs queued to workers (one per distinct binding of a submission)",
         &[],
         stats.batches,
     );

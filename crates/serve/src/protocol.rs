@@ -23,18 +23,22 @@
 use crate::{ServeReply, ServerStats};
 use gmc_obs::HistogramSnapshot;
 use serde::Value;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed request line: the structure name, the named dimension
-/// sizes, and the optional `deadline_ms=` budget.
-pub type ParsedRequest = (String, Vec<(String, usize)>, Option<u64>);
+/// sizes, and the optional `deadline_ms=` budget. Every name is
+/// borrowed from the line (the variable names as `Cow::Borrowed`, so
+/// they compare with `&str` as owned names do); the sizes' `Vec` is
+/// the parse's only allocation.
+pub type ParsedRequest<'a> = (&'a str, Vec<(Cow<'a, str>, usize)>, Option<u64>);
 
 /// Parses a request line into `(structure, named sizes, deadline)`.
 ///
 /// The reserved binding `deadline_ms=<n>` is split off rather than
 /// treated as a dimension: it asks the server to answer
-/// `deadline_exceeded` if the request is still queued `n` milliseconds
-/// from parse time.
+/// `deadline_exceeded` if the request is still waiting for a worker
+/// `n` milliseconds from parse time.
 ///
 /// Variable names stay plain strings here: `DimVar` interning is
 /// process-wide and permanent, so untrusted client input must be
@@ -45,7 +49,7 @@ pub type ParsedRequest = (String, Vec<(String, usize)>, Option<u64>);
 /// # Errors
 ///
 /// Returns a description of the malformed part.
-pub fn parse_request_line(line: &str) -> Result<ParsedRequest, String> {
+pub fn parse_request_line(line: &str) -> Result<ParsedRequest<'_>, String> {
     let line = line.trim();
     let (name, rest) = match line.split_once(char::is_whitespace) {
         Some((name, rest)) => (name, rest.trim()),
@@ -54,7 +58,13 @@ pub fn parse_request_line(line: &str) -> Result<ParsedRequest, String> {
     if name.is_empty() {
         return Err("empty request line (expected `<structure> [var=size,...]`)".to_owned());
     }
-    let mut vars = Vec::new();
+    // One slot per binding, sized up front so the sizes never regrow.
+    let bindings = if rest.is_empty() {
+        0
+    } else {
+        rest.bytes().filter(|&b| b == b',').count() + 1
+    };
+    let mut vars = Vec::with_capacity(bindings);
     let mut deadline_ms = None;
     if !rest.is_empty() {
         for part in rest.split(',') {
@@ -78,10 +88,10 @@ pub fn parse_request_line(line: &str) -> Result<ParsedRequest, String> {
                 .trim()
                 .parse()
                 .map_err(|_| format!("bad size in `{part}` (expected an integer)"))?;
-            vars.push((var.to_owned(), value));
+            vars.push((Cow::Borrowed(var), value));
         }
     }
-    Ok((name.to_owned(), vars, deadline_ms))
+    Ok((name, vars, deadline_ms))
 }
 
 /// Renders a reply as one compact JSON line (without the newline).
@@ -409,7 +419,7 @@ mod tests {
     fn parses_request_lines() {
         let (name, b, d) = parse_request_line("X n=2000,m=200").unwrap();
         assert_eq!(name, "X");
-        assert_eq!(b, vec![("n".to_owned(), 2000), ("m".to_owned(), 200)]);
+        assert_eq!(b, vec![("n".into(), 2000), ("m".into(), 200)]);
         assert_eq!(d, None);
         let (name, b, _) = parse_request_line("  Y  ").unwrap();
         assert_eq!(name, "Y");
@@ -426,7 +436,7 @@ mod tests {
     fn splits_deadline_from_bindings() {
         let (name, b, d) = parse_request_line("X n=10,deadline_ms=250,m=20").unwrap();
         assert_eq!(name, "X");
-        assert_eq!(b, vec![("n".to_owned(), 10), ("m".to_owned(), 20)]);
+        assert_eq!(b, vec![("n".into(), 10), ("m".into(), 20)]);
         assert_eq!(d, Some(250));
         let (_, b, d) = parse_request_line("X deadline_ms=0").unwrap();
         assert!(b.is_empty());

@@ -7,8 +7,9 @@
 //! multi-line, terminated by a `# EOF` line), `SLOW` (the retained
 //! slowest traces as one `gmc-traces/1` JSON line) and `CACHE` (one
 //! JSON line of per-shard and per-structure cache stats). This is
-//! deliberately a minimal front end: the batching, coalescing and
-//! caching all live in the worker pool behind the [`ServeHandle`].
+//! deliberately a minimal front end: each connection thread submits
+//! its requests through the [`ServeHandle`], which groups them and
+//! hands them to the worker pool, where the caching lives.
 //!
 //! The connection loop is defensive about malformed clients: request
 //! lines are capped at [`TcpOptions::max_line_bytes`] (an oversized
@@ -263,14 +264,14 @@ fn serve_connection(stream: TcpStream, handle: &ServeHandle, options: &TcpOption
         } else {
             match parse_request_line(&line) {
                 // `solve_raw` resolves the string-named variables
-                // against the structure's own vocabulary — untrusted
-                // names are never interned.
+                // (borrowed from the line) against the structure's own
+                // vocabulary — untrusted names are never interned.
                 Ok((structure, vars, deadline_ms)) => {
                     let opts = match deadline_ms {
                         Some(ms) => RequestOptions::with_deadline_in(Duration::from_millis(ms)),
                         None => RequestOptions::default(),
                     };
-                    reply_to_json(&handle.solve_raw(&structure, vars, opts))
+                    reply_to_json(&handle.solve_raw(structure, vars, opts))
                 }
                 // Parse errors answer in-band; the connection lives on.
                 Err(e) => reply_to_json(&ServeReply {

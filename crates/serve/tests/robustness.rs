@@ -5,6 +5,7 @@ use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_kernels::KernelRegistry;
 use gmc_serve::faults::silence_injected_panics;
 use gmc_serve::{RequestOptions, ServeConfig, ServeError, Server, SolveFault, SubmitError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -140,6 +141,128 @@ fn expired_deadlines_are_shed_before_grouping() {
     assert_eq!(stats.latency.queue.count(), 1);
     let report = server.shutdown();
     assert!(report.is_clean(), "{report:?}");
+}
+
+#[test]
+fn deadlines_expire_while_queued_behind_a_busy_worker() {
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let handle = server.handle();
+    // The only worker sleeps 200 ms on the first request, so the
+    // second waits in the worker queue far past its 20 ms deadline:
+    // the worker sheds it at dequeue, without solving it.
+    let slow = RequestOptions {
+        fault: Some(SolveFault::Delay(Duration::from_millis(200))),
+        ..RequestOptions::default()
+    };
+    let busy = handle.submit_opts("X", bindings(10, 20, 30), slow);
+    let hurried = handle.submit_opts(
+        "X",
+        bindings(11, 20, 30),
+        RequestOptions::with_deadline_in(Duration::from_millis(20)),
+    );
+    let reply = hurried.wait();
+    assert!(
+        matches!(reply.result, Err(ServeError::DeadlineExceeded)),
+        "{reply:?}"
+    );
+    assert!(busy.wait().result.is_ok());
+    let stats = handle.stats();
+    assert_eq!(stats.served.expired, 1);
+    assert_eq!(stats.served.completed, 1);
+    assert_eq!(
+        stats.cache.requests(),
+        1,
+        "the expired request was never solved"
+    );
+    assert_eq!(stats.latency.expired.count(), 1);
+    let report = server.shutdown();
+    assert!(report.is_clean(), "{report:?}");
+}
+
+#[test]
+fn shutdown_racing_submitters_resolves_every_ticket() {
+    let server = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let handle = server.handle();
+    let submitted = Arc::new(AtomicUsize::new(0));
+    // Four threads submit in closed-loop windows of 32, alternating
+    // `submit` and `try_submit`, until admission refuses them.
+    let submitters: Vec<_> = (0..4)
+        .map(|t| {
+            let handle = handle.clone();
+            let submitted = Arc::clone(&submitted);
+            std::thread::spawn(move || {
+                let mut replies = Vec::new();
+                let mut window = Vec::new();
+                for i in 0..100_000 {
+                    let b = bindings(10 + i % 13, 20 + t, 30);
+                    if i % 2 == 0 {
+                        window.push(handle.submit("X", b));
+                    } else {
+                        match handle.try_submit("X", b, RequestOptions::default()) {
+                            Ok(ticket) => window.push(ticket),
+                            Err(SubmitError::ShuttingDown) => break,
+                            Err(e) => panic!("unexpected admission error: {e}"),
+                        }
+                    }
+                    submitted.fetch_add(1, Ordering::Relaxed);
+                    if window.len() == 32 {
+                        replies.extend(window.drain(..).map(|ticket| ticket.wait()));
+                    }
+                }
+                replies.extend(window.into_iter().map(|ticket| ticket.wait()));
+                replies
+            })
+        })
+        .collect();
+    while submitted.load(Ordering::Relaxed) < 200 {
+        std::thread::yield_now();
+    }
+    let report = server.shutdown();
+    let mut ok = 0u64;
+    for submitter in submitters {
+        for reply in submitter.join().expect("submitter thread") {
+            match reply.result {
+                Ok(_) => ok += 1,
+                Err(ServeError::Closed | ServeError::QueueFull) => {}
+                Err(e) => panic!("unexpected reply: {e}"),
+            }
+        }
+    }
+    assert!(ok > 0);
+    let served = handle.stats().served;
+    assert_eq!(ok, served.hits + served.misses, "{served:?}");
+    assert_eq!(
+        served.hits + served.misses + served.failed,
+        served.completed
+    );
+    assert!(report.is_clean(), "{report:?}");
+}
+
+#[test]
+fn dropping_a_server_answers_requests_in_flight() {
+    let server = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let handle = server.handle();
+    let tickets: Vec<_> = (0..64)
+        .map(|i| handle.submit("X", bindings(10 + i, 20, 30)))
+        .collect();
+    // No shutdown(): the drop queues the workers' stops behind the 64
+    // jobs, so every one of them is still answered.
+    drop(server);
+    for ticket in tickets {
+        let reply = ticket.wait();
+        assert!(reply.result.is_ok(), "{reply:?}");
+    }
+    let reply = handle.solve("X", bindings(10, 20, 30));
+    assert!(matches!(reply.result, Err(ServeError::Closed)), "{reply:?}");
 }
 
 #[test]

@@ -4,10 +4,11 @@
 //! The paper's Table 2 chain `X := A⁻¹ B Cᵀ` is registered once with a
 //! `gmc-serve` server, pre-enumerating every size region it can reach
 //! — so *every* request, at any sizes, is a cache hit. A burst of
-//! mixed requests (including duplicates that coalesce into one
-//! instantiate) is answered through the batching dispatcher, and the
-//! warmed cache is saved to a plan store and re-loaded the way a
-//! serving fleet would warm-start.
+//! mixed requests (including a duplicate that coalesces into one
+//! instantiate) is submitted as one batch, grouped on the submitting
+//! thread and answered by the worker pool, and the warmed cache is
+//! saved to a plan store and re-loaded the way a serving fleet would
+//! warm-start.
 //!
 //! ```text
 //! cargo run --release --example serving

@@ -18,7 +18,7 @@ use gmc_bench::workload::{generate, WorkloadSpec};
 fn main() {
     // A mixed workload: 6 structures under Zipf popularity, half the
     // traffic aimed at already-seen size regions (cache hits), a
-    // sprinkle of exact duplicates (dispatcher coalescing).
+    // sprinkle of exact duplicates (coalesced within a replay window).
     let mut spec = WorkloadSpec::preset("mixed", 42).expect("known preset");
     spec.requests = 200;
     let trace = generate(&spec).expect("valid spec");
@@ -70,7 +70,7 @@ fn main() {
         stats.latency.total.max(),
     );
     println!(
-        "queueing (enqueue->dispatch): p50 {:>9} ns   p99 {:>9} ns",
+        "queueing (enqueue->worker pickup): p50 {:>9} ns   p99 {:>9} ns",
         stats.latency.queue.quantile(0.5),
         stats.latency.queue.quantile(0.99),
     );
