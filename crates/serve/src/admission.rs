@@ -114,9 +114,10 @@ impl AdmissionGate {
 }
 
 /// One admitted request's slot; dropping it releases the slot. Held by
-/// the request through the worker queue and its worker, and dropped
-/// *before* the reply is sent, so a caller that has received all its
-/// replies observes zero of its own permits outstanding.
+/// the request through its solve (in the worker queue and on a worker,
+/// or inline on the calling thread), and dropped *before* the reply is
+/// sent, so a caller that has received all its replies observes zero
+/// of its own permits outstanding.
 #[derive(Debug)]
 pub struct Permit {
     gate: Arc<AdmissionGate>,

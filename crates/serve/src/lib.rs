@@ -10,27 +10,38 @@
 //!  clients ──────────────┐
 //!                        ▼
 //!            submitting thread (TCP connection or ServeHandle
-//!            caller): admits, checks the bindings, coalesces
-//!            identical bindings of its own submission
-//!                        │ one job per distinct binding
-//!                        ▼
-//!                 ═══ worker queue ═══
-//!          ┌─────────────┼─────────────┐
-//!          ▼             ▼             ▼
-//!      ┌───────┐     ┌───────┐     ┌───────┐    shared, sharded,
-//!      │worker0│     │worker1│  …  │workerN│ ─► copy-on-write
-//!      └───────┘     └───────┘     └───────┘    PlanCache (hits are
-//!          │             │             │        lock-free reads)
-//!          └────── replies (cost, parenthesization, kernels) ──►
+//!            caller): admits and checks the bindings
+//!                        │
+//!         ┌──────────────┴───────────────┐
+//!         │ blocking call (solve,        │ tickets (submit*) and a
+//!         │ solve_raw, every TCP line),  │ blocking call that finds
+//!         │ a solve slot free and the    │ no slot: coalesce, one job
+//!         │ queue empty: solve it here   │ per distinct binding
+//!         │                              ▼
+//!         │                     ═══ worker queue ═══
+//!         │                  ┌───────────┼───────────┐
+//!         │                  ▼           ▼           ▼
+//!         │              ┌───────┐   ┌───────┐   ┌───────┐
+//!         │              │worker0│   │worker1│ … │workerN│
+//!         │              └───────┘   └───────┘   └───────┘
+//!         ▼                  │           │           │
+//!   shared, sharded, copy-on-write PlanCache (hits are lock-free
+//!   reads); at most `workers` solves run at once, inline or pooled
+//!         └────── replies (cost, parenthesization, kernels) ──►
 //! ```
 //!
 //! * **Parse once per structure.** Chains are registered by name
 //!   ([`Server::register`]); requests reference the name and carry only
 //!   dimension bindings, so no request ever re-parses a chain.
-//! * **One hand-off per request.** There is no dispatcher thread: the
-//!   submitting thread groups its own submission and puts the jobs
-//!   straight onto the worker queue, which wakes one idle worker per
-//!   job, so a request crosses threads once on the way in.
+//! * **Run to completion.** A blocking call ([`ServeHandle::solve`],
+//!   [`ServeHandle::solve_raw`], which every TCP request line takes)
+//!   solves its request on the calling thread, so the request never
+//!   crosses a thread. It does so only if it can claim one of the
+//!   [`ServeConfig::workers`] solve slots while the worker queue is
+//!   empty; otherwise it queues like a ticket and waits. The ticket
+//!   APIs (`submit*`, [`ServeHandle::try_submit`]) always queue, so
+//!   they never block, and so does a request carrying an injected
+//!   fault, so faults keep exercising the workers.
 //! * **Coalescing.** Requests of one submission
 //!   ([`ServeHandle::submit_batch`]) with *identical* bindings for one
 //!   registered chain collapse into a single instantiate whose result
@@ -80,7 +91,9 @@ use std::time::Instant;
 /// Server configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Number of worker threads instantiating plans.
+    /// Number of worker threads instantiating plans, and the bound on
+    /// concurrent solves: those the workers run and those blocking
+    /// calls run inline on their own threads count together.
     pub workers: usize,
     /// Inference mode the shared cache compiles under.
     pub inference: InferenceMode,
@@ -108,11 +121,14 @@ pub struct ServeConfig {
 ///
 /// * `admit` — submission call entry to admission + parse done
 /// * `queue` — end of admission to the start of grouping, both on the
-///   submitting thread (about zero: nothing waits between them)
+///   submitting thread (about zero: nothing waits between them); zero
+///   for a request solved inline
 /// * `group` — the submitter grouping its submission into jobs
-///   (coalescing identical bindings)
-/// * `dispatch` — the wait in the worker queue, up to the worker
-///   starting the solve
+///   (coalescing identical bindings); zero inline, where there is
+///   nothing to group
+/// * `dispatch` — the wait for the solve to start: in the worker
+///   queue up to a worker picking the job up, or, inline, claiming a
+///   solve slot (about zero)
 /// * `lookup` — locating the cached region plan
 /// * `solve` — instantiating the plan (or recording it, on a miss)
 /// * `reply` — accounting and fan-out back to the caller
@@ -176,8 +192,8 @@ pub enum ServeError {
     BadRequest(String),
     /// The server is shut down.
     Closed,
-    /// The request's deadline had passed when a worker dequeued it
-    /// (expiry covers the wait in the worker queue); it was shed
+    /// The request's deadline had passed when its solve was due to
+    /// start (expiry covers any wait in the worker queue); it was shed
     /// without being solved.
     DeadlineExceeded,
     /// The admission queue was at capacity; the request was shed
@@ -250,8 +266,9 @@ pub struct ServerStats {
     /// Requests answered from another request's instantiate
     /// (identical structure and bindings in one submission).
     pub coalesced: u64,
-    /// Jobs queued to workers: one per distinct (structure, bindings)
-    /// of a submission.
+    /// Jobs solved or queued: one per distinct (structure, bindings)
+    /// of a submission, and one per request a blocking call solves
+    /// inline.
     pub batches: u64,
     /// Registered structures.
     pub structures: usize,
@@ -260,7 +277,7 @@ pub struct ServerStats {
     /// reading, even mid-burst.
     pub served: ServedCounters,
     /// Latency histogram snapshots (enqueue→complete and
-    /// enqueue→worker pickup, plus per-(structure, hit/miss) classes).
+    /// enqueue→solve start, plus per-(structure, hit/miss) classes).
     pub latency: LatencySnapshot,
     /// Worker-pool supervision counters (panics, respawns, live
     /// workers).
@@ -310,13 +327,15 @@ impl fmt::Display for ServerStats {
 
 /// Per-request completion counters. Unlike the cache counters (which
 /// count instantiates), these count *requests*: every submitted
-/// request ends up in exactly one of `completed` (solved by a worker)
-/// or `rejected` (answered without a solve: unknown structure, bad
-/// binding, unbindable sizes, overload, expired deadline), and
-/// `completed` splits exactly into `hits + misses + failed`.
+/// request ends up in exactly one of `completed` (solved, on a worker
+/// or inline) or `rejected` (answered without a solve: unknown
+/// structure, bad binding, unbindable sizes, overload, expired
+/// deadline), and `completed` splits exactly into
+/// `hits + misses + failed`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServedCounters {
-    /// Requests a worker answered (successfully or not).
+    /// Requests solved and answered (successfully or not), on a worker
+    /// or inline on the calling thread.
     pub completed: u64,
     /// Completed requests served from a cached region plan.
     pub hits: u64,
@@ -325,20 +344,21 @@ pub struct ServedCounters {
     /// observed).
     pub misses: u64,
     /// Completed requests whose solve failed (plan-layer error) or
-    /// whose worker panicked mid-solve (answered
-    /// [`ServeError::Internal`]).
+    /// panicked (answered [`ServeError::Internal`]).
     pub failed: u64,
     /// Requests answered without a solve: at submission (unknown
     /// structure, unresolvable variable names, unbindable sizes,
-    /// overload sheds) or by a worker at dequeue (expired deadlines).
+    /// overload sheds) or when their solve was due to start (expired
+    /// deadlines).
     /// `rejected_overload` and `expired` are sub-counts of this, so
     /// `completed + rejected` still accounts for every request.
     pub rejected: u64,
     /// Of `rejected`: requests shed because the admission queue was at
     /// capacity.
     pub rejected_overload: u64,
-    /// Of `rejected`: requests whose deadline passed while they waited
-    /// in the worker queue (shed by the worker that dequeued them).
+    /// Of `rejected`: requests whose deadline had passed when their
+    /// solve was due to start (shed on the worker that dequeued them,
+    /// or inline on the calling thread).
     pub expired: u64,
 }
 
@@ -382,8 +402,8 @@ struct CounterCell {
     expired: AtomicU64,
 }
 
-/// How a worker (or the submission path) accounts one or more
-/// requests in the counter cell.
+/// How a solve (or the submission path) accounts one or more requests
+/// in the counter cell.
 #[derive(Clone, Copy, Debug)]
 enum ServedKind {
     Hit,
@@ -393,8 +413,8 @@ enum ServedKind {
     /// Shed at admission: counts into `rejected` *and*
     /// `rejected_overload` in one frame.
     RejectedOverload,
-    /// Shed by a worker's deadline check at dequeue: counts into
-    /// `rejected` *and* `expired` in one frame.
+    /// Shed by the deadline check as its solve was due to start:
+    /// counts into `rejected` *and* `expired` in one frame.
     Expired,
 }
 
@@ -460,12 +480,12 @@ impl CounterCell {
 /// Latency snapshots of a running server.
 #[derive(Clone, Debug, Default)]
 pub struct LatencySnapshot {
-    /// Enqueue→complete latency of every worker-completed request.
+    /// Enqueue→complete latency of every completed request.
     pub total: HistogramSnapshot,
-    /// Enqueue→worker pickup (queueing) latency of the same requests.
+    /// Enqueue→solve start (queueing) latency of the same requests.
     pub queue: HistogramSnapshot,
-    /// Enqueue→shed latency of deadline-expired requests (a worker
-    /// sheds them unsolved, so they appear here instead of `total`).
+    /// Enqueue→shed latency of deadline-expired requests (they are
+    /// shed unsolved, so they appear here instead of `total`).
     pub expired: HistogramSnapshot,
     /// Per-(structure, hit/miss) enqueue→complete histograms, sorted
     /// by structure name then class for deterministic rendering. At
@@ -698,6 +718,13 @@ impl SupervisionCell {
 
 use gmc_plan::sync::{mutex_lock, read_lock, write_lock};
 
+/// The chain's boundary dimensions `d0..=dn` (as [`SymChain::dims`]
+/// lists them), without collecting them.
+fn boundary(chain: &SymChain) -> impl Iterator<Item = Dim> + '_ {
+    std::iter::once(chain.factor(0).shape().rows())
+        .chain(chain.factors().iter().map(|f| f.shape().cols()))
+}
+
 /// Builds concrete bindings from string-named sizes using only the
 /// chain's own (already interned) variables: each name is looked up
 /// among the chain's boundary dimensions, never interned.
@@ -705,13 +732,10 @@ fn bind_named_vars<N: AsRef<str>>(
     chain: &SymChain,
     vars: &[(N, usize)],
 ) -> Result<DimBindings, String> {
-    let first = chain.factor(0).shape().rows();
-    let boundary =
-        || std::iter::once(first).chain(chain.factors().iter().map(|f| f.shape().cols()));
     let mut bindings = DimBindings::new();
     for (name, value) in vars {
         let name = name.as_ref();
-        let var = boundary().find_map(|dim| match dim {
+        let var = boundary(chain).find_map(|dim| match dim {
             Dim::Var(var) if var.name() == name => Some(var),
             _ => None,
         });
@@ -727,12 +751,13 @@ fn bind_named_vars<N: AsRef<str>>(
     Ok(bindings)
 }
 
-/// Whether `bindings` size every dimension of `chain`; a request that
-/// fails this is answered at submission, never queued.
+/// Whether `bindings` size every dimension of `chain` (the first
+/// failure [`SymChain::bind_dims`] would report, without building its
+/// sizes); a request that fails this is answered at submission, never
+/// solved.
 fn check_bindable(chain: &SymChain, bindings: &DimBindings) -> Result<(), ServeError> {
-    chain
-        .bind_dims(bindings)
-        .map(drop)
+    boundary(chain)
+        .try_for_each(|dim| dim.bind(bindings).map(drop))
         .map_err(|e| ServeError::Plan(PlanError::Chain(e.into())))
 }
 
@@ -762,14 +787,17 @@ pub type RawRequest<S = String, N = String> = (S, Vec<(N, usize)>, RequestOption
 /// optional injected worker-side fault (chaos testing only).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RequestOptions {
-    /// If set, the worker that dequeues the request sheds it with
-    /// [`ServeError::DeadlineExceeded`] when the deadline has passed,
-    /// so expiry covers the wait in the worker queue. Expiry is not
+    /// If set, the request is shed with
+    /// [`ServeError::DeadlineExceeded`] when the deadline has passed as
+    /// its solve is due to start — on the worker that dequeues it, or
+    /// on the calling thread of a blocking call that solves it inline —
+    /// so expiry covers any wait in the worker queue. Expiry is not
     /// checked mid-solve: a request whose solve has started is always
     /// answered with its result.
     pub deadline: Option<Instant>,
-    /// Deterministic fault the worker executes for this request (see
-    /// [`faults`]). `None` in production traffic.
+    /// Deterministic fault a worker executes for this request (see
+    /// [`faults`]). `None` in production traffic. A request carrying
+    /// one is always solved on the worker pool, never inline.
     pub fault: Option<SolveFault>,
 }
 
@@ -819,24 +847,69 @@ enum Job {
     Stop,
 }
 
-/// The worker queue: jobs in arrival order, and a condvar that wakes
-/// one idle worker per job. (Workers sharing a `Mutex<Receiver>` would
-/// wake two: the one the job goes to, and the next waiter for the
-/// mutex, only for it to park again in `recv`.)
-#[derive(Default)]
+/// The worker queue and the solve slots: jobs in arrival order, a
+/// count of the solves running (inline or on a worker) kept under the
+/// same lock, and a condvar that wakes one idle worker per job.
+/// (Workers sharing a `Mutex<Receiver>` would wake two: the one the job
+/// goes to, and the next waiter for the mutex, only for it to park
+/// again in `recv`.)
 struct JobQueue {
     state: Mutex<QueueState>,
+    /// Wakes one worker: a job arrived, or a slot came free while jobs
+    /// wait for one.
     ready: Condvar,
+    /// Wakes [`Server::shutdown`] once the last solve has ended.
+    idle: Condvar,
+    /// The pool size ([`ServeConfig::workers`]), which also bounds the
+    /// concurrent solves, inline and pooled together.
+    slots: usize,
 }
 
 #[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Job>,
+    /// Solves running now, inline or on a worker; at most `slots`.
+    running: usize,
+    /// Set at shutdown: blocking calls stop claiming slots, and queue
+    /// behind the workers' stops instead.
+    stopping: bool,
     /// Set once the last worker is gone; later jobs are refused.
     closed: bool,
 }
 
+/// One claimed solve slot; dropping it (also while unwinding) gives the
+/// slot back.
+struct Running<'a> {
+    queue: &'a JobQueue,
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        let mut state = mutex_lock(&self.queue.state);
+        state.running -= 1;
+        // Wake only a thread that can be waiting for this slot: a
+        // worker, if jobs are queued, and shutdown, once it is the last.
+        let (queued, drained) = (!state.jobs.is_empty(), state.stopping && state.running == 0);
+        drop(state);
+        if queued {
+            self.queue.ready.notify_one();
+        }
+        if drained {
+            self.queue.idle.notify_all();
+        }
+    }
+}
+
 impl JobQueue {
+    fn new(slots: usize) -> JobQueue {
+        JobQueue {
+            state: Mutex::default(),
+            ready: Condvar::new(),
+            idle: Condvar::new(),
+            slots,
+        }
+    }
+
     /// Queues a job behind all earlier ones, or hands it back if the
     /// pool is gone.
     fn push(&self, job: Job) -> Result<(), Job> {
@@ -850,15 +923,67 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Takes the oldest job, waiting for one.
-    fn pop(&self) -> Job {
+    /// Takes the oldest job, waiting for one. A `Solve` also claims a
+    /// solve slot in the same critical section, waiting while every
+    /// slot is taken, so no inline solve can start ahead of a job
+    /// once it is queued, nor once it is dequeued. A `Stop` needs no
+    /// slot.
+    fn pop(&self) -> (Job, Option<Running<'_>>) {
         let mut state = mutex_lock(&self.state);
         loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return job;
-            }
+            let running = match state.jobs.front() {
+                Some(Job::Stop) => None,
+                Some(Job::Solve { .. }) if state.running < self.slots => {
+                    state.running += 1;
+                    Some(Running { queue: self })
+                }
+                _ => {
+                    state = self
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    continue;
+                }
+            };
+            let job = state.jobs.pop_front().expect("the front job");
+            return (job, running);
+        }
+    }
+
+    /// Claims a solve slot for a blocking call to run its request
+    /// inline: only while no job is queued (so it never overtakes
+    /// queued work), fewer than `slots` solves run, and shutdown has
+    /// not begun.
+    fn claim_inline(&self) -> Option<Running<'_>> {
+        let mut state = mutex_lock(&self.state);
+        if state.stopping || !state.jobs.is_empty() || state.running >= self.slots {
+            return None;
+        }
+        state.running += 1;
+        Some(Running { queue: self })
+    }
+
+    /// Stops inline claims and queues one `Stop` per worker behind all
+    /// earlier work, in one critical section.
+    fn stop(&self) {
+        let mut state = mutex_lock(&self.state);
+        state.stopping = true;
+        if !state.closed {
+            state
+                .jobs
+                .extend(std::iter::repeat_with(|| Job::Stop).take(self.slots));
+        }
+        drop(state);
+        self.ready.notify_all();
+    }
+
+    /// Waits until no solve is running (after [`stop`](Self::stop), so
+    /// no new one can start inline).
+    fn wait_idle(&self) {
+        let mut state = mutex_lock(&self.state);
+        while state.running > 0 {
             state = self
-                .ready
+                .idle
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
@@ -882,7 +1007,9 @@ struct ReplySlot {
     name: String,
     trace_id: u64,
     options: RequestOptions,
-    tx: Sender<ServeReply>,
+    /// The ticket's channel, or `None` for a request its caller solves
+    /// inline: [`run_job`] then returns the reply instead of sending it.
+    tx: Option<Sender<ServeReply>>,
     permit: Permit,
 }
 
@@ -894,20 +1021,61 @@ impl ReplySlot {
             .is_some_and(|deadline| now >= deadline)
     }
 
-    /// Sends the reply, releasing the admission slot *first* so a
+    /// Answers the request, releasing the admission slot *first* so a
     /// caller that has received all its replies observes zero of its
     /// permits outstanding (closed-loop replay depends on this for
-    /// deterministic admission).
-    fn send(self, result: Result<Served, ServeError>) {
+    /// deterministic admission). Sends the reply down the ticket's
+    /// channel, or hands it back for an inline caller.
+    fn send(self, result: Result<Served, ServeError>) -> Option<ServeReply> {
         let ReplySlot {
             name, tx, permit, ..
         } = self;
         drop(permit);
-        tx.send(ServeReply {
+        let reply = ServeReply {
             structure: name,
             result,
-        })
-        .ok();
+        };
+        match tx {
+            Some(tx) => {
+                tx.send(reply).ok();
+                None
+            }
+            None => Some(reply),
+        }
+    }
+}
+
+/// The requests one job answers: a queued job's coalesced group, or
+/// the single request a blocking call solves inline (an `Option`, so
+/// that path builds no collection).
+trait Requests: IntoIterator<Item = ReplySlot> {
+    /// Takes out, one at a time, the requests whose deadline has
+    /// passed at `now`.
+    fn shed(&mut self, now: Instant, each: impl FnMut(ReplySlot));
+
+    /// The requests left to answer.
+    fn pending(&self) -> &[ReplySlot];
+}
+
+impl Requests for Vec<ReplySlot> {
+    fn shed(&mut self, now: Instant, each: impl FnMut(ReplySlot)) {
+        self.extract_if(.., |slot| slot.expired(now)).for_each(each);
+    }
+
+    fn pending(&self) -> &[ReplySlot] {
+        self
+    }
+}
+
+impl Requests for Option<ReplySlot> {
+    fn shed(&mut self, now: Instant, each: impl FnMut(ReplySlot)) {
+        self.take_if(|slot| slot.expired(now))
+            .into_iter()
+            .for_each(each);
+    }
+
+    fn pending(&self) -> &[ReplySlot] {
+        self.as_slice()
     }
 }
 
@@ -998,7 +1166,7 @@ impl ServeHandle {
             name: structure.to_owned(),
             trace_id: self.shared.obs.next_trace_id(),
             options,
-            tx,
+            tx: Some(tx),
             permit,
         };
         let unit = vec![Admitted {
@@ -1032,9 +1200,17 @@ impl ServeHandle {
         self.submit_with(requests, |_, bindings| Ok(bindings))
     }
 
-    /// Submits and blocks for the reply.
+    /// Submits one request and returns its reply. The request runs to
+    /// completion on the calling thread when a solve slot is free and
+    /// no job is queued; otherwise it queues for the worker pool and
+    /// the call waits for its reply.
     pub fn solve(&self, structure: &str, bindings: DimBindings) -> ServeReply {
-        self.submit(structure, bindings).wait()
+        self.solve_one(
+            structure,
+            bindings,
+            RequestOptions::default(),
+            |_, bindings| Ok(bindings),
+        )
     }
 
     /// Submits requests whose variables are *named by string* — the
@@ -1053,16 +1229,14 @@ impl ServeHandle {
     }
 
     /// The shared submission path, all on the calling thread: per
-    /// request, create a ticket, look the structure up, resolve the
-    /// payload into bindings, check that they size the chain, and
-    /// acquire an admission permit; then group everything admitted
-    /// into jobs and queue them (see [`queue_unit`](Self::queue_unit)).
-    /// Failures — unknown structure, bad payload, unbindable sizes,
-    /// queue full, shutting down — reply immediately through the
-    /// ticket; only a request that passed every check takes a permit.
-    /// So within one batch the set of shed requests is deterministic:
-    /// with `k` permits free, exactly the first `k` admissible
-    /// requests enter.
+    /// request, create a ticket and [`admit`](Self::admit) it; then
+    /// group everything admitted into jobs and queue them (see
+    /// [`queue_unit`](Self::queue_unit)). Failures — unknown structure,
+    /// bad payload, unbindable sizes, queue full, shutting down — reply
+    /// immediately through the ticket; only a request that passed every
+    /// check takes a permit. So within one batch the set of shed
+    /// requests is deterministic: with `k` permits free, exactly the
+    /// first `k` admissible requests enter.
     fn submit_with<N: AsRef<str>, T>(
         &self,
         requests: Vec<(N, T, RequestOptions)>,
@@ -1081,20 +1255,7 @@ impl ServeHandle {
                 rx,
                 structure: name.to_owned(),
             });
-            let admitted = match structures.get(name) {
-                None => Err(ServeError::UnknownStructure(name.to_owned())),
-                Some(chain) => resolve(chain, payload)
-                    .and_then(|bindings| {
-                        check_bindable(chain, &bindings)?;
-                        match self.shared.gate.try_acquire() {
-                            Ok(permit) => Ok((bindings, permit)),
-                            Err(SubmitError::QueueFull { .. }) => Err(ServeError::QueueFull),
-                            Err(SubmitError::ShuttingDown) => Err(ServeError::Closed),
-                        }
-                    })
-                    .map(|(bindings, permit)| (Arc::clone(chain), bindings, permit)),
-            };
-            match admitted {
+            match self.admit(&structures, name, payload, &mut resolve) {
                 Ok((chain, bindings, permit)) => unit.push(Admitted {
                     chain,
                     bindings,
@@ -1102,7 +1263,7 @@ impl ServeHandle {
                         name: name.to_owned(),
                         trace_id: self.shared.obs.next_trace_id(),
                         options,
-                        tx,
+                        tx: Some(tx),
                         permit,
                     },
                 }),
@@ -1131,6 +1292,96 @@ impl ServeHandle {
             self.queue_unit(unit, enqueued, Instant::now());
         }
         tickets
+    }
+
+    /// Admits one request on the calling thread: looks the structure
+    /// up, resolves the payload into bindings, checks that they size
+    /// the chain, and only then takes an admission permit.
+    fn admit<T>(
+        &self,
+        structures: &HashMap<String, Arc<SymChain>>,
+        name: &str,
+        payload: T,
+        resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
+    ) -> Result<(Arc<SymChain>, DimBindings, Permit), ServeError> {
+        let chain = structures
+            .get(name)
+            .ok_or_else(|| ServeError::UnknownStructure(name.to_owned()))?;
+        let bindings = resolve(chain, payload)?;
+        check_bindable(chain, &bindings)?;
+        let permit = self.shared.gate.try_acquire().map_err(|e| match e {
+            SubmitError::QueueFull { .. } => ServeError::QueueFull,
+            SubmitError::ShuttingDown => ServeError::Closed,
+        })?;
+        Ok((Arc::clone(chain), bindings, permit))
+    }
+
+    /// The blocking path of [`solve`](Self::solve) and
+    /// [`solve_raw`](Self::solve_raw): admits one request exactly as
+    /// [`submit_with`](Self::submit_with) does, then solves it on the
+    /// calling thread if it can claim a solve slot, through the same
+    /// [`run_job`] a worker runs, and returns the reply directly. If no
+    /// slot is free, or a job is queued ahead of it, it queues like a
+    /// ticket and waits. A request carrying an injected fault always
+    /// goes to the pool, so `Kill` and respawn keep exercising workers.
+    fn solve_one<T>(
+        &self,
+        name: &str,
+        payload: T,
+        options: RequestOptions,
+        resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
+    ) -> ServeReply {
+        let enqueued = Instant::now();
+        let admitted = self.admit(&read_lock(&self.shared.structures), name, payload, resolve);
+        let (chain, bindings, permit) = match admitted {
+            Ok(admitted) => admitted,
+            Err(e) => {
+                let kind = if e == ServeError::QueueFull {
+                    ServedKind::RejectedOverload
+                } else {
+                    ServedKind::Rejected
+                };
+                self.shared.served.record(kind, 1);
+                return ServeReply {
+                    structure: name.to_owned(),
+                    result: Err(e),
+                };
+            }
+        };
+        let mut slot = ReplySlot {
+            name: name.to_owned(),
+            trace_id: self.shared.obs.next_trace_id(),
+            options,
+            tx: None,
+            permit,
+        };
+        let submitted = Instant::now();
+        if options.fault.is_none() {
+            if let Some(_running) = self.shared.jobs.claim_inline() {
+                self.shared.batches.fetch_add(1, Ordering::Relaxed);
+                let stamps = Stamps {
+                    enqueued,
+                    submitted,
+                    grouped: submitted,
+                    dispatched: submitted,
+                };
+                return run_job(&self.shared, &chain, &bindings, Some(slot), stamps)
+                    .expect("an inline request is answered to its caller");
+            }
+        }
+        let (tx, rx) = channel();
+        slot.tx = Some(tx);
+        let ticket = Ticket {
+            rx,
+            structure: name.to_owned(),
+        };
+        let unit = vec![Admitted {
+            chain,
+            bindings,
+            slot,
+        }];
+        self.queue_unit(unit, enqueued, submitted);
+        ticket.wait()
     }
 
     /// Groups one admitted submission into jobs on the calling thread
@@ -1182,17 +1433,20 @@ impl ServeHandle {
     }
 
     /// Blocking single-request form of
-    /// [`submit_raw_batch`](Self::submit_raw_batch).
+    /// [`submit_raw_batch`](Self::submit_raw_batch), the path every TCP
+    /// request line takes. Like [`solve`](Self::solve), it runs the
+    /// request to completion on the calling thread when a solve slot is
+    /// free and no job is queued, and otherwise queues it for the
+    /// worker pool and waits for its reply.
     pub fn solve_raw<N: AsRef<str>>(
         &self,
         structure: &str,
         vars: Vec<(N, usize)>,
         options: RequestOptions,
     ) -> ServeReply {
-        self.submit_raw_batch(vec![(structure, vars, options)])
-            .pop()
-            .expect("one ticket per request")
-            .wait()
+        self.solve_one(structure, vars, options, |chain, vars| {
+            bind_named_vars(chain, &vars).map_err(ServeError::BadRequest)
+        })
     }
 
     /// Current serving counters.
@@ -1267,8 +1521,6 @@ impl ServeHandle {
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    /// The pool size; shutdown queues one [`Job::Stop`] per worker.
-    workers: usize,
     supervisor: Option<JoinHandle<()>>,
     /// Every worker thread ever spawned (including respawns); shared
     /// with the supervisor, drained at shutdown.
@@ -1359,7 +1611,7 @@ impl Server {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             cache: PlanCache::new(registry, config.inference),
-            jobs: JobQueue::default(),
+            jobs: JobQueue::new(workers),
             structures: RwLock::new(HashMap::new()),
             coalesced: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -1403,7 +1655,6 @@ impl Server {
 
         Server {
             shared,
-            workers,
             supervisor: Some(supervisor),
             worker_handles,
         }
@@ -1458,11 +1709,13 @@ impl Server {
         self.shared.stats()
     }
 
-    /// Stops the workers and waits for them. Jobs queued before the
-    /// call are answered first; requests submitted afterwards are
-    /// refused at admission ([`ServeError::Closed`]). Never panics:
-    /// threads that died by panic are reported in the returned
-    /// [`ShutdownReport`] instead.
+    /// Stops the workers and waits for them, and for every solve still
+    /// running inline on a blocking caller's thread, so nothing is
+    /// solved or counted once it returns. Jobs queued before the call
+    /// are answered first; requests submitted afterwards are refused at
+    /// admission ([`ServeError::Closed`]). Never panics: threads that
+    /// died by panic are reported in the returned [`ShutdownReport`]
+    /// instead.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.stop_workers();
         if let Some(s) = self.supervisor.take() {
@@ -1476,6 +1729,7 @@ impl Server {
             // Panicked workers were already counted by their guards.
             w.join().ok();
         }
+        self.shared.jobs.wait_idle();
         let supervision = self.shared.supervision.snapshot();
         ShutdownReport {
             worker_panics: supervision.worker_panics,
@@ -1483,18 +1737,17 @@ impl Server {
         }
     }
 
-    /// Closes the admission gate, then queues one [`Job::Stop`] per
-    /// worker behind all earlier work. Closing first stops the
-    /// supervisor respawning and answers later submissions `Closed`.
-    /// A submission admitted just before the close whose jobs land
-    /// behind the stops is never picked up: the supervisor closes the
+    /// Closes the admission gate, then stops inline claims and queues
+    /// one [`Job::Stop`] per worker behind all earlier work. Closing
+    /// first stops the supervisor respawning and answers later
+    /// submissions `Closed`. A request admitted just before the close
+    /// that lands behind the stops (a blocking call that found no slot
+    /// queues there too) is never picked up: the supervisor closes the
     /// queue once the last worker is gone, which drops its jobs, and
     /// its tickets resolve to `Closed`.
     fn stop_workers(&self) {
         self.shared.gate.close();
-        for _ in 0..self.workers {
-            self.shared.jobs.push(Job::Stop).ok();
-        }
+        self.shared.jobs.stop();
     }
 }
 
@@ -1580,35 +1833,45 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Job::Solve {
-        chain,
-        bindings,
-        replies,
-        stamps,
-    } = shared.jobs.pop()
-    {
-        if run_job(shared, &chain, &bindings, replies, stamps) {
-            // Every ticket of the job was answered; dying here loses
-            // nothing and exercises the supervisor.
-            panic!("{FAULT_PANIC_MARKER}: injected worker kill");
-        }
+    loop {
+        // The solve slot is held until the job is answered, and given
+        // back while unwinding too.
+        let (job, _running) = shared.jobs.pop();
+        let Job::Solve {
+            chain,
+            bindings,
+            replies,
+            stamps,
+        } = job
+        else {
+            return;
+        };
+        run_job(shared, &chain, &bindings, replies, stamps);
     }
 }
 
-/// Runs one dequeued job: sheds, one request at a time, the requests
-/// whose deadline passed while they waited, then solves the bindings
-/// once for the rest and answers each. A job whose requests have all
-/// expired is never solved. Returns whether an injected `Kill` fault
-/// asks the worker to die now that the job is answered.
+/// Runs one job whose solve slot is claimed, on a worker or inline on
+/// a blocking caller's thread: sheds, one request at a time, the
+/// requests whose deadline has passed, then solves the bindings once
+/// for the rest and answers each. A job whose requests have all
+/// expired is never solved. Returns the reply of a request solved
+/// inline (a ticket's reply goes down its channel).
+///
+/// # Panics
+///
+/// On an injected `Kill` fault, once every request is answered: dying
+/// then loses nothing and exercises the supervisor. Only workers run
+/// faulted requests.
 fn run_job(
     shared: &Shared,
     chain: &SymChain,
     bindings: &DimBindings,
-    mut replies: Vec<ReplySlot>,
+    mut replies: impl Requests,
     stamps: Stamps,
-) -> bool {
+) -> Option<ServeReply> {
     let picked = Instant::now();
-    for slot in replies.extract_if(.., |slot| slot.expired(picked)) {
+    let mut inline_reply = None;
+    replies.shed(picked, |slot| {
         // Never solved, so `rejected` (with the `expired` sub-count),
         // and its latency lands in the dedicated `expired` histogram,
         // not `total`.
@@ -1617,10 +1880,12 @@ fn run_job(
             .latency
             .expired
             .record(nanos_between(stamps.enqueued, picked));
-        slot.send(Err(ServeError::DeadlineExceeded));
-    }
-    if replies.is_empty() {
-        return false;
+        if let Some(reply) = slot.send(Err(ServeError::DeadlineExceeded)) {
+            inline_reply = Some(reply);
+        }
+    });
+    if replies.pending().is_empty() {
+        return inline_reply;
     }
     // One instantiate for every request left; a miss records the
     // region. The solve runs under `catch_unwind`: a panicking solve
@@ -1629,6 +1894,7 @@ fn run_job(
     // never leaves shared state mid-update; a `Kill` answers `Internal`
     // without solving, and the worker dies once the job is answered.
     let fault = replies
+        .pending()
         .iter()
         .fold(None, |fault, slot| merge_faults(fault, slot.options.fault));
     let kill = fault == Some(SolveFault::Kill);
@@ -1666,7 +1932,7 @@ fn run_job(
     // Latency: one sample per *request*, then one consistent counter
     // update for the whole job.
     let total = nanos_between(stamps.enqueued, solve_done);
-    for slot in &replies {
+    for slot in replies.pending() {
         shared.latency.total.record(total);
         shared
             .latency
@@ -1681,7 +1947,7 @@ fn run_job(
             }
         }
     }
-    shared.served.record(kind, replies.len() as u64);
+    shared.served.record(kind, replies.pending().len() as u64);
     for slot in replies {
         let result = match &outcome {
             Ok(Ok((solution, outcome, _))) => Ok(Served::from_solution(solution, *outcome)),
@@ -1731,7 +1997,12 @@ fn run_job(
                 spans,
             }
         });
-        slot.send(result);
+        if let Some(reply) = slot.send(result) {
+            inline_reply = Some(reply);
+        }
     }
-    kill
+    if kill {
+        panic!("{FAULT_PANIC_MARKER}: injected worker kill");
+    }
+    inline_reply
 }

@@ -7,9 +7,12 @@
 //! multi-line, terminated by a `# EOF` line), `SLOW` (the retained
 //! slowest traces as one `gmc-traces/1` JSON line) and `CACHE` (one
 //! JSON line of per-shard and per-structure cache stats). This is
-//! deliberately a minimal front end: each connection thread submits
-//! its requests through the [`ServeHandle`], which groups them and
-//! hands them to the worker pool, where the caching lives.
+//! deliberately a minimal front end: each connection thread answers
+//! its request lines one at a time through [`ServeHandle::solve_raw`],
+//! which runs a request to completion on the connection thread itself
+//! when one of the server's solve slots is free, and otherwise queues
+//! it for the worker pool and waits. The caching lives in the shared
+//! plan cache either way.
 //!
 //! The connection loop is defensive about malformed clients: request
 //! lines are capped at [`TcpOptions::max_line_bytes`] (an oversized

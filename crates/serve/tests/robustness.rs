@@ -3,8 +3,12 @@
 
 use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_kernels::KernelRegistry;
+use gmc_plan::CacheStats;
 use gmc_serve::faults::silence_injected_panics;
-use gmc_serve::{RequestOptions, ServeConfig, ServeError, Server, SolveFault, SubmitError};
+use gmc_serve::{
+    RequestOptions, ServeConfig, ServeError, ServedCounters, Server, ServerStats, SolveFault,
+    SubmitError,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -179,6 +183,158 @@ fn deadlines_expire_while_queued_behind_a_busy_worker() {
     );
     assert_eq!(stats.latency.expired.count(), 1);
     let report = server.shutdown();
+    assert!(report.is_clean(), "{report:?}");
+}
+
+#[test]
+fn blocking_solve_waits_for_the_only_slot_behind_a_busy_worker() {
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let handle = server.handle();
+    // One job, two coalesced requests: an already-expired one and one
+    // that delays the solve by 200 ms. The only worker claims the only
+    // solve slot as it dequeues the job and sheds the expired request
+    // before the delayed solve, so once that reply is in, the slot is
+    // held and the worker queue is empty.
+    let expired = RequestOptions {
+        deadline: Some(Instant::now()),
+        ..RequestOptions::default()
+    };
+    let slow = RequestOptions {
+        fault: Some(SolveFault::Delay(Duration::from_millis(200))),
+        ..RequestOptions::default()
+    };
+    let started = Instant::now();
+    let mut tickets = handle.submit_batch_opts(vec![
+        ("X".to_owned(), bindings(10, 20, 30), expired),
+        ("X".to_owned(), bindings(10, 20, 30), slow),
+    ]);
+    let busy = tickets.pop().expect("two tickets");
+    let shed = tickets.pop().expect("two tickets").wait();
+    assert!(
+        matches!(shed.result, Err(ServeError::DeadlineExceeded)),
+        "{shed:?}"
+    );
+    // A blocking solve of another binding cannot run inline beside the
+    // delayed one: it waits for the slot and is answered after it.
+    let reply = handle.solve("X", bindings(11, 20, 30));
+    let waited = started.elapsed();
+    assert!(reply.result.is_ok(), "{reply:?}");
+    assert!(
+        waited >= Duration::from_millis(150),
+        "the solve returned after {waited:?}, beside the delayed job"
+    );
+    // The delayed job was accounted before the solve was answered.
+    assert_eq!(handle.stats().served.completed, 2);
+    assert!(busy.wait().result.is_ok());
+    let report = server.shutdown();
+    assert!(report.is_clean(), "{report:?}");
+}
+
+#[test]
+fn blocking_solve_sheds_an_expired_deadline_without_solving() {
+    let server = start(ServeConfig::default());
+    let handle = server.handle();
+    let expired = RequestOptions {
+        deadline: Some(Instant::now()),
+        ..RequestOptions::default()
+    };
+    let sizes = vec![("rb_n", 10), ("rb_m", 20), ("rb_k", 30)];
+    let reply = handle.solve_raw("X", sizes, expired);
+    assert!(
+        matches!(reply.result, Err(ServeError::DeadlineExceeded)),
+        "{reply:?}"
+    );
+    let stats = handle.stats();
+    assert_eq!(stats.served.expired, 1);
+    assert_eq!(stats.served.rejected, 1);
+    assert_eq!(stats.served.completed, 0);
+    assert_eq!(
+        stats.cache.requests(),
+        0,
+        "the expired request was never solved"
+    );
+    assert_eq!(stats.latency.expired.count(), 1);
+    let report = server.shutdown();
+    assert!(report.is_clean(), "{report:?}");
+}
+
+/// What the server records for a solve: the served counters without
+/// the refusals at admission (a call refused by the closed gate is
+/// counted as it is answered, which can follow `shutdown`), the cache
+/// counters and the per-stage sample counts.
+fn solve_records(stats: &ServerStats) -> (ServedCounters, CacheStats, Vec<u64>) {
+    let served = ServedCounters {
+        rejected: 0,
+        rejected_overload: 0,
+        ..stats.served
+    };
+    let stages = stats
+        .latency
+        .stages
+        .iter()
+        .map(|stage| stage.snapshot.count())
+        .collect();
+    (served, stats.cache, stages)
+}
+
+#[test]
+fn shutdown_waits_for_blocking_callers_solving_inline() {
+    let server = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let handle = server.handle();
+    let calls = Arc::new(AtomicUsize::new(0));
+    // Four threads over two solve slots: some solve inline, the others
+    // queue for the workers. Fresh bindings keep some calls recording
+    // regions on the calling thread, until the closed gate answers.
+    let callers: Vec<_> = (0..4)
+        .map(|t| {
+            let handle = handle.clone();
+            let calls = Arc::clone(&calls);
+            std::thread::spawn(move || {
+                let mut ok = 0u64;
+                for i in 0.. {
+                    let (n, m, k) = (1 + i % 50, 1 + t + 4 * (i / 50), 1 + i % 3);
+                    let reply = if i % 2 == 0 {
+                        handle.solve("X", bindings(n, m, k))
+                    } else {
+                        let sizes = vec![("rb_n", n), ("rb_m", m), ("rb_k", k)];
+                        handle.solve_raw("X", sizes, RequestOptions::default())
+                    };
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    match reply.result {
+                        Ok(_) => ok += 1,
+                        Err(ServeError::Closed) => break,
+                        Err(e) => panic!("unexpected reply: {e}"),
+                    }
+                }
+                ok
+            })
+        })
+        .collect();
+    while calls.load(Ordering::Relaxed) < 200 {
+        std::thread::yield_now();
+    }
+    let report = server.shutdown();
+    let at_shutdown = handle.stats();
+    let ok: u64 = callers
+        .into_iter()
+        .map(|caller| caller.join().expect("caller thread"))
+        .sum();
+    let after = handle.stats();
+    assert_eq!(
+        solve_records(&at_shutdown),
+        solve_records(&after),
+        "a solve ran or was counted after shutdown returned"
+    );
+    let served = after.served;
+    assert!(ok > 0);
+    assert_eq!(ok, served.hits + served.misses, "{served:?}");
+    assert!(served.misses > 0, "{served:?}");
     assert!(report.is_clean(), "{report:?}");
 }
 
