@@ -435,14 +435,7 @@ fn print_report(report: &ReplayReport) {
         writeln!(out, "{line}").expect("stdout write");
     }
     let stats = &report.stats;
-    eprintln!(
-        "replayed {} requests in {:.3}s ({:.0} req/s), verified {}: {}",
-        report.submitted,
-        report.elapsed,
-        report.submitted as f64 / report.elapsed.max(1e-9),
-        report.verified,
-        stats
-    );
+    eprintln!("{}", summary_line(report));
     if !stats.latency.stages.is_empty() {
         let breakdown: Vec<String> = stats
             .latency
@@ -477,6 +470,24 @@ fn print_report(report: &ReplayReport) {
             report.respawns
         );
     }
+}
+
+/// The replay's summary line. Its rate counts *completed* requests per
+/// second, from the server's final `completed`: a request shed by
+/// admission or by its deadline is answered without a solve, so it is
+/// printed beside the rate, never in it.
+fn summary_line(report: &ReplayReport) -> String {
+    let served = report.stats.served;
+    format!(
+        "replayed {} requests in {:.3}s: {} completed ({:.0} req/s), {} shed, verified {}: {}",
+        report.submitted,
+        report.elapsed,
+        served.completed,
+        served.completed as f64 / report.elapsed.max(1e-9),
+        served.rejected_overload + served.expired,
+        report.verified,
+        report.stats
+    )
 }
 
 fn usage_error(sub: &str, msg: &str) -> u8 {

@@ -15,11 +15,13 @@
 //!   the snapshot's non-empty buckets plus `le="+Inf"`, with `_sum`
 //!   and `_count`.
 //!
-//! The builder is deliberately decoupled from the live
-//! [`crate::MetricsRegistry`]: layers that already keep authoritative
-//! counters elsewhere (seqlock cells, cache shards) append snapshot
-//! values at scrape time instead of double-writing them on the hot
-//! path.
+//! A live [`crate::MetricsRegistry`] copies itself in with
+//! [`render_into`](crate::MetricsRegistry::render_into). Beside it, a
+//! layer adds only what another component owns (cache shards, a trace
+//! ring), read at scrape time rather than written twice on the hot
+//! path, and totals it derives from the series already added
+//! ([`Exposition::counter_total`]), so a total and its parts come from
+//! one reading.
 
 use crate::histogram::HistogramSnapshot;
 use std::collections::BTreeMap;
@@ -89,6 +91,20 @@ impl Exposition {
         snapshot: HistogramSnapshot,
     ) {
         self.add(name, help, labels, SeriesValue::Histogram(snapshot));
+    }
+
+    /// The sum of the counter family `name`'s series (0 if it has
+    /// none), as added so far.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.families
+            .get(&sanitize_name(name))
+            .into_iter()
+            .flat_map(|family| family.series.values())
+            .map(|value| match value {
+                SeriesValue::Counter(v) => *v,
+                _ => 0,
+            })
+            .sum()
     }
 
     fn add(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: SeriesValue) {
@@ -292,6 +308,16 @@ mod tests {
         assert_eq!(lines[3], "aa_first{x=\"2\"} 1");
         assert_eq!(lines[4], "# HELP zz_last the last family");
         assert_eq!(lines[6], "zz_last 7");
+    }
+
+    #[test]
+    fn counter_total_sums_a_family_as_added() {
+        let mut expo = Exposition::new();
+        expo.add_counter("req.served", "served", &[("class", "hit")], 5);
+        expo.add_counter("req.served", "served", &[("class", "miss")], 2);
+        expo.add_counter("req.other", "other", &[], 40);
+        assert_eq!(expo.counter_total("req.served"), 7);
+        assert_eq!(expo.counter_total("req.absent"), 0);
     }
 
     #[test]

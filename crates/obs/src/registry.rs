@@ -15,12 +15,15 @@
 //! buggy client can never grow metrics memory without bound.
 //!
 //! Scrape with [`MetricsRegistry::render_into`], which copies every
-//! live instrument into a [`crate::Exposition`].
+//! live instrument into a [`crate::Exposition`]. It reads every
+//! histogram before any counter or gauge, behind an acquire fence, so a
+//! writer that bumps a counter, issues a release fence and only then
+//! records its samples never shows a histogram ahead of that counter.
 
-use crate::histogram::LatencyHistogram;
+use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use crate::prometheus::Exposition;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Default cap on distinct label combinations per family.
@@ -77,7 +80,7 @@ impl Histogram {
     }
 
     /// A consistent point-in-time snapshot.
-    pub fn snapshot(&self) -> crate::HistogramSnapshot {
+    pub fn snapshot(&self) -> HistogramSnapshot {
         self.0.snapshot()
     }
 }
@@ -90,12 +93,21 @@ enum Instrument {
     Histogram(Histogram),
 }
 
-impl Instrument {
-    fn kind(&self) -> &'static str {
+/// What a family's series are.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Kind {
+    /// A new, zeroed instrument of this kind.
+    fn make(self) -> Instrument {
         match self {
-            Instrument::Counter(_) => "counter",
-            Instrument::Gauge(_) => "gauge",
-            Instrument::Histogram(_) => "histogram",
+            Kind::Counter => Instrument::Counter(Counter::default()),
+            Kind::Gauge => Instrument::Gauge(Gauge::default()),
+            Kind::Histogram => Instrument::Histogram(Histogram::default()),
         }
     }
 }
@@ -104,12 +116,23 @@ impl Instrument {
 #[derive(Debug)]
 struct Family {
     help: String,
-    kind: &'static str,
+    kind: Kind,
     label_names: Vec<String>,
     series: BTreeMap<Vec<String>, Instrument>,
     /// The shared spill series once `series` is at capacity.
     overflow: Option<Instrument>,
-    cap: usize,
+}
+
+impl Family {
+    /// Every series with its label values, in value order, and the
+    /// shared spill series last, its every label value `other`.
+    fn series(&self) -> impl Iterator<Item = (Vec<String>, &Instrument)> {
+        let other = vec!["other".to_owned(); self.label_names.len()];
+        self.series
+            .iter()
+            .map(|(values, instrument)| (values.clone(), instrument))
+            .chain(self.overflow.as_ref().map(|instrument| (other, instrument)))
+    }
 }
 
 /// A thread-safe registry of live metric instruments. See the module
@@ -141,31 +164,27 @@ impl MetricsRegistry {
     /// If `name` already exists with a different kind or label names —
     /// that is a programming error, not an input error.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.instrument(name, help, labels, || {
-            Instrument::Counter(Counter::default())
-        }) {
+        match self.instrument(name, help, labels, Kind::Counter) {
             Instrument::Counter(c) => c,
-            other => panic!("metric {name} is a {}, not a counter", other.kind()),
+            _ => unreachable!("the family's kind is checked"),
         }
     }
 
     /// Registers (or re-resolves) a gauge series. Panics on a kind or
     /// label-name mismatch, like [`MetricsRegistry::counter`].
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.instrument(name, help, labels, || Instrument::Gauge(Gauge::default())) {
+        match self.instrument(name, help, labels, Kind::Gauge) {
             Instrument::Gauge(g) => g,
-            other => panic!("metric {name} is a {}, not a gauge", other.kind()),
+            _ => unreachable!("the family's kind is checked"),
         }
     }
 
     /// Registers (or re-resolves) a histogram series. Panics on a kind
     /// or label-name mismatch, like [`MetricsRegistry::counter`].
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.instrument(name, help, labels, || {
-            Instrument::Histogram(Histogram::default())
-        }) {
+        match self.instrument(name, help, labels, Kind::Histogram) {
             Instrument::Histogram(h) => h,
-            other => panic!("metric {name} is a {}, not a histogram", other.kind()),
+            _ => unreachable!("the family's kind is checked"),
         }
     }
 
@@ -174,77 +193,98 @@ impl MetricsRegistry {
         self.spilled.get()
     }
 
+    /// The series of family `name` under `labels`; an instrument is
+    /// made only for a new series.
     fn instrument(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        make: impl Fn() -> Instrument,
+        kind: Kind,
     ) -> Instrument {
-        let label_names: Vec<String> = labels.iter().map(|(k, _)| (*k).to_owned()).collect();
         let values: Vec<String> = labels.iter().map(|(_, v)| (*v).to_owned()).collect();
         let mut families = write_lock(&self.families);
-        let family = families.entry(name.to_owned()).or_insert_with(|| Family {
-            help: help.to_owned(),
-            kind: make().kind(),
-            label_names: label_names.clone(),
-            series: BTreeMap::new(),
-            overflow: None,
-            cap: DEFAULT_SERIES_CAP,
-        });
-        assert_eq!(
-            family.kind,
-            make().kind(),
-            "metric {name} registered with two kinds"
-        );
-        assert_eq!(
-            family.label_names, label_names,
+        if !families.contains_key(name) {
+            let family = Family {
+                help: help.to_owned(),
+                kind,
+                label_names: labels.iter().map(|(k, _)| (*k).to_owned()).collect(),
+                series: BTreeMap::new(),
+                overflow: None,
+            };
+            families.insert(name.to_owned(), family);
+        }
+        let family = families.get_mut(name).expect("the family exists");
+        assert_eq!(family.kind, kind, "metric {name} registered with two kinds");
+        assert!(
+            family
+                .label_names
+                .iter()
+                .map(String::as_str)
+                .eq(labels.iter().map(|(k, _)| *k)),
             "metric {name} registered with two label-name sets"
         );
-        if let Some(existing) = family.series.get(&values) {
-            return existing.clone();
+        let full = family.series.len() >= DEFAULT_SERIES_CAP;
+        match family.series.entry(values) {
+            Entry::Occupied(series) => series.get().clone(),
+            Entry::Vacant(_) if full => {
+                self.spilled.inc();
+                family.overflow.get_or_insert_with(|| kind.make()).clone()
+            }
+            Entry::Vacant(series) => series.insert(kind.make()).clone(),
         }
-        if family.series.len() >= family.cap {
-            self.spilled.inc();
-            return family.overflow.get_or_insert_with(make).clone();
-        }
-        family.series.entry(values).or_insert_with(make).clone()
+    }
+
+    /// Snapshots of the histogram family `name`: each series' label
+    /// values (in label-name order) with its snapshot, sorted by those
+    /// values, the shared `other` series last. Empty if the registry
+    /// has no histogram family of that name.
+    pub fn histogram_series(&self, name: &str) -> Vec<(Vec<String>, HistogramSnapshot)> {
+        let families = read_lock(&self.families);
+        families
+            .get(name)
+            .into_iter()
+            .flat_map(Family::series)
+            .filter_map(|(values, instrument)| match instrument {
+                Instrument::Histogram(h) => Some((values, h.snapshot())),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Copies every live instrument (and the registry's own overflow
-    /// counter, when nonzero) into `expo`.
+    /// counter, when nonzero) into `expo`: every histogram first, then,
+    /// behind an acquire fence, every counter and gauge (see the module
+    /// docs).
     pub fn render_into(&self, expo: &mut Exposition) {
         let families = read_lock(&self.families);
-        for (name, family) in families.iter() {
-            let emit = |expo: &mut Exposition, values: &[String], instrument: &Instrument| {
-                let labels: Vec<(&str, &str)> = family
-                    .label_names
-                    .iter()
-                    .map(String::as_str)
-                    .zip(values.iter().map(String::as_str))
-                    .collect();
-                match instrument {
-                    Instrument::Counter(c) => {
-                        expo.add_counter(name, &family.help, &labels, c.get())
-                    }
-                    Instrument::Gauge(g) => {
-                        expo.add_gauge(name, &family.help, &labels, g.get() as f64)
-                    }
-                    Instrument::Histogram(h) => {
-                        expo.add_histogram(name, &family.help, &labels, h.snapshot())
+        for histograms in [true, false] {
+            if !histograms {
+                fence(Ordering::Acquire);
+            }
+            let pass = families
+                .iter()
+                .filter(|(_, family)| (family.kind == Kind::Histogram) == histograms);
+            for (name, family) in pass {
+                for (values, instrument) in family.series() {
+                    let labels: Vec<(&str, &str)> = family
+                        .label_names
+                        .iter()
+                        .map(String::as_str)
+                        .zip(values.iter().map(String::as_str))
+                        .collect();
+                    match instrument {
+                        Instrument::Counter(c) => {
+                            expo.add_counter(name, &family.help, &labels, c.get())
+                        }
+                        Instrument::Gauge(g) => {
+                            expo.add_gauge(name, &family.help, &labels, g.get() as f64)
+                        }
+                        Instrument::Histogram(h) => {
+                            expo.add_histogram(name, &family.help, &labels, h.snapshot())
+                        }
                     }
                 }
-            };
-            for (values, instrument) in &family.series {
-                emit(expo, values, instrument);
-            }
-            if let Some(overflow) = &family.overflow {
-                let values: Vec<String> = family
-                    .label_names
-                    .iter()
-                    .map(|_| "other".to_owned())
-                    .collect();
-                emit(expo, &values, overflow);
             }
         }
         drop(families);
@@ -308,6 +348,21 @@ mod tests {
         let text = expo.render();
         assert!(text.contains("c_total{k=\"other\"} 10"), "{text}");
         assert!(text.contains("gmc_obs_label_overflow 10"), "{text}");
+    }
+
+    #[test]
+    fn histogram_series_lists_the_spill_last() {
+        let reg = MetricsRegistry::new();
+        for i in (0..DEFAULT_SERIES_CAP + 2).rev() {
+            reg.histogram("h.ns", "h", &[("k", &format!("v{i:03}"))])
+                .record(i as u64);
+        }
+        let series = reg.histogram_series("h.ns");
+        assert_eq!(series.len(), DEFAULT_SERIES_CAP + 1);
+        assert_eq!(series[0].0, ["v002"]);
+        assert_eq!(series[DEFAULT_SERIES_CAP].0, ["other"]);
+        assert_eq!(series[DEFAULT_SERIES_CAP].1.count(), 2);
+        assert!(reg.histogram_series("absent").is_empty());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Bounded admission for the serving tier.
 //!
 //! The worker queue itself is unbounded, so boundedness lives one
-//! layer up: an [`AdmissionGate`] counts requests in flight — admitted
-//! at submit time, released the moment a reply is sent — and refuses
-//! new work beyond its capacity. The overload policy is *shed newest*:
+//! layer up: the server's admission gate counts requests in flight —
+//! admitted at submit time, released the moment a reply is sent — and
+//! refuses new work beyond its capacity
+//! ([`ServeConfig::queue_capacity`](crate::ServeConfig::queue_capacity)). The overload policy is *shed newest*:
 //! the request that would overflow is the one rejected, with
 //! [`SubmitError::QueueFull`] (or an immediate
 //! [`crate::ServeError::QueueFull`] reply on the ticket paths), so
@@ -44,7 +45,7 @@ impl std::error::Error for SubmitError {}
 /// The in-flight request counter: a capacity, a counter, and a
 /// shutting-down latch. One gate per server, shared by every handle.
 #[derive(Debug)]
-pub struct AdmissionGate {
+pub(crate) struct AdmissionGate {
     capacity: usize,
     in_flight: AtomicUsize,
     closed: AtomicBool,
@@ -53,7 +54,7 @@ pub struct AdmissionGate {
 impl AdmissionGate {
     /// A gate admitting at most `capacity` concurrent requests
     /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> AdmissionGate {
+    pub(crate) fn new(capacity: usize) -> AdmissionGate {
         AdmissionGate {
             capacity: capacity.max(1),
             in_flight: AtomicUsize::new(0),
@@ -61,31 +62,21 @@ impl AdmissionGate {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Requests currently holding a permit.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
     /// Latches the gate shut: every later
     /// [`try_acquire`](AdmissionGate::try_acquire) fails with
     /// [`SubmitError::ShuttingDown`]. Permits already out stay valid.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
     }
 
     /// Whether the gate has been closed.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::SeqCst)
     }
 
     /// Admits one request, or says why not. The returned [`Permit`]
     /// releases its slot on drop.
-    pub fn try_acquire(self: &Arc<Self>) -> Result<Permit, SubmitError> {
+    pub(crate) fn try_acquire(self: &Arc<Self>) -> Result<Permit, SubmitError> {
         if self.is_closed() {
             return Err(SubmitError::ShuttingDown);
         }
@@ -119,7 +110,7 @@ impl AdmissionGate {
 /// sent, so a caller that has received all its replies observes zero
 /// of its own permits outstanding.
 #[derive(Debug)]
-pub struct Permit {
+pub(crate) struct Permit {
     gate: Arc<AdmissionGate>,
 }
 
@@ -138,13 +129,13 @@ mod tests {
         let gate = Arc::new(AdmissionGate::new(2));
         let a = gate.try_acquire().unwrap();
         let _b = gate.try_acquire().unwrap();
-        assert_eq!(gate.in_flight(), 2);
+        assert_eq!(gate.in_flight.load(Ordering::SeqCst), 2);
         assert_eq!(
             gate.try_acquire().unwrap_err(),
             SubmitError::QueueFull { capacity: 2 }
         );
         drop(a);
-        assert_eq!(gate.in_flight(), 1);
+        assert_eq!(gate.in_flight.load(Ordering::SeqCst), 1);
         let _c = gate.try_acquire().unwrap();
     }
 
@@ -156,7 +147,7 @@ mod tests {
         assert_eq!(gate.try_acquire().unwrap_err(), SubmitError::ShuttingDown);
         // Outstanding permits still release cleanly.
         drop(held);
-        assert_eq!(gate.in_flight(), 0);
+        assert_eq!(gate.in_flight.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -51,6 +51,12 @@
 //! * **Pre-enumeration.** [`Server::register_pre_enumerated`] records a
 //!   plan for every reachable region of a small chain up front, making
 //!   every subsequent request for it a hit.
+//! * **One telemetry store.** Every counter, gauge and histogram is an
+//!   instrument of one [`gmc_obs::MetricsRegistry`] (see [`metrics`]),
+//!   recorded through handles resolved at start or, for a structure's
+//!   latency classes, at its first solved request, so a request after
+//!   that takes no lock and looks up no name to record itself.
+//!   [`ServeHandle::stats`] and `METRICS` read the same instruments.
 //! * **No async runtime.** Plain `std::thread` workers, a
 //!   condvar-signalled job queue and `std::sync::mpsc` reply channels,
 //!   all from the standard library; the optional TCP listener in
@@ -76,15 +82,16 @@ use gmc::{GmcSolution, InferenceMode};
 use gmc_expr::{Dim, DimBindings, SymChain};
 use gmc_kernels::KernelRegistry;
 use gmc_obs::trace::SlowTraceRing;
-use gmc_obs::{Histogram, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
+use gmc_obs::{Histogram, HistogramSnapshot};
 use gmc_plan::{CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
+use metrics::Telemetry;
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -272,9 +279,9 @@ pub struct ServerStats {
     pub batches: u64,
     /// Registered structures.
     pub structures: usize,
-    /// Per-request completion counters, taken as one consistent
-    /// snapshot: `hits + misses + failed == completed` holds in every
-    /// reading, even mid-burst.
+    /// Per-request outcome counters; `completed` and `rejected` are
+    /// sums of their parts, so `hits + misses + failed == completed`
+    /// holds in every reading, even mid-burst.
     pub served: ServedCounters,
     /// Latency histogram snapshots (enqueue→complete and
     /// enqueue→solve start, plus per-(structure, hit/miss) classes).
@@ -326,12 +333,14 @@ impl fmt::Display for ServerStats {
 }
 
 /// Per-request completion counters. Unlike the cache counters (which
-/// count instantiates), these count *requests*: every submitted
-/// request ends up in exactly one of `completed` (solved, on a worker
-/// or inline) or `rejected` (answered without a solve: unknown
-/// structure, bad binding, unbindable sizes, overload, expired
-/// deadline), and `completed` splits exactly into
-/// `hits + misses + failed`.
+/// count instantiates), these count *requests*: every request answered
+/// through a [`ServeReply`] ends up in exactly one of `completed`
+/// (solved, on a worker or inline) or `rejected` (answered without a
+/// solve: unknown structure, bad binding, unbindable sizes, overload,
+/// shutdown, expired deadline), and `completed` splits exactly into
+/// `hits + misses + failed`. A refusal returned as a [`SubmitError`]
+/// by [`ServeHandle::try_submit`] counts nowhere: from the server's
+/// view that request was never submitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServedCounters {
     /// Requests solved and answered (successfully or not), on a worker
@@ -348,8 +357,8 @@ pub struct ServedCounters {
     pub failed: u64,
     /// Requests answered without a solve: at submission (unknown
     /// structure, unresolvable variable names, unbindable sizes,
-    /// overload sheds) or when their solve was due to start (expired
-    /// deadlines).
+    /// overload sheds, [`ServeError::Closed`]) or when their solve was
+    /// due to start (expired deadlines).
     /// `rejected_overload` and `expired` are sub-counts of this, so
     /// `completed + rejected` still accounts for every request.
     pub rejected: u64,
@@ -380,103 +389,6 @@ impl fmt::Display for ServedCounters {
     }
 }
 
-/// The [`ServedCounters`] cell: writers serialize on a short mutex and
-/// bump a sequence counter around their updates (a seqlock), so
-/// readers get a consistent snapshot — one where
-/// `hits + misses + failed == completed` — without ever taking the
-/// mutex. Reading the counters as independent relaxed atomics (the
-/// pre-ISSUE-6 behavior) could observe `completed` ahead of the class
-/// counters mid-update.
-#[derive(Debug, Default)]
-struct CounterCell {
-    /// Even = quiescent; odd = a writer is mid-update.
-    seq: AtomicU64,
-    /// Serializes writers (the seqlock protocol is single-writer).
-    write: Mutex<()>,
-    completed: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    failed: AtomicU64,
-    rejected: AtomicU64,
-    rejected_overload: AtomicU64,
-    expired: AtomicU64,
-}
-
-/// How a solve (or the submission path) accounts one or more requests
-/// in the counter cell.
-#[derive(Clone, Copy, Debug)]
-enum ServedKind {
-    Hit,
-    Miss,
-    Failed,
-    Rejected,
-    /// Shed at admission: counts into `rejected` *and*
-    /// `rejected_overload` in one frame.
-    RejectedOverload,
-    /// Shed by the deadline check as its solve was due to start:
-    /// counts into `rejected` *and* `expired` in one frame.
-    Expired,
-}
-
-impl CounterCell {
-    /// Accounts `n` requests of one kind in a single consistent update.
-    fn record(&self, kind: ServedKind, n: u64) {
-        let _guard = mutex_lock(&self.write);
-        self.seq.fetch_add(1, Ordering::SeqCst); // odd: update in flight
-        match kind {
-            ServedKind::Hit => {
-                self.hits.fetch_add(n, Ordering::SeqCst);
-                self.completed.fetch_add(n, Ordering::SeqCst);
-            }
-            ServedKind::Miss => {
-                self.misses.fetch_add(n, Ordering::SeqCst);
-                self.completed.fetch_add(n, Ordering::SeqCst);
-            }
-            ServedKind::Failed => {
-                self.failed.fetch_add(n, Ordering::SeqCst);
-                self.completed.fetch_add(n, Ordering::SeqCst);
-            }
-            ServedKind::Rejected => {
-                self.rejected.fetch_add(n, Ordering::SeqCst);
-            }
-            ServedKind::RejectedOverload => {
-                self.rejected.fetch_add(n, Ordering::SeqCst);
-                self.rejected_overload.fetch_add(n, Ordering::SeqCst);
-            }
-            ServedKind::Expired => {
-                self.rejected.fetch_add(n, Ordering::SeqCst);
-                self.expired.fetch_add(n, Ordering::SeqCst);
-            }
-        }
-        self.seq.fetch_add(1, Ordering::SeqCst); // even: quiescent
-    }
-
-    /// A consistent snapshot: retries until a read frame closes with no
-    /// writer in flight. Writers hold the cell only for a handful of
-    /// atomic increments, so the retry loop is short.
-    fn snapshot(&self) -> ServedCounters {
-        loop {
-            let before = self.seq.load(Ordering::SeqCst);
-            if before % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = ServedCounters {
-                completed: self.completed.load(Ordering::SeqCst),
-                hits: self.hits.load(Ordering::SeqCst),
-                misses: self.misses.load(Ordering::SeqCst),
-                failed: self.failed.load(Ordering::SeqCst),
-                rejected: self.rejected.load(Ordering::SeqCst),
-                rejected_overload: self.rejected_overload.load(Ordering::SeqCst),
-                expired: self.expired.load(Ordering::SeqCst),
-            };
-            if self.seq.load(Ordering::SeqCst) == before {
-                return snap;
-            }
-        }
-    }
-}
-
 /// Latency snapshots of a running server.
 #[derive(Clone, Debug, Default)]
 pub struct LatencySnapshot {
@@ -487,10 +399,13 @@ pub struct LatencySnapshot {
     /// Enqueue→shed latency of deadline-expired requests (they are
     /// shed unsolved, so they appear here instead of `total`).
     pub expired: HistogramSnapshot,
-    /// Per-(structure, hit/miss) enqueue→complete histograms, sorted
-    /// by structure name then class for deterministic rendering. At
-    /// most [`MAX_LATENCY_CLASSES`] distinct structures are tracked;
-    /// the excess shares one `other` entry.
+    /// Per-(structure, hit/miss) enqueue→complete histograms with a
+    /// sample, sorted by structure name then class for deterministic
+    /// rendering. The registry's per-family cap
+    /// ([`DEFAULT_SERIES_CAP`](gmc_obs::registry::DEFAULT_SERIES_CAP),
+    /// two series per structure) bounds them: past the first 32
+    /// structures to be solved, the rest share one entry whose
+    /// structure and class are both `other`.
     pub classes: Vec<ClassLatency>,
     /// Per-stage span histograms in [`STAGES`] order, recorded once
     /// per completed request.
@@ -509,104 +424,12 @@ pub struct StageLatency {
 /// One (structure, hit/miss) latency class.
 #[derive(Clone, Debug)]
 pub struct ClassLatency {
-    /// Registered structure name.
+    /// Registered structure name (`other` for the shared spill entry).
     pub structure: String,
-    /// `true` for the cache-hit class, `false` for misses.
-    pub hit: bool,
+    /// `hit` or `miss` (`other` for the shared spill entry).
+    pub class: String,
     /// Enqueue→complete histogram of this class.
     pub snapshot: HistogramSnapshot,
-}
-
-/// Per-structure hit/miss histograms (enqueue→complete).
-#[derive(Debug, Default)]
-struct ClassHists {
-    hit: LatencyHistogram,
-    miss: LatencyHistogram,
-}
-
-/// Upper bound on distinct structure names tracked in per-class
-/// latency histograms. A hostile client registering (or requesting)
-/// many structures cannot grow stats memory without bound: structures
-/// beyond the cap all record into one shared `other` class.
-pub const MAX_LATENCY_CLASSES: usize = 64;
-
-/// The server-wide latency recording layer.
-#[derive(Debug, Default)]
-struct LatencyBook {
-    total: LatencyHistogram,
-    queue: LatencyHistogram,
-    expired: LatencyHistogram,
-    classes: RwLock<HashMap<String, Arc<ClassHists>>>,
-    /// The shared overflow class once `classes` holds
-    /// [`MAX_LATENCY_CLASSES`] structures. Kept outside the map so it
-    /// is reported once (as structure `other`) and never double
-    /// counted.
-    other: Arc<ClassHists>,
-    /// Class lookups funneled into `other`.
-    class_overflow: AtomicU64,
-}
-
-impl LatencyBook {
-    /// The histogram pair for `structure`, creating it on first use
-    /// (registration pre-creates it; this covers re-registration
-    /// races). Once [`MAX_LATENCY_CLASSES`] structures are tracked,
-    /// further structures share the `other` class.
-    fn class(&self, structure: &str) -> Arc<ClassHists> {
-        if let Some(h) = read_lock(&self.classes).get(structure) {
-            return Arc::clone(h);
-        }
-        let mut map = write_lock(&self.classes);
-        if let Some(h) = map.get(structure) {
-            return Arc::clone(h);
-        }
-        if map.len() >= MAX_LATENCY_CLASSES {
-            self.class_overflow.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&self.other);
-        }
-        Arc::clone(map.entry(structure.to_owned()).or_default())
-    }
-
-    /// Class lookups that funneled into the shared `other` class.
-    fn overflowed(&self) -> u64 {
-        self.class_overflow.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> LatencySnapshot {
-        let mut classes: Vec<ClassLatency> = Vec::new();
-        {
-            let map = read_lock(&self.classes);
-            for (name, hists) in map.iter() {
-                for (hit, h) in [(true, &hists.hit), (false, &hists.miss)] {
-                    let snapshot = h.snapshot();
-                    if !snapshot.is_empty() {
-                        classes.push(ClassLatency {
-                            structure: name.clone(),
-                            hit,
-                            snapshot,
-                        });
-                    }
-                }
-            }
-        }
-        for (hit, h) in [(true, &self.other.hit), (false, &self.other.miss)] {
-            let snapshot = h.snapshot();
-            if !snapshot.is_empty() {
-                classes.push(ClassLatency {
-                    structure: "other".to_owned(),
-                    hit,
-                    snapshot,
-                });
-            }
-        }
-        classes.sort_by(|a, b| (&a.structure, !a.hit).cmp(&(&b.structure, !b.hit)));
-        LatencySnapshot {
-            total: self.total.snapshot(),
-            queue: self.queue.snapshot(),
-            expired: self.expired.snapshot(),
-            classes,
-            stages: Vec::new(),
-        }
-    }
 }
 
 /// Nanoseconds between two instants, saturating into `u64`.
@@ -634,86 +457,27 @@ impl Ticket {
     }
 }
 
-/// The observability layer behind [`Shared`]: the live metrics
-/// registry (which owns the per-stage histograms), the slow-trace
-/// ring, and the trace-id counter. Everything else the `METRICS`
-/// exposition reports is copied from authoritative snapshots at scrape
-/// time, so the hot path never writes a counter twice.
-struct ObsLayer {
-    registry: MetricsRegistry,
-    /// Per-stage span histograms, in [`STAGES`] order (live handles
-    /// onto the registry's `gmc.serve.stage.latency.ns` family).
-    stages: [Histogram; STAGES.len()],
-    /// The N slowest completed traces.
-    ring: SlowTraceRing,
-    trace_ids: AtomicU64,
-}
-
-impl ObsLayer {
-    fn new(slow_trace_capacity: usize) -> ObsLayer {
-        let registry = MetricsRegistry::new();
-        let stages = STAGES.map(|stage| {
-            registry.histogram(
-                "gmc.serve.stage.latency.ns",
-                "Per-stage request span duration in nanoseconds",
-                &[("stage", stage)],
-            )
-        });
-        ObsLayer {
-            registry,
-            stages,
-            ring: SlowTraceRing::new(slow_trace_capacity),
-            trace_ids: AtomicU64::new(0),
-        }
-    }
-
-    fn next_trace_id(&self) -> u64 {
-        self.trace_ids.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Snapshots of the per-stage histograms, in [`STAGES`] order.
-    fn stage_snapshots(&self) -> Vec<StageLatency> {
-        STAGES
-            .iter()
-            .zip(&self.stages)
-            .map(|(stage, h)| StageLatency {
-                stage,
-                snapshot: h.snapshot(),
-            })
-            .collect()
-    }
+/// A registered structure: its name, its chain, and the latency
+/// histograms of its hits and misses.
+struct Structure {
+    name: String,
+    chain: SymChain,
+    /// Resolved in the registry once, at the structure's first solved
+    /// request, and read with one load after that: registering them in
+    /// [`Server::register`] put two registry registrations, about 4 µs
+    /// per structure, into every deployment's set-up.
+    classes: OnceLock<[Histogram; 2]>,
 }
 
 struct Shared {
     cache: PlanCache,
     jobs: JobQueue,
-    structures: RwLock<HashMap<String, Arc<SymChain>>>,
-    coalesced: AtomicU64,
-    batches: AtomicU64,
-    served: CounterCell,
-    latency: LatencyBook,
+    structures: RwLock<HashMap<String, Arc<Structure>>>,
     gate: Arc<AdmissionGate>,
-    supervision: SupervisionCell,
-    obs: ObsLayer,
-}
-
-/// Supervision counters behind [`Shared`]; updated only by the
-/// supervisor thread, read by any stats snapshot.
-#[derive(Debug, Default)]
-struct SupervisionCell {
-    worker_panics: AtomicU64,
-    respawns: AtomicU64,
-    workers_alive: AtomicUsize,
-}
-
-impl SupervisionCell {
-    fn snapshot(&self) -> SupervisionStats {
-        SupervisionStats {
-            worker_panics: self.worker_panics.load(Ordering::SeqCst),
-            respawns: self.respawns.load(Ordering::SeqCst),
-            workers_alive: self.workers_alive.load(Ordering::SeqCst),
-        }
-    }
+    telemetry: Telemetry,
+    /// The N slowest completed traces.
+    slow: SlowTraceRing,
+    trace_ids: AtomicU64,
 }
 
 use gmc_plan::sync::{mutex_lock, read_lock, write_lock};
@@ -762,18 +526,26 @@ fn check_bindable(chain: &SymChain, bindings: &DimBindings) -> Result<(), ServeE
 }
 
 impl Shared {
+    /// Reads every histogram before any counter, behind an acquire
+    /// fence: a request is counted before its samples record, so no
+    /// histogram here is ahead of `completed`.
     fn stats(&self) -> ServerStats {
-        let mut latency = self.latency.snapshot();
-        latency.stages = self.obs.stage_snapshots();
+        let t = &self.telemetry;
+        let latency = t.latency();
+        fence(Ordering::Acquire);
         ServerStats {
             cache: self.cache.stats(),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            coalesced: t.coalesced.get(),
+            batches: t.batches.get(),
             structures: read_lock(&self.structures).len(),
-            served: self.served.snapshot(),
+            served: t.served(),
             latency,
-            supervision: self.supervision.snapshot(),
+            supervision: t.supervision(),
         }
+    }
+
+    fn next_trace_id(&self) -> u64 {
+        self.trace_ids.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -813,7 +585,7 @@ impl RequestOptions {
 
 /// One admitted request on its way into a job.
 struct Admitted {
-    chain: Arc<SymChain>,
+    structure: Arc<Structure>,
     bindings: DimBindings,
     slot: ReplySlot,
 }
@@ -837,7 +609,7 @@ enum Job {
     /// Every request of one submission that wants these bindings of
     /// this registered chain: one instantiate, fanned back out.
     Solve {
-        chain: Arc<SymChain>,
+        structure: Arc<Structure>,
         bindings: DimBindings,
         replies: Vec<ReplySlot>,
         stamps: Stamps,
@@ -1079,13 +851,29 @@ impl Requests for Option<ReplySlot> {
     }
 }
 
-/// Answers a request refused at submission.
-fn reply_now(tx: &Sender<ServeReply>, structure: &str, error: ServeError) {
-    tx.send(ServeReply {
-        structure: structure.to_owned(),
-        result: Err(error),
-    })
-    .ok();
+/// Why [`ServeHandle::admit`] refused a request.
+enum Refusal {
+    /// The request cannot be solved as sent: unknown structure, bad
+    /// payload or unbindable sizes.
+    Request(ServeError),
+    /// The admission gate is full or closed.
+    Gate(SubmitError),
+}
+
+impl From<ServeError> for Refusal {
+    fn from(e: ServeError) -> Refusal {
+        Refusal::Request(e)
+    }
+}
+
+impl From<Refusal> for ServeError {
+    fn from(refusal: Refusal) -> ServeError {
+        match refusal {
+            Refusal::Request(e) => e,
+            Refusal::Gate(SubmitError::QueueFull { .. }) => ServeError::QueueFull,
+            Refusal::Gate(SubmitError::ShuttingDown) => ServeError::Closed,
+        }
+    }
 }
 
 /// Merges two injected faults for coalesced requests: a kill beats a
@@ -1126,11 +914,16 @@ impl ServeHandle {
         .expect("one ticket per request")
     }
 
-    /// Submits one request, but reports admission failures to the
-    /// *caller* instead of through the ticket: `Err(QueueFull)` when
-    /// the in-flight capacity is reached, `Err(ShuttingDown)` when the
-    /// server no longer admits work. A refused request is never
-    /// counted — from the server's view it was not submitted.
+    /// Submits one request, but reports a refusal by the admission
+    /// gate to the *caller* instead of through the ticket:
+    /// `Err(QueueFull)` when the in-flight capacity is reached,
+    /// `Err(ShuttingDown)` when the server no longer admits work. Such a
+    /// refusal is never counted — from the server's view the request
+    /// was not submitted. Admission runs in the order every submission
+    /// path shares — look the structure up, resolve and check the
+    /// bindings, then take a permit — so a request for an unknown
+    /// structure or with unbindable sizes is answered through its
+    /// ticket, and counted `rejected`, before a permit is asked for.
     ///
     /// # Errors
     ///
@@ -1142,40 +935,29 @@ impl ServeHandle {
         options: RequestOptions,
     ) -> Result<Ticket, SubmitError> {
         let enqueued = Instant::now();
-        let permit = self.shared.gate.try_acquire()?;
         let (tx, rx) = channel();
         let ticket = Ticket {
             rx,
             structure: structure.to_owned(),
         };
-        let chain = read_lock(&self.shared.structures)
-            .get(structure)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownStructure(structure.to_owned()))
-            .and_then(|chain| check_bindable(&chain, &bindings).map(|()| chain));
-        let chain = match chain {
-            Ok(chain) => chain,
-            Err(e) => {
-                drop(permit);
-                self.shared.served.record(ServedKind::Rejected, 1);
-                reply_now(&tx, structure, e);
-                return Ok(ticket);
-            }
-        };
-        let slot = ReplySlot {
-            name: structure.to_owned(),
-            trace_id: self.shared.obs.next_trace_id(),
-            options,
-            tx: Some(tx),
-            permit,
-        };
-        let unit = vec![Admitted {
-            chain,
+        let admitted = self.admit(
+            &read_lock(&self.shared.structures),
+            structure,
             bindings,
-            slot,
-        }];
-        if !self.queue_unit(unit, enqueued, Instant::now()) {
-            return Err(SubmitError::ShuttingDown);
+            options,
+            |_, bindings| Ok(bindings),
+        );
+        match admitted {
+            Ok(mut admitted) => {
+                admitted.slot.tx = Some(tx);
+                if !self.queue_unit(vec![admitted], enqueued, Instant::now()) {
+                    return Err(SubmitError::ShuttingDown);
+                }
+            }
+            Err(Refusal::Gate(e)) => return Err(e),
+            Err(refusal) => {
+                tx.send(self.refuse(structure, refusal)).ok();
+            }
         }
         Ok(ticket)
     }
@@ -1245,8 +1027,6 @@ impl ServeHandle {
         let enqueued = Instant::now();
         let mut tickets = Vec::with_capacity(requests.len());
         let mut unit = Vec::with_capacity(requests.len());
-        let mut rejected = 0u64;
-        let mut overloaded = 0u64;
         let structures = read_lock(&self.shared.structures);
         for (name, payload, options) in requests {
             let name = name.as_ref();
@@ -1255,37 +1035,17 @@ impl ServeHandle {
                 rx,
                 structure: name.to_owned(),
             });
-            match self.admit(&structures, name, payload, &mut resolve) {
-                Ok((chain, bindings, permit)) => unit.push(Admitted {
-                    chain,
-                    bindings,
-                    slot: ReplySlot {
-                        name: name.to_owned(),
-                        trace_id: self.shared.obs.next_trace_id(),
-                        options,
-                        tx: Some(tx),
-                        permit,
-                    },
-                }),
-                Err(e) => {
-                    if e == ServeError::QueueFull {
-                        overloaded += 1;
-                    } else {
-                        rejected += 1;
-                    }
-                    reply_now(&tx, name, e);
+            match self.admit(&structures, name, payload, options, &mut resolve) {
+                Ok(mut admitted) => {
+                    admitted.slot.tx = Some(tx);
+                    unit.push(admitted);
+                }
+                Err(refusal) => {
+                    tx.send(self.refuse(name, refusal)).ok();
                 }
             }
         }
         drop(structures);
-        if rejected > 0 {
-            self.shared.served.record(ServedKind::Rejected, rejected);
-        }
-        if overloaded > 0 {
-            self.shared
-                .served
-                .record(ServedKind::RejectedOverload, overloaded);
-        }
         if !unit.is_empty() {
             // A closed worker queue drops the jobs, and their tickets
             // resolve to `Closed` when the reply senders drop.
@@ -1294,26 +1054,52 @@ impl ServeHandle {
         tickets
     }
 
-    /// Admits one request on the calling thread: looks the structure
-    /// up, resolves the payload into bindings, checks that they size
-    /// the chain, and only then takes an admission permit.
+    /// Admits one request on the calling thread, in the order all three
+    /// submission paths share: looks the structure up, resolves the
+    /// payload into bindings, checks that they size the chain, and only
+    /// then takes an admission permit. The admitted request's reply
+    /// slot has no channel yet.
     fn admit<T>(
         &self,
-        structures: &HashMap<String, Arc<SymChain>>,
+        structures: &HashMap<String, Arc<Structure>>,
         name: &str,
         payload: T,
+        options: RequestOptions,
         resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
-    ) -> Result<(Arc<SymChain>, DimBindings, Permit), ServeError> {
-        let chain = structures
+    ) -> Result<Admitted, Refusal> {
+        let structure = structures
             .get(name)
             .ok_or_else(|| ServeError::UnknownStructure(name.to_owned()))?;
-        let bindings = resolve(chain, payload)?;
-        check_bindable(chain, &bindings)?;
-        let permit = self.shared.gate.try_acquire().map_err(|e| match e {
-            SubmitError::QueueFull { .. } => ServeError::QueueFull,
-            SubmitError::ShuttingDown => ServeError::Closed,
-        })?;
-        Ok((Arc::clone(chain), bindings, permit))
+        let bindings = resolve(&structure.chain, payload)?;
+        check_bindable(&structure.chain, &bindings)?;
+        let permit = self.shared.gate.try_acquire().map_err(Refusal::Gate)?;
+        Ok(Admitted {
+            structure: Arc::clone(structure),
+            bindings,
+            slot: ReplySlot {
+                name: name.to_owned(),
+                trace_id: self.shared.next_trace_id(),
+                options,
+                tx: None,
+                permit,
+            },
+        })
+    }
+
+    /// The reply to a request refused at admission, counted under
+    /// `rejected` (see [`ServedCounters`]).
+    fn refuse(&self, structure: &str, refusal: Refusal) -> ServeReply {
+        let error = ServeError::from(refusal);
+        let tel = &self.shared.telemetry;
+        match error {
+            ServeError::QueueFull => &tel.overloaded,
+            _ => &tel.rejected,
+        }
+        .inc();
+        ServeReply {
+            structure: structure.to_owned(),
+            result: Err(error),
+        }
     }
 
     /// The blocking path of [`solve`](Self::solve) and
@@ -1332,83 +1118,71 @@ impl ServeHandle {
         resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
     ) -> ServeReply {
         let enqueued = Instant::now();
-        let admitted = self.admit(&read_lock(&self.shared.structures), name, payload, resolve);
-        let (chain, bindings, permit) = match admitted {
-            Ok(admitted) => admitted,
-            Err(e) => {
-                let kind = if e == ServeError::QueueFull {
-                    ServedKind::RejectedOverload
-                } else {
-                    ServedKind::Rejected
-                };
-                self.shared.served.record(kind, 1);
-                return ServeReply {
-                    structure: name.to_owned(),
-                    result: Err(e),
-                };
-            }
-        };
-        let mut slot = ReplySlot {
-            name: name.to_owned(),
-            trace_id: self.shared.obs.next_trace_id(),
+        let admitted = self.admit(
+            &read_lock(&self.shared.structures),
+            name,
+            payload,
             options,
-            tx: None,
-            permit,
+            resolve,
+        );
+        let mut admitted = match admitted {
+            Ok(admitted) => admitted,
+            Err(refusal) => return self.refuse(name, refusal),
         };
         let submitted = Instant::now();
         if options.fault.is_none() {
             if let Some(_running) = self.shared.jobs.claim_inline() {
-                self.shared.batches.fetch_add(1, Ordering::Relaxed);
+                self.shared.telemetry.batches.inc();
                 let stamps = Stamps {
                     enqueued,
                     submitted,
                     grouped: submitted,
                     dispatched: submitted,
                 };
-                return run_job(&self.shared, &chain, &bindings, Some(slot), stamps)
+                let Admitted {
+                    structure,
+                    bindings,
+                    slot,
+                } = admitted;
+                return run_job(&self.shared, &structure, &bindings, Some(slot), stamps)
                     .expect("an inline request is answered to its caller");
             }
         }
         let (tx, rx) = channel();
-        slot.tx = Some(tx);
+        admitted.slot.tx = Some(tx);
         let ticket = Ticket {
             rx,
             structure: name.to_owned(),
         };
-        let unit = vec![Admitted {
-            chain,
-            bindings,
-            slot,
-        }];
-        self.queue_unit(unit, enqueued, submitted);
+        self.queue_unit(vec![admitted], enqueued, submitted);
         ticket.wait()
     }
 
     /// Groups one admitted submission into jobs on the calling thread
     /// — one per distinct (registered chain, bindings), with identical
     /// requests coalesced into it — and puts them straight onto the
-    /// worker queue. The chain is identified by its `Arc` pointer
+    /// worker queue. The structure is identified by its `Arc` pointer
     /// (registration hands every request for a name the same `Arc`),
     /// so grouping hashes a pointer and the bindings, with no
     /// structure-key walk. Returns `false` if the worker queue is gone;
     /// the jobs are dropped then.
     fn queue_unit(&self, unit: Vec<Admitted>, enqueued: Instant, submitted: Instant) -> bool {
         let grouped = Instant::now();
-        let mut groups: HashMap<(usize, DimBindings), (Arc<SymChain>, Vec<ReplySlot>)> =
+        let mut groups: HashMap<(usize, DimBindings), (Arc<Structure>, Vec<ReplySlot>)> =
             HashMap::with_capacity(unit.len());
         for Admitted {
-            chain,
+            structure,
             bindings,
             slot,
         } in unit
         {
-            match groups.entry((Arc::as_ptr(&chain) as usize, bindings)) {
+            match groups.entry((Arc::as_ptr(&structure) as usize, bindings)) {
                 Entry::Occupied(mut group) => {
-                    self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.shared.telemetry.coalesced.inc();
                     group.get_mut().1.push(slot);
                 }
                 Entry::Vacant(group) => {
-                    group.insert((chain, vec![slot]));
+                    group.insert((structure, vec![slot]));
                 }
             }
         }
@@ -1419,10 +1193,10 @@ impl ServeHandle {
             dispatched: Instant::now(),
         };
         let mut queued = true;
-        for ((_, bindings), (chain, replies)) in groups {
-            self.shared.batches.fetch_add(1, Ordering::Relaxed);
+        for ((_, bindings), (structure, replies)) in groups {
+            self.shared.telemetry.batches.inc();
             let job = Job::Solve {
-                chain,
+                structure,
                 bindings,
                 replies,
                 stamps,
@@ -1465,7 +1239,7 @@ impl ServeHandle {
     /// [`ServeConfig::slow_trace_capacity`]; each trace's spans tile
     /// its total exactly (see [`STAGES`]).
     pub fn slow_traces(&self) -> Vec<Trace> {
-        self.shared.obs.ring.snapshot()
+        self.shared.slow.snapshot()
     }
 
     /// The slow traces as a stable [`TRACE_FORMAT`] (`gmc-traces/1`)
@@ -1613,18 +1387,12 @@ impl Server {
             cache: PlanCache::new(registry, config.inference),
             jobs: JobQueue::new(workers),
             structures: RwLock::new(HashMap::new()),
-            coalesced: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            served: CounterCell::default(),
-            latency: LatencyBook::default(),
             gate: Arc::new(AdmissionGate::new(config.queue_capacity)),
-            supervision: SupervisionCell::default(),
-            obs: ObsLayer::new(config.slow_trace_capacity),
+            telemetry: Telemetry::new(),
+            slow: SlowTraceRing::new(config.slow_trace_capacity),
+            trace_ids: AtomicU64::new(0),
         });
-        shared
-            .supervision
-            .workers_alive
-            .store(workers, Ordering::SeqCst);
+        shared.telemetry.workers_alive.set(workers as u64);
 
         let (event_tx, event_rx) = channel::<WorkerEvent>();
 
@@ -1669,10 +1437,12 @@ impl Server {
     /// Currently infallible; returns `Result` so registration can gain
     /// validation without breaking callers.
     pub fn register(&self, name: &str, chain: SymChain) -> Result<(), ServeError> {
-        write_lock(&self.shared.structures).insert(name.to_owned(), Arc::new(chain));
-        // Pre-create the latency class so the recording hot path is a
-        // read lock.
-        self.shared.latency.class(name);
+        let structure = Structure {
+            name: name.to_owned(),
+            chain,
+            classes: OnceLock::new(),
+        };
+        write_lock(&self.shared.structures).insert(name.to_owned(), Arc::new(structure));
         Ok(())
     }
 
@@ -1711,11 +1481,13 @@ impl Server {
 
     /// Stops the workers and waits for them, and for every solve still
     /// running inline on a blocking caller's thread, so nothing is
-    /// solved or counted once it returns. Jobs queued before the call
-    /// are answered first; requests submitted afterwards are refused at
-    /// admission ([`ServeError::Closed`]). Never panics: threads that
-    /// died by panic are reported in the returned [`ShutdownReport`]
-    /// instead.
+    /// solved once it returns. Jobs queued before the call are answered
+    /// first; requests submitted afterwards are refused at admission
+    /// ([`ServeError::Closed`]). Those refusals are the only thing
+    /// counted after it returns: each one answered through a reply
+    /// counts under `rejected` (see [`ServedCounters`]). Never panics:
+    /// threads that died by panic are reported in the returned
+    /// [`ShutdownReport`] instead.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.stop_workers();
         if let Some(s) = self.supervisor.take() {
@@ -1730,7 +1502,7 @@ impl Server {
             w.join().ok();
         }
         self.shared.jobs.wait_idle();
-        let supervision = self.shared.supervision.snapshot();
+        let supervision = self.shared.telemetry.supervision();
         ShutdownReport {
             worker_panics: supervision.worker_panics,
             respawns: supervision.respawns,
@@ -1781,17 +1553,11 @@ fn supervisor_loop(
         match events.recv() {
             Ok(WorkerEvent::Stopped) => {
                 alive -= 1;
-                shared
-                    .supervision
-                    .workers_alive
-                    .store(alive, Ordering::SeqCst);
+                shared.telemetry.workers_alive.set(alive as u64);
             }
             Ok(WorkerEvent::Panicked) => {
                 alive -= 1;
-                shared
-                    .supervision
-                    .worker_panics
-                    .fetch_add(1, Ordering::SeqCst);
+                shared.telemetry.worker_panics.inc();
                 let respawn = !shared.gate.is_closed() && respawns < restart_budget;
                 if respawn {
                     match spawn_worker(next_id, shared, event_tx) {
@@ -1800,17 +1566,14 @@ fn supervisor_loop(
                             next_id += 1;
                             respawns += 1;
                             alive += 1;
-                            shared.supervision.respawns.fetch_add(1, Ordering::SeqCst);
+                            shared.telemetry.respawns.inc();
                         }
                         Err(e) => {
                             eprintln!("gmc-serve: respawn failed: {e}");
                         }
                     }
                 }
-                shared
-                    .supervision
-                    .workers_alive
-                    .store(alive, Ordering::SeqCst);
+                shared.telemetry.workers_alive.set(alive as u64);
                 if alive == 0 {
                     // Pool dead, budget gone: stop admitting work so
                     // callers get `Closed` instead of a silent hang.
@@ -1838,7 +1601,7 @@ fn worker_loop(shared: &Shared) {
         // back while unwinding too.
         let (job, _running) = shared.jobs.pop();
         let Job::Solve {
-            chain,
+            structure,
             bindings,
             replies,
             stamps,
@@ -1846,7 +1609,7 @@ fn worker_loop(shared: &Shared) {
         else {
             return;
         };
-        run_job(shared, &chain, &bindings, replies, stamps);
+        run_job(shared, &structure, &bindings, replies, stamps);
     }
 }
 
@@ -1864,21 +1627,21 @@ fn worker_loop(shared: &Shared) {
 /// faulted requests.
 fn run_job(
     shared: &Shared,
-    chain: &SymChain,
+    structure: &Structure,
     bindings: &DimBindings,
     mut replies: impl Requests,
     stamps: Stamps,
 ) -> Option<ServeReply> {
+    let tel = &shared.telemetry;
     let picked = Instant::now();
     let mut inline_reply = None;
     replies.shed(picked, |slot| {
-        // Never solved, so `rejected` (with the `expired` sub-count),
-        // and its latency lands in the dedicated `expired` histogram,
-        // not `total`.
-        shared.served.record(ServedKind::Expired, 1);
-        shared
-            .latency
-            .expired
+        // Never solved, so `rejected` as `expired`, and its latency lands
+        // in the `expired` histogram, not `total`. Counted before its
+        // sample records, as below.
+        tel.expired.inc();
+        fence(Ordering::Release);
+        tel.expired_ns
             .record(nanos_between(stamps.enqueued, picked));
         if let Some(reply) = slot.send(Err(ServeError::DeadlineExceeded)) {
             inline_reply = Some(reply);
@@ -1910,56 +1673,50 @@ fn run_job(
                 }
                 _ => {}
             }
-            shared.cache.solve_traced(chain, bindings)
+            shared.cache.solve_traced(&structure.chain, bindings)
         }))
         .map_err(|payload| panic_message(payload.as_ref()))
     };
-    let kind = match &outcome {
-        Ok(Ok((_, PlanOutcome::Hit, _))) => ServedKind::Hit,
-        Ok(Ok(_)) => ServedKind::Miss,
-        Ok(Err(_)) | Err(_) => ServedKind::Failed,
-    };
     let solve_done = Instant::now();
+    let (served, class_ns, class): (_, _, &'static str) = match &outcome {
+        Ok(Ok((_, oc, _))) => {
+            let [hit_ns, miss_ns] = structure
+                .classes
+                .get_or_init(|| tel.classes(&structure.name));
+            if oc.is_hit() {
+                (&tel.hits, Some(hit_ns), oc.label())
+            } else {
+                (&tel.misses, Some(miss_ns), oc.label())
+            }
+        }
+        Ok(Err(_)) => (&tel.failed, None, "plan"),
+        Err(_) => (&tel.failed, None, "internal"),
+    };
     let timing = match &outcome {
         Ok(Ok((_, _, t))) => *t,
         _ => SolveTiming::default(),
     };
-    let class: &'static str = match &outcome {
-        Ok(Ok((_, oc, _))) => oc.label(),
-        Ok(Err(_)) => "plan",
-        Err(_) => "internal",
-    };
-    // Latency: one sample per *request*, then one consistent counter
-    // update for the whole job.
+    // The job's requests are counted once, before any of their samples
+    // record, behind a release fence: a reader that takes histograms
+    // first (see [`Shared::stats`]) never sees one ahead of `completed`.
+    served.add(replies.pending().len() as u64);
+    fence(Ordering::Release);
     let total = nanos_between(stamps.enqueued, solve_done);
-    for slot in replies.pending() {
-        shared.latency.total.record(total);
-        shared
-            .latency
-            .queue
-            .record(nanos_between(stamps.enqueued, picked));
-        if let Ok(Ok((_, oc, _))) = &outcome {
-            let class = shared.latency.class(&slot.name);
-            if oc.is_hit() {
-                class.hit.record(total);
-            } else {
-                class.miss.record(total);
-            }
-        }
-    }
-    shared.served.record(kind, replies.pending().len() as u64);
+    let queued = nanos_between(stamps.enqueued, picked);
     for slot in replies {
         let result = match &outcome {
             Ok(Ok((solution, outcome, _))) => Ok(Served::from_solution(solution, *outcome)),
             Ok(Err(e)) => Err(ServeError::Plan(e.clone())),
             Err(msg) => Err(ServeError::Internal(msg.clone())),
         };
+        tel.total_ns.record(total);
+        tel.queue_ns.record(queued);
+        if let Some(class_ns) = class_ns {
+            class_ns.record(total);
+        }
         // Stage spans tile enqueued → done exactly; the `solve` span
         // subtracts the cache's measured lookup time so `lookup +
         // solve` equals the wall time the worker spent in the cache.
-        // The stage histograms record *after* the served counters, so
-        // at quiescence every completed request has exactly one sample
-        // per stage.
         let done = Instant::now();
         let durs: [u64; STAGES.len()] = [
             nanos_between(stamps.enqueued, stamps.submitted),
@@ -1970,11 +1727,11 @@ fn run_job(
             nanos_between(solve_started, solve_done).saturating_sub(timing.lookup_ns),
             nanos_between(solve_done, done),
         ];
-        for (hist, dur) in shared.obs.stages.iter().zip(durs) {
+        for (hist, dur) in tel.stage_ns.iter().zip(durs) {
             hist.record(dur);
         }
         let total_ns: u64 = durs.iter().sum();
-        shared.obs.ring.offer_with(total_ns, || {
+        shared.slow.offer_with(total_ns, || {
             let mut start_ns = 0u64;
             let spans = STAGES
                 .iter()

@@ -1,188 +1,263 @@
-//! Scrape-time rendering of the serve layer's observability surfaces.
+//! The serve layer's telemetry and its scrape-time surfaces.
 //!
-//! The hot path writes each fact exactly once — served counters into
-//! [`CounterCell`](crate::ServedCounters), latency samples into the
-//! [`LatencyBook`](crate::LatencySnapshot) histograms, stage spans into
-//! the registry's live histograms, cache outcomes into the plan
-//! cache's per-shard and per-structure atomics. This module assembles
-//! the full Prometheus exposition (and the `CACHE` JSON summary) from
-//! those authoritative sources *at scrape time*, so serving never pays
-//! for a counter it already keeps.
+//! Every counter, gauge and histogram the server keeps is an instrument
+//! of one [`MetricsRegistry`], registered here under its stable name
+//! and recorded through handles resolved once: at start, or, for a
+//! structure's latency classes, at its first solved request. The
+//! registry's per-family cap is the one cardinality policy: a family
+//! past [`DEFAULT_SERIES_CAP`] series shares one series whose every
+//! label is `other`, and `gmc.obs.label.overflow` counts the spill. Two
+//! classes per structure bound the class family at 32 tracked
+//! structures.
 //!
-//! Rendered families (all names are stable API):
+//! Request outcomes are six disjoint counters, and each request bumps
+//! exactly one; `completed` and `rejected` are sums taken when read, so
+//! `hits + misses + failed == completed` holds in every reading by
+//! construction. A request is counted before any histogram records it,
+//! behind a release fence, and both readers —
+//! [`ServerStats`](crate::ServerStats) and the `METRICS` exposition —
+//! take every histogram before any counter, behind an acquire fence, so
+//! no histogram is ahead of its counter mid-burst.
+//!
+//! Families (all names are stable API; the first group is the
+//! registry's, the rest are added at scrape time):
 //!
 //! | family | kind | labels |
 //! |---|---|---|
-//! | `gmc.serve.requests.completed` | counter | — |
 //! | `gmc.serve.requests.served` | counter | `class` = `hit`/`miss`/`failed` |
-//! | `gmc.serve.requests.rejected` | counter | `reason` = `overload`/`expired`/`other` |
+//! | `gmc.serve.requests.rejected` | counter | `reason` = `other`/`overload`/`expired` |
 //! | `gmc.serve.coalesced`, `gmc.serve.batches` | counter | — |
-//! | `gmc.serve.structures`, `gmc.serve.workers.alive` | gauge | — |
 //! | `gmc.serve.worker.panics`, `gmc.serve.worker.respawns` | counter | — |
-//! | `gmc.serve.stage.latency.ns` | histogram | `stage` (see [`STAGES`](crate::STAGES)) |
+//! | `gmc.serve.workers.alive` | gauge | — |
+//! | `gmc.serve.stage.latency.ns` | histogram | `stage` (see [`STAGES`]) |
 //! | `gmc.serve.latency.ns` | histogram | `scope` = `total`/`queue`/`expired` |
 //! | `gmc.serve.class.latency.ns` | histogram | `structure`, `class` = `hit`/`miss` |
-//! | `gmc.serve.class.overflow` | counter | — |
+//! | `gmc.obs.label.overflow` | counter | — (once a family spilled) |
+//! | `gmc.serve.requests.completed` | counter | — (the sum of `served`) |
+//! | `gmc.serve.structures` | gauge | — |
 //! | `gmc.cache.requests` | counter | `outcome` = `hit`/`miss_region`/`miss_structure` |
 //! | `gmc.cache.shard.*` | counter/gauge | `shard` |
 //! | `gmc.cache.structure.{hits,misses,regions}` | counter/gauge | `structure` |
 //! | `gmc.obs.slow_traces.{offered,kept,capacity}` | counter/gauge | — |
 
-use crate::Shared;
+use crate::{
+    ClassLatency, LatencySnapshot, ServedCounters, Shared, StageLatency, Structure,
+    SupervisionStats, STAGES,
+};
 use gmc_obs::registry::DEFAULT_SERIES_CAP;
-use gmc_obs::Exposition;
+use gmc_obs::{Counter, Exposition, Gauge, Histogram, MetricsRegistry};
 use gmc_plan::sync::read_lock;
 use serde::Value;
+use std::sync::Arc;
 
-/// Renders the full Prometheus text exposition for a running server.
+/// The served-requests family, whose total is `completed`.
+const SERVED: &str = "gmc.serve.requests.served";
+/// The per-(structure, hit/miss) latency family.
+const CLASS_LATENCY: &str = "gmc.serve.class.latency.ns";
+
+/// The server's instruments (see the module docs): the registry, and
+/// the handles recorded through on every request or worker event.
+pub(crate) struct Telemetry {
+    pub(crate) registry: MetricsRegistry,
+    /// `served{class}`: the parts of `completed`.
+    pub(crate) hits: Counter,
+    pub(crate) misses: Counter,
+    pub(crate) failed: Counter,
+    /// `rejected{reason}`: refusals answered through a reply
+    /// (`other`, `overload`) and deadlines expired before the solve.
+    pub(crate) rejected: Counter,
+    pub(crate) overloaded: Counter,
+    pub(crate) expired: Counter,
+    /// `latency.ns{scope}`.
+    pub(crate) total_ns: Histogram,
+    pub(crate) queue_ns: Histogram,
+    pub(crate) expired_ns: Histogram,
+    /// `stage.latency.ns{stage}`, in [`STAGES`] order.
+    pub(crate) stage_ns: [Histogram; STAGES.len()],
+    pub(crate) coalesced: Counter,
+    pub(crate) batches: Counter,
+    pub(crate) worker_panics: Counter,
+    pub(crate) respawns: Counter,
+    pub(crate) workers_alive: Gauge,
+}
+
+impl Telemetry {
+    pub(crate) fn new() -> Telemetry {
+        let registry = MetricsRegistry::new();
+        let served = |class| {
+            registry.counter(
+                SERVED,
+                "Completed requests by outcome class",
+                &[("class", class)],
+            )
+        };
+        let rejected = |reason| {
+            registry.counter(
+                "gmc.serve.requests.rejected",
+                "Requests answered without a solve, by reason",
+                &[("reason", reason)],
+            )
+        };
+        let latency = |scope| {
+            registry.histogram(
+                "gmc.serve.latency.ns",
+                "Request latency in nanoseconds by scope",
+                &[("scope", scope)],
+            )
+        };
+        Telemetry {
+            hits: served("hit"),
+            misses: served("miss"),
+            failed: served("failed"),
+            rejected: rejected("other"),
+            overloaded: rejected("overload"),
+            expired: rejected("expired"),
+            total_ns: latency("total"),
+            queue_ns: latency("queue"),
+            expired_ns: latency("expired"),
+            stage_ns: STAGES.map(|stage| {
+                registry.histogram(
+                    "gmc.serve.stage.latency.ns",
+                    "Per-stage request span duration in nanoseconds",
+                    &[("stage", stage)],
+                )
+            }),
+            coalesced: registry.counter(
+                "gmc.serve.coalesced",
+                "Requests answered from another request's instantiate in one submission",
+                &[],
+            ),
+            batches: registry.counter(
+                "gmc.serve.batches",
+                "Jobs solved or queued (one per distinct binding of a submission)",
+                &[],
+            ),
+            worker_panics: registry.counter(
+                "gmc.serve.worker.panics",
+                "Worker threads that died by panic",
+                &[],
+            ),
+            respawns: registry.counter(
+                "gmc.serve.worker.respawns",
+                "Workers the supervisor respawned",
+                &[],
+            ),
+            workers_alive: registry.gauge(
+                "gmc.serve.workers.alive",
+                "Worker threads currently alive",
+                &[],
+            ),
+            registry,
+        }
+    }
+
+    /// The hit and miss latency histograms of `structure`.
+    pub(crate) fn classes(&self, structure: &str) -> [Histogram; 2] {
+        ["hit", "miss"].map(|class| {
+            self.registry.histogram(
+                CLASS_LATENCY,
+                "Enqueue-to-complete latency per (structure, hit/miss) class",
+                &[("structure", structure), ("class", class)],
+            )
+        })
+    }
+
+    /// Every histogram; read these before [`served`](Self::served).
+    pub(crate) fn latency(&self) -> LatencySnapshot {
+        let mut classes: Vec<ClassLatency> = self
+            .registry
+            .histogram_series(CLASS_LATENCY)
+            .into_iter()
+            .filter(|(_, snapshot)| !snapshot.is_empty())
+            .map(|(labels, snapshot)| {
+                let [structure, class] = <[String; 2]>::try_from(labels).expect("two labels");
+                ClassLatency {
+                    structure,
+                    class,
+                    snapshot,
+                }
+            })
+            .collect();
+        classes.sort_by(|a, b| (&a.structure, &a.class).cmp(&(&b.structure, &b.class)));
+        LatencySnapshot {
+            total: self.total_ns.snapshot(),
+            queue: self.queue_ns.snapshot(),
+            expired: self.expired_ns.snapshot(),
+            classes,
+            stages: STAGES
+                .iter()
+                .zip(&self.stage_ns)
+                .map(|(stage, h)| StageLatency {
+                    stage,
+                    snapshot: h.snapshot(),
+                })
+                .collect(),
+        }
+    }
+
+    /// The request counters, with `completed` and `rejected` summed
+    /// from their parts.
+    pub(crate) fn served(&self) -> ServedCounters {
+        let (hits, misses, failed) = (self.hits.get(), self.misses.get(), self.failed.get());
+        let (overload, expired) = (self.overloaded.get(), self.expired.get());
+        ServedCounters {
+            completed: hits + misses + failed,
+            hits,
+            misses,
+            failed,
+            rejected: self.rejected.get() + overload + expired,
+            rejected_overload: overload,
+            expired,
+        }
+    }
+
+    pub(crate) fn supervision(&self) -> SupervisionStats {
+        SupervisionStats {
+            worker_panics: self.worker_panics.get(),
+            respawns: self.respawns.get(),
+            workers_alive: self.workers_alive.get() as usize,
+        }
+    }
+}
+
+/// Renders the full Prometheus text exposition for a running server:
+/// the registry, then the derived `completed` and what other
+/// components own.
 pub(crate) fn render_prometheus(shared: &Shared) -> String {
     let mut expo = Exposition::new();
-    // Live instruments first: the per-stage span histograms (the only
-    // metrics the hot path records directly into the registry).
-    shared.obs.registry.render_into(&mut expo);
-
-    let stats = shared.stats();
-
-    let served = stats.served;
+    shared.telemetry.registry.render_into(&mut expo);
     expo.add_counter(
         "gmc.serve.requests.completed",
-        "Requests a worker answered (successfully or not)",
+        "Requests solved and answered (successfully or not)",
         &[],
-        served.completed,
-    );
-    let served_help = "Completed requests by outcome class";
-    expo.add_counter(
-        "gmc.serve.requests.served",
-        served_help,
-        &[("class", "hit")],
-        served.hits,
-    );
-    expo.add_counter(
-        "gmc.serve.requests.served",
-        served_help,
-        &[("class", "miss")],
-        served.misses,
-    );
-    expo.add_counter(
-        "gmc.serve.requests.served",
-        served_help,
-        &[("class", "failed")],
-        served.failed,
-    );
-    let rejected_help = "Requests answered before reaching a worker, by reason";
-    expo.add_counter(
-        "gmc.serve.requests.rejected",
-        rejected_help,
-        &[("reason", "overload")],
-        served.rejected_overload,
-    );
-    expo.add_counter(
-        "gmc.serve.requests.rejected",
-        rejected_help,
-        &[("reason", "expired")],
-        served.expired,
-    );
-    expo.add_counter(
-        "gmc.serve.requests.rejected",
-        rejected_help,
-        &[("reason", "other")],
-        served
-            .rejected
-            .saturating_sub(served.rejected_overload)
-            .saturating_sub(served.expired),
-    );
-    expo.add_counter(
-        "gmc.serve.coalesced",
-        "Requests answered from another request's instantiate in one submission",
-        &[],
-        stats.coalesced,
-    );
-    expo.add_counter(
-        "gmc.serve.batches",
-        "Jobs queued to workers (one per distinct binding of a submission)",
-        &[],
-        stats.batches,
+        expo.counter_total(SERVED),
     );
     expo.add_gauge(
         "gmc.serve.structures",
         "Registered structures",
         &[],
-        stats.structures as f64,
-    );
-    expo.add_gauge(
-        "gmc.serve.workers.alive",
-        "Worker threads currently alive",
-        &[],
-        stats.supervision.workers_alive as f64,
-    );
-    expo.add_counter(
-        "gmc.serve.worker.panics",
-        "Worker threads that died by panic",
-        &[],
-        stats.supervision.worker_panics,
-    );
-    expo.add_counter(
-        "gmc.serve.worker.respawns",
-        "Workers the supervisor respawned",
-        &[],
-        stats.supervision.respawns,
+        read_lock(&shared.structures).len() as f64,
     );
 
-    let latency_help = "Request latency in nanoseconds by scope";
-    expo.add_histogram(
-        "gmc.serve.latency.ns",
-        latency_help,
-        &[("scope", "total")],
-        stats.latency.total,
-    );
-    expo.add_histogram(
-        "gmc.serve.latency.ns",
-        latency_help,
-        &[("scope", "queue")],
-        stats.latency.queue,
-    );
-    expo.add_histogram(
-        "gmc.serve.latency.ns",
-        latency_help,
-        &[("scope", "expired")],
-        stats.latency.expired,
-    );
-    for class in stats.latency.classes {
-        expo.add_histogram(
-            "gmc.serve.class.latency.ns",
-            "Enqueue-to-complete latency per (structure, hit/miss) class",
-            &[
-                ("structure", &class.structure),
-                ("class", if class.hit { "hit" } else { "miss" }),
-            ],
-            class.snapshot,
-        );
-    }
-    expo.add_counter(
-        "gmc.serve.class.overflow",
-        "Latency-class lookups funneled into the shared `other` class",
-        &[],
-        shared.latency.overflowed(),
-    );
-
+    let cache = shared.cache.stats();
     let cache_help = "Plan-cache instantiates by outcome";
     expo.add_counter(
         "gmc.cache.requests",
         cache_help,
         &[("outcome", "hit")],
-        stats.cache.hits,
+        cache.hits,
     );
     expo.add_counter(
         "gmc.cache.requests",
         cache_help,
         &[("outcome", "miss_region")],
-        stats.cache.region_misses,
+        cache.region_misses,
     );
     expo.add_counter(
         "gmc.cache.requests",
         cache_help,
         &[("outcome", "miss_structure")],
-        stats.cache.structure_misses,
+        cache.structure_misses,
     );
     for s in shared.cache.shard_stats() {
         let shard = s.shard.to_string();
@@ -256,19 +331,19 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
         "gmc.obs.slow_traces.offered",
         "Completed traces offered to the slow-trace ring",
         &[],
-        shared.obs.ring.offered(),
+        shared.slow.offered(),
     );
     expo.add_counter(
         "gmc.obs.slow_traces.kept",
         "Traces the slow-trace ring admitted",
         &[],
-        shared.obs.ring.kept(),
+        shared.slow.kept(),
     );
     expo.add_gauge(
         "gmc.obs.slow_traces.capacity",
         "Slow-trace ring capacity",
         &[],
-        shared.obs.ring.capacity() as f64,
+        shared.slow.capacity() as f64,
     );
 
     expo.render()
@@ -341,22 +416,19 @@ struct StructureCacheStats {
 /// one `other` entry, so a client registering thousands of structures
 /// cannot blow up the scrape.
 fn structure_cache_stats(shared: &Shared) -> Vec<StructureCacheStats> {
-    let mut names: Vec<(String, std::sync::Arc<gmc_expr::SymChain>)> =
-        read_lock(&shared.structures)
-            .iter()
-            .map(|(name, chain)| (name.clone(), std::sync::Arc::clone(chain)))
-            .collect();
-    names.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::with_capacity(names.len().min(DEFAULT_SERIES_CAP + 1));
+    let mut structures: Vec<Arc<Structure>> =
+        read_lock(&shared.structures).values().cloned().collect();
+    structures.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut out = Vec::with_capacity(structures.len().min(DEFAULT_SERIES_CAP + 1));
     let mut other: Option<StructureCacheStats> = None;
-    for (name, chain) in names {
-        let (hits, misses, regions) = match shared.cache.plan_for(&chain) {
+    for structure in structures {
+        let (hits, misses, regions) = match shared.cache.plan_for(&structure.chain) {
             Some(plan) => (plan.hits(), plan.misses(), plan.region_count()),
             None => (0, 0, 0),
         };
         if out.len() < DEFAULT_SERIES_CAP {
             out.push(StructureCacheStats {
-                name,
+                name: structure.name.clone(),
                 hits,
                 misses,
                 regions,

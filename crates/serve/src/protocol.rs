@@ -191,10 +191,7 @@ pub fn stats_to_json(stats: &ServerStats) -> String {
         .map(|c| {
             let mut fields = vec![
                 ("structure".to_owned(), Value::String(c.structure.clone())),
-                (
-                    "class".to_owned(),
-                    Value::String(if c.hit { "hit" } else { "miss" }.to_owned()),
-                ),
+                ("class".to_owned(), Value::String(c.class.clone())),
             ];
             fields.extend(quantile_fields(&c.snapshot));
             Value::Object(fields)

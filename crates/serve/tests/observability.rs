@@ -1,15 +1,14 @@
 //! End-to-end tests of the observability layer: the Prometheus
 //! `METRICS` exposition, per-stage tracing with the slow-trace ring,
 //! the `CACHE` introspection summary, histogram bit-identity across
-//! the `gmc-obs`/`gmc-serve` boundary, and the bounded latency-class
-//! cardinality.
+//! the `gmc-obs`/`gmc-serve` boundary, and the latency classes bounded
+//! by the registry's per-family cap.
 
 use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_kernels::KernelRegistry;
+use gmc_obs::registry::DEFAULT_SERIES_CAP;
 use gmc_serve::tcp::TcpFrontDoor;
-use gmc_serve::{
-    RequestOptions, ServeConfig, Server, SolveFault, MAX_LATENCY_CLASSES, STAGES, TRACE_FORMAT,
-};
+use gmc_serve::{RequestOptions, ServeConfig, Server, SolveFault, STAGES, TRACE_FORMAT};
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -74,10 +73,10 @@ fn histogram_is_shared_and_buckets_are_pinned() {
     }
 }
 
-/// Under concurrent traffic every `METRICS` scrape balances: the
-/// served classes sum to `completed`, and each stage histogram has
-/// recorded at most one sample per completed request (exactly one once
-/// the burst has drained).
+/// Under concurrent traffic every `stats()` reading and every `METRICS`
+/// scrape balances: the served classes sum to `completed`, and each
+/// stage histogram has recorded at most one sample per completed
+/// request (exactly one once the burst has drained).
 #[test]
 fn metrics_balance_under_concurrent_load() {
     let registry = Arc::new(KernelRegistry::blas_lapack());
@@ -105,10 +104,35 @@ fn metrics_balance_under_concurrent_load() {
         })
         .collect();
 
-    // Scrape mid-burst: the seqlock'd served counters must balance in
-    // every reading, and no stage can be ahead of `completed` (stage
-    // samples record after the served counters).
-    for _ in 0..50 {
+    // Read mid-burst: `completed` is the sum of the served classes, so
+    // it balances in every reading, and no stage can be ahead of it (a
+    // request is counted before its samples record, and both readers
+    // take the histograms first).
+    for round in 0..50 {
+        if round % 5 == 0 {
+            let text = handle.metrics_prometheus();
+            let completed = sample(&text, "gmc_serve_requests_completed") as u64;
+            let served: u64 = ["hit", "miss", "failed"]
+                .iter()
+                .map(|class| {
+                    sample(
+                        &text,
+                        &format!("gmc_serve_requests_served{{class=\"{class}\"}}"),
+                    ) as u64
+                })
+                .sum();
+            assert_eq!(served, completed, "mid-burst scrape must balance");
+            for stage in STAGES {
+                let count = sample(
+                    &text,
+                    &format!("gmc_serve_stage_latency_ns_count{{stage=\"{stage}\"}}"),
+                ) as u64;
+                assert!(
+                    count <= completed,
+                    "scraped stage {stage} has {count} samples but only {completed} completed"
+                );
+            }
+        }
         let stats = handle.stats();
         let served = stats.served;
         assert_eq!(
@@ -323,9 +347,11 @@ fn slow_trace_ring_keeps_the_slowest_with_exact_spans() {
     server.shutdown();
 }
 
-/// Latency-class cardinality is bounded: past [`MAX_LATENCY_CLASSES`]
-/// structures, further classes share one `other` entry and the
-/// overflow counter surfaces in the exposition.
+/// Latency-class cardinality is bounded by the registry's one policy:
+/// two series per structure, so past `DEFAULT_SERIES_CAP / 2`
+/// structures the rest share one series whose structure and class are
+/// both `other`, the spill is counted in `gmc_obs_label_overflow`, and
+/// every hit and miss still lands in exactly one class series.
 #[test]
 fn latency_classes_are_bounded_with_shared_overflow() {
     let registry = Arc::new(KernelRegistry::blas_lapack());
@@ -336,14 +362,18 @@ fn latency_classes_are_bounded_with_shared_overflow() {
             ..ServeConfig::default()
         },
     );
-    let total = MAX_LATENCY_CLASSES + 6;
+    let tracked = DEFAULT_SERIES_CAP / 2;
+    let spilled = 6;
+    let total = tracked + spilled;
     for i in 0..total {
         server.register(&format!("S{i:03}"), chain()).unwrap();
     }
     let handle = server.handle();
     for i in 0..total {
-        let reply = handle.solve(&format!("S{i:03}"), bindings(10, 200, 30));
-        assert!(reply.result.is_ok(), "{:?}", reply.result);
+        for _ in 0..2 {
+            let reply = handle.solve(&format!("S{i:03}"), bindings(10, 200, 30));
+            assert!(reply.result.is_ok(), "{:?}", reply.result);
+        }
     }
 
     let stats = handle.stats();
@@ -354,17 +384,34 @@ fn latency_classes_are_bounded_with_shared_overflow() {
         .map(|c| c.structure.as_str())
         .collect();
     structures.dedup();
-    assert!(
-        structures.len() <= MAX_LATENCY_CLASSES + 1,
-        "classes must stay bounded, got {} structures",
-        structures.len()
+    assert_eq!(
+        structures.len(),
+        tracked + 1,
+        "classes must stay bounded: {structures:?}"
     );
-    assert!(
-        structures.contains(&"other"),
-        "overflow structures share the `other` class: {structures:?}"
-    );
+    let other: Vec<_> = stats
+        .latency
+        .classes
+        .iter()
+        .filter(|c| c.structure == "other")
+        .collect();
+    assert_eq!(other.len(), 1, "one shared spill series: {other:?}");
+    assert_eq!(other[0].class, "other");
+    assert_eq!(other[0].snapshot.count(), 2 * spilled as u64);
     let text = handle.metrics_prometheus();
-    assert!(sample(&text, "gmc_serve_class_overflow") >= 6.0, "{text}");
+    assert_eq!(
+        sample(
+            &text,
+            "gmc_serve_class_latency_ns_count{class=\"other\",structure=\"other\"}"
+        ) as usize,
+        2 * spilled
+    );
+    // Each spilled structure registered two series.
+    assert_eq!(
+        sample(&text, "gmc_obs_label_overflow") as usize,
+        2 * spilled,
+        "{text}"
+    );
     // Every request still lands in exactly one class histogram.
     let class_total: u64 = stats
         .latency
@@ -372,6 +419,8 @@ fn latency_classes_are_bounded_with_shared_overflow() {
         .iter()
         .map(|c| c.snapshot.count())
         .sum();
-    assert_eq!(class_total, stats.served.completed);
+    assert_eq!(stats.served.completed, 2 * total as u64);
+    assert_eq!(stats.served.failed, 0);
+    assert_eq!(class_total, stats.served.hits + stats.served.misses);
     server.shutdown();
 }

@@ -99,6 +99,24 @@ fn try_submit_reports_queue_full_then_recovers() {
             .unwrap_err(),
         SubmitError::QueueFull { capacity: 1 }
     );
+    // Admission looks the structure up before it asks for a permit: an
+    // unknown structure is answered on its ticket and counted, though
+    // the gate is full.
+    let unknown = handle
+        .try_submit("Y", bindings(11, 20, 30), RequestOptions::default())
+        .unwrap()
+        .wait();
+    assert_eq!(
+        unknown
+            .result
+            .as_ref()
+            .map_err(ServeError::code)
+            .unwrap_err(),
+        "unknown_structure",
+        "{unknown:?}"
+    );
+    let served = handle.stats().served;
+    assert_eq!((served.rejected, served.rejected_overload), (1, 0));
     assert!(first.wait().result.is_ok());
     // The permit came back with the reply: the gate admits again.
     let again = handle
@@ -262,9 +280,10 @@ fn blocking_solve_sheds_an_expired_deadline_without_solving() {
 }
 
 /// What the server records for a solve: the served counters without
-/// the refusals at admission (a call refused by the closed gate is
-/// counted as it is answered, which can follow `shutdown`), the cache
-/// counters and the per-stage sample counts.
+/// the refusals at admission, the cache counters and the per-stage
+/// sample counts. A call the closed gate refuses is answered `Closed`
+/// and counted under `rejected`, which can happen after `shutdown`
+/// returns; nothing a solve records can.
 fn solve_records(stats: &ServerStats) -> (ServedCounters, CacheStats, Vec<u64>) {
     let served = ServedCounters {
         rejected: 0,

@@ -1,8 +1,9 @@
-//! Concurrency test for the consistent served-counter snapshot: a
-//! reader hammering `ServeHandle::stats()` during a burst must see
-//! `hits + misses + failed == completed` in *every* snapshot — the
-//! counters are updated behind a seqlock, so a torn read (class counted
-//! but completion not yet, or vice versa) is a bug, not bad luck.
+//! Concurrency test for the served counters: a reader hammering
+//! `ServeHandle::stats()` during a burst must see
+//! `hits + misses + failed == completed` in *every* snapshot —
+//! `completed` is the sum of the three, so an unbalanced reading is a
+//! bug, not bad luck — and no total-latency or stage histogram ahead
+//! of `completed`.
 
 use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_kernels::KernelRegistry;
@@ -56,10 +57,15 @@ fn every_stats_snapshot_balances_during_a_burst() {
                     "torn served-counter snapshot: {:?}",
                     s.served
                 );
-                // (Histogram sample counts are relaxed atomics updated
-                // just before the counter frame, so mid-burst they may
-                // lead or lag `completed` — only the final quiescent
-                // totals must balance; that is asserted below.)
+                // A request is counted before its samples record, and
+                // `stats()` reads the histograms first, so mid-burst
+                // they may lag `completed` but never lead it; the
+                // quiescent totals must balance exactly (asserted
+                // below).
+                assert!(s.latency.total.count() <= s.served.completed);
+                for stage in &s.latency.stages {
+                    assert!(stage.snapshot.count() <= s.served.completed);
+                }
                 snapshots += 1;
             }
             snapshots

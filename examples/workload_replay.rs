@@ -79,7 +79,7 @@ fn main() {
         println!(
             "  {:<4} {:<4} count {:>4}   p50 {:>9} ns   p99 {:>9} ns",
             class.structure,
-            if class.hit { "hit" } else { "miss" },
+            class.class,
             class.snapshot.count(),
             class.snapshot.quantile(0.5),
             class.snapshot.quantile(0.99),
