@@ -18,7 +18,7 @@
 //! bindings to exercise the coalescing of identical requests within
 //! one submission.
 
-use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand, UnaryOp};
+use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand, UnaryOp, MAX_DIM};
 use gmc_plan::region_signature;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,8 +61,8 @@ impl BindingDist {
                 "binding distribution bounds inverted ({lo} > {hi})"
             ));
         }
-        if hi > 1 << 40 {
-            return Err("binding distribution upper bound too large (> 2^40)".to_owned());
+        if hi > MAX_DIM {
+            return Err("binding distribution upper bound too large (> 2^32)".to_owned());
         }
         Ok(())
     }
@@ -946,6 +946,12 @@ mod tests {
             |s: &mut WorkloadSpec| s.alias_structures = 99,
             |s: &mut WorkloadSpec| {
                 s.bindings = vec![BindingDist::Uniform { lo: 0, hi: 5 }];
+            },
+            |s: &mut WorkloadSpec| {
+                s.bindings = vec![BindingDist::LogUniform {
+                    lo: 1,
+                    hi: MAX_DIM + 1,
+                }];
             },
         ] {
             let mut spec = good.clone();

@@ -413,6 +413,25 @@ Y := A^-1 * B * C^T
     }
 
     #[test]
+    fn bindings_above_two_pow_32_are_refused() {
+        let at = |n: usize| {
+            compile(
+                TABLE2_SYMBOLIC,
+                &Options {
+                    bind: vec![("n".into(), n), ("m".into(), 200)],
+                    ..Options::default()
+                },
+            )
+        };
+        assert!(at(1 << 32).is_ok());
+        let err = at((1 << 32) + 1).unwrap_err();
+        assert!(
+            err.contains("resolved to 4294967297, above the maximum 2^32"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn symbolic_time_metric_rejected() {
         let err = compile(
             TABLE2_SYMBOLIC,

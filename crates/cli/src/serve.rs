@@ -244,9 +244,9 @@ pub(crate) fn warm_start_plan_store(
     if !std::path::Path::new(store).exists() {
         return Ok(None);
     }
-    let adopted = cache.load(store).map_err(|e| e.to_string())?;
+    let recorded = cache.load(store).map_err(|e| e.to_string())?;
     Ok(Some(format!(
-        "# plan store: warm start, {adopted} regions from {store}\n"
+        "# plan store: warm start, {recorded} regions from {store}\n"
     )))
 }
 

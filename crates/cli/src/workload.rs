@@ -479,7 +479,7 @@ fn print_report(report: &ReplayReport) {
 fn summary_line(report: &ReplayReport) -> String {
     let served = report.stats.served;
     format!(
-        "replayed {} requests in {:.3}s: {} completed ({:.0} req/s), {} shed, verified {}: {}",
+        "replayed {} requests in {:.6}s: {} completed ({:.0} req/s), {} shed, verified {}: {}",
         report.submitted,
         report.elapsed,
         served.completed,

@@ -43,10 +43,10 @@ fn replay_summary_rates_completed_requests() {
     assert_eq!(number_after(line, "req/s), "), 60.0, "{line}");
     let elapsed = number_after(line, "requests in ");
     let rate = number_after(line, "completed (");
-    // The printed elapsed time is rounded to the millisecond.
+    // The printed elapsed time is rounded to the microsecond.
     let (slow, fast) = (
-        20.0 / (elapsed + 0.0005),
-        20.0 / (elapsed - 0.0005).max(1e-9),
+        20.0 / (elapsed + 0.000_000_5),
+        20.0 / (elapsed - 0.000_000_5).max(1e-9),
     );
     assert!(
         (slow - 1.0..=fast + 1.0).contains(&rate),

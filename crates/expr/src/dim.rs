@@ -90,6 +90,12 @@ impl fmt::Display for DimVar {
     }
 }
 
+/// The largest admitted dimension, 2^32. Every size from 1 to this
+/// bound is admitted everywhere a size enters the system: one kernel
+/// then costs under 2^100 thirds of a FLOP. [`Dim::bind`] refuses a
+/// larger size the way it refuses zero.
+pub const MAX_DIM: usize = 1 << 32;
+
 /// A matrix dimension: a concrete size or a size variable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dim {
@@ -123,16 +129,18 @@ impl Dim {
     /// # Errors
     ///
     /// [`DimError::UnboundVar`] if the dimension is an unbound variable,
-    /// [`DimError::ZeroDim`] if it resolves to zero.
+    /// [`DimError::ZeroDim`] if it resolves to zero,
+    /// [`DimError::TooLarge`] if it resolves above [`MAX_DIM`].
     pub fn bind(&self, bindings: &DimBindings) -> Result<usize, DimError> {
         let v = match self {
             Dim::Const(v) => *v,
             Dim::Var(var) => bindings.get(*var).ok_or(DimError::UnboundVar(*var))?,
         };
-        if v == 0 {
-            return Err(DimError::ZeroDim(*self));
+        match v {
+            0 => Err(DimError::ZeroDim(*self)),
+            v if v > MAX_DIM => Err(DimError::TooLarge(*self, v)),
+            v => Ok(v),
         }
-        Ok(v)
     }
 }
 
@@ -247,6 +255,8 @@ pub enum DimError {
     /// A dimension resolved to zero (empty matrices are not meaningful
     /// chain operands).
     ZeroDim(Dim),
+    /// A dimension resolved to the given size, above [`MAX_DIM`].
+    TooLarge(Dim, usize),
 }
 
 impl fmt::Display for DimError {
@@ -254,6 +264,9 @@ impl fmt::Display for DimError {
         match self {
             DimError::UnboundVar(v) => write!(f, "dimension variable `{v}` is not bound"),
             DimError::ZeroDim(d) => write!(f, "dimension `{d}` resolved to zero"),
+            DimError::TooLarge(d, v) => {
+                write!(f, "dimension `{d}` resolved to {v}, above the maximum 2^32")
+            }
         }
     }
 }
@@ -285,6 +298,13 @@ mod tests {
         let z = DimBindings::new().with("n", 0);
         assert!(matches!(Dim::var("n").bind(&z), Err(DimError::ZeroDim(_))));
         assert!(matches!(Dim::Const(0).bind(&b), Err(DimError::ZeroDim(_))));
+        let edge = DimBindings::new().with("n", MAX_DIM);
+        assert_eq!(Dim::var("n").bind(&edge), Ok(1 << 32));
+        let over = DimBindings::new().with("n", MAX_DIM + 1);
+        assert_eq!(
+            Dim::var("n").bind(&over),
+            Err(DimError::TooLarge(Dim::var("n"), (1 << 32) + 1))
+        );
     }
 
     #[test]

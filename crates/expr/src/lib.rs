@@ -51,7 +51,7 @@ mod sym;
 mod view;
 
 pub use chain::{Chain, Factor, UnaryOp};
-pub use dim::{Dim, DimBindings, DimError, DimVar};
+pub use dim::{Dim, DimBindings, DimError, DimVar, MAX_DIM};
 pub use error::ExprError;
 pub use expr::Expr;
 pub use operand::{is_temp_name, Operand, OperandKind};

@@ -31,7 +31,9 @@
 //! [`Expr`] or to chain factors.
 
 use crate::lexer::{LexError, Lexer, Tok, Token};
-use gmc_expr::{Dim, Expr, Operand, Property, Shape, SymChain, SymFactor, SymOperand, SymShape};
+use gmc_expr::{
+    Dim, Expr, Operand, Property, Shape, SymChain, SymFactor, SymOperand, SymShape, MAX_DIM,
+};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -316,6 +318,11 @@ impl<'a> Parser<'a> {
             return Err(self.error_at("expected a dimension (integer or identifier)"));
         };
         let dim = match tok {
+            Tok::Int(v) if v > MAX_DIM => {
+                return Err(self.error_at(format!(
+                    "dimension {v} is above the maximum 2^32 ({MAX_DIM})"
+                )))
+            }
             Tok::Int(v) => Dim::Const(v),
             Tok::Ident(name) => Dim::var(name),
             _ => return Err(self.error_at("expected a dimension (integer or identifier)")),
@@ -750,6 +757,14 @@ X := A^-1 * B * C^T
         assert_eq!(err.line, 1);
         let err = parse("Matrix A (n, 0)\nX := A * A").unwrap_err();
         assert!(err.message.contains("must be positive"), "{err}");
+    }
+
+    #[test]
+    fn dimensions_above_two_pow_32_are_positioned_errors() {
+        assert!(parse("Matrix A (4294967296, 1)\nX := A * A^T").is_ok());
+        let err = parse("Matrix A (n, n)\nMatrix B (n, 4294967297)\nX := A * B").unwrap_err();
+        assert!(err.message.contains("above the maximum 2^32"), "{err}");
+        assert_eq!((err.line, err.col), (2, 14));
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl Table {
     /// Fills the dispatch slots of `kernels`.
     ///
     /// Within a slot, kernels are in the order a discrimination net over
-    /// their patterns visits them, which the plan store's candidate
+    /// their patterns visits them, which the plan recorder's candidate
     /// order depends on. The net's trie creates the edge for a left leaf
     /// `(unary, variable)` when the first kernel with that left leaf is
     /// inserted, then the edge for the right leaf under it likewise, and

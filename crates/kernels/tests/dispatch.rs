@@ -4,8 +4,8 @@
 //! The net is the general matcher (paper Sec. 3.4); the registry only
 //! dispatches on the two unary operators of a binary product and tests
 //! each kernel's constraints as two feature masks. Both must yield the
-//! same `(kernel index, bindings)` sequence — the plan store's candidate
-//! order depends on it — and therefore the same winner.
+//! same `(kernel index, bindings)` sequence — the plan recorder's
+//! candidate order depends on it — and therefore the same winner.
 
 use gmc_expr::{Expr, Operand, Property, UnaryOp};
 use gmc_kernels::{Kernel, KernelFamily, KernelOp, KernelRegistry, LeafBindings};

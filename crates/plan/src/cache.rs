@@ -192,10 +192,15 @@ pub(crate) struct StructCounters {
     pub(crate) misses: AtomicU64,
 }
 
-/// A symbolic plan for one chain structure: one recorded [`RegionPlan`]
+/// A symbolic plan for one chain structure: one recorded region plan
 /// per size region encountered so far. Region plans are `Arc`-shared
 /// between cache snapshots, so cloning a `SymbolicPlan` is cheap.
-#[derive(Clone, Debug, Default)]
+///
+/// Its `Debug` form is what the plan decides: each region's key, cells
+/// and variables, in key order. It leaves out the request counters and
+/// the bindings the regions were recorded at, so two caches that
+/// recorded the same regions in any order render alike.
+#[derive(Clone, Default)]
 pub struct SymbolicPlan {
     /// The regions, bucketed by the unit mask of their bindings; within
     /// a bucket a binding's region is the one whose key it answers.
@@ -235,6 +240,16 @@ impl SymbolicPlan {
     /// Iterates over the recorded regions' classification summaries.
     pub fn region_summaries(&self) -> impl Iterator<Item = PlanSummary> + '_ {
         self.regions().map(|r| r.summary())
+    }
+}
+
+impl fmt::Debug for SymbolicPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut regions: Vec<&Arc<RegionPlan>> = self.regions().collect();
+        regions.sort_by(|a, b| a.key.cmp(&b.key));
+        f.debug_list()
+            .entries(regions.iter().map(|r| (&r.key, &r.cells, &r.vars)))
+            .finish()
     }
 }
 
@@ -445,11 +460,6 @@ impl PlanCache {
             .collect()
     }
 
-    /// Number of distinct chain structures cached.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.snapshot().len()).sum()
-    }
-
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.snapshot().is_empty())
@@ -478,21 +488,38 @@ impl PlanCache {
         out
     }
 
-    /// Publishes a deserialized region plan (plan-store loading).
-    /// Returns whether the region was actually adopted (`false` if a
-    /// region with its key was already present).
-    pub(crate) fn adopt_region(&self, key: StructureKey, region: Arc<RegionPlan>) -> bool {
-        let shard = self.shard_for(&key);
-        let _guard = mutex_lock(&shard.write);
-        if shard
-            .snapshot()
-            .get(&key)
-            .is_some_and(|p| p.regions().any(|r| r.key == region.key))
-        {
-            return false;
+    /// Records the region of `chain` (whose structure key is `key`) at
+    /// `bindings`, unless a cached region already answers them; returns
+    /// whether it recorded one. Plan-store loading and region
+    /// pre-enumeration both record through here. Unsolvable regions are
+    /// recorded too: the cached plan *is* the (negative) answer.
+    pub(crate) fn record_unanswered(
+        &self,
+        chain: &SymChain,
+        key: &StructureKey,
+        bindings: &DimBindings,
+    ) -> Result<bool, PlanError> {
+        let sizes = chain.bind_dims(bindings)?;
+        let shard = self.shard_for(key);
+        let answered = || {
+            shard
+                .snapshot()
+                .get(key)
+                .is_some_and(|p| p.region_for(&sizes).is_some())
+        };
+        if answered() {
+            return Ok(false);
         }
-        shard.publish(key, region);
-        true
+        let _guard = mutex_lock(&shard.write);
+        if answered() {
+            return Ok(false);
+        }
+        let concrete = chain.bind(bindings)?;
+        let (region, _solution) = with_workspace(|workspace| {
+            record_region(&self.registry, self.inference, chain, &concrete, workspace)
+        });
+        shard.publish(key.clone(), Arc::new(region));
+        Ok(true)
     }
 
     /// The classification summary of the region serving `bindings`, if
@@ -707,13 +734,6 @@ impl PlanCache {
             })?;
 
         let key = structure_key(chain, self.inference);
-        let shard = self.shard_for(&key);
-        let answered = |sizes: &[usize]| {
-            shard
-                .snapshot()
-                .get(&key)
-                .is_some_and(|p| p.region_for(sizes).is_some())
-        };
         let mut recorded = 0usize;
         // Odometer over value indices, one digit per variable.
         let mut digits = vec![0usize; vars.len()];
@@ -722,21 +742,7 @@ impl PlanCache {
             for (var, &d) in vars.iter().zip(&digits) {
                 bindings.set_var(*var, values[d]);
             }
-            let sizes = chain.bind_dims(&bindings)?;
-            if !answered(&sizes) {
-                let guard = mutex_lock(&shard.write);
-                if !answered(&sizes) {
-                    let concrete = chain.bind(&bindings)?;
-                    // Unsolvable regions are recorded too: the cached
-                    // plan *is* the (negative) answer.
-                    let (region, _solution) = with_workspace(|workspace| {
-                        record_region(&self.registry, self.inference, chain, &concrete, workspace)
-                    });
-                    shard.publish(key.clone(), Arc::new(region));
-                    recorded += 1;
-                }
-                drop(guard);
-            }
+            recorded += usize::from(self.record_unanswered(chain, &key, &bindings)?);
             // Advance the odometer.
             for d in digits.iter_mut() {
                 *d += 1;

@@ -119,14 +119,6 @@ impl Question {
             Question::Ge(a, b) => sizes[a] >= sizes[b],
         }
     }
-
-    /// The largest position the question names.
-    pub(crate) fn last_position(self) -> usize {
-        match self {
-            Question::Unit(a) => a,
-            Question::Eq(a, b) | Question::Ge(a, b) => a.max(b),
-        }
-    }
 }
 
 /// The key of one size region: every shape question its recording

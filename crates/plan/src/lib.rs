@@ -20,11 +20,14 @@
 //!   are immutable and `Arc`-swapped copy-on-write, so cache hits are
 //!   pure reads that any number of threads take simultaneously while
 //!   misses record behind per-shard write mutexes (see
-//!   [`PlanCache`]'s docs). Plans persist: [`PlanCache::save`] /
-//!   [`PlanCache::load`] snapshot the recorded plans to JSON so a
-//!   serving fleet warm-starts with every stored region a hit, and
-//!   [`PlanCache::pre_enumerate_regions`] records *every* reachable
-//!   region of a small chain up front.
+//!   [`PlanCache`]'s docs). Plans persist: [`PlanCache::save`] writes
+//!   the binding each region was recorded at to a JSON plan store
+//!   (`gmc-plan-store/v3`), and [`PlanCache::load`] re-records every
+//!   stored region from it under the loading cache's own registry and
+//!   inference mode, so a serving fleet warm-starts with every stored
+//!   region a hit; [`PlanCache::pre_enumerate_regions`] records *every*
+//!   reachable region of a small chain up front. Sizes range over
+//!   1..=2^32 ([`gmc_expr::MAX_DIM`]).
 //! * Symbolic solving — where FLOP-polynomial comparison is decidable
 //!   (dominance on the positive orthant), DP cells are *resolved* at
 //!   compile time; ambiguous splits are *deferred* and decided at bind
@@ -87,4 +90,4 @@ pub use cache::{
     CacheStats, PlanCache, PlanError, PlanOutcome, ShardStats, SolveTiming, SymbolicPlan,
 };
 pub use key::{region_signature, structure_key, undecided_shape_questions, StructureKey};
-pub use plan::{PlanSummary, RegionPlan};
+pub use plan::PlanSummary;

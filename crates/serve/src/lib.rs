@@ -590,6 +590,10 @@ struct Admitted {
     slot: ReplySlot,
 }
 
+/// One job of a submission: a distinct request's bindings and chain,
+/// and the reply slots of the request and its identical copies.
+type Group = (DimBindings, Arc<Structure>, Vec<ReplySlot>);
+
 /// When one submission passed each point on the submitting thread; a
 /// job's stage spans start from these.
 #[derive(Clone, Copy)]
@@ -1161,31 +1165,22 @@ impl ServeHandle {
     /// Groups one admitted submission into jobs on the calling thread
     /// — one per distinct (registered chain, bindings), with identical
     /// requests coalesced into it — and puts them straight onto the
-    /// worker queue. The structure is identified by its `Arc` pointer
-    /// (registration hands every request for a name the same `Arc`),
-    /// so grouping hashes a pointer and the bindings, with no
-    /// structure-key walk. Returns `false` if the worker queue is gone;
-    /// the jobs are dropped then.
+    /// worker queue in the order of their first requests, so a unit's
+    /// solves start in submission order. The structure is identified by
+    /// its `Arc` pointer (registration hands every request for a name
+    /// the same `Arc`), so grouping hashes a pointer and the bindings,
+    /// with no structure-key walk. Returns `false` if the worker queue
+    /// is gone; the jobs are dropped then.
     fn queue_unit(&self, unit: Vec<Admitted>, enqueued: Instant, submitted: Instant) -> bool {
         let grouped = Instant::now();
-        let mut groups: HashMap<(usize, DimBindings), (Arc<Structure>, Vec<ReplySlot>)> =
-            HashMap::with_capacity(unit.len());
-        for Admitted {
-            structure,
-            bindings,
-            slot,
-        } in unit
-        {
-            match groups.entry((Arc::as_ptr(&structure) as usize, bindings)) {
-                Entry::Occupied(mut group) => {
-                    self.shared.telemetry.coalesced.inc();
-                    group.get_mut().1.push(slot);
-                }
-                Entry::Vacant(group) => {
-                    group.insert((structure, vec![slot]));
-                }
-            }
-        }
+        // A lone request has nothing to coalesce with: no map for it.
+        let groups: Vec<Group> = if unit.len() == 1 {
+            unit.into_iter()
+                .map(|a| (a.bindings, a.structure, vec![a.slot]))
+                .collect()
+        } else {
+            self.coalesce(unit)
+        };
         let stamps = Stamps {
             enqueued,
             submitted,
@@ -1193,7 +1188,7 @@ impl ServeHandle {
             dispatched: Instant::now(),
         };
         let mut queued = true;
-        for ((_, bindings), (structure, replies)) in groups {
+        for (bindings, structure, replies) in groups {
             self.shared.telemetry.batches.inc();
             let job = Job::Solve {
                 structure,
@@ -1204,6 +1199,35 @@ impl ServeHandle {
             queued &= self.shared.jobs.push(job).is_ok();
         }
         queued
+    }
+
+    /// The groups of [`queue_unit`](Self::queue_unit), in the order of
+    /// their first requests.
+    fn coalesce(&self, unit: Vec<Admitted>) -> Vec<Group> {
+        let mut groups: Vec<Group> = Vec::with_capacity(unit.len());
+        let mut index: HashMap<(usize, DimBindings), usize> = HashMap::with_capacity(unit.len());
+        for Admitted {
+            structure,
+            bindings,
+            slot,
+        } in unit
+        {
+            match index.entry((Arc::as_ptr(&structure) as usize, bindings)) {
+                Entry::Occupied(group) => {
+                    self.shared.telemetry.coalesced.inc();
+                    groups[*group.get()].2.push(slot);
+                }
+                Entry::Vacant(group) => {
+                    group.insert(groups.len());
+                    groups.push((DimBindings::new(), structure, vec![slot]));
+                }
+            }
+        }
+        // Each group's bindings are its key in the index: hand them back.
+        for ((_, bindings), at) in index {
+            groups[at].0 = bindings;
+        }
+        groups
     }
 
     /// Blocking single-request form of

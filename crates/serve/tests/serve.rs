@@ -118,6 +118,36 @@ fn batch_submission_coalesces_identical_requests() {
 }
 
 #[test]
+fn one_worker_solves_a_batch_in_submission_order() {
+    // Jobs queue in the order of their first requests, and a lone
+    // worker takes them in queue order: on every fresh server the
+    // batch's first request is the one that records the structure.
+    for _ in 0..20 {
+        let server = Server::start(
+            Arc::new(KernelRegistry::blas_lapack()),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        );
+        server.register("X", dense_chain()).unwrap();
+        // Eight distinct bindings, none of them 1: one region.
+        let batch = (0..8)
+            .map(|i| ("X".to_owned(), dense_bindings(10 + i, 200, 30)))
+            .collect();
+        let outcomes: Vec<&str> = server
+            .handle()
+            .submit_batch(batch)
+            .into_iter()
+            .map(|t| t.wait().result.unwrap().outcome.label())
+            .collect();
+        assert_eq!(outcomes[0], "miss_structure", "{outcomes:?}");
+        assert!(outcomes[1..].iter().all(|&o| o == "hit"), "{outcomes:?}");
+        server.shutdown();
+    }
+}
+
+#[test]
 fn unknown_structures_and_bad_bindings_error_cleanly() {
     let registry = Arc::new(KernelRegistry::blas_lapack());
     let server = Server::start(registry, ServeConfig::default());

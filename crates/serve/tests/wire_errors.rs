@@ -97,6 +97,15 @@ fn error_codes_round_trip_over_tcp() {
     let partial = ask("X we_n=10");
     assert!(partial.contains("\"code\":\"plan\""), "{partial}");
 
+    // Sizes are admitted up to 2^32; one more is refused at bind time
+    // the way a zero is.
+    let largest = ask("X we_n=4294967296,we_m=20,we_k=30");
+    assert!(largest.contains("\"outcome\":"), "{largest}");
+    for size in ["0", "4294967297"] {
+        let refused = ask(&format!("X we_n={size},we_m=20,we_k=30"));
+        assert!(refused.contains("\"code\":\"plan\""), "{refused}");
+    }
+
     let expired = ask("X we_n=10,we_m=20,we_k=30,deadline_ms=0");
     assert!(
         expired.contains("\"code\":\"deadline_exceeded\""),

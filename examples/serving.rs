@@ -74,10 +74,10 @@ X := A^-1 * B * C^T
         std::env::temp_dir().join(format!("gmc_serving_example_{}.json", std::process::id()));
     server.cache().save(&store).expect("plan store saves");
     let fresh = PlanCache::new(registry, InferenceMode::default());
-    let adopted = fresh.load(&store).expect("plan store loads");
+    let recorded = fresh.load(&store).expect("plan store loads");
     let bindings = DimBindings::new().with("n", 4000).with("m", 400);
     let (_, outcome) = fresh.solve(chain, &bindings).expect("servable");
-    println!("\nplan store: {adopted} regions adopted by a fresh cache");
+    println!("\nplan store: {recorded} regions re-recorded by a fresh cache");
     println!("first request on the warm-started cache: {outcome}");
     std::fs::remove_file(&store).ok();
     server.shutdown();
