@@ -114,15 +114,16 @@ pub fn compile(input: &str, options: &Options) -> Result<String, String> {
     // fully concrete problem, then the symbolic ones go through the
     // plan cache.
     let mut out = String::new();
-    // Both metrics cost in f64, so one workspace amortizes the DP
-    // tables across every assignment of the problem.
-    let mut workspace = GmcWorkspace::new();
+    // One workspace per metric (the FLOP count is exact, the time model
+    // costs in `f64`) amortizes the DP tables across every assignment
+    // of the problem; the one the metric leaves unused never allocates.
+    let (mut flops_workspace, mut time_workspace) = (GmcWorkspace::new(), GmcWorkspace::new());
     for (target, expr) in &problem.assignments {
         let chain = Chain::from_expr(expr).map_err(|e| format!("assignment `{target}`: {e}"))?;
         let program = match options.metric {
             Metric::Flops => {
                 let solution = GmcOptimizer::new(&registry, FlopCount)
-                    .solve_with(&chain, &mut workspace)
+                    .solve_with(&chain, &mut flops_workspace)
                     .map_err(|e| format!("assignment `{target}`: {e}"))?;
                 write_report(
                     &mut out,
@@ -135,7 +136,7 @@ pub fn compile(input: &str, options: &Options) -> Result<String, String> {
             }
             Metric::Time => {
                 let solution = GmcOptimizer::new(&registry, TimeModel::default())
-                    .solve_with(&chain, &mut workspace)
+                    .solve_with(&chain, &mut time_workspace)
                     .map_err(|e| format!("assignment `{target}`: {e}"))?;
                 write_report(
                     &mut out,

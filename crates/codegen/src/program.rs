@@ -1,7 +1,7 @@
 //! The program IR: an ordered sequence of kernel calls.
 
 use gmc_expr::Operand;
-use gmc_kernels::KernelOp;
+use gmc_kernels::{Flops, KernelOp};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -101,9 +101,14 @@ impl Program {
         inputs
     }
 
-    /// Total FLOP count (sum over instructions, paper cost conventions).
+    /// Total FLOP count (sum over instructions, paper cost conventions),
+    /// summed exactly and rounded once to the nearest `f64`.
     pub fn flops(&self) -> f64 {
-        self.instructions.iter().map(|i| i.op().flops()).sum()
+        self.instructions
+            .iter()
+            .map(|i| i.op().flop_count())
+            .sum::<Flops>()
+            .to_f64()
     }
 
     /// Checks that every operand is defined (an input or an earlier

@@ -7,7 +7,7 @@ use gmc_expr::{
     is_temp_name, Chain, Expr, FactorView, Operand, OperandId, OperandView, PropertySet, Shape,
     UnaryOp,
 };
-use gmc_kernels::{KernelOp, KernelRegistry, ProductMatch, Wiring};
+use gmc_kernels::{Flops, KernelOp, KernelRegistry, ProductMatch, Wiring};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
@@ -84,23 +84,20 @@ pub struct Step<C> {
 pub struct GmcSolution<C> {
     steps: Vec<Step<C>>,
     total_cost: C,
-    total_flops: f64,
+    total_flops: Flops,
     paren: String,
 }
 
 impl<C: Cost> GmcSolution<C> {
-    /// Assembles a solution from its parts, for the independent
-    /// reference solver in [`crate::reference`].
-    pub(crate) fn from_parts(
-        steps: Vec<Step<C>>,
-        total_cost: C,
-        total_flops: f64,
-        paren: String,
-    ) -> Self {
+    /// Assembles a solution from its steps, its total metric cost and
+    /// its parenthesization; the FLOP total is the steps' exact sum.
+    /// The optimizer and the independent reference solver in
+    /// [`crate::reference`] both build solutions here.
+    pub(crate) fn from_parts(steps: Vec<Step<C>>, total_cost: C, paren: String) -> Self {
         GmcSolution {
+            total_flops: steps.iter().map(|s| s.op.flop_count()).sum(),
             steps,
             total_cost,
-            total_flops,
             paren,
         }
     }
@@ -110,14 +107,16 @@ impl<C: Cost> GmcSolution<C> {
         &self.steps
     }
 
-    /// The accumulated metric cost.
-    pub fn cost(&self) -> C {
-        self.total_cost.clone()
+    /// The accumulated metric cost, as the metric reports it: an exact
+    /// FLOP count rounds once to the nearest `f64`.
+    pub fn cost(&self) -> C::Reported {
+        self.total_cost.reported()
     }
 
-    /// The accumulated FLOP count (available regardless of the metric).
+    /// The accumulated FLOP count (available regardless of the metric),
+    /// summed exactly and rounded once to the nearest `f64`.
     pub fn flops(&self) -> f64 {
-        self.total_flops
+        self.total_flops.to_f64()
     }
 
     /// The parenthesization that was selected, e.g. `"(A^-1 (B C^T))"`.
@@ -148,7 +147,7 @@ impl<C: Cost> fmt::Display for GmcSolution<C> {
         for s in &self.steps {
             writeln!(f, "  {} := {}    # {}", s.dest, s.op, s.kernel)?;
         }
-        write!(f, "cost: {:?}", self.total_cost)
+        write!(f, "cost: {:?}", self.total_cost.reported())
     }
 }
 
@@ -421,8 +420,9 @@ impl<C: Cost> CellGrid<C> {
 
     /// The cost of computing `M[i..=j]` as `M[i..=k] · M[k+1..=j]` by an
     /// operation costing `op_cost`, summed as `(left + right) + op`
-    /// (the order is part of bit-identity between solvers). `None` if a
-    /// side is not computable.
+    /// (for a metric that rounds, such as the `f64` time model, the
+    /// order is part of bit-identity between solvers). `None` if a side
+    /// is not computable.
     pub fn split_total(&self, i: usize, k: usize, j: usize, op_cost: &C) -> Option<C> {
         let left = self.cost(i, k)?;
         let right = self.cost(k + 1, j)?;
@@ -552,13 +552,7 @@ impl<C: Cost> CellGrid<C> {
             paren: String::new(),
         };
         self.extract(0, n - 1, &mut out);
-        let total_flops = out.steps.iter().map(|s| s.op.flops()).sum();
-        Ok(GmcSolution {
-            steps: out.steps,
-            total_cost,
-            total_flops,
-            paren: out.paren,
-        })
+        Ok(GmcSolution::from_parts(out.steps, total_cost, out.paren))
     }
 
     /// Appends the steps computing `M[i..=j]` and its parenthesization

@@ -5,33 +5,62 @@
 //! over operand views (shape, properties, identity): the optimizer costs
 //! every candidate without materializing its operands;
 //! costs only need to support addition and a total order, so besides the
-//! classic FLOP count this module provides a calibrated execution-time
-//! model and lexicographic *vector* metrics (paper Sec. 5 explicitly
-//! allows vector-valued metrics with a total order).
+//! classic FLOP count, which is exact ([`Flops`]), this module provides a
+//! calibrated execution-time model and lexicographic *vector* metrics
+//! (paper Sec. 5 explicitly allows vector-valued metrics with a total
+//! order).
 
 use gmc_expr::OperandView;
-use gmc_kernels::{KernelFamily, KernelOp};
+use gmc_kernels::{Flops, KernelFamily, KernelOp};
 use std::fmt;
 use std::marker::PhantomData;
 
 /// A cost value: orderable and addable, with a zero.
 ///
-/// Implemented for `f64` (FLOPs, seconds, bytes, …) and [`Lex2`]
-/// (lexicographic pairs).
+/// Implemented for [`Flops`] (exact FLOP counts), `f64` (seconds,
+/// bytes, …) and [`Lex2`] (lexicographic pairs).
 pub trait Cost: Clone + PartialOrd + fmt::Debug {
+    /// The cost as a solution reports it
+    /// ([`GmcSolution::cost`](crate::GmcSolution::cost)).
+    type Reported: Clone + PartialOrd + fmt::Debug;
     /// The cost of doing nothing (`cost(M[i,i]) = 0`).
     fn zero() -> Self;
     /// Accumulates two costs.
     fn add(&self, other: &Self) -> Self;
+    /// The cost as a solution reports it: the cost itself, except that
+    /// an exact FLOP count rounds once to the nearest `f64`.
+    fn reported(&self) -> Self::Reported;
+}
+
+impl Cost for Flops {
+    type Reported = f64;
+
+    fn zero() -> Self {
+        Flops::ZERO
+    }
+
+    fn add(&self, other: &Self) -> Self {
+        *self + *other
+    }
+
+    fn reported(&self) -> f64 {
+        self.to_f64()
+    }
 }
 
 impl Cost for f64 {
+    type Reported = f64;
+
     fn zero() -> Self {
         0.0
     }
 
     fn add(&self, other: &Self) -> Self {
         self + other
+    }
+
+    fn reported(&self) -> f64 {
+        *self
     }
 }
 
@@ -57,12 +86,18 @@ impl PartialOrd for Lex2 {
 }
 
 impl Cost for Lex2 {
+    type Reported = Lex2;
+
     fn zero() -> Self {
         Lex2(0.0, 0.0)
     }
 
     fn add(&self, other: &Self) -> Self {
         Lex2(self.0 + other.0, self.1 + other.1)
+    }
+
+    fn reported(&self) -> Lex2 {
+        *self
     }
 }
 
@@ -94,15 +129,16 @@ impl<M: CostMetric + ?Sized> CostMetric for &M {
 }
 
 /// The classic metric: number of floating point operations, using the
-/// paper's per-kernel formulas (Table 1).
+/// paper's per-kernel formulas (Table 1), counted exactly: two
+/// candidates tie only if their FLOP counts are equal, at every size.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlopCount;
 
 impl CostMetric for FlopCount {
-    type Cost = f64;
+    type Cost = Flops;
 
-    fn op_cost(&self, op: &KernelOp<OperandView>) -> f64 {
-        op.flops()
+    fn op_cost(&self, op: &KernelOp<OperandView>) -> Flops {
+        op.flop_count()
     }
 
     fn name(&self) -> &str {
@@ -264,7 +300,8 @@ mod tests {
     #[test]
     fn flop_count_matches_op_flops() {
         let op = gemm_op(10).view();
-        assert_eq!(FlopCount.op_cost(&op), 2000.0);
+        assert_eq!(FlopCount.op_cost(&op), Flops::from_thirds(6000));
+        assert_eq!(FlopCount.op_cost(&op).reported(), op.flops());
     }
 
     #[test]

@@ -118,14 +118,8 @@ pub fn solve_reference<M: CostMetric>(
     let mut steps = Vec::with_capacity(n - 1);
     construct_solution(0, n - 1, &splits, &chosen, &exprs, &mut steps);
     let total_cost = costs[0][n - 1].clone().expect("checked above");
-    let total_flops = steps.iter().map(|s: &Step<M::Cost>| s.op.flops()).sum();
     let paren = parenthesization(chain, 0, n - 1, &splits);
-    Ok(GmcSolution::from_parts(
-        steps,
-        total_cost,
-        total_flops,
-        paren,
-    ))
+    Ok(GmcSolution::from_parts(steps, total_cost, paren))
 }
 
 /// The original collecting kernel selection: materialize all matches

@@ -24,7 +24,7 @@
 //! comparable under this order are *deferred* by the symbolic optimizer
 //! and decided at bind time.
 
-use crate::dim::{Dim, DimBindings, DimError, DimVar};
+use crate::dim::{Dim, DimBindings, DimVar};
 use std::cmp::Reverse;
 use std::fmt;
 
@@ -39,7 +39,7 @@ const EMPTY: u32 = u32::MAX;
 /// A monomial packed into a fixed-size key: one variable id per unit of
 /// degree, ascending, padded with [`EMPTY`] — `m·n²` is `[m, n, n]`, and
 /// the constant monomial is all padding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Monomial([u32; MAX_DEGREE]);
 
 impl Monomial {
@@ -85,7 +85,7 @@ type Term = (Monomial, i128);
 /// // 2·n·m + n², coefficients given in thirds.
 /// let p = CostPoly::monomial(6, &[n, m]).add(&CostPoly::monomial(3, &[n, n]));
 /// let b = DimBindings::new().with("n", 3).with("m", 4);
-/// assert_eq!(p.eval(&b).unwrap(), 33.0);
+/// assert_eq!(p.eval_thirds(&b), Some(99));
 /// let (n2, m2) = (CostPoly::monomial(3, &[n, n]), CostPoly::monomial(3, &[m, m]));
 /// // n² + 2nm dominates n² on the positive orthant…
 /// assert!(n2.dominated_by(&p));
@@ -93,7 +93,7 @@ type Term = (Monomial, i128);
 /// assert!(!n2.dominated_by(&m2));
 /// assert!(!m2.dominated_by(&n2));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct CostPoly {
     /// Sorted by monomial, without zero coefficients. Empty when the
     /// polynomial is unrepresentable.
@@ -194,46 +194,32 @@ impl CostPoly {
         }
     }
 
-    /// Evaluates the polynomial under `bindings` (NaN when the
-    /// polynomial is unrepresentable).
-    ///
-    /// Note that this is *reference* evaluation for reports and tests:
-    /// the plan-cache hot path evaluates kernel costs through the exact
-    /// per-kernel FLOP formulas instead, so that instantiated costs are
-    /// bit-identical to the concrete optimizer's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DimError::UnboundVar`] for unbound variables.
-    pub fn eval(&self, bindings: &DimBindings) -> Result<f64, DimError> {
-        if self.unrepresentable {
-            return Ok(f64::NAN);
-        }
-        let mut total = 0.0;
-        for (m, c) in &self.terms {
-            let mut v = *c as f64;
-            for &id in m.vars() {
-                let var = DimVar(id);
-                v *= bindings.get(var).ok_or(DimError::UnboundVar(var))? as f64;
-            }
-            total += v;
-        }
-        Ok(total / 3.0)
-    }
-
     /// The exact value under `bindings`, in thirds. `None` when the
     /// polynomial is unrepresentable, a variable is unbound, or the
-    /// value overflows `i128`.
+    /// value overflows `i128`. A kernel's FLOP polynomial evaluates to
+    /// exactly its FLOP count over the bound operands.
     pub fn eval_thirds(&self, bindings: &DimBindings) -> Option<i128> {
         if self.unrepresentable {
             return None;
         }
-        self.terms.iter().try_fold(0i128, |sum, (m, c)| {
-            let term = m.vars().iter().try_fold(*c, |acc, &id| {
-                acc.checked_mul(bindings.get(DimVar(id))? as i128)
-            })?;
-            sum.checked_add(term)
-        })
+        let mut sum = 0i128;
+        for (m, c) in &self.terms {
+            // The slots are sorted, so each variable is looked up once
+            // per run of equal slots.
+            let mut product = 1u128;
+            let (mut seen, mut value) = (EMPTY, 0u128);
+            for &id in &m.0 {
+                if id == EMPTY {
+                    break;
+                }
+                if id != seen {
+                    (seen, value) = (id, bindings.get(DimVar(id))? as u128);
+                }
+                product = product.checked_mul(value)?;
+            }
+            sum = sum.checked_add(c.checked_mul(i128::try_from(product).ok()?)?)?;
+        }
+        Some(sum)
     }
 
     /// Whether `self ≤ other` for every assignment of values `≥ 1` to
@@ -334,6 +320,23 @@ fn merge_terms(
     Some(out)
 }
 
+/// Terms by variable name, so the rendering does not depend on the
+/// order in which the process interned its variables.
+impl fmt::Debug for CostPoly {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.unrepresentable {
+            return f.write_str("CostPoly(unrepresentable)");
+        }
+        let mut terms: Vec<(Vec<&str>, i128)> = self
+            .terms
+            .iter()
+            .map(|(m, c)| (m.vars().iter().map(|&id| DimVar(id).name()).collect(), *c))
+            .collect();
+        terms.sort_unstable();
+        f.debug_map().entries(terms).finish()
+    }
+}
+
 impl fmt::Display for CostPoly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.unrepresentable {
@@ -390,7 +393,6 @@ mod tests {
         // (n + m)·n = n² + nm
         let p = t(3, &["pn", "pn"]).add(&t(3, &["pm", "pn"]));
         let b = DimBindings::new().with("pn", 2).with("pm", 5);
-        assert_eq!(p.eval(&b).unwrap(), 4.0 + 10.0);
         assert_eq!(p.eval_thirds(&b), Some(42));
         assert_eq!(p.eval_thirds(&DimBindings::new()), None);
         assert_eq!(p.degree(), 2);
@@ -469,7 +471,7 @@ mod tests {
     fn constants_fold() {
         let p = CostPoly::monomial(3, &[Dim::Const(4), Dim::Const(5)]);
         assert_eq!(p, CostPoly::monomial(60, &[]));
-        assert_eq!(p.eval(&DimBindings::new()).unwrap(), 20.0);
+        assert_eq!(p.eval_thirds(&DimBindings::new()), Some(60));
     }
 
     #[test]

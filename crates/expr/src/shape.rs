@@ -8,7 +8,7 @@
 //! when they are decidable from the dimension pattern, and
 //! [`SymShape::bind`] resolves them to concrete shapes.
 
-use crate::dim::{Dim, DimBindings, DimError};
+use crate::dim::{Dim, DimBindings, DimError, MAX_DIM};
 use std::fmt;
 
 /// The dimensions of a matrix, generic over the dimension type `D`.
@@ -41,7 +41,8 @@ pub type Shape = GenShape<usize>;
 /// A shape whose dimensions may be symbolic ([`Dim`]).
 pub type SymShape = GenShape<Dim>;
 
-/// Error returned by [`Shape::try_new`] for degenerate dimensions.
+/// Error returned by [`Shape::try_new`] for a dimension outside
+/// `1..=`[`MAX_DIM`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShapeError {
     /// The offending row count.
@@ -52,9 +53,14 @@ pub struct ShapeError {
 
 impl fmt::Display for ShapeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bound = if self.rows == 0 || self.cols == 0 {
+            "positive"
+        } else {
+            "at most 2^32"
+        };
         write!(
             f,
-            "matrix dimensions must be positive, got {}x{}",
+            "matrix dimensions must be {bound}, got {}x{}",
             self.rows, self.cols
         )
     }
@@ -63,12 +69,6 @@ impl fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 impl<D> GenShape<D> {
-    /// Builds a shape from its dimensions without validation; concrete
-    /// callers should prefer [`Shape::new`] / [`Shape::try_new`].
-    pub const fn from_dims(rows: D, cols: D) -> Self {
-        GenShape { rows, cols }
-    }
-
     /// A reference to the row dimension.
     pub fn rows_dim(&self) -> &D {
         &self.rows
@@ -93,22 +93,24 @@ impl Shape {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero; empty matrices are not
-    /// meaningful operands for the matrix chain problem. Fallible
-    /// callers (e.g. parsers of untrusted input) should use
+    /// Panics if either dimension is zero, as empty matrices are not
+    /// meaningful operands for the matrix chain problem, or above
+    /// [`MAX_DIM`], the bound under which FLOP counts stay exact.
+    /// Fallible callers (e.g. parsers of untrusted input) should use
     /// [`try_new`](Self::try_new).
     pub fn new(rows: usize, cols: usize) -> Self {
-        Shape::try_new(rows, cols).expect("matrix dimensions must be positive")
+        Shape::try_new(rows, cols).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates a shape, rejecting zero dimensions with an error instead
-    /// of panicking.
+    /// Creates a shape, rejecting a dimension that is zero or above
+    /// [`MAX_DIM`] with an error instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if either dimension is zero.
+    /// Returns [`ShapeError`] if either dimension is outside
+    /// `1..=MAX_DIM`.
     pub fn try_new(rows: usize, cols: usize) -> Result<Self, ShapeError> {
-        if rows == 0 || cols == 0 {
+        if !(1..=MAX_DIM).contains(&rows) || !(1..=MAX_DIM).contains(&cols) {
             return Err(ShapeError { rows, cols });
         }
         Ok(Shape { rows, cols })
@@ -340,6 +342,32 @@ mod tests {
         assert_eq!(s, Shape::new(3, 4));
         let msg = ShapeError { rows: 0, cols: 3 }.to_string();
         assert!(msg.contains("0x3"));
+    }
+
+    #[test]
+    fn dimensions_above_two_pow_32_are_refused() {
+        let edge = Shape::try_new(MAX_DIM, MAX_DIM).unwrap();
+        assert_eq!((edge.rows(), edge.cols()), (1 << 32, 1 << 32));
+        assert_eq!(Shape::square(MAX_DIM), edge);
+        let over = Shape::try_new(3, MAX_DIM + 1);
+        assert_eq!(
+            over,
+            Err(ShapeError {
+                rows: 3,
+                cols: MAX_DIM + 1
+            })
+        );
+        assert!(over.unwrap_err().to_string().contains("at most 2^32"));
+        assert!(Shape::try_new(MAX_DIM + 1, 0)
+            .unwrap_err()
+            .to_string()
+            .contains("positive"));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32")]
+    fn dimension_above_two_pow_32_panics() {
+        let _ = Shape::new(MAX_DIM + 1, 1);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! FLOP costs follow the paper's conventions: `GEMM` costs `2mnk`;
 //! the structured kernels `TRMM`/`SYMM`/`TRSM` cost `m²n`; `SYRK` costs
 //! `m²k`; solvers add the factorization cost (LU: `2/3·m³`, Cholesky:
-//! `1/3·m³`); diagonal kernels cost `mn`.
+//! `1/3·m³`); diagonal kernels cost `mn`. Each kernel's count is written
+//! once, in thirds, by [`KernelOp::flop_terms`]; the exact [`Flops`] of
+//! an operation, its `f64` rounding and its polynomial in the dimension
+//! variables all derive from it.
 //!
 //! # Example
 //!
@@ -38,12 +41,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod flops;
 mod kernel;
 mod op;
 mod registry;
 mod sym;
 
+pub use flops::Flops;
 pub use kernel::{Constraint, Kernel, KernelMatch, LeafBindings, ProductMatch, Rank, Wiring};
 pub use op::{InvKind, KernelFamily, KernelOp, Side, Uplo};
 pub use registry::{KernelRegistry, RegistryBuilder};
-pub use sym::FlopFormula;

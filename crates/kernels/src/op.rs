@@ -1,6 +1,7 @@
 //! Fully-instantiated kernel operations: the payload of generated code.
 
-use gmc_expr::{Operand, OperandId, OperandView, Shape, Shaped};
+use crate::flops::Flops;
+use gmc_expr::{GenShape, Operand, OperandId, OperandView, Shape, Shaped};
 use std::fmt;
 
 /// Which side the structured operand multiplies from (BLAS `SIDE`).
@@ -550,90 +551,133 @@ impl<O: Shaped> KernelOp<O> {
         }
     }
 
-    /// The number of floating point operations, following the paper's
-    /// conventions (Table 1 and Sec. 2 footnote): `GEMM` costs `2mnk`,
-    /// the structured level-3 kernels (`TRMM`, `SYMM`, `TRSM`) cost
-    /// `m²n`, `SYRK` costs `m²k`, solvers add their factorization cost
-    /// (`2/3·m³` for LU, `1/3·m³` for Cholesky), and explicit general
-    /// inversion costs `2·m³`.
+    /// The exact number of floating point operations (see
+    /// [`flop_terms`](KernelOp::flop_terms)).
+    pub fn flop_count(&self) -> Flops {
+        let mut thirds = 0u128;
+        self.flop_terms(Shaped::shape, |coeff, dims| {
+            // Admitted dimensions are at most 2^32, so a term stays
+            // below 2^100 thirds.
+            thirds += dims
+                .iter()
+                .fold(u128::from(coeff), |term, &d| term * d as u128);
+        });
+        Flops::from_thirds(thirds)
+    }
+
+    /// The number of floating point operations, rounded once to the
+    /// nearest `f64`.
     pub fn flops(&self) -> f64 {
+        self.flop_count().to_f64()
+    }
+}
+
+impl<O> KernelOp<O> {
+    /// The operation's FLOP count, written once per kernel, following
+    /// the paper's conventions (Table 1 and Sec. 2 footnote): `GEMM`
+    /// costs `2mnk`, the structured level-3 kernels (`TRMM`, `SYMM`,
+    /// `TRSM`) cost `m²n`, `SYRK` costs `m²k`, solvers add their
+    /// factorization cost (`2/3·m³` for LU, `1/3·m³` for Cholesky), and
+    /// explicit general inversion costs `2·m³`.
+    ///
+    /// The count is at most two monomials: `term` receives each one's
+    /// coefficient in thirds of a FLOP and its dimensions, read from the
+    /// operands' shapes in any dimension type — sizes for
+    /// [`flop_count`](KernelOp::flop_count), [`Dim`](gmc_expr::Dim)s for
+    /// [`flop_poly`](KernelOp::flop_poly). Which dimensions enter is
+    /// decided by the operation itself (the free dimension of a
+    /// structured kernel by its side), never by comparing sizes, so a
+    /// count lifted to a polynomial holds at every binding.
+    pub fn flop_terms<D: Copy>(
+        &self,
+        shape: impl Fn(&O) -> GenShape<D>,
+        mut term: impl FnMut(u8, &[D]),
+    ) {
+        let dims = |t: bool, o: &O| {
+            let s = shape(o);
+            let (r, c) = (*s.rows_dim(), *s.cols_dim());
+            if t {
+                (c, r)
+            } else {
+                (r, c)
+            }
+        };
+        let rows = |o: &O| *shape(o).rows_dim();
+        // The free dimension of the general operand `B` of a structured
+        // level-3 kernel or solve, the one not shared with the square
+        // operand: the columns of `op(B)` when the square operand
+        // multiplies from the left, its rows when from the right.
+        let free = |side: Side, tb: bool, b: &O| {
+            let (r, c) = dims(tb, b);
+            match side {
+                Side::Left => c,
+                Side::Right => r,
+            }
+        };
         match self {
             KernelOp::Gemm { ta, tb, a, b } => {
-                let sa = apply_t(*ta, a.shape());
-                let sb = apply_t(*tb, b.shape());
-                let (m, k, n) = (sa.rows() as f64, sa.cols() as f64, sb.cols() as f64);
-                2.0 * m * n * k
+                let ((m, k), (_, n)) = (dims(*ta, a), dims(*tb, b));
+                term(6, &[m, n, k]);
             }
-            KernelOp::Trmm { side, a, b, .. } | KernelOp::Symm { side, a, b, .. } => {
-                let m = a.shape().rows() as f64;
-                let n = free_dim(*side, false, b.shape()) as f64;
-                m * m * n
+            KernelOp::Trmm { side, a, b, .. } | KernelOp::Symm { side, a, b } => {
+                let m = rows(a);
+                term(3, &[m, m, free(*side, false, b)]);
             }
             KernelOp::Trsm { side, tb, a, b, .. } => {
-                let m = a.shape().rows() as f64;
-                let n = free_dim(*side, *tb, b.shape()) as f64;
-                m * m * n
+                let m = rows(a);
+                term(3, &[m, m, free(*side, *tb, b)]);
             }
             KernelOp::Syrk { trans, a } => {
-                let s = a.shape();
-                let (m, k) = if *trans {
-                    (s.cols() as f64, s.rows() as f64)
-                } else {
-                    (s.rows() as f64, s.cols() as f64)
-                };
-                m * m * k
+                let (m, k) = dims(*trans, a);
+                term(3, &[m, m, k]);
             }
             KernelOp::Gesv { side, tb, a, b, .. } => {
-                let m = a.shape().rows() as f64;
-                let n = free_dim(*side, *tb, b.shape()) as f64;
-                2.0 / 3.0 * m * m * m + 2.0 * m * m * n
+                let m = rows(a);
+                term(2, &[m, m, m]);
+                term(6, &[m, m, free(*side, *tb, b)]);
             }
             KernelOp::Posv { side, tb, a, b } => {
-                let m = a.shape().rows() as f64;
-                let n = free_dim(*side, *tb, b.shape()) as f64;
-                1.0 / 3.0 * m * m * m + 2.0 * m * m * n
+                let m = rows(a);
+                term(1, &[m, m, m]);
+                term(6, &[m, m, free(*side, *tb, b)]);
             }
-            // Entry counts multiply in `u128`: two `usize` dimensions
-            // cannot overflow it, and the rounding to `f64` is the same
-            // as before for every product that fits in `usize`.
             KernelOp::Diag { b, .. } => {
-                (b.shape().rows() as u128 * b.shape().cols() as u128) as f64
+                let (r, c) = dims(false, b);
+                term(3, &[r, c]);
             }
             KernelOp::Gemv { a, .. } => {
-                let s = a.shape();
-                2.0 * (s.rows() as u128 * s.cols() as u128) as f64
+                let (r, c) = dims(false, a);
+                term(6, &[r, c]);
             }
             KernelOp::Trmv { a, .. } | KernelOp::Trsv { a, .. } => {
-                let n = a.shape().rows() as f64;
-                n * n
+                let n = rows(a);
+                term(3, &[n, n]);
             }
             KernelOp::Symv { a, .. } => {
-                let n = a.shape().rows() as f64;
-                2.0 * n * n
+                let n = rows(a);
+                term(6, &[n, n]);
             }
-            KernelOp::Ger { x, y } => {
-                2.0 * (x.shape().rows() as u128 * y.shape().rows() as u128) as f64
-            }
-            KernelOp::Dot { x, .. } => 2.0 * x.shape().rows() as f64,
-            KernelOp::Copy { .. } => 0.0,
+            KernelOp::Ger { x, y } => term(6, &[rows(x), rows(y)]),
+            KernelOp::Dot { x, .. } => term(6, &[rows(x)]),
+            KernelOp::Copy { .. } => {}
             KernelOp::Inv { kind, a, .. } => {
-                let n = a.shape().rows() as f64;
+                let n = rows(a);
                 match kind {
                     // GETRF + GETRI.
-                    InvKind::General => 2.0 * n * n * n,
+                    InvKind::General => term(6, &[n, n, n]),
                     // POTRF + POTRI.
-                    InvKind::Spd => n * n * n,
+                    InvKind::Spd => term(3, &[n, n, n]),
                     // TRTRI.
-                    InvKind::Triangular(_) => n * n * n / 3.0,
+                    InvKind::Triangular(_) => term(1, &[n, n, n]),
                     // Reciprocal of the diagonal.
-                    InvKind::Diagonal => n,
+                    InvKind::Diagonal => term(3, &[n]),
                 }
             }
+            // GETRI on one operand (2m³) + GESV with the other
+            // (2/3·m³ + 2·m³).
             KernelOp::InvPair { a, .. } => {
-                // GETRI on one operand (2m³) + GESV with the other
-                // (2/3·m³ + 2·m³).
-                let m = a.shape().rows() as f64;
-                (2.0 + 2.0 / 3.0 + 2.0) * m * m * m
+                let m = rows(a);
+                term(14, &[m, m, m]);
             }
         }
     }
@@ -644,20 +688,6 @@ fn apply_t(t: bool, s: Shape) -> Shape {
         s.transposed()
     } else {
         s
-    }
-}
-
-/// The free dimension of the general operand `B` of a structured
-/// level-3 kernel or solve, the one not shared with the square operand:
-/// the columns of `op(B)` when the square operand multiplies from the
-/// left, its rows when from the right. The side decides it, not a size
-/// comparison, so the choice is the same at every binding of a
-/// symbolic chain.
-fn free_dim(side: Side, tb: bool, b: Shape) -> usize {
-    let b = apply_t(tb, b);
-    match side {
-        Side::Left => b.cols(),
-        Side::Right => b.rows(),
     }
 }
 
@@ -888,9 +918,13 @@ mod tests {
             a: a.clone(),
             b: b.clone(),
         };
-        assert!(gesv.flops() > posv.flops());
-        assert_eq!(gesv.flops(), 2.0 / 3.0 * 1000.0 + 2.0 * 100.0 * 4.0);
-        assert_eq!(posv.flops(), 1.0 / 3.0 * 1000.0 + 2.0 * 100.0 * 4.0);
+        assert!(gesv.flop_count() > posv.flop_count());
+        // 2/3·m³ + 2m²n and 1/3·m³ + 2m²n, exactly in thirds, rounded
+        // once.
+        assert_eq!(gesv.flop_count(), Flops::from_thirds(2 * 1000 + 6 * 400));
+        assert_eq!(posv.flop_count(), Flops::from_thirds(1000 + 6 * 400));
+        assert_eq!(gesv.flops(), 4400.0 / 3.0);
+        assert_eq!(posv.flops(), 3400.0 / 3.0);
     }
 
     #[test]

@@ -367,7 +367,7 @@ impl KernelRegistry {
     pub fn best_by_flops(&self, expr: &Expr) -> Option<KernelMatch<'_>> {
         let (left, right) = binary_factors(expr)?;
         let (l, r, lv, rv) = leaf_views(left, right)?;
-        self.best_match(&lv, &rv, KernelOp::flops)
+        self.best_match(&lv, &rv, KernelOp::flop_count)
             .map(|m| KernelMatch {
                 kernel: m.kernel,
                 op: m.kernel.build(m.wiring.bind(l, r)),

@@ -6,8 +6,8 @@
 //! counting thirds — the textbook construction the one-pass sum in
 //! `CostPoly` replaces.
 
-use gmc_expr::{CostPoly, Dim, DimBindings, DimVar};
-use gmc_kernels::{FlopFormula, InvKind, Uplo};
+use gmc_expr::{CostPoly, Dim, DimBindings, DimVar, SymShape};
+use gmc_kernels::{InvKind, KernelOp, Side, Uplo};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -110,30 +110,17 @@ impl RefPoly {
     }
 }
 
-/// The reference polynomial of `f`, mirroring the formulas in
-/// `FlopFormula`'s docs (coefficients in thirds).
-fn reference(f: &FlopFormula) -> RefPoly {
-    let t = RefPoly::term;
-    match *f {
-        FlopFormula::Gemm { m, k, n } => t(6, &[m, n, k]),
-        FlopFormula::Level3 { m, n } => t(3, &[m, m, n]),
-        FlopFormula::Syrk { m, k } => t(3, &[m, m, k]),
-        FlopFormula::Gesv { m, n } => t(2, &[m, m, m]).add(&t(6, &[m, m, n])),
-        FlopFormula::Posv { m, n } => t(1, &[m, m, m]).add(&t(6, &[m, m, n])),
-        FlopFormula::EntryCount { r, c } => t(3, &[r, c]),
-        FlopFormula::TwiceEntryCount { r, c } => t(6, &[r, c]),
-        FlopFormula::SquareN { n } => t(3, &[n, n]),
-        FlopFormula::TwiceSquareN { n } => t(6, &[n, n]),
-        FlopFormula::TwiceN { n } => t(6, &[n]),
-        FlopFormula::Zero => RefPoly::default(),
-        FlopFormula::Inv { kind, n } => match kind {
-            InvKind::General => t(6, &[n, n, n]),
-            InvKind::Spd => t(3, &[n, n, n]),
-            InvKind::Triangular(_) => t(1, &[n, n, n]),
-            InvKind::Diagonal => t(3, &[n]),
+/// The reference polynomial of `op`: its FLOP terms multiplied out
+/// factor by factor (coefficients in thirds).
+fn reference(op: &KernelOp<SymShape>) -> RefPoly {
+    let mut out = RefPoly::default();
+    op.flop_terms(
+        |s| *s,
+        |thirds, dims| {
+            out = out.add(&RefPoly::term(i128::from(thirds), dims));
         },
-        FlopFormula::InvPair { m } => t(14, &[m, m, m]),
-    }
+    );
+    out
 }
 
 fn dim(i: u8) -> Dim {
@@ -145,38 +132,86 @@ fn dim(i: u8) -> Dim {
     }
 }
 
-/// A kernel formula from a variant index and three dimension indices.
-fn formula((variant, a, b, c): (u8, u8, u8, u8)) -> FlopFormula {
+/// A kernel operation over symbolic shapes from a variant index and
+/// three dimension indices: every kernel family, and every explicit
+/// inverse.
+fn formula((variant, a, b, c): (u8, u8, u8, u8)) -> KernelOp<SymShape> {
     let (m, k, n) = (dim(a), dim(b), dim(c));
+    let (sq_m, sq_n, mn) = (
+        SymShape::square(m),
+        SymShape::square(n),
+        SymShape::new(m, n),
+    );
+    let inv = |kind| KernelOp::Inv {
+        kind,
+        trans: false,
+        a: sq_n,
+    };
     match variant {
-        0 => FlopFormula::Gemm { m, k, n },
-        1 => FlopFormula::Level3 { m, n },
-        2 => FlopFormula::Syrk { m, k },
-        3 => FlopFormula::Gesv { m, n },
-        4 => FlopFormula::Posv { m, n },
-        5 => FlopFormula::EntryCount { r: m, c: n },
-        6 => FlopFormula::TwiceEntryCount { r: m, c: n },
-        7 => FlopFormula::SquareN { n },
-        8 => FlopFormula::TwiceSquareN { n },
-        9 => FlopFormula::TwiceN { n },
-        10 => FlopFormula::Zero,
-        11 => FlopFormula::Inv {
-            kind: InvKind::General,
-            n,
+        0 => KernelOp::Gemm {
+            ta: false,
+            tb: false,
+            a: SymShape::new(m, k),
+            b: SymShape::new(k, n),
         },
-        12 => FlopFormula::Inv {
-            kind: InvKind::Spd,
-            n,
+        1 => KernelOp::Trmm {
+            side: Side::Left,
+            uplo: Uplo::Lower,
+            trans: false,
+            a: sq_m,
+            b: mn,
         },
-        13 => FlopFormula::Inv {
-            kind: InvKind::Triangular(Uplo::Lower),
-            n,
+        2 => KernelOp::Syrk {
+            trans: true,
+            a: SymShape::new(k, m),
         },
-        14 => FlopFormula::Inv {
-            kind: InvKind::Diagonal,
-            n,
+        3 => KernelOp::Gesv {
+            side: Side::Left,
+            trans: false,
+            tb: false,
+            a: sq_m,
+            b: mn,
         },
-        _ => FlopFormula::InvPair { m },
+        4 => KernelOp::Posv {
+            side: Side::Left,
+            tb: false,
+            a: sq_m,
+            b: mn,
+        },
+        5 => KernelOp::Diag {
+            side: Side::Left,
+            inv: false,
+            tb: false,
+            d: sq_m,
+            b: mn,
+        },
+        6 => KernelOp::Gemv {
+            trans: false,
+            a: mn,
+            x: SymShape::new(n, Dim::Const(1)),
+        },
+        7 => KernelOp::Trmv {
+            uplo: Uplo::Lower,
+            trans: false,
+            a: sq_n,
+            x: sq_n,
+        },
+        8 => KernelOp::Symv { a: sq_n, x: sq_n },
+        9 => KernelOp::Dot {
+            x: SymShape::new(n, Dim::Const(1)),
+            y: SymShape::new(n, Dim::Const(1)),
+        },
+        10 => KernelOp::Copy { b: mn },
+        11 => inv(InvKind::General),
+        12 => inv(InvKind::Spd),
+        13 => inv(InvKind::Triangular(Uplo::Lower)),
+        14 => inv(InvKind::Diagonal),
+        _ => KernelOp::InvPair {
+            ta: false,
+            tb: false,
+            a: sq_m,
+            b: sq_m,
+        },
     }
 }
 
@@ -191,7 +226,7 @@ fn sum(formulas: &[(u8, u8, u8, u8)]) -> (CostPoly, RefPoly) {
         .iter()
         .map(|f| formula(*f))
         .fold((CostPoly::zero(), RefPoly::default()), |(p, r), f| {
-            (p.add(&f.poly()), r.add(&reference(&f)))
+            (p.add(&f.flop_poly(|s| *s)), r.add(&reference(&f)))
         })
 }
 
@@ -236,7 +271,7 @@ proptest! {
                     .iter()
                     .zip([x, y, z])
                     .fold(DimBindings::new(), |bs, (v, x)| bs.with(v, usize::from(x)));
-                prop_assert_eq!(a.eval(&bindings).unwrap(), va as f64 / 3.0);
+                prop_assert_eq!(a.eval_thirds(&bindings), Some(va));
             }
         }
     }
@@ -247,13 +282,17 @@ fn huge_constant_formulas_answer_false() {
     let max = Dim::Const(usize::MAX);
     let n = Dim::var("pd_a");
     // 6·MAX²·n overflows `i128`; GEMM at one huge constant still fits.
-    let huge = FlopFormula::Gemm { m: max, k: max, n }.poly();
-    let fits = FlopFormula::Gemm {
-        m: max,
-        k: Dim::Const(1),
-        n,
-    }
-    .poly();
+    let gemm = |m, k| {
+        KernelOp::Gemm {
+            ta: false,
+            tb: false,
+            a: SymShape::new(m, k),
+            b: SymShape::new(k, n),
+        }
+        .flop_poly(|s| *s)
+    };
+    let huge = gemm(max, max);
+    let fits = gemm(max, Dim::Const(1));
     assert!(!huge.is_representable());
     assert!(fits.is_representable());
     for (a, b) in [(&huge, &fits), (&fits, &huge), (&huge, &huge)] {

@@ -26,7 +26,7 @@ use crate::key::{structure_key, unit_mask, StructureKey};
 use crate::plan::{instantiate, record_region, PlanSummary, RegionPlan};
 use gmc::{GmcError, GmcSolution, GmcWorkspace, InferenceMode};
 use gmc_expr::{Dim, DimBindings, SymChain, SymChainError};
-use gmc_kernels::KernelRegistry;
+use gmc_kernels::{Flops, KernelRegistry};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -306,7 +306,7 @@ thread_local! {
     /// Thread-local rather than cache-held so concurrent workers reuse
     /// their tables without sharing any mutable state (and without a
     /// lock on the hot path).
-    static WORKSPACE: RefCell<GmcWorkspace<f64>> = RefCell::new(GmcWorkspace::new());
+    static WORKSPACE: RefCell<GmcWorkspace<Flops>> = RefCell::new(GmcWorkspace::new());
 }
 
 /// Splits `started → lookup_done → now` into a [`SolveTiming`]; both
@@ -326,7 +326,7 @@ fn saturating_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn with_workspace<R>(f: impl FnOnce(&mut GmcWorkspace<f64>) -> R) -> R {
+fn with_workspace<R>(f: impl FnOnce(&mut GmcWorkspace<Flops>) -> R) -> R {
     WORKSPACE.with(|cell| f(&mut cell.borrow_mut()))
 }
 
@@ -552,7 +552,7 @@ impl PlanCache {
         &self,
         chain: &SymChain,
         bindings: &DimBindings,
-    ) -> Result<(GmcSolution<f64>, PlanOutcome), PlanError> {
+    ) -> Result<(GmcSolution<Flops>, PlanOutcome), PlanError> {
         self.solve_impl(chain, bindings, None)
             .map(|(solution, outcome, _)| (solution, outcome))
     }
@@ -565,7 +565,7 @@ impl PlanCache {
         &self,
         chain: &SymChain,
         bindings: &DimBindings,
-    ) -> Result<(GmcSolution<f64>, PlanOutcome, SolveTiming), PlanError> {
+    ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
         self.solve_impl(chain, bindings, Some(Instant::now()))
     }
 
@@ -574,7 +574,7 @@ impl PlanCache {
         chain: &SymChain,
         bindings: &DimBindings,
         started: Option<Instant>,
-    ) -> Result<(GmcSolution<f64>, PlanOutcome, SolveTiming), PlanError> {
+    ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
         let concrete = chain.bind(bindings)?;
         let key = structure_key(chain, self.inference);
         let sizes = concrete.sizes();
@@ -634,7 +634,7 @@ impl PlanCache {
         sym: &SymChain,
         concrete: &gmc_expr::Chain,
         bindings: &DimBindings,
-    ) -> Result<GmcSolution<f64>, GmcError> {
+    ) -> Result<GmcSolution<Flops>, GmcError> {
         // Structure keys canonicalize variable *names*, so the request
         // chain may spell the same structure with different variables
         // than the chain this region was recorded from — but the

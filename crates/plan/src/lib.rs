@@ -31,10 +31,13 @@
 //! * Symbolic solving — where FLOP-polynomial comparison is decidable
 //!   (dominance on the positive orthant), DP cells are *resolved* at
 //!   compile time; ambiguous splits are *deferred* and decided at bind
-//!   time by evaluating the cached exact FLOP formulas.
+//!   time by evaluating the cached FLOP polynomials in thirds.
 //! * Bit-identical instantiation — the served solution matches a
-//!   from-scratch concrete solve exactly: same `f64` cost, same
-//!   parenthesization, same kernel sequence, in both inference modes.
+//!   from-scratch concrete solve exactly, at every admitted size: both
+//!   compare the same exact FLOP counts ([`gmc_kernels::Flops`]), so
+//!   they break ties alike, and both report the same `f64` cost, the
+//!   same parenthesization and the same kernel sequence, in both
+//!   inference modes.
 //!
 //! # Example
 //!

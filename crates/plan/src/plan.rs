@@ -17,11 +17,12 @@
 //! are computable. Only the numeric cost values change with the
 //! binding. The recorder therefore runs the DP once per region,
 //! capturing per cell the full candidate set `(split, kernel, FLOP
-//! formula)` and logging every shape question the DP's structure
+//! polynomial)` and logging every shape question the DP's structure
 //! depends on, which become the region's key; instantiation re-ranks
-//! those candidates with the exact per-kernel FLOP formulas
-//! (bit-identical to [`gmc_kernels::KernelOp::flops`]) under the
-//! engine's rules, so the result is bit-identical to a from-scratch
+//! those candidates under the engine's rules by their polynomials
+//! evaluated in thirds, which are exactly the
+//! [`flop_count`](gmc_kernels::KernelOp::flop_count)s the concrete
+//! optimizer compares, so the result is bit-identical to a from-scratch
 //! concrete solve.
 //!
 //! On top of that, cells are classified:
@@ -29,7 +30,9 @@
 //! * **Resolved** — one candidate's cost *polynomial* dominates every
 //!   alternative on the positive orthant (with ties broken the same way
 //!   the optimizer breaks them), so the decision is binding-independent
-//!   and instantiation skips the candidate scan entirely.
+//!   and instantiation skips the candidate scan entirely. Costs are
+//!   exact on both sides, so a polynomial tie is a tie at every
+//!   binding, and the tie rule decides it.
 //! * **Deferred** — polynomially ambiguous; candidates are re-ranked
 //!   numerically at bind time.
 //! * **Dynamic** — a descendant's property set is split-dependent
@@ -43,7 +46,7 @@ use gmc_expr::{
     Chain, CostPoly, Dim, DimBindings, FactorView, OperandId, OperandView, PropertySet, Shape,
     SymChain, SymShape,
 };
-use gmc_kernels::{FlopFormula, KernelOp, KernelRegistry, LeafBindings, Rank, Wiring};
+use gmc_kernels::{Flops, KernelOp, KernelRegistry, LeafBindings, Rank, Wiring};
 use gmc_pattern::Var;
 use std::fmt;
 
@@ -56,7 +59,6 @@ pub(crate) struct Candidate {
     pub(crate) k: usize,
     pub(crate) kernel_idx: usize,
     pub(crate) specificity: u8,
-    pub(crate) formula: FlopFormula,
     pub(crate) op_poly: CostPoly,
     pub(crate) total_poly: Option<CostPoly>,
     pub(crate) var_binds: Vec<(Var, OperandId)>,
@@ -69,6 +71,17 @@ impl Candidate {
             specificity: self.specificity,
             index: self.kernel_idx,
         }
+    }
+
+    /// The candidate's operation cost at `bindings`: its polynomial in
+    /// thirds, which is exactly the concrete operation's
+    /// [`flop_count`](KernelOp::flop_count).
+    fn op_cost(&self, bindings: &DimBindings) -> Flops {
+        let thirds = self
+            .op_poly
+            .eval_thirds(bindings)
+            .expect("plan polynomials are representable and bound at admitted sizes");
+        Flops::from_thirds(u128::try_from(thirds).expect("FLOP counts are non-negative"))
     }
 
     /// How the candidate's kernel binds the split's `left` and `right`
@@ -95,8 +108,8 @@ impl Candidate {
         registry: &KernelRegistry,
         left: &FactorView,
         right: &FactorView,
-        op_cost: f64,
-    ) -> (Winner<f64>, Shape) {
+        op_cost: Flops,
+    ) -> (Winner<Flops>, Shape) {
         let wiring = self.wiring(left);
         let op = registry.kernels()[self.kernel_idx].op(wiring.bind(left.operand, right.operand));
         let winner = Winner {
@@ -235,33 +248,6 @@ pub(crate) fn cell_index(n: usize, i: usize, j: usize) -> usize {
     i * (2 * n - i + 1) / 2 + (j - i)
 }
 
-/// Whether cost `a` is at most cost `b` at every binding of the region
-/// as the concrete optimizer's `f64` comparison sees it, so that a tie
-/// goes the way the caller's tie rule says.
-///
-/// Polynomial dominance suffices when both costs are computed exactly in
-/// `f64`. An exact tie between rounded costs (thirds) can fall either
-/// way, depending on the size and on the summation order, so otherwise
-/// the region must admit no tie. `corner` is the region's lowest point:
-/// every variable the region binds to 1 at 1, every other one at 2. A
-/// difference that is non-negative on the orthant is smallest there
-/// within the region (its shifted coefficients are non-negative), and
-/// if it is zero there it is zero at every binding of the region.
-fn surely_no_more(
-    a: &CostPoly,
-    a_exact: bool,
-    b: &CostPoly,
-    b_exact: bool,
-    corner: &DimBindings,
-) -> bool {
-    a.dominated_by(b)
-        && (a_exact && b_exact
-            || matches!(
-                (a.eval_thirds(corner), b.eval_thirds(corner)),
-                (Some(x), Some(y)) if x < y
-            ))
-}
-
 /// The properties of the temporary for `M[i..=j]` computed by the split
 /// at `k`, as [`CellGrid::temp_properties`] infers them, logging the
 /// shape questions they depend on: those compositional inference asks of
@@ -269,7 +255,7 @@ fn surely_no_more(
 /// the sub-chain's range; and the temporary's squareness if its
 /// properties depend on it.
 fn logged_properties(
-    grid: &CellGrid<f64>,
+    grid: &CellGrid<Flops>,
     inference: InferenceMode,
     chain: &Chain,
     (i, k, j): (usize, usize, usize),
@@ -299,8 +285,8 @@ pub(crate) fn record_region(
     inference: InferenceMode,
     sym: &SymChain,
     chain: &Chain,
-    workspace: &mut GmcWorkspace<f64>,
-) -> (RegionPlan, Result<GmcSolution<f64>, GmcError>) {
+    workspace: &mut GmcWorkspace<Flops>,
+) -> (RegionPlan, Result<GmcSolution<Flops>, GmcError>) {
     let n = chain.len();
     let len = n * (n + 1) / 2;
     let dims = sym.dims();
@@ -317,31 +303,15 @@ pub(crate) fn record_region(
     grid.reset(chain);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
     let mut total_polys: Vec<Option<CostPoly>> = vec![None; len];
-    // Whether a resolved cell's total is computed exactly in `f64`.
-    let mut exact_totals: Vec<bool> = vec![true; len];
-    let mut corner = DimBindings::new();
-    for (d, size) in dims.iter().zip(chain.sizes()) {
-        if let Dim::Var(v) = d {
-            corner.set_var(*v, if size == 1 { 1 } else { 2 });
-        }
-    }
     // Same-split candidates compete on their operation costs alone.
-    let op_no_more = |a: &Candidate, b: &Candidate| {
-        surely_no_more(
-            &a.op_poly,
-            a.formula.is_exact_in_f64(),
-            &b.op_poly,
-            b.formula.is_exact_in_f64(),
-            &corner,
-        )
-    };
+    let op_no_more = |a: &Candidate, b: &Candidate| a.op_poly.dominated_by(&b.op_poly);
     // At equal cost, would the within-split rule prefer `a` over `b`?
     let tie_favors = |a: &Candidate, b: &Candidate| a.rank(()).beats(&b.rank(()));
     let mut unstable: Vec<bool> = vec![false; len];
 
-    // An operand's symbolic shape, for formulas: a factor's own, or,
-    // for the temporary of `M[i..=j]`, d[i] × d[j+1], independent of
-    // how the sub-chain is parenthesized.
+    // An operand's symbolic shape, for FLOP polynomials: a factor's
+    // own, or, for the temporary of `M[i..=j]`, d[i] × d[j+1],
+    // independent of how the sub-chain is parenthesized.
     let sym_shape = |v: &OperandView| match v.id {
         OperandId::Factor(t) => sym.factors()[t].operand().shape(),
         OperandId::Temp(i, j) => SymShape::new(dims[i], dims[j + 1]),
@@ -353,7 +323,7 @@ pub(crate) fn record_region(
 
     struct RawCand {
         k: usize,
-        rank: Rank<f64>,
+        rank: Rank<Flops>,
         wiring: Wiring,
         op: KernelOp<OperandView>,
         binds: LeafBindings<OperandId>,
@@ -375,7 +345,7 @@ pub(crate) fn record_region(
                 let start = raw.len();
                 registry.for_each_match(left, right, |kernel_idx, kernel, wiring| {
                     let op = kernel.op(wiring.bind(left.operand, right.operand));
-                    let rank = kernel.rank(kernel_idx, op.flops());
+                    let rank = kernel.rank(kernel_idx, op.flop_count());
                     raw.push(RawCand {
                         k,
                         rank,
@@ -428,8 +398,7 @@ pub(crate) fn record_region(
             let mut cands: Vec<Candidate> = raw
                 .iter()
                 .map(|c| {
-                    let formula = FlopFormula::from_op(&c.op, sym_shape);
-                    let op_poly = formula.poly();
+                    let op_poly = c.op.flop_poly(sym_shape);
                     let total_poly = match (
                         &total_polys[cell_index(n, i, c.k)],
                         &total_polys[cell_index(n, c.k + 1, j)],
@@ -449,7 +418,6 @@ pub(crate) fn record_region(
                         k: c.k,
                         kernel_idx: c.rank.index,
                         specificity: c.rank.specificity,
-                        formula,
                         op_poly,
                         total_poly,
                         var_binds,
@@ -488,13 +456,7 @@ pub(crate) fn record_region(
             // wins on non-strict dominance (the DP keeps the earliest
             // split on cost ties), a later split only on strict
             // dominance (its cost must beat the earlier split
-            // everywhere). Ties count only between exact costs (see
-            // `surely_no_more`).
-            let exact_total = |c: &Candidate| {
-                exact_totals[cell_index(n, i, c.k)]
-                    && exact_totals[cell_index(n, c.k + 1, j)]
-                    && c.formula.is_exact_in_f64()
-            };
+            // everywhere).
             let winner = &cands[w];
             let winner_resolved = winner.total_poly.is_some()
                 && cands.iter().enumerate().all(|(ci, c)| {
@@ -507,7 +469,7 @@ pub(crate) fn record_region(
                         c.total_poly.as_ref().is_some_and(|ct| {
                             let wt = winner.total_poly.as_ref().expect("checked above");
                             if winner.k < c.k {
-                                surely_no_more(wt, exact_total(winner), ct, exact_total(c), &corner)
+                                wt.dominated_by(ct)
                             } else {
                                 wt.strictly_dominated_by(ct)
                             }
@@ -516,7 +478,6 @@ pub(crate) fn record_region(
                 });
 
             if winner_resolved {
-                exact_totals[idx] = exact_total(&cands[w]);
                 total_polys[idx] = cands[w].total_poly.clone();
                 plan_cells[idx] = CellPlan::Resolved {
                     cand: Box::new(cands.swap_remove(w)),
@@ -597,18 +558,13 @@ pub(crate) fn instantiate(
     region: &RegionPlan,
     chain: &Chain,
     bindings: &DimBindings,
-    workspace: &mut GmcWorkspace<f64>,
-) -> Result<GmcSolution<f64>, GmcError> {
+    workspace: &mut GmcWorkspace<Flops>,
+) -> Result<GmcSolution<Flops>, GmcError> {
     let n = region.n;
     debug_assert_eq!(n, chain.len());
     debug_assert_eq!(region.cells.len(), n * (n + 1) / 2);
     let grid = &mut workspace.grid;
     grid.reset(chain);
-    let eval = |c: &Candidate| {
-        c.formula
-            .eval(bindings)
-            .expect("plan formulas only reference bound chain dimensions")
-    };
 
     for l in 1..n {
         for i in 0..(n - l) {
@@ -617,7 +573,7 @@ pub(crate) fn instantiate(
                 CellPlan::Leaf => unreachable!("interior cell marked as leaf"),
                 CellPlan::Unsolvable => {}
                 CellPlan::Resolved { cand, props } => {
-                    let op_cost = eval(cand);
+                    let op_cost = cand.op_cost(bindings);
                     let total = grid
                         .split_total(i, cand.k, j, &op_cost)
                         .expect("resolved children are computed");
@@ -632,9 +588,9 @@ pub(crate) fn instantiate(
                     let mut next = 0;
                     let (total, k, (op_cost, ci)) = grid
                         .best_split(i, j, |k, _, _| {
-                            let mut best: Option<(f64, usize)> = None;
+                            let mut best: Option<(Flops, usize)> = None;
                             while next < cands.len() && cands[next].k == k {
-                                let cost = eval(&cands[next]);
+                                let cost = cands[next].op_cost(bindings);
                                 if best.is_none_or(|(bc, bi)| {
                                     cands[next].rank(cost).beats(&cands[bi].rank(bc))
                                 }) {
@@ -651,7 +607,7 @@ pub(crate) fn instantiate(
                 }
                 CellPlan::Dynamic => {
                     if let Some((total, k, m)) =
-                        grid.select_best_split(registry, i, j, KernelOp::flops)
+                        grid.select_best_split(registry, i, j, KernelOp::flop_count)
                     {
                         let props = grid.temp_properties(inference, chain, i, k, j);
                         grid.decide(i, j, total, Winner::of(k, &m), m.op.result_shape(), props);
@@ -666,7 +622,7 @@ pub(crate) fn instantiate(
 
 /// The views of the two computed sides of the split of `M[i..=j]` at
 /// `k`.
-fn sides(grid: &CellGrid<f64>, i: usize, k: usize, j: usize) -> (FactorView, FactorView) {
+fn sides(grid: &CellGrid<Flops>, i: usize, k: usize, j: usize) -> (FactorView, FactorView) {
     let side = |a, b| {
         *grid
             .view(a, b)
@@ -682,7 +638,9 @@ mod tests {
     //! classification and a digest of every recorded region (its key,
     //! cells with their candidates, and variables) must equal the
     //! recorded constants. A change to what the recorder decides shows
-    //! up here; one made on purpose updates the constants. The regions
+    //! up here; one made on purpose updates the constants. Cost
+    //! polynomials render by variable name, so the digest does not
+    //! depend on the order in which tests intern variables. The regions
     //! also go through the plan store, whose loader must re-record each
     //! of them exactly.
 
@@ -703,28 +661,23 @@ mod tests {
         hash
     }
 
-    /// `U Uᵀ D⁻¹ S⁻¹ S Uᵀ` over `n × n` operands (U upper triangular, D
-    /// diagonal, S symmetric): the aliased factors make some cells'
-    /// temporaries split-dependent, so compositional inference leaves
-    /// Dynamic cells.
+    /// `U Pᵀ Dᵀ Dᵀ S⁻ᵀ` over `n × n` operands (U upper triangular, P
+    /// SPD, D diagonal, S symmetric): the aliased diagonal factor makes
+    /// a deferred cell's temporary split-dependent, so compositional
+    /// inference leaves a Dynamic cell above it.
     fn aliased_chain() -> SymChain {
         let n = Dim::var("rp_n");
-        let u = SymOperand::square("U", n)
-            .with_property(Property::UpperTriangular)
-            .unwrap();
-        let d = SymOperand::square("D", n)
-            .with_property(Property::Diagonal)
-            .unwrap();
-        let s = SymOperand::square("S", n)
-            .with_property(Property::Symmetric)
-            .unwrap();
+        let square = |name, property| SymOperand::square(name, n).with_property(property).unwrap();
+        let d = square("D", Property::Diagonal);
         SymChain::new(vec![
-            SymFactor::new(u.clone(), UnaryOp::None),
-            SymFactor::new(u.clone(), UnaryOp::Transpose),
-            SymFactor::new(d, UnaryOp::Inverse),
-            SymFactor::new(s.clone(), UnaryOp::Inverse),
-            SymFactor::new(s, UnaryOp::None),
-            SymFactor::new(u, UnaryOp::Transpose),
+            SymFactor::plain(square("U", Property::UpperTriangular)),
+            SymFactor::new(
+                square("P", Property::SymmetricPositiveDefinite),
+                UnaryOp::Transpose,
+            ),
+            SymFactor::new(d.clone(), UnaryOp::Transpose),
+            SymFactor::new(d, UnaryOp::Transpose),
+            SymFactor::new(square("S", Property::Symmetric), UnaryOp::InverseTranspose),
         ])
         .unwrap()
     }
@@ -896,14 +849,14 @@ mod tests {
         let (total, digest, aliased) = record(InferenceMode::Compositional);
         assert!(aliased.dynamic >= 1, "{aliased}");
         let want = PlanSummary {
-            resolved: 1025,
-            deferred: 814,
-            dynamic: 13,
+            resolved: 1309,
+            deferred: 531,
+            dynamic: 2,
             unsolvable: 0,
         };
         assert_eq!(total, want);
         assert_eq!(
-            digest, 0xfe31_cff8_b14b_f202,
+            digest, 0x7e9b_4add_19db_696f,
             "regions digest {digest:#018x}"
         );
     }
@@ -912,14 +865,14 @@ mod tests {
     fn deep_recording_is_pinned() {
         let (total, digest, _) = record(InferenceMode::Deep);
         let want = PlanSummary {
-            resolved: 1241,
-            deferred: 1088,
+            resolved: 1525,
+            deferred: 794,
             dynamic: 0,
             unsolvable: 0,
         };
         assert_eq!(total, want);
         assert_eq!(
-            digest, 0x4790_051b_04a9_e9d1,
+            digest, 0xe63f_6130_cf31_e0f9,
             "regions digest {digest:#018x}"
         );
     }

@@ -9,7 +9,7 @@
 
 use gmc::{FlopCount, GmcOptimizer, GmcSolution, InferenceMode};
 use gmc_expr::{Dim, DimBindings, Property, SymChain, SymFactor, SymOperand, UnaryOp};
-use gmc_kernels::KernelRegistry;
+use gmc_kernels::{Flops, KernelRegistry};
 use gmc_plan::PlanCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,7 +89,7 @@ fn concurrent_mixed_traffic_is_equivalent_and_loses_no_updates() {
     for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
         // Reference answers, computed sequentially from scratch.
         let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
-        let expected: Vec<Vec<GmcSolution<f64>>> = work
+        let expected: Vec<Vec<GmcSolution<Flops>>> = work
             .iter()
             .map(|(chain, binds)| {
                 binds

@@ -80,7 +80,7 @@ use admission::{AdmissionGate, Permit};
 use faults::FAULT_PANIC_MARKER;
 use gmc::{GmcSolution, InferenceMode};
 use gmc_expr::{Dim, DimBindings, SymChain};
-use gmc_kernels::KernelRegistry;
+use gmc_kernels::{Flops, KernelRegistry};
 use gmc_obs::trace::SlowTraceRing;
 use gmc_obs::{Histogram, HistogramSnapshot};
 use gmc_plan::{CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
@@ -171,7 +171,7 @@ pub struct Served {
 }
 
 impl Served {
-    fn from_solution(solution: &GmcSolution<f64>, outcome: PlanOutcome) -> Served {
+    fn from_solution(solution: &GmcSolution<Flops>, outcome: PlanOutcome) -> Served {
         Served {
             outcome,
             cost: solution.cost(),
@@ -786,7 +786,8 @@ struct ReplySlot {
     /// The ticket's channel, or `None` for a request its caller solves
     /// inline: [`run_job`] then returns the reply instead of sending it.
     tx: Option<Sender<ServeReply>>,
-    permit: Permit,
+    /// The request's admission slot, until [`release`](Self::release).
+    permit: Option<Permit>,
 }
 
 impl ReplySlot {
@@ -797,11 +798,18 @@ impl ReplySlot {
             .is_some_and(|deadline| now >= deadline)
     }
 
-    /// Answers the request, releasing the admission slot *first* so a
-    /// caller that has received all its replies observes zero of its
-    /// permits outstanding (closed-loop replay depends on this for
-    /// deterministic admission). Sends the reply down the ticket's
-    /// channel, or hands it back for an inline caller.
+    /// Frees the request's admission slot. [`run_job`] frees it before
+    /// it counts the request as answered, so a caller that sees the
+    /// count (closed-loop replay waits on it) finds the slot free.
+    fn release(&mut self) {
+        self.permit = None;
+    }
+
+    /// Answers the request, releasing the admission slot *first* if it
+    /// is still held, so a caller that has received all its replies
+    /// observes zero of its permits outstanding (closed-loop replay
+    /// depends on this for deterministic admission). Sends the reply
+    /// down the ticket's channel, or hands it back for an inline caller.
     fn send(self, result: Result<Served, ServeError>) -> Option<ServeReply> {
         let ReplySlot {
             name, tx, permit, ..
@@ -830,7 +838,7 @@ trait Requests: IntoIterator<Item = ReplySlot> {
     fn shed(&mut self, now: Instant, each: impl FnMut(ReplySlot));
 
     /// The requests left to answer.
-    fn pending(&self) -> &[ReplySlot];
+    fn pending(&mut self) -> &mut [ReplySlot];
 }
 
 impl Requests for Vec<ReplySlot> {
@@ -838,7 +846,7 @@ impl Requests for Vec<ReplySlot> {
         self.extract_if(.., |slot| slot.expired(now)).for_each(each);
     }
 
-    fn pending(&self) -> &[ReplySlot] {
+    fn pending(&mut self) -> &mut [ReplySlot] {
         self
     }
 }
@@ -850,8 +858,8 @@ impl Requests for Option<ReplySlot> {
             .for_each(each);
     }
 
-    fn pending(&self) -> &[ReplySlot] {
-        self.as_slice()
+    fn pending(&mut self) -> &mut [ReplySlot] {
+        self.as_mut_slice()
     }
 }
 
@@ -1085,7 +1093,7 @@ impl ServeHandle {
                 trace_id: self.shared.next_trace_id(),
                 options,
                 tx: None,
-                permit,
+                permit: Some(permit),
             },
         })
     }
@@ -1659,10 +1667,12 @@ fn run_job(
     let tel = &shared.telemetry;
     let picked = Instant::now();
     let mut inline_reply = None;
-    replies.shed(picked, |slot| {
+    replies.shed(picked, |mut slot| {
         // Never solved, so `rejected` as `expired`, and its latency lands
-        // in the `expired` histogram, not `total`. Counted before its
-        // sample records, as below.
+        // in the `expired` histogram, not `total`. Its permit is freed
+        // before it counts, and it counts before its sample records, as
+        // below.
+        slot.release();
         tel.expired.inc();
         fence(Ordering::Release);
         tel.expired_ns
@@ -1720,10 +1730,14 @@ fn run_job(
         Ok(Ok((_, _, t))) => *t,
         _ => SolveTiming::default(),
     };
-    // The job's requests are counted once, before any of their samples
+    // Each request's permit is freed before the job counts it, so a
+    // caller that sees a request answered finds its slot free. The
+    // job's requests are counted once, before any of their samples
     // record, behind a release fence: a reader that takes histograms
     // first (see [`Shared::stats`]) never sees one ahead of `completed`.
-    served.add(replies.pending().len() as u64);
+    let pending = replies.pending();
+    pending.iter_mut().for_each(ReplySlot::release);
+    served.add(pending.len() as u64);
     fence(Ordering::Release);
     let total = nanos_between(stamps.enqueued, solve_done);
     let queued = nanos_between(stamps.enqueued, picked);

@@ -445,90 +445,118 @@ fn random_symbolic_chain(rng: &mut StdRng) -> gmc_expr::SymChain {
     SymChain::new(factors).expect("dims line up by construction")
 }
 
+/// Serves `random_symbolic_chain(seed)` at eight bindings drawn from
+/// `sizes` through the plan cache, in both inference modes, and checks
+/// each answer against a from-scratch concrete solve and the
+/// independent `gmc::reference` solver, bit for bit: cost,
+/// parenthesization, kernel sequence. The second pass is served by a
+/// fresh cache loaded from the first cache's plan store: every answer
+/// there must be a hit and bit-identical.
+fn check_symbolic_plan(seed: u64, sizes: &[usize]) {
+    use gmc::reference::solve_reference;
+    use gmc::InferenceMode;
+    use gmc_expr::DimBindings;
+    use gmc_plan::{PlanCache, PlanOutcome};
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eb011c);
+    let chain = random_symbolic_chain(&mut rng);
+    let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+    let bindings_list: Vec<DimBindings> = (0..8)
+        .map(|_| {
+            let mut b = DimBindings::new();
+            for v in chain.vars() {
+                b.set_var(v, sizes[rng.gen_range(0..sizes.len())]);
+            }
+            b
+        })
+        .collect();
+    for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+        let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
+        let recorder = PlanCache::new(registry.clone(), mode);
+        let loaded = PlanCache::new(registry.clone(), mode);
+        for pass in 0..2 {
+            let cache = if pass == 0 {
+                &recorder
+            } else {
+                loaded
+                    .load_snapshot_json(&recorder.snapshot_json())
+                    .expect("a genuine plan store loads");
+                &loaded
+            };
+            for bindings in &bindings_list {
+                let concrete = chain.bind(bindings).expect("all variables bound");
+                let want = optimizer.solve(&concrete);
+                let oracle = solve_reference(&registry, &FlopCount, mode, &concrete);
+                match (want, oracle, cache.solve(&chain, bindings)) {
+                    (Ok(want), Ok(oracle), Ok((got, outcome))) => {
+                        for (label, want) in [("concrete", &want), ("reference", &oracle)] {
+                            prop_assert_eq!(
+                                want.cost().to_bits(),
+                                got.cost().to_bits(),
+                                "cost diverged from the {} solve ({:?}, {}) on {}",
+                                label,
+                                mode,
+                                outcome,
+                                &concrete
+                            );
+                            prop_assert_eq!(
+                                want.parenthesization(),
+                                got.parenthesization(),
+                                "parenthesization diverged from the {} solve ({:?}) on {}",
+                                label,
+                                mode,
+                                &concrete
+                            );
+                            prop_assert_eq!(want.kernel_names(), got.kernel_names());
+                        }
+                        prop_assert_eq!(want.flops(), got.flops());
+                        if pass == 1 {
+                            prop_assert_eq!(outcome, PlanOutcome::Hit);
+                        }
+                    }
+                    (Err(_), Err(_), Err(_)) => {}
+                    (want, oracle, got) => prop_assert!(
+                        false,
+                        "solvability diverged ({:?}) on {}: {:?} / {:?} vs {:?}",
+                        mode,
+                        &concrete,
+                        want.map(|s| s.cost()),
+                        oracle.map(|s| s.cost()),
+                        got.map(|(s, o)| (s.cost(), o))
+                    ),
+                }
+            }
+        }
+        // Unsolvable answers carry no outcome: count them through
+        // the loaded cache's counters instead.
+        let served = loaded.stats();
+        prop_assert_eq!(served.hits, bindings_list.len() as u64);
+        prop_assert_eq!(served.requests(), served.hits);
+    }
+}
+
 proptest! {
     /// For random chains with symbolic dimensions, binding the
     /// variables and serving the chain through the plan cache is
-    /// bit-identical — cost, parenthesization, kernel sequence — to a
-    /// from-scratch concrete solve and to the independent
-    /// `gmc::reference` solver, in both inference modes, across several
-    /// bindings (different size regions included). The second pass is
-    /// served by a fresh cache loaded from the first cache's plan
-    /// store: every answer there must be a hit and bit-identical.
+    /// bit-identical to a from-scratch concrete solve and to the
+    /// reference solver, across several bindings (different size
+    /// regions included), straight from the recorder and from a
+    /// reloaded plan store (see `check_symbolic_plan`).
     #[test]
     fn symbolic_plan_matches_concrete_solve(seed in 0u64..1_000_000) {
-        use gmc::InferenceMode;
-        use gmc::reference::solve_reference;
-        use gmc_expr::DimBindings;
-        use gmc_plan::{PlanCache, PlanOutcome};
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eb011c);
-        let chain = random_symbolic_chain(&mut rng);
-        let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
-        let sizes = [1usize, 2, 3, 7, 10, 40, 100];
-        let bindings_list: Vec<DimBindings> = (0..8)
-            .map(|_| {
-                let mut b = DimBindings::new();
-                for v in chain.vars() {
-                    b.set_var(v, sizes[rng.gen_range(0..sizes.len())]);
-                }
-                b
-            })
-            .collect();
-        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
-            let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
-            let recorder = PlanCache::new(registry.clone(), mode);
-            let loaded = PlanCache::new(registry.clone(), mode);
-            for pass in 0..2 {
-                let cache = if pass == 0 {
-                    &recorder
-                } else {
-                    loaded
-                        .load_snapshot_json(&recorder.snapshot_json())
-                        .expect("a genuine plan store loads");
-                    &loaded
-                };
-                for bindings in &bindings_list {
-                    let concrete = chain.bind(bindings).expect("all variables bound");
-                    let want = optimizer.solve(&concrete);
-                    let oracle = solve_reference(&registry, &FlopCount, mode, &concrete);
-                    match (want, oracle, cache.solve(&chain, bindings)) {
-                        (Ok(want), Ok(oracle), Ok((got, outcome))) => {
-                            for (label, want) in [("concrete", &want), ("reference", &oracle)] {
-                                prop_assert_eq!(
-                                    want.cost().to_bits(), got.cost().to_bits(),
-                                    "cost diverged from the {} solve ({:?}, {}) on {}",
-                                    label, mode, outcome, &concrete
-                                );
-                                prop_assert_eq!(
-                                    want.parenthesization(), got.parenthesization(),
-                                    "parenthesization diverged from the {} solve ({:?}) on {}",
-                                    label, mode, &concrete
-                                );
-                                prop_assert_eq!(want.kernel_names(), got.kernel_names());
-                            }
-                            prop_assert_eq!(want.flops(), got.flops());
-                            if pass == 1 {
-                                prop_assert_eq!(outcome, PlanOutcome::Hit);
-                            }
-                        }
-                        (Err(_), Err(_), Err(_)) => {}
-                        (want, oracle, got) => prop_assert!(
-                            false,
-                            "solvability diverged ({:?}) on {}: {:?} / {:?} vs {:?}",
-                            mode, &concrete,
-                            want.map(|s| s.cost()),
-                            oracle.map(|s| s.cost()),
-                            got.map(|(s, o)| (s.cost(), o))
-                        ),
-                    }
-                }
-            }
-            // Unsolvable answers carry no outcome: count them through
-            // the loaded cache's counters instead.
-            let served = loaded.stats();
-            prop_assert_eq!(served.hits, bindings_list.len() as u64);
-            prop_assert_eq!(served.requests(), served.hits);
-        }
+        check_symbolic_plan(seed, &[1, 2, 3, 7, 10, 40, 100]);
+    }
+
+    /// The same at sizes up to the largest admitted dimension, 2^32,
+    /// where costs with thirds (and many integer ones) are not exact in
+    /// `f64`: every path compares the exact counts, so ties between
+    /// parenthesizations break the same way at every size.
+    #[test]
+    fn symbolic_plan_matches_concrete_solve_at_large_sizes(seed in 0u64..1_000_000) {
+        check_symbolic_plan(
+            seed,
+            &[1, 2, 7, 40, (1 << 26) + 3, (1 << 27) + 1, 3 * (1 << 26) + 5, (1 << 28) - 3, 1 << 32],
+        );
     }
 }
 
