@@ -15,8 +15,8 @@
 //! *canonically identical* but use different dimension-variable names
 //! (the PR 5 aliasing crash family) can be requested via
 //! `alias_structures`, and `duplicate_ratio` emits exact duplicate
-//! bindings to exercise the coalescing of identical requests within
-//! one submission.
+//! bindings, each one a request of its own that hits its region's
+//! plan once the region is recorded.
 
 use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand, UnaryOp, MAX_DIM};
 use gmc_plan::region_signature;
@@ -236,15 +236,17 @@ pub struct WorkloadSpec {
     /// the first request of a structure is always fresh.
     pub hit_ratio: f64,
     /// Fraction of warm requests that duplicate an earlier binding
-    /// *exactly* (exercises submission coalescing); the rest rescale an
-    /// earlier binding, staying in its region with fresh sizes.
+    /// *exactly* (a cache hit once its region is recorded); the rest
+    /// rescale an earlier binding, staying in its region with fresh
+    /// sizes.
     pub duplicate_ratio: f64,
 }
 
 impl WorkloadSpec {
     /// A named preset at the given seed, or `None` for an unknown name.
     /// Presets: `steady` (hit-heavy), `mixed` (50/50), `churn`
-    /// (all-miss region churn), `storm` (duplicate coalescing storm),
+    /// (all-miss region churn), `storm` (90% exact duplicates: hits
+    /// on a few hot regions),
     /// `bursty` (open-loop on-off arrivals), `aliased`
     /// (renamed-variable twins interleaved).
     pub fn preset(name: &str, seed: u64) -> Option<WorkloadSpec> {
@@ -478,8 +480,7 @@ pub enum RequestClass {
     Fresh,
     /// Rescaled earlier binding, same region: intended hit.
     Warm,
-    /// Exact duplicate of an earlier binding: intended hit, and a
-    /// coalescing candidate when it falls in the same replay window.
+    /// Exact duplicate of an earlier binding: intended hit.
     Duplicate,
 }
 

@@ -340,6 +340,34 @@ X := A^-1 * B
     }
 
     #[test]
+    fn time_metric_prices_a_copy_at_the_admitted_maximum() {
+        // I·B copies a 2^32 × 2^32 result: 2^64 entries of 8 bytes at
+        // the model's 20 GB/s.
+        let source = "\
+Matrix I (4294967296, 4294967296) <Identity>
+Matrix B (4294967296, 4294967296)
+X := I * B
+";
+        let out = compile(
+            source,
+            &Options {
+                metric: Metric::Time,
+                ..Options::default()
+            },
+        )
+        .unwrap();
+        let ms: f64 = out
+            .lines()
+            .find_map(|l| l.strip_prefix("# cost: "))
+            .and_then(|l| l.split(" ms (model)").next())
+            .unwrap_or_else(|| panic!("no model cost in {out}"))
+            .parse()
+            .unwrap();
+        let want = 2f64.powi(64) * 8.0 / 20e9 * 1e3;
+        assert!((ms / want - 1.0).abs() < 1e-6, "{ms} ms, want {want}");
+    }
+
+    #[test]
     fn parse_errors_are_surfaced() {
         let err = compile("Matrix A (5, 5)\nX := A * Q\n", &Options::default()).unwrap_err();
         assert!(err.contains("not defined"));

@@ -3,14 +3,15 @@
 //! `serve` loads a problem file, registers every assignment as a named
 //! structure with a [`gmc_serve::Server`] (the parse-once front door),
 //! optionally warm-starts the plan cache from a plan store and
-//! pre-enumerates small structures, then either answers a batch
-//! requests file in-process (`--requests`) or listens on TCP
-//! (`--listen`). `request` is the matching line-protocol client.
+//! pre-enumerates small structures, then either answers a requests
+//! file in-process (`--requests`), line by line through the handler
+//! every connection uses, or listens on TCP (`--listen`). `request` is
+//! the matching line-protocol client.
 
 use gmc::InferenceMode;
 use gmc_expr::SymChain;
 use gmc_kernels::KernelRegistry;
-use gmc_serve::protocol::{parse_request_line, reply_to_json, stats_to_json};
+use gmc_serve::protocol::{answer_line, stats_to_json};
 use gmc_serve::{ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write as _};
 use std::sync::Arc;
@@ -116,14 +117,17 @@ pub(crate) fn build_server(
     Ok((server, report))
 }
 
-/// Runs the in-process batch driver: serves every request line of
-/// `requests` against the problem in `input` and renders one JSON
-/// reply line per request plus a trailing stats line.
+/// Runs the in-process batch driver: answers every non-comment line
+/// of `requests` against the problem in `input`, in order, through
+/// [`answer_line`] — the function that answers each line of a
+/// `--listen` connection — then appends a stats line and saves the
+/// plan store if one is set.
 ///
 /// # Errors
 ///
 /// Returns a rendered message for parse errors in the problem file;
-/// malformed request lines become error replies, not driver errors.
+/// malformed request lines get `bad_request` replies, not driver
+/// errors.
 pub fn run_serve_batch(
     input: &str,
     requests: &str,
@@ -131,98 +135,13 @@ pub fn run_serve_batch(
 ) -> Result<String, String> {
     let (server, mut out) = build_server(input, options)?;
     let handle = server.handle();
-
-    // Submit the whole file as one batch so identical requests
-    // coalesce; names stay borrowed from the file's lines.
-    // `line_results` records, per line, how its output slot is filled:
-    // positionally from the replies stream, a literal message
-    // (malformed line), or the counters (a `STATS` line).
-    enum Line {
-        Reply,
-        Literal(String),
-        Stats,
-        Metrics,
-        Slow,
-        Cache,
-    }
-    let mut parsed = Vec::new();
-    let mut line_results: Vec<Line> = Vec::new();
     for line in requests.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line == "STATS" {
-            line_results.push(Line::Stats);
-            continue;
-        }
-        if line == "METRICS" {
-            line_results.push(Line::Metrics);
-            continue;
-        }
-        if line == "SLOW" {
-            line_results.push(Line::Slow);
-            continue;
-        }
-        if line == "CACHE" {
-            line_results.push(Line::Cache);
-            continue;
-        }
-        match parse_request_line(line) {
-            Ok((name, vars, deadline_ms)) => {
-                let opts = match deadline_ms {
-                    Some(ms) => gmc_serve::RequestOptions::with_deadline_in(
-                        std::time::Duration::from_millis(ms),
-                    ),
-                    None => gmc_serve::RequestOptions::default(),
-                };
-                line_results.push(Line::Reply);
-                parsed.push((name, vars, opts));
-            }
-            Err(e) => line_results.push(Line::Literal(format!("# bad request `{line}`: {e}"))),
-        }
-    }
-    let tickets = handle.submit_raw_batch(parsed);
-    // Resolve every reply before rendering, so a `STATS` line reflects
-    // the whole batch wherever it appears in the file.
-    let replies: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-    let mut replies = replies.into_iter();
-    for entry in line_results {
-        match entry {
-            Line::Reply => {
-                let reply = replies.next().expect("one reply per parsed request");
-                out.push_str(&reply_to_json(&reply));
-                out.push('\n');
-            }
-            Line::Literal(msg) => {
-                out.push_str(&msg);
-                out.push('\n');
-            }
-            // Counters as of after the batch resolved (the batch is
-            // submitted whole, so this reflects every request above).
-            Line::Stats => {
-                out.push_str(&stats_to_json(&handle.stats()));
-                out.push('\n');
-            }
-            // Multi-line Prometheus exposition, `# EOF`-terminated
-            // like the wire protocol.
-            Line::Metrics => {
-                let body = handle.metrics_prometheus();
-                out.push_str(&body);
-                if !body.is_empty() && !body.ends_with('\n') {
-                    out.push('\n');
-                }
-                out.push_str("# EOF\n");
-            }
-            Line::Slow => {
-                out.push_str(&handle.slow_traces_json());
-                out.push('\n');
-            }
-            Line::Cache => {
-                out.push_str(&handle.cache_introspection_json());
-                out.push('\n');
-            }
-        }
+        out.push_str(&answer_line(&handle, line));
+        out.push('\n');
     }
     out.push_str(&stats_to_json(&handle.stats()));
     out.push('\n');
@@ -381,7 +300,7 @@ STATS
         assert!(out.contains("\"outcome\":\"hit\""), "{out}");
         assert!(out.contains("TRMM_RLT"), "{out}");
         assert!(out.contains("unknown structure"), "{out}");
-        assert!(out.contains("# bad request"), "{out}");
+        assert!(out.contains("\"code\":\"bad_request\""), "{out}");
         assert!(
             out.contains("unknown dimension variable `bogus_dim`"),
             "{out}"
@@ -416,10 +335,9 @@ Y := A * B
 ";
         let out = run_serve_batch(problem, "Y\nY\n", &ServeOptions::default()).unwrap();
         assert!(out.contains("\"kernels\":[\"GEMM_NN\"]"), "{out}");
-        // Identical requests in one batch coalesce into a single
-        // instantiate: one cache request, one reply fanned out twice.
-        assert!(out.contains("\"coalesced\":1"), "{out}");
-        assert!(out.contains("\"requests\":1"), "{out}");
+        // Each line is its own request: the repeat is a cache hit.
+        assert!(out.contains("\"outcome\":\"hit\""), "{out}");
+        assert!(out.contains("\"requests\":2"), "{out}");
     }
 
     #[test]
@@ -473,6 +391,29 @@ Y := A * B
         );
         door.shutdown();
         server.shutdown();
+    }
+
+    #[test]
+    fn batch_driver_answers_lines_as_a_connection_does() {
+        // Three requests and a malformed line: the batch driver's reply
+        // lines are the ones a `gmcc request` session gets from a fresh
+        // `--listen` server, byte for byte.
+        let requests = "X n=2000,m=200\nX n=4000,m=400\nX oops\nX n=10,m=900\n";
+        let batch = run_serve_batch(PROBLEM, requests, &ServeOptions::default()).unwrap();
+        let batch: Vec<&str> = batch.lines().filter(|l| !l.starts_with('#')).collect();
+        let (server, _report) = build_server(PROBLEM, &ServeOptions::default()).unwrap();
+        let door = gmc_serve::tcp::TcpFrontDoor::bind(server.handle(), "127.0.0.1:0").unwrap();
+        let session = run_request(&door.local_addr().to_string(), requests).unwrap();
+        door.shutdown();
+        server.shutdown();
+        let session: Vec<&str> = session.lines().collect();
+        assert_eq!(session.len(), 4, "{session:?}");
+        assert!(
+            session[2].contains("\"code\":\"bad_request\""),
+            "{session:?}"
+        );
+        // The batch driver appends its stats line after the replies.
+        assert_eq!(batch[..batch.len() - 1], session[..]);
     }
 
     #[test]

@@ -34,19 +34,6 @@ impl fmt::Display for GmcError {
     }
 }
 
-impl GmcError {
-    /// Builds a [`GmcError::NotComputable`] for a chain's display form.
-    ///
-    /// The enum is `#[non_exhaustive]`, so out-of-crate solvers that
-    /// share this error type (the symbolic planner in `gmc-plan`) need a
-    /// constructor.
-    pub fn not_computable(chain: impl Into<String>) -> GmcError {
-        GmcError::NotComputable {
-            chain: chain.into(),
-        }
-    }
-}
-
 impl std::error::Error for GmcError {}
 
 /// How temporaries' properties are derived (the `ablation_inference`

@@ -46,7 +46,6 @@ mod operand;
 mod poly;
 mod properties;
 mod shape;
-mod simplify;
 mod sym;
 mod view;
 
@@ -58,6 +57,5 @@ pub use operand::{is_temp_name, Operand, OperandKind};
 pub use poly::{CostPoly, MAX_DEGREE};
 pub use properties::{ParsePropertyError, Property, PropertySet};
 pub use shape::{GenShape, Shape, ShapeError, SymShape};
-pub use simplify::simplify;
 pub use sym::{SymChain, SymChainError, SymFactor, SymOperand};
 pub use view::{FactorView, OperandId, OperandView, Shaped};

@@ -174,12 +174,14 @@ impl Shape {
         }
     }
 
-    /// The number of entries (`rows · cols`).
+    /// The number of entries (`rows · cols`), in `u128` so that it is
+    /// exact for every admitted shape: [`MAX_DIM`] × [`MAX_DIM`] has
+    /// 2^64 entries, one more than `u64::MAX`.
     ///
     /// This is the "size" measure used by Armadillo's chain heuristic
     /// (paper Sec. 4) when comparing candidate intermediate results.
-    pub fn len(&self) -> usize {
-        self.rows * self.cols
+    pub fn len(&self) -> u128 {
+        self.rows as u128 * self.cols as u128
     }
 
     /// Always false: shapes have positive dimensions.
@@ -326,6 +328,7 @@ mod tests {
     #[test]
     fn len_is_entry_count() {
         assert_eq!(Shape::new(6, 7).len(), 42);
+        assert_eq!(Shape::square(MAX_DIM).len(), 1 << 64);
     }
 
     #[test]

@@ -294,10 +294,15 @@ impl KernelRegistry {
     /// A registry containing only the plain `GEMM_NN` kernel — the
     /// classic matrix chain problem setting (paper Sec. 2).
     pub fn mcp_only() -> Self {
-        RegistryBuilder::default()
+        let plain = RegistryBuilder::default()
             .only_families([KernelFamily::Gemm])
-            .without_transposed_gemm()
-            .build()
+            .kernels()
+            .into_iter()
+            .filter(|k| k.name() == "GEMM_NN")
+            .collect();
+        KernelRegistry {
+            table: Arc::new(Table::new(plain)),
+        }
     }
 
     /// Starts building a customized registry.
@@ -503,7 +508,6 @@ pub struct RegistryBuilder {
     excluded: BTreeSet<KernelFamily>,
     only: Option<BTreeSet<KernelFamily>>,
     no_composite_inverse: bool,
-    no_transposed_gemm: bool,
 }
 
 impl RegistryBuilder {
@@ -526,14 +530,6 @@ impl RegistryBuilder {
     #[must_use]
     pub fn without_composite_inverse(mut self) -> Self {
         self.no_composite_inverse = true;
-        self
-    }
-
-    /// Excludes the transposed GEMM variants, leaving only `GEMM_NN`
-    /// (classic MCP setting).
-    #[must_use]
-    pub fn without_transposed_gemm(mut self) -> Self {
-        self.no_transposed_gemm = true;
         self
     }
 
@@ -560,6 +556,14 @@ impl RegistryBuilder {
     /// at most one unary operator each (no registered kernel triggers
     /// this).
     pub fn build(self) -> KernelRegistry {
+        KernelRegistry {
+            table: Arc::new(Table::new(self.kernels())),
+        }
+    }
+
+    /// The kernels [`build`](Self::build) registers, in registration
+    /// order.
+    fn kernels(self) -> Vec<Kernel> {
         let mut kernels: Vec<Kernel> = Vec::new();
 
         // Factor pattern with a unary operator applied to a variable.
@@ -581,12 +585,7 @@ impl RegistryBuilder {
 
         // ---- GEMM: the four transpose variants. -----------------------
         if self.wants(KernelFamily::Gemm) {
-            let variants: &[(bool, bool)] = if self.no_transposed_gemm {
-                &[(false, false)]
-            } else {
-                &[(false, false), (true, false), (false, true), (true, true)]
-            };
-            for &(ta, tb) in variants {
+            for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
                 let lp = fp(
                     X,
                     if ta {
@@ -1034,9 +1033,7 @@ impl RegistryBuilder {
             }
         }
 
-        KernelRegistry {
-            table: Arc::new(Table::new(kernels)),
-        }
+        kernels
     }
 }
 

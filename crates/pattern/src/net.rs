@@ -285,11 +285,6 @@ impl<P> DiscriminationNet<P> {
         });
     }
 
-    /// Whether any pattern matches `expr`.
-    pub fn any_match(&self, expr: &Expr) -> bool {
-        !self.matches(expr).is_empty()
-    }
-
     fn walk(
         &self,
         node: usize,

@@ -1,5 +1,4 @@
-//! `gmc-serve`: the batching front door over the concurrent plan
-//! cache.
+//! `gmc-serve`: the serving front door over the concurrent plan cache.
 //!
 //! The GMC compile-time cost pays off when one symbolic solve is
 //! amortized over many size-bound requests. This crate turns the
@@ -15,8 +14,8 @@
 //!         ┌──────────────┴───────────────┐
 //!         │ blocking call (solve,        │ tickets (submit*) and a
 //!         │ solve_raw, every TCP line),  │ blocking call that finds
-//!         │ a solve slot free and the    │ no slot: coalesce, one job
-//!         │ queue empty: solve it here   │ per distinct binding
+//!         │ a solve slot free and the    │ no slot: one job per
+//!         │ queue empty: solve it here   │ request, in order
 //!         │                              ▼
 //!         │                     ═══ worker queue ═══
 //!         │                  ┌───────────┼───────────┐
@@ -42,12 +41,14 @@
 //!   APIs (`submit*`, [`ServeHandle::try_submit`]) always queue, so
 //!   they never block, and so does a request carrying an injected
 //!   fault, so faults keep exercising the workers.
-//! * **Coalescing.** Requests of one submission
-//!   ([`ServeHandle::submit_batch`]) with *identical* bindings for one
-//!   registered chain collapse into a single instantiate whose result
-//!   is fanned back out; each distinct binding is its own job, so a
-//!   hot region spreads across the pool. Racing misses on one region
-//!   record once: the cache's per-shard write mutex coalesces them.
+//! * **One request, one job.** Every admitted request is solved and
+//!   answered on its own, under its own deadline and injected fault. A
+//!   batch ([`ServeHandle::submit_batch`]) is admitted whole before any
+//!   of it is queued, so with `k` permits free exactly its first `k`
+//!   admissible requests enter; its jobs then queue in submission
+//!   order. Identical requests are not merged: after the first one
+//!   records its region, the rest are cache hits, and racing misses on
+//!   one region record once (the cache's per-shard write mutex).
 //! * **Pre-enumeration.** [`Server::register_pre_enumerated`] records a
 //!   plan for every reachable region of a small chain up front, making
 //!   every subsequent request for it a hit.
@@ -60,8 +61,9 @@
 //! * **No async runtime.** Plain `std::thread` workers, a
 //!   condvar-signalled job queue and `std::sync::mpsc` reply channels,
 //!   all from the standard library; the optional TCP listener in
-//!   [`tcp`] is a thin line-protocol front end over
-//!   `std::net::TcpListener`.
+//!   [`tcp`] is a thin front end over `std::net::TcpListener` that
+//!   answers each line through [`protocol::answer_line`], as the CLI
+//!   batch driver does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,7 +87,7 @@ use gmc_obs::trace::SlowTraceRing;
 use gmc_obs::{Histogram, HistogramSnapshot};
 use gmc_plan::{CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
 use metrics::Telemetry;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -127,18 +129,18 @@ pub struct ServeConfig {
 /// durations sum exactly to the request's end-to-end latency:
 ///
 /// * `admit` — submission call entry to admission + parse done
-/// * `queue` — end of admission to the start of grouping, both on the
-///   submitting thread (about zero: nothing waits between them); zero
-///   for a request solved inline
-/// * `group` — the submitter grouping its submission into jobs
-///   (coalescing identical bindings); zero inline, where there is
-///   nothing to group
+/// * `queue` — end of admission to the start of queueing the jobs,
+///   both on the submitting thread (about zero: nothing waits between
+///   them); zero for a request solved inline
+/// * `group` — always zero: every request is its own job, so nothing
+///   is grouped (the stage stays so that stage readings keep their
+///   shape)
 /// * `dispatch` — the wait for the solve to start: in the worker
 ///   queue up to a worker picking the job up, or, inline, claiming a
 ///   solve slot (about zero)
 /// * `lookup` — locating the cached region plan
 /// * `solve` — instantiating the plan (or recording it, on a miss)
-/// * `reply` — accounting and fan-out back to the caller
+/// * `reply` — accounting and the reply back to the caller
 pub const STAGES: [&str; 7] = [
     "admit", "queue", "group", "dispatch", "lookup", "solve", "reply",
 ];
@@ -265,17 +267,11 @@ pub struct ServeReply {
 /// Cumulative serving counters.
 #[derive(Clone, Debug, Default)]
 pub struct ServerStats {
-    /// The shared plan cache's hit/miss counters. These count cache
-    /// *instantiates*, not requests: coalesced requests share one
-    /// instantiate, so `cache.requests()` can be below
-    /// `served.completed`.
+    /// The shared plan cache's hit/miss counters: one instantiate per
+    /// solved request, so with no injected fault `cache.requests()`
+    /// equals `served.completed`.
     pub cache: CacheStats,
-    /// Requests answered from another request's instantiate
-    /// (identical structure and bindings in one submission).
-    pub coalesced: u64,
-    /// Jobs solved or queued: one per distinct (structure, bindings)
-    /// of a submission, and one per request a blocking call solves
-    /// inline.
+    /// Jobs solved or queued: one per admitted request.
     pub batches: u64,
     /// Registered structures.
     pub structures: usize,
@@ -307,8 +303,8 @@ impl fmt::Display for ServerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}; {} coalesced, {} batches, {} structures; {}",
-            self.cache, self.coalesced, self.batches, self.structures, self.served
+            "{}; {} batches, {} structures; {}",
+            self.cache, self.batches, self.structures, self.served
         )?;
         if self.supervision.worker_panics > 0 {
             write!(
@@ -349,8 +345,8 @@ pub struct ServedCounters {
     /// Completed requests served from a cached region plan.
     pub hits: u64,
     /// Completed requests that recorded a structure or region plan
-    /// (coalesced waiters of a miss count with the outcome they
-    /// observed).
+    /// (a request that waited for another's recording of its region
+    /// counts as the hit it observed).
     pub misses: u64,
     /// Completed requests whose solve failed (plan-layer error) or
     /// panicked (answered [`ServeError::Internal`]).
@@ -535,7 +531,6 @@ impl Shared {
         fence(Ordering::Acquire);
         ServerStats {
             cache: self.cache.stats(),
-            coalesced: t.coalesced.get(),
             batches: t.batches.get(),
             structures: read_lock(&self.structures).len(),
             served: t.served(),
@@ -548,12 +543,6 @@ impl Shared {
         self.trace_ids.fetch_add(1, Ordering::Relaxed)
     }
 }
-
-/// A raw text-protocol request: structure name, string-named sizes,
-/// and submission options (see [`ServeHandle::submit_raw_batch`]). The
-/// names may be owned (`String`, the default) or borrowed from a
-/// request line, as [`protocol::parse_request_line`] returns them.
-pub type RawRequest<S = String, N = String> = (S, Vec<(N, usize)>, RequestOptions);
 
 /// Per-request submission options: an optional deadline and an
 /// optional injected worker-side fault (chaos testing only).
@@ -583,16 +572,12 @@ impl RequestOptions {
     }
 }
 
-/// One admitted request on its way into a job.
+/// One admitted request: its chain, its bindings and its reply.
 struct Admitted {
     structure: Arc<Structure>,
     bindings: DimBindings,
     slot: ReplySlot,
 }
-
-/// One job of a submission: a distinct request's bindings and chain,
-/// and the reply slots of the request and its identical copies.
-type Group = (DimBindings, Arc<Structure>, Vec<ReplySlot>);
 
 /// When one submission passed each point on the submitting thread; a
 /// job's stage spans start from these.
@@ -602,22 +587,15 @@ struct Stamps {
     enqueued: Instant,
     /// When admission and parsing were done (end of the `admit` span).
     submitted: Instant,
-    /// When grouping started (end of the `queue` span).
-    grouped: Instant,
-    /// When the jobs were formed and queued (end of the `group` span).
+    /// When its jobs started to queue, or its solve slot was claimed
+    /// inline (end of the `queue` span).
     dispatched: Instant,
 }
 
 /// A message on the worker queue.
 enum Job {
-    /// Every request of one submission that wants these bindings of
-    /// this registered chain: one instantiate, fanned back out.
-    Solve {
-        structure: Arc<Structure>,
-        bindings: DimBindings,
-        replies: Vec<ReplySlot>,
-        stamps: Stamps,
-    },
+    /// One admitted request to solve and answer.
+    Solve { request: Admitted, stamps: Stamps },
     /// Ends the worker that dequeues it. Shutdown queues one per
     /// worker behind all earlier work.
     Stop,
@@ -686,17 +664,17 @@ impl JobQueue {
         }
     }
 
-    /// Queues a job behind all earlier ones, or hands it back if the
-    /// pool is gone.
-    fn push(&self, job: Job) -> Result<(), Job> {
+    /// Queues a job behind all earlier ones; `false`, dropping the
+    /// job, if the pool is gone.
+    fn push(&self, job: Job) -> bool {
         let mut state = mutex_lock(&self.state);
         if state.closed {
-            return Err(job);
+            return false;
         }
         state.jobs.push_back(job);
         drop(state);
         self.ready.notify_one();
-        Ok(())
+        true
     }
 
     /// Takes the oldest job, waiting for one. A `Solve` also claims a
@@ -777,8 +755,8 @@ impl JobQueue {
     }
 }
 
-/// One pending reply of a job (each coalesced request keeps its own
-/// trace id, deadline and injected fault).
+/// The pending reply of one admitted request, with its trace id,
+/// deadline and injected fault.
 struct ReplySlot {
     name: String,
     trace_id: u64,
@@ -829,40 +807,6 @@ impl ReplySlot {
     }
 }
 
-/// The requests one job answers: a queued job's coalesced group, or
-/// the single request a blocking call solves inline (an `Option`, so
-/// that path builds no collection).
-trait Requests: IntoIterator<Item = ReplySlot> {
-    /// Takes out, one at a time, the requests whose deadline has
-    /// passed at `now`.
-    fn shed(&mut self, now: Instant, each: impl FnMut(ReplySlot));
-
-    /// The requests left to answer.
-    fn pending(&mut self) -> &mut [ReplySlot];
-}
-
-impl Requests for Vec<ReplySlot> {
-    fn shed(&mut self, now: Instant, each: impl FnMut(ReplySlot)) {
-        self.extract_if(.., |slot| slot.expired(now)).for_each(each);
-    }
-
-    fn pending(&mut self) -> &mut [ReplySlot] {
-        self
-    }
-}
-
-impl Requests for Option<ReplySlot> {
-    fn shed(&mut self, now: Instant, each: impl FnMut(ReplySlot)) {
-        self.take_if(|slot| slot.expired(now))
-            .into_iter()
-            .for_each(each);
-    }
-
-    fn pending(&mut self) -> &mut [ReplySlot] {
-        self.as_mut_slice()
-    }
-}
-
 /// Why [`ServeHandle::admit`] refused a request.
 enum Refusal {
     /// The request cannot be solved as sent: unknown structure, bad
@@ -888,18 +832,6 @@ impl From<Refusal> for ServeError {
     }
 }
 
-/// Merges two injected faults for coalesced requests: a kill beats a
-/// caught panic beats the longest delay.
-fn merge_faults(a: Option<SolveFault>, b: Option<SolveFault>) -> Option<SolveFault> {
-    use SolveFault::{Delay, Kill, Panic};
-    match (a, b) {
-        (None, f) | (f, None) => f,
-        (Some(Kill), _) | (_, Some(Kill)) => Some(Kill),
-        (Some(Panic), _) | (_, Some(Panic)) => Some(Panic),
-        (Some(Delay(x)), Some(Delay(y))) => Some(Delay(x.max(y))),
-    }
-}
-
 /// A cheap, clonable submission handle onto a running [`Server`].
 #[derive(Clone)]
 pub struct ServeHandle {
@@ -919,11 +851,9 @@ impl ServeHandle {
         bindings: DimBindings,
         options: RequestOptions,
     ) -> Ticket {
-        self.submit_with(vec![(structure, bindings, options)], |_, bindings| {
-            Ok(bindings)
-        })
-        .pop()
-        .expect("one ticket per request")
+        self.submit_with(vec![(structure, bindings, options)])
+            .pop()
+            .expect("one ticket per request")
     }
 
     /// Submits one request, but reports a refusal by the admission
@@ -962,7 +892,7 @@ impl ServeHandle {
         match admitted {
             Ok(mut admitted) => {
                 admitted.slot.tx = Some(tx);
-                if !self.queue_unit(vec![admitted], enqueued, Instant::now()) {
+                if !self.queue_unit([admitted], enqueued, Instant::now()) {
                     return Err(SubmitError::ShuttingDown);
                 }
             }
@@ -974,9 +904,10 @@ impl ServeHandle {
         Ok(ticket)
     }
 
-    /// Submits several requests at once. They are grouped as one unit
-    /// on the calling thread, so requests in the batch with identical
-    /// bindings for one structure coalesce into a single instantiate.
+    /// Submits several requests at once. The whole batch is admitted
+    /// on the calling thread before any of it is queued (see
+    /// [`submit_batch_opts`](Self::submit_batch_opts)); each admitted
+    /// request is then its own job, queued in submission order.
     pub fn submit_batch(&self, requests: Vec<(String, DimBindings)>) -> Vec<Ticket> {
         self.submit_batch_opts(
             requests
@@ -987,11 +918,13 @@ impl ServeHandle {
     }
 
     /// [`submit_batch`](Self::submit_batch) with per-request options.
+    /// Every request is solved and answered on its own, under its own
+    /// deadline and injected fault, identical requests included.
     pub fn submit_batch_opts(
         &self,
         requests: Vec<(String, DimBindings, RequestOptions)>,
     ) -> Vec<Ticket> {
-        self.submit_with(requests, |_, bindings| Ok(bindings))
+        self.submit_with(requests)
     }
 
     /// Submits one request and returns its reply. The request runs to
@@ -1007,47 +940,33 @@ impl ServeHandle {
         )
     }
 
-    /// Submits requests whose variables are *named by string* — the
-    /// untrusted text-protocol path. Names are resolved against the
-    /// registered structure's own variable vocabulary; an unknown name
-    /// is rejected with [`ServeError::BadRequest`] **without being
-    /// interned** (`DimVar` interning is process-wide and permanent,
-    /// so a front door must never intern arbitrary client strings).
-    pub fn submit_raw_batch<S: AsRef<str>, N: AsRef<str>>(
-        &self,
-        requests: Vec<RawRequest<S, N>>,
-    ) -> Vec<Ticket> {
-        self.submit_with(requests, |chain, vars| {
-            bind_named_vars(chain, &vars).map_err(ServeError::BadRequest)
-        })
-    }
-
     /// The shared submission path, all on the calling thread: per
     /// request, create a ticket and [`admit`](Self::admit) it; then
-    /// group everything admitted into jobs and queue them (see
+    /// queue one job per admitted request (see
     /// [`queue_unit`](Self::queue_unit)). Failures — unknown structure,
     /// bad payload, unbindable sizes, queue full, shutting down — reply
     /// immediately through the ticket; only a request that passed every
     /// check takes a permit. So within one batch the set of shed
     /// requests is deterministic: with `k` permits free, exactly the
     /// first `k` admissible requests enter.
-    fn submit_with<N: AsRef<str>, T>(
+    fn submit_with<N: AsRef<str>>(
         &self,
-        requests: Vec<(N, T, RequestOptions)>,
-        mut resolve: impl FnMut(&SymChain, T) -> Result<DimBindings, ServeError>,
+        requests: Vec<(N, DimBindings, RequestOptions)>,
     ) -> Vec<Ticket> {
         let enqueued = Instant::now();
         let mut tickets = Vec::with_capacity(requests.len());
         let mut unit = Vec::with_capacity(requests.len());
         let structures = read_lock(&self.shared.structures);
-        for (name, payload, options) in requests {
+        for (name, bindings, options) in requests {
             let name = name.as_ref();
             let (tx, rx) = channel();
             tickets.push(Ticket {
                 rx,
                 structure: name.to_owned(),
             });
-            match self.admit(&structures, name, payload, options, &mut resolve) {
+            match self.admit(&structures, name, bindings, options, |_, bindings| {
+                Ok(bindings)
+            }) {
                 Ok(mut admitted) => {
                     admitted.slot.tx = Some(tx);
                     unit.push(admitted);
@@ -1148,15 +1067,9 @@ impl ServeHandle {
                 let stamps = Stamps {
                     enqueued,
                     submitted,
-                    grouped: submitted,
                     dispatched: submitted,
                 };
-                let Admitted {
-                    structure,
-                    bindings,
-                    slot,
-                } = admitted;
-                return run_job(&self.shared, &structure, &bindings, Some(slot), stamps)
+                return run_job(&self.shared, admitted, stamps)
                     .expect("an inline request is answered to its caller");
             }
         }
@@ -1166,84 +1079,44 @@ impl ServeHandle {
             rx,
             structure: name.to_owned(),
         };
-        self.queue_unit(vec![admitted], enqueued, submitted);
+        self.queue_unit([admitted], enqueued, submitted);
         ticket.wait()
     }
 
-    /// Groups one admitted submission into jobs on the calling thread
-    /// — one per distinct (registered chain, bindings), with identical
-    /// requests coalesced into it — and puts them straight onto the
-    /// worker queue in the order of their first requests, so a unit's
-    /// solves start in submission order. The structure is identified by
-    /// its `Arc` pointer (registration hands every request for a name
-    /// the same `Arc`), so grouping hashes a pointer and the bindings,
-    /// with no structure-key walk. Returns `false` if the worker queue
-    /// is gone; the jobs are dropped then.
-    fn queue_unit(&self, unit: Vec<Admitted>, enqueued: Instant, submitted: Instant) -> bool {
-        let grouped = Instant::now();
-        // A lone request has nothing to coalesce with: no map for it.
-        let groups: Vec<Group> = if unit.len() == 1 {
-            unit.into_iter()
-                .map(|a| (a.bindings, a.structure, vec![a.slot]))
-                .collect()
-        } else {
-            self.coalesce(unit)
-        };
+    /// Queues one job per request of an admitted submission, in
+    /// submission order, so its solves start in that order. Returns
+    /// `false` if the worker queue is gone; the jobs are dropped then.
+    fn queue_unit(
+        &self,
+        unit: impl IntoIterator<Item = Admitted>,
+        enqueued: Instant,
+        submitted: Instant,
+    ) -> bool {
         let stamps = Stamps {
             enqueued,
             submitted,
-            grouped,
             dispatched: Instant::now(),
         };
         let mut queued = true;
-        for (bindings, structure, replies) in groups {
+        for request in unit {
             self.shared.telemetry.batches.inc();
-            let job = Job::Solve {
-                structure,
-                bindings,
-                replies,
-                stamps,
-            };
-            queued &= self.shared.jobs.push(job).is_ok();
+            queued &= self.shared.jobs.push(Job::Solve { request, stamps });
         }
         queued
     }
 
-    /// The groups of [`queue_unit`](Self::queue_unit), in the order of
-    /// their first requests.
-    fn coalesce(&self, unit: Vec<Admitted>) -> Vec<Group> {
-        let mut groups: Vec<Group> = Vec::with_capacity(unit.len());
-        let mut index: HashMap<(usize, DimBindings), usize> = HashMap::with_capacity(unit.len());
-        for Admitted {
-            structure,
-            bindings,
-            slot,
-        } in unit
-        {
-            match index.entry((Arc::as_ptr(&structure) as usize, bindings)) {
-                Entry::Occupied(group) => {
-                    self.shared.telemetry.coalesced.inc();
-                    groups[*group.get()].2.push(slot);
-                }
-                Entry::Vacant(group) => {
-                    group.insert(groups.len());
-                    groups.push((DimBindings::new(), structure, vec![slot]));
-                }
-            }
-        }
-        // Each group's bindings are its key in the index: hand them back.
-        for ((_, bindings), at) in index {
-            groups[at].0 = bindings;
-        }
-        groups
-    }
-
-    /// Blocking single-request form of
-    /// [`submit_raw_batch`](Self::submit_raw_batch), the path every TCP
-    /// request line takes. Like [`solve`](Self::solve), it runs the
-    /// request to completion on the calling thread when a solve slot is
-    /// free and no job is queued, and otherwise queues it for the
-    /// worker pool and waits for its reply.
+    /// Submits one request whose variables are *named by string* — the
+    /// untrusted text-protocol path, which every request line takes
+    /// (see [`protocol::answer_line`]) — and returns its reply. Names
+    /// are resolved against the registered structure's own variable
+    /// vocabulary; an unknown name is rejected with
+    /// [`ServeError::BadRequest`] **without being interned** (`DimVar`
+    /// interning is process-wide and permanent, so a front door must
+    /// never intern arbitrary client strings). Like
+    /// [`solve`](Self::solve), it runs the request to completion on the
+    /// calling thread when a solve slot is free and no job is queued,
+    /// and otherwise queues it for the worker pool and waits for its
+    /// reply.
     pub fn solve_raw<N: AsRef<str>>(
         &self,
         structure: &str,
@@ -1258,13 +1131,6 @@ impl ServeHandle {
     /// Current serving counters.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats()
-    }
-
-    /// The names of the registered structures, sorted.
-    pub fn structure_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = read_lock(&self.shared.structures).keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// The retained slowest traces, slowest first. Capacity is
@@ -1629,45 +1495,35 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        // The solve slot is held until the job is answered, and given
-        // back while unwinding too.
+        // The solve slot is held until the request is answered, and
+        // given back while unwinding too.
         let (job, _running) = shared.jobs.pop();
-        let Job::Solve {
-            structure,
-            bindings,
-            replies,
-            stamps,
-        } = job
-        else {
+        let Job::Solve { request, stamps } = job else {
             return;
         };
-        run_job(shared, &structure, &bindings, replies, stamps);
+        run_job(shared, request, stamps);
     }
 }
 
-/// Runs one job whose solve slot is claimed, on a worker or inline on
-/// a blocking caller's thread: sheds, one request at a time, the
-/// requests whose deadline has passed, then solves the bindings once
-/// for the rest and answers each. A job whose requests have all
-/// expired is never solved. Returns the reply of a request solved
-/// inline (a ticket's reply goes down its channel).
+/// Runs one request whose solve slot is claimed, on a worker or inline
+/// on a blocking caller's thread: sheds it if its deadline has passed,
+/// and otherwise solves it and answers it. Returns the reply of a
+/// request solved inline (a ticket's reply goes down its channel).
 ///
 /// # Panics
 ///
-/// On an injected `Kill` fault, once every request is answered: dying
+/// On an injected `Kill` fault, once the request is answered: dying
 /// then loses nothing and exercises the supervisor. Only workers run
 /// faulted requests.
-fn run_job(
-    shared: &Shared,
-    structure: &Structure,
-    bindings: &DimBindings,
-    mut replies: impl Requests,
-    stamps: Stamps,
-) -> Option<ServeReply> {
+fn run_job(shared: &Shared, request: Admitted, stamps: Stamps) -> Option<ServeReply> {
+    let Admitted {
+        structure,
+        bindings,
+        mut slot,
+    } = request;
     let tel = &shared.telemetry;
     let picked = Instant::now();
-    let mut inline_reply = None;
-    replies.shed(picked, |mut slot| {
+    if slot.expired(picked) {
         // Never solved, so `rejected` as `expired`, and its latency lands
         // in the `expired` histogram, not `total`. Its permit is freed
         // before it counts, and it counts before its sample records, as
@@ -1677,23 +1533,14 @@ fn run_job(
         fence(Ordering::Release);
         tel.expired_ns
             .record(nanos_between(stamps.enqueued, picked));
-        if let Some(reply) = slot.send(Err(ServeError::DeadlineExceeded)) {
-            inline_reply = Some(reply);
-        }
-    });
-    if replies.pending().is_empty() {
-        return inline_reply;
+        return slot.send(Err(ServeError::DeadlineExceeded));
     }
-    // One instantiate for every request left; a miss records the
-    // region. The solve runs under `catch_unwind`: a panicking solve
-    // answers its tickets `Internal` instead of poisoning the pool.
-    // Injected faults fire before the cache is touched, so a fault
-    // never leaves shared state mid-update; a `Kill` answers `Internal`
-    // without solving, and the worker dies once the job is answered.
-    let fault = replies
-        .pending()
-        .iter()
-        .fold(None, |fault, slot| merge_faults(fault, slot.options.fault));
+    // The solve runs under `catch_unwind`: a panicking solve answers
+    // `Internal` instead of poisoning the pool. Injected faults fire
+    // before the cache is touched, so a fault never leaves shared state
+    // mid-update; a `Kill` answers `Internal` without solving, and the
+    // worker dies once the request is answered.
+    let fault = slot.options.fault;
     let kill = fault == Some(SolveFault::Kill);
     let solve_started = Instant::now();
     let outcome = if kill {
@@ -1707,97 +1554,93 @@ fn run_job(
                 }
                 _ => {}
             }
-            shared.cache.solve_traced(&structure.chain, bindings)
+            shared.cache.solve_traced(&structure.chain, &bindings)
         }))
         .map_err(|payload| panic_message(payload.as_ref()))
     };
     let solve_done = Instant::now();
-    let (served, class_ns, class): (_, _, &'static str) = match &outcome {
-        Ok(Ok((_, oc, _))) => {
+    let (result, timing, class) = match outcome {
+        Ok(Ok((solution, oc, timing))) => {
+            (Ok(Served::from_solution(&solution, oc)), timing, oc.label())
+        }
+        Ok(Err(e)) => (Err(ServeError::Plan(e)), SolveTiming::default(), "plan"),
+        Err(msg) => (
+            Err(ServeError::Internal(msg)),
+            SolveTiming::default(),
+            "internal",
+        ),
+    };
+    let (served, class_ns) = match &result {
+        Ok(answer) => {
             let [hit_ns, miss_ns] = structure
                 .classes
                 .get_or_init(|| tel.classes(&structure.name));
-            if oc.is_hit() {
-                (&tel.hits, Some(hit_ns), oc.label())
+            if answer.outcome.is_hit() {
+                (&tel.hits, Some(hit_ns))
             } else {
-                (&tel.misses, Some(miss_ns), oc.label())
+                (&tel.misses, Some(miss_ns))
             }
         }
-        Ok(Err(_)) => (&tel.failed, None, "plan"),
-        Err(_) => (&tel.failed, None, "internal"),
+        Err(_) => (&tel.failed, None),
     };
-    let timing = match &outcome {
-        Ok(Ok((_, _, t))) => *t,
-        _ => SolveTiming::default(),
-    };
-    // Each request's permit is freed before the job counts it, so a
-    // caller that sees a request answered finds its slot free. The
-    // job's requests are counted once, before any of their samples
-    // record, behind a release fence: a reader that takes histograms
-    // first (see [`Shared::stats`]) never sees one ahead of `completed`.
-    let pending = replies.pending();
-    pending.iter_mut().for_each(ReplySlot::release);
-    served.add(pending.len() as u64);
+    // The permit is freed before the request is counted, so a caller
+    // that sees it answered finds its slot free; it is counted before
+    // any of its samples record, behind a release fence, so a reader
+    // that takes histograms first (see [`Shared::stats`]) never sees
+    // one ahead of `completed`.
+    slot.release();
+    served.inc();
     fence(Ordering::Release);
     let total = nanos_between(stamps.enqueued, solve_done);
-    let queued = nanos_between(stamps.enqueued, picked);
-    for slot in replies {
-        let result = match &outcome {
-            Ok(Ok((solution, outcome, _))) => Ok(Served::from_solution(solution, *outcome)),
-            Ok(Err(e)) => Err(ServeError::Plan(e.clone())),
-            Err(msg) => Err(ServeError::Internal(msg.clone())),
-        };
-        tel.total_ns.record(total);
-        tel.queue_ns.record(queued);
-        if let Some(class_ns) = class_ns {
-            class_ns.record(total);
-        }
-        // Stage spans tile enqueued → done exactly; the `solve` span
-        // subtracts the cache's measured lookup time so `lookup +
-        // solve` equals the wall time the worker spent in the cache.
-        let done = Instant::now();
-        let durs: [u64; STAGES.len()] = [
-            nanos_between(stamps.enqueued, stamps.submitted),
-            nanos_between(stamps.submitted, stamps.grouped),
-            nanos_between(stamps.grouped, stamps.dispatched),
-            nanos_between(stamps.dispatched, solve_started),
-            timing.lookup_ns,
-            nanos_between(solve_started, solve_done).saturating_sub(timing.lookup_ns),
-            nanos_between(solve_done, done),
-        ];
-        for (hist, dur) in tel.stage_ns.iter().zip(durs) {
-            hist.record(dur);
-        }
-        let total_ns: u64 = durs.iter().sum();
-        shared.slow.offer_with(total_ns, || {
-            let mut start_ns = 0u64;
-            let spans = STAGES
-                .iter()
-                .zip(durs)
-                .map(|(stage, dur_ns)| {
-                    let span = Span {
-                        stage,
-                        start_ns,
-                        dur_ns,
-                    };
-                    start_ns += dur_ns;
-                    span
-                })
-                .collect();
-            Trace {
-                id: slot.trace_id,
-                label: slot.name.clone(),
-                class: class.to_owned(),
-                total_ns,
-                spans,
-            }
-        });
-        if let Some(reply) = slot.send(result) {
-            inline_reply = Some(reply);
-        }
+    tel.total_ns.record(total);
+    tel.queue_ns.record(nanos_between(stamps.enqueued, picked));
+    if let Some(class_ns) = class_ns {
+        class_ns.record(total);
     }
+    // Stage spans tile enqueued → done exactly; the `solve` span
+    // subtracts the cache's measured lookup time so `lookup + solve`
+    // equals the wall time spent in the cache. Nothing groups, so the
+    // `group` span is zero.
+    let done = Instant::now();
+    let durs: [u64; STAGES.len()] = [
+        nanos_between(stamps.enqueued, stamps.submitted),
+        nanos_between(stamps.submitted, stamps.dispatched),
+        0,
+        nanos_between(stamps.dispatched, solve_started),
+        timing.lookup_ns,
+        nanos_between(solve_started, solve_done).saturating_sub(timing.lookup_ns),
+        nanos_between(solve_done, done),
+    ];
+    for (hist, dur) in tel.stage_ns.iter().zip(durs) {
+        hist.record(dur);
+    }
+    let total_ns: u64 = durs.iter().sum();
+    shared.slow.offer_with(total_ns, || {
+        let mut start_ns = 0u64;
+        let spans = STAGES
+            .iter()
+            .zip(durs)
+            .map(|(stage, dur_ns)| {
+                let span = Span {
+                    stage,
+                    start_ns,
+                    dur_ns,
+                };
+                start_ns += dur_ns;
+                span
+            })
+            .collect();
+        Trace {
+            id: slot.trace_id,
+            label: slot.name.clone(),
+            class: class.to_owned(),
+            total_ns,
+            spans,
+        }
+    });
+    let reply = slot.send(result);
     if kill {
         panic!("{FAULT_PANIC_MARKER}: injected worker kill");
     }
-    inline_reply
+    reply
 }

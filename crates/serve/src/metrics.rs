@@ -26,7 +26,7 @@
 //! |---|---|---|
 //! | `gmc.serve.requests.served` | counter | `class` = `hit`/`miss`/`failed` |
 //! | `gmc.serve.requests.rejected` | counter | `reason` = `other`/`overload`/`expired` |
-//! | `gmc.serve.coalesced`, `gmc.serve.batches` | counter | — |
+//! | `gmc.serve.batches` | counter | — (one per admitted request) |
 //! | `gmc.serve.worker.panics`, `gmc.serve.worker.respawns` | counter | — |
 //! | `gmc.serve.workers.alive` | gauge | — |
 //! | `gmc.serve.stage.latency.ns` | histogram | `stage` (see [`STAGES`]) |
@@ -74,7 +74,6 @@ pub(crate) struct Telemetry {
     pub(crate) expired_ns: Histogram,
     /// `stage.latency.ns{stage}`, in [`STAGES`] order.
     pub(crate) stage_ns: [Histogram; STAGES.len()],
-    pub(crate) coalesced: Counter,
     pub(crate) batches: Counter,
     pub(crate) worker_panics: Counter,
     pub(crate) respawns: Counter,
@@ -122,14 +121,9 @@ impl Telemetry {
                     &[("stage", stage)],
                 )
             }),
-            coalesced: registry.counter(
-                "gmc.serve.coalesced",
-                "Requests answered from another request's instantiate in one submission",
-                &[],
-            ),
             batches: registry.counter(
                 "gmc.serve.batches",
-                "Jobs solved or queued (one per distinct binding of a submission)",
+                "Jobs solved or queued (one per admitted request)",
                 &[],
             ),
             worker_panics: registry.counter(

@@ -1,5 +1,6 @@
-//! The request line protocol, shared by the TCP front door and the
-//! CLI batch driver.
+//! The request line protocol. [`answer_line`] is its one
+//! implementation: the TCP front door and the CLI batch driver both
+//! answer each line through it.
 //!
 //! One request per line:
 //!
@@ -20,11 +21,49 @@
 //! {"structure":"X","error":"unknown structure `X` (register it first)"}
 //! ```
 
-use crate::{ServeReply, ServerStats};
+use crate::{RequestOptions, ServeError, ServeHandle, ServeReply, ServerStats};
 use gmc_obs::HistogramSnapshot;
 use serde::Value;
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::time::Duration;
+
+/// Answers one protocol line through `handle`: `STATS`, `METRICS`,
+/// `SLOW` or `CACHE`, or else a request, solved through
+/// [`ServeHandle::solve_raw`] (a line that does not parse is answered
+/// `bad_request`, and the caller goes on to its next line). Returns the
+/// reply text without a trailing newline: one line, except for
+/// `METRICS`, whose exposition ends with a `# EOF` line so that
+/// line-oriented clients know where the scrape ends. The caller skips
+/// blank lines.
+pub fn answer_line(handle: &ServeHandle, line: &str) -> String {
+    match line.trim() {
+        "STATS" => stats_to_json(&handle.stats()),
+        "METRICS" => {
+            let mut body = handle.metrics_prometheus();
+            if !body.is_empty() && !body.ends_with('\n') {
+                body.push('\n');
+            }
+            body.push_str("# EOF");
+            body
+        }
+        "SLOW" => handle.slow_traces_json(),
+        "CACHE" => handle.cache_introspection_json(),
+        line => reply_to_json(&match parse_request_line(line) {
+            Ok((structure, vars, deadline_ms)) => {
+                let options = match deadline_ms {
+                    Some(ms) => RequestOptions::with_deadline_in(Duration::from_millis(ms)),
+                    None => RequestOptions::default(),
+                };
+                handle.solve_raw(structure, vars, options)
+            }
+            Err(e) => ServeReply {
+                structure: String::new(),
+                result: Err(ServeError::BadRequest(e)),
+            },
+        }),
+    }
+}
 
 /// A parsed request line: the structure name, the named dimension
 /// sizes, and the optional `deadline_ms=` budget. Every name is
@@ -43,8 +82,8 @@ pub type ParsedRequest<'a> = (&'a str, Vec<(Cow<'a, str>, usize)>, Option<u64>);
 /// Variable names stay plain strings here: `DimVar` interning is
 /// process-wide and permanent, so untrusted client input must be
 /// resolved against a registered structure's (bounded) variable
-/// vocabulary — [`crate::ServeHandle::submit_raw_batch`] does that —
-/// rather than interned wholesale.
+/// vocabulary — [`ServeHandle::solve_raw`] does that — rather than
+/// interned wholesale.
 ///
 /// # Errors
 ///
@@ -239,10 +278,6 @@ pub fn stats_to_json(stats: &ServerStats) -> String {
         (
             "structure_misses".to_owned(),
             Value::Number(stats.cache.structure_misses as f64),
-        ),
-        (
-            "coalesced".to_owned(),
-            Value::Number(stats.coalesced as f64),
         ),
         ("batches".to_owned(), Value::Number(stats.batches as f64)),
         (

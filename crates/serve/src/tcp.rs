@@ -1,18 +1,15 @@
 //! A thin TCP line-protocol listener over `std::net::TcpListener`.
 //!
-//! Each connection reads request lines (see [`crate::protocol`]) and
-//! writes one JSON reply line per request. Four introspection lines
-//! are recognized alongside solve requests: `STATS` (one JSON line of
-//! server counters), `METRICS` (the Prometheus text exposition,
-//! multi-line, terminated by a `# EOF` line), `SLOW` (the retained
-//! slowest traces as one `gmc-traces/1` JSON line) and `CACHE` (one
-//! JSON line of per-shard and per-structure cache stats). This is
+//! Each connection reads protocol lines and answers each one through
+//! [`answer_line`]: one JSON reply line per request, and the
+//! introspection lines `STATS`, `METRICS` (multi-line, terminated by a
+//! `# EOF` line), `SLOW` and `CACHE` (see [`crate::protocol`]). This is
 //! deliberately a minimal front end: each connection thread answers
-//! its request lines one at a time through [`ServeHandle::solve_raw`],
-//! which runs a request to completion on the connection thread itself
-//! when one of the server's solve slots is free, and otherwise queues
-//! it for the worker pool and waits. The caching lives in the shared
-//! plan cache either way.
+//! its lines one at a time, and a request goes through
+//! [`ServeHandle::solve_raw`], which runs it to completion on the
+//! connection thread itself when one of the server's solve slots is
+//! free, and otherwise queues it for the worker pool and waits. The
+//! caching lives in the shared plan cache either way.
 //!
 //! The connection loop is defensive about malformed clients: request
 //! lines are capped at [`TcpOptions::max_line_bytes`] (an oversized
@@ -21,8 +18,8 @@
 //! releases its thread, and a parse error answers with an error line
 //! but keeps the connection alive.
 
-use crate::protocol::{parse_request_line, reply_to_json, stats_to_json};
-use crate::{RequestOptions, ServeHandle, ServeReply};
+use crate::protocol::{answer_line, reply_to_json};
+use crate::{ServeError, ServeHandle, ServeReply};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -233,7 +230,7 @@ fn serve_connection(stream: TcpStream, handle: &ServeHandle, options: &TcpOption
             LineRead::Oversized => {
                 let reply = ServeReply {
                     structure: String::new(),
-                    result: Err(crate::ServeError::BadRequest(format!(
+                    result: Err(ServeError::BadRequest(format!(
                         "request line exceeds {} bytes",
                         options.max_line_bytes
                     ))),
@@ -248,42 +245,7 @@ fn serve_connection(stream: TcpStream, handle: &ServeHandle, options: &TcpOption
         if line.trim().is_empty() {
             continue;
         }
-        let response = if line.trim() == "STATS" {
-            stats_to_json(&handle.stats())
-        } else if line.trim() == "METRICS" {
-            // Multi-line Prometheus text exposition, terminated by a
-            // `# EOF` line so line-oriented clients know where the
-            // scrape ends (every other reply stays one line).
-            let mut body = handle.metrics_prometheus();
-            if !body.is_empty() && !body.ends_with('\n') {
-                body.push('\n');
-            }
-            body.push_str("# EOF");
-            body
-        } else if line.trim() == "SLOW" {
-            handle.slow_traces_json()
-        } else if line.trim() == "CACHE" {
-            handle.cache_introspection_json()
-        } else {
-            match parse_request_line(&line) {
-                // `solve_raw` resolves the string-named variables
-                // (borrowed from the line) against the structure's own
-                // vocabulary — untrusted names are never interned.
-                Ok((structure, vars, deadline_ms)) => {
-                    let opts = match deadline_ms {
-                        Some(ms) => RequestOptions::with_deadline_in(Duration::from_millis(ms)),
-                        None => RequestOptions::default(),
-                    };
-                    reply_to_json(&handle.solve_raw(structure, vars, opts))
-                }
-                // Parse errors answer in-band; the connection lives on.
-                Err(e) => reply_to_json(&ServeReply {
-                    structure: String::new(),
-                    result: Err(crate::ServeError::BadRequest(e)),
-                }),
-            }
-        };
-        if write_reply_line(&mut writer, &response).is_err() {
+        if write_reply_line(&mut writer, &answer_line(handle, &line)).is_err() {
             break;
         }
     }

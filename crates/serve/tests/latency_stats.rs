@@ -45,8 +45,8 @@ fn stats_line_reports_consistent_latency() {
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut lines = BufReader::new(stream).lines();
-    // 6 requests: 2 identical (coalescable), 1 same-region scale, 1
-    // other region, 2 repeats of the first (hits by then or coalesced).
+    // 6 requests: 2 identical, 1 same-region scale, 1 other region, a
+    // third copy of the first and another same-region scale.
     let requests = [
         "X ls_n=10,ls_m=200,ls_k=30",
         "X ls_n=10,ls_m=200,ls_k=30",

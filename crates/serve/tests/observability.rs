@@ -95,7 +95,7 @@ fn metrics_balance_under_concurrent_load() {
             let handle = handle.clone();
             std::thread::spawn(move || {
                 for i in 0..40 {
-                    // Mix of repeats (hits/coalesced) and fresh regions.
+                    // Mix of repeats (hits) and fresh regions.
                     let scale = 1 + (t * 40 + i) % 7;
                     let reply = handle.solve("X", bindings(10 * scale, 200 * scale, 30 * scale));
                     assert!(reply.result.is_ok(), "{:?}", reply.result);

@@ -1,13 +1,14 @@
 //! Robustness tests for the serving tier: bounded admission, deadline
 //! shedding, worker supervision and graceful shutdown.
 
+use gmc::{FlopCount, GmcOptimizer};
 use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_kernels::KernelRegistry;
 use gmc_plan::CacheStats;
 use gmc_serve::faults::silence_injected_panics;
 use gmc_serve::{
     RequestOptions, ServeConfig, ServeError, ServedCounters, Server, ServerStats, SolveFault,
-    SubmitError,
+    SubmitError, Ticket,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -211,11 +212,11 @@ fn blocking_solve_waits_for_the_only_slot_behind_a_busy_worker() {
         ..ServeConfig::default()
     });
     let handle = server.handle();
-    // One job, two coalesced requests: an already-expired one and one
-    // that delays the solve by 200 ms. The only worker claims the only
-    // solve slot as it dequeues the job and sheds the expired request
-    // before the delayed solve, so once that reply is in, the slot is
-    // held and the worker queue is empty.
+    // Two jobs: an already-expired request, then one that delays its
+    // solve by 200 ms. The only worker sheds the first, then takes the
+    // second, claiming the only solve slot as it dequeues it; so from
+    // the shed reply until the delayed solve ends, the second job is
+    // queued or holds the slot.
     let expired = RequestOptions {
         deadline: Some(Instant::now()),
         ..RequestOptions::default()
@@ -468,6 +469,55 @@ fn injected_panic_is_answered_internal_and_pool_survives() {
     let stats = handle.stats();
     assert_eq!(stats.served.failed, 1);
     assert_eq!(stats.supervision.worker_panics, 0);
+    let report = server.shutdown();
+    assert!(report.is_clean(), "{report:?}");
+}
+
+#[test]
+fn an_injected_fault_fails_only_its_own_request() {
+    // Two identical requests in one batch, the first carrying an
+    // injected panic. Each is its own job: only the faulted one
+    // answers `internal`, and its twin is solved as if alone.
+    silence_injected_panics();
+    let server = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let faulty = RequestOptions {
+        fault: Some(SolveFault::Panic),
+        ..RequestOptions::default()
+    };
+    let replies: Vec<_> = server
+        .handle()
+        .submit_batch_opts(vec![
+            ("X".to_owned(), bindings(10, 20, 30), faulty),
+            (
+                "X".to_owned(),
+                bindings(10, 20, 30),
+                RequestOptions::default(),
+            ),
+        ])
+        .into_iter()
+        .map(Ticket::wait)
+        .collect();
+    assert!(
+        matches!(&replies[0].result, Err(ServeError::Internal(msg)) if msg.contains("injected")),
+        "{:?}",
+        replies[0]
+    );
+    let served = replies[1].result.as_ref().expect("the twin is solved");
+    let registry = KernelRegistry::blas_lapack();
+    let chain = dense_chain().bind(&bindings(10, 20, 30)).unwrap();
+    let cold = GmcOptimizer::new(&registry, FlopCount)
+        .solve(&chain)
+        .unwrap();
+    assert_eq!(served.cost.to_bits(), cold.cost().to_bits());
+    assert_eq!(served.flops.to_bits(), cold.flops().to_bits());
+    assert_eq!(served.parenthesization, cold.parenthesization());
+    assert_eq!(served.kernels, cold.kernel_names());
+    let stats = server.stats();
+    assert_eq!(stats.served.failed, 1);
+    assert_eq!(stats.cache.requests(), 1);
     let report = server.shutdown();
     assert!(report.is_clean(), "{report:?}");
 }

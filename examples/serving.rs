@@ -4,11 +4,10 @@
 //! The paper's Table 2 chain `X := A⁻¹ B Cᵀ` is registered once with a
 //! `gmc-serve` server, pre-enumerating every size region it can reach
 //! — so *every* request, at any sizes, is a cache hit. A burst of
-//! mixed requests (including a duplicate that coalesces into one
-//! instantiate) is submitted as one batch, grouped on the submitting
-//! thread and answered by the worker pool, and the warmed cache is
-//! saved to a plan store and re-loaded the way a serving fleet would
-//! warm-start.
+//! mixed requests (a duplicate among them) is submitted as one batch,
+//! admitted whole on the submitting thread and answered by the worker
+//! pool one request per job, and the warmed cache is saved to a plan
+//! store and re-loaded the way a serving fleet would warm-start.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -47,7 +46,8 @@ X := A^-1 * B * C^T
     println!("pre-enumerated {regions} size regions: every request below is a hit\n");
 
     // A burst of requests, submitted as one batch: different size
-    // points, different regions, and one duplicate that coalesces.
+    // points, different regions, and one duplicate, which is solved
+    // on its own like every other request.
     let handle = server.handle();
     let points: Vec<(usize, usize)> = vec![(2000, 200), (200, 2000), (7, 7), (1, 40), (2000, 200)];
     let batch: Vec<(String, DimBindings)> = points

@@ -18,7 +18,7 @@ use gmc_bench::workload::{generate, WorkloadSpec};
 fn main() {
     // A mixed workload: 6 structures under Zipf popularity, half the
     // traffic aimed at already-seen size regions (cache hits), a
-    // sprinkle of exact duplicates (coalesced within a replay window).
+    // sprinkle of exact duplicates (each one its own request).
     let mut spec = WorkloadSpec::preset("mixed", 42).expect("known preset");
     spec.requests = 200;
     let trace = generate(&spec).expect("valid spec");
@@ -56,12 +56,12 @@ fn main() {
         report.verified,
     );
     println!(
-        "served: {} completed = {} hits + {} misses + {} failed; {} coalesced",
+        "served: {} completed = {} hits + {} misses + {} failed; {} cache instantiates",
         stats.served.completed,
         stats.served.hits,
         stats.served.misses,
         stats.served.failed,
-        stats.coalesced,
+        stats.cache.requests(),
     );
     println!(
         "latency (enqueue->complete): p50 {:>9} ns   p99 {:>9} ns   max {:>9} ns",

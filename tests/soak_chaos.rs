@@ -55,9 +55,9 @@ fn seeded_chaos_replay_upholds_every_invariant() {
     );
     assert_eq!(report.expired_replies, spec.expires);
     assert_eq!(report.abandoned, spec.drops);
-    // Panics and kills answer `internal`; coalesced twins of a faulted
-    // request share its fate, so this is a floor, not an equality.
-    assert!(report.internal_replies >= spec.panics + spec.kills);
+    // Panics and kills answer `internal`, and only the faulted request
+    // itself: every request is its own job.
+    assert_eq!(report.internal_replies, spec.panics + spec.kills);
     // Only kills take a thread down (panics are caught in-worker), and
     // the supervisor replaced every lost thread.
     assert_eq!(report.worker_panics, spec.kills as u64);
