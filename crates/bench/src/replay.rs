@@ -2,39 +2,45 @@
 //! checking, bitwise result verification, and deterministic chaos.
 //!
 //! [`replay_trace`] builds a fresh [`Server`], registers the trace's
-//! structure population, drives the request sequence through
-//! [`ServeHandle`] submission (respecting the recorded arrival offsets
-//! when asked, or closed-loop windows otherwise), and returns every
-//! per-request result next to the server's counter and latency
-//! snapshot. After the run it checks the accounting invariants the
-//! serving tier promises — every submitted request is answered exactly
-//! once, the consistent served counters balance, the latency
-//! histograms saw exactly one sample per completed request — and, when
-//! verification is on, replays each distinct `(structure, bindings)`
-//! pair through a cold [`GmcOptimizer`] solve and demands the served
-//! answer be *bit-identical* (cost bits, parenthesization, kernel
-//! sequence). Violations are collected, not panicked, so soak tests
-//! and the CLI can report all of them.
+//! structure population, and drives the request sequence from
+//! [`ReplayOptions::workers`] caller threads over as many solve slots:
+//! each caller takes the next request of the trace and solves it
+//! through [`ServeHandle`] on its own thread, as a connection thread of
+//! the TCP front door does (respecting the recorded arrival offsets
+//! when asked). It returns every per-request result next to the
+//! server's counter and latency snapshot. After the run it checks the
+//! accounting invariants the serving tier promises — the consistent
+//! served counters balance, the latency histograms saw exactly one
+//! sample per completed request — and, when verification is on,
+//! replays each distinct `(structure, bindings)` pair through a cold
+//! [`GmcOptimizer`] solve and demands the served answer be
+//! *bit-identical* (cost bits, parenthesization, kernel sequence).
+//! Violations are collected, not panicked, so soak tests and the CLI
+//! can report all of them.
 //!
 //! With [`ReplayOptions::faults`] set, the harness injects the plan's
-//! faults at their request indices: worker panics and kills become
-//! [`gmc_serve::SolveFault`]s, `Expire` entries submit with an
-//! already-expired deadline, `Drop` entries abandon their ticket (the
-//! server must survive replying into a dead channel), and `Burst`
-//! entries override the window so `size` requests hit admission as one
-//! batch. Ordinary windows are clamped to the admission capacity in
-//! that mode, so queue-full shedding happens exactly at the bursts.
+//! faults at their request indices: panics and delays become
+//! [`gmc_serve::SolveFault`]s, `Expire` entries carry an
+//! already-expired deadline, and each `Burst` is sent as one
+//! [`ServeHandle::solve_batch`] once every earlier request has been
+//! answered, before any later one starts. The callers never outnumber
+//! the admission capacity, so queue-full shedding happens exactly at
+//! the bursts. Every `internal` reply must come from an injected
+//! `Panic`, and the server must count one caught panic per injected
+//! panic that reached its solve.
 //!
 //! [`ServeHandle`]: gmc_serve::ServeHandle
+//! [`ServeHandle::solve_batch`]: gmc_serve::ServeHandle::solve_batch
 
 use crate::workload::Trace;
 use gmc::{FlopCount, GmcOptimizer, InferenceMode};
 use gmc_expr::DimBindings;
 use gmc_kernels::KernelRegistry;
 use gmc_serve::faults::{silence_injected_panics, FaultKind, FaultPlan};
-use gmc_serve::{RequestOptions, ServeConfig, ServeReply, Server, ServerStats, Ticket};
+use gmc_serve::{RequestOptions, ServeConfig, ServeReply, Server, ServerStats};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How much of the replay to verify against cold reference solves.
@@ -52,21 +58,21 @@ pub enum Verify {
 /// Replay configuration.
 #[derive(Clone, Debug)]
 pub struct ReplayOptions {
-    /// Worker threads of the replayed-into server.
+    /// Caller threads, and solve slots of the replayed-into server.
+    /// The callers are clamped to the admission capacity, so no
+    /// request is shed but at a `Burst`.
     pub workers: usize,
     /// Inference mode of the server's plan cache (and the reference
     /// solves).
     pub inference: InferenceMode,
     /// Reference-solve verification depth.
     pub verify: Verify,
-    /// Honor the trace's `at_us` arrival offsets (sleeps between
-    /// submissions). Off = submit as fast as the mode allows.
+    /// Honor the trace's `at_us` arrival offsets: each caller sleeps
+    /// until its request is due before solving it. Arrivals are still
+    /// closed-loop, so at most `workers` requests are in flight and a
+    /// request whose callers are all busy starts late. Off = each
+    /// caller takes the next request as soon as it is free.
     pub honor_timing: bool,
-    /// Closed-loop submission window: submit this many requests as one
-    /// batch, wait for all replies, then continue. `0` means submit
-    /// the whole trace as a single batch, admitted whole before any of
-    /// it is queued. Ignored when `honor_timing` is set.
-    pub window: usize,
     /// Admission capacity for the replayed-into server. `None` takes
     /// the fault plan's capacity if one is set, else the server
     /// default.
@@ -83,7 +89,6 @@ impl Default for ReplayOptions {
             inference: InferenceMode::default(),
             verify: Verify::None,
             honor_timing: false,
-            window: 64,
             queue_capacity: None,
             faults: None,
         }
@@ -92,14 +97,9 @@ impl Default for ReplayOptions {
 
 /// Reply codes produced by shedding or injected faults rather than by
 /// solving; requests answered with one of these are exempt from
-/// bitwise verification and identical-answer comparison.
-const SHED_CODES: [&str; 5] = [
-    "queue_full",
-    "deadline_exceeded",
-    "internal",
-    "dropped",
-    "closed",
-];
+/// bitwise verification and identical-answer comparison (an `internal`
+/// reply is checked against the fault plan instead).
+const SHED_CODES: [&str; 4] = ["queue_full", "deadline_exceeded", "internal", "closed"];
 
 /// One replayed request's served answer, in trace order.
 #[derive(Clone, Debug, PartialEq)]
@@ -116,9 +116,8 @@ pub struct RequestResult {
     pub kernels: Vec<String>,
     /// The serve error, if the request failed.
     pub error: Option<String>,
-    /// The error's stable wire code (`ServeError::code`), or
-    /// `"dropped"` for a reply abandoned by an injected connection
-    /// drop; `None` on success.
+    /// The error's stable wire code (`ServeError::code`); `None` on
+    /// success.
     pub code: Option<String>,
 }
 
@@ -146,18 +145,6 @@ impl RequestResult {
         }
     }
 
-    fn abandoned(structure: String) -> RequestResult {
-        RequestResult {
-            structure,
-            cost: 0.0,
-            flops: 0.0,
-            parenthesization: String::new(),
-            kernels: Vec::new(),
-            error: Some("reply abandoned by client (injected connection drop)".to_owned()),
-            code: Some("dropped".to_owned()),
-        }
-    }
-
     fn is_shed(&self) -> bool {
         self.code
             .as_deref()
@@ -170,10 +157,9 @@ impl RequestResult {
 pub struct ReplayReport {
     /// Per-request results, exactly one per trace request, in order.
     pub results: Vec<RequestResult>,
-    /// The server's counters and latency snapshot after shutdown (so
-    /// supervision counters are final).
+    /// The server's counters and latency snapshot after shutdown.
     pub stats: ServerStats,
-    /// Wall-clock seconds from first submission to last reply.
+    /// Wall-clock seconds from the first request to the last reply.
     pub elapsed: f64,
     /// Requests submitted (== trace length).
     pub submitted: usize,
@@ -184,14 +170,10 @@ pub struct ReplayReport {
     pub queue_full_replies: usize,
     /// Replies shed by deadline expiry (`deadline_exceeded`).
     pub expired_replies: usize,
-    /// Replies answered `internal` (injected or real worker panics).
+    /// Replies answered `internal` (panics inside the solve).
     pub internal_replies: usize,
-    /// Tickets abandoned by injected connection drops.
-    pub abandoned: usize,
-    /// Worker threads that died by panic (from the shutdown report).
-    pub worker_panics: u64,
-    /// Workers the supervisor respawned.
-    pub respawns: u64,
+    /// Solves that panicked, from the server's shutdown report.
+    pub panics: u64,
     /// Invariant and verification failures (empty on a clean run).
     pub violations: Vec<String>,
 }
@@ -200,6 +182,65 @@ impl ReplayReport {
     /// Whether the run upheld every invariant (and verification).
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
+    }
+}
+
+/// Hands the trace to the caller threads in order, one request per
+/// turn, except that a `Burst` is one turn of its own: it starts once
+/// every earlier turn is answered, and no later turn starts before it
+/// is answered, so its batch meets an empty admission gate.
+struct Turns<'a> {
+    state: Mutex<TurnState>,
+    changed: Condvar,
+    faults: &'a BTreeMap<usize, FaultKind>,
+    total: usize,
+}
+
+struct TurnState {
+    /// The first request not yet handed out.
+    next: usize,
+    /// Turns handed out and not yet answered.
+    in_flight: usize,
+    /// Whether the turn in flight is a burst.
+    burst: bool,
+}
+
+impl Turns<'_> {
+    /// The next turn's request range (one request, or a whole burst);
+    /// `None` once the whole trace is handed out.
+    fn take(&self) -> Option<Range<usize>> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            let start = state.next;
+            if start >= self.total {
+                return None;
+            }
+            let size = match self.faults.get(&start) {
+                Some(&FaultKind::Burst { size }) => Some(size),
+                _ => None,
+            };
+            if !state.burst && (size.is_none() || state.in_flight == 0) {
+                let end = size.map_or(start + 1, |size| (start + size).min(self.total));
+                state.next = end;
+                state.in_flight += 1;
+                state.burst = size.is_some();
+                return Some(start..end);
+            }
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Marks one turn answered.
+    fn done(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.in_flight -= 1;
+        // While a burst is in flight it is the only turn.
+        state.burst = false;
+        drop(state);
+        self.changed.notify_all();
     }
 }
 
@@ -230,11 +271,12 @@ pub fn replay_trace(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport,
         Some(plan) if plan.queue_capacity > 0 => plan.queue_capacity,
         _ => ServeConfig::default().queue_capacity,
     });
+    let workers = opts.workers.max(1);
     let registry = Arc::new(KernelRegistry::blas_lapack());
     let server = Server::start(
         registry.clone(),
         ServeConfig {
-            workers: opts.workers.max(1),
+            workers,
             inference: opts.inference,
             queue_capacity,
             ..ServeConfig::default()
@@ -253,156 +295,77 @@ pub fn replay_trace(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport,
     let handle = server.handle();
     let mut violations = Vec::new();
 
-    // Submit the trace and collect replies in trace order. Dropped
-    // tickets leave a `None`; their placeholder result is synthesized
-    // afterwards.
-    let request_of = |i: usize| -> (String, DimBindings) {
+    let request_of = |i: usize| -> (String, DimBindings, RequestOptions) {
         let r = &trace.requests[i];
         let s = &trace.structures[r.structure];
-        (s.name.clone(), s.bindings(&r.values))
-    };
-    let options_of = |i: usize| -> RequestOptions {
-        let mut o = RequestOptions::default();
+        let mut options = RequestOptions::default();
         match faults.get(&i) {
-            // An already-expired deadline: the worker that dequeues it
-            // must shed it.
-            Some(FaultKind::Expire) => o.deadline = Some(Instant::now()),
-            Some(kind) => o.fault = kind.solve_fault(),
+            // An already-expired deadline: the server must shed it.
+            Some(FaultKind::Expire) => options.deadline = Some(Instant::now()),
+            Some(kind) => options.fault = kind.solve_fault(),
             None => {}
         }
-        o
+        (s.name.clone(), s.bindings(&r.values), options)
     };
     let total = trace.requests.len();
-    let mut replies: Vec<Option<ServeReply>> = (0..total).map(|_| None).collect();
-    let mut abandoned = 0usize;
+    let turns = Turns {
+        state: Mutex::new(TurnState {
+            next: 0,
+            in_flight: 0,
+            burst: false,
+        }),
+        changed: Condvar::new(),
+        faults: &faults,
+        total,
+    };
+    let mut replies: Vec<Option<ServeReply>> = vec![None; total];
     let start = Instant::now();
-    if opts.honor_timing {
-        let mut tickets: Vec<(usize, Ticket)> = Vec::with_capacity(total);
-        for (i, r) in trace.requests.iter().enumerate() {
-            let due = Duration::from_micros(r.at_us);
-            let now = start.elapsed();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
-            let (name, bindings) = request_of(i);
-            let ticket = handle.submit_opts(&name, bindings, options_of(i));
-            if matches!(faults.get(&i), Some(FaultKind::Drop)) {
-                drop(ticket);
-                abandoned += 1;
-            } else {
-                tickets.push((i, ticket));
-            }
-        }
-        for (i, ticket) in tickets {
-            replies[i] = Some(ticket.wait());
-        }
-    } else {
-        let base = if opts.window == 0 {
-            total.max(1)
-        } else {
-            opts.window
-        };
-        // Under a fault plan, ordinary windows stay within the
-        // admission capacity so shedding happens exactly at the
-        // bursts (closed-loop waiting returns every permit between
-        // windows).
-        let base = if faults.is_empty() {
-            base
-        } else {
-            base.min(queue_capacity).max(1)
-        };
-        let mut next = 0usize;
-        while next < total {
-            let end = if let Some(FaultKind::Burst { size }) = faults.get(&next) {
-                (next + (*size).max(1)).min(total)
-            } else {
-                let mut end = (next + base).min(total);
-                // Cut the window short at the next burst start so the
-                // burst arrives at admission as one batch.
-                if let Some((&burst_at, _)) = faults
-                    .range(next + 1..end)
-                    .find(|(_, k)| matches!(k, FaultKind::Burst { .. }))
-                {
-                    end = burst_at;
-                }
-                end
-            };
-            let batch: Vec<(String, DimBindings, RequestOptions)> = (next..end)
-                .map(|i| {
-                    let (name, bindings) = request_of(i);
-                    (name, bindings, options_of(i))
+    std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..workers.min(queue_capacity))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut answered = Vec::new();
+                    while let Some(turn) = turns.take() {
+                        if opts.honor_timing {
+                            let due = Duration::from_micros(trace.requests[turn.start].at_us);
+                            let now = start.elapsed();
+                            if due > now {
+                                std::thread::sleep(due - now);
+                            }
+                        }
+                        let got = if turn.len() == 1 {
+                            let (name, bindings, options) = request_of(turn.start);
+                            vec![handle.solve_opts(&name, bindings, options)]
+                        } else {
+                            handle.solve_batch(turn.clone().map(request_of).collect())
+                        };
+                        turns.done();
+                        answered.extend(turn.zip(got));
+                    }
+                    answered
                 })
-                .collect();
-            let tickets = handle.submit_batch_opts(batch);
-            let mut window_dropped = false;
-            for (offset, ticket) in tickets.into_iter().enumerate() {
-                let i = next + offset;
-                if matches!(faults.get(&i), Some(FaultKind::Drop)) {
-                    drop(ticket);
-                    abandoned += 1;
-                    window_dropped = true;
-                } else {
-                    replies[i] = Some(ticket.wait());
-                }
+            })
+            .collect();
+        for caller in callers {
+            for (i, reply) in caller.join().expect("replay caller thread") {
+                replies[i] = Some(reply);
             }
-            if window_dropped {
-                // The abandoned tickets' permits come back only when
-                // the server answers them; wait for that so the next
-                // window (and any burst) sees a quiet gate.
-                if !await_answered(&handle, end as u64) {
-                    violations.push(format!(
-                        "server never finished answering the {end} requests \
-                         submitted so far (abandoned tickets lost?)"
-                    ));
-                    break;
-                }
-            }
-            next = end;
         }
-    }
-    // A killed worker answers its job *before* it dies, so the last
-    // reply can reach us while the supervisor is still processing the
-    // death. Let supervision settle before shutdown closes the gate,
-    // so the respawn count is deterministic.
-    let kills = faults
-        .values()
-        .filter(|k| matches!(k, FaultKind::Kill))
-        .count() as u64;
-    if kills > 0 {
-        let expected_respawns = kills.min(ServeConfig::default().restart_budget as u64);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            let supervision = handle.stats().supervision;
-            if supervision.worker_panics >= kills && supervision.respawns >= expected_respawns {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
+    });
     let elapsed = start.elapsed().as_secs_f64();
-    // Shutdown drains in-flight work, so the post-shutdown snapshot is
-    // the final word on accounting (supervision counters included).
+    // Shutdown waits for every solve, so the post-shutdown snapshot is
+    // the final word on accounting.
     let shutdown = server.shutdown();
     let stats = handle.stats();
 
     let results: Vec<RequestResult> = replies
         .iter()
-        .enumerate()
-        .map(|(i, reply)| match reply {
-            Some(reply) => RequestResult::from_reply(reply),
-            None => RequestResult::abandoned(request_of(i).0),
-        })
+        .map(|reply| RequestResult::from_reply(reply.as_ref().expect("every request is answered")))
         .collect();
 
-    // Accounting invariants: every request is answered exactly once
-    // and the consistent served counters balance with the histograms.
-    let submitted = trace.requests.len();
-    if results.len() != submitted {
-        violations.push(format!(
-            "replies ({}) != submitted requests ({submitted})",
-            results.len()
-        ));
-    }
+    // Accounting invariants: the consistent served counters account
+    // for every request and balance with the histograms.
+    let submitted = total;
     let served = stats.served;
     if served.completed + served.rejected != submitted as u64 {
         violations.push(format!(
@@ -471,7 +434,7 @@ pub fn replay_trace(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport,
         ));
     }
     // Every completed request is one cache instantiate, except those an
-    // injected panic or kill answered before reaching the cache.
+    // injected panic answered before reaching the cache.
     let instantiates_ok = if opts.faults.is_some() {
         stats.cache.requests() <= served.completed
     } else {
@@ -484,41 +447,7 @@ pub fn replay_trace(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport,
             served.completed
         ));
     }
-    // Pool health: workers die only by injection. (Admission runs on
-    // this thread, inside the submit calls above: a panic there fails
-    // the replay outright.)
-    let expects_panics = opts.faults.as_ref().is_some_and(FaultPlan::injects_panics);
-    if shutdown.worker_panics > 0 && !expects_panics {
-        violations.push(format!(
-            "{} worker panic(s) without injected panics",
-            shutdown.worker_panics
-        ));
-    }
-    // Each injected fault must surface as the reply it promises (or as
-    // admission shedding, which outranks the worker-side fault).
-    for (&i, kind) in &faults {
-        if i >= results.len() {
-            continue;
-        }
-        let code = results[i].code.as_deref();
-        match kind {
-            FaultKind::Panic | FaultKind::Kill => {
-                if !matches!(code, Some("internal") | Some("queue_full")) {
-                    violations.push(format!(
-                        "request {i}: injected {kind:?} but reply code is {code:?}"
-                    ));
-                }
-            }
-            FaultKind::Expire => {
-                if !matches!(code, Some("deadline_exceeded") | Some("queue_full")) {
-                    violations.push(format!(
-                        "request {i}: injected {kind:?} but reply code is {code:?}"
-                    ));
-                }
-            }
-            FaultKind::Delay { .. } | FaultKind::Drop | FaultKind::Burst { .. } => {}
-        }
-    }
+    violations.extend(fault_violations(&faults, &results, shutdown.panics));
 
     // Identical successful requests must be answered identically,
     // replay-wide, raced or not. Shed replies are
@@ -526,7 +455,7 @@ pub fn replay_trace(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport,
     // on the answer.
     let mut first_answer: HashMap<(usize, &[usize]), usize> = HashMap::new();
     for (i, r) in trace.requests.iter().enumerate() {
-        if i >= results.len() || results[i].is_shed() {
+        if results[i].is_shed() {
             continue;
         }
         match first_answer.entry((r.structure, r.values.as_slice())) {
@@ -562,7 +491,7 @@ pub fn replay_trace(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport,
         let gmc = GmcOptimizer::new(&registry, FlopCount).with_inference(opts.inference);
         let mut seen: HashMap<(usize, &[usize]), ()> = HashMap::new();
         for (i, r) in trace.requests.iter().enumerate() {
-            if verified >= budget || i >= results.len() {
+            if verified >= budget {
                 break;
             }
             if results[i].is_shed() {
@@ -638,27 +567,56 @@ pub fn replay_trace(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport,
         queue_full_replies,
         expired_replies,
         internal_replies,
-        abandoned,
-        worker_panics: shutdown.worker_panics,
-        respawns: shutdown.respawns,
+        panics: shutdown.panics,
         violations,
     })
 }
 
-/// Polls the served counters until `target` requests have been
-/// answered (completed or rejected); `false` on timeout.
-fn await_answered(handle: &gmc_serve::ServeHandle, target: u64) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let served = handle.stats().served;
-        if served.completed + served.rejected >= target {
-            return true;
+/// Checks each reply against the fault plan: an injected `Panic` or
+/// `Expire` surfaces as the reply it promises (or as admission
+/// shedding, which outranks it); an `internal` reply appears only where
+/// the plan injected a `Panic`, so a panic no fault injected is
+/// reported; and the server's count of caught panics (`panics`, from
+/// its shutdown report) equals the injected panics that reached their
+/// solve.
+fn fault_violations(
+    faults: &BTreeMap<usize, FaultKind>,
+    results: &[RequestResult],
+    panics: u64,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    let mut fired = 0u64;
+    for (i, result) in results.iter().enumerate() {
+        let code = result.code.as_deref();
+        let promised = match faults.get(&i) {
+            Some(FaultKind::Panic) => "internal",
+            Some(FaultKind::Expire) => "deadline_exceeded",
+            _ => {
+                if code == Some("internal") {
+                    violations.push(format!(
+                        "request {i}: answered internal where the plan injected no panic: {}",
+                        result.error.as_deref().unwrap_or_default()
+                    ));
+                }
+                continue;
+            }
+        };
+        if promised == "internal" && code == Some("internal") {
+            fired += 1;
         }
-        if Instant::now() > deadline {
-            return false;
+        if code != Some(promised) && code != Some("queue_full") {
+            violations.push(format!(
+                "request {i}: injected {:?} but reply code is {code:?}",
+                faults[&i]
+            ));
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
+    if panics != fired {
+        violations.push(format!(
+            "the server caught {panics} solve panic(s), but {fired} injected panic(s) fired"
+        ));
+    }
+    violations
 }
 
 fn count_code(results: &[RequestResult], code: &str) -> usize {
@@ -703,7 +661,7 @@ mod tests {
         assert!(report.results.iter().all(|r| r.error.is_none()));
     }
 
-    /// The whole storm trace as one batch: every duplicate is its own
+    /// A storm trace from four callers: every duplicate is its own
     /// request and coalesces at the cache, as a hit on the region its
     /// first copy recorded.
     #[test]
@@ -715,7 +673,6 @@ mod tests {
             &trace,
             &ReplayOptions {
                 workers: 4,
-                window: 0,
                 verify: Verify::Sample(10),
                 ..ReplayOptions::default()
             },
@@ -767,9 +724,52 @@ mod tests {
         )
         .unwrap();
         assert!(report.is_clean(), "violations: {:?}", report.violations);
-        // Closed-loop windows return every permit before the burst, so
-        // exactly size - capacity of its requests are shed.
+        // Every earlier request is answered, and so has returned its
+        // permit, before the burst is admitted, so exactly size -
+        // capacity of its requests are shed.
         assert_eq!(report.queue_full_replies, 12 - 4);
         assert_eq!(report.stats.served.rejected_overload, 8);
+    }
+
+    fn answered(code: Option<&str>) -> RequestResult {
+        RequestResult {
+            structure: "X".to_owned(),
+            cost: 0.0,
+            flops: 0.0,
+            parenthesization: String::new(),
+            kernels: Vec::new(),
+            error: code.map(|c| format!("{c} error")),
+            code: code.map(str::to_owned),
+        }
+    }
+
+    #[test]
+    fn fault_check_flags_panics_no_fault_injected() {
+        let faults = BTreeMap::from([(1, FaultKind::Panic), (3, FaultKind::Expire)]);
+        let clean = [
+            answered(None),
+            answered(Some("internal")),
+            answered(None),
+            answered(Some("deadline_exceeded")),
+        ];
+        assert!(fault_violations(&faults, &clean, 1).is_empty());
+        // An `internal` reply at an index the plan left alone is a solve
+        // panic nothing injected, though the panic counts agree.
+        let mut stray = clean.clone();
+        stray[2] = answered(Some("internal"));
+        let violations = fault_violations(&faults, &stray, 2);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].starts_with("request 2: answered internal"));
+        assert!(violations[1].contains("caught 2 solve panic(s), but 1"));
+        // A panic the server caught without answering `internal`, and an
+        // injected panic that never fired, are both reported.
+        assert_eq!(fault_violations(&faults, &clean, 2).len(), 1);
+        let mut unfired = clean.clone();
+        unfired[1] = answered(None);
+        assert_eq!(fault_violations(&faults, &unfired, 0).len(), 1);
+        // Admission shedding outranks a fault.
+        let mut shed = clean;
+        shed[1] = answered(Some("queue_full"));
+        assert!(fault_violations(&faults, &shed, 0).is_empty());
     }
 }

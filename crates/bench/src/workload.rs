@@ -486,7 +486,7 @@ pub enum RequestClass {
 
 impl RequestClass {
     /// Stable wire label.
-    pub fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             RequestClass::Fresh => "fresh",
             RequestClass::Warm => "warm",

@@ -25,7 +25,7 @@
 //! `--bind`; `--plan-store` warm-starts that cache from a snapshot and
 //! saves it back.
 //!
-//! `serve` starts the batching front door (`gmc-serve`): every
+//! `serve` starts the serving front door (`gmc-serve`): every
 //! assignment is registered once as a named structure, then either a
 //! requests file is answered in-process (`--requests`, one
 //! `<target> var=size,...` request per line) or a TCP line-protocol

@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// Options of the `gmcc serve` subcommand.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Worker threads.
+    /// Solve slots: the bound on concurrent solves (`--workers`).
     pub workers: usize,
     /// Inference mode for the shared cache.
     pub inference: InferenceMode,
@@ -189,7 +189,7 @@ pub fn serve_listen(input: &str, addr: &str, options: &ServeOptions) -> Result<(
         .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
     print!("{report}");
     println!(
-        "# gmc-serve listening on {} ({} workers, {:?} inference)",
+        "# gmc-serve listening on {} ({} solve slots, {:?} inference)",
         door.local_addr(),
         options.workers,
         options.inference

@@ -5,19 +5,21 @@
 //! gmcc workload gen [--preset NAME] [--seed N] [--requests N]
 //!                   [--structures N] [--hit-ratio F] [--name S] [--out PATH]
 //! gmcc workload describe [TRACE]
-//! gmcc workload faults [--seed N] [--requests N] [--panics N] [--kills N]
-//!                      [--delays N] [--delay-ms N] [--drops N] [--expires N]
+//! gmcc workload faults [--seed N] [--requests N] [--panics N]
+//!                      [--delays N] [--delay-ms N] [--expires N]
 //!                      [--bursts N] [--burst-size N] [--queue-capacity N]
 //!                      [--out PATH]
 //! gmcc workload replay [TRACE] [--workers N] [--verify all|none|sample N]
-//!                      [--mode compositional|deep] [--timing] [--window N]
+//!                      [--mode compositional|deep] [--timing]
 //!                      [--faults PLAN] [--queue-capacity N] [--quick]
 //! ```
 //!
 //! `gen` writes the trace JSON (stdout by default); the same flags
 //! always produce the same bytes, and so does `faults` for its seeded
-//! `gmc-faults/1` plan. `replay` prints one JSON line per request to
-//! stdout — deterministic across runs of the same trace (the racy
+//! `gmc-faults/2` plan. `replay` drives the trace from `--workers`
+//! caller threads, each solving the next request on its own thread,
+//! and prints one JSON line per request to stdout — deterministic
+//! across runs of the same trace and any number of workers (the racy
 //! hit/miss outcome is deliberately *not* included) — and the
 //! counter/latency summary to stderr; it exits nonzero when any
 //! serving invariant or bitwise verification fails, including the
@@ -213,11 +215,6 @@ fn workload_faults(args: &[String]) -> u8 {
                     return code;
                 }
             }
-            "--kills" => {
-                if let Err(code) = int_flag("--kills", &mut spec.kills) {
-                    return code;
-                }
-            }
             "--delays" => {
                 if let Err(code) = int_flag("--delays", &mut spec.delays) {
                     return code;
@@ -227,11 +224,6 @@ fn workload_faults(args: &[String]) -> u8 {
                 Some(Ok(ms)) => spec.delay_ms = ms,
                 _ => return usage_error("faults", "--delay-ms needs an integer"),
             },
-            "--drops" => {
-                if let Err(code) = int_flag("--drops", &mut spec.drops) {
-                    return code;
-                }
-            }
             "--expires" => {
                 if let Err(code) = int_flag("--expires", &mut spec.expires) {
                     return code;
@@ -259,7 +251,7 @@ fn workload_faults(args: &[String]) -> u8 {
             "--help" | "-h" => {
                 println!(
                     "usage: gmcc workload faults [--seed N] [--requests N] [--panics N] \
-                     [--kills N] [--delays N] [--delay-ms N] [--drops N] [--expires N] \
+                     [--delays N] [--delay-ms N] [--expires N] \
                      [--bursts N] [--burst-size N] [--queue-capacity N] [--out PATH]"
                 );
                 return 0;
@@ -318,10 +310,6 @@ fn workload_replay(args: &[String]) -> u8 {
                 _ => return usage_error("replay", "--mode expects compositional or deep"),
             },
             "--timing" => opts.honor_timing = true,
-            "--window" => match args.next().map(str::parse) {
-                Some(Ok(n)) => opts.window = n,
-                _ => return usage_error("replay", "--window needs an integer (0 = one batch)"),
-            },
             "--faults" => match args.next() {
                 Some(path) => {
                     let text = match std::fs::read_to_string(path) {
@@ -350,7 +338,7 @@ fn workload_replay(args: &[String]) -> u8 {
                 println!(
                     "usage: gmcc workload replay [TRACE] [--workers N] \
                      [--verify all|none|sample N] [--mode compositional|deep] \
-                     [--timing] [--window N] [--faults PLAN] [--queue-capacity N] \
+                     [--timing] [--faults PLAN] [--queue-capacity N] \
                      [--quick]"
                 );
                 return 0;
@@ -362,7 +350,7 @@ fn workload_replay(args: &[String]) -> u8 {
 
     let trace = if quick {
         // A small built-in smoke trace: mixed traffic, everything
-        // verified against cold solves, two workers unless overridden.
+        // verified against cold solves, four callers unless overridden.
         let mut spec = WorkloadSpec::preset("mixed", 42).expect("mixed preset exists");
         spec.requests = 80;
         opts.verify = Verify::All;
@@ -452,22 +440,15 @@ fn print_report(report: &ReplayReport) {
             .collect();
         eprintln!("stages: {}", breakdown.join("; "));
     }
-    if report.queue_full_replies
-        + report.expired_replies
-        + report.internal_replies
-        + report.abandoned
-        > 0
-        || report.worker_panics > 0
+    if report.queue_full_replies + report.expired_replies + report.internal_replies > 0
+        || report.panics > 0
     {
         eprintln!(
-            "chaos: {} queue-full, {} expired, {} internal, {} abandoned; \
-             {} worker panic(s), {} respawn(s)",
+            "chaos: {} queue-full, {} expired, {} internal, {} panic(s)",
             report.queue_full_replies,
             report.expired_replies,
             report.internal_replies,
-            report.abandoned,
-            report.worker_panics,
-            report.respawns
+            report.panics
         );
     }
 }

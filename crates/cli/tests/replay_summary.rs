@@ -18,20 +18,21 @@ fn number_after(line: &str, prefix: &str) -> f64 {
 
 #[test]
 fn replay_summary_rates_completed_requests() {
-    // The 80-request smoke trace submitted as one batch into a gate of
-    // 20: admission takes the first 20 and sheds the other 60.
+    // The 80-request smoke trace as one burst into a gate of 20:
+    // admission takes the first 20 and sheds the other 60.
+    let plan = std::env::temp_dir().join(format!("gmc_summary_plan_{}.json", std::process::id()));
+    std::fs::write(
+        &plan,
+        r#"{"format":"gmc-faults/2","seed":0,"queue_capacity":20,
+            "entries":[{"request":0,"kind":"burst","size":80}]}"#,
+    )
+    .expect("plan writes");
     let out = Command::new(env!("CARGO_BIN_EXE_gmcc"))
-        .args([
-            "workload",
-            "replay",
-            "--quick",
-            "--window",
-            "0",
-            "--queue-capacity",
-            "20",
-        ])
+        .args(["workload", "replay", "--quick", "--faults"])
+        .arg(&plan)
         .output()
         .expect("gmcc runs");
+    std::fs::remove_file(&plan).ok();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     let line = stderr

@@ -37,6 +37,11 @@ use gmc_expr::{
 use std::collections::HashMap;
 use std::fmt;
 
+/// How deeply parentheses may nest in a right-hand side: each level
+/// costs the recursive descent four stack frames, so a deeper input
+/// gets a positioned error instead of overflowing the stack.
+const MAX_PAREN_DEPTH: usize = 256;
+
 /// A parsed problem: operand definitions plus assignments.
 ///
 /// Assignments are split by what they reference: those touching only
@@ -226,6 +231,8 @@ struct Parser<'a> {
     code: Vec<Node>,
     /// Whether `code` references a symbolically sized operand.
     refs_symbolic: bool,
+    /// Parentheses open around the next token.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -240,6 +247,7 @@ impl<'a> Parser<'a> {
             },
             code: Vec::new(),
             refs_symbolic: false,
+            depth: 0,
         };
         parser.advance();
         parser
@@ -516,8 +524,14 @@ impl<'a> Parser<'a> {
     fn primary(&mut self) -> Result<(), ParseError> {
         match self.peek_tok() {
             Some(Tok::LParen) => {
+                if self.depth == MAX_PAREN_DEPTH {
+                    let message = format!("parentheses nest deeper than {MAX_PAREN_DEPTH} levels");
+                    return Err(self.error_at(message));
+                }
+                self.depth += 1;
                 self.advance();
                 self.expr()?;
+                self.depth -= 1;
                 self.expect(Tok::RParen)
             }
             Some(Tok::Ident(_)) => {
@@ -757,6 +771,39 @@ X := A^-1 * B * C^T
         assert_eq!(err.line, 1);
         let err = parse("Matrix A (n, 0)\nX := A * A").unwrap_err();
         assert!(err.message.contains("must be positive"), "{err}");
+    }
+
+    /// `X := ` with `levels` parentheses around `A`, after `Matrix A`.
+    fn nested_parens(levels: usize) -> String {
+        format!(
+            "Matrix A (10, 10)\nX := {}A{}",
+            "(".repeat(levels),
+            ")".repeat(levels)
+        )
+    }
+
+    #[test]
+    fn parenthesis_depth_is_bounded_with_a_positioned_error() {
+        // On a spawned thread, whose default stack (2 MB) is a quarter
+        // of the main thread's: the bound must hold there too.
+        std::thread::spawn(|| {
+            let p = parse(&nested_parens(MAX_PAREN_DEPTH)).unwrap();
+            assert_eq!(p.assignments[0].1, p.operands[0].expr());
+            for levels in [MAX_PAREN_DEPTH + 1, 15_000] {
+                let err = parse(&nested_parens(levels)).unwrap_err();
+                assert_eq!(err.message, "parentheses nest deeper than 256 levels");
+                // At the first parenthesis past the bound.
+                assert_eq!((err.line, err.col), (2, 6 + MAX_PAREN_DEPTH));
+            }
+            // Closed parentheses free their depth.
+            let wide = format!(
+                "Matrix A (10, 10)\nX := {}",
+                vec![format!("{}A{}", "(".repeat(200), ")".repeat(200)); 3].join(" * ")
+            );
+            parse(&wide).unwrap();
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

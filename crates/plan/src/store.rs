@@ -55,7 +55,7 @@ fn key_dim_from(v: &Value) -> Result<KeyDim, DeError> {
             .and_then(|i| i.parse::<u16>().ok())
             .map(KeyDim::Var)
             .ok_or_else(|| DeError(format!("bad key dimension `{s}`"))),
-        other => Err(DeError(format!("expected key dimension, got {other:?}"))),
+        other => Err(DeError::expected("key dimension", other)),
     }
 }
 
@@ -83,7 +83,7 @@ fn factor_from(v: &Value) -> Result<FactorSig, DeError> {
 fn array_field<'v>(v: &'v Value, name: &str) -> Result<&'v [Value], DeError> {
     match v.get_field(name)? {
         Value::Array(items) => Ok(items),
-        other => Err(DeError(format!("expected `{name}` array, got {other:?}"))),
+        other => Err(DeError::expected(&format!("`{name}` array"), other)),
     }
 }
 
@@ -235,9 +235,7 @@ impl PlanCache {
                 let invalid =
                     |msg: String| PlanError::Store(format!("structure {s}, region {r}: {msg}"));
                 let Value::Object(binding) = region else {
-                    return Err(invalid(format!(
-                        "expected a binding object, got {region:?}"
-                    )));
+                    return Err(invalid(DeError::expected("a binding object", region).0));
                 };
                 let mut names = Vec::with_capacity(binding.len());
                 let mut bindings = DimBindings::new();

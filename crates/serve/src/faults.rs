@@ -1,19 +1,17 @@
 //! Deterministic fault injection for the serving tier.
 //!
 //! A [`FaultPlan`] names, by request index, the faults to inject into
-//! one replay: caught worker panics, worker-killing panics (to
-//! exercise supervision and respawn), artificial solve delays,
-//! client-side connection drops (the reply is abandoned), already-
-//! expired deadlines, and admission bursts that overflow a small
-//! queue. Plans are seeded and serializable (`gmc-faults/1`, the same
-//! shim-JSON idiom as `gmc-trace/1`), so a chaos run is replayable
-//! evidence exactly like the trace it runs against.
+//! one replay: panics inside the solve (caught, answered `internal`),
+//! artificial solve delays, already-expired deadlines, and admission
+//! bursts that overflow a small gate. Plans are seeded and
+//! serializable (`gmc-faults/2`, the same shim-JSON idiom as
+//! `gmc-trace/1`), so a chaos run is replayable evidence exactly like
+//! the trace it runs against.
 //!
 //! The serve layer itself only understands [`SolveFault`] — the
-//! per-request worker-side faults carried in
+//! per-request solve-side faults carried in
 //! [`crate::RequestOptions`]; the replay harness (in `gmc-bench`)
-//! translates the other kinds into deadlines, abandoned tickets and
-//! batch boundaries.
+//! translates the other kinds into deadlines and batches.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,26 +21,23 @@ use std::sync::Once;
 use std::time::Duration;
 
 /// The fault-plan format tag; bump when the layout changes.
-pub const FAULTS_FORMAT: &str = "gmc-faults/1";
+pub const FAULTS_FORMAT: &str = "gmc-faults/2";
 
 /// Marker carried in every injected panic's payload. The quiet panic
 /// hook (see [`silence_injected_panics`]) suppresses only payloads
 /// containing it, so real panics still print.
 pub const FAULT_PANIC_MARKER: &str = "gmc-serve injected fault";
 
-/// A worker-side fault attached to one request, executed by the worker
-/// that picks the request's batch item up.
+/// A solve-side fault attached to one request, executed on the thread
+/// that solves it once it holds a solve slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolveFault {
-    /// Panic inside the solve (caught by the worker's `catch_unwind`;
+    /// Panic inside the solve (caught by the solve's `catch_unwind`;
     /// the request is answered [`crate::ServeError::Internal`]).
     Panic,
-    /// Answer the item [`crate::ServeError::Internal`], then kill the
-    /// worker thread after it finishes its current job — the
-    /// supervisor must respawn it.
-    Kill,
-    /// Sleep this long before solving (holds a worker, so a small
-    /// admission queue behind it overflows deterministically).
+    /// Sleep this long before solving (holds a solve slot and an
+    /// admission permit, so a small gate behind it overflows
+    /// deterministically).
     Delay(Duration),
 }
 
@@ -50,27 +45,21 @@ pub enum SolveFault {
 /// [`FaultEntry`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Caught worker panic: the request is answered
-    /// `ServeError::Internal`, the pool survives.
+    /// Panic inside the solve: caught, and the request is answered
+    /// `ServeError::Internal`.
     Panic,
-    /// Worker-killing panic: answered `Internal`, then the worker
-    /// thread dies and the supervisor respawns it.
-    Kill,
     /// Artificial solve delay of this many milliseconds.
     Delay {
         /// Sleep length in milliseconds.
         ms: u64,
     },
-    /// The client abandons the reply (connection drop): the ticket is
-    /// dropped without waiting.
-    Drop,
     /// The request arrives with an already-expired deadline; the
-    /// worker that dequeues it must shed it with
+    /// server must shed it unsolved with
     /// `ServeError::DeadlineExceeded`.
     Expire,
-    /// Submit this request and the following `size - 1` as one
-    /// admission burst regardless of the replay window, overflowing a
-    /// small queue capacity.
+    /// Send this request and the following `size - 1` as one
+    /// [`crate::ServeHandle::solve_batch`] once every earlier request
+    /// is answered, overflowing a small admission capacity.
     Burst {
         /// Total requests in the burst (including this one).
         size: usize,
@@ -78,22 +67,19 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The worker-side fault this kind translates to, if any.
+    /// The solve-side fault this kind translates to, if any.
     pub fn solve_fault(&self) -> Option<SolveFault> {
         match *self {
             FaultKind::Panic => Some(SolveFault::Panic),
-            FaultKind::Kill => Some(SolveFault::Kill),
             FaultKind::Delay { ms } => Some(SolveFault::Delay(Duration::from_millis(ms))),
-            FaultKind::Drop | FaultKind::Expire | FaultKind::Burst { .. } => None,
+            FaultKind::Expire | FaultKind::Burst { .. } => None,
         }
     }
 
     fn label(&self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
-            FaultKind::Kill => "kill",
             FaultKind::Delay { .. } => "delay",
-            FaultKind::Drop => "drop",
             FaultKind::Expire => "expire",
             FaultKind::Burst { .. } => "burst",
         }
@@ -119,11 +105,9 @@ impl Deserialize for FaultKind {
         let kind = String::from_value(v.get_field("kind")?)?;
         match kind.as_str() {
             "panic" => Ok(FaultKind::Panic),
-            "kill" => Ok(FaultKind::Kill),
             "delay" => Ok(FaultKind::Delay {
                 ms: u64::from_value(v.get_field("ms")?)?,
             }),
-            "drop" => Ok(FaultKind::Drop),
             "expire" => Ok(FaultKind::Expire),
             "burst" => Ok(FaultKind::Burst {
                 size: usize::from_value(v.get_field("size")?)?,
@@ -215,16 +199,12 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Length of the trace the plan targets (indices stay below this).
     pub requests: usize,
-    /// Caught worker panics.
+    /// Panics inside the solve (caught, answered `internal`).
     pub panics: usize,
-    /// Worker-killing panics (exercise supervision respawn).
-    pub kills: usize,
     /// Artificial solve delays.
     pub delays: usize,
     /// Length of each delay in milliseconds.
     pub delay_ms: u64,
-    /// Abandoned replies (connection drops).
-    pub drops: usize,
     /// Already-expired deadlines.
     pub expires: usize,
     /// Admission bursts.
@@ -241,10 +221,8 @@ impl Default for FaultSpec {
             seed: 7,
             requests: 100,
             panics: 2,
-            kills: 1,
             delays: 2,
             delay_ms: 10,
-            drops: 2,
             expires: 2,
             bursts: 1,
             burst_size: 32,
@@ -266,7 +244,7 @@ impl FaultPlan {
     pub fn seeded(spec: &FaultSpec) -> Result<FaultPlan, String> {
         let n = spec.requests;
         let burst_size = spec.burst_size.max(2);
-        let point_faults = spec.panics + spec.kills + spec.delays + spec.drops + spec.expires;
+        let point_faults = spec.panics + spec.delays + spec.expires;
         if spec.bursts * burst_size + point_faults > n {
             return Err(format!(
                 "fault spec does not fit: {} bursts x {} + {} point faults > {} requests",
@@ -307,14 +285,12 @@ impl FaultPlan {
             Ok(())
         };
         place(spec.panics, FaultKind::Panic, &mut rng, &mut entries)?;
-        place(spec.kills, FaultKind::Kill, &mut rng, &mut entries)?;
         place(
             spec.delays,
             FaultKind::Delay { ms: spec.delay_ms },
             &mut rng,
             &mut entries,
         )?;
-        place(spec.drops, FaultKind::Drop, &mut rng, &mut entries)?;
         place(spec.expires, FaultKind::Expire, &mut rng, &mut entries)?;
         Ok(FaultPlan {
             seed: spec.seed,
@@ -384,12 +360,10 @@ impl FaultPlan {
         self.entries.iter().map(|e| (e.request, e.kind)).collect()
     }
 
-    /// Whether the plan injects any panicking fault (callers should
+    /// Whether the plan injects any panic (callers should
     /// [`silence_injected_panics`] before replaying such a plan).
     pub fn injects_panics(&self) -> bool {
-        self.entries
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Panic | FaultKind::Kill))
+        self.entries.iter().any(|e| e.kind == FaultKind::Panic)
     }
 }
 
@@ -433,7 +407,7 @@ mod tests {
         a.validate().unwrap();
         assert_eq!(
             a.entries.len(),
-            spec.bursts + spec.panics + spec.kills + spec.delays + spec.drops + spec.expires
+            spec.bursts + spec.panics + spec.delays + spec.expires
         );
         assert!(a.injects_panics());
         // Point faults stay clear of burst ranges.
@@ -476,7 +450,7 @@ mod tests {
                 },
                 FaultEntry {
                     request: 3,
-                    kind: FaultKind::Drop,
+                    kind: FaultKind::Expire,
                 },
             ],
         };
@@ -491,6 +465,18 @@ mod tests {
         };
         assert!(tiny_burst.validate().is_err());
         assert!(FaultPlan::from_json_str("{\"format\":\"nope/1\"}").is_err());
+    }
+
+    #[test]
+    fn version_one_plans_are_refused_naming_version_two() {
+        let old = r#"{"format":"gmc-faults/1","seed":7,"queue_capacity":8,"entries":[]}"#;
+        let err = FaultPlan::from_json_str(old).unwrap_err();
+        assert!(err.contains("gmc-faults/1"), "{err}");
+        assert!(err.contains("gmc-faults/2"), "{err}");
+        let kill = r#"{"format":"gmc-faults/2","seed":0,"queue_capacity":0,
+                       "entries":[{"request":1,"kind":"kill"}]}"#;
+        let err = FaultPlan::from_json_str(kill).unwrap_err();
+        assert!(err.contains("unknown fault kind `kill`"), "{err}");
     }
 
     #[test]

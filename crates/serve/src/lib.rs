@@ -8,47 +8,35 @@
 //!               requests (structure name + dim bindings)
 //!  clients ──────────────┐
 //!                        ▼
-//!            submitting thread (TCP connection or ServeHandle
-//!            caller): admits and checks the bindings
-//!                        │
-//!         ┌──────────────┴───────────────┐
-//!         │ blocking call (solve,        │ tickets (submit*) and a
-//!         │ solve_raw, every TCP line),  │ blocking call that finds
-//!         │ a solve slot free and the    │ no slot: one job per
-//!         │ queue empty: solve it here   │ request, in order
-//!         │                              ▼
-//!         │                     ═══ worker queue ═══
-//!         │                  ┌───────────┼───────────┐
-//!         │                  ▼           ▼           ▼
-//!         │              ┌───────┐   ┌───────┐   ┌───────┐
-//!         │              │worker0│   │worker1│ … │workerN│
-//!         │              └───────┘   └───────┘   └───────┘
-//!         ▼                  │           │           │
-//!   shared, sharded, copy-on-write PlanCache (hits are lock-free
-//!   reads); at most `workers` solves run at once, inline or pooled
-//!         └────── replies (cost, parenthesization, kernels) ──►
+//!       calling thread (TCP connection, `gmcc serve --requests`
+//!       or ServeHandle caller), start to finish:
+//!         admit: look the structure up, check the bindings,
+//!                take an admission permit (or shed the request)
+//!         queue: claim one of `workers` solve slots, waiting
+//!                for one while every slot is busy
+//!         solve: the shared, sharded, copy-on-write PlanCache
+//!                (hits are lock-free reads)
+//!         reply: cost, parenthesization, kernels
 //! ```
 //!
 //! * **Parse once per structure.** Chains are registered by name
 //!   ([`Server::register`]); requests reference the name and carry only
 //!   dimension bindings, so no request ever re-parses a chain.
-//! * **Run to completion.** A blocking call ([`ServeHandle::solve`],
-//!   [`ServeHandle::solve_raw`], which every TCP request line takes)
-//!   solves its request on the calling thread, so the request never
-//!   crosses a thread. It does so only if it can claim one of the
-//!   [`ServeConfig::workers`] solve slots while the worker queue is
-//!   empty; otherwise it queues like a ticket and waits. The ticket
-//!   APIs (`submit*`, [`ServeHandle::try_submit`]) always queue, so
-//!   they never block, and so does a request carrying an injected
-//!   fault, so faults keep exercising the workers.
-//! * **One request, one job.** Every admitted request is solved and
+//! * **Run to completion.** Every request runs on its caller's thread:
+//!   a TCP request line, a `gmcc serve --requests` line and a
+//!   [`ServeHandle`] call alike. There is one path from admission to
+//!   reply, and [`Server::start`] spawns no thread. At most
+//!   [`ServeConfig::workers`] solves run at once; a caller that finds
+//!   every solve slot busy waits on its own thread for one, and that
+//!   wait is the request's `queue` stage.
+//! * **One request, one solve.** Every admitted request is solved and
 //!   answered on its own, under its own deadline and injected fault. A
-//!   batch ([`ServeHandle::submit_batch`]) is admitted whole before any
-//!   of it is queued, so with `k` permits free exactly its first `k`
-//!   admissible requests enter; its jobs then queue in submission
-//!   order. Identical requests are not merged: after the first one
-//!   records its region, the rest are cache hits, and racing misses on
-//!   one region record once (the cache's per-shard write mutex).
+//!   batch ([`ServeHandle::solve_batch`]) is admitted whole before any
+//!   of it is solved, so with `k` permits free exactly its first `k`
+//!   admissible requests enter; it is then solved in order on the
+//!   calling thread. Identical requests are not merged: after the first
+//!   one records its region, the rest are cache hits, and racing misses
+//!   on one region record once (the cache's per-shard write mutex).
 //! * **Pre-enumeration.** [`Server::register_pre_enumerated`] records a
 //!   plan for every reachable region of a small chain up front, making
 //!   every subsequent request for it a hit.
@@ -58,8 +46,7 @@
 //!   latency classes, at its first solved request, so a request after
 //!   that takes no lock and looks up no name to record itself.
 //!   [`ServeHandle::stats`] and `METRICS` read the same instruments.
-//! * **No async runtime.** Plain `std::thread` workers, a
-//!   condvar-signalled job queue and `std::sync::mpsc` reply channels,
+//! * **No async runtime.** A mutex and two condvars bound the solves,
 //!   all from the standard library; the optional TCP listener in
 //!   [`tcp`] is a thin front end over `std::net::TcpListener` that
 //!   answers each line through [`protocol::answer_line`], as the CLI
@@ -74,7 +61,6 @@ pub mod metrics;
 pub mod protocol;
 pub mod tcp;
 
-pub use admission::SubmitError;
 pub use faults::SolveFault;
 pub use gmc_obs::trace::{Span, Trace, TRACE_FORMAT};
 
@@ -84,40 +70,30 @@ use gmc::{GmcSolution, InferenceMode};
 use gmc_expr::{Dim, DimBindings, SymChain};
 use gmc_kernels::{Flops, KernelRegistry};
 use gmc_obs::trace::SlowTraceRing;
-use gmc_obs::{Histogram, HistogramSnapshot};
+use gmc_obs::{Counter, Histogram, HistogramSnapshot};
 use gmc_plan::{CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
 use metrics::Telemetry;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Server configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Number of worker threads instantiating plans, and the bound on
-    /// concurrent solves: those the workers run and those blocking
-    /// calls run inline on their own threads count together.
+    /// The bound on concurrent solves: at most this many requests
+    /// solve at once, each on its caller's thread. A caller that finds
+    /// every solve slot busy waits for one. Clamped to at least 1.
     pub workers: usize,
     /// Inference mode the shared cache compiles under.
     pub inference: InferenceMode,
     /// Admission capacity: the maximum number of requests in flight
-    /// (admitted at submission, released when their reply is sent).
-    /// Submissions beyond it are shed newest-first with
-    /// [`ServeError::QueueFull`] (ticket paths) or
-    /// [`SubmitError::QueueFull`] ([`ServeHandle::try_submit`]).
+    /// (admitted, and released when their reply is ready). Requests
+    /// beyond it are shed newest-first with [`ServeError::QueueFull`].
     /// Clamped to at least 1.
     pub queue_capacity: usize,
-    /// How many dead workers the supervisor may respawn over the
-    /// server's lifetime. When the budget is exhausted and the last
-    /// worker dies, the server closes its admission gate instead of
-    /// hanging new requests.
-    pub restart_budget: usize,
     /// How many of the slowest request traces the server retains for
     /// [`ServeHandle::slow_traces`] and the `SLOW` wire command.
     /// 0 disables trace retention (per-stage histograms still record).
@@ -128,19 +104,18 @@ pub struct ServeConfig {
 /// records one span per stage; the spans are consecutive, so their
 /// durations sum exactly to the request's end-to-end latency:
 ///
-/// * `admit` — submission call entry to admission + parse done
-/// * `queue` — end of admission to the start of queueing the jobs,
-///   both on the submitting thread (about zero: nothing waits between
-///   them); zero for a request solved inline
-/// * `group` — always zero: every request is its own job, so nothing
-///   is grouped (the stage stays so that stage readings keep their
-///   shape)
-/// * `dispatch` — the wait for the solve to start: in the worker
-///   queue up to a worker picking the job up, or, inline, claiming a
-///   solve slot (about zero)
+/// * `admit` — call entry to admission + parse done
+/// * `queue` — the wait for a solve slot, on the calling thread (about
+///   zero while a slot is free; a request of a batch also waits here
+///   for the batch's earlier requests)
+/// * `group` — always zero: every request is solved on its own, so
+///   nothing is grouped (the stage stays so that stage readings keep
+///   their shape)
+/// * `dispatch` — from claiming the slot to the solve starting (the
+///   deadline check; about zero)
 /// * `lookup` — locating the cached region plan
 /// * `solve` — instantiating the plan (or recording it, on a miss)
-/// * `reply` — accounting and the reply back to the caller
+/// * `reply` — accounting and building the reply
 pub const STAGES: [&str; 7] = [
     "admit", "queue", "group", "dispatch", "lookup", "solve", "reply",
 ];
@@ -151,7 +126,6 @@ impl Default for ServeConfig {
             workers: 4,
             inference: InferenceMode::default(),
             queue_capacity: 4096,
-            restart_budget: 8,
             slow_trace_capacity: 32,
         }
     }
@@ -201,16 +175,15 @@ pub enum ServeError {
     BadRequest(String),
     /// The server is shut down.
     Closed,
-    /// The request's deadline had passed when its solve was due to
-    /// start (expiry covers any wait in the worker queue); it was shed
-    /// without being solved.
+    /// The request's deadline passed before its solve started (expiry
+    /// covers the wait for a solve slot); it was shed without being
+    /// solved.
     DeadlineExceeded,
-    /// The admission queue was at capacity; the request was shed
-    /// (newest-first overload policy) without entering the worker
-    /// queue.
+    /// The admission gate was at capacity; the request was shed
+    /// (newest-first overload policy) without waiting for a solve slot.
     QueueFull,
-    /// The worker processing the request panicked (the panic was
-    /// caught; the pool survives and this request is the only loss).
+    /// The request's solve panicked (the panic was caught; this
+    /// request is the only loss).
     Internal(String),
 }
 
@@ -271,7 +244,9 @@ pub struct ServerStats {
     /// solved request, so with no injected fault `cache.requests()`
     /// equals `served.completed`.
     pub cache: CacheStats,
-    /// Jobs solved or queued: one per admitted request.
+    /// Admitted requests, one each, counted when the request claims a
+    /// solve slot or starts to wait for one: a caller counted here is
+    /// waiting, solving or answered.
     pub batches: u64,
     /// Registered structures.
     pub structures: usize,
@@ -279,24 +254,12 @@ pub struct ServerStats {
     /// sums of their parts, so `hits + misses + failed == completed`
     /// holds in every reading, even mid-burst.
     pub served: ServedCounters,
-    /// Latency histogram snapshots (enqueue→complete and
-    /// enqueue→solve start, plus per-(structure, hit/miss) classes).
+    /// Solves that panicked and were answered [`ServeError::Internal`]
+    /// (each also counts under `served.failed`).
+    pub panics: u64,
+    /// Latency histogram snapshots (call→complete and call→solve
+    /// start, plus per-(structure, hit/miss) classes).
     pub latency: LatencySnapshot,
-    /// Worker-pool supervision counters (panics, respawns, live
-    /// workers).
-    pub supervision: SupervisionStats,
-}
-
-/// Worker-pool health counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SupervisionStats {
-    /// Worker threads that died by panic over the server's lifetime.
-    pub worker_panics: u64,
-    /// Workers the supervisor respawned (bounded by the restart
-    /// budget).
-    pub respawns: u64,
-    /// Workers currently alive.
-    pub workers_alive: usize,
 }
 
 impl fmt::Display for ServerStats {
@@ -306,14 +269,8 @@ impl fmt::Display for ServerStats {
             "{}; {} batches, {} structures; {}",
             self.cache, self.batches, self.structures, self.served
         )?;
-        if self.supervision.worker_panics > 0 {
-            write!(
-                f,
-                "; {} worker panics, {} respawns, {} alive",
-                self.supervision.worker_panics,
-                self.supervision.respawns,
-                self.supervision.workers_alive
-            )?;
+        if self.panics > 0 {
+            write!(f, "; {} solve panics", self.panics)?;
         }
         if !self.latency.total.is_empty() {
             write!(
@@ -331,16 +288,13 @@ impl fmt::Display for ServerStats {
 /// Per-request completion counters. Unlike the cache counters (which
 /// count instantiates), these count *requests*: every request answered
 /// through a [`ServeReply`] ends up in exactly one of `completed`
-/// (solved, on a worker or inline) or `rejected` (answered without a
-/// solve: unknown structure, bad binding, unbindable sizes, overload,
-/// shutdown, expired deadline), and `completed` splits exactly into
-/// `hits + misses + failed`. A refusal returned as a [`SubmitError`]
-/// by [`ServeHandle::try_submit`] counts nowhere: from the server's
-/// view that request was never submitted.
+/// (solved) or `rejected` (answered without a solve: unknown structure,
+/// bad binding, unbindable sizes, overload, shutdown, expired
+/// deadline), and `completed` splits exactly into
+/// `hits + misses + failed`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServedCounters {
-    /// Requests solved and answered (successfully or not), on a worker
-    /// or inline on the calling thread.
+    /// Requests solved and answered (successfully or not).
     pub completed: u64,
     /// Completed requests served from a cached region plan.
     pub hits: u64,
@@ -351,19 +305,20 @@ pub struct ServedCounters {
     /// Completed requests whose solve failed (plan-layer error) or
     /// panicked (answered [`ServeError::Internal`]).
     pub failed: u64,
-    /// Requests answered without a solve: at submission (unknown
+    /// Requests answered without a solve: at admission (unknown
     /// structure, unresolvable variable names, unbindable sizes,
-    /// overload sheds, [`ServeError::Closed`]) or when their solve was
-    /// due to start (expired deadlines).
+    /// overload sheds, [`ServeError::Closed`]), when shutdown had begun
+    /// before they reached the wait for a solve slot
+    /// ([`ServeError::Closed`]), or when their deadline passed before
+    /// their solve started (expired deadlines).
     /// `rejected_overload` and `expired` are sub-counts of this, so
     /// `completed + rejected` still accounts for every request.
     pub rejected: u64,
-    /// Of `rejected`: requests shed because the admission queue was at
+    /// Of `rejected`: requests shed because the admission gate was at
     /// capacity.
     pub rejected_overload: u64,
-    /// Of `rejected`: requests whose deadline had passed when their
-    /// solve was due to start (shed on the worker that dequeued them,
-    /// or inline on the calling thread).
+    /// Of `rejected`: requests whose deadline passed before their solve
+    /// started.
     pub expired: u64,
 }
 
@@ -388,14 +343,15 @@ impl fmt::Display for ServedCounters {
 /// Latency snapshots of a running server.
 #[derive(Clone, Debug, Default)]
 pub struct LatencySnapshot {
-    /// Enqueue→complete latency of every completed request.
+    /// Call→complete latency of every completed request.
     pub total: HistogramSnapshot,
-    /// Enqueue→solve start (queueing) latency of the same requests.
+    /// Call→solve start (admission and the wait for a solve slot)
+    /// latency of the same requests.
     pub queue: HistogramSnapshot,
-    /// Enqueue→shed latency of deadline-expired requests (they are
-    /// shed unsolved, so they appear here instead of `total`).
+    /// Call→shed latency of deadline-expired requests (they are shed
+    /// unsolved, so they appear here instead of `total`).
     pub expired: HistogramSnapshot,
-    /// Per-(structure, hit/miss) enqueue→complete histograms with a
+    /// Per-(structure, hit/miss) call→complete histograms with a
     /// sample, sorted by structure name then class for deterministic
     /// rendering. The registry's per-family cap
     /// ([`DEFAULT_SERIES_CAP`](gmc_obs::registry::DEFAULT_SERIES_CAP),
@@ -424,7 +380,7 @@ pub struct ClassLatency {
     pub structure: String,
     /// `hit` or `miss` (`other` for the shared spill entry).
     pub class: String,
-    /// Enqueue→complete histogram of this class.
+    /// Call→complete histogram of this class.
     pub snapshot: HistogramSnapshot,
 }
 
@@ -434,23 +390,6 @@ fn nanos_between(earlier: Instant, later: Instant) -> u64 {
         .saturating_duration_since(earlier)
         .as_nanos()
         .min(u64::MAX as u128) as u64
-}
-
-/// A pending reply; resolve it with [`Ticket::wait`].
-#[derive(Debug)]
-pub struct Ticket {
-    rx: Receiver<ServeReply>,
-    structure: String,
-}
-
-impl Ticket {
-    /// Blocks until the reply arrives.
-    pub fn wait(self) -> ServeReply {
-        self.rx.recv().unwrap_or(ServeReply {
-            structure: self.structure,
-            result: Err(ServeError::Closed),
-        })
-    }
 }
 
 /// A registered structure: its name, its chain, and the latency
@@ -467,7 +406,7 @@ struct Structure {
 
 struct Shared {
     cache: PlanCache,
-    jobs: JobQueue,
+    slots: Slots,
     structures: RwLock<HashMap<String, Arc<Structure>>>,
     gate: Arc<AdmissionGate>,
     telemetry: Telemetry,
@@ -513,7 +452,7 @@ fn bind_named_vars<N: AsRef<str>>(
 
 /// Whether `bindings` size every dimension of `chain` (the first
 /// failure [`SymChain::bind_dims`] would report, without building its
-/// sizes); a request that fails this is answered at submission, never
+/// sizes); a request that fails this is answered at admission, never
 /// solved.
 fn check_bindable(chain: &SymChain, bindings: &DimBindings) -> Result<(), ServeError> {
     boundary(chain)
@@ -534,31 +473,25 @@ impl Shared {
             batches: t.batches.get(),
             structures: read_lock(&self.structures).len(),
             served: t.served(),
+            panics: t.panics.get(),
             latency,
-            supervision: t.supervision(),
         }
-    }
-
-    fn next_trace_id(&self) -> u64 {
-        self.trace_ids.fetch_add(1, Ordering::Relaxed)
     }
 }
 
-/// Per-request submission options: an optional deadline and an
-/// optional injected worker-side fault (chaos testing only).
+/// Per-request options: an optional deadline and an optional injected
+/// solve-side fault (chaos testing only).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RequestOptions {
     /// If set, the request is shed with
-    /// [`ServeError::DeadlineExceeded`] when the deadline has passed as
-    /// its solve is due to start — on the worker that dequeues it, or
-    /// on the calling thread of a blocking call that solves it inline —
-    /// so expiry covers any wait in the worker queue. Expiry is not
-    /// checked mid-solve: a request whose solve has started is always
-    /// answered with its result.
+    /// [`ServeError::DeadlineExceeded`] when the deadline passes before
+    /// its solve starts: while its caller waits for a solve slot, or
+    /// by the time it claims one. Expiry is not checked mid-solve: a
+    /// request whose solve has started is always answered with its
+    /// result.
     pub deadline: Option<Instant>,
-    /// Deterministic fault a worker executes for this request (see
-    /// [`faults`]). `None` in production traffic. A request carrying
-    /// one is always solved on the worker pool, never inline.
+    /// Deterministic fault the solve executes for this request (see
+    /// [`faults`]). `None` in production traffic.
     pub fault: Option<SolveFault>,
 }
 
@@ -572,424 +505,242 @@ impl RequestOptions {
     }
 }
 
-/// One admitted request: its chain, its bindings and its reply.
+/// One admitted request: its chain, its bindings, its options and its
+/// admission permit.
 struct Admitted {
     structure: Arc<Structure>,
     bindings: DimBindings,
-    slot: ReplySlot,
+    trace_id: u64,
+    options: RequestOptions,
+    /// Freed before the request is counted as answered, so a caller
+    /// that sees the count (a replay's burst waits for it) finds the
+    /// gate's permit free.
+    permit: Permit,
 }
 
-/// When one submission passed each point on the submitting thread; a
-/// job's stage spans start from these.
-#[derive(Clone, Copy)]
-struct Stamps {
-    /// When the submission call started (trace origin).
-    enqueued: Instant,
-    /// When admission and parsing were done (end of the `admit` span).
-    submitted: Instant,
-    /// When its jobs started to queue, or its solve slot was claimed
-    /// inline (end of the `queue` span).
-    dispatched: Instant,
-}
-
-/// A message on the worker queue.
-enum Job {
-    /// One admitted request to solve and answer.
-    Solve { request: Admitted, stamps: Stamps },
-    /// Ends the worker that dequeues it. Shutdown queues one per
-    /// worker behind all earlier work.
-    Stop,
-}
-
-/// The worker queue and the solve slots: jobs in arrival order, a
-/// count of the solves running (inline or on a worker) kept under the
-/// same lock, and a condvar that wakes one idle worker per job.
-/// (Workers sharing a `Mutex<Receiver>` would wake two: the one the job
-/// goes to, and the next waiter for the mutex, only for it to park
-/// again in `recv`.)
-struct JobQueue {
-    state: Mutex<QueueState>,
-    /// Wakes one worker: a job arrived, or a slot came free while jobs
-    /// wait for one.
-    ready: Condvar,
-    /// Wakes [`Server::shutdown`] once the last solve has ended.
+/// The solve slots: at most `limit` solves run at once, each on its
+/// caller's thread, and callers that find every slot busy wait here.
+struct Slots {
+    state: Mutex<SlotState>,
+    /// Wakes one waiting caller: a slot came free.
+    freed: Condvar,
+    /// Wakes [`Server::shutdown`] once no solve runs and no caller
+    /// waits.
     idle: Condvar,
-    /// The pool size ([`ServeConfig::workers`]), which also bounds the
-    /// concurrent solves, inline and pooled together.
-    slots: usize,
+    /// [`ServeConfig::workers`].
+    limit: usize,
 }
 
 #[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// Solves running now, inline or on a worker; at most `slots`.
+struct SlotState {
+    /// Solves running now; at most `limit`.
     running: usize,
-    /// Set at shutdown: blocking calls stop claiming slots, and queue
-    /// behind the workers' stops instead.
+    /// Callers waiting for a slot.
+    waiting: usize,
+    /// Set at shutdown: a caller that arrives later is refused, while
+    /// one already waiting still gets its slot.
     stopping: bool,
-    /// Set once the last worker is gone; later jobs are refused.
-    closed: bool,
 }
 
 /// One claimed solve slot; dropping it (also while unwinding) gives the
 /// slot back.
 struct Running<'a> {
-    queue: &'a JobQueue,
+    slots: &'a Slots,
 }
 
 impl Drop for Running<'_> {
     fn drop(&mut self) {
-        let mut state = mutex_lock(&self.queue.state);
+        let mut state = mutex_lock(&self.slots.state);
         state.running -= 1;
-        // Wake only a thread that can be waiting for this slot: a
-        // worker, if jobs are queued, and shutdown, once it is the last.
-        let (queued, drained) = (!state.jobs.is_empty(), state.stopping && state.running == 0);
+        // Wake only a thread that can be waiting for this: a caller, if
+        // one waits, and shutdown, once nothing runs or waits.
+        let (waiting, idle) = (
+            state.waiting > 0,
+            state.stopping && state.running == 0 && state.waiting == 0,
+        );
         drop(state);
-        if queued {
-            self.queue.ready.notify_one();
+        if waiting {
+            self.slots.freed.notify_one();
         }
-        if drained {
-            self.queue.idle.notify_all();
+        if idle {
+            self.slots.idle.notify_all();
         }
     }
 }
 
-impl JobQueue {
-    fn new(slots: usize) -> JobQueue {
-        JobQueue {
+impl Slots {
+    fn new(limit: usize) -> Slots {
+        Slots {
             state: Mutex::default(),
-            ready: Condvar::new(),
+            freed: Condvar::new(),
             idle: Condvar::new(),
-            slots,
+            limit,
         }
     }
 
-    /// Queues a job behind all earlier ones; `false`, dropping the
-    /// job, if the pool is gone.
-    fn push(&self, job: Job) -> bool {
+    /// Claims a solve slot for the calling thread, waiting while every
+    /// slot is busy, and counts the request under `admitted` in the
+    /// same critical section. Fails with [`ServeError::Closed`] once
+    /// shutdown has begun, and with [`ServeError::DeadlineExceeded`]
+    /// if `deadline` passes while it waits.
+    fn claim(
+        &self,
+        deadline: Option<Instant>,
+        admitted: &Counter,
+    ) -> Result<Running<'_>, ServeError> {
         let mut state = mutex_lock(&self.state);
-        if state.closed {
-            return false;
+        admitted.inc();
+        if state.stopping {
+            return Err(ServeError::Closed);
         }
-        state.jobs.push_back(job);
-        drop(state);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Takes the oldest job, waiting for one. A `Solve` also claims a
-    /// solve slot in the same critical section, waiting while every
-    /// slot is taken, so no inline solve can start ahead of a job
-    /// once it is queued, nor once it is dequeued. A `Stop` needs no
-    /// slot.
-    fn pop(&self) -> (Job, Option<Running<'_>>) {
-        let mut state = mutex_lock(&self.state);
-        loop {
-            let running = match state.jobs.front() {
-                Some(Job::Stop) => None,
-                Some(Job::Solve { .. }) if state.running < self.slots => {
-                    state.running += 1;
-                    Some(Running { queue: self })
-                }
-                _ => {
+        if state.running == self.limit {
+            state.waiting += 1;
+            while state.running == self.limit {
+                let Some(deadline) = deadline else {
                     state = self
-                        .ready
+                        .freed
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
                     continue;
+                };
+                let now = Instant::now();
+                if now >= deadline {
+                    // Giving up leaves every slot busy, so shutdown has
+                    // nothing to be woken for yet.
+                    state.waiting -= 1;
+                    return Err(ServeError::DeadlineExceeded);
                 }
-            };
-            let job = state.jobs.pop_front().expect("the front job");
-            return (job, running);
-        }
-    }
-
-    /// Claims a solve slot for a blocking call to run its request
-    /// inline: only while no job is queued (so it never overtakes
-    /// queued work), fewer than `slots` solves run, and shutdown has
-    /// not begun.
-    fn claim_inline(&self) -> Option<Running<'_>> {
-        let mut state = mutex_lock(&self.state);
-        if state.stopping || !state.jobs.is_empty() || state.running >= self.slots {
-            return None;
+                state = self
+                    .freed
+                    .wait_timeout(state, deadline - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            state.waiting -= 1;
         }
         state.running += 1;
-        Some(Running { queue: self })
+        Ok(Running { slots: self })
     }
 
-    /// Stops inline claims and queues one `Stop` per worker behind all
-    /// earlier work, in one critical section.
+    /// Refuses later claims; callers already waiting keep waiting.
     fn stop(&self) {
-        let mut state = mutex_lock(&self.state);
-        state.stopping = true;
-        if !state.closed {
-            state
-                .jobs
-                .extend(std::iter::repeat_with(|| Job::Stop).take(self.slots));
-        }
-        drop(state);
-        self.ready.notify_all();
+        mutex_lock(&self.state).stopping = true;
     }
 
-    /// Waits until no solve is running (after [`stop`](Self::stop), so
-    /// no new one can start inline).
+    /// Waits until no solve runs and no caller waits (after
+    /// [`stop`](Self::stop), so none can start).
     fn wait_idle(&self) {
         let mut state = mutex_lock(&self.state);
-        while state.running > 0 {
+        while state.running > 0 || state.waiting > 0 {
             state = self
                 .idle
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Refuses later jobs and drops the queued ones, once no worker is
-    /// left to take them: their tickets resolve to `Closed`.
-    fn close(&self) {
-        let stranded = {
-            let mut state = mutex_lock(&self.state);
-            state.closed = true;
-            std::mem::take(&mut state.jobs)
-        };
-        drop(stranded);
-    }
 }
 
-/// The pending reply of one admitted request, with its trace id,
-/// deadline and injected fault.
-struct ReplySlot {
-    name: String,
-    trace_id: u64,
-    options: RequestOptions,
-    /// The ticket's channel, or `None` for a request its caller solves
-    /// inline: [`run_job`] then returns the reply instead of sending it.
-    tx: Option<Sender<ServeReply>>,
-    /// The request's admission slot, until [`release`](Self::release).
-    permit: Option<Permit>,
-}
-
-impl ReplySlot {
-    /// Whether the request's deadline has passed at `now`.
-    fn expired(&self, now: Instant) -> bool {
-        self.options
-            .deadline
-            .is_some_and(|deadline| now >= deadline)
-    }
-
-    /// Frees the request's admission slot. [`run_job`] frees it before
-    /// it counts the request as answered, so a caller that sees the
-    /// count (closed-loop replay waits on it) finds the slot free.
-    fn release(&mut self) {
-        self.permit = None;
-    }
-
-    /// Answers the request, releasing the admission slot *first* if it
-    /// is still held, so a caller that has received all its replies
-    /// observes zero of its permits outstanding (closed-loop replay
-    /// depends on this for deterministic admission). Sends the reply
-    /// down the ticket's channel, or hands it back for an inline caller.
-    fn send(self, result: Result<Served, ServeError>) -> Option<ServeReply> {
-        let ReplySlot {
-            name, tx, permit, ..
-        } = self;
-        drop(permit);
-        let reply = ServeReply {
-            structure: name,
-            result,
-        };
-        match tx {
-            Some(tx) => {
-                tx.send(reply).ok();
-                None
-            }
-            None => Some(reply),
-        }
-    }
-}
-
-/// Why [`ServeHandle::admit`] refused a request.
-enum Refusal {
-    /// The request cannot be solved as sent: unknown structure, bad
-    /// payload or unbindable sizes.
-    Request(ServeError),
-    /// The admission gate is full or closed.
-    Gate(SubmitError),
-}
-
-impl From<ServeError> for Refusal {
-    fn from(e: ServeError) -> Refusal {
-        Refusal::Request(e)
-    }
-}
-
-impl From<Refusal> for ServeError {
-    fn from(refusal: Refusal) -> ServeError {
-        match refusal {
-            Refusal::Request(e) => e,
-            Refusal::Gate(SubmitError::QueueFull { .. }) => ServeError::QueueFull,
-            Refusal::Gate(SubmitError::ShuttingDown) => ServeError::Closed,
-        }
-    }
-}
-
-/// A cheap, clonable submission handle onto a running [`Server`].
+/// A cheap, clonable handle onto a running [`Server`]. Every call runs
+/// its request to completion on the calling thread.
 #[derive(Clone)]
 pub struct ServeHandle {
     shared: Arc<Shared>,
 }
 
 impl ServeHandle {
-    /// Submits one request; returns a [`Ticket`] for the reply.
-    pub fn submit(&self, structure: &str, bindings: DimBindings) -> Ticket {
-        self.submit_opts(structure, bindings, RequestOptions::default())
+    /// Solves one request and returns its reply.
+    pub fn solve(&self, structure: &str, bindings: DimBindings) -> ServeReply {
+        self.solve_opts(structure, bindings, RequestOptions::default())
     }
 
-    /// Submits one request with explicit [`RequestOptions`].
-    pub fn submit_opts(
+    /// [`solve`](Self::solve) with explicit [`RequestOptions`].
+    pub fn solve_opts(
         &self,
         structure: &str,
         bindings: DimBindings,
         options: RequestOptions,
-    ) -> Ticket {
-        self.submit_with(vec![(structure, bindings, options)])
-            .pop()
-            .expect("one ticket per request")
+    ) -> ServeReply {
+        self.solve_one(structure, bindings, options, |_, bindings| Ok(bindings))
     }
 
-    /// Submits one request, but reports a refusal by the admission
-    /// gate to the *caller* instead of through the ticket:
-    /// `Err(QueueFull)` when the in-flight capacity is reached,
-    /// `Err(ShuttingDown)` when the server no longer admits work. Such a
-    /// refusal is never counted — from the server's view the request
-    /// was not submitted. Admission runs in the order every submission
-    /// path shares — look the structure up, resolve and check the
-    /// bindings, then take a permit — so a request for an unknown
-    /// structure or with unbindable sizes is answered through its
-    /// ticket, and counted `rejected`, before a permit is asked for.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] as above.
-    pub fn try_submit(
+    /// Solves one request whose variables are *named by string* — the
+    /// untrusted text-protocol path, which every request line takes
+    /// (see [`protocol::answer_line`]) — and returns its reply. Names
+    /// are resolved against the registered structure's own variable
+    /// vocabulary; an unknown name is rejected with
+    /// [`ServeError::BadRequest`] **without being interned** (`DimVar`
+    /// interning is process-wide and permanent, so a front door must
+    /// never intern arbitrary client strings).
+    pub fn solve_raw<N: AsRef<str>>(
         &self,
         structure: &str,
-        bindings: DimBindings,
+        vars: Vec<(N, usize)>,
         options: RequestOptions,
-    ) -> Result<Ticket, SubmitError> {
-        let enqueued = Instant::now();
-        let (tx, rx) = channel();
-        let ticket = Ticket {
-            rx,
-            structure: structure.to_owned(),
-        };
-        let admitted = self.admit(
-            &read_lock(&self.shared.structures),
-            structure,
-            bindings,
-            options,
-            |_, bindings| Ok(bindings),
-        );
-        match admitted {
-            Ok(mut admitted) => {
-                admitted.slot.tx = Some(tx);
-                if !self.queue_unit([admitted], enqueued, Instant::now()) {
-                    return Err(SubmitError::ShuttingDown);
-                }
-            }
-            Err(Refusal::Gate(e)) => return Err(e),
-            Err(refusal) => {
-                tx.send(self.refuse(structure, refusal)).ok();
-            }
-        }
-        Ok(ticket)
+    ) -> ServeReply {
+        self.solve_one(structure, vars, options, |chain, vars| {
+            bind_named_vars(chain, &vars).map_err(ServeError::BadRequest)
+        })
     }
 
-    /// Submits several requests at once. The whole batch is admitted
-    /// on the calling thread before any of it is queued (see
-    /// [`submit_batch_opts`](Self::submit_batch_opts)); each admitted
-    /// request is then its own job, queued in submission order.
-    pub fn submit_batch(&self, requests: Vec<(String, DimBindings)>) -> Vec<Ticket> {
-        self.submit_batch_opts(
-            requests
-                .into_iter()
-                .map(|(name, bindings)| (name, bindings, RequestOptions::default()))
-                .collect(),
-        )
-    }
-
-    /// [`submit_batch`](Self::submit_batch) with per-request options.
-    /// Every request is solved and answered on its own, under its own
-    /// deadline and injected fault, identical requests included.
-    pub fn submit_batch_opts(
+    /// Solves several requests, replying in request order. The whole
+    /// batch is admitted before any of it is solved, so with `k`
+    /// permits free exactly its first `k` admissible requests enter and
+    /// the rest are shed [`ServeError::QueueFull`]. The admitted ones
+    /// are then solved in order on the calling thread, each under its
+    /// own deadline and injected fault, identical requests included.
+    pub fn solve_batch(
         &self,
         requests: Vec<(String, DimBindings, RequestOptions)>,
-    ) -> Vec<Ticket> {
-        self.submit_with(requests)
+    ) -> Vec<ServeReply> {
+        let called = Instant::now();
+        let admitted: Vec<_> = {
+            let structures = read_lock(&self.shared.structures);
+            requests
+                .into_iter()
+                .map(|(name, bindings, options)| {
+                    self.admit(&structures, &name, bindings, options, |_, b| Ok(b))
+                        .map_err(|e| self.refuse(&name, e))
+                })
+                .collect()
+        };
+        let admitted_at = Instant::now();
+        admitted
+            .into_iter()
+            .map(|request| match request {
+                Ok(request) => run_job(&self.shared, request, called, admitted_at),
+                Err(refused) => refused,
+            })
+            .collect()
     }
 
-    /// Submits one request and returns its reply. The request runs to
-    /// completion on the calling thread when a solve slot is free and
-    /// no job is queued; otherwise it queues for the worker pool and
-    /// the call waits for its reply.
-    pub fn solve(&self, structure: &str, bindings: DimBindings) -> ServeReply {
-        self.solve_one(
-            structure,
-            bindings,
-            RequestOptions::default(),
-            |_, bindings| Ok(bindings),
-        )
-    }
-
-    /// The shared submission path, all on the calling thread: per
-    /// request, create a ticket and [`admit`](Self::admit) it; then
-    /// queue one job per admitted request (see
-    /// [`queue_unit`](Self::queue_unit)). Failures — unknown structure,
-    /// bad payload, unbindable sizes, queue full, shutting down — reply
-    /// immediately through the ticket; only a request that passed every
-    /// check takes a permit. So within one batch the set of shed
-    /// requests is deterministic: with `k` permits free, exactly the
-    /// first `k` admissible requests enter.
-    fn submit_with<N: AsRef<str>>(
+    /// The path of every single-request call: admits the request, then
+    /// solves it on the calling thread through [`run_job`].
+    fn solve_one<T>(
         &self,
-        requests: Vec<(N, DimBindings, RequestOptions)>,
-    ) -> Vec<Ticket> {
-        let enqueued = Instant::now();
-        let mut tickets = Vec::with_capacity(requests.len());
-        let mut unit = Vec::with_capacity(requests.len());
-        let structures = read_lock(&self.shared.structures);
-        for (name, bindings, options) in requests {
-            let name = name.as_ref();
-            let (tx, rx) = channel();
-            tickets.push(Ticket {
-                rx,
-                structure: name.to_owned(),
-            });
-            match self.admit(&structures, name, bindings, options, |_, bindings| {
-                Ok(bindings)
-            }) {
-                Ok(mut admitted) => {
-                    admitted.slot.tx = Some(tx);
-                    unit.push(admitted);
-                }
-                Err(refusal) => {
-                    tx.send(self.refuse(name, refusal)).ok();
-                }
-            }
+        name: &str,
+        payload: T,
+        options: RequestOptions,
+        resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
+    ) -> ServeReply {
+        let called = Instant::now();
+        let admitted = self.admit(
+            &read_lock(&self.shared.structures),
+            name,
+            payload,
+            options,
+            resolve,
+        );
+        match admitted {
+            Ok(request) => run_job(&self.shared, request, called, Instant::now()),
+            Err(e) => self.refuse(name, e),
         }
-        drop(structures);
-        if !unit.is_empty() {
-            // A closed worker queue drops the jobs, and their tickets
-            // resolve to `Closed` when the reply senders drop.
-            self.queue_unit(unit, enqueued, Instant::now());
-        }
-        tickets
     }
 
-    /// Admits one request on the calling thread, in the order all three
-    /// submission paths share: looks the structure up, resolves the
-    /// payload into bindings, checks that they size the chain, and only
-    /// then takes an admission permit. The admitted request's reply
-    /// slot has no channel yet.
+    /// Admits one request on the calling thread: looks the structure
+    /// up, resolves the payload into bindings, checks that they size
+    /// the chain, and only then takes an admission permit. So a request
+    /// for an unknown structure or with unbindable sizes is refused,
+    /// and counted `rejected`, though the gate is full.
     fn admit<T>(
         &self,
         structures: &HashMap<String, Arc<Structure>>,
@@ -997,30 +748,25 @@ impl ServeHandle {
         payload: T,
         options: RequestOptions,
         resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
-    ) -> Result<Admitted, Refusal> {
+    ) -> Result<Admitted, ServeError> {
         let structure = structures
             .get(name)
             .ok_or_else(|| ServeError::UnknownStructure(name.to_owned()))?;
         let bindings = resolve(&structure.chain, payload)?;
         check_bindable(&structure.chain, &bindings)?;
-        let permit = self.shared.gate.try_acquire().map_err(Refusal::Gate)?;
+        let permit = self.shared.gate.try_acquire()?;
         Ok(Admitted {
             structure: Arc::clone(structure),
             bindings,
-            slot: ReplySlot {
-                name: name.to_owned(),
-                trace_id: self.shared.next_trace_id(),
-                options,
-                tx: None,
-                permit: Some(permit),
-            },
+            trace_id: self.shared.trace_ids.fetch_add(1, Ordering::Relaxed),
+            options,
+            permit,
         })
     }
 
     /// The reply to a request refused at admission, counted under
     /// `rejected` (see [`ServedCounters`]).
-    fn refuse(&self, structure: &str, refusal: Refusal) -> ServeReply {
-        let error = ServeError::from(refusal);
+    fn refuse(&self, structure: &str, error: ServeError) -> ServeReply {
         let tel = &self.shared.telemetry;
         match error {
             ServeError::QueueFull => &tel.overloaded,
@@ -1031,101 +777,6 @@ impl ServeHandle {
             structure: structure.to_owned(),
             result: Err(error),
         }
-    }
-
-    /// The blocking path of [`solve`](Self::solve) and
-    /// [`solve_raw`](Self::solve_raw): admits one request exactly as
-    /// [`submit_with`](Self::submit_with) does, then solves it on the
-    /// calling thread if it can claim a solve slot, through the same
-    /// [`run_job`] a worker runs, and returns the reply directly. If no
-    /// slot is free, or a job is queued ahead of it, it queues like a
-    /// ticket and waits. A request carrying an injected fault always
-    /// goes to the pool, so `Kill` and respawn keep exercising workers.
-    fn solve_one<T>(
-        &self,
-        name: &str,
-        payload: T,
-        options: RequestOptions,
-        resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
-    ) -> ServeReply {
-        let enqueued = Instant::now();
-        let admitted = self.admit(
-            &read_lock(&self.shared.structures),
-            name,
-            payload,
-            options,
-            resolve,
-        );
-        let mut admitted = match admitted {
-            Ok(admitted) => admitted,
-            Err(refusal) => return self.refuse(name, refusal),
-        };
-        let submitted = Instant::now();
-        if options.fault.is_none() {
-            if let Some(_running) = self.shared.jobs.claim_inline() {
-                self.shared.telemetry.batches.inc();
-                let stamps = Stamps {
-                    enqueued,
-                    submitted,
-                    dispatched: submitted,
-                };
-                return run_job(&self.shared, admitted, stamps)
-                    .expect("an inline request is answered to its caller");
-            }
-        }
-        let (tx, rx) = channel();
-        admitted.slot.tx = Some(tx);
-        let ticket = Ticket {
-            rx,
-            structure: name.to_owned(),
-        };
-        self.queue_unit([admitted], enqueued, submitted);
-        ticket.wait()
-    }
-
-    /// Queues one job per request of an admitted submission, in
-    /// submission order, so its solves start in that order. Returns
-    /// `false` if the worker queue is gone; the jobs are dropped then.
-    fn queue_unit(
-        &self,
-        unit: impl IntoIterator<Item = Admitted>,
-        enqueued: Instant,
-        submitted: Instant,
-    ) -> bool {
-        let stamps = Stamps {
-            enqueued,
-            submitted,
-            dispatched: Instant::now(),
-        };
-        let mut queued = true;
-        for request in unit {
-            self.shared.telemetry.batches.inc();
-            queued &= self.shared.jobs.push(Job::Solve { request, stamps });
-        }
-        queued
-    }
-
-    /// Submits one request whose variables are *named by string* — the
-    /// untrusted text-protocol path, which every request line takes
-    /// (see [`protocol::answer_line`]) — and returns its reply. Names
-    /// are resolved against the registered structure's own variable
-    /// vocabulary; an unknown name is rejected with
-    /// [`ServeError::BadRequest`] **without being interned** (`DimVar`
-    /// interning is process-wide and permanent, so a front door must
-    /// never intern arbitrary client strings). Like
-    /// [`solve`](Self::solve), it runs the request to completion on the
-    /// calling thread when a solve slot is free and no job is queued,
-    /// and otherwise queues it for the worker pool and waits for its
-    /// reply.
-    pub fn solve_raw<N: AsRef<str>>(
-        &self,
-        structure: &str,
-        vars: Vec<(N, usize)>,
-        options: RequestOptions,
-    ) -> ServeReply {
-        self.solve_one(structure, vars, options, |chain, vars| {
-            bind_named_vars(chain, &vars).map_err(ServeError::BadRequest)
-        })
     }
 
     /// Current serving counters.
@@ -1163,8 +814,9 @@ impl ServeHandle {
     }
 }
 
-/// The serving front door: a supervised worker pool over a shared
-/// [`PlanCache`], fed by the submitting threads.
+/// The serving front door: a shared [`PlanCache`] whose requests run
+/// on their callers' threads, at most [`ServeConfig::workers`] solves
+/// at once.
 ///
 /// # Example
 ///
@@ -1193,73 +845,20 @@ impl ServeHandle {
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    supervisor: Option<JoinHandle<()>>,
-    /// Every worker thread ever spawned (including respawns); shared
-    /// with the supervisor, drained at shutdown.
-    worker_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-/// What a [`WorkerGuard`] reports when its thread ends.
-enum WorkerEvent {
-    /// The worker unwound out of its loop (a panic escaped).
-    Panicked,
-    /// The worker exited normally (stop message or closed channel).
-    Stopped,
-}
-
-/// Sits on a worker thread's stack and reports how the thread ended:
-/// its `Drop` runs during unwinding too, so a panicking worker still
-/// notifies the supervisor.
-struct WorkerGuard {
-    events: Sender<WorkerEvent>,
-    panicked: bool,
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        let event = if self.panicked {
-            WorkerEvent::Panicked
-        } else {
-            WorkerEvent::Stopped
-        };
-        self.events.send(event).ok();
-    }
-}
-
-/// Spawns one supervised worker thread.
-fn spawn_worker(
-    id: usize,
-    shared: &Arc<Shared>,
-    events: &Sender<WorkerEvent>,
-) -> std::io::Result<JoinHandle<()>> {
-    let shared = Arc::clone(shared);
-    let events = events.clone();
-    std::thread::Builder::new()
-        .name(format!("gmc-serve-worker-{id}"))
-        .spawn(move || {
-            let mut guard = WorkerGuard {
-                events,
-                panicked: true,
-            };
-            worker_loop(&shared);
-            guard.panicked = false;
-        })
 }
 
 /// How a finished [`Server::shutdown`] went.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShutdownReport {
-    /// Worker threads that died by panic over the server's lifetime
-    /// (injected faults included).
-    pub worker_panics: u64,
-    /// Workers the supervisor respawned.
-    pub respawns: u64,
+    /// Solves that panicked over the server's lifetime (injected faults
+    /// included), each caught and answered [`ServeError::Internal`].
+    pub panics: u64,
 }
 
 impl ShutdownReport {
-    /// Whether the pool stayed healthy end to end.
+    /// Whether no solve panicked.
     pub fn is_clean(&self) -> bool {
-        self.worker_panics == 0
+        self.panics == 0
     }
 }
 
@@ -1270,59 +869,26 @@ impl fmt::Display for ShutdownReport {
         } else {
             write!(
                 f,
-                "shutdown with {} worker panics ({} respawned)",
-                self.worker_panics, self.respawns
+                "shutdown with {} solve panics (answered internal)",
+                self.panics
             )
         }
     }
 }
 
 impl Server {
-    /// Starts the worker pool and its supervisor.
+    /// Creates the server; it spawns no thread.
     pub fn start(registry: Arc<KernelRegistry>, config: ServeConfig) -> Server {
-        let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
-            cache: PlanCache::new(registry, config.inference),
-            jobs: JobQueue::new(workers),
-            structures: RwLock::new(HashMap::new()),
-            gate: Arc::new(AdmissionGate::new(config.queue_capacity)),
-            telemetry: Telemetry::new(),
-            slow: SlowTraceRing::new(config.slow_trace_capacity),
-            trace_ids: AtomicU64::new(0),
-        });
-        shared.telemetry.workers_alive.set(workers as u64);
-
-        let (event_tx, event_rx) = channel::<WorkerEvent>();
-
-        let worker_handles = Arc::new(Mutex::new(Vec::with_capacity(workers)));
-        for i in 0..workers {
-            let handle = spawn_worker(i, &shared, &event_tx).expect("spawn worker thread");
-            mutex_lock(&worker_handles).push(handle);
-        }
-
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            let worker_handles = Arc::clone(&worker_handles);
-            let budget = config.restart_budget;
-            std::thread::Builder::new()
-                .name("gmc-serve-supervisor".to_owned())
-                .spawn(move || {
-                    supervisor_loop(
-                        &shared,
-                        &event_rx,
-                        &event_tx,
-                        &worker_handles,
-                        workers,
-                        budget,
-                    );
-                })
-                .expect("spawn supervisor thread")
-        };
-
         Server {
-            shared,
-            supervisor: Some(supervisor),
-            worker_handles,
+            shared: Arc::new(Shared {
+                cache: PlanCache::new(registry, config.inference),
+                slots: Slots::new(config.workers.max(1)),
+                structures: RwLock::new(HashMap::new()),
+                gate: Arc::new(AdmissionGate::new(config.queue_capacity)),
+                telemetry: Telemetry::new(),
+                slow: SlowTraceRing::new(config.slow_trace_capacity),
+                trace_ids: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -1365,7 +931,7 @@ impl Server {
         &self.shared.cache
     }
 
-    /// A clonable submission handle.
+    /// A clonable handle to call the server through.
     pub fn handle(&self) -> ServeHandle {
         ServeHandle {
             shared: Arc::clone(&self.shared),
@@ -1377,111 +943,35 @@ impl Server {
         self.shared.stats()
     }
 
-    /// Stops the workers and waits for them, and for every solve still
-    /// running inline on a blocking caller's thread, so nothing is
-    /// solved once it returns. Jobs queued before the call are answered
-    /// first; requests submitted afterwards are refused at admission
-    /// ([`ServeError::Closed`]). Those refusals are the only thing
-    /// counted after it returns: each one answered through a reply
-    /// counts under `rejected` (see [`ServedCounters`]). Never panics:
-    /// threads that died by panic are reported in the returned
-    /// [`ShutdownReport`] instead.
-    pub fn shutdown(mut self) -> ShutdownReport {
-        self.stop_workers();
-        if let Some(s) = self.supervisor.take() {
-            // The supervisor exits once every worker reported in; a
-            // panicked supervisor would leak workers, but never the
-            // process — swallow it like a worker panic.
-            s.join().ok();
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *mutex_lock(&self.worker_handles));
-        for w in handles {
-            // Panicked workers were already counted by their guards.
-            w.join().ok();
-        }
-        self.shared.jobs.wait_idle();
-        let supervision = self.shared.telemetry.supervision();
+    /// Closes the admission gate and stops new slot claims, then waits
+    /// until no solve runs and no caller waits for a slot, so nothing
+    /// is solved once it returns. A caller already waiting for a slot
+    /// is still solved; one admitted before the gate closed that
+    /// reaches the wait afterwards is answered [`ServeError::Closed`],
+    /// like every later request. Those refusals are the only thing
+    /// counted after it returns (under `rejected`, see
+    /// [`ServedCounters`]). Never panics: solves that panicked are
+    /// reported in the returned [`ShutdownReport`].
+    pub fn shutdown(self) -> ShutdownReport {
+        self.stop();
+        self.shared.slots.wait_idle();
         ShutdownReport {
-            worker_panics: supervision.worker_panics,
-            respawns: supervision.respawns,
+            panics: self.shared.telemetry.panics.get(),
         }
     }
 
-    /// Closes the admission gate, then stops inline claims and queues
-    /// one [`Job::Stop`] per worker behind all earlier work. Closing
-    /// first stops the supervisor respawning and answers later
-    /// submissions `Closed`. A request admitted just before the close
-    /// that lands behind the stops (a blocking call that found no slot
-    /// queues there too) is never picked up: the supervisor closes the
-    /// queue once the last worker is gone, which drops its jobs, and
-    /// its tickets resolve to `Closed`.
-    fn stop_workers(&self) {
+    fn stop(&self) {
         self.shared.gate.close();
-        self.shared.jobs.stop();
+        self.shared.slots.stop();
     }
 }
 
 impl Drop for Server {
+    /// Begins the same stop as [`Server::shutdown`] without waiting:
+    /// callers in flight are still answered.
     fn drop(&mut self) {
-        // Best-effort shutdown if `shutdown()` was not called (it takes
-        // the supervisor): stop the workers and detach.
-        if self.supervisor.is_some() {
-            self.stop_workers();
-        }
+        self.stop();
     }
-}
-
-/// The supervisor: consumes worker-exit events, respawns panicked
-/// workers while the restart budget lasts, and closes the admission
-/// gate if the pool ever dies entirely (so new submissions fail fast
-/// instead of queueing forever). Exits once every worker has reported
-/// in after the pool winds down, closing the worker queue behind them.
-fn supervisor_loop(
-    shared: &Arc<Shared>,
-    events: &Receiver<WorkerEvent>,
-    event_tx: &Sender<WorkerEvent>,
-    worker_handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    initial_workers: usize,
-    restart_budget: usize,
-) {
-    let mut alive = initial_workers;
-    let mut next_id = initial_workers;
-    let mut respawns = 0usize;
-    while alive > 0 {
-        match events.recv() {
-            Ok(WorkerEvent::Stopped) => {
-                alive -= 1;
-                shared.telemetry.workers_alive.set(alive as u64);
-            }
-            Ok(WorkerEvent::Panicked) => {
-                alive -= 1;
-                shared.telemetry.worker_panics.inc();
-                let respawn = !shared.gate.is_closed() && respawns < restart_budget;
-                if respawn {
-                    match spawn_worker(next_id, shared, event_tx) {
-                        Ok(handle) => {
-                            mutex_lock(worker_handles).push(handle);
-                            next_id += 1;
-                            respawns += 1;
-                            alive += 1;
-                            shared.telemetry.respawns.inc();
-                        }
-                        Err(e) => {
-                            eprintln!("gmc-serve: respawn failed: {e}");
-                        }
-                    }
-                }
-                shared.telemetry.workers_alive.set(alive as u64);
-                if alive == 0 {
-                    // Pool dead, budget gone: stop admitting work so
-                    // callers get `Closed` instead of a silent hang.
-                    shared.gate.close();
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    shared.jobs.close();
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1490,85 +980,78 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
         .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "worker panicked".to_owned())
+        .unwrap_or_else(|| "solve panicked".to_owned())
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        // The solve slot is held until the request is answered, and
-        // given back while unwinding too.
-        let (job, _running) = shared.jobs.pop();
-        let Job::Solve { request, stamps } = job else {
-            return;
-        };
-        run_job(shared, request, stamps);
-    }
-}
-
-/// Runs one request whose solve slot is claimed, on a worker or inline
-/// on a blocking caller's thread: sheds it if its deadline has passed,
-/// and otherwise solves it and answers it. Returns the reply of a
-/// request solved inline (a ticket's reply goes down its channel).
-///
-/// # Panics
-///
-/// On an injected `Kill` fault, once the request is answered: dying
-/// then loses nothing and exercises the supervisor. Only workers run
-/// faulted requests.
-fn run_job(shared: &Shared, request: Admitted, stamps: Stamps) -> Option<ServeReply> {
+/// Runs one admitted request to its reply on the calling thread: waits
+/// for a solve slot, sheds the request if its deadline passed before
+/// its solve could start (or if shutdown began before it reached the
+/// wait), and otherwise solves and answers it. `called` is when the
+/// call began and `admitted` when admission ended.
+fn run_job(shared: &Shared, request: Admitted, called: Instant, admitted: Instant) -> ServeReply {
     let Admitted {
         structure,
         bindings,
-        mut slot,
+        trace_id,
+        options,
+        permit,
     } = request;
     let tel = &shared.telemetry;
+    let claimed = shared.slots.claim(options.deadline, &tel.batches);
     let picked = Instant::now();
-    if slot.expired(picked) {
-        // Never solved, so `rejected` as `expired`, and its latency lands
-        // in the `expired` histogram, not `total`. Its permit is freed
-        // before it counts, and it counts before its sample records, as
-        // below.
-        slot.release();
-        tel.expired.inc();
-        fence(Ordering::Release);
-        tel.expired_ns
-            .record(nanos_between(stamps.enqueued, picked));
-        return slot.send(Err(ServeError::DeadlineExceeded));
-    }
-    // The solve runs under `catch_unwind`: a panicking solve answers
-    // `Internal` instead of poisoning the pool. Injected faults fire
-    // before the cache is touched, so a fault never leaves shared state
-    // mid-update; a `Kill` answers `Internal` without solving, and the
-    // worker dies once the request is answered.
-    let fault = slot.options.fault;
-    let kill = fault == Some(SolveFault::Kill);
-    let solve_started = Instant::now();
-    let outcome = if kill {
-        Err(format!("{FAULT_PANIC_MARKER}: worker killed"))
-    } else {
-        catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some(SolveFault::Delay(d)) => std::thread::sleep(d),
-                Some(SolveFault::Panic) => {
-                    panic!("{FAULT_PANIC_MARKER}: injected worker panic")
-                }
-                _ => {}
-            }
-            shared.cache.solve_traced(&structure.chain, &bindings)
-        }))
-        .map_err(|payload| panic_message(payload.as_ref()))
+    let reply = |result| ServeReply {
+        structure: structure.name.clone(),
+        result,
     };
+    let expired = options.deadline.is_some_and(|deadline| picked >= deadline);
+    // The slot is held until the request is answered, and given back
+    // while unwinding too.
+    let _running = match claimed {
+        Ok(running) if !expired => running,
+        Err(ServeError::Closed) => {
+            drop(permit);
+            tel.rejected.inc();
+            return reply(Err(ServeError::Closed));
+        }
+        _ => {
+            // Never solved, so `rejected` as `expired`, and its latency
+            // lands in the `expired` histogram, not `total`. Its permit
+            // is freed before it counts, and it counts before its sample
+            // records, as below.
+            drop(permit);
+            tel.expired.inc();
+            fence(Ordering::Release);
+            tel.expired_ns.record(nanos_between(called, picked));
+            return reply(Err(ServeError::DeadlineExceeded));
+        }
+    };
+    // The solve runs under `catch_unwind`: a panicking solve answers
+    // `Internal` and fails only its own request. Injected faults fire
+    // before the cache is touched, so a fault never leaves shared state
+    // mid-update.
+    let solve_started = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        match options.fault {
+            Some(SolveFault::Delay(d)) => std::thread::sleep(d),
+            Some(SolveFault::Panic) => panic!("{FAULT_PANIC_MARKER}: injected solve panic"),
+            None => {}
+        }
+        shared.cache.solve_traced(&structure.chain, &bindings)
+    }));
     let solve_done = Instant::now();
     let (result, timing, class) = match outcome {
         Ok(Ok((solution, oc, timing))) => {
             (Ok(Served::from_solution(&solution, oc)), timing, oc.label())
         }
         Ok(Err(e)) => (Err(ServeError::Plan(e)), SolveTiming::default(), "plan"),
-        Err(msg) => (
-            Err(ServeError::Internal(msg)),
-            SolveTiming::default(),
-            "internal",
-        ),
+        Err(payload) => {
+            tel.panics.inc();
+            (
+                Err(ServeError::Internal(panic_message(payload.as_ref()))),
+                SolveTiming::default(),
+                "internal",
+            )
+        }
     };
     let (served, class_ns) = match &result {
         Ok(answer) => {
@@ -1584,29 +1067,29 @@ fn run_job(shared: &Shared, request: Admitted, stamps: Stamps) -> Option<ServeRe
         Err(_) => (&tel.failed, None),
     };
     // The permit is freed before the request is counted, so a caller
-    // that sees it answered finds its slot free; it is counted before
+    // that sees it answered finds its permit free; it is counted before
     // any of its samples record, behind a release fence, so a reader
     // that takes histograms first (see [`Shared::stats`]) never sees
     // one ahead of `completed`.
-    slot.release();
+    drop(permit);
     served.inc();
     fence(Ordering::Release);
-    let total = nanos_between(stamps.enqueued, solve_done);
+    let total = nanos_between(called, solve_done);
     tel.total_ns.record(total);
-    tel.queue_ns.record(nanos_between(stamps.enqueued, picked));
+    tel.queue_ns.record(nanos_between(called, picked));
     if let Some(class_ns) = class_ns {
         class_ns.record(total);
     }
-    // Stage spans tile enqueued → done exactly; the `solve` span
+    // Stage spans tile called → done exactly; the `solve` span
     // subtracts the cache's measured lookup time so `lookup + solve`
     // equals the wall time spent in the cache. Nothing groups, so the
     // `group` span is zero.
     let done = Instant::now();
     let durs: [u64; STAGES.len()] = [
-        nanos_between(stamps.enqueued, stamps.submitted),
-        nanos_between(stamps.submitted, stamps.dispatched),
+        nanos_between(called, admitted),
+        nanos_between(admitted, picked),
         0,
-        nanos_between(stamps.dispatched, solve_started),
+        nanos_between(picked, solve_started),
         timing.lookup_ns,
         nanos_between(solve_started, solve_done).saturating_sub(timing.lookup_ns),
         nanos_between(solve_done, done),
@@ -1631,16 +1114,12 @@ fn run_job(shared: &Shared, request: Admitted, stamps: Stamps) -> Option<ServeRe
             })
             .collect();
         Trace {
-            id: slot.trace_id,
-            label: slot.name.clone(),
+            id: trace_id,
+            label: structure.name.clone(),
             class: class.to_owned(),
             total_ns,
             spans,
         }
     });
-    let reply = slot.send(result);
-    if kill {
-        panic!("{FAULT_PANIC_MARKER}: injected worker kill");
-    }
-    reply
+    reply(result)
 }

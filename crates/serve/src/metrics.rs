@@ -27,8 +27,7 @@
 //! | `gmc.serve.requests.served` | counter | `class` = `hit`/`miss`/`failed` |
 //! | `gmc.serve.requests.rejected` | counter | `reason` = `other`/`overload`/`expired` |
 //! | `gmc.serve.batches` | counter | — (one per admitted request) |
-//! | `gmc.serve.worker.panics`, `gmc.serve.worker.respawns` | counter | — |
-//! | `gmc.serve.workers.alive` | gauge | — |
+//! | `gmc.serve.solve.panics` | counter | — (solves answered `internal`) |
 //! | `gmc.serve.stage.latency.ns` | histogram | `stage` (see [`STAGES`]) |
 //! | `gmc.serve.latency.ns` | histogram | `scope` = `total`/`queue`/`expired` |
 //! | `gmc.serve.class.latency.ns` | histogram | `structure`, `class` = `hit`/`miss` |
@@ -41,11 +40,10 @@
 //! | `gmc.obs.slow_traces.{offered,kept,capacity}` | counter/gauge | — |
 
 use crate::{
-    ClassLatency, LatencySnapshot, ServedCounters, Shared, StageLatency, Structure,
-    SupervisionStats, STAGES,
+    ClassLatency, LatencySnapshot, ServedCounters, Shared, StageLatency, Structure, STAGES,
 };
 use gmc_obs::registry::DEFAULT_SERIES_CAP;
-use gmc_obs::{Counter, Exposition, Gauge, Histogram, MetricsRegistry};
+use gmc_obs::{Counter, Exposition, Histogram, MetricsRegistry};
 use gmc_plan::sync::read_lock;
 use serde::Value;
 use std::sync::Arc;
@@ -56,7 +54,7 @@ const SERVED: &str = "gmc.serve.requests.served";
 const CLASS_LATENCY: &str = "gmc.serve.class.latency.ns";
 
 /// The server's instruments (see the module docs): the registry, and
-/// the handles recorded through on every request or worker event.
+/// the handles recorded through on every request.
 pub(crate) struct Telemetry {
     pub(crate) registry: MetricsRegistry,
     /// `served{class}`: the parts of `completed`.
@@ -75,9 +73,8 @@ pub(crate) struct Telemetry {
     /// `stage.latency.ns{stage}`, in [`STAGES`] order.
     pub(crate) stage_ns: [Histogram; STAGES.len()],
     pub(crate) batches: Counter,
-    pub(crate) worker_panics: Counter,
-    pub(crate) respawns: Counter,
-    pub(crate) workers_alive: Gauge,
+    /// Solves that panicked (each also counts as `failed`).
+    pub(crate) panics: Counter,
 }
 
 impl Telemetry {
@@ -123,22 +120,12 @@ impl Telemetry {
             }),
             batches: registry.counter(
                 "gmc.serve.batches",
-                "Jobs solved or queued (one per admitted request)",
+                "Admitted requests (one each, counted at their solve-slot claim)",
                 &[],
             ),
-            worker_panics: registry.counter(
-                "gmc.serve.worker.panics",
-                "Worker threads that died by panic",
-                &[],
-            ),
-            respawns: registry.counter(
-                "gmc.serve.worker.respawns",
-                "Workers the supervisor respawned",
-                &[],
-            ),
-            workers_alive: registry.gauge(
-                "gmc.serve.workers.alive",
-                "Worker threads currently alive",
+            panics: registry.counter(
+                "gmc.serve.solve.panics",
+                "Solves that panicked and were answered internal",
                 &[],
             ),
             registry,
@@ -202,14 +189,6 @@ impl Telemetry {
             rejected: self.rejected.get() + overload + expired,
             rejected_overload: overload,
             expired,
-        }
-    }
-
-    pub(crate) fn supervision(&self) -> SupervisionStats {
-        SupervisionStats {
-            worker_panics: self.worker_panics.get(),
-            respawns: self.respawns.get(),
-            workers_alive: self.workers_alive.get() as usize,
         }
     }
 }

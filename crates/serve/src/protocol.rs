@@ -76,8 +76,8 @@ pub type ParsedRequest<'a> = (&'a str, Vec<(Cow<'a, str>, usize)>, Option<u64>);
 ///
 /// The reserved binding `deadline_ms=<n>` is split off rather than
 /// treated as a dimension: it asks the server to answer
-/// `deadline_exceeded` if the request is still waiting for a worker
-/// `n` milliseconds from parse time.
+/// `deadline_exceeded` if the request's solve has not started `n`
+/// milliseconds from parse time (it is still waiting for a solve slot).
 ///
 /// Variable names stay plain strings here: `DimVar` interning is
 /// process-wide and permanent, so untrusted client input must be
@@ -312,18 +312,7 @@ pub fn stats_to_json(stats: &ServerStats) -> String {
             "expired".to_owned(),
             Value::Number(stats.served.expired as f64),
         ),
-        (
-            "worker_panics".to_owned(),
-            Value::Number(stats.supervision.worker_panics as f64),
-        ),
-        (
-            "respawns".to_owned(),
-            Value::Number(stats.supervision.respawns as f64),
-        ),
-        (
-            "workers_alive".to_owned(),
-            Value::Number(stats.supervision.workers_alive as f64),
-        ),
+        ("panics".to_owned(), Value::Number(stats.panics as f64)),
         ("latency".to_owned(), latency),
     ]);
     serde_json::to_string(&doc).expect("counters are finite")

@@ -7,9 +7,9 @@
 //! deliberately a minimal front end: each connection thread answers
 //! its lines one at a time, and a request goes through
 //! [`ServeHandle::solve_raw`], which runs it to completion on the
-//! connection thread itself when one of the server's solve slots is
-//! free, and otherwise queues it for the worker pool and waits. The
-//! caching lives in the shared plan cache either way.
+//! connection thread itself, waiting there for one of the server's
+//! solve slots while all are busy. The caching lives in the shared plan
+//! cache.
 //!
 //! The connection loop is defensive about malformed clients: request
 //! lines are capped at [`TcpOptions::max_line_bytes`] (an oversized

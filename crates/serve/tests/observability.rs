@@ -311,7 +311,7 @@ fn slow_trace_ring_keeps_the_slowest_with_exact_spans() {
     for _ in 0..5 {
         handle.solve("X", bindings(10, 200, 30));
     }
-    let slow = handle.submit_opts(
+    let slow = handle.solve_opts(
         "X",
         bindings(10, 200, 30),
         RequestOptions {
@@ -319,7 +319,7 @@ fn slow_trace_ring_keeps_the_slowest_with_exact_spans() {
             fault: Some(SolveFault::Delay(Duration::from_millis(30))),
         },
     );
-    assert!(slow.wait().result.is_ok());
+    assert!(slow.result.is_ok());
     for _ in 0..5 {
         handle.solve("X", bindings(10, 200, 30));
     }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the serving front door: correctness against the
-//! concrete optimizer, batch submission, pre-enumeration, the TCP line
-//! protocol and shutdown semantics.
+//! concrete optimizer, batches, pre-enumeration, the TCP line protocol
+//! and shutdown semantics.
 
 use gmc::{FlopCount, GmcOptimizer};
 use gmc_expr::{Dim, DimBindings, Property, SymChain, SymFactor, SymOperand, UnaryOp};
@@ -90,16 +90,20 @@ fn batch_submission_coalesces_identical_requests() {
     server.register("X", dense_chain()).unwrap();
     let handle = server.handle();
 
-    // Eight identical requests + two distinct ones, submitted as one
-    // unit. Each is its own request: the identical eight record their
+    // Eight identical requests + two distinct ones, sent as one
+    // batch. Each is its own request: the identical eight record their
     // region once and answer bit-identically.
     let mut batch: Vec<(String, DimBindings)> = (0..8)
         .map(|_| ("X".to_owned(), dense_bindings(10, 200, 30)))
         .collect();
     batch.push(("X".to_owned(), dense_bindings(300, 20, 100))); // same region
     batch.push(("X".to_owned(), dense_bindings(1, 20, 100))); // other region: n = 1
-    let tickets = handle.submit_batch(batch);
-    let replies: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+    let replies = handle.solve_batch(
+        batch
+            .into_iter()
+            .map(|(name, bindings)| (name, bindings, RequestOptions::default()))
+            .collect(),
+    );
     assert_eq!(replies.len(), 10);
     let first = replies[0].result.as_ref().unwrap();
     for r in &replies[..8] {
@@ -121,9 +125,9 @@ fn batch_submission_coalesces_identical_requests() {
 
 #[test]
 fn one_worker_solves_a_batch_in_submission_order() {
-    // Jobs queue in the order of their first requests, and a lone
-    // worker takes them in queue order: on every fresh server the
-    // batch's first request is the one that records the structure.
+    // A batch is solved in request order on the calling thread: on
+    // every fresh server the batch's first request is the one that
+    // records the structure.
     for _ in 0..20 {
         let server = Server::start(
             Arc::new(KernelRegistry::blas_lapack()),
@@ -135,13 +139,16 @@ fn one_worker_solves_a_batch_in_submission_order() {
         server.register("X", dense_chain()).unwrap();
         // Eight distinct bindings, none of them 1: one region.
         let batch = (0..8)
-            .map(|i| ("X".to_owned(), dense_bindings(10 + i, 200, 30)))
+            .map(|i| {
+                let bindings = dense_bindings(10 + i, 200, 30);
+                ("X".to_owned(), bindings, RequestOptions::default())
+            })
             .collect();
         let outcomes: Vec<&str> = server
             .handle()
-            .submit_batch(batch)
+            .solve_batch(batch)
             .into_iter()
-            .map(|t| t.wait().result.unwrap().outcome.label())
+            .map(|reply| reply.result.unwrap().outcome.label())
             .collect();
         assert_eq!(outcomes[0], "miss_structure", "{outcomes:?}");
         assert!(outcomes[1..].iter().all(|&o| o == "hit"), "{outcomes:?}");

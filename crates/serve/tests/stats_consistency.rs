@@ -72,32 +72,43 @@ fn every_stats_snapshot_balances_during_a_burst() {
         })
     };
 
-    // The burst: a mix of misses (distinct regions), hits (rescales)
-    // and exact duplicates, plus some rejected requests (bad binding).
+    // The burst, from four caller threads over the four solve slots:
+    // a mix of misses (distinct regions), hits (rescales) and exact
+    // duplicates, plus some rejected requests (bad binding).
     let submitted = 600usize;
     let rejected_every = 50usize; // 12 rejected in total
-    let mut tickets = Vec::with_capacity(submitted);
-    for i in 0..submitted {
-        if i % rejected_every == 0 {
-            // Missing variables: rejected before dispatch.
-            tickets.push(handle.submit("X", DimBindings::new().with("sc_n", 5)));
-        } else {
-            let scale = 1 + (i % 7);
-            let (n, m, k) = match i % 3 {
-                0 => (10 * scale, 200 * scale, 30 * scale),
-                1 => (300 * scale, 20 * scale, 100 * scale),
-                _ => (20 * scale, 400 * scale, 60 * scale),
-            };
-            tickets.push(handle.submit("X", bindings(n, m, k)));
-        }
-    }
-    let mut ok = 0usize;
-    let mut failed = 0usize;
-    for t in tickets {
-        match t.wait().result {
-            Ok(_) => ok += 1,
-            Err(_) => failed += 1,
-        }
+    let callers: Vec<_> = (0..4)
+        .map(|t| {
+            let handle = handle.clone();
+            std::thread::spawn(move || {
+                let (mut ok, mut failed) = (0usize, 0usize);
+                for i in (t..submitted).step_by(4) {
+                    let reply = if i % rejected_every == 0 {
+                        // Missing variables: rejected at admission.
+                        handle.solve("X", DimBindings::new().with("sc_n", 5))
+                    } else {
+                        let scale = 1 + (i % 7);
+                        let (n, m, k) = match i % 3 {
+                            0 => (10 * scale, 200 * scale, 30 * scale),
+                            1 => (300 * scale, 20 * scale, 100 * scale),
+                            _ => (20 * scale, 400 * scale, 60 * scale),
+                        };
+                        handle.solve("X", bindings(n, m, k))
+                    };
+                    match reply.result {
+                        Ok(_) => ok += 1,
+                        Err(_) => failed += 1,
+                    }
+                }
+                (ok, failed)
+            })
+        })
+        .collect();
+    let (mut ok, mut failed) = (0usize, 0usize);
+    for caller in callers {
+        let (o, f) = caller.join().expect("caller thread");
+        ok += o;
+        failed += f;
     }
     stop.store(true, Ordering::Relaxed);
     let snapshots = reader.join().unwrap();

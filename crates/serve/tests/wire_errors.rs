@@ -112,23 +112,30 @@ fn error_codes_round_trip_over_tcp() {
         "{expired}"
     );
 
-    // Occupy the single admission slot from in-process (a delayed
-    // solve holds its permit), then the TCP request is shed.
+    // Occupy the single admission slot from another thread (a delayed
+    // solve holds its permit), then the TCP request is shed. The
+    // holder counts under `batches` once admitted.
     let slow = RequestOptions {
         fault: Some(SolveFault::Delay(Duration::from_millis(1500))),
         ..RequestOptions::default()
     };
-    let holder = handle.submit_opts(
-        "X",
-        DimBindings::new()
-            .with("we_n", 40)
-            .with("we_m", 20)
-            .with("we_k", 30),
-        slow,
-    );
+    let admitted = handle.stats().batches;
+    let holder = {
+        let handle = handle.clone();
+        std::thread::spawn(move || {
+            let bindings = DimBindings::new()
+                .with("we_n", 40)
+                .with("we_m", 20)
+                .with("we_k", 30);
+            handle.solve_opts("X", bindings, slow)
+        })
+    };
+    while handle.stats().batches == admitted {
+        std::thread::yield_now();
+    }
     let shed = ask("X we_n=11,we_m=20,we_k=30");
     assert!(shed.contains("\"code\":\"queue_full\""), "{shed}");
-    assert!(holder.wait().result.is_ok());
+    assert!(holder.join().expect("holder thread").result.is_ok());
 
     // Every error above was answered in-band: the same connection
     // still serves normal traffic (hardened tcp loop).

@@ -1,13 +1,13 @@
-//! The serving front door: a worker pool over the shared plan cache,
-//! with pre-enumerated regions and a persisted plan store.
+//! The serving front door over the shared plan cache, with
+//! pre-enumerated regions and a persisted plan store.
 //!
 //! The paper's Table 2 chain `X := A⁻¹ B Cᵀ` is registered once with a
 //! `gmc-serve` server, pre-enumerating every size region it can reach
 //! — so *every* request, at any sizes, is a cache hit. A burst of
-//! mixed requests (a duplicate among them) is submitted as one batch,
-//! admitted whole on the submitting thread and answered by the worker
-//! pool one request per job, and the warmed cache is saved to a plan
-//! store and re-loaded the way a serving fleet would warm-start.
+//! mixed requests (a duplicate among them) is sent as one batch,
+//! admitted whole and then solved one request at a time on the calling
+//! thread, and the warmed cache is saved to a plan store and re-loaded
+//! the way a serving fleet would warm-start.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -18,7 +18,7 @@ use gmc_expr::DimBindings;
 use gmc_frontend::parse;
 use gmc_kernels::KernelRegistry;
 use gmc_plan::PlanCache;
-use gmc_serve::{ServeConfig, Server};
+use gmc_serve::{RequestOptions, ServeConfig, Server};
 use std::sync::Arc;
 
 fn main() {
@@ -45,20 +45,19 @@ X := A^-1 * B * C^T
         .expect("small chain is enumerable");
     println!("pre-enumerated {regions} size regions: every request below is a hit\n");
 
-    // A burst of requests, submitted as one batch: different size
-    // points, different regions, and one duplicate, which is solved
-    // on its own like every other request.
+    // A burst of requests, sent as one batch: different size points,
+    // different regions, and one duplicate, which is solved on its own
+    // like every other request.
     let handle = server.handle();
     let points: Vec<(usize, usize)> = vec![(2000, 200), (200, 2000), (7, 7), (1, 40), (2000, 200)];
-    let batch: Vec<(String, DimBindings)> = points
+    let batch = points
         .iter()
-        .map(|&(n, m)| (target.clone(), DimBindings::new().with("n", n).with("m", m)))
+        .map(|&(n, m)| {
+            let bindings = DimBindings::new().with("n", n).with("m", m);
+            (target.clone(), bindings, RequestOptions::default())
+        })
         .collect();
-    let replies: Vec<_> = handle
-        .submit_batch(batch)
-        .into_iter()
-        .map(|t| t.wait())
-        .collect();
+    let replies = handle.solve_batch(batch);
     for ((n, m), reply) in points.iter().zip(&replies) {
         let served = reply.result.as_ref().expect("servable");
         println!("request n={n:<4} m={m:<4} -> {}", served.outcome);

@@ -3,7 +3,7 @@
 //! A seeded `WorkloadSpec` (structure population with Zipf popularity,
 //! binding distributions, arrival process, hit-ratio target) compiles
 //! deterministically into a replayable trace; the trace is replayed
-//! against a multi-worker serving front door with every distinct
+//! by four caller threads against a serving front door with every distinct
 //! request verified bit-identical against a cold optimizer solve, and
 //! the server's latency histograms are read back as p50/p99 per
 //! (structure, hit/miss) class.
@@ -64,13 +64,13 @@ fn main() {
         stats.cache.requests(),
     );
     println!(
-        "latency (enqueue->complete): p50 {:>9} ns   p99 {:>9} ns   max {:>9} ns",
+        "latency (call->complete): p50 {:>9} ns   p99 {:>9} ns   max {:>9} ns",
         stats.latency.total.quantile(0.5),
         stats.latency.total.quantile(0.99),
         stats.latency.total.max(),
     );
     println!(
-        "queueing (enqueue->worker pickup): p50 {:>9} ns   p99 {:>9} ns",
+        "queueing (call->solve start): p50 {:>9} ns   p99 {:>9} ns",
         stats.latency.queue.quantile(0.5),
         stats.latency.queue.quantile(0.99),
     );

@@ -31,6 +31,19 @@ pub enum Value {
 }
 
 impl Value {
+    /// What kind of value this is, with its article ("an array",
+    /// "null", ...).
+    fn kind(&self) -> &'static str {
+        match self {
+            Value::Null => "null",
+            Value::Bool(_) => "a bool",
+            Value::Number(_) => "a number",
+            Value::String(_) => "a string",
+            Value::Array(_) => "an array",
+            Value::Object(_) => "an object",
+        }
+    }
+
     /// Looks up a field of an object.
     ///
     /// # Errors
@@ -43,9 +56,10 @@ impl Value {
                 .find(|(k, _)| k == name)
                 .map(|(_, v)| v)
                 .ok_or_else(|| DeError(format!("missing field `{name}`"))),
-            other => Err(DeError(format!(
-                "expected object with field `{name}`, got {other:?}"
-            ))),
+            other => Err(DeError::expected(
+                &format!("object with field `{name}`"),
+                other,
+            )),
         }
     }
 }
@@ -53,6 +67,15 @@ impl Value {
 /// Deserialization failure: a human-readable description.
 #[derive(Clone, Debug)]
 pub struct DeError(pub String);
+
+impl DeError {
+    /// A shape mismatch: `what` was expected where `got` is. It names
+    /// the value's kind instead of echoing the value, which may be as
+    /// large as its input.
+    pub fn expected(what: &str, got: &Value) -> DeError {
+        DeError(format!("expected {what}, got {}", got.kind()))
+    }
+}
 
 impl std::fmt::Display for DeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -88,7 +111,7 @@ impl Deserialize for bool {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::Bool(b) => Ok(*b),
-            other => Err(DeError(format!("expected bool, got {other:?}"))),
+            other => Err(DeError::expected("bool", other)),
         }
     }
 }
@@ -116,7 +139,7 @@ macro_rules! impl_serde_int {
                             )))
                         }
                     }
-                    other => Err(DeError(format!("expected number, got {other:?}"))),
+                    other => Err(DeError::expected("number", other)),
                 }
             }
         }
@@ -137,7 +160,7 @@ macro_rules! impl_serde_float {
                 match v {
                     // Floats accept any JSON number (f32 rounds).
                     Value::Number(n) => Ok(*n as $t),
-                    other => Err(DeError(format!("expected number, got {other:?}"))),
+                    other => Err(DeError::expected("number", other)),
                 }
             }
         }
@@ -168,7 +191,7 @@ impl Deserialize for String {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::String(s) => Ok(s.clone()),
-            other => Err(DeError(format!("expected string, got {other:?}"))),
+            other => Err(DeError::expected("string", other)),
         }
     }
 }
@@ -189,7 +212,7 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError(format!("expected array, got {other:?}"))),
+            other => Err(DeError::expected("array", other)),
         }
     }
 }

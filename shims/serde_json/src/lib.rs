@@ -55,6 +55,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -181,9 +182,16 @@ impl fmt::Write for Escaped<'_> {
     }
 }
 
+/// How deeply arrays and objects may nest, as in upstream
+/// `serde_json`: the parser recurses once per level, so a bound keeps a
+/// hostile file from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -222,14 +230,35 @@ impl Parser<'_> {
         }
     }
 
+    /// Enters one more array or object level at `pos`.
+    fn nest(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
     fn value(&mut self) -> Result<Value, Error> {
+        let value = self.nested_value();
+        if matches!(value, Ok(Value::Array(_) | Value::Object(_))) {
+            self.depth -= 1;
+        }
+        value
+    }
+
+    fn nested_value(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') if self.literal("null") => Ok(Value::Null),
             Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
             Some(b'[') => {
-                self.pos += 1;
+                self.nest()?;
                 let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
@@ -251,7 +280,7 @@ impl Parser<'_> {
                 }
             }
             Some(b'{') => {
-                self.pos += 1;
+                self.nest()?;
                 let mut fields = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
@@ -389,6 +418,7 @@ mod tests {
             let mut p = Parser {
                 bytes: text.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             p.skip_ws();
             let back = p.value().unwrap();
@@ -401,5 +431,64 @@ mod tests {
         assert!(from_str::<Vec<u64>>("[1, 2] x").is_err());
         assert!(from_str::<Vec<u64>>("[1, 2.5]").is_err());
         assert_eq!(from_str::<Vec<u64>>("[1, 2]").unwrap(), vec![1, 2]);
+    }
+
+    /// `levels` nested arrays around a `0`.
+    fn nested(levels: usize) -> String {
+        format!("{}0{}", "[".repeat(levels), "]".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        // On a spawned thread, whose default stack (2 MB) is a quarter
+        // of the main thread's: the bound must hold there too.
+        std::thread::spawn(|| {
+            let ok: Value = from_str(&nested(MAX_DEPTH)).unwrap();
+            let mut depth = 0;
+            let mut v = &ok;
+            while let Value::Array(items) = v {
+                depth += 1;
+                v = &items[0];
+            }
+            assert_eq!(depth, MAX_DEPTH);
+            let mixed = format!("{}{{\"a\":0}}{}", "[".repeat(127), "]".repeat(127));
+            from_str::<Value>(&mixed).unwrap();
+            for levels in [MAX_DEPTH + 1, 50_000] {
+                let err = from_str::<Value>(&nested(levels)).unwrap_err().to_string();
+                assert_eq!(
+                    err, "nesting deeper than 128 levels at byte 128",
+                    "{levels}"
+                );
+            }
+            let objects = format!("{}1{}", "{\"a\":".repeat(200), "}".repeat(200));
+            let err = from_str::<Value>(&objects).unwrap_err().to_string();
+            assert!(
+                err.starts_with("nesting deeper than 128 levels at byte "),
+                "{err}"
+            );
+            // A closed level frees its depth: siblings do not add up.
+            let siblings = format!("[{}]", vec![nested(100); 3].join(","));
+            from_str::<Value>(&siblings).unwrap();
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn shape_errors_name_the_kind_without_echoing_the_value() {
+        let wide = format!("[{}]", vec!["[1, 2, 3]"; 4000].join(", "));
+        assert!(wide.len() > 40_000);
+        for err in [
+            from_str::<String>(&wide).unwrap_err(),
+            from_str::<Vec<u64>>(&wide).unwrap_err(),
+            from_str::<Vec<bool>>("[{\"a\": [1, 2]}]").unwrap_err(),
+        ] {
+            let err = err.to_string();
+            assert!(err.len() < 200, "{} bytes: {err}", err.len());
+        }
+        let err = from_str::<String>(&wide).unwrap_err().to_string();
+        assert_eq!(err, "expected string, got an array");
+        let err = from_str::<u8>("{}").unwrap_err().to_string();
+        assert_eq!(err, "expected number, got an object");
     }
 }

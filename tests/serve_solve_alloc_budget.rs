@@ -1,12 +1,11 @@
-//! Allocation budget of a served hit on the blocking path:
-//! `ServeHandle::solve_raw` solves the request on the calling thread,
-//! so a hit costs what the plan cache allocates for it, what the reply
-//! copies out of the solution, and a few allocations to admit the
-//! request. The lower bound proves the hit ran on this thread (a hit
-//! handed to a worker would leave its allocations uncounted); the
-//! upper bound fails loudly if grouping allocations (a unit `Vec`, a
-//! `HashMap`, a replies `Vec`, a ticket and its channel) creep back
-//! into the blocking path.
+//! Allocation budget of a served hit: `ServeHandle::solve_raw` solves
+//! the request on the calling thread, so a hit costs what the plan
+//! cache allocates for it, what the reply copies out of the solution,
+//! and two more: the bindings map and the reply's structure name. The
+//! lower bound proves the hit ran on this thread (a hit handed to
+//! another thread would leave its allocations uncounted); the upper
+//! bound fails loudly if anything else (a grouping `Vec` or map, a
+//! reply channel) creeps into the request path.
 
 mod alloc_counter;
 
@@ -61,7 +60,7 @@ fn inline_hit_allocates_what_the_cache_and_reply_need() {
     // `Served::from_solution` copies the parenthesization and every
     // kernel name into a fresh `Vec`: 3 + kernels allocations.
     let reply_copies = 3 + kernels;
-    let budget = cache + reply_copies + 3;
+    let budget = cache + reply_copies + 2;
     assert!(
         raw >= cache,
         "{raw} allocations for a `solve_raw` hit, fewer than the cache's {cache}: \
@@ -70,7 +69,7 @@ fn inline_hit_allocates_what_the_cache_and_reply_need() {
     assert!(
         raw <= budget,
         "{raw} allocations for a `solve_raw` hit, budget {budget} \
-         (cache {cache} + reply {reply_copies} + 3)"
+         (cache {cache} + reply {reply_copies} + 2)"
     );
     server.shutdown();
 }

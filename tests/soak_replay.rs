@@ -1,5 +1,5 @@
-//! Soak/stress suite: adversarial workload traces replayed against a
-//! multi-worker server, asserting the serving tier's invariants under
+//! Soak/stress suite: adversarial workload traces replayed by several
+//! caller threads against one server, asserting the serving tier's invariants under
 //! pressure — every response bit-identical to a cold reference solve,
 //! counters exactly accounting for every request, no recording
 //! duplicated, histogram totals equal to request totals. The trace
@@ -79,8 +79,8 @@ fn soak_all_miss_churn_never_caches_wrong() {
 
 #[test]
 fn soak_duplicate_storm_coalesces_in_one_batch() {
-    // The whole trace submitted as a single batch, 90% of it
-    // duplicates. Each duplicate is its own request: it coalesces at
+    // A trace of which 90% is duplicates, from four callers racing
+    // each other. Each duplicate is its own request: it coalesces at
     // the cache, as a hit on the region its first copy recorded (or a
     // waiter on that recording), gets a bit-identical answer and
     // exactly one latency sample, and costs exactly one instantiate.
@@ -89,7 +89,6 @@ fn soak_duplicate_storm_coalesces_in_one_batch() {
         &trace,
         &ReplayOptions {
             workers: 4,
-            window: 0,
             verify: Verify::Sample(25),
             ..ReplayOptions::default()
         },
@@ -187,25 +186,30 @@ fn soak_interleaved_registration_and_traffic() {
 
     let structures = 5usize;
     let per_round = 20usize;
-    let mut tickets = Vec::new();
-    let mut submitted = 0usize;
-    for tag in 0..structures {
-        server
-            .register(&format!("R{tag}"), make_chain(tag))
-            .unwrap();
-        // Burst against every structure registered so far, mid-stream.
-        for i in 0..per_round {
-            let target = i % (tag + 1);
-            tickets.push(handle.submit(&format!("R{target}"), bindings_for(target, i % 4)));
-            submitted += 1;
+    let submitted = structures * per_round;
+    let ok = std::thread::scope(|scope| {
+        let mut callers = Vec::new();
+        for tag in 0..structures {
+            server
+                .register(&format!("R{tag}"), make_chain(tag))
+                .unwrap();
+            // A caller bursts against every structure registered so
+            // far while the next registrations go on.
+            let handle = handle.clone();
+            callers.push(scope.spawn(move || {
+                for i in 0..per_round {
+                    let target = i % (tag + 1);
+                    let reply = handle.solve(&format!("R{target}"), bindings_for(target, i % 4));
+                    assert!(reply.result.is_ok(), "{reply:?}");
+                }
+                per_round
+            }));
         }
-    }
-    let mut ok = 0usize;
-    for t in tickets {
-        let reply = t.wait();
-        assert!(reply.result.is_ok(), "{reply:?}");
-        ok += 1;
-    }
+        callers
+            .into_iter()
+            .map(|caller| caller.join().expect("caller thread"))
+            .sum::<usize>()
+    });
     assert_eq!(ok, submitted);
     let s = server.stats();
     assert_eq!(s.served.completed + s.served.rejected, submitted as u64);
