@@ -872,6 +872,7 @@ pub fn generate(spec: &WorkloadSpec) -> Result<Trace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmc_expr::MAX_FACTORS;
 
     #[test]
     fn presets_generate_and_round_trip() {
@@ -959,6 +960,20 @@ mod tests {
             breaker(&mut spec);
             assert!(generate(&spec).is_err());
         }
+    }
+
+    #[test]
+    fn structure_chains_are_bounded_in_length() {
+        let structure = |factors: usize| TraceStructure {
+            name: "S0".to_owned(),
+            dims: (0..=factors).map(|i| format!("d{i}")).collect(),
+            transposed: vec![false; factors],
+        };
+        assert_eq!(structure(MAX_FACTORS).chain().unwrap().len(), 256);
+        assert_eq!(
+            structure(MAX_FACTORS + 1).chain().unwrap_err(),
+            "structure `S0`: symbolic chain has 257 factors, above the bound of 256"
+        );
     }
 
     #[test]

@@ -370,7 +370,7 @@ Y := A * B
         );
         assert!(out.contains("# EOF"), "{out}");
         assert!(out.contains("\"format\":\"gmc-traces/1\""), "{out}");
-        assert!(out.contains("\"shards\":["), "{out}");
+        assert!(out.contains("\"totals\":{"), "{out}");
 
         // Over the wire through `run_request`.
         let (server, _report) = build_server(PROBLEM, &ServeOptions::default()).unwrap();
@@ -383,7 +383,7 @@ Y := A * B
         );
         assert!(out.lines().any(|l| l == "# EOF"), "{out}");
         assert!(out.contains("\"format\":\"gmc-traces/1\""), "{out}");
-        assert!(out.contains("\"shards\":["), "{out}");
+        assert!(out.contains("\"totals\":{"), "{out}");
         // The exposition covers the two completed requests' stages.
         assert!(
             out.contains("gmc_serve_stage_latency_ns_count{stage=\"solve\"} 2"),

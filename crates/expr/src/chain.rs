@@ -149,11 +149,18 @@ impl fmt::Debug for Factor {
     }
 }
 
+/// The longest admitted chain, in factors. The DP is cubic in the
+/// length, and every surface that takes a chain (`gmcc` sources, trace
+/// structures, plan stores, registered structures) builds it through
+/// [`Chain::new`] or [`SymChain::new`](crate::SymChain::new), which
+/// refuse a longer one.
+pub const MAX_FACTORS: usize = 256;
+
 /// A well-formed matrix chain `M := f0 · f1 ··· f(n-1)` (paper Sec. 1.1).
 ///
 /// Invariants enforced at construction:
 ///
-/// * at least two factors,
+/// * from two to [`MAX_FACTORS`] factors,
 /// * adjacent factors have matching inner dimensions,
 /// * inverted factors are square.
 ///
@@ -182,11 +189,15 @@ impl Chain {
     /// # Errors
     ///
     /// * [`ExprError::ChainTooShort`] if fewer than two factors are given,
+    /// * [`ExprError::ChainTooLong`] if more than [`MAX_FACTORS`] are,
     /// * [`ExprError::NonSquareInverse`] if an inverted factor is not square,
     /// * [`ExprError::ShapeMismatch`] if adjacent dimensions do not agree.
     pub fn new(factors: Vec<Factor>) -> Result<Self, ExprError> {
         if factors.len() < 2 {
             return Err(ExprError::ChainTooShort { len: factors.len() });
+        }
+        if factors.len() > MAX_FACTORS {
+            return Err(ExprError::ChainTooLong { len: factors.len() });
         }
         for f in &factors {
             if f.op().is_inverted() && !f.operand().shape().is_square() {
@@ -416,6 +427,19 @@ mod tests {
             Chain::new(vec![Factor::plain(a)]),
             Err(ExprError::ChainTooShort { len: 1 })
         ));
+    }
+
+    #[test]
+    fn chain_length_is_bounded() {
+        let a = Operand::square("A", 10);
+        let chain = |len| Chain::new(vec![Factor::plain(a.clone()); len]);
+        assert_eq!(chain(MAX_FACTORS).unwrap().len(), 256);
+        let err = chain(MAX_FACTORS + 1).unwrap_err();
+        assert_eq!(err, ExprError::ChainTooLong { len: 257 });
+        assert_eq!(
+            err.to_string(),
+            "matrix chain has 257 factors, above the bound of 256"
+        );
     }
 
     #[test]

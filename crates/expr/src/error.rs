@@ -41,6 +41,12 @@ pub enum ExprError {
         /// Number of factors found.
         len: usize,
     },
+    /// The chain has more than [`MAX_FACTORS`](crate::MAX_FACTORS)
+    /// factors.
+    ChainTooLong {
+        /// Number of factors found.
+        len: usize,
+    },
     /// A property that requires a square matrix was attached to a
     /// non-square operand.
     InvalidProperty {
@@ -78,6 +84,11 @@ impl fmt::Display for ExprError {
             ExprError::ChainTooShort { len } => {
                 write!(f, "matrix chain must have length two or higher, got {len}")
             }
+            ExprError::ChainTooLong { len } => write!(
+                f,
+                "matrix chain has {len} factors, above the bound of {}",
+                crate::MAX_FACTORS
+            ),
             ExprError::InvalidProperty {
                 property,
                 shape,

@@ -49,7 +49,7 @@ mod shape;
 mod sym;
 mod view;
 
-pub use chain::{Chain, Factor, UnaryOp};
+pub use chain::{Chain, Factor, UnaryOp, MAX_FACTORS};
 pub use dim::{Dim, DimBindings, DimError, DimVar, MAX_DIM};
 pub use error::ExprError;
 pub use expr::Expr;

@@ -9,7 +9,7 @@
 //! under **every** positive binding of its variables
 //! ([`SymChain::bind`]).
 
-use crate::chain::{Chain, Factor, UnaryOp};
+use crate::chain::{Chain, Factor, UnaryOp, MAX_FACTORS};
 use crate::dim::{Dim, DimBindings, DimError, DimVar};
 use crate::shape::SymShape;
 use crate::{ExprError, Operand, Property, PropertySet};
@@ -195,16 +195,20 @@ pub struct SymChain {
 
 impl SymChain {
     /// Creates a symbolic chain, validating structural well-formedness:
-    /// at least two factors, structurally matching adjacent inner
-    /// dimensions, structurally square inverted factors.
+    /// from two to [`MAX_FACTORS`] factors, structurally matching
+    /// adjacent inner dimensions, structurally square inverted factors.
     ///
     /// # Errors
     ///
-    /// [`SymChainError::TooShort`], [`SymChainError::NonSquareInverse`]
-    /// or [`SymChainError::ShapeMismatch`].
+    /// [`SymChainError::TooShort`], [`SymChainError::TooLong`],
+    /// [`SymChainError::NonSquareInverse`] or
+    /// [`SymChainError::ShapeMismatch`].
     pub fn new(factors: Vec<SymFactor>) -> Result<Self, SymChainError> {
         if factors.len() < 2 {
             return Err(SymChainError::TooShort { len: factors.len() });
+        }
+        if factors.len() > MAX_FACTORS {
+            return Err(SymChainError::TooLong { len: factors.len() });
         }
         for f in &factors {
             if f.op().is_inverted() && !f.operand().shape().is_square_structural() {
@@ -380,6 +384,11 @@ pub enum SymChainError {
         /// Number of factors found.
         len: usize,
     },
+    /// More than [`MAX_FACTORS`] factors.
+    TooLong {
+        /// Number of factors found.
+        len: usize,
+    },
     /// An inverted factor is not structurally square.
     NonSquareInverse {
         /// The operand's name.
@@ -423,6 +432,10 @@ impl fmt::Display for SymChainError {
             SymChainError::TooShort { len } => {
                 write!(f, "symbolic chain must have length two or higher, got {len}")
             }
+            SymChainError::TooLong { len } => write!(
+                f,
+                "symbolic chain has {len} factors, above the bound of {MAX_FACTORS}"
+            ),
             SymChainError::NonSquareInverse { operand, shape } => write!(
                 f,
                 "cannot invert `{operand}`: shape {shape} is not structurally square"
@@ -498,6 +511,19 @@ mod tests {
             ]),
             Err(SymChainError::NonSquareInverse { .. })
         ));
+    }
+
+    #[test]
+    fn chain_length_is_bounded() {
+        let a = SymFactor::plain(SymOperand::square("A", n()));
+        let chain = |len| SymChain::new(vec![a.clone(); len]);
+        assert_eq!(chain(MAX_FACTORS).unwrap().len(), 256);
+        let err = chain(MAX_FACTORS + 1).unwrap_err();
+        assert_eq!(err, SymChainError::TooLong { len: 257 });
+        assert_eq!(
+            err.to_string(),
+            "symbolic chain has 257 factors, above the bound of 256"
+        );
     }
 
     #[test]

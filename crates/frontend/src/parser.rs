@@ -631,7 +631,7 @@ fn pop(stack: &mut Vec<Expr>) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmc_expr::{Chain, DimBindings};
+    use gmc_expr::{Chain, DimBindings, MAX_FACTORS};
 
     const TABLE2: &str = "\
 Matrix A (2000, 2000) <SPD>
@@ -804,6 +804,31 @@ X := A^-1 * B * C^T
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn chain_length_is_bounded_in_both_lowerings() {
+        let source = |dims: &str, len: usize| {
+            format!("Matrix A ({dims})\nX := {}\n", vec!["A"; len].join(" * "))
+        };
+        // A symbolic assignment lowers through `SymChain::new`, a
+        // positioned error at its target.
+        let p = parse(&source("n, n", MAX_FACTORS)).unwrap();
+        assert_eq!(p.symbolic.unwrap().chains[0].1.len(), 256);
+        let err = parse(&source("n, n", MAX_FACTORS + 1)).unwrap_err();
+        assert_eq!(
+            err.message,
+            "assignment `X`: symbolic chain has 257 factors, above the bound of 256"
+        );
+        assert_eq!((err.line, err.col), (2, 1));
+        // A concrete one parses, and `Chain::from_expr` refuses it.
+        let chain =
+            |len| Chain::from_expr(&parse(&source("10, 10", len)).unwrap().assignments[0].1);
+        assert_eq!(chain(MAX_FACTORS).unwrap().len(), 256);
+        assert_eq!(
+            chain(MAX_FACTORS + 1).unwrap_err().to_string(),
+            "matrix chain has 257 factors, above the bound of 256"
+        );
     }
 
     #[test]

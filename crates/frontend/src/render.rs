@@ -7,6 +7,10 @@ use crate::ParseError;
 use gmc_expr::{Dim, Expr, SymChain};
 use std::fmt::Write as _;
 
+/// Columns of the offending line that [`render_error`] shows on each
+/// side of the error's.
+const WINDOW: usize = 40;
+
 /// Renders a parse error with the offending source line and a caret:
 ///
 /// ```text
@@ -19,7 +23,9 @@ use std::fmt::Write as _;
 ///
 /// Columns count characters, and a tab is one column, so the caret's
 /// padding repeats the line's tabs: it lines up under the error at any
-/// tab width.
+/// tab width. A line longer than `2 × 40 + 1` characters shows only
+/// that many around the error, with `…` where it is cut, so a long line
+/// renders short.
 pub fn render_error(source: &str, error: &ParseError) -> String {
     let mut out = format!("error: {}\n", error.message);
     if error.line == 0 {
@@ -28,16 +34,34 @@ pub fn render_error(source: &str, error: &ParseError) -> String {
     }
     writeln!(out, "  --> {}:{}", error.line, error.col).expect("string write");
     if let Some(line) = source.lines().nth(error.line - 1) {
+        let chars: Vec<char> = line.chars().collect();
+        let at = error.col.saturating_sub(1);
+        let start = at
+            .saturating_sub(WINDOW)
+            .min(chars.len().saturating_sub(2 * WINDOW + 1));
+        let end = chars.len().min(start + 2 * WINDOW + 1);
+        let (left, right) = (start > 0, end < chars.len());
+        let ellipsis = |cut: bool| if cut { "…" } else { "" };
+        let shown: String = chars[start..end].iter().collect();
         let gutter = error.line.to_string();
         let pad = " ".repeat(gutter.len());
-        let caret_pad: String = line
-            .chars()
-            .chain(std::iter::repeat(' '))
-            .take(error.col.saturating_sub(1))
-            .map(|c| if c == '\t' { '\t' } else { ' ' })
-            .collect();
+        let mut caret_pad = String::from(if left { " " } else { "" });
+        caret_pad.extend(
+            chars[start..end]
+                .iter()
+                .copied()
+                .chain(std::iter::repeat(' '))
+                .take(at - start)
+                .map(|c| if c == '\t' { '\t' } else { ' ' }),
+        );
         writeln!(out, " {pad} |").expect("string write");
-        writeln!(out, " {gutter} | {line}").expect("string write");
+        writeln!(
+            out,
+            " {gutter} | {}{shown}{}",
+            ellipsis(left),
+            ellipsis(right)
+        )
+        .expect("string write");
         writeln!(out, " {pad} | {caret_pad}^").expect("string write");
     }
     out
@@ -238,6 +262,33 @@ mod tests {
         assert_caret_under("X\t:=\tA\t*\tQ", 'A');
         assert_caret_under("Matrix A (5, 5)\nX\t:=\tA\t*\tQ", 'Q');
         assert_caret_under("Matrix A (5, 5)\nX := A * é\t* Q", 'é');
+    }
+
+    #[test]
+    fn long_lines_show_a_window_around_the_error() {
+        // The error at the 257th of 15 000 nested parentheses: 30 351
+        // bytes when the whole line was echoed.
+        let deep = format!(
+            "Matrix A (10, 10)\nX := {}A{}",
+            "(".repeat(15_000),
+            ")".repeat(15_000)
+        );
+        let text = render_error(&deep, &parse(&deep).unwrap_err());
+        assert!(text.len() < 1024, "{} bytes:\n{text}", text.len());
+        let shown = text.lines().nth(3).unwrap();
+        assert_eq!(shown, format!(" 2 | …{}…", "(".repeat(81)));
+        assert_caret_under(&deep, '(');
+        // Cut on the right only, and on the left only, with tabs.
+        let early = format!("X := Q * {}A", "A * ".repeat(40));
+        let text = render_error(&early, &parse(&early).unwrap_err());
+        assert!(text.contains(" 1 | X := Q * A * "), "{text}");
+        assert!(text.lines().nth(3).unwrap().ends_with('…'), "{text}");
+        assert_caret_under(&early, 'Q');
+        let late = format!("Matrix A (5, 5)\nX := {}Q", "A\t*\t".repeat(40));
+        assert_caret_under(&late, 'Q');
+        let text = render_error(&late, &parse(&late).unwrap_err());
+        assert!(text.lines().nth(3).unwrap().starts_with(" 2 | …"), "{text}");
+        assert!(text.lines().nth(3).unwrap().ends_with("\tQ"), "{text}");
     }
 
     #[test]

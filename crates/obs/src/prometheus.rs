@@ -17,11 +17,11 @@
 //!
 //! A live [`crate::MetricsRegistry`] copies itself in with
 //! [`render_into`](crate::MetricsRegistry::render_into). Beside it, a
-//! layer adds only what another component owns (cache shards, a trace
-//! ring), read at scrape time rather than written twice on the hot
-//! path, and totals it derives from the series already added
-//! ([`Exposition::counter_total`]), so a total and its parts come from
-//! one reading.
+//! layer adds only what another component owns (the plan cache's
+//! counters, a trace ring), read at scrape time rather than written
+//! twice on the hot path, and totals it derives from the series already
+//! added ([`Exposition::counter_total`]), so a total and its parts come
+//! from one reading.
 
 use crate::histogram::HistogramSnapshot;
 use std::collections::BTreeMap;

@@ -1,36 +1,37 @@
-//! The structure-keyed plan cache: concurrent, sharded, copy-on-write.
+//! The structure-keyed plan cache: one map of structures, each entry
+//! holding its own regions.
 //!
 //! # Concurrency architecture
 //!
-//! The cache is designed so the serving hot path (a cache **hit**) is a
-//! pure read that many threads can take simultaneously:
+//! The serving hot path (a cache **hit**) is a read that many threads
+//! can take at once:
 //!
-//! * Structures are **sharded** by the hash of their [`StructureKey`];
-//!   each shard holds an immutable snapshot
-//!   (`Arc<HashMap<StructureKey, Arc<SymbolicPlan>>>`) behind a
-//!   many-reader lock that is only ever held for the pointer
-//!   clone/swap, never across a solve.
-//! * A hit clones the shard snapshot (one `Arc` bump), finds the region
-//!   plan whose key the binding answers, and instantiates it on a
-//!   **thread-local** workspace (the DP table), so concurrent hits share
-//!   no mutable state and allocate no fresh tables.
-//! * Misses go through a per-shard **write mutex**: the miss records
-//!   the region plan, rebuilds the shard map copy-on-write (structure
-//!   entries are `Arc`-shared with the old snapshot; only the touched
-//!   structure's region map is cloned) and swaps the snapshot in. A
-//!   thread that lost the race to record the same region finds it
-//!   present after acquiring the mutex and serves it as a hit — the
-//!   recording is coalesced, never duplicated, and no update is lost.
+//! * The cache is one map from [`StructureKey`] to the structure's
+//!   [`SymbolicPlan`], behind a many-reader lock held only to find or
+//!   insert an entry, never across a solve. A caller that solves one
+//!   structure many times resolves its entry once
+//!   ([`PlanCache::resolve`]) and solves through it
+//!   ([`PlanCache::solve_resolved`]), so it computes no structure key
+//!   and takes no map lock per request.
+//! * Each entry keeps its regions behind its own many-reader lock, held
+//!   only to find and clone a region or to push one. A hit instantiates
+//!   the region it cloned on a **thread-local** workspace (the DP
+//!   table), so concurrent hits share no mutable state and allocate no
+//!   fresh tables.
+//! * A miss records behind the entry's recording mutex, after looking
+//!   for its region once more: a thread that lost the race to record
+//!   the same region finds it there and serves it as a hit. Each region
+//!   is recorded exactly once, and no update is lost.
 
 use crate::key::{structure_key, unit_mask, StructureKey};
 use crate::plan::{instantiate, record_region, PlanSummary, RegionPlan};
+use crate::sync::{mutex_lock, read_lock, write_lock};
 use gmc::{GmcError, GmcSolution, GmcWorkspace, InferenceMode};
 use gmc_expr::{Dim, DimBindings, SymChain, SymChainError};
 use gmc_kernels::{Flops, KernelRegistry};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -105,33 +106,21 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Per-shard cache introspection, from [`PlanCache::shard_stats`].
+/// How much the cache holds, from [`PlanCache::shard_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index (0-based, stable for the life of the cache).
-    pub shard: usize,
-    /// Distinct chain structures currently cached in this shard.
+pub struct CacheSize {
+    /// Chain structures with at least one recorded region.
     pub structures: usize,
-    /// Total size regions recorded across the shard's structures.
+    /// Size regions recorded over every structure.
     pub regions: usize,
-    /// Requests served from a cached region.
-    pub hits: u64,
-    /// Requests that recorded a new region for a known structure.
-    pub region_misses: u64,
-    /// Requests that recorded a brand-new structure.
-    pub structure_misses: u64,
-    /// Misses that lost the recording race and were served as hits
-    /// after waiting on the shard's write mutex.
-    pub coalesced_waiters: u64,
-    /// Copy-on-write snapshot publications (cache writes).
-    pub snapshot_swaps: u64,
 }
 
 /// Nanosecond timing of one [`PlanCache::solve_traced`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveTiming {
-    /// Time locating the cached region: binding, structure keying,
-    /// snapshot reads and (on the slow path) the write-mutex wait.
+    /// Time locating the cached region: binding, the region lookup, the
+    /// structure's entry (unless it was resolved beforehand) and (on
+    /// the slow path) the recording-mutex wait.
     pub lookup_ns: u64,
     /// Time instantiating the cached plan or recording a new one.
     pub work_ns: u64,
@@ -183,120 +172,85 @@ impl From<gmc_expr::DimError> for PlanError {
     }
 }
 
-/// Per-structure request counters, `Arc`-shared across every
-/// copy-on-write clone of the owning [`SymbolicPlan`] so counts
-/// survive snapshot swaps.
-#[derive(Debug, Default)]
-pub(crate) struct StructCounters {
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
-}
-
 /// A symbolic plan for one chain structure: one recorded region plan
-/// per size region encountered so far. Region plans are `Arc`-shared
-/// between cache snapshots, so cloning a `SymbolicPlan` is cheap.
+/// per size region encountered so far. It is the cache's live entry for
+/// the structure, so regions recorded later appear in it.
 ///
 /// Its `Debug` form is what the plan decides: each region's key, cells
 /// and variables, in key order. It leaves out the request counters and
 /// the bindings the regions were recorded at, so two caches that
 /// recorded the same regions in any order render alike.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct SymbolicPlan {
     /// The regions, bucketed by the unit mask of their bindings; within
-    /// a bucket a binding's region is the one whose key it answers.
-    regions: HashMap<u64, Vec<Arc<RegionPlan>>>,
-    pub(crate) counters: Arc<StructCounters>,
+    /// a bucket a binding's region is the one whose key it answers. The
+    /// lock is held only to find and clone a region or to push one.
+    regions: RwLock<HashMap<u64, Vec<Arc<RegionPlan>>>>,
+    /// Serializes recording, so each region is recorded exactly once.
+    recording: Mutex<()>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl SymbolicPlan {
     /// Number of size regions recorded for this structure.
     pub fn region_count(&self) -> usize {
-        self.regions.values().map(Vec::len).sum()
+        read_lock(&self.regions).values().map(Vec::len).sum()
     }
 
     /// The region serving the boundary dimensions `sizes`, if recorded.
-    pub(crate) fn region_for(&self, sizes: &[usize]) -> Option<&Arc<RegionPlan>> {
-        self.regions
+    pub(crate) fn region_for(&self, sizes: &[usize]) -> Option<Arc<RegionPlan>> {
+        read_lock(&self.regions)
             .get(&unit_mask(sizes))?
             .iter()
             .find(|r| r.key.admits(sizes))
+            .cloned()
     }
 
     /// Every recorded region.
-    pub(crate) fn regions(&self) -> impl Iterator<Item = &Arc<RegionPlan>> {
-        self.regions.values().flatten()
+    pub(crate) fn regions(&self) -> Vec<Arc<RegionPlan>> {
+        read_lock(&self.regions)
+            .values()
+            .flatten()
+            .cloned()
+            .collect()
+    }
+
+    /// Adds `region`; returns whether it is the structure's first. The
+    /// caller holds the recording mutex.
+    fn push(&self, region: RegionPlan) -> bool {
+        let mut regions = write_lock(&self.regions);
+        let first = regions.is_empty();
+        regions
+            .entry(region.key.unit_mask())
+            .or_default()
+            .push(Arc::new(region));
+        first
     }
 
     /// Requests served from this structure's cached regions.
     pub fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Requests that recorded a new region for this structure.
     pub fn misses(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Iterates over the recorded regions' classification summaries.
-    pub fn region_summaries(&self) -> impl Iterator<Item = PlanSummary> + '_ {
-        self.regions().map(|r| r.summary())
+    /// The recorded regions' classification summaries.
+    pub fn region_summaries(&self) -> impl Iterator<Item = PlanSummary> {
+        self.regions().into_iter().map(|r| r.summary())
     }
 }
 
 impl fmt::Debug for SymbolicPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut regions: Vec<&Arc<RegionPlan>> = self.regions().collect();
+        let mut regions = self.regions();
         regions.sort_by(|a, b| a.key.cmp(&b.key));
         f.debug_list()
             .entries(regions.iter().map(|r| (&r.key, &r.cells, &r.vars)))
             .finish()
-    }
-}
-
-/// One shard: an immutable snapshot swapped under a write mutex, plus
-/// its own request counters (summed for [`PlanCache::stats`], exposed
-/// individually through [`PlanCache::shard_stats`]).
-#[derive(Debug, Default)]
-struct Shard {
-    /// The current snapshot. The lock is held only to clone or swap the
-    /// `Arc`, never across a record or instantiate.
-    map: RwLock<Arc<StructMap>>,
-    /// Serializes recording within the shard, so concurrent misses on
-    /// the same region coalesce into one symbolic solve.
-    write: Mutex<()>,
-    hits: AtomicU64,
-    region_misses: AtomicU64,
-    structure_misses: AtomicU64,
-    /// Lost-race misses served as hits after waiting on `write`.
-    coalesced_waiters: AtomicU64,
-    /// Copy-on-write snapshot publications.
-    snapshot_swaps: AtomicU64,
-}
-
-type StructMap = HashMap<StructureKey, Arc<SymbolicPlan>>;
-
-use crate::sync::{mutex_lock, read_lock, write_lock};
-
-impl Shard {
-    fn snapshot(&self) -> Arc<StructMap> {
-        Arc::clone(&read_lock(&self.map))
-    }
-
-    /// Publishes `region` under `key` copy-on-write, returning the
-    /// structure's (snapshot-surviving) counters. Caller must hold the
-    /// shard's write mutex.
-    fn publish(&self, key: StructureKey, region: Arc<RegionPlan>) -> Arc<StructCounters> {
-        self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
-        let current = self.snapshot();
-        let mut next: StructMap = (*current).clone();
-        let plan = Arc::make_mut(next.entry(key).or_default());
-        plan.regions
-            .entry(region.key.unit_mask())
-            .or_default()
-            .push(region);
-        let counters = Arc::clone(&plan.counters);
-        *write_lock(&self.map) = Arc::new(next);
-        counters
     }
 }
 
@@ -330,11 +284,6 @@ fn with_workspace<R>(f: impl FnOnce(&mut GmcWorkspace<Flops>) -> R) -> R {
     WORKSPACE.with(|cell| f(&mut cell.borrow_mut()))
 }
 
-/// Number of shards. A fixed power of two: enough to keep writers from
-/// serializing behind one mutex, small enough that full-cache
-/// operations (snapshots, len) stay trivial.
-const SHARDS: usize = 16;
-
 /// Hard cap on the number of representative bindings
 /// [`PlanCache::pre_enumerate_regions`] will try.
 const MAX_ENUMERATION_ASSIGNMENTS: usize = 20_000;
@@ -345,8 +294,9 @@ const MAX_ENUMERATION_FACTORS: usize = 8;
 /// A plan cache: compile a chain *structure* once, serve every request
 /// that differs only in sizes by instantiating the cached symbolic
 /// plan. Safe to share across threads (`&self` everywhere): hits are
-/// pure reads of an immutable snapshot, misses record behind per-shard
-/// write mutexes (see the module docs for the architecture).
+/// reads under many-reader locks, misses record behind their
+/// structure's recording mutex (see the module docs for the
+/// architecture).
 ///
 /// Keyed by (chain structure ⨯ operand properties ⨯ dimension-variable
 /// pattern) at the outer level and by size *region* at the inner level.
@@ -403,7 +353,10 @@ const MAX_ENUMERATION_FACTORS: usize = 8;
 pub struct PlanCache {
     registry: Arc<KernelRegistry>,
     inference: InferenceMode,
-    shards: Vec<Shard>,
+    plans: RwLock<HashMap<StructureKey, Arc<SymbolicPlan>>>,
+    hits: AtomicU64,
+    region_misses: AtomicU64,
+    structure_misses: AtomicU64,
 }
 
 impl PlanCache {
@@ -413,7 +366,10 @@ impl PlanCache {
         PlanCache {
             registry,
             inference,
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+            plans: RwLock::default(),
+            hits: AtomicU64::new(0),
+            region_misses: AtomicU64::new(0),
+            structure_misses: AtomicU64::new(0),
         }
     }
 
@@ -427,98 +383,96 @@ impl PlanCache {
         &self.registry
     }
 
-    /// Cumulative hit/miss counters (summed over the shards).
+    /// Cumulative hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in &self.shards {
-            stats.structure_misses += shard.structure_misses.load(Ordering::Relaxed);
-            stats.region_misses += shard.region_misses.load(Ordering::Relaxed);
-            stats.hits += shard.hits.load(Ordering::Relaxed);
+        CacheStats {
+            structure_misses: self.structure_misses.load(Ordering::Relaxed),
+            region_misses: self.region_misses.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
         }
-        stats
     }
 
-    /// Per-shard introspection: request counters plus current structure
-    /// and region counts, one entry per shard in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
+    /// The cache's size, as one entry covering the whole cache (the
+    /// list form is kept for callers that sum its `regions`).
+    pub fn shard_stats(&self) -> Vec<CacheSize> {
+        let mut size = CacheSize::default();
+        for plan in read_lock(&self.plans).values() {
+            let regions = plan.region_count();
+            size.structures += usize::from(regions > 0);
+            size.regions += regions;
+        }
+        vec![size]
+    }
+
+    /// Whether no structure holds a region.
+    pub fn is_empty(&self) -> bool {
+        read_lock(&self.plans)
+            .values()
+            .all(|plan| plan.region_count() == 0)
+    }
+
+    /// The entry for the structure `key`, created empty if there is
+    /// none. An entry counts (in [`plan_for`](Self::plan_for),
+    /// [`is_empty`](Self::is_empty), [`shard_stats`](Self::shard_stats)
+    /// and snapshots) only once it holds a region.
+    pub(crate) fn entry(&self, key: StructureKey) -> Arc<SymbolicPlan> {
+        if let Some(plan) = read_lock(&self.plans).get(&key) {
+            return Arc::clone(plan);
+        }
+        Arc::clone(write_lock(&self.plans).entry(key).or_default())
+    }
+
+    /// The cache's entry for `chain`'s structure, created empty if the
+    /// structure has none. Resolve it once, then solve every request
+    /// for the structure through it with
+    /// [`solve_resolved`](Self::solve_resolved).
+    pub fn resolve(&self, chain: &SymChain) -> Arc<SymbolicPlan> {
+        self.entry(structure_key(chain, self.inference))
+    }
+
+    /// The cached plan for a chain structure, if it holds a region. It
+    /// is the live entry: regions recorded later appear in it.
+    pub fn plan_for(&self, chain: &SymChain) -> Option<Arc<SymbolicPlan>> {
+        let key = structure_key(chain, self.inference);
+        read_lock(&self.plans)
+            .get(&key)
+            .filter(|plan| plan.region_count() > 0)
+            .cloned()
+    }
+
+    /// Every structure that holds a region, with its key.
+    pub(crate) fn structures(&self) -> Vec<(StructureKey, Arc<SymbolicPlan>)> {
+        read_lock(&self.plans)
             .iter()
-            .enumerate()
-            .map(|(shard, s)| {
-                let snap = s.snapshot();
-                ShardStats {
-                    shard,
-                    structures: snap.len(),
-                    regions: snap.values().map(|p| p.region_count()).sum(),
-                    hits: s.hits.load(Ordering::Relaxed),
-                    region_misses: s.region_misses.load(Ordering::Relaxed),
-                    structure_misses: s.structure_misses.load(Ordering::Relaxed),
-                    coalesced_waiters: s.coalesced_waiters.load(Ordering::Relaxed),
-                    snapshot_swaps: s.snapshot_swaps.load(Ordering::Relaxed),
-                }
-            })
+            .filter(|(_, plan)| plan.region_count() > 0)
+            .map(|(key, plan)| (key.clone(), Arc::clone(plan)))
             .collect()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.snapshot().is_empty())
-    }
-
-    fn shard_for(&self, key: &StructureKey) -> &Shard {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
-    }
-
-    /// The cached plan for a chain structure, if any (a snapshot:
-    /// regions recorded later do not appear in it).
-    pub fn plan_for(&self, chain: &SymChain) -> Option<Arc<SymbolicPlan>> {
-        let key = structure_key(chain, self.inference);
-        self.shard_for(&key).snapshot().get(&key).cloned()
-    }
-
-    /// Every cached structure, as `(key, plan)` snapshots.
-    pub(crate) fn structures(&self) -> Vec<(StructureKey, Arc<SymbolicPlan>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let snap = shard.snapshot();
-            out.extend(snap.iter().map(|(k, p)| (k.clone(), Arc::clone(p))));
-        }
-        out
-    }
-
-    /// Records the region of `chain` (whose structure key is `key`) at
+    /// Records the region of `chain` (whose entry is `plan`) at
     /// `bindings`, unless a cached region already answers them; returns
     /// whether it recorded one. Plan-store loading and region
     /// pre-enumeration both record through here. Unsolvable regions are
     /// recorded too: the cached plan *is* the (negative) answer.
     pub(crate) fn record_unanswered(
         &self,
+        plan: &SymbolicPlan,
         chain: &SymChain,
-        key: &StructureKey,
         bindings: &DimBindings,
     ) -> Result<bool, PlanError> {
         let sizes = chain.bind_dims(bindings)?;
-        let shard = self.shard_for(key);
-        let answered = || {
-            shard
-                .snapshot()
-                .get(key)
-                .is_some_and(|p| p.region_for(&sizes).is_some())
-        };
-        if answered() {
+        if plan.region_for(&sizes).is_some() {
             return Ok(false);
         }
-        let _guard = mutex_lock(&shard.write);
-        if answered() {
+        let _recording = mutex_lock(&plan.recording);
+        if plan.region_for(&sizes).is_some() {
             return Ok(false);
         }
         let concrete = chain.bind(bindings)?;
         let (region, _solution) = with_workspace(|workspace| {
             record_region(&self.registry, self.inference, chain, &concrete, workspace)
         });
-        shard.publish(key.clone(), Arc::new(region));
+        plan.push(region);
         Ok(true)
     }
 
@@ -538,10 +492,10 @@ impl PlanCache {
     /// FlopCount).with_inference(mode).solve(&chain.bind(bindings)?)`.
     ///
     /// Takes `&self`: any number of threads may call this
-    /// concurrently. Hits never block; concurrent misses on one shard
-    /// serialize their recordings, and a thread that finds its region
-    /// already recorded when its turn comes serves it as a hit instead
-    /// of recording twice.
+    /// concurrently. Hits never block on a recording; concurrent misses
+    /// on one structure serialize their recordings, and a thread that
+    /// finds its region already recorded when its turn comes serves it
+    /// as a hit instead of recording twice.
     ///
     /// # Errors
     ///
@@ -553,7 +507,7 @@ impl PlanCache {
         chain: &SymChain,
         bindings: &DimBindings,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome), PlanError> {
-        self.solve_impl(chain, bindings, None)
+        self.solve_impl(&self.resolve(chain), chain, bindings, None)
             .map(|(solution, outcome, _)| (solution, outcome))
     }
 
@@ -566,64 +520,78 @@ impl PlanCache {
         chain: &SymChain,
         bindings: &DimBindings,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
-        self.solve_impl(chain, bindings, Some(Instant::now()))
+        // Keying the structure counts as lookup time.
+        let started = Instant::now();
+        self.solve_impl(&self.resolve(chain), chain, bindings, Some(started))
+    }
+
+    /// [`solve_traced`](Self::solve_traced) through `plan`, the entry
+    /// [`resolve`](Self::resolve) returned for `chain` on this cache:
+    /// the same path without computing the structure key or taking the
+    /// map's lock. Another structure's entry would serve that
+    /// structure's regions.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve`](Self::solve).
+    pub fn solve_resolved(
+        &self,
+        plan: &SymbolicPlan,
+        chain: &SymChain,
+        bindings: &DimBindings,
+    ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
+        self.solve_impl(plan, chain, bindings, Some(Instant::now()))
     }
 
     fn solve_impl(
         &self,
+        plan: &SymbolicPlan,
         chain: &SymChain,
         bindings: &DimBindings,
         started: Option<Instant>,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
         let concrete = chain.bind(bindings)?;
-        let key = structure_key(chain, self.inference);
         let sizes = concrete.sizes();
-        let shard = self.shard_for(&key);
-
-        // Fast path: hit on the immutable snapshot — a pure read.
-        let snapshot = shard.snapshot();
-        if let Some(plan) = snapshot.get(&key) {
-            if let Some(region) = plan.region_for(&sizes) {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                plan.counters.hits.fetch_add(1, Ordering::Relaxed);
-                let lookup_done = started.map(|_| Instant::now());
-                let solution = self.instantiate_region(region, chain, &concrete, bindings)?;
-                return Ok((solution, PlanOutcome::Hit, timing(started, lookup_done)));
+        let region = match plan.region_for(&sizes) {
+            Some(region) => region,
+            None => {
+                let _recording = mutex_lock(&plan.recording);
+                // A thread that recorded the region while this one
+                // waited leaves it to be served as a hit.
+                match plan.region_for(&sizes) {
+                    Some(region) => region,
+                    None => return self.record(plan, chain, &concrete, started),
+                }
             }
-        }
-        drop(snapshot);
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        plan.hits.fetch_add(1, Ordering::Relaxed);
+        let lookup_done = started.map(|_| Instant::now());
+        let solution = self.instantiate_region(&region, chain, &concrete, bindings)?;
+        Ok((solution, PlanOutcome::Hit, timing(started, lookup_done)))
+    }
 
-        // Slow path: record behind the shard's write mutex.
-        let guard = mutex_lock(&shard.write);
-        let snapshot = shard.snapshot();
-        let structure_known = snapshot.contains_key(&key);
-        if let Some(plan) = snapshot.get(&key) {
-            if let Some(region) = plan.region_for(&sizes) {
-                // Another thread recorded this region while we waited:
-                // the recording coalesced, serve it as a hit.
-                drop(guard);
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                shard.coalesced_waiters.fetch_add(1, Ordering::Relaxed);
-                plan.counters.hits.fetch_add(1, Ordering::Relaxed);
-                let lookup_done = started.map(|_| Instant::now());
-                let solution = self.instantiate_region(region, chain, &concrete, bindings)?;
-                return Ok((solution, PlanOutcome::Hit, timing(started, lookup_done)));
-            }
-        }
-
+    /// Records the region of `concrete` into `plan` and answers the
+    /// request from the recording. The caller holds `plan`'s recording
+    /// mutex.
+    fn record(
+        &self,
+        plan: &SymbolicPlan,
+        chain: &SymChain,
+        concrete: &gmc_expr::Chain,
+        started: Option<Instant>,
+    ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
         let lookup_done = started.map(|_| Instant::now());
         let (region, solution) = with_workspace(|workspace| {
-            record_region(&self.registry, self.inference, chain, &concrete, workspace)
+            record_region(&self.registry, self.inference, chain, concrete, workspace)
         });
-        let counters = shard.publish(key, Arc::new(region));
-        counters.misses.fetch_add(1, Ordering::Relaxed);
-        drop(guard);
-        let outcome = if structure_known {
-            shard.region_misses.fetch_add(1, Ordering::Relaxed);
-            PlanOutcome::MissRegion
-        } else {
-            shard.structure_misses.fetch_add(1, Ordering::Relaxed);
+        plan.misses.fetch_add(1, Ordering::Relaxed);
+        let outcome = if plan.push(region) {
+            self.structure_misses.fetch_add(1, Ordering::Relaxed);
             PlanOutcome::MissStructure
+        } else {
+            self.region_misses.fetch_add(1, Ordering::Relaxed);
+            PlanOutcome::MissRegion
         };
         Ok((solution?, outcome, timing(started, lookup_done)))
     }
@@ -733,7 +701,7 @@ impl PlanCache {
                 ))
             })?;
 
-        let key = structure_key(chain, self.inference);
+        let plan = self.resolve(chain);
         let mut recorded = 0usize;
         // Odometer over value indices, one digit per variable.
         let mut digits = vec![0usize; vars.len()];
@@ -742,7 +710,7 @@ impl PlanCache {
             for (var, &d) in vars.iter().zip(&digits) {
                 bindings.set_var(*var, values[d]);
             }
-            recorded += usize::from(self.record_unanswered(chain, &key, &bindings)?);
+            recorded += usize::from(self.record_unanswered(&plan, chain, &bindings)?);
             // Advance the odometer.
             for d in digits.iter_mut() {
                 *d += 1;

@@ -15,19 +15,22 @@
 //!   dimension-variable pattern) and, per structure, by size *region*
 //!   (the shape questions the region's recording consulted, with their
 //!   answers: which dimensions are 1, and the equalities and orderings
-//!   property inference reached). The cache is
-//!   concurrent: structures are sharded by key hash, shard snapshots
-//!   are immutable and `Arc`-swapped copy-on-write, so cache hits are
-//!   pure reads that any number of threads take simultaneously while
-//!   misses record behind per-shard write mutexes (see
-//!   [`PlanCache`]'s docs). Plans persist: [`PlanCache::save`] writes
-//!   the binding each region was recorded at to a JSON plan store
-//!   (`gmc-plan-store/v3`), and [`PlanCache::load`] re-records every
-//!   stored region from it under the loading cache's own registry and
-//!   inference mode, so a serving fleet warm-starts with every stored
-//!   region a hit; [`PlanCache::pre_enumerate_regions`] records *every*
-//!   reachable region of a small chain up front. Sizes range over
-//!   1..=2^32 ([`gmc_expr::MAX_DIM`]).
+//!   property inference reached). The cache is concurrent: one map
+//!   holds an entry per structure, and each entry keeps its regions
+//!   behind its own many-reader lock, so cache hits are reads that any
+//!   number of threads take at once while misses record behind their
+//!   entry's recording mutex. A caller that serves one structure many
+//!   times resolves its entry once ([`PlanCache::resolve`]) and solves
+//!   through it ([`PlanCache::solve_resolved`]) without keying the
+//!   structure again (see [`PlanCache`]'s docs). Plans persist:
+//!   [`PlanCache::save`] writes the binding each region was recorded at
+//!   to a JSON plan store (`gmc-plan-store/v3`), and [`PlanCache::load`]
+//!   re-records every stored region from it under the loading cache's
+//!   own registry and inference mode, so a serving fleet warm-starts
+//!   with every stored region a hit;
+//!   [`PlanCache::pre_enumerate_regions`] records *every* reachable
+//!   region of a small chain up front. Sizes range over 1..=2^32
+//!   ([`gmc_expr::MAX_DIM`]).
 //! * Symbolic solving — where FLOP-polynomial comparison is decidable
 //!   (dominance on the positive orthant), DP cells are *resolved* at
 //!   compile time; ambiguous splits are *deferred* and decided at bind
@@ -90,7 +93,7 @@ mod store;
 pub mod sync;
 
 pub use cache::{
-    CacheStats, PlanCache, PlanError, PlanOutcome, ShardStats, SolveTiming, SymbolicPlan,
+    CacheSize, CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming, SymbolicPlan,
 };
 pub use key::{region_signature, structure_key, undecided_shape_questions, StructureKey};
 pub use plan::PlanSummary;

@@ -159,7 +159,7 @@ impl PlanCache {
             .into_iter()
             .map(|(key, plan)| {
                 let factors = Value::Array(key.factors.iter().map(factor_value).collect());
-                let mut regions: Vec<_> = plan.regions().collect();
+                let mut regions = plan.regions();
                 regions.sort_by(|a, b| a.key.cmp(&b.key));
                 let regions = regions
                     .into_iter()
@@ -265,8 +265,8 @@ impl PlanCache {
             }
         }
         let mut recorded = 0;
-        for (chain, key, bindings) in &validated {
-            recorded += usize::from(self.record_unanswered(chain, key, bindings)?);
+        for (chain, key, bindings) in validated {
+            recorded += usize::from(self.record_unanswered(&self.entry(key), &chain, &bindings)?);
         }
         Ok(recorded)
     }
@@ -302,5 +302,47 @@ impl PlanCache {
         let json = std::fs::read_to_string(path)
             .map_err(|e| PlanError::Store(format!("cannot read {}: {e}", path.display())))?;
         self.load_snapshot_json(&json)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmc::InferenceMode;
+    use gmc_expr::MAX_FACTORS;
+    use gmc_kernels::KernelRegistry;
+    use std::sync::Arc;
+
+    #[test]
+    fn stored_chains_are_bounded_in_length() {
+        // `M0 M0 … M0`, each factor `$0 × $0`.
+        let square = FactorSig {
+            unary: 0,
+            rows: KeyDim::Var(0),
+            cols: KeyDim::Var(0),
+            props: 0,
+            operand_class: 0,
+        };
+        // Loading 256 factors would record the region, a symbolic solve
+        // too slow for a debug build: the rebuilt chain is checked
+        // instead, and a load past the bound is refused whole.
+        let n = [DimVar::new("st_n")];
+        let chain = |len| rebuild_chain(&vec![square.clone(); len], &n);
+        assert_eq!(chain(MAX_FACTORS).unwrap().len(), 256);
+        let too_long = "symbolic chain has 257 factors, above the bound of 256";
+        assert_eq!(chain(MAX_FACTORS + 1).unwrap_err(), too_long);
+        let store = format!(
+            r#"{{"format": "{FORMAT}", "structures": [{{"factors": [{}], "regions": [{{"st_n": 10}}]}}]}}"#,
+            vec![serde_json::to_string(&factor_value(&square)).unwrap(); MAX_FACTORS + 1].join(",")
+        );
+        let registry = Arc::new(KernelRegistry::blas_lapack());
+        let cache = PlanCache::new(registry, InferenceMode::Compositional);
+        assert_eq!(
+            cache.load_snapshot_json(&store),
+            Err(PlanError::Store(format!(
+                "structure 0, region 0: {too_long}"
+            )))
+        );
+        assert!(cache.is_empty());
     }
 }

@@ -2,9 +2,10 @@
 //! serving layer built on top of it.
 //!
 //! Every lock in these crates guards state with no cross-field
-//! invariant a panic could break mid-update (snapshots are swapped
-//! whole, maps are inserted-into atomically), so a poisoned lock is
-//! always safe to recover rather than propagate.
+//! invariant a panic could break mid-update (maps and region lists are
+//! inserted into whole, and a recording publishes its region only once
+//! it is complete), so a poisoned lock is always safe to recover rather
+//! than propagate.
 
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

@@ -14,14 +14,17 @@
 //!                take an admission permit (or shed the request)
 //!         queue: claim one of `workers` solve slots, waiting
 //!                for one while every slot is busy
-//!         solve: the shared, sharded, copy-on-write PlanCache
-//!                (hits are lock-free reads)
+//!         solve: the shared PlanCache, through the structure's
+//!                entry (hits are reads under many-reader locks)
 //!         reply: cost, parenthesization, kernels
 //! ```
 //!
-//! * **Parse once per structure.** Chains are registered by name
-//!   ([`Server::register`]); requests reference the name and carry only
-//!   dimension bindings, so no request ever re-parses a chain.
+//! * **Parse and key once per structure.** Chains are registered by
+//!   name ([`Server::register`]); requests reference the name and carry
+//!   only dimension bindings, so no request ever re-parses a chain. At
+//!   its first request a structure resolves its plan-cache entry and
+//!   its variables' names, so later requests compute no structure key
+//!   and take no process-wide lock.
 //! * **Run to completion.** Every request runs on its caller's thread:
 //!   a TCP request line, a `gmcc serve --requests` line and a
 //!   [`ServeHandle`] call alike. There is one path from admission to
@@ -36,7 +39,7 @@
 //!   admissible requests enter; it is then solved in order on the
 //!   calling thread. Identical requests are not merged: after the first
 //!   one records its region, the rest are cache hits, and racing misses
-//!   on one region record once (the cache's per-shard write mutex).
+//!   on one region record once (the entry's recording mutex).
 //! * **Pre-enumeration.** [`Server::register_pre_enumerated`] records a
 //!   plan for every reachable region of a small chain up front, making
 //!   every subsequent request for it a hit.
@@ -67,11 +70,11 @@ pub use gmc_obs::trace::{Span, Trace, TRACE_FORMAT};
 use admission::{AdmissionGate, Permit};
 use faults::FAULT_PANIC_MARKER;
 use gmc::{GmcSolution, InferenceMode};
-use gmc_expr::{Dim, DimBindings, SymChain};
+use gmc_expr::{DimBindings, DimVar, SymChain};
 use gmc_kernels::{Flops, KernelRegistry};
 use gmc_obs::trace::SlowTraceRing;
 use gmc_obs::{Counter, Histogram, HistogramSnapshot};
-use gmc_plan::{CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
+use gmc_plan::{CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming, SymbolicPlan};
 use metrics::Telemetry;
 use std::collections::HashMap;
 use std::fmt;
@@ -392,16 +395,44 @@ fn nanos_between(earlier: Instant, later: Instant) -> u64 {
         .min(u64::MAX as u128) as u64
 }
 
-/// A registered structure: its name, its chain, and the latency
-/// histograms of its hits and misses.
+/// A registered structure: its name, its chain, what its requests need
+/// of the chain, and the latency histograms of its hits and misses.
 struct Structure {
     name: String,
     chain: SymChain,
+    /// Resolved at the structure's first request (see
+    /// [`Structure::resolved`]).
+    resolved: OnceLock<Resolved>,
     /// Resolved in the registry once, at the structure's first solved
     /// request, and read with one load after that: registering them in
     /// [`Server::register`] put two registry registrations, about 4 µs
     /// per structure, into every deployment's set-up.
     classes: OnceLock<[Histogram; 2]>,
+}
+
+/// What every request for a structure needs of its chain, resolved
+/// once: the plan-cache entry it solves through, and each variable with
+/// its name, so a request keys nothing and reads no interned name.
+struct Resolved {
+    plan: Arc<SymbolicPlan>,
+    vars: Vec<(&'static str, DimVar)>,
+}
+
+impl Structure {
+    /// The structure's [`Resolved`] parts, resolved at its first
+    /// request rather than in [`Server::register`], so a deployment's
+    /// set-up keys no structure.
+    fn resolved(&self, cache: &PlanCache) -> &Resolved {
+        self.resolved.get_or_init(|| Resolved {
+            plan: cache.resolve(&self.chain),
+            vars: self
+                .chain
+                .vars()
+                .into_iter()
+                .map(|v| (v.name(), v))
+                .collect(),
+        })
+    }
 }
 
 struct Shared {
@@ -417,45 +448,32 @@ struct Shared {
 
 use gmc_plan::sync::{mutex_lock, read_lock, write_lock};
 
-/// The chain's boundary dimensions `d0..=dn` (as [`SymChain::dims`]
-/// lists them), without collecting them.
-fn boundary(chain: &SymChain) -> impl Iterator<Item = Dim> + '_ {
-    std::iter::once(chain.factor(0).shape().rows())
-        .chain(chain.factors().iter().map(|f| f.shape().cols()))
-}
-
 /// Builds concrete bindings from string-named sizes using only the
-/// chain's own (already interned) variables: each name is looked up
-/// among the chain's boundary dimensions, never interned.
+/// structure's own variables, named as [`Resolved`] lists them: a name
+/// is looked up among them, never interned.
 fn bind_named_vars<N: AsRef<str>>(
-    chain: &SymChain,
-    vars: &[(N, usize)],
+    vars: &[(&str, DimVar)],
+    named: &[(N, usize)],
 ) -> Result<DimBindings, String> {
     let mut bindings = DimBindings::new();
-    for (name, value) in vars {
+    for (name, value) in named {
         let name = name.as_ref();
-        let var = boundary(chain).find_map(|dim| match dim {
-            Dim::Var(var) if var.name() == name => Some(var),
-            _ => None,
-        });
-        match var {
-            Some(var) => bindings.set_var(var, *value),
-            None => {
-                return Err(format!(
-                    "unknown dimension variable `{name}` for this structure"
-                ))
-            }
-        }
+        let &(_, var) = vars
+            .iter()
+            .find(|(n, _)| *n == name)
+            .ok_or_else(|| format!("unknown dimension variable `{name}` for this structure"))?;
+        bindings.set_var(var, *value);
     }
     Ok(bindings)
 }
 
-/// Whether `bindings` size every dimension of `chain` (the first
-/// failure [`SymChain::bind_dims`] would report, without building its
-/// sizes); a request that fails this is answered at admission, never
-/// solved.
+/// Whether `bindings` size every boundary dimension of `chain` (the
+/// first failure [`SymChain::bind_dims`] would report, without
+/// collecting its sizes); a request that fails this is answered at
+/// admission, never solved.
 fn check_bindable(chain: &SymChain, bindings: &DimBindings) -> Result<(), ServeError> {
-    boundary(chain)
+    std::iter::once(chain.factor(0).shape().rows())
+        .chain(chain.factors().iter().map(|f| f.shape().cols()))
         .try_for_each(|dim| dim.bind(bindings).map(drop))
         .map_err(|e| ServeError::Plan(PlanError::Chain(e.into())))
 }
@@ -677,8 +695,8 @@ impl ServeHandle {
         vars: Vec<(N, usize)>,
         options: RequestOptions,
     ) -> ServeReply {
-        self.solve_one(structure, vars, options, |chain, vars| {
-            bind_named_vars(chain, &vars).map_err(ServeError::BadRequest)
+        self.solve_one(structure, vars, options, |resolved, vars| {
+            bind_named_vars(&resolved.vars, &vars).map_err(ServeError::BadRequest)
         })
     }
 
@@ -720,7 +738,7 @@ impl ServeHandle {
         name: &str,
         payload: T,
         options: RequestOptions,
-        resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
+        resolve: impl FnOnce(&Resolved, T) -> Result<DimBindings, ServeError>,
     ) -> ServeReply {
         let called = Instant::now();
         let admitted = self.admit(
@@ -747,12 +765,12 @@ impl ServeHandle {
         name: &str,
         payload: T,
         options: RequestOptions,
-        resolve: impl FnOnce(&SymChain, T) -> Result<DimBindings, ServeError>,
+        resolve: impl FnOnce(&Resolved, T) -> Result<DimBindings, ServeError>,
     ) -> Result<Admitted, ServeError> {
         let structure = structures
             .get(name)
             .ok_or_else(|| ServeError::UnknownStructure(name.to_owned()))?;
-        let bindings = resolve(&structure.chain, payload)?;
+        let bindings = resolve(structure.resolved(&self.shared.cache), payload)?;
         check_bindable(&structure.chain, &bindings)?;
         let permit = self.shared.gate.try_acquire()?;
         Ok(Admitted {
@@ -798,7 +816,7 @@ impl ServeHandle {
     }
 
     /// Every metric the server keeps — serve counters, per-stage and
-    /// per-class latency histograms, cache/shard/structure counters,
+    /// per-class latency histograms, cache and per-structure counters,
     /// trace-ring counters — rendered as a Prometheus text exposition
     /// (the `METRICS` wire command's payload, without the `# EOF`
     /// terminator).
@@ -806,8 +824,8 @@ impl ServeHandle {
         metrics::render_prometheus(&self.shared)
     }
 
-    /// Cache introspection as a single-line JSON document: totals,
-    /// per-shard counters, and per-structure hit/miss/region counts
+    /// Cache introspection as a single-line JSON document: totals and
+    /// per-structure hit/miss/region counts
     /// (the `CACHE` wire command's payload).
     pub fn cache_introspection_json(&self) -> String {
         metrics::render_cache(&self.shared)
@@ -904,6 +922,7 @@ impl Server {
         let structure = Structure {
             name: name.to_owned(),
             chain,
+            resolved: OnceLock::new(),
             classes: OnceLock::new(),
         };
         write_lock(&self.shared.structures).insert(name.to_owned(), Arc::new(structure));
@@ -1036,7 +1055,10 @@ fn run_job(shared: &Shared, request: Admitted, called: Instant, admitted: Instan
             Some(SolveFault::Panic) => panic!("{FAULT_PANIC_MARKER}: injected solve panic"),
             None => {}
         }
-        shared.cache.solve_traced(&structure.chain, &bindings)
+        let plan = &structure.resolved(&shared.cache).plan;
+        shared
+            .cache
+            .solve_resolved(plan, &structure.chain, &bindings)
     }));
     let solve_done = Instant::now();
     let (result, timing, class) = match outcome {

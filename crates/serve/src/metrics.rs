@@ -35,7 +35,6 @@
 //! | `gmc.serve.requests.completed` | counter | — (the sum of `served`) |
 //! | `gmc.serve.structures` | gauge | — |
 //! | `gmc.cache.requests` | counter | `outcome` = `hit`/`miss_region`/`miss_structure` |
-//! | `gmc.cache.shard.*` | counter/gauge | `shard` |
 //! | `gmc.cache.structure.{hits,misses,regions}` | counter/gauge | `structure` |
 //! | `gmc.obs.slow_traces.{offered,kept,capacity}` | counter/gauge | — |
 
@@ -232,52 +231,6 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
         &[("outcome", "miss_structure")],
         cache.structure_misses,
     );
-    for s in shared.cache.shard_stats() {
-        let shard = s.shard.to_string();
-        let labels: [(&str, &str); 1] = [("shard", &shard)];
-        expo.add_gauge(
-            "gmc.cache.shard.structures",
-            "Distinct structures cached per shard",
-            &labels,
-            s.structures as f64,
-        );
-        expo.add_gauge(
-            "gmc.cache.shard.regions",
-            "Size regions recorded per shard",
-            &labels,
-            s.regions as f64,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.hits",
-            "Cache hits per shard",
-            &labels,
-            s.hits,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.region_misses",
-            "New-region recordings per shard",
-            &labels,
-            s.region_misses,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.structure_misses",
-            "New-structure recordings per shard",
-            &labels,
-            s.structure_misses,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.coalesced_waiters",
-            "Misses served as hits after losing the recording race",
-            &labels,
-            s.coalesced_waiters,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.snapshot_swaps",
-            "Copy-on-write snapshot publications per shard",
-            &labels,
-            s.snapshot_swaps,
-        );
-    }
     for s in structure_cache_stats(shared) {
         let labels: [(&str, &str); 1] = [("structure", &s.name)];
         expo.add_counter(
@@ -322,27 +275,10 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
     expo.render()
 }
 
-/// Renders the `CACHE` introspection summary: cache totals, per-shard
-/// stats and per-structure stats, as one stable JSON object.
+/// Renders the `CACHE` introspection summary: cache totals and
+/// per-structure stats, as one stable JSON object.
 pub(crate) fn render_cache(shared: &Shared) -> String {
     let totals = shared.cache.stats();
-    let shards: Vec<Value> = shared
-        .cache
-        .shard_stats()
-        .into_iter()
-        .map(|s| {
-            Value::Object(vec![
-                ("shard".to_owned(), num(s.shard as u64)),
-                ("structures".to_owned(), num(s.structures as u64)),
-                ("regions".to_owned(), num(s.regions as u64)),
-                ("hits".to_owned(), num(s.hits)),
-                ("region_misses".to_owned(), num(s.region_misses)),
-                ("structure_misses".to_owned(), num(s.structure_misses)),
-                ("coalesced_waiters".to_owned(), num(s.coalesced_waiters)),
-                ("snapshot_swaps".to_owned(), num(s.snapshot_swaps)),
-            ])
-        })
-        .collect();
     let structures: Vec<Value> = structure_cache_stats(shared)
         .into_iter()
         .map(|s| {
@@ -364,7 +300,6 @@ pub(crate) fn render_cache(shared: &Shared) -> String {
                 ("structure_misses".to_owned(), num(totals.structure_misses)),
             ]),
         ),
-        ("shards".to_owned(), Value::Array(shards)),
         ("structures".to_owned(), Value::Array(structures)),
     ]);
     serde_json::to_string(&root).unwrap_or_else(|_| "{}".to_owned())
@@ -395,10 +330,8 @@ fn structure_cache_stats(shared: &Shared) -> Vec<StructureCacheStats> {
     let mut out = Vec::with_capacity(structures.len().min(DEFAULT_SERIES_CAP + 1));
     let mut other: Option<StructureCacheStats> = None;
     for structure in structures {
-        let (hits, misses, regions) = match shared.cache.plan_for(&structure.chain) {
-            Some(plan) => (plan.hits(), plan.misses(), plan.region_count()),
-            None => (0, 0, 0),
-        };
+        let plan = &structure.resolved(&shared.cache).plan;
+        let (hits, misses, regions) = (plan.hits(), plan.misses(), plan.region_count());
         if out.len() < DEFAULT_SERIES_CAP {
             out.push(StructureCacheStats {
                 name: structure.name.clone(),

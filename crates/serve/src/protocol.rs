@@ -12,8 +12,8 @@
 //! instead of a solve: `STATS` (server counters, one JSON line),
 //! `METRICS` (Prometheus text exposition, multi-line, ending with a
 //! `# EOF` line), `SLOW` (slowest retained traces, one `gmc-traces/1`
-//! JSON line) and `CACHE` (per-shard and per-structure cache stats,
-//! one JSON line). Replies are one compact JSON object per line:
+//! JSON line) and `CACHE` (cache totals and per-structure stats, one
+//! JSON line). Replies are one compact JSON object per line:
 //!
 //! ```text
 //! {"structure":"X","outcome":"hit","cost":9.68e8,"flops":9.68e8,

@@ -189,11 +189,19 @@ fn metrics_balance_under_concurrent_load() {
         ) as u64;
         assert_eq!(count, completed, "stage {stage} exposition count");
     }
-    // Shard counters cover the cache totals.
-    let shard_hits: u64 = (0..16)
-        .map(|s| sample(&text, &format!("gmc_cache_shard_hits{{shard=\"{s}\"}}")) as u64)
-        .sum();
-    assert_eq!(shard_hits, stats.cache.hits);
+    // The cache's counters are its totals: one instantiate per
+    // completed request.
+    let cache_requests: Vec<u64> = ["hit", "miss_region", "miss_structure"]
+        .iter()
+        .map(|outcome| {
+            sample(
+                &text,
+                &format!("gmc_cache_requests{{outcome=\"{outcome}\"}}"),
+            ) as u64
+        })
+        .collect();
+    assert_eq!(cache_requests[0], stats.cache.hits);
+    assert_eq!(cache_requests.iter().sum::<u64>(), completed);
     server.shutdown();
 }
 
@@ -274,13 +282,23 @@ fn wire_metrics_slow_and_cache_round_trip() {
     writer.flush().unwrap();
     let cache_line = lines.next().unwrap().unwrap();
     let cache: Value = serde_json::from_str(&cache_line).expect("CACHE line parses as JSON");
-    let shards = match cache.get_field("shards").unwrap() {
+    let totals = cache.get_field("totals").unwrap();
+    assert_eq!(
+        totals.get_field("requests").unwrap(),
+        &Value::Number(3.0),
+        "{cache_line}"
+    );
+    assert_eq!(
+        totals.get_field("structure_misses").unwrap(),
+        &Value::Number(1.0),
+        "{cache_line}"
+    );
+    let structures = match cache.get_field("structures").unwrap() {
         Value::Array(a) => a.clone(),
-        other => panic!("shards should be an array, got {other:?}"),
+        other => panic!("structures should be an array, got {other:?}"),
     };
-    assert_eq!(shards.len(), 16);
-    assert!(cache.get_field("totals").is_ok(), "{cache_line}");
-    assert!(cache.get_field("structures").is_ok(), "{cache_line}");
+    assert_eq!(structures.len(), 1, "{cache_line}");
+    assert!(cache.get_field("shards").is_err(), "{cache_line}");
 
     drop(writer);
     drop(lines);

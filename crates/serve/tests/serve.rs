@@ -3,10 +3,15 @@
 //! and shutdown semantics.
 
 use gmc::{FlopCount, GmcOptimizer};
-use gmc_expr::{Dim, DimBindings, Property, SymChain, SymFactor, SymOperand, UnaryOp};
+use gmc_expr::{
+    Dim, DimBindings, Property, SymChain, SymChainError, SymFactor, SymOperand, UnaryOp,
+    MAX_FACTORS,
+};
 use gmc_kernels::KernelRegistry;
+use gmc_plan::PlanOutcome;
 use gmc_serve::tcp::TcpFrontDoor;
 use gmc_serve::{RequestOptions, ServeConfig, ServeError, Server};
+use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -120,6 +125,72 @@ fn batch_submission_coalesces_identical_requests() {
     assert_eq!(stats.cache.structure_misses, 1);
     assert_eq!(stats.cache.region_misses, 1);
     assert_eq!(stats.cache.hits, 8);
+    server.shutdown();
+}
+
+/// Two names for one structure, spelled with other operands and other
+/// variables, share one cache entry: after the first name records its
+/// region, the twin's first request is a hit with the answer of a cold
+/// solve, and the plan store saves one structure.
+#[test]
+fn renamed_twins_share_one_cache_entry() {
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let server = Server::start(registry.clone(), ServeConfig::default());
+    let (p, q, r) = (Dim::var("sv_p"), Dim::var("sv_q"), Dim::var("sv_r"));
+    let twin = SymChain::new(vec![plain("D", p, q), plain("E", q, r), plain("F", r, p)]).unwrap();
+    server.register("X", dense_chain()).unwrap();
+    server.register("Y", twin.clone()).unwrap();
+    let handle = server.handle();
+
+    let base = handle.solve_raw(
+        "X",
+        vec![("sv_n", 10), ("sv_m", 200), ("sv_k", 30)],
+        RequestOptions::default(),
+    );
+    assert_eq!(base.result.unwrap().outcome, PlanOutcome::MissStructure);
+    let sizes = vec![("sv_p", 20), ("sv_q", 400), ("sv_r", 60)];
+    let served = handle
+        .solve_raw("Y", sizes, RequestOptions::default())
+        .result
+        .unwrap();
+    assert_eq!(served.outcome, PlanOutcome::Hit);
+    let bindings = DimBindings::new()
+        .with("sv_p", 20)
+        .with("sv_q", 400)
+        .with("sv_r", 60);
+    let cold = GmcOptimizer::new(&registry, FlopCount)
+        .solve(&twin.bind(&bindings).unwrap())
+        .unwrap();
+    assert_eq!(served.cost.to_bits(), cold.cost().to_bits());
+    assert_eq!(served.parenthesization, cold.parenthesization());
+
+    let stats = handle.stats().cache;
+    assert_eq!((stats.structure_misses, stats.region_misses), (1, 0));
+    let store: Value = serde_json::from_str(&server.cache().snapshot_json()).unwrap();
+    match store.get_field("structures").unwrap() {
+        Value::Array(structures) => assert_eq!(structures.len(), 1, "{store:?}"),
+        other => panic!("structures should be an array, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// `register` takes a chain of up to `MAX_FACTORS` factors, and no
+/// longer one can be built. Registering solves nothing, so this test
+/// sends no request for it.
+#[test]
+fn registered_chains_are_bounded_in_length() {
+    let n = Dim::var("sv_n");
+    let power = |len| SymChain::new(vec![plain("A", n, n); len]);
+    let server = Server::start(
+        Arc::new(KernelRegistry::blas_lapack()),
+        ServeConfig::default(),
+    );
+    server.register("P", power(MAX_FACTORS).unwrap()).unwrap();
+    assert_eq!(server.stats().structures, 1);
+    assert_eq!(
+        power(MAX_FACTORS + 1).unwrap_err(),
+        SymChainError::TooLong { len: 257 }
+    );
     server.shutdown();
 }
 

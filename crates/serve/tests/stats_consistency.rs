@@ -9,7 +9,7 @@ use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_kernels::KernelRegistry;
 use gmc_serve::{ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn chain() -> SymChain {
     let (n, m, k) = (Dim::var("sc_n"), Dim::var("sc_m"), Dim::var("sc_k"));
@@ -42,14 +42,21 @@ fn every_stats_snapshot_balances_during_a_burst() {
     let handle = server.handle();
 
     // Reader thread: snapshot as fast as possible for the whole burst,
-    // checking the balance invariant on every single snapshot.
+    // checking the balance invariant on every single snapshot. The
+    // burst starts only once the reader runs, and the reader's last
+    // snapshot follows the burst, so it snapshots at least once
+    // whatever the scheduling.
     let stop = Arc::new(AtomicBool::new(false));
+    let running = Arc::new(Barrier::new(2));
     let reader = {
         let handle = handle.clone();
         let stop = Arc::clone(&stop);
+        let running = Arc::clone(&running);
         std::thread::spawn(move || {
+            running.wait();
             let mut snapshots = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
+                let done = stop.load(Ordering::Relaxed);
                 let s = handle.stats();
                 assert_eq!(
                     s.served.hits + s.served.misses + s.served.failed,
@@ -67,10 +74,14 @@ fn every_stats_snapshot_balances_during_a_burst() {
                     assert!(stage.snapshot.count() <= s.served.completed);
                 }
                 snapshots += 1;
+                if done {
+                    break;
+                }
             }
             snapshots
         })
     };
+    running.wait();
 
     // The burst, from four caller threads over the four solve slots:
     // a mix of misses (distinct regions), hits (rescales) and exact

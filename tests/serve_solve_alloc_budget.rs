@@ -1,11 +1,12 @@
 //! Allocation budget of a served hit: `ServeHandle::solve_raw` solves
-//! the request on the calling thread, so a hit costs what the plan
-//! cache allocates for it, what the reply copies out of the solution,
-//! and two more: the bindings map and the reply's structure name. The
-//! lower bound proves the hit ran on this thread (a hit handed to
-//! another thread would leave its allocations uncounted); the upper
-//! bound fails loudly if anything else (a grouping `Vec` or map, a
-//! reply channel) creeps into the request path.
+//! the request on the calling thread, through the structure's resolved
+//! cache entry, so a hit costs what `PlanCache::solve_resolved`
+//! allocates for it, what the reply copies out of the solution, and two
+//! more: the bindings map and the reply's structure name. The lower
+//! bound proves the hit ran on this thread (a hit handed to another
+//! thread would leave its allocations uncounted); the upper bounds fail
+//! loudly if anything else (a grouping `Vec` or map, a reply channel, a
+//! structure key) creeps into the request path.
 
 mod alloc_counter;
 
@@ -46,7 +47,8 @@ fn inline_hit_allocates_what_the_cache_and_reply_need() {
         .with("sa_n", nv)
         .with("sa_m", mv)
         .with("sa_k", kv);
-    let (solved, cache) = allocations(|| server.cache().solve_traced(&chain, &bindings));
+    let plan = server.cache().resolve(&chain);
+    let (solved, cache) = allocations(|| server.cache().solve_resolved(&plan, &chain, &bindings));
     let (solution, outcome, _) = solved.expect("a warm region");
     assert!(outcome.is_hit(), "{outcome:?}");
     let kernels = solution.kernel_names().len();
@@ -70,6 +72,12 @@ fn inline_hit_allocates_what_the_cache_and_reply_need() {
         raw <= budget,
         "{raw} allocations for a `solve_raw` hit, budget {budget} \
          (cache {cache} + reply {reply_copies} + 2)"
+    );
+    // The cache keys no structure on a served hit: a `StructureKey`
+    // would be 3 more.
+    assert!(
+        raw <= 26,
+        "{raw} allocations for a `solve_raw` hit, pinned at 26"
     );
     server.shutdown();
 }
