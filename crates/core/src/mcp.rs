@@ -33,16 +33,6 @@ impl McpSolution {
         self.costs[0][self.len() - 1]
     }
 
-    /// The optimal FLOP count for the sub-chain `M[i..=j]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i > j` or `j` is out of range.
-    pub fn sub_flops(&self, i: usize, j: usize) -> f64 {
-        assert!(i <= j && j < self.len(), "invalid sub-chain range");
-        self.costs[i][j]
-    }
-
     /// The optimal split `k` for the sub-chain `M[i..=j]` (the product
     /// is computed as `M[i..=k] · M[k+1..=j]`).
     ///
@@ -170,6 +160,14 @@ pub fn brute_force_flops(sizes: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl McpSolution {
+        /// The optimal FLOP count for the sub-chain `M[i..=j]`.
+        fn sub_flops(&self, i: usize, j: usize) -> f64 {
+            assert!(i <= j && j < self.len(), "invalid sub-chain range");
+            self.costs[i][j]
+        }
+    }
 
     #[test]
     fn textbook_example() {

@@ -297,18 +297,6 @@ impl Expr {
         }
     }
 
-    /// Whether this expression is a bare symbol, possibly under a single
-    /// unary operator — i.e. a valid chain *factor*.
-    pub fn is_factor(&self) -> bool {
-        match self {
-            Expr::Symbol(_) => true,
-            Expr::Transpose(e) | Expr::Inverse(e) | Expr::InverseTranspose(e) => {
-                matches!(**e, Expr::Symbol(_))
-            }
-            _ => false,
-        }
-    }
-
     fn precedence(&self) -> u8 {
         match self {
             Expr::Plus(_) => 0,
@@ -540,18 +528,6 @@ mod tests {
         // Times(Inverse(A), B) = 1 + (1+1) + 1 = 4
         let e = a.inverse() * b.expr();
         assert_eq!(e.node_count(), 4);
-    }
-
-    #[test]
-    fn is_factor() {
-        let a = sq("A", 3);
-        assert!(a.expr().is_factor());
-        assert!(a.transpose().is_factor());
-        assert!(a.inverse().is_factor());
-        assert!(a.inverse_transpose().is_factor());
-        let b = sq("B", 3);
-        assert!(!(a.expr() * b.expr()).is_factor());
-        assert!(!Expr::transpose(a.expr() * b.expr()).is_factor());
     }
 
     #[test]

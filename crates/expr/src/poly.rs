@@ -24,7 +24,7 @@
 //! comparable under this order are *deferred* by the symbolic optimizer
 //! and decided at bind time.
 
-use crate::dim::{Dim, DimBindings, DimVar};
+use crate::dim::{Dim, DimVar};
 use std::cmp::Reverse;
 use std::fmt;
 
@@ -85,7 +85,7 @@ type Term = (Monomial, i128);
 /// // 2·n·m + n², coefficients given in thirds.
 /// let p = CostPoly::monomial(6, &[n, m]).add(&CostPoly::monomial(3, &[n, n]));
 /// let b = DimBindings::new().with("n", 3).with("m", 4);
-/// assert_eq!(p.eval_thirds(&b), Some(99));
+/// assert_eq!(p.eval_thirds(|v| b.get(v)), Some(99));
 /// let (n2, m2) = (CostPoly::monomial(3, &[n, n]), CostPoly::monomial(3, &[m, m]));
 /// // n² + 2nm dominates n² on the positive orthant…
 /// assert!(n2.dominated_by(&p));
@@ -194,11 +194,14 @@ impl CostPoly {
         }
     }
 
-    /// The exact value under `bindings`, in thirds. `None` when the
-    /// polynomial is unrepresentable, a variable is unbound, or the
-    /// value overflows `i128`. A kernel's FLOP polynomial evaluates to
-    /// exactly its FLOP count over the bound operands.
-    pub fn eval_thirds(&self, bindings: &DimBindings) -> Option<i128> {
+    /// The exact value in thirds with each variable `v` at `size(v)`.
+    /// `None` when the polynomial is unrepresentable, `size` has no
+    /// value for a variable, or the value overflows `i128`. A kernel's
+    /// FLOP polynomial evaluates to exactly its FLOP count over the
+    /// bound operands. Under [`DimBindings`](crate::DimBindings), `size` is
+    /// `|v| bindings.get(v)`; a plan cache hit reads each variable from
+    /// its boundary position in the bound chain instead.
+    pub fn eval_thirds(&self, size: impl Fn(DimVar) -> Option<usize>) -> Option<i128> {
         if self.unrepresentable {
             return None;
         }
@@ -213,7 +216,7 @@ impl CostPoly {
                     break;
                 }
                 if id != seen {
-                    (seen, value) = (id, bindings.get(DimVar(id))? as u128);
+                    (seen, value) = (id, size(DimVar(id))? as u128);
                 }
                 product = product.checked_mul(value)?;
             }
@@ -382,6 +385,7 @@ impl fmt::Display for CostPoly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DimBindings;
 
     fn t(thirds: i128, names: &[&str]) -> CostPoly {
         let dims: Vec<Dim> = names.iter().map(|n| Dim::var(n)).collect();
@@ -393,8 +397,8 @@ mod tests {
         // (n + m)·n = n² + nm
         let p = t(3, &["pn", "pn"]).add(&t(3, &["pm", "pn"]));
         let b = DimBindings::new().with("pn", 2).with("pm", 5);
-        assert_eq!(p.eval_thirds(&b), Some(42));
-        assert_eq!(p.eval_thirds(&DimBindings::new()), None);
+        assert_eq!(p.eval_thirds(|v| b.get(v)), Some(42));
+        assert_eq!(p.eval_thirds(|_| None), None);
         assert_eq!(p.degree(), 2);
         assert_eq!(p.sub(&p), CostPoly::zero());
         assert!(p.sub(&p).is_zero());
@@ -471,7 +475,7 @@ mod tests {
     fn constants_fold() {
         let p = CostPoly::monomial(3, &[Dim::Const(4), Dim::Const(5)]);
         assert_eq!(p, CostPoly::monomial(60, &[]));
-        assert_eq!(p.eval_thirds(&DimBindings::new()), Some(60));
+        assert_eq!(p.eval_thirds(|_| None), Some(60));
     }
 
     #[test]
@@ -490,7 +494,7 @@ mod tests {
         // Overflow also poisons sums, and a product above the degree cap
         // is unrepresentable too.
         assert!(!small.add(&huge).is_representable());
-        assert_eq!(huge.eval_thirds(&DimBindings::new().with("pn", 1)), None);
+        assert_eq!(huge.eval_thirds(|_| Some(1)), None);
         let near = CostPoly::monomial(i128::MAX / 2 + 1, &[n]);
         assert!(near.is_representable());
         assert!(!near.add(&near).is_representable());

@@ -5,10 +5,11 @@
 //! and [`SymShape`] (`D = Dim`, dimensions may be variables). Concrete
 //! shapes keep the exact API they had before the refactor; symbolic
 //! shapes answer structural questions (squareness, vector-ness) only
-//! when they are decidable from the dimension pattern, and
-//! [`SymShape::bind`] resolves them to concrete shapes.
+//! when they are decidable from the dimension pattern, and a chain's
+//! binding ([`SymChain::bind`](crate::SymChain::bind)) resolves them to
+//! concrete shapes.
 
-use crate::dim::{Dim, DimBindings, DimError, MAX_DIM};
+use crate::dim::{Dim, MAX_DIM};
 use std::fmt;
 
 /// The dimensions of a matrix, generic over the dimension type `D`.
@@ -243,18 +244,6 @@ impl SymShape {
         self.rows.is_var() || self.cols.is_var()
     }
 
-    /// Resolves the shape under `bindings`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DimError`] for unbound variables or zero sizes.
-    pub fn bind(&self, bindings: &DimBindings) -> Result<Shape, DimError> {
-        Ok(Shape {
-            rows: self.rows.bind(bindings)?,
-            cols: self.cols.bind(bindings)?,
-        })
-    }
-
     /// The shape of the product `self · rhs`, if the inner dimensions
     /// agree *structurally*.
     pub fn times(&self, rhs: SymShape) -> Option<SymShape> {
@@ -401,20 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_bind() {
-        let s = SymShape::new(Dim::var("sh_n"), Dim::Const(4));
-        let b = DimBindings::new().with("sh_n", 9);
-        assert_eq!(s.bind(&b).unwrap(), Shape::new(9, 4));
-        assert!(s.bind(&DimBindings::new()).is_err());
-        let z = DimBindings::new().with("sh_n", 0);
-        assert!(s.bind(&z).is_err());
-    }
-
-    #[test]
     fn generic_map_round_trips() {
         let s = Shape::new(2, 3).to_sym();
         assert_eq!(s, SymShape::new(Dim::Const(2), Dim::Const(3)));
-        let back = s.bind(&DimBindings::new()).unwrap();
+        let back = s.map(|d| d.as_const().expect("constant"));
         assert_eq!(back, Shape::new(2, 3));
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::chain::{Chain, Factor, UnaryOp, MAX_FACTORS};
 use crate::dim::{Dim, DimBindings, DimError, DimVar};
-use crate::shape::SymShape;
+use crate::shape::{Shape, SymShape};
 use crate::{ExprError, Operand, Property, PropertySet};
 use std::fmt;
 
@@ -20,14 +20,13 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use gmc_expr::{Dim, DimBindings, Property, SymOperand};
+/// use gmc_expr::{Dim, Property, SymOperand};
 ///
 /// let a = SymOperand::new("A", Dim::var("n"), Dim::var("n"))
 ///     .with_property(Property::SymmetricPositiveDefinite)
 ///     .unwrap();
-/// let op = a.bind(&DimBindings::new().with("n", 100)).unwrap();
-/// assert_eq!(op.shape().rows(), 100);
-/// assert!(op.properties().contains(Property::Symmetric));
+/// assert!(a.shape().is_square_structural());
+/// assert!(a.properties().contains(Property::Symmetric));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SymOperand {
@@ -105,19 +104,6 @@ impl SymOperand {
     /// The operand's properties.
     pub fn properties(&self) -> PropertySet {
         self.properties
-    }
-
-    /// Resolves the operand to a concrete [`Operand`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DimError`] for unbound variables or zero sizes.
-    pub fn bind(&self, bindings: &DimBindings) -> Result<Operand, DimError> {
-        let shape = self.shape.bind(bindings)?;
-        // Only a structurally square shape carries square-only
-        // properties, and it stays square under every binding, so
-        // `with_properties` cannot panic here.
-        Ok(Operand::with_shape(&self.name, shape).with_properties(self.properties.iter()))
     }
 }
 
@@ -338,17 +324,31 @@ impl SymChain {
 
     /// Resolves the chain to a concrete [`Chain`] under `bindings`.
     ///
+    /// The boundary dimensions are bound in order, `d0` first, and each
+    /// factor is built from the two it spans, so each dimension is
+    /// bound once and the error is the first that
+    /// [`bind_dims`](Self::bind_dims) reports.
+    ///
     /// # Errors
     ///
     /// [`SymChainError::Dim`] for unbound variables or zero sizes;
     /// [`SymChainError::Expr`] is unreachable for structurally valid
     /// chains but propagated defensively.
     pub fn bind(&self, bindings: &DimBindings) -> Result<Chain, SymChainError> {
-        let factors = self
-            .factors
-            .iter()
-            .map(|f| Ok(Factor::new(f.operand().bind(bindings)?, f.op())))
-            .collect::<Result<Vec<_>, DimError>>()?;
+        let mut rows = self.factors[0].shape().rows().bind(bindings)?;
+        let mut factors = Vec::with_capacity(self.factors.len());
+        for f in &self.factors {
+            let cols = f.shape().cols().bind(bindings)?;
+            // Only a structurally square shape carries square-only
+            // properties, and it stays square under every binding, so
+            // `with_properties` cannot panic here.
+            let operand = f.operand();
+            let shape = f.op().apply_to_shape(Shape::new(rows, cols));
+            let bound = Operand::with_shape(operand.name(), shape)
+                .with_properties(operand.properties().iter());
+            factors.push(Factor::new(bound, f.op()));
+            rows = cols;
+        }
         Chain::new(factors).map_err(SymChainError::Expr)
     }
 
@@ -543,17 +543,24 @@ mod tests {
             .with_property(Property::Zero)
             .unwrap();
         assert!(!z.properties().contains(Property::Diagonal));
-        let rect = z
-            .bind(&DimBindings::new().with("sc_n", 3).with("sc_m", 5))
-            .unwrap();
-        assert!(rect.properties().contains(Property::Zero));
-        assert!(!rect.properties().contains(Property::Diagonal));
+        let bound = |z: SymOperand, bindings: &DimBindings| {
+            let b = SymOperand::new("B", z.shape().cols(), Dim::Const(2));
+            let chain = SymChain::new(vec![SymFactor::plain(z), SymFactor::plain(b)]).unwrap();
+            chain
+                .bind(bindings)
+                .unwrap()
+                .factor(0)
+                .operand()
+                .properties()
+        };
+        let rect = bound(z, &DimBindings::new().with("sc_n", 3).with("sc_m", 5));
+        assert!(rect.contains(Property::Zero));
+        assert!(!rect.contains(Property::Diagonal));
         let constant = SymOperand::new("Z", Dim::Const(3), Dim::Const(5))
             .with_property(Property::Zero)
-            .unwrap()
-            .bind(&DimBindings::new())
             .unwrap();
-        assert!(!constant.properties().contains(Property::Symmetric));
+        let props = bound(constant, &DimBindings::new());
+        assert!(!props.contains(Property::Symmetric));
     }
 
     #[test]
@@ -584,6 +591,39 @@ mod tests {
             chain.bind(&DimBindings::new().with("sc_n", 10)),
             Err(SymChainError::Dim(DimError::UnboundVar(_)))
         ));
+    }
+
+    #[test]
+    fn bind_reports_the_first_boundary_dimension() {
+        // Aᵀ B with A m×n, B m×k: the boundary is n, m, k, so `n` is
+        // reported though A's rows, `m`, come first among the operands.
+        let chain = SymChain::new(vec![
+            SymFactor::new(SymOperand::new("A", m(), n()), UnaryOp::Transpose),
+            SymFactor::plain(SymOperand::new("B", m(), Dim::var("sc_k"))),
+        ])
+        .unwrap();
+        let zeros = DimBindings::new()
+            .with("sc_m", 0)
+            .with("sc_n", 0)
+            .with("sc_k", 5);
+        assert_eq!(
+            chain.bind(&zeros).unwrap_err(),
+            SymChainError::Dim(DimError::ZeroDim(n()))
+        );
+        assert_eq!(
+            chain.bind(&zeros.clone().with("sc_n", 1)).unwrap_err(),
+            SymChainError::Dim(DimError::ZeroDim(m()))
+        );
+        let k_only = DimBindings::new().with("sc_k", 5);
+        let unbound = chain.bind(&k_only).unwrap_err();
+        assert_eq!(
+            unbound.to_string(),
+            "dimension variable `sc_n` is not bound"
+        );
+        assert_eq!(
+            chain.bind_dims(&k_only).unwrap_err(),
+            DimError::UnboundVar(DimVar::new("sc_n"))
+        );
     }
 
     #[test]

@@ -271,7 +271,7 @@ proptest! {
                     .iter()
                     .zip([x, y, z])
                     .fold(DimBindings::new(), |bs, (v, x)| bs.with(v, usize::from(x)));
-                prop_assert_eq!(a.eval_thirds(&bindings), Some(va));
+                prop_assert_eq!(a.eval_thirds(|v| bindings.get(v)), Some(va));
             }
         }
     }

@@ -39,24 +39,6 @@ pub fn asum(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
-/// Index of the entry with the largest absolute value.
-///
-/// # Panics
-///
-/// Panics if `x` is empty.
-pub fn iamax(x: &[f64]) -> usize {
-    assert!(!x.is_empty(), "iamax: empty vector");
-    let mut best = 0;
-    let mut best_val = x[0].abs();
-    for (i, v) in x.iter().enumerate().skip(1) {
-        if v.abs() > best_val {
-            best = i;
-            best_val = v.abs();
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,12 +66,6 @@ mod tests {
     fn nrm2_and_asum() {
         assert!((nrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(asum(&[1.0, -2.0, 3.0]), 6.0);
-    }
-
-    #[test]
-    fn iamax_basic() {
-        assert_eq!(iamax(&[1.0, -5.0, 3.0]), 1);
-        assert_eq!(iamax(&[0.0]), 0);
     }
 
     #[test]

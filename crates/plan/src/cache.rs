@@ -10,9 +10,9 @@
 //!   [`SymbolicPlan`], behind a many-reader lock held only to find or
 //!   insert an entry, never across a solve. A caller that solves one
 //!   structure many times resolves its entry once
-//!   ([`PlanCache::resolve`]) and solves through it
-//!   ([`PlanCache::solve_resolved`]), so it computes no structure key
-//!   and takes no map lock per request.
+//!   ([`PlanCache::resolve`]) and solves each request's bound chain
+//!   through it ([`PlanCache::solve_resolved`]), so it computes no
+//!   structure key and takes no map lock per request.
 //! * Each entry keeps its regions behind its own many-reader lock, held
 //!   only to find and clone a region or to push one. A hit instantiates
 //!   the region it cloned on a **thread-local** workspace (the DP
@@ -27,7 +27,7 @@ use crate::key::{structure_key, unit_mask, StructureKey};
 use crate::plan::{instantiate, record_region, PlanSummary, RegionPlan};
 use crate::sync::{mutex_lock, read_lock, write_lock};
 use gmc::{GmcError, GmcSolution, GmcWorkspace, InferenceMode};
-use gmc_expr::{Dim, DimBindings, SymChain, SymChainError};
+use gmc_expr::{Chain, Dim, DimBindings, SymChain, SymChainError};
 use gmc_kernels::{Flops, KernelRegistry};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -115,12 +115,15 @@ pub struct CacheSize {
     pub regions: usize,
 }
 
-/// Nanosecond timing of one [`PlanCache::solve_traced`] call.
+/// Nanosecond timing of one [`PlanCache::solve_traced`] or
+/// [`PlanCache::solve_resolved`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveTiming {
-    /// Time locating the cached region: binding, the region lookup, the
-    /// structure's entry (unless it was resolved beforehand) and (on
-    /// the slow path) the recording-mutex wait.
+    /// Time locating the cached region: the region lookup and (on the
+    /// slow path) the recording-mutex wait, plus, under
+    /// [`solve_traced`](PlanCache::solve_traced), binding the chain and
+    /// finding the structure's entry. [`solve_resolved`](PlanCache::solve_resolved)
+    /// gets both from its caller.
     pub lookup_ns: u64,
     /// Time instantiating the cached plan or recording a new one.
     pub work_ns: u64,
@@ -507,7 +510,8 @@ impl PlanCache {
         chain: &SymChain,
         bindings: &DimBindings,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome), PlanError> {
-        self.solve_impl(&self.resolve(chain), chain, bindings, None)
+        let plan = self.resolve(chain);
+        self.solve_impl(&plan, chain, &chain.bind(bindings)?, None)
             .map(|(solution, outcome, _)| (solution, outcome))
     }
 
@@ -520,37 +524,40 @@ impl PlanCache {
         chain: &SymChain,
         bindings: &DimBindings,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
-        // Keying the structure counts as lookup time.
+        // Keying the structure and binding the chain count as lookup
+        // time.
         let started = Instant::now();
-        self.solve_impl(&self.resolve(chain), chain, bindings, Some(started))
+        let plan = self.resolve(chain);
+        self.solve_impl(&plan, chain, &chain.bind(bindings)?, Some(started))
     }
 
-    /// [`solve_traced`](Self::solve_traced) through `plan`, the entry
+    /// [`solve_traced`](Self::solve_traced) of `concrete`, a binding of
+    /// `chain` ([`SymChain::bind`]), through `plan`, the entry
     /// [`resolve`](Self::resolve) returned for `chain` on this cache:
-    /// the same path without computing the structure key or taking the
-    /// map's lock. Another structure's entry would serve that
-    /// structure's regions.
+    /// the same path without computing the structure key, taking the
+    /// map's lock or binding the chain again. Another structure's entry
+    /// would serve that structure's regions.
     ///
     /// # Errors
     ///
-    /// As [`solve`](Self::solve).
+    /// [`PlanError::Solve`] as [`solve`](Self::solve); the binding's
+    /// errors belong to whoever bound `concrete`.
     pub fn solve_resolved(
         &self,
         plan: &SymbolicPlan,
         chain: &SymChain,
-        bindings: &DimBindings,
+        concrete: &Chain,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
-        self.solve_impl(plan, chain, bindings, Some(Instant::now()))
+        self.solve_impl(plan, chain, concrete, Some(Instant::now()))
     }
 
     fn solve_impl(
         &self,
         plan: &SymbolicPlan,
         chain: &SymChain,
-        bindings: &DimBindings,
+        concrete: &Chain,
         started: Option<Instant>,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
-        let concrete = chain.bind(bindings)?;
         let sizes = concrete.sizes();
         let region = match plan.region_for(&sizes) {
             Some(region) => region,
@@ -560,14 +567,23 @@ impl PlanCache {
                 // waited leaves it to be served as a hit.
                 match plan.region_for(&sizes) {
                     Some(region) => region,
-                    None => return self.record(plan, chain, &concrete, started),
+                    None => return self.record(plan, chain, concrete, started),
                 }
             }
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
         plan.hits.fetch_add(1, Ordering::Relaxed);
         let lookup_done = started.map(|_| Instant::now());
-        let solution = self.instantiate_region(&region, chain, &concrete, bindings)?;
+        let solution = with_workspace(|workspace| {
+            instantiate(
+                &self.registry,
+                self.inference,
+                &region,
+                concrete,
+                &sizes,
+                workspace,
+            )
+        })?;
         Ok((solution, PlanOutcome::Hit, timing(started, lookup_done)))
     }
 
@@ -578,7 +594,7 @@ impl PlanCache {
         &self,
         plan: &SymbolicPlan,
         chain: &SymChain,
-        concrete: &gmc_expr::Chain,
+        concrete: &Chain,
         started: Option<Instant>,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
         let lookup_done = started.map(|_| Instant::now());
@@ -594,47 +610,6 @@ impl PlanCache {
             PlanOutcome::MissRegion
         };
         Ok((solution?, outcome, timing(started, lookup_done)))
-    }
-
-    fn instantiate_region(
-        &self,
-        region: &RegionPlan,
-        sym: &SymChain,
-        concrete: &gmc_expr::Chain,
-        bindings: &DimBindings,
-    ) -> Result<GmcSolution<Flops>, GmcError> {
-        // Structure keys canonicalize variable *names*, so the request
-        // chain may spell the same structure with different variables
-        // than the chain this region was recorded from — but the
-        // cached formulas reference the recording chain's variables.
-        // Key equality guarantees the two first-occurrence variable
-        // sequences line up positionally, so translate the bindings
-        // when (and only when) the variables differ.
-        let request_vars = sym.vars();
-        let translated = if request_vars == region.vars {
-            None
-        } else {
-            debug_assert_eq!(request_vars.len(), region.vars.len());
-            let mut b = DimBindings::new();
-            for (recorded, requested) in region.vars.iter().zip(&request_vars) {
-                let value = bindings
-                    .get(*requested)
-                    .expect("the request chain bound successfully, so its variables are bound");
-                b.set_var(*recorded, value);
-            }
-            Some(b)
-        };
-        let eval_bindings = translated.as_ref().unwrap_or(bindings);
-        with_workspace(|workspace| {
-            instantiate(
-                &self.registry,
-                self.inference,
-                region,
-                concrete,
-                eval_bindings,
-                workspace,
-            )
-        })
     }
 
     /// Records a plan for **every** size region `chain` can reach, so

@@ -21,8 +21,9 @@
 //!   number of threads take at once while misses record behind their
 //!   entry's recording mutex. A caller that serves one structure many
 //!   times resolves its entry once ([`PlanCache::resolve`]) and solves
-//!   through it ([`PlanCache::solve_resolved`]) without keying the
-//!   structure again (see [`PlanCache`]'s docs). Plans persist:
+//!   each request's bound chain through it
+//!   ([`PlanCache::solve_resolved`]) without keying the structure again
+//!   (see [`PlanCache`]'s docs). Plans persist:
 //!   [`PlanCache::save`] writes the binding each region was recorded at
 //!   to a JSON plan store (`gmc-plan-store/v3`), and [`PlanCache::load`]
 //!   re-records every stored region from it under the loading cache's
@@ -34,7 +35,8 @@
 //! * Symbolic solving — where FLOP-polynomial comparison is decidable
 //!   (dominance on the positive orthant), DP cells are *resolved* at
 //!   compile time; ambiguous splits are *deferred* and decided at bind
-//!   time by evaluating the cached FLOP polynomials in thirds.
+//!   time by evaluating the cached FLOP polynomials in thirds, each
+//!   variable read from its boundary position in the bound chain.
 //! * Bit-identical instantiation — the served solution matches a
 //!   from-scratch concrete solve exactly, at every admitted size: both
 //!   compare the same exact FLOP counts ([`gmc_kernels::Flops`]), so

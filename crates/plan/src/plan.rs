@@ -43,8 +43,8 @@ use crate::key::{QuestionLog, RegionKey};
 use gmc::{CellGrid, GmcError, GmcSolution, GmcWorkspace, InferenceMode, Winner};
 use gmc_analysis::infer_view_product_logged;
 use gmc_expr::{
-    Chain, CostPoly, Dim, DimBindings, FactorView, OperandId, OperandView, PropertySet, Shape,
-    SymChain, SymShape,
+    Chain, CostPoly, Dim, DimVar, FactorView, OperandId, OperandView, PropertySet, Shape, SymChain,
+    SymShape,
 };
 use gmc_kernels::{Flops, KernelOp, KernelRegistry, LeafBindings, Rank, Wiring};
 use gmc_pattern::Var;
@@ -73,13 +73,13 @@ impl Candidate {
         }
     }
 
-    /// The candidate's operation cost at `bindings`: its polynomial in
-    /// thirds, which is exactly the concrete operation's
+    /// The candidate's operation cost with each variable at `size`: its
+    /// polynomial in thirds, which is exactly the concrete operation's
     /// [`flop_count`](KernelOp::flop_count).
-    fn op_cost(&self, bindings: &DimBindings) -> Flops {
+    fn op_cost(&self, size: impl Fn(DimVar) -> Option<usize>) -> Flops {
         let thirds = self
             .op_poly
-            .eval_thirds(bindings)
+            .eval_thirds(size)
             .expect("plan polynomials are representable and bound at admitted sizes");
         Flops::from_thirds(u128::try_from(thirds).expect("FLOP counts are non-negative"))
     }
@@ -187,11 +187,13 @@ pub(crate) struct RegionPlan {
     pub(crate) n: usize,
     pub(crate) cells: Vec<CellPlan>,
     /// The *recording* chain's distinct dimension variables in
-    /// first-occurrence order. Structure keys canonicalize variable
-    /// names, so a request chain may use different names for the same
-    /// structure; its bindings are translated onto these variables
-    /// positionally before any cached formula is evaluated.
-    pub(crate) vars: Vec<gmc_expr::DimVar>,
+    /// first-occurrence order, the variables of its cost polynomials.
+    pub(crate) vars: Vec<DimVar>,
+    /// The boundary position where each of `vars` first occurs. A
+    /// structure key fixes the variable pattern over the boundary, so
+    /// at these positions every chain of the structure, a renamed twin
+    /// included, holds its own sizes for `vars`.
+    pub(crate) at: Vec<usize>,
     /// The recording binding: the size each of `vars` was bound to. The
     /// plan store keeps only this, and re-records the region from it.
     pub(crate) values: Vec<usize>,
@@ -239,6 +241,13 @@ impl RegionPlan {
     #[inline]
     fn index(&self, i: usize, j: usize) -> usize {
         cell_index(self.n, i, j)
+    }
+
+    /// The size of the recorded variable `v` in the bound chain whose
+    /// boundary dimensions are `sizes`.
+    fn size(&self, sizes: &[usize], v: DimVar) -> Option<usize> {
+        let slot = self.vars.iter().position(|&w| w == v)?;
+        Some(sizes[self.at[slot]])
     }
 }
 
@@ -528,11 +537,11 @@ pub(crate) fn record_region(
     let solution = grid.solution(registry, chain);
     let sizes = chain.sizes();
     let vars = sym.vars();
-    let values = vars
+    let at: Vec<usize> = vars
         .iter()
         .map(|&v| {
             let at = dims.iter().position(|&d| d == Dim::Var(v));
-            sizes[at.expect("every chain variable is a boundary dimension")]
+            at.expect("every chain variable is a boundary dimension")
         })
         .collect();
     (
@@ -541,7 +550,8 @@ pub(crate) fn record_region(
             n,
             cells: plan_cells,
             vars,
-            values,
+            values: at.iter().map(|&a| sizes[a]).collect(),
+            at,
         },
         solution,
     )
@@ -549,19 +559,23 @@ pub(crate) fn record_region(
 
 /// Replays a recorded region plan at a concrete binding.
 ///
-/// `chain` must be `sym.bind(bindings)` and the binding must fall into
-/// the plan's region (its boundary dimensions `chain.sizes()` give every
-/// answer of the plan's key); the cache layer guarantees both.
+/// `chain` must be a binding of a chain of the plan's structure, and
+/// `sizes` its boundary dimensions `chain.sizes()`, which must give
+/// every answer of the plan's key; the cache layer guarantees both.
+/// Each cost polynomial is evaluated at `sizes`, by the boundary
+/// position of each of its variables.
 pub(crate) fn instantiate(
     registry: &KernelRegistry,
     inference: InferenceMode,
     region: &RegionPlan,
     chain: &Chain,
-    bindings: &DimBindings,
+    sizes: &[usize],
     workspace: &mut GmcWorkspace<Flops>,
 ) -> Result<GmcSolution<Flops>, GmcError> {
     let n = region.n;
     debug_assert_eq!(n, chain.len());
+    debug_assert_eq!(sizes.len(), n + 1);
+    let size = |v| region.size(sizes, v);
     debug_assert_eq!(region.cells.len(), n * (n + 1) / 2);
     let grid = &mut workspace.grid;
     grid.reset(chain);
@@ -573,7 +587,7 @@ pub(crate) fn instantiate(
                 CellPlan::Leaf => unreachable!("interior cell marked as leaf"),
                 CellPlan::Unsolvable => {}
                 CellPlan::Resolved { cand, props } => {
-                    let op_cost = cand.op_cost(bindings);
+                    let op_cost = cand.op_cost(size);
                     let total = grid
                         .split_total(i, cand.k, j, &op_cost)
                         .expect("resolved children are computed");
@@ -590,7 +604,7 @@ pub(crate) fn instantiate(
                         .best_split(i, j, |k, _, _| {
                             let mut best: Option<(Flops, usize)> = None;
                             while next < cands.len() && cands[next].k == k {
-                                let cost = cands[next].op_cost(bindings);
+                                let cost = cands[next].op_cost(size);
                                 if best.is_none_or(|(bc, bi)| {
                                     cands[next].rank(cost).beats(&cands[bi].rank(bc))
                                 }) {
@@ -646,7 +660,7 @@ mod tests {
 
     use super::*;
     use crate::PlanCache;
-    use gmc_expr::{Property, SymFactor, SymOperand, UnaryOp};
+    use gmc_expr::{DimBindings, Property, SymFactor, SymOperand, UnaryOp};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;

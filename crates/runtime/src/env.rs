@@ -69,22 +69,6 @@ impl Env {
         }
         env
     }
-
-    /// Creates an environment for arbitrary operands (e.g. the inputs of
-    /// a program). Deterministic per seed.
-    pub fn random_for_operands<'a>(
-        operands: impl IntoIterator<Item = &'a Operand>,
-        seed: u64,
-    ) -> Env {
-        let mut env = Env::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for op in operands {
-            if env.get(op.name()).is_none() {
-                env.bind(op.name(), materialize(op, &mut rng));
-            }
-        }
-        env
-    }
 }
 
 /// Generates a concrete matrix realizing the operand's declared

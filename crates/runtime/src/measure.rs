@@ -114,11 +114,6 @@ impl MeasuredMetric {
         }
     }
 
-    /// Number of distinct kernel signatures measured so far.
-    pub fn cached_signatures(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
     fn measure(&self, op: &KernelOp<OperandView>) -> f64 {
         // Synthesize property-respecting operands for the op and time
         // it; one operand identity is one matrix.
@@ -172,6 +167,13 @@ mod tests {
     use gmc::{FlopCount, GmcOptimizer};
     use gmc_expr::{Chain, Factor, Operand, Property};
     use gmc_kernels::KernelRegistry;
+
+    impl MeasuredMetric {
+        /// Number of distinct kernel signatures measured so far.
+        fn cached_signatures(&self) -> usize {
+            self.cache.borrow().len()
+        }
+    }
 
     #[test]
     fn measures_and_caches() {

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] names, by request index, the faults to inject into
 //! one replay: panics inside the solve (caught, answered `internal`),
 //! artificial solve delays, already-expired deadlines, and admission
-//! bursts that overflow a small gate. Plans are seeded and
+//! bursts that overflow a small queue capacity. Plans are seeded and
 //! serializable (`gmc-faults/2`, the same shim-JSON idiom as
 //! `gmc-trace/1`), so a chaos run is replayable evidence exactly like
 //! the trace it runs against.
@@ -35,8 +35,8 @@ pub enum SolveFault {
     /// Panic inside the solve (caught by the solve's `catch_unwind`;
     /// the request is answered [`crate::ServeError::Internal`]).
     Panic,
-    /// Sleep this long before solving (holds a solve slot and an
-    /// admission permit, so a small gate behind it overflows
+    /// Sleep this long before solving (holds a solve slot and a place
+    /// in the ledger, so a small queue capacity behind it overflows
     /// deterministically).
     Delay(Duration),
 }

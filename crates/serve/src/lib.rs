@@ -10,8 +10,8 @@
 //!                        ▼
 //!       calling thread (TCP connection, `gmcc serve --requests`
 //!       or ServeHandle caller), start to finish:
-//!         admit: look the structure up, check the bindings,
-//!                take an admission permit (or shed the request)
+//!         admit: look the structure up, bind its chain, take
+//!                a place in the ledger (or shed the request)
 //!         queue: claim one of `workers` solve slots, waiting
 //!                for one while every slot is busy
 //!         solve: the shared PlanCache, through the structure's
@@ -19,12 +19,13 @@
 //!         reply: cost, parenthesization, kernels
 //! ```
 //!
-//! * **Parse and key once per structure.** Chains are registered by
-//!   name ([`Server::register`]); requests reference the name and carry
-//!   only dimension bindings, so no request ever re-parses a chain. At
-//!   its first request a structure resolves its plan-cache entry and
-//!   its variables' names, so later requests compute no structure key
-//!   and take no process-wide lock.
+//! * **Parse and key once per structure, bind once per request.**
+//!   Chains are registered by name ([`Server::register`]); requests
+//!   reference the name and carry only dimension bindings, so no
+//!   request ever re-parses a chain. At its first request a structure
+//!   resolves its plan-cache entry and its variables' names, so later
+//!   requests compute no structure key and take no process-wide lock.
+//!   Admission binds each request's chain once; the cache solves it.
 //! * **Run to completion.** Every request runs on its caller's thread:
 //!   a TCP request line, a `gmcc serve --requests` line and a
 //!   [`ServeHandle`] call alike. There is one path from admission to
@@ -35,7 +36,7 @@
 //! * **One request, one solve.** Every admitted request is solved and
 //!   answered on its own, under its own deadline and injected fault. A
 //!   batch ([`ServeHandle::solve_batch`]) is admitted whole before any
-//!   of it is solved, so with `k` permits free exactly its first `k`
+//!   of it is solved, so with `k` places free exactly its first `k`
 //!   admissible requests enter; it is then solved in order on the
 //!   calling thread. Identical requests are not merged: after the first
 //!   one records its region, the rest are cache hits, and racing misses
@@ -49,8 +50,11 @@
 //!   latency classes, at its first solved request, so a request after
 //!   that takes no lock and looks up no name to record itself.
 //!   [`ServeHandle::stats`] and `METRICS` read the same instruments.
-//! * **No async runtime.** A mutex and two condvars bound the solves,
-//!   all from the standard library; the optional TCP listener in
+//! * **One ledger, no async runtime.** One mutex counts the requests
+//!   in flight, the solves running and the callers waiting for a slot,
+//!   and holds the stop latch; with two condvars, all from the standard
+//!   library, it bounds admission and the solves. The optional TCP
+//!   listener in
 //!   [`tcp`] is a thin front end over `std::net::TcpListener` that
 //!   answers each line through [`protocol::answer_line`], as the CLI
 //!   batch driver does.
@@ -58,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod faults;
 pub mod metrics;
 pub mod protocol;
@@ -67,10 +70,9 @@ pub mod tcp;
 pub use faults::SolveFault;
 pub use gmc_obs::trace::{Span, Trace, TRACE_FORMAT};
 
-use admission::{AdmissionGate, Permit};
 use faults::FAULT_PANIC_MARKER;
 use gmc::{GmcSolution, InferenceMode};
-use gmc_expr::{DimBindings, DimVar, SymChain};
+use gmc_expr::{Chain, DimBindings, DimVar, SymChain};
 use gmc_kernels::{Flops, KernelRegistry};
 use gmc_obs::trace::SlowTraceRing;
 use gmc_obs::{Counter, Histogram, HistogramSnapshot};
@@ -182,8 +184,9 @@ pub enum ServeError {
     /// covers the wait for a solve slot); it was shed without being
     /// solved.
     DeadlineExceeded,
-    /// The admission gate was at capacity; the request was shed
-    /// (newest-first overload policy) without waiting for a solve slot.
+    /// The ledger held [`ServeConfig::queue_capacity`] requests; the
+    /// request was shed (newest-first overload policy) without waiting
+    /// for a solve slot.
     QueueFull,
     /// The request's solve panicked (the panic was caught; this
     /// request is the only loss).
@@ -317,8 +320,7 @@ pub struct ServedCounters {
     /// `rejected_overload` and `expired` are sub-counts of this, so
     /// `completed + rejected` still accounts for every request.
     pub rejected: u64,
-    /// Of `rejected`: requests shed because the admission gate was at
-    /// capacity.
+    /// Of `rejected`: requests shed because the ledger was at capacity.
     pub rejected_overload: u64,
     /// Of `rejected`: requests whose deadline passed before their solve
     /// started.
@@ -437,9 +439,8 @@ impl Structure {
 
 struct Shared {
     cache: PlanCache,
-    slots: Slots,
+    ledger: Ledger,
     structures: RwLock<HashMap<String, Arc<Structure>>>,
-    gate: Arc<AdmissionGate>,
     telemetry: Telemetry,
     /// The N slowest completed traces.
     slow: SlowTraceRing,
@@ -465,17 +466,6 @@ fn bind_named_vars<N: AsRef<str>>(
         bindings.set_var(var, *value);
     }
     Ok(bindings)
-}
-
-/// Whether `bindings` size every boundary dimension of `chain` (the
-/// first failure [`SymChain::bind_dims`] would report, without
-/// collecting its sizes); a request that fails this is answered at
-/// admission, never solved.
-fn check_bindable(chain: &SymChain, bindings: &DimBindings) -> Result<(), ServeError> {
-    std::iter::once(chain.factor(0).shape().rows())
-        .chain(chain.factors().iter().map(|f| f.shape().cols()))
-        .try_for_each(|dim| dim.bind(bindings).map(drop))
-        .map_err(|e| ServeError::Plan(PlanError::Chain(e.into())))
 }
 
 impl Shared {
@@ -523,83 +513,121 @@ impl RequestOptions {
     }
 }
 
-/// One admitted request: its chain, its bindings, its options and its
-/// admission permit.
-struct Admitted {
+/// One admitted request: its structure, its bound chain, its options
+/// and its place in the ledger.
+struct Admitted<'a> {
     structure: Arc<Structure>,
-    bindings: DimBindings,
+    chain: Chain,
     trace_id: u64,
     options: RequestOptions,
-    /// Freed before the request is counted as answered, so a caller
-    /// that sees the count (a replay's burst waits for it) finds the
-    /// gate's permit free.
-    permit: Permit,
+    permit: Permit<'a>,
 }
 
-/// The solve slots: at most `limit` solves run at once, each on its
-/// caller's thread, and callers that find every slot busy wait here.
-struct Slots {
-    state: Mutex<SlotState>,
+/// The requests in flight, one ledger per server: one mutex holds the
+/// requests admitted and not yet answered, the solves running on their
+/// callers' threads, the callers waiting for a solve slot, and the stop
+/// latch. Waiting callers are bounded at the door: beyond `capacity`
+/// the newest request is shed ([`ServeError::QueueFull`]), so admitted
+/// work is never abandoned halfway.
+struct Ledger {
+    state: Mutex<LedgerState>,
     /// Wakes one waiting caller: a slot came free.
     freed: Condvar,
     /// Wakes [`Server::shutdown`] once no solve runs and no caller
     /// waits.
     idle: Condvar,
+    /// [`ServeConfig::queue_capacity`].
+    capacity: usize,
     /// [`ServeConfig::workers`].
-    limit: usize,
+    workers: usize,
 }
 
 #[derive(Default)]
-struct SlotState {
-    /// Solves running now; at most `limit`.
+struct LedgerState {
+    /// Requests admitted and not yet answered; at most `capacity`.
+    admitted: usize,
+    /// Solves running now; at most `workers`.
     running: usize,
     /// Callers waiting for a slot.
     waiting: usize,
-    /// Set at shutdown: a caller that arrives later is refused, while
-    /// one already waiting still gets its slot.
-    stopping: bool,
+    /// Set at shutdown: a request that arrives later is refused, at
+    /// admission or at its slot claim, while a caller already waiting
+    /// still gets its slot.
+    stopped: bool,
+}
+
+/// One admitted request's place in the [`Ledger`]; dropping it gives
+/// the place back. Held through the wait for a solve slot and the
+/// solve, and dropped *before* the request is counted as answered, so a
+/// caller that sees the count (a replay's burst waits for it) finds the
+/// place free.
+struct Permit<'a> {
+    ledger: &'a Ledger,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        mutex_lock(&self.ledger.state).admitted -= 1;
+    }
 }
 
 /// One claimed solve slot; dropping it (also while unwinding) gives the
 /// slot back.
 struct Running<'a> {
-    slots: &'a Slots,
+    ledger: &'a Ledger,
 }
 
 impl Drop for Running<'_> {
     fn drop(&mut self) {
-        let mut state = mutex_lock(&self.slots.state);
+        let mut state = mutex_lock(&self.ledger.state);
         state.running -= 1;
         // Wake only a thread that can be waiting for this: a caller, if
         // one waits, and shutdown, once nothing runs or waits.
         let (waiting, idle) = (
             state.waiting > 0,
-            state.stopping && state.running == 0 && state.waiting == 0,
+            state.stopped && state.running == 0 && state.waiting == 0,
         );
         drop(state);
         if waiting {
-            self.slots.freed.notify_one();
+            self.ledger.freed.notify_one();
         }
         if idle {
-            self.slots.idle.notify_all();
+            self.ledger.idle.notify_all();
         }
     }
 }
 
-impl Slots {
-    fn new(limit: usize) -> Slots {
-        Slots {
+impl Ledger {
+    /// A ledger admitting at most `capacity` requests and running at
+    /// most `workers` solves at once, each clamped to at least 1.
+    fn new(capacity: usize, workers: usize) -> Ledger {
+        Ledger {
             state: Mutex::default(),
             freed: Condvar::new(),
             idle: Condvar::new(),
-            limit,
+            capacity: capacity.max(1),
+            workers: workers.max(1),
         }
+    }
+
+    /// Admits one request, or says why not: [`ServeError::Closed`] once
+    /// the ledger is stopped, [`ServeError::QueueFull`] at capacity.
+    fn admit(&self) -> Result<Permit<'_>, ServeError> {
+        let mut state = mutex_lock(&self.state);
+        if state.stopped {
+            return Err(ServeError::Closed);
+        }
+        if state.admitted >= self.capacity {
+            return Err(ServeError::QueueFull);
+        }
+        state.admitted += 1;
+        Ok(Permit { ledger: self })
     }
 
     /// Claims a solve slot for the calling thread, waiting while every
     /// slot is busy, and counts the request under `admitted` in the
     /// same critical section. Fails with [`ServeError::Closed`] once
-    /// shutdown has begun, and with [`ServeError::DeadlineExceeded`]
+    /// the ledger is stopped, and with [`ServeError::DeadlineExceeded`]
     /// if `deadline` passes while it waits.
     fn claim(
         &self,
@@ -608,12 +636,12 @@ impl Slots {
     ) -> Result<Running<'_>, ServeError> {
         let mut state = mutex_lock(&self.state);
         admitted.inc();
-        if state.stopping {
+        if state.stopped {
             return Err(ServeError::Closed);
         }
-        if state.running == self.limit {
+        if state.running == self.workers {
             state.waiting += 1;
-            while state.running == self.limit {
+            while state.running == self.workers {
                 let Some(deadline) = deadline else {
                     state = self
                         .freed
@@ -637,12 +665,14 @@ impl Slots {
             state.waiting -= 1;
         }
         state.running += 1;
-        Ok(Running { slots: self })
+        Ok(Running { ledger: self })
     }
 
-    /// Refuses later claims; callers already waiting keep waiting.
+    /// Sets the stop latch: later admissions and slot claims are
+    /// refused, callers already waiting keep waiting, and places
+    /// already held stay valid.
     fn stop(&self) {
-        mutex_lock(&self.state).stopping = true;
+        mutex_lock(&self.state).stopped = true;
     }
 
     /// Waits until no solve runs and no caller waits (after
@@ -702,7 +732,7 @@ impl ServeHandle {
 
     /// Solves several requests, replying in request order. The whole
     /// batch is admitted before any of it is solved, so with `k`
-    /// permits free exactly its first `k` admissible requests enter and
+    /// places free exactly its first `k` admissible requests enter and
     /// the rest are shed [`ServeError::QueueFull`]. The admitted ones
     /// are then solved in order on the calling thread, each under its
     /// own deadline and injected fault, identical requests included.
@@ -755,10 +785,11 @@ impl ServeHandle {
     }
 
     /// Admits one request on the calling thread: looks the structure
-    /// up, resolves the payload into bindings, checks that they size
-    /// the chain, and only then takes an admission permit. So a request
-    /// for an unknown structure or with unbindable sizes is refused,
-    /// and counted `rejected`, though the gate is full.
+    /// up, resolves the payload into bindings, binds the structure's
+    /// chain with them (the request's one binding), and only then takes
+    /// a place in the ledger. So a request for an unknown structure or
+    /// with unbindable sizes is refused, and counted `rejected`, though
+    /// the ledger is full.
     fn admit<T>(
         &self,
         structures: &HashMap<String, Arc<Structure>>,
@@ -766,16 +797,19 @@ impl ServeHandle {
         payload: T,
         options: RequestOptions,
         resolve: impl FnOnce(&Resolved, T) -> Result<DimBindings, ServeError>,
-    ) -> Result<Admitted, ServeError> {
+    ) -> Result<Admitted<'_>, ServeError> {
         let structure = structures
             .get(name)
             .ok_or_else(|| ServeError::UnknownStructure(name.to_owned()))?;
         let bindings = resolve(structure.resolved(&self.shared.cache), payload)?;
-        check_bindable(&structure.chain, &bindings)?;
-        let permit = self.shared.gate.try_acquire()?;
+        let chain = structure
+            .chain
+            .bind(&bindings)
+            .map_err(|e| ServeError::Plan(e.into()))?;
+        let permit = self.shared.ledger.admit()?;
         Ok(Admitted {
             structure: Arc::clone(structure),
-            bindings,
+            chain,
             trace_id: self.shared.trace_ids.fetch_add(1, Ordering::Relaxed),
             options,
             permit,
@@ -900,9 +934,8 @@ impl Server {
         Server {
             shared: Arc::new(Shared {
                 cache: PlanCache::new(registry, config.inference),
-                slots: Slots::new(config.workers.max(1)),
+                ledger: Ledger::new(config.queue_capacity, config.workers),
                 structures: RwLock::new(HashMap::new()),
-                gate: Arc::new(AdmissionGate::new(config.queue_capacity)),
                 telemetry: Telemetry::new(),
                 slow: SlowTraceRing::new(config.slow_trace_capacity),
                 trace_ids: AtomicU64::new(0),
@@ -962,26 +995,25 @@ impl Server {
         self.shared.stats()
     }
 
-    /// Closes the admission gate and stops new slot claims, then waits
-    /// until no solve runs and no caller waits for a slot, so nothing
-    /// is solved once it returns. A caller already waiting for a slot
-    /// is still solved; one admitted before the gate closed that
-    /// reaches the wait afterwards is answered [`ServeError::Closed`],
-    /// like every later request. Those refusals are the only thing
-    /// counted after it returns (under `rejected`, see
-    /// [`ServedCounters`]). Never panics: solves that panicked are
+    /// Sets the ledger's stop latch, which refuses later admissions and
+    /// slot claims, then waits until no solve runs and no caller waits
+    /// for a slot, so nothing is solved once it returns. A caller
+    /// already waiting for a slot is still solved; one admitted before
+    /// the latch was set that reaches the wait afterwards is answered
+    /// [`ServeError::Closed`], like every later request. Those refusals
+    /// are the only thing counted after it returns (under `rejected`,
+    /// see [`ServedCounters`]). Never panics: solves that panicked are
     /// reported in the returned [`ShutdownReport`].
     pub fn shutdown(self) -> ShutdownReport {
         self.stop();
-        self.shared.slots.wait_idle();
+        self.shared.ledger.wait_idle();
         ShutdownReport {
             panics: self.shared.telemetry.panics.get(),
         }
     }
 
     fn stop(&self) {
-        self.shared.gate.close();
-        self.shared.slots.stop();
+        self.shared.ledger.stop();
     }
 }
 
@@ -1007,16 +1039,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// its solve could start (or if shutdown began before it reached the
 /// wait), and otherwise solves and answers it. `called` is when the
 /// call began and `admitted` when admission ended.
-fn run_job(shared: &Shared, request: Admitted, called: Instant, admitted: Instant) -> ServeReply {
+fn run_job(
+    shared: &Shared,
+    request: Admitted<'_>,
+    called: Instant,
+    admitted: Instant,
+) -> ServeReply {
     let Admitted {
         structure,
-        bindings,
+        chain,
         trace_id,
         options,
         permit,
     } = request;
     let tel = &shared.telemetry;
-    let claimed = shared.slots.claim(options.deadline, &tel.batches);
+    let claimed = shared.ledger.claim(options.deadline, &tel.batches);
     let picked = Instant::now();
     let reply = |result| ServeReply {
         structure: structure.name.clone(),
@@ -1034,7 +1071,7 @@ fn run_job(shared: &Shared, request: Admitted, called: Instant, admitted: Instan
         }
         _ => {
             // Never solved, so `rejected` as `expired`, and its latency
-            // lands in the `expired` histogram, not `total`. Its permit
+            // lands in the `expired` histogram, not `total`. Its place
             // is freed before it counts, and it counts before its sample
             // records, as below.
             drop(permit);
@@ -1056,9 +1093,7 @@ fn run_job(shared: &Shared, request: Admitted, called: Instant, admitted: Instan
             None => {}
         }
         let plan = &structure.resolved(&shared.cache).plan;
-        shared
-            .cache
-            .solve_resolved(plan, &structure.chain, &bindings)
+        shared.cache.solve_resolved(plan, &structure.chain, &chain)
     }));
     let solve_done = Instant::now();
     let (result, timing, class) = match outcome {
@@ -1088,8 +1123,8 @@ fn run_job(shared: &Shared, request: Admitted, called: Instant, admitted: Instan
         }
         Err(_) => (&tel.failed, None),
     };
-    // The permit is freed before the request is counted, so a caller
-    // that sees it answered finds its permit free; it is counted before
+    // The place is freed before the request is counted, so a caller
+    // that sees it answered finds its place free; it is counted before
     // any of its samples record, behind a release fence, so a reader
     // that takes histograms first (see [`Shared::stats`]) never sees
     // one ahead of `completed`.
@@ -1144,4 +1179,59 @@ fn run_job(shared: &Shared, request: Admitted, called: Instant, admitted: Instan
         }
     });
     reply(result)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmc_obs::MetricsRegistry;
+
+    fn admitted(ledger: &Ledger) -> usize {
+        mutex_lock(&ledger.state).admitted
+    }
+
+    #[test]
+    fn ledger_admits_up_to_capacity_then_sheds() {
+        let ledger = Ledger::new(2, 1);
+        let a = ledger.admit().unwrap();
+        let _b = ledger.admit().unwrap();
+        assert_eq!(admitted(&ledger), 2);
+        assert!(matches!(ledger.admit(), Err(ServeError::QueueFull)));
+        drop(a);
+        assert_eq!(admitted(&ledger), 1);
+        let _c = ledger.admit().unwrap();
+    }
+
+    #[test]
+    fn stopped_ledger_refuses_everything() {
+        let registry = MetricsRegistry::new();
+        let batches = registry.counter("batches", "claims", &[]);
+        let ledger = Ledger::new(8, 1);
+        let held = ledger.admit().unwrap();
+        ledger.stop();
+        assert!(matches!(ledger.admit(), Err(ServeError::Closed)));
+        assert!(matches!(
+            ledger.claim(None, &batches),
+            Err(ServeError::Closed)
+        ));
+        // A place already held still gives itself back.
+        drop(held);
+        assert_eq!(admitted(&ledger), 0);
+    }
+
+    #[test]
+    fn capacity_zero_is_clamped_to_one() {
+        let registry = MetricsRegistry::new();
+        let batches = registry.counter("batches", "claims", &[]);
+        let ledger = Ledger::new(0, 0);
+        let _place = ledger.admit().unwrap();
+        assert!(ledger.admit().is_err());
+        // So is the solve-slot count: a second claim waits, here until
+        // its deadline.
+        let _running = ledger.claim(None, &batches).unwrap();
+        assert!(matches!(
+            ledger.claim(Some(Instant::now()), &batches),
+            Err(ServeError::DeadlineExceeded)
+        ));
+    }
 }

@@ -35,15 +35,14 @@
 //! | `gmc.serve.requests.completed` | counter | — (the sum of `served`) |
 //! | `gmc.serve.structures` | gauge | — |
 //! | `gmc.cache.requests` | counter | `outcome` = `hit`/`miss_region`/`miss_structure` |
-//! | `gmc.cache.structure.{hits,misses,regions}` | counter/gauge | `structure` |
+//! | `gmc.cache.structure.{hits,misses,regions}` | counter/gauge | `structure` = the entry's registered names, joined with `,` |
 //! | `gmc.obs.slow_traces.{offered,kept,capacity}` | counter/gauge | — |
 
-use crate::{
-    ClassLatency, LatencySnapshot, ServedCounters, Shared, StageLatency, Structure, STAGES,
-};
+use crate::{ClassLatency, LatencySnapshot, ServedCounters, Shared, StageLatency, STAGES};
 use gmc_obs::registry::DEFAULT_SERIES_CAP;
 use gmc_obs::{Counter, Exposition, Histogram, MetricsRegistry};
 use gmc_plan::sync::read_lock;
+use gmc_plan::SymbolicPlan;
 use serde::Value;
 use std::sync::Arc;
 
@@ -235,19 +234,19 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
         let labels: [(&str, &str); 1] = [("structure", &s.name)];
         expo.add_counter(
             "gmc.cache.structure.hits",
-            "Cache hits per registered structure",
+            "Cache hits per cache entry, by its registered names",
             &labels,
             s.hits,
         );
         expo.add_counter(
             "gmc.cache.structure.misses",
-            "Cache misses per registered structure",
+            "Cache misses per cache entry, by its registered names",
             &labels,
             s.misses,
         );
         expo.add_gauge(
             "gmc.cache.structure.regions",
-            "Size regions cached per registered structure",
+            "Size regions cached per cache entry, by its registered names",
             &labels,
             s.regions as f64,
         );
@@ -275,8 +274,8 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
     expo.render()
 }
 
-/// Renders the `CACHE` introspection summary: cache totals and
-/// per-structure stats, as one stable JSON object.
+/// Renders the `CACHE` introspection summary: cache totals and one row
+/// per cache entry, as one stable JSON object.
 pub(crate) fn render_cache(shared: &Shared) -> String {
     let totals = shared.cache.stats();
     let structures: Vec<Value> = structure_cache_stats(shared)
@@ -309,48 +308,53 @@ fn num(v: u64) -> Value {
     Value::Number(v as f64)
 }
 
-/// Per-structure cache counters, resolved through the server's own
+/// Per-entry cache counters, resolved through the server's own
 /// structure registrations.
 struct StructureCacheStats {
+    /// The names registered for the entry, in sort order, joined with
+    /// `,`.
     name: String,
     hits: u64,
     misses: u64,
     regions: usize,
 }
 
-/// Cache counters per registered structure, sorted by name. Like every
-/// labeled family, the set is bounded: beyond
-/// [`DEFAULT_SERIES_CAP`] structures the remainder is aggregated into
-/// one `other` entry, so a client registering thousands of structures
-/// cannot blow up the scrape.
+/// Cache counters per cache entry, one row each, so the rows' hits and
+/// misses sum to the cache's totals. Names registered for one structure
+/// (renamed-variable twins) share its entry, and its row is named by
+/// all of them in sort order, joined with `,`; rows are sorted by name.
+/// Like every labeled family, the set is bounded: beyond
+/// [`DEFAULT_SERIES_CAP`] rows the remainder is aggregated into one
+/// `other` row, so a client registering thousands of structures cannot
+/// blow up the scrape.
 fn structure_cache_stats(shared: &Shared) -> Vec<StructureCacheStats> {
-    let mut structures: Vec<Arc<Structure>> =
-        read_lock(&shared.structures).values().cloned().collect();
-    structures.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut out = Vec::with_capacity(structures.len().min(DEFAULT_SERIES_CAP + 1));
-    let mut other: Option<StructureCacheStats> = None;
-    for structure in structures {
-        let plan = &structure.resolved(&shared.cache).plan;
-        let (hits, misses, regions) = (plan.hits(), plan.misses(), plan.region_count());
-        if out.len() < DEFAULT_SERIES_CAP {
-            out.push(StructureCacheStats {
-                name: structure.name.clone(),
-                hits,
-                misses,
-                regions,
-            });
-        } else {
-            let agg = other.get_or_insert_with(|| StructureCacheStats {
-                name: "other".to_owned(),
-                hits: 0,
-                misses: 0,
-                regions: 0,
-            });
-            agg.hits += hits;
-            agg.misses += misses;
-            agg.regions += regions;
-        }
+    let mut names: Vec<(Arc<SymbolicPlan>, String)> = read_lock(&shared.structures)
+        .values()
+        .map(|s| (Arc::clone(&s.resolved(&shared.cache).plan), s.name.clone()))
+        .collect();
+    names.sort_by(|(a, x), (b, y)| (Arc::as_ptr(a), x).cmp(&(Arc::as_ptr(b), y)));
+    let mut rows: Vec<StructureCacheStats> = names
+        .chunk_by(|(a, _), (b, _)| Arc::ptr_eq(a, b))
+        .map(|run| {
+            let plan = &run[0].0;
+            let names: Vec<&str> = run.iter().map(|(_, name)| name.as_str()).collect();
+            StructureCacheStats {
+                name: names.join(","),
+                hits: plan.hits(),
+                misses: plan.misses(),
+                regions: plan.region_count(),
+            }
+        })
+        .collect();
+    rows.sort_by(|a, b| a.name.cmp(&b.name));
+    if rows.len() > DEFAULT_SERIES_CAP {
+        let rest = rows.split_off(DEFAULT_SERIES_CAP);
+        rows.push(StructureCacheStats {
+            name: "other".to_owned(),
+            hits: rest.iter().map(|r| r.hits).sum(),
+            misses: rest.iter().map(|r| r.misses).sum(),
+            regions: rest.iter().map(|r| r.regions).sum(),
+        });
     }
-    out.extend(other);
-    out
+    rows
 }

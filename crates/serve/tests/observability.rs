@@ -306,6 +306,101 @@ fn wire_metrics_slow_and_cache_round_trip() {
     server.shutdown();
 }
 
+/// Two names registered for one structure (renamed-variable twins)
+/// share one cache entry, so `CACHE` and `METRICS` list it once, named
+/// by both, and the rows' counts add up to the cache's totals.
+#[test]
+fn renamed_twins_share_one_cache_row() {
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let server = Server::start(registry, ServeConfig::default());
+    let (p, q, r) = (Dim::var("ob_p"), Dim::var("ob_q"), Dim::var("ob_r"));
+    let twin = SymChain::new(vec![
+        SymFactor::plain(SymOperand::new("D", p, q)),
+        SymFactor::plain(SymOperand::new("E", q, r)),
+        SymFactor::plain(SymOperand::new("F", r, p)),
+    ])
+    .unwrap();
+    server.register("Y", twin).unwrap();
+    server.register("X", chain()).unwrap();
+    let handle = server.handle();
+    assert!(handle.solve("X", bindings(10, 20, 30)).result.is_ok());
+    for sizes in [[40, 50, 60], [70, 80, 90]] {
+        let vars = ["ob_p", "ob_q", "ob_r"].into_iter().zip(sizes).collect();
+        let reply = handle.solve_raw("Y", vars, RequestOptions::default());
+        assert!(reply.result.unwrap().outcome.is_hit());
+    }
+
+    let cache_line = handle.cache_introspection_json();
+    let cache: Value = serde_json::from_str(&cache_line).expect("CACHE parses as JSON");
+    let totals = cache.get_field("totals").unwrap();
+    assert_eq!(
+        totals.get_field("requests").unwrap(),
+        &Value::Number(3.0),
+        "{cache_line}"
+    );
+    let rows = match cache.get_field("structures").unwrap() {
+        Value::Array(a) => a.clone(),
+        other => panic!("structures should be an array, got {other:?}"),
+    };
+    assert_eq!(rows.len(), 1, "{cache_line}");
+    let row = &rows[0];
+    for (field, want) in [
+        ("name", Value::String("X,Y".to_owned())),
+        ("hits", Value::Number(2.0)),
+        ("misses", Value::Number(1.0)),
+        ("regions", Value::Number(1.0)),
+    ] {
+        assert_eq!(row.get_field(field).unwrap(), &want, "{cache_line}");
+    }
+
+    let exposition = handle.metrics_prometheus();
+    assert_eq!(
+        sample(&exposition, "gmc_cache_structure_hits{structure=\"X,Y\"}"),
+        sample(&exposition, "gmc_cache_requests{outcome=\"hit\"}")
+    );
+    assert_eq!(
+        exposition
+            .lines()
+            .filter(|l| l.starts_with("gmc_cache_structure_misses{"))
+            .count(),
+        1,
+        "{exposition}"
+    );
+    server.shutdown();
+}
+
+/// Past `DEFAULT_SERIES_CAP` cache entries, the `CACHE` rows of the
+/// rest share one `other` row.
+#[test]
+fn cache_rows_past_the_cap_share_one_other_row() {
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let server = Server::start(registry, ServeConfig::default());
+    let n = Dim::var("ob_n");
+    // A constant inner dimension per structure: one cache entry each.
+    for i in 0..DEFAULT_SERIES_CAP + 2 {
+        let chain = SymChain::new(vec![
+            SymFactor::plain(SymOperand::new("A", n, Dim::Const(i + 2))),
+            SymFactor::plain(SymOperand::new("B", Dim::Const(i + 2), n)),
+        ])
+        .unwrap();
+        server.register(&format!("S{i:03}"), chain).unwrap();
+    }
+    let cache_line = server.handle().cache_introspection_json();
+    let cache: Value = serde_json::from_str(&cache_line).expect("CACHE parses as JSON");
+    let rows = match cache.get_field("structures").unwrap() {
+        Value::Array(a) => a.clone(),
+        other => panic!("structures should be an array, got {other:?}"),
+    };
+    assert_eq!(rows.len(), DEFAULT_SERIES_CAP + 1, "{cache_line}");
+    let names: Vec<&Value> = rows.iter().map(|r| r.get_field("name").unwrap()).collect();
+    assert_eq!(names[0], &Value::String("S000".to_owned()));
+    assert_eq!(
+        names[DEFAULT_SERIES_CAP],
+        &Value::String("other".to_owned())
+    );
+    server.shutdown();
+}
+
 /// The slow-trace ring retains the slowest request, and its spans tile
 /// the request exactly: stages in [`STAGES`] order, telescoping start
 /// offsets, durations summing to the trace total.

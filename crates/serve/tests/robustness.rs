@@ -42,7 +42,7 @@ fn start(config: ServeConfig) -> Server {
 }
 
 /// Options whose solve sleeps this long first, holding its solve slot
-/// and its admission permit.
+/// and its place in the ledger.
 fn delayed(ms: u64) -> RequestOptions {
     RequestOptions {
         fault: Some(SolveFault::Delay(Duration::from_millis(ms))),
@@ -76,7 +76,7 @@ fn batch_overflow_sheds_newest_deterministically() {
         ..ServeConfig::default()
     });
     let handle = server.handle();
-    // Ten requests into an empty gate of capacity 4, sent as one
+    // Ten requests into an empty ledger of capacity 4, sent as one
     // batch: admission is decided in request order, so exactly the
     // last six are shed — every run.
     let batch: Vec<_> = (0..10)
@@ -115,7 +115,7 @@ fn try_submit_reports_queue_full_then_recovers() {
         ..ServeConfig::default()
     });
     let handle = server.handle();
-    // The first request holds the only permit until its (delayed)
+    // The first request holds the only place until its (delayed)
     // reply; the second is refused at the door and counted as an
     // overload shed.
     let first = spawn_batch(
@@ -128,9 +128,9 @@ fn try_submit_reports_queue_full_then_recovers() {
         matches!(full.result, Err(ServeError::QueueFull)),
         "{full:?}"
     );
-    // Admission looks the structure up before it asks for a permit: an
+    // Admission looks the structure up before it asks for a place: an
     // unknown structure is answered `unknown_structure`, and counted,
-    // though the gate is full.
+    // though the ledger is full.
     let unknown = handle.solve("Y", bindings(11, 20, 30));
     assert_eq!(
         unknown
@@ -145,7 +145,7 @@ fn try_submit_reports_queue_full_then_recovers() {
     assert_eq!((served.rejected, served.rejected_overload), (2, 1));
     let first = first.join().expect("first caller");
     assert!(first[0].result.is_ok(), "{first:?}");
-    // The permit came back with the reply: the gate admits again.
+    // The place came back with the reply: the ledger admits again.
     let again = handle.solve("X", bindings(11, 20, 30));
     assert!(again.result.is_ok(), "{again:?}");
     server.shutdown();
@@ -301,7 +301,7 @@ fn blocking_solve_sheds_an_expired_deadline_without_solving() {
 
 /// What the server records for a solve: the served counters without
 /// the refusals at admission, the cache counters and the per-stage
-/// sample counts. A call the closed gate refuses is answered `Closed`
+/// sample counts. A call the stopped ledger refuses is answered `Closed`
 /// and counted under `rejected`, which can happen after `shutdown`
 /// returns; nothing a solve records can.
 fn solve_records(stats: &ServerStats) -> (ServedCounters, CacheStats, Vec<u64>) {
@@ -329,7 +329,7 @@ fn shutdown_waits_for_blocking_callers_solving_inline() {
     let calls = Arc::new(AtomicUsize::new(0));
     // Four threads over two solve slots: two solve while the others
     // wait for a slot. Fresh bindings keep some calls recording regions,
-    // until the closed gate answers.
+    // until the stopped ledger answers.
     let callers: Vec<_> = (0..4)
         .map(|t| {
             let handle = handle.clone();
@@ -575,7 +575,7 @@ fn abandoned_tickets_do_not_leak_permits() {
     let door = TcpFrontDoor::bind(handle.clone(), "127.0.0.1:0").unwrap();
     // Each client sends a request and closes its connection without
     // reading the reply; the server answers into a closed socket and
-    // must still release the admission permit.
+    // must still release its place in the ledger.
     for i in 0..10 {
         let mut client = TcpStream::connect(door.local_addr()).unwrap();
         writeln!(client, "X rb_n={},rb_m=20,rb_k=30", 10 + i).unwrap();
@@ -592,7 +592,7 @@ fn abandoned_tickets_do_not_leak_permits() {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    // All permits are back: a full-capacity batch is admitted whole.
+    // All places are back: a full-capacity batch is admitted whole.
     let replies = handle.solve_batch(vec![
         (
             "X".to_owned(),

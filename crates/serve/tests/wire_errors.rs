@@ -2,10 +2,10 @@
 //! a stable JSON error line with a machine-readable `code`, and the
 //! reachable ones round-trip through a live TCP front door.
 
-use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
+use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand, UnaryOp};
 use gmc_kernels::KernelRegistry;
 use gmc_plan::PlanError;
-use gmc_serve::protocol::reply_to_json;
+use gmc_serve::protocol::{answer_line, reply_to_json};
 use gmc_serve::tcp::TcpFrontDoor;
 use gmc_serve::{RequestOptions, ServeConfig, ServeError, ServeReply, Server, SolveFault};
 use std::io::{BufRead, BufReader, Write};
@@ -92,8 +92,8 @@ fn error_codes_round_trip_over_tcp() {
     let bad = ask("X bogus=1");
     assert!(bad.contains("\"code\":\"bad_request\""), "{bad}");
 
-    // Known variable but incomplete bindings: fails at bind time in
-    // the dispatcher, a plan-layer error.
+    // Known variable but incomplete bindings: fails to bind at
+    // admission, a plan-layer error.
     let partial = ask("X we_n=10");
     assert!(partial.contains("\"code\":\"plan\""), "{partial}");
 
@@ -112,8 +112,8 @@ fn error_codes_round_trip_over_tcp() {
         "{expired}"
     );
 
-    // Occupy the single admission slot from another thread (a delayed
-    // solve holds its permit), then the TCP request is shed. The
+    // Occupy the single place in the ledger from another thread (a
+    // delayed solve holds it), then the TCP request is shed. The
     // holder counts under `batches` once admitted.
     let slow = RequestOptions {
         fault: Some(SolveFault::Delay(Duration::from_millis(1500))),
@@ -151,6 +151,36 @@ fn error_codes_round_trip_over_tcp() {
     drop(writer);
     drop(lines);
     door.shutdown();
+}
+
+/// Admission binds a request's chain boundary first, `d0` to `dn`, so
+/// a refusal names the first boundary dimension that does not bind, not
+/// the first operand dimension: for `Aᵀ B` with `A` of `m × n` that is
+/// `n`, though `A` lists `m` first.
+#[test]
+fn unbindable_sizes_are_refused_at_the_first_boundary_dimension() {
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let server = Server::start(registry, ServeConfig::default());
+    let (m, n, k) = (Dim::var("m"), Dim::var("n"), Dim::var("k"));
+    let chain = SymChain::new(vec![
+        SymFactor::new(SymOperand::new("A", m, n), UnaryOp::Transpose),
+        plain("B", m, k),
+    ])
+    .unwrap();
+    server.register("X", chain).unwrap();
+    let handle = server.handle();
+    assert_eq!(
+        answer_line(&handle, "X m=0,n=0,k=5"),
+        r#"{"structure":"X","error":"dimension `n` resolved to zero","code":"plan"}"#
+    );
+    assert_eq!(
+        answer_line(&handle, "X k=5"),
+        r#"{"structure":"X","error":"dimension variable `n` is not bound","code":"plan"}"#
+    );
+    // Refused at admission: nothing was solved.
+    let stats = handle.stats();
+    assert_eq!((stats.served.completed, stats.served.rejected), (0, 2));
+    server.shutdown();
 }
 
 #[test]

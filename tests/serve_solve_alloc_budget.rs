@@ -1,12 +1,13 @@
-//! Allocation budget of a served hit: `ServeHandle::solve_raw` solves
-//! the request on the calling thread, through the structure's resolved
-//! cache entry, so a hit costs what `PlanCache::solve_resolved`
-//! allocates for it, what the reply copies out of the solution, and two
+//! Allocation budget of a served hit: `ServeHandle::solve_raw` binds
+//! the request's chain once, at admission, and solves that bound chain
+//! on the calling thread through the structure's resolved cache entry,
+//! so a hit costs what `SymChain::bind` and `PlanCache::solve_resolved`
+//! allocate for it, what the reply copies out of the solution, and two
 //! more: the bindings map and the reply's structure name. The lower
 //! bound proves the hit ran on this thread (a hit handed to another
 //! thread would leave its allocations uncounted); the upper bounds fail
 //! loudly if anything else (a grouping `Vec` or map, a reply channel, a
-//! structure key) creeps into the request path.
+//! structure key, a second binding) creeps into the request path.
 
 mod alloc_counter;
 
@@ -48,7 +49,10 @@ fn inline_hit_allocates_what_the_cache_and_reply_need() {
         .with("sa_m", mv)
         .with("sa_k", kv);
     let plan = server.cache().resolve(&chain);
-    let (solved, cache) = allocations(|| server.cache().solve_resolved(&plan, &chain, &bindings));
+    let (solved, cache) = allocations(|| {
+        let concrete = chain.bind(&bindings).expect("binds");
+        server.cache().solve_resolved(&plan, &chain, &concrete)
+    });
     let (solution, outcome, _) = solved.expect("a warm region");
     assert!(outcome.is_hit(), "{outcome:?}");
     let kernels = solution.kernel_names().len();
@@ -73,11 +77,13 @@ fn inline_hit_allocates_what_the_cache_and_reply_need() {
         "{raw} allocations for a `solve_raw` hit, budget {budget} \
          (cache {cache} + reply {reply_copies} + 2)"
     );
-    // The cache keys no structure on a served hit: a `StructureKey`
-    // would be 3 more.
+    // The cache keys no structure on a served hit (a `StructureKey`
+    // would be 3 more), and evaluates its polynomials from the bound
+    // chain's sizes, by position, with no variable list or second
+    // bindings map.
     assert!(
-        raw <= 26,
-        "{raw} allocations for a `solve_raw` hit, pinned at 26"
+        raw <= 24,
+        "{raw} allocations for a `solve_raw` hit, pinned at 24"
     );
     server.shutdown();
 }
