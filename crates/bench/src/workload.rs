@@ -206,7 +206,7 @@ impl Deserialize for ArrivalProcess {
 
 /// A seeded description of synthetic serving traffic. Compiling the
 /// same spec always yields the same [`Trace`], byte for byte.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Human-readable scenario name (carried into the trace).
     pub name: String,
@@ -345,57 +345,10 @@ impl WorkloadSpec {
     }
 }
 
-impl Serialize for WorkloadSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_owned(), Value::String(self.name.clone())),
-            ("seed".to_owned(), Value::Number(self.seed as f64)),
-            (
-                "structures".to_owned(),
-                Value::Number(self.structures as f64),
-            ),
-            (
-                "alias_structures".to_owned(),
-                Value::Number(self.alias_structures as f64),
-            ),
-            ("min_len".to_owned(), Value::Number(self.min_len as f64)),
-            ("max_len".to_owned(), Value::Number(self.max_len as f64)),
-            ("zipf_s".to_owned(), Value::Number(self.zipf_s)),
-            ("bindings".to_owned(), self.bindings.to_value()),
-            ("arrivals".to_owned(), self.arrivals.to_value()),
-            ("requests".to_owned(), Value::Number(self.requests as f64)),
-            ("hit_ratio".to_owned(), Value::Number(self.hit_ratio)),
-            (
-                "duplicate_ratio".to_owned(),
-                Value::Number(self.duplicate_ratio),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for WorkloadSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(WorkloadSpec {
-            name: String::from_value(v.get_field("name")?)?,
-            seed: u64::from_value(v.get_field("seed")?)?,
-            structures: usize::from_value(v.get_field("structures")?)?,
-            alias_structures: usize::from_value(v.get_field("alias_structures")?)?,
-            min_len: usize::from_value(v.get_field("min_len")?)?,
-            max_len: usize::from_value(v.get_field("max_len")?)?,
-            zipf_s: f64::from_value(v.get_field("zipf_s")?)?,
-            bindings: Vec::<BindingDist>::from_value(v.get_field("bindings")?)?,
-            arrivals: ArrivalProcess::from_value(v.get_field("arrivals")?)?,
-            requests: usize::from_value(v.get_field("requests")?)?,
-            hit_ratio: f64::from_value(v.get_field("hit_ratio")?)?,
-            duplicate_ratio: f64::from_value(v.get_field("duplicate_ratio")?)?,
-        })
-    }
-}
-
 /// One structure of a trace: a dense chain of `dims.len() - 1` factors
 /// where factor `i` spans `(dims[i], dims[i+1])`, optionally stored
 /// transposed (the factor's operand has the flipped shape and a `^T`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceStructure {
     /// Registration name (`S0`, `S1`, …; alias twins are `S0x`, …).
     pub name: String,
@@ -452,26 +405,6 @@ impl TraceStructure {
     }
 }
 
-impl Serialize for TraceStructure {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_owned(), Value::String(self.name.clone())),
-            ("dims".to_owned(), self.dims.to_value()),
-            ("transposed".to_owned(), self.transposed.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TraceStructure {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(TraceStructure {
-            name: String::from_value(v.get_field("name")?)?,
-            dims: Vec::<String>::from_value(v.get_field("dims")?)?,
-            transposed: Vec::<bool>::from_value(v.get_field("transposed")?)?,
-        })
-    }
-}
-
 /// The intended class of one request, recorded at generation time
 /// (replay measures the *actual* hit/miss; races can differ).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -484,18 +417,21 @@ pub enum RequestClass {
     Duplicate,
 }
 
-impl RequestClass {
-    /// Stable wire label.
-    fn label(&self) -> &'static str {
-        match self {
+/// Serialized as its stable wire label.
+impl Serialize for RequestClass {
+    fn to_value(&self) -> Value {
+        let label = match self {
             RequestClass::Fresh => "fresh",
             RequestClass::Warm => "warm",
             RequestClass::Duplicate => "duplicate",
-        }
+        };
+        Value::String(label.to_owned())
     }
+}
 
-    fn from_label(s: &str) -> Result<Self, DeError> {
-        match s {
+impl Deserialize for RequestClass {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match String::from_value(v)?.as_str() {
             "fresh" => Ok(RequestClass::Fresh),
             "warm" => Ok(RequestClass::Warm),
             "duplicate" => Ok(RequestClass::Duplicate),
@@ -505,7 +441,7 @@ impl RequestClass {
 }
 
 /// One request of a trace.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceRequest {
     /// Arrival offset in microseconds from trace start (0 for
     /// closed-loop traces).
@@ -516,31 +452,6 @@ pub struct TraceRequest {
     pub values: Vec<usize>,
     /// The intended hit/miss class.
     pub class: RequestClass,
-}
-
-impl Serialize for TraceRequest {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("at_us".to_owned(), Value::Number(self.at_us as f64)),
-            ("structure".to_owned(), Value::Number(self.structure as f64)),
-            ("values".to_owned(), self.values.to_value()),
-            (
-                "class".to_owned(),
-                Value::String(self.class.label().to_owned()),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for TraceRequest {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(TraceRequest {
-            at_us: u64::from_value(v.get_field("at_us")?)?,
-            structure: usize::from_value(v.get_field("structure")?)?,
-            values: Vec::<usize>::from_value(v.get_field("values")?)?,
-            class: RequestClass::from_label(&String::from_value(v.get_field("class")?)?)?,
-        })
-    }
 }
 
 /// A compiled, replayable traffic trace.

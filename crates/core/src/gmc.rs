@@ -251,8 +251,11 @@ impl<'r, M: CostMetric> GmcOptimizer<'r, M> {
                 // Winner-only work: the temporary's properties are
                 // needed once per cell, not once per candidate.
                 let properties = grid.temp_properties(self.inference, chain, i, k, j);
-                let winner = Winner::of(k, &m);
-                grid.decide(i, j, total, winner, m.op.result_shape(), properties);
+                grid.decide(i, j, total, Winner::of(k, &m), properties);
+                debug_assert_eq!(
+                    grid.view(i, j).map(|v| v.operand.shape),
+                    Some(m.op.result_shape())
+                );
             }
         }
         grid.solution(self.registry, chain)
@@ -489,22 +492,18 @@ impl<C: Cost> CellGrid<C> {
     }
 
     /// Records the decision of interior cell `(i, j)`: `winner` at
-    /// accumulated cost `total`, producing a temporary of `shape` with
-    /// `properties` (less the square-only ones if `shape` is not
-    /// square).
-    pub fn decide(
-        &mut self,
-        i: usize,
-        j: usize,
-        total: C,
-        winner: Winner<C>,
-        shape: Shape,
-        properties: PropertySet,
-    ) {
+    /// accumulated cost `total`, producing a temporary with `props`
+    /// (less the square-only ones if it is not square). The temporary
+    /// of `M[i..=j]` has the rows of factor `i` and the columns of
+    /// factor `j`, whatever the split, so its shape is read off the
+    /// table's two leaf cells.
+    pub fn decide(&mut self, i: usize, j: usize, total: C, winner: Winner<C>, props: PropertySet) {
+        let leaf = |t| self.view(t, t).expect("leaf cells are seeded").shape();
+        let shape = Shape::new(leaf(i).rows(), leaf(j).cols());
         let cell = self.cell_mut(i, j);
         cell.cost = Some(total);
         cell.view = Some(FactorView {
-            operand: OperandView::temporary(i, j, shape, properties),
+            operand: OperandView::temporary(i, j, shape, props),
             op: UnaryOp::None,
         });
         cell.winner = Some(winner);

@@ -336,15 +336,6 @@ impl Chain {
         sizes
     }
 
-    /// Whether any factor is transposed or inverted, or any operand has
-    /// properties — i.e. whether this instance exercises the *generalized*
-    /// problem rather than the classic MCP.
-    pub fn is_generalized(&self) -> bool {
-        self.factors
-            .iter()
-            .any(|f| f.op() != UnaryOp::None || !f.operand().properties().is_empty())
-    }
-
     /// Converts back to an [`Expr`] (a flat product).
     pub fn to_expr(&self) -> Expr {
         Expr::times(self.factors.iter().map(Factor::expr))
@@ -417,7 +408,6 @@ mod tests {
         assert_eq!(chain.sub_shape(0, 1), Shape::new(2, 5));
         assert_eq!(chain.sub_shape(1, 2), Shape::new(3, 5));
         assert_eq!(chain.sizes(), vec![2, 3, 5, 5]);
-        assert!(chain.is_generalized());
     }
 
     #[test]
@@ -542,13 +532,5 @@ mod tests {
         let w = Operand::col_vector("w", 7);
         let chain = Chain::new(vec![Factor::plain(v), Factor::transposed(w)]).unwrap();
         assert_eq!(chain.shape(), Shape::new(5, 7));
-    }
-
-    #[test]
-    fn classic_chain_not_generalized() {
-        let a = Operand::matrix("A", 2, 3);
-        let b = Operand::matrix("B", 3, 5);
-        let chain = Chain::new(vec![Factor::plain(a), Factor::plain(b)]).unwrap();
-        assert!(!chain.is_generalized());
     }
 }

@@ -203,15 +203,6 @@ impl PropertySet {
         s
     }
 
-    /// The intersection of two sets. Intersections of closed sets are
-    /// closed, so no re-closure is needed.
-    #[must_use]
-    pub fn intersection(&self, other: PropertySet) -> PropertySet {
-        PropertySet {
-            bits: self.bits & other.bits,
-        }
-    }
-
     /// The set as a bitset: bit `p as u16` is set iff the set contains
     /// `p`, so testing several properties at once is one AND-compare.
     pub fn bits(&self) -> u16 {
@@ -440,13 +431,11 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_is_closed() {
         let a = PropertySet::new().with(Property::LowerTriangular);
         let b = PropertySet::new().with(Property::UpperTriangular);
         let u = a.union(b);
         assert!(u.contains(Property::Diagonal)); // closure applied
-        let i = a.intersection(b);
-        assert!(i.is_empty());
     }
 
     #[test]

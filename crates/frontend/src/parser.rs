@@ -32,7 +32,8 @@
 
 use crate::lexer::{LexError, Lexer, Tok, Token};
 use gmc_expr::{
-    Dim, Expr, Operand, Property, Shape, SymChain, SymFactor, SymOperand, SymShape, MAX_DIM,
+    Dim, Expr, Operand, Property, PropertySet, Shape, SymChain, SymFactor, SymOperand, SymShape,
+    MAX_DIM,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -128,8 +129,9 @@ impl From<LexError> for ParseError {
 ///
 /// Returns a [`ParseError`] with the source position of the first
 /// offending token; lowering errors (unknown operand, duplicate
-/// definition, unknown property, property on a non-square matrix, zero
-/// dimensions, malformed symbolic chains) are reported the same way. A
+/// definition, unknown property, property on a non-square matrix, a
+/// property contradicting the operand's others, zero dimensions,
+/// malformed symbolic chains) are reported the same way. A
 /// lex error anywhere in the input wins over every other error, as if
 /// the whole input were lexed before parsing.
 pub fn parse(input: &str) -> Result<Problem, ParseError> {
@@ -184,6 +186,13 @@ impl Lowered {
         }
     }
 
+    fn properties(&self) -> PropertySet {
+        match self {
+            Lowered::Concrete(op) => op.properties(),
+            Lowered::Symbolic(op) => op.properties(),
+        }
+    }
+
     /// The operand with constant dimensions where it has them.
     fn to_symbolic(&self) -> SymOperand {
         match self {
@@ -213,10 +222,6 @@ impl<'a> Definitions<'a> {
     fn push(&mut self, name: &'a str, operand: Lowered) {
         self.index.insert(name, self.list.len());
         self.list.push(operand);
-    }
-
-    fn get(&self, i: usize) -> &Lowered {
-        &self.list[i]
     }
 }
 
@@ -292,11 +297,7 @@ impl<'a> Parser<'a> {
                 self.advance();
                 Ok(())
             }
-            Some(t) => Err(ParseError {
-                message: format!("expected {want}, found {}", t.tok),
-                line: t.line,
-                col: t.col,
-            }),
+            Some(t) => Err(self.error_at(format!("expected {want}, found {}", t.tok))),
             None => Err(self.error_at(format!("expected {want}"))),
         }
     }
@@ -311,11 +312,7 @@ impl<'a> Parser<'a> {
                 self.advance();
                 Ok((name, line, col))
             }
-            Some(t) => Err(ParseError {
-                message: format!("expected identifier, found {}", t.tok),
-                line: t.line,
-                col: t.col,
-            }),
+            Some(t) => Err(self.error_at(format!("expected identifier, found {}", t.tok))),
             None => Err(self.error_at("expected identifier")),
         }
     }
@@ -379,11 +376,8 @@ impl<'a> Parser<'a> {
             }
         }
         if !any_assignment {
-            return Err(ParseError {
-                message: "problem contains no assignment".into(),
-                line: 0,
-                col: 0,
-            });
+            // The input is used up: the error has no position.
+            return Err(self.error_at("problem contains no assignment"));
         }
         if let Some(e) = lowering_error {
             return Err(e);
@@ -465,6 +459,11 @@ impl<'a> Parser<'a> {
                         "property {property} requires a square matrix, but `{name}` is {shape}"
                     ))
                 })?;
+                if !operand.properties().is_consistent() {
+                    return Err(at_property(format!(
+                        "property {property} contradicts the other properties of `{name}`"
+                    )));
+                }
                 match self.peek_tok() {
                     Some(Tok::Comma) => self.advance(),
                     Some(Tok::RAngle) => {
@@ -543,7 +542,7 @@ impl<'a> Parser<'a> {
                         col,
                     });
                 };
-                self.refs_symbolic |= matches!(self.defs.get(i), Lowered::Symbolic(_));
+                self.refs_symbolic |= matches!(self.defs.list[i], Lowered::Symbolic(_));
                 self.code.push(Node::Ref(i));
                 Ok(())
             }
@@ -557,7 +556,7 @@ impl<'a> Parser<'a> {
         let mut stack = Vec::with_capacity(self.code.len());
         for &node in &self.code {
             let e = match node {
-                Node::Ref(i) => match self.defs.get(i) {
+                Node::Ref(i) => match &self.defs.list[i] {
                     Lowered::Concrete(op) => op.expr(),
                     Lowered::Symbolic(_) => unreachable!("the caller checked every reference"),
                 },
@@ -584,7 +583,7 @@ impl<'a> Parser<'a> {
             let start = match node {
                 Node::Ref(i) => {
                     starts.push(factors.len());
-                    factors.push(SymFactor::plain(self.defs.get(i).to_symbolic()));
+                    factors.push(SymFactor::plain(self.defs.list[i].to_symbolic()));
                     continue;
                 }
                 Node::Mul(n) => {
@@ -742,6 +741,22 @@ X := A^-1 * B * C^T
     fn error_square_property_on_rectangular() {
         let err = parse("Matrix A (5, 6) <Symmetric>\nX := A * A").unwrap_err();
         assert!(err.message.contains("requires a square matrix"));
+    }
+
+    #[test]
+    fn error_contradicting_property() {
+        for (props, at) in [
+            ("<Zero, FullRank>", "FullRank"),
+            ("<Zero, SPD>", "SPD"),
+            ("<Identity, Zero>", "Zero"),
+        ] {
+            let line = format!("Matrix A (30, 30) {props}");
+            let err = parse(&format!("{line}\nX := A^-1 * A")).unwrap_err();
+            let want = format!("property {at} contradicts the other properties of `A`");
+            assert!(err.message.contains(&want), "{props}: {err}");
+            assert_eq!((err.line, err.col), (1, line.rfind(at).unwrap() + 1));
+        }
+        assert!(parse("Matrix A (30, 30) <Zero>\nMatrix B (30, 4)\nX := A * B").is_ok());
     }
 
     #[test]

@@ -440,24 +440,9 @@ impl<O> KernelOp<O> {
 
     /// The operands referenced by this operation, in argument order.
     pub fn operands(&self) -> Vec<&O> {
-        match self {
-            KernelOp::Gemm { a, b, .. }
-            | KernelOp::Trmm { a, b, .. }
-            | KernelOp::Symm { a, b, .. }
-            | KernelOp::Trsm { a, b, .. }
-            | KernelOp::Gesv { a, b, .. }
-            | KernelOp::Posv { a, b, .. }
-            | KernelOp::InvPair { a, b, .. } => vec![a, b],
-            KernelOp::Diag { d, b, .. } => vec![d, b],
-            KernelOp::Syrk { a, .. } => vec![a],
-            KernelOp::Gemv { a, x, .. }
-            | KernelOp::Trmv { a, x, .. }
-            | KernelOp::Symv { a, x }
-            | KernelOp::Trsv { a, x, .. } => vec![a, x],
-            KernelOp::Ger { x, y } | KernelOp::Dot { x, y } => vec![x, y],
-            KernelOp::Copy { b } => vec![b],
-            KernelOp::Inv { a, .. } => vec![a],
-        }
+        let mut operands = Vec::with_capacity(2);
+        self.for_each_operand(|o| operands.push(o));
+        operands
     }
 
     /// Visits the operands referenced by this operation, in argument

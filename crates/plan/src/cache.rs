@@ -1,5 +1,6 @@
 //! The structure-keyed plan cache: one map of structures, each entry
-//! holding its own regions.
+//! the one record of its structure, holding its regions and counting
+//! the requests it served.
 //!
 //! # Concurrency architecture
 //!
@@ -13,11 +14,14 @@
 //!   ([`PlanCache::resolve`]) and solves each request's bound chain
 //!   through it ([`PlanCache::solve_resolved`]), so it computes no
 //!   structure key and takes no map lock per request.
-//! * Each entry keeps its regions behind its own many-reader lock, held
-//!   only to find and clone a region or to push one. A hit instantiates
-//!   the region it cloned on a **thread-local** workspace (the DP
-//!   table), so concurrent hits share no mutable state and allocate no
-//!   fresh tables.
+//! * Each entry keeps one list of its regions behind its own
+//!   many-reader lock, held only to find and clone a region or to push
+//!   one. A hit instantiates the region it cloned on a **thread-local**
+//!   workspace (the DP table), so concurrent hits share no mutable
+//!   state and allocate no fresh tables.
+//! * Each entry counts its own hits and misses; [`PlanCache::stats`]
+//!   sums them over the entries when read, so a hit writes no counter
+//!   shared with other structures.
 //! * A miss records behind the entry's recording mutex, after looking
 //!   for its region once more: a thread that lost the race to record
 //!   the same region finds it there and serves it as a hit. Each region
@@ -32,7 +36,7 @@ use gmc_kernels::{Flops, KernelRegistry};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -116,7 +120,8 @@ pub struct CacheSize {
 }
 
 /// Nanosecond timing of one [`PlanCache::solve_traced`] or
-/// [`PlanCache::solve_resolved`] call.
+/// [`PlanCache::solve_resolved`] call. Every solve through the cache is
+/// timed; [`PlanCache::solve`] drops the timing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveTiming {
     /// Time locating the cached region: the region lookup and (on the
@@ -176,8 +181,9 @@ impl From<gmc_expr::DimError> for PlanError {
 }
 
 /// A symbolic plan for one chain structure: one recorded region plan
-/// per size region encountered so far. It is the cache's live entry for
-/// the structure, so regions recorded later appear in it.
+/// per size region encountered so far, and the counts of the requests
+/// it served. It is the cache's live entry for the structure and the
+/// one record of it, so regions recorded later appear in it.
 ///
 /// Its `Debug` form is what the plan decides: each region's key, cells
 /// and variables, in key order. It leaves out the request counters and
@@ -185,60 +191,54 @@ impl From<gmc_expr::DimError> for PlanError {
 /// recorded the same regions in any order render alike.
 #[derive(Default)]
 pub struct SymbolicPlan {
-    /// The regions, bucketed by the unit mask of their bindings; within
-    /// a bucket a binding's region is the one whose key it answers. The
-    /// lock is held only to find and clone a region or to push one.
-    regions: RwLock<HashMap<u64, Vec<Arc<RegionPlan>>>>,
+    /// The regions; a binding's region is the one with its unit mask
+    /// whose key it answers. The lock is held only to find and clone a
+    /// region or to push one.
+    regions: RwLock<Vec<Arc<RegionPlan>>>,
     /// Serializes recording, so each region is recorded exactly once.
     recording: Mutex<()>,
     hits: AtomicU64,
-    misses: AtomicU64,
+    region_misses: AtomicU64,
+    /// Whether a request recorded the structure's first region (a
+    /// plan-store load or a pre-enumeration counts nothing).
+    structure_miss: AtomicBool,
 }
 
 impl SymbolicPlan {
     /// Number of size regions recorded for this structure.
     pub fn region_count(&self) -> usize {
-        read_lock(&self.regions).values().map(Vec::len).sum()
+        read_lock(&self.regions).len()
     }
 
     /// The region serving the boundary dimensions `sizes`, if recorded.
     pub(crate) fn region_for(&self, sizes: &[usize]) -> Option<Arc<RegionPlan>> {
+        let mask = unit_mask(sizes);
         read_lock(&self.regions)
-            .get(&unit_mask(sizes))?
             .iter()
-            .find(|r| r.key.admits(sizes))
+            .find(|r| r.unit_mask == mask && r.key.admits(sizes))
             .cloned()
     }
 
     /// Every recorded region.
     pub(crate) fn regions(&self) -> Vec<Arc<RegionPlan>> {
-        read_lock(&self.regions)
-            .values()
-            .flatten()
-            .cloned()
-            .collect()
+        read_lock(&self.regions).clone()
     }
 
     /// Adds `region`; returns whether it is the structure's first. The
     /// caller holds the recording mutex.
     fn push(&self, region: RegionPlan) -> bool {
         let mut regions = write_lock(&self.regions);
-        let first = regions.is_empty();
-        regions
-            .entry(region.key.unit_mask())
-            .or_default()
-            .push(Arc::new(region));
-        first
+        regions.push(Arc::new(region));
+        regions.len() == 1
     }
 
-    /// Requests served from this structure's cached regions.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Requests that recorded a new region for this structure.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    /// The requests this structure served, by outcome.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            structure_misses: u64::from(self.structure_miss.load(Ordering::Relaxed)),
+            region_misses: self.region_misses.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+        }
     }
 
     /// The recorded regions' classification summaries.
@@ -266,15 +266,11 @@ thread_local! {
     static WORKSPACE: RefCell<GmcWorkspace<Flops>> = RefCell::new(GmcWorkspace::new());
 }
 
-/// Splits `started → lookup_done → now` into a [`SolveTiming`]; both
-/// `None` (the untraced path) yields zeros.
-fn timing(started: Option<Instant>, lookup_done: Option<Instant>) -> SolveTiming {
-    match (started, lookup_done) {
-        (Some(started), Some(lookup_done)) => SolveTiming {
-            lookup_ns: saturating_ns(lookup_done.duration_since(started)),
-            work_ns: saturating_ns(lookup_done.elapsed()),
-        },
-        _ => SolveTiming::default(),
+/// Splits `started → lookup_done → now` into a [`SolveTiming`].
+fn timing(started: Instant, lookup_done: Instant) -> SolveTiming {
+    SolveTiming {
+        lookup_ns: saturating_ns(lookup_done.duration_since(started)),
+        work_ns: saturating_ns(lookup_done.elapsed()),
     }
 }
 
@@ -357,9 +353,6 @@ pub struct PlanCache {
     registry: Arc<KernelRegistry>,
     inference: InferenceMode,
     plans: RwLock<HashMap<StructureKey, Arc<SymbolicPlan>>>,
-    hits: AtomicU64,
-    region_misses: AtomicU64,
-    structure_misses: AtomicU64,
 }
 
 impl PlanCache {
@@ -370,9 +363,6 @@ impl PlanCache {
             registry,
             inference,
             plans: RwLock::default(),
-            hits: AtomicU64::new(0),
-            region_misses: AtomicU64::new(0),
-            structure_misses: AtomicU64::new(0),
         }
     }
 
@@ -386,13 +376,19 @@ impl PlanCache {
         &self.registry
     }
 
-    /// Cumulative hit/miss counters.
+    /// Cumulative hit/miss counters: the sums of every entry's own
+    /// ([`SymbolicPlan::stats`]).
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            structure_misses: self.structure_misses.load(Ordering::Relaxed),
-            region_misses: self.region_misses.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-        }
+        read_lock(&self.plans)
+            .values()
+            .fold(CacheStats::default(), |sum, plan| {
+                let s = plan.stats();
+                CacheStats {
+                    structure_misses: sum.structure_misses + s.structure_misses,
+                    region_misses: sum.region_misses + s.region_misses,
+                    hits: sum.hits + s.hits,
+                }
+            })
     }
 
     /// The cache's size, as one entry covering the whole cache (the
@@ -510,15 +506,13 @@ impl PlanCache {
         chain: &SymChain,
         bindings: &DimBindings,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome), PlanError> {
-        let plan = self.resolve(chain);
-        self.solve_impl(&plan, chain, &chain.bind(bindings)?, None)
+        self.solve_traced(chain, bindings)
             .map(|(solution, outcome, _)| (solution, outcome))
     }
 
     /// Like [`PlanCache::solve`], additionally reporting where the call
-    /// spent its time ([`SolveTiming`]). Costs two extra clock reads
-    /// over the untraced path; the untraced path itself pays only a
-    /// branch.
+    /// spent its time ([`SolveTiming`]): `solve` is this call with the
+    /// timing dropped.
     pub fn solve_traced(
         &self,
         chain: &SymChain,
@@ -528,7 +522,7 @@ impl PlanCache {
         // time.
         let started = Instant::now();
         let plan = self.resolve(chain);
-        self.solve_impl(&plan, chain, &chain.bind(bindings)?, Some(started))
+        self.solve_impl(&plan, chain, &chain.bind(bindings)?, started)
     }
 
     /// [`solve_traced`](Self::solve_traced) of `concrete`, a binding of
@@ -548,7 +542,7 @@ impl PlanCache {
         chain: &SymChain,
         concrete: &Chain,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
-        self.solve_impl(plan, chain, concrete, Some(Instant::now()))
+        self.solve_impl(plan, chain, concrete, Instant::now())
     }
 
     fn solve_impl(
@@ -556,7 +550,7 @@ impl PlanCache {
         plan: &SymbolicPlan,
         chain: &SymChain,
         concrete: &Chain,
-        started: Option<Instant>,
+        started: Instant,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
         let sizes = concrete.sizes();
         let region = match plan.region_for(&sizes) {
@@ -571,9 +565,8 @@ impl PlanCache {
                 }
             }
         };
-        self.hits.fetch_add(1, Ordering::Relaxed);
         plan.hits.fetch_add(1, Ordering::Relaxed);
-        let lookup_done = started.map(|_| Instant::now());
+        let lookup_done = Instant::now();
         let solution = with_workspace(|workspace| {
             instantiate(
                 &self.registry,
@@ -595,18 +588,17 @@ impl PlanCache {
         plan: &SymbolicPlan,
         chain: &SymChain,
         concrete: &Chain,
-        started: Option<Instant>,
+        started: Instant,
     ) -> Result<(GmcSolution<Flops>, PlanOutcome, SolveTiming), PlanError> {
-        let lookup_done = started.map(|_| Instant::now());
+        let lookup_done = Instant::now();
         let (region, solution) = with_workspace(|workspace| {
             record_region(&self.registry, self.inference, chain, concrete, workspace)
         });
-        plan.misses.fetch_add(1, Ordering::Relaxed);
         let outcome = if plan.push(region) {
-            self.structure_misses.fetch_add(1, Ordering::Relaxed);
+            plan.structure_miss.store(true, Ordering::Relaxed);
             PlanOutcome::MissStructure
         } else {
-            self.region_misses.fetch_add(1, Ordering::Relaxed);
+            plan.region_misses.fetch_add(1, Ordering::Relaxed);
             PlanOutcome::MissRegion
         };
         Ok((solution?, outcome, timing(started, lookup_done)))

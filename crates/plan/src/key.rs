@@ -144,7 +144,8 @@ impl RegionKey {
 }
 
 /// The boundary positions of size 1 as a bit mask, folded into 64 bits
-/// (a longer chain shares bits, which only merges lookup buckets).
+/// (a longer chain shares bits, which only weakens the mask test that
+/// screens regions before their keys decide).
 pub(crate) fn unit_mask(sizes: &[usize]) -> u64 {
     sizes
         .iter()

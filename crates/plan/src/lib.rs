@@ -16,14 +16,16 @@
 //!   (the shape questions the region's recording consulted, with their
 //!   answers: which dimensions are 1, and the equalities and orderings
 //!   property inference reached). The cache is concurrent: one map
-//!   holds an entry per structure, and each entry keeps its regions
-//!   behind its own many-reader lock, so cache hits are reads that any
-//!   number of threads take at once while misses record behind their
-//!   entry's recording mutex. A caller that serves one structure many
-//!   times resolves its entry once ([`PlanCache::resolve`]) and solves
-//!   each request's bound chain through it
-//!   ([`PlanCache::solve_resolved`]) without keying the structure again
-//!   (see [`PlanCache`]'s docs). Plans persist:
+//!   holds an entry per structure, the structure's one record, and each
+//!   entry keeps one list of its regions behind its own many-reader
+//!   lock, so cache hits are reads that any number of threads take at
+//!   once while misses record behind their entry's recording mutex.
+//!   Each entry counts its own hits and misses
+//!   ([`SymbolicPlan::stats`]), and [`PlanCache::stats`] sums them. A
+//!   caller that serves one structure many times resolves its entry
+//!   once ([`PlanCache::resolve`]) and solves each request's bound
+//!   chain through it ([`PlanCache::solve_resolved`]) without keying
+//!   the structure again (see [`PlanCache`]'s docs). Plans persist:
 //!   [`PlanCache::save`] writes the binding each region was recorded at
 //!   to a JSON plan store (`gmc-plan-store/v3`), and [`PlanCache::load`]
 //!   re-records every stored region from it under the loading cache's

@@ -43,7 +43,7 @@ use crate::key::{QuestionLog, RegionKey};
 use gmc::{CellGrid, GmcError, GmcSolution, GmcWorkspace, InferenceMode, Winner};
 use gmc_analysis::infer_view_product_logged;
 use gmc_expr::{
-    Chain, CostPoly, Dim, DimVar, FactorView, OperandId, OperandView, PropertySet, Shape, SymChain,
+    Chain, CostPoly, Dim, DimVar, FactorView, OperandId, OperandView, PropertySet, SymChain,
     SymShape,
 };
 use gmc_kernels::{Flops, KernelOp, KernelRegistry, LeafBindings, Rank, Wiring};
@@ -101,24 +101,18 @@ impl Candidate {
         }
     }
 
-    /// The decision to compute the split with this candidate at
-    /// `op_cost`, and the shape of its result, given the split's sides.
-    fn decision(
-        &self,
-        registry: &KernelRegistry,
-        left: &FactorView,
-        right: &FactorView,
-        op_cost: Flops,
-    ) -> (Winner<Flops>, Shape) {
-        let wiring = self.wiring(left);
-        let op = registry.kernels()[self.kernel_idx].op(wiring.bind(left.operand, right.operand));
-        let winner = Winner {
+    /// The decision to compute `M[i..=j]` with this candidate at
+    /// `op_cost`, on a `grid` holding the split's left side `M[i..=k]`.
+    fn decision(&self, grid: &CellGrid<Flops>, i: usize, op_cost: Flops) -> Winner<Flops> {
+        let left = grid
+            .view(i, self.k)
+            .expect("a decided cell's sides are computed");
+        Winner {
             split: self.k,
             kernel: self.kernel_idx,
-            wiring,
+            wiring: self.wiring(left),
             op_cost,
-        };
-        (winner, op.result_shape())
+        }
     }
 }
 
@@ -184,6 +178,9 @@ pub(crate) struct RegionPlan {
     /// The bindings the plan serves: the shape questions its recording
     /// consulted, with their answers.
     pub(crate) key: RegionKey,
+    /// The key's [`RegionKey::unit_mask`]: which boundary dimensions
+    /// are 1 at every binding in the region.
+    pub(crate) unit_mask: u64,
     pub(crate) n: usize,
     pub(crate) cells: Vec<CellPlan>,
     /// The *recording* chain's distinct dimension variables in
@@ -395,7 +392,7 @@ pub(crate) fn record_region(
                 wiring: winner.wiring,
                 op_cost: winner.rank.cost,
             };
-            grid.decide(i, j, total, decision, winner.op.result_shape(), props);
+            grid.decide(i, j, total, decision, props);
 
             if dynamic {
                 plan_cells[idx] = CellPlan::Dynamic;
@@ -544,9 +541,11 @@ pub(crate) fn record_region(
             at.expect("every chain variable is a boundary dimension")
         })
         .collect();
+    let key = log.key(&sizes);
     (
         RegionPlan {
-            key: log.key(&sizes),
+            unit_mask: key.unit_mask(),
+            key,
             n,
             cells: plan_cells,
             vars,
@@ -591,9 +590,8 @@ pub(crate) fn instantiate(
                     let total = grid
                         .split_total(i, cand.k, j, &op_cost)
                         .expect("resolved children are computed");
-                    let (left, right) = sides(grid, i, cand.k, j);
-                    let (winner, shape) = cand.decision(registry, &left, &right, op_cost);
-                    grid.decide(i, j, total, winner, shape, *props);
+                    let winner = cand.decision(grid, i, op_cost);
+                    grid.decide(i, j, total, winner, *props);
                 }
                 CellPlan::Deferred { cands, props } => {
                     // The recorder lists candidates split by split in
@@ -615,16 +613,15 @@ pub(crate) fn instantiate(
                             best.map(|(cost, ci)| (cost, (cost, ci)))
                         })
                         .expect("deferred cells have candidates");
-                    let (left, right) = sides(grid, i, k, j);
-                    let (winner, shape) = cands[ci].decision(registry, &left, &right, op_cost);
-                    grid.decide(i, j, total, winner, shape, props.for_split(k));
+                    let winner = cands[ci].decision(grid, i, op_cost);
+                    grid.decide(i, j, total, winner, props.for_split(k));
                 }
                 CellPlan::Dynamic => {
                     if let Some((total, k, m)) =
                         grid.select_best_split(registry, i, j, KernelOp::flop_count)
                     {
                         let props = grid.temp_properties(inference, chain, i, k, j);
-                        grid.decide(i, j, total, Winner::of(k, &m), m.op.result_shape(), props);
+                        grid.decide(i, j, total, Winner::of(k, &m), props);
                     }
                 }
             }

@@ -859,7 +859,7 @@ impl ServeHandle {
     }
 
     /// Cache introspection as a single-line JSON document: totals and
-    /// per-structure hit/miss/region counts
+    /// the hit/miss/region counts of each structure a request reached
     /// (the `CACHE` wire command's payload).
     pub fn cache_introspection_json(&self) -> String {
         metrics::render_cache(&self.shared)

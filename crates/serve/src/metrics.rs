@@ -35,7 +35,7 @@
 //! | `gmc.serve.requests.completed` | counter | — (the sum of `served`) |
 //! | `gmc.serve.structures` | gauge | — |
 //! | `gmc.cache.requests` | counter | `outcome` = `hit`/`miss_region`/`miss_structure` |
-//! | `gmc.cache.structure.{hits,misses,regions}` | counter/gauge | `structure` = the entry's registered names, joined with `,` |
+//! | `gmc.cache.structure.{hits,misses,regions}` | counter/gauge | `structure` = the entry's requested names, joined with `,` |
 //! | `gmc.obs.slow_traces.{offered,kept,capacity}` | counter/gauge | — |
 
 use crate::{ClassLatency, LatencySnapshot, ServedCounters, Shared, StageLatency, STAGES};
@@ -311,38 +311,38 @@ fn num(v: u64) -> Value {
 /// Per-entry cache counters, resolved through the server's own
 /// structure registrations.
 struct StructureCacheStats {
-    /// The names registered for the entry, in sort order, joined with
-    /// `,`.
+    /// The entry's names that requests reached, in sort order, joined
+    /// with `,`.
     name: String,
     hits: u64,
     misses: u64,
     regions: usize,
 }
 
-/// Cache counters per cache entry, one row each, so the rows' hits and
-/// misses sum to the cache's totals. Names registered for one structure
-/// (renamed-variable twins) share its entry, and its row is named by
-/// all of them in sort order, joined with `,`; rows are sorted by name.
-/// Like every labeled family, the set is bounded: beyond
-/// [`DEFAULT_SERIES_CAP`] rows the remainder is aggregated into one
-/// `other` row, so a client registering thousands of structures cannot
-/// blow up the scrape.
+/// Cache counters per cache entry a request has reached, one row each,
+/// read from the entry. A scrape only reads: it resolves no structure.
+/// Names registered for one structure (renamed-variable twins) share
+/// its entry and row, named by those requests reached in sort order,
+/// joined with `,`; rows are sorted by name. Like every labeled family,
+/// the set is bounded: beyond [`DEFAULT_SERIES_CAP`] rows the rest is
+/// aggregated into one `other` row, so a client registering thousands
+/// of structures cannot blow up the scrape.
 fn structure_cache_stats(shared: &Shared) -> Vec<StructureCacheStats> {
     let mut names: Vec<(Arc<SymbolicPlan>, String)> = read_lock(&shared.structures)
         .values()
-        .map(|s| (Arc::clone(&s.resolved(&shared.cache).plan), s.name.clone()))
+        .filter_map(|s| Some((Arc::clone(&s.resolved.get()?.plan), s.name.clone())))
         .collect();
     names.sort_by(|(a, x), (b, y)| (Arc::as_ptr(a), x).cmp(&(Arc::as_ptr(b), y)));
     let mut rows: Vec<StructureCacheStats> = names
         .chunk_by(|(a, _), (b, _)| Arc::ptr_eq(a, b))
         .map(|run| {
-            let plan = &run[0].0;
             let names: Vec<&str> = run.iter().map(|(_, name)| name.as_str()).collect();
+            let stats = run[0].0.stats();
             StructureCacheStats {
                 name: names.join(","),
-                hits: plan.hits(),
-                misses: plan.misses(),
-                regions: plan.region_count(),
+                hits: stats.hits,
+                misses: stats.requests() - stats.hits,
+                regions: run[0].0.region_count(),
             }
         })
         .collect();

@@ -385,7 +385,12 @@ fn cache_rows_past_the_cap_share_one_other_row() {
         .unwrap();
         server.register(&format!("S{i:03}"), chain).unwrap();
     }
-    let cache_line = server.handle().cache_introspection_json();
+    let handle = server.handle();
+    for i in 0..DEFAULT_SERIES_CAP + 2 {
+        let reply = handle.solve(&format!("S{i:03}"), DimBindings::new().with("ob_n", 10));
+        assert!(reply.result.is_ok());
+    }
+    let cache_line = handle.cache_introspection_json();
     let cache: Value = serde_json::from_str(&cache_line).expect("CACHE parses as JSON");
     let rows = match cache.get_field("structures").unwrap() {
         Value::Array(a) => a.clone(),
@@ -397,6 +402,55 @@ fn cache_rows_past_the_cap_share_one_other_row() {
     assert_eq!(
         names[DEFAULT_SERIES_CAP],
         &Value::String("other".to_owned())
+    );
+    server.shutdown();
+}
+
+/// A scrape only reads: `CACHE` and `METRICS` before any request list
+/// no structure and create no cache entry, and a structure's row
+/// appears once a request has reached it.
+#[test]
+fn scrapes_list_only_requested_structures() {
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let server = Server::start(registry, ServeConfig::default());
+    let (p, q) = (Dim::var("ob_p"), Dim::var("ob_q"));
+    let other = SymChain::new(vec![
+        SymFactor::plain(SymOperand::new("D", p, q)),
+        SymFactor::plain(SymOperand::new("E", q, p)),
+    ])
+    .unwrap();
+    server.register("X", chain()).unwrap();
+    server.register("Y", other).unwrap();
+    let handle = server.handle();
+    let structures = |line: &str| {
+        let cache: Value = serde_json::from_str(line).expect("CACHE parses as JSON");
+        match cache.get_field("structures").unwrap() {
+            Value::Array(rows) => rows.clone(),
+            other => panic!("structures should be an array, got {other:?}"),
+        }
+    };
+
+    let cache_line = handle.cache_introspection_json();
+    assert!(cache_line.contains("\"structures\":[]"), "{cache_line}");
+    let exposition = handle.metrics_prometheus();
+    assert!(
+        !exposition.contains("gmc_cache_structure_hits{"),
+        "{exposition}"
+    );
+
+    assert!(handle.solve("X", bindings(10, 20, 30)).result.is_ok());
+    let rows = structures(&handle.cache_introspection_json());
+    assert_eq!(rows.len(), 1);
+    assert_eq!(
+        rows[0].get_field("name").unwrap(),
+        &Value::String("X".to_owned())
+    );
+    assert_eq!(
+        sample(
+            &handle.metrics_prometheus(),
+            "gmc_cache_structure_misses{structure=\"X\"}"
+        ),
+        1.0
     );
     server.shutdown();
 }
